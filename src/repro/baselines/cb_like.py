@@ -109,8 +109,9 @@ class ConsequenceBasedReasoner(Reasoner):
         subsumptions = set()
         for node_id in concept_ids:
             mask = closure[node_id]
-            # One iteration per set bit — bounded by the node count.
-            while mask:  # repro-lint: disable=RL003
+            while mask:
+                if watch is not None:
+                    watch.tick()
                 low = mask & -mask
                 superior_id = low.bit_length() - 1
                 mask ^= low

@@ -62,6 +62,7 @@ def load_ontology_file(path: str) -> TBox:
 
 
 def _cmd_classify(args) -> int:
+    from .obs.trace import Tracer, use_tracer
     from .runtime import Budget
 
     tbox = load_ontology_file(args.ontology)
@@ -69,7 +70,10 @@ def _cmd_classify(args) -> int:
     watch = (
         Budget(args.budget, task=f"classify {tbox.name}") if args.budget else None
     )
-    classification = classifier.classify(tbox, watch=watch)
+    tracer = Tracer(f"classify {tbox.name}")
+    with use_tracer(tracer):
+        classification = classifier.classify(tbox, watch=watch)
+    phase_ms = {span.name: span.elapsed_s * 1000 for span in tracer.spans}
     stats = tbox.stats()
     print(f"ontology:  {tbox.name}")
     print(
@@ -78,9 +82,9 @@ def _cmd_classify(args) -> int:
     )
     print(f"axioms:    {stats['axioms']}")
     print(
-        f"timings:   build {classifier.timings.build_ms:.1f}ms, "
-        f"closure {classifier.timings.closure_ms:.1f}ms, "
-        f"computeUnsat {classifier.timings.unsat_ms:.1f}ms"
+        f"timings:   build {phase_ms['classify.digraph']:.1f}ms, "
+        f"closure {phase_ms['classify.closure']:.1f}ms, "
+        f"computeUnsat {phase_ms['classify.unsat']:.1f}ms"
     )
     print(f"subsumptions (named, non-trivial): {classification.subsumption_count()}")
     unsat = sorted(str(node) for node in classification.unsatisfiable())
@@ -809,8 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend-every",
         type=int,
         default=2,
-        help="run the sqlite-pushdown-vs-in-memory equivalence diff every "
-        "Nth round (0 = never)",
+        help="run the five-path backend diff (KB perfectref/presto, sqlite, "
+        "planned and naive SQL) every Nth round (0 = never)",
     )
     conformance.add_argument(
         "--mode",
@@ -818,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'planner' runs only the naive-vs-planned SQL oracle every "
         "round (the planner-smoke CI job); 'backend' runs only the "
-        "sqlite pushdown oracle every round (the sqlite-smoke CI job)",
+        "five-path backend oracle every round (the sqlite-smoke CI job)",
     )
     conformance.add_argument(
         "--regressions",

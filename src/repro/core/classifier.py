@@ -13,14 +13,18 @@ Classification runs in the two steps of §5:
 Step 2 can be disabled (``include_unsat=False``) to measure its cost —
 that is the paper's own ablation: Φ_T alone already yields all
 "non-trivial" subsumptions.
+
+Each phase runs in a span of :func:`~repro.obs.trace.current_tracer`
+(``classify.digraph``, ``classify.closure``, ``classify.unsat``); install
+a recording tracer with :func:`~repro.obs.trace.use_tracer` to time them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..dllite.tbox import TBox
+from ..obs.trace import current_tracer
 from ..util.timing import Stopwatch
 from .classify import Classification
 from .closure import transitive_closure
@@ -28,19 +32,6 @@ from .digraph import TBoxDigraph, build_digraph
 from .unsat import compute_unsat
 
 __all__ = ["GraphClassifier", "classify"]
-
-
-@dataclass
-class ClassifierTimings:
-    """Per-phase wall-clock milliseconds of the last classification run."""
-
-    build_ms: float = 0.0
-    closure_ms: float = 0.0
-    unsat_ms: float = 0.0
-
-    @property
-    def total_ms(self) -> float:
-        return self.build_ms + self.closure_ms + self.unsat_ms
 
 
 class GraphClassifier:
@@ -74,29 +65,23 @@ class GraphClassifier:
     ):
         self.closure_algorithm = closure_algorithm
         self.include_unsat = include_unsat
-        self.timings = ClassifierTimings()
 
     def classify(
         self, tbox: TBox, watch: Optional[Stopwatch] = None
     ) -> Classification:
         """Classify *tbox*; raises TimeoutExceeded if *watch*'s budget expires."""
-        phase = Stopwatch()
-        graph = build_digraph(tbox)
-        self.timings.build_ms = phase.elapsed_ms
-
-        phase.restart()
-        closure = transitive_closure(
-            graph.successors, algorithm=self.closure_algorithm, watch=watch
-        )
-        self.timings.closure_ms = phase.elapsed_ms
-
-        phase.restart()
-        if self.include_unsat:
-            unsat = compute_unsat(graph, closure, watch=watch)
-        else:
-            unsat = frozenset()
-        self.timings.unsat_ms = phase.elapsed_ms
-
+        tracer = current_tracer()
+        with tracer.span("classify.digraph"):
+            graph = build_digraph(tbox)
+        with tracer.span("classify.closure"):
+            closure = transitive_closure(
+                graph.successors, algorithm=self.closure_algorithm, watch=watch
+            )
+        with tracer.span("classify.unsat"):
+            if self.include_unsat:
+                unsat = compute_unsat(graph, closure, watch=watch)
+            else:
+                unsat = frozenset()
         return Classification(graph, closure, unsat)
 
 

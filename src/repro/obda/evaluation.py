@@ -19,6 +19,13 @@ repeated and structurally similar queries share index-construction work
 instead of re-hashing full extents per query.  Index construction polls
 the budget and installs the index only on completion, so a timeout never
 leaves a partial index behind.
+
+Cells compare by their string forms
+(:func:`~repro.obda.sql.stats.join_key`, the identity the SQL executors
+share; an :class:`~repro.dllite.abox.Individual` renders as its IRI), so
+a query constant probes its bucket directly.  An object (``Individual``)
+never equals a value, whatever their string forms — the SQL unfolder
+keeps IRI templates and value columns apart the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..dllite.abox import ABox
+from ..dllite.abox import ABox, Individual
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from ..obs.metrics import global_metrics
 from ..obs.trace import current_tracer
@@ -34,6 +41,7 @@ from ..runtime.budget import Budget
 from .mapping import MappingCollection
 from .queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable
 from .sql.database import Database
+from .sql.stats import join_key
 
 __all__ = [
     "ExtentProvider",
@@ -98,7 +106,8 @@ class ExtentProvider:
         positions: Tuple[int, ...],
         budget: Optional[Budget] = None,
     ) -> Dict[Tuple, List[Tuple]]:
-        """Rows of *predicate* hashed by the values at *positions*.
+        """Rows of *predicate* hashed by :func:`join_key` of the values
+        at *positions*.
 
         ``positions == ()`` degenerates to one bucket holding the whole
         extent (the leading atom of a join plan).  The index is built
@@ -126,7 +135,9 @@ class ExtentProvider:
             for row in rows:
                 if budget is not None:
                     budget.tick()
-                index.setdefault(tuple(row[i] for i in positions), []).append(row)
+                index.setdefault(
+                    join_key(row[i] for i in positions), []
+                ).append(row)
             span.annotate(
                 predicate=predicate, positions=list(positions), rows=len(rows)
             )
@@ -302,6 +313,14 @@ class DatalogExtents(ExtentProvider):
         return result
 
 
+def _same_term(first: object, second: object) -> bool:
+    """Cell identity: the same string form, and both objects
+    (``Individual``) or both values."""
+    return isinstance(first, Individual) is isinstance(second, Individual) and (
+        str(first) == str(second)
+    )
+
+
 def evaluate_cq(
     cq: ConjunctiveQuery,
     extents: ExtentProvider,
@@ -340,39 +359,30 @@ def evaluate_cq(
         ordered.append(best)
         bound_vars |= best[0].variables()
 
-    # For each atom: which argument positions are keys (constant, repeated
-    # variable, or variable bound by an earlier atom) — fixed per ordering.
+    # For each atom: which argument positions are keys (constant, or
+    # variable bound by an earlier atom) — fixed per ordering.  Every
+    # variable position is then checked against the binding: a bound one
+    # (its key matched the string form, not yet the kind) and a repeat
+    # within the atom are compared, a first occurrence binds.
     plans = []
     seen_vars: Set[Variable] = set()
     for atom, _rows in ordered:
         key_positions: List[int] = []
         key_terms: List = []
+        checks: List[Tuple[int, Variable]] = []
         for position, term in enumerate(atom.args):
-            if isinstance(term, Constant):
+            if isinstance(term, Constant) or term in seen_vars:
                 key_positions.append(position)
                 key_terms.append(term)
-            elif term in seen_vars:
-                key_positions.append(position)
-                key_terms.append(term)
-            # else: first (or repeated within-atom) occurrence of a fresh
-            # variable — bound by this atom itself; within-atom repeats
-            # are enforced by the binding check in the join loop.
+            if isinstance(term, Variable):
+                checks.append((position, term))
         index = extents.index(
             atom.predicate, atom.arity, tuple(key_positions), budget=budget
         )
-        plans.append((atom, tuple(key_positions), tuple(key_terms), index))
+        plans.append((tuple(key_terms), tuple(checks), index))
         seen_vars |= atom.variables()
 
     answers: Set[Tuple] = set()
-
-    def probe_key(key_terms, binding) -> Optional[Tuple]:
-        key = []
-        for term in key_terms:
-            if isinstance(term, Constant):
-                key.append(term.value)
-            else:
-                key.append(binding[term])
-        return tuple(key)
 
     def join(depth: int, binding: Dict[Variable, object]) -> None:
         if budget is not None:
@@ -380,37 +390,19 @@ def evaluate_cq(
         if depth == len(plans):
             answers.add(tuple(binding[v] for v in cq.answer_vars))
             return
-        atom, key_positions, key_terms, index = plans[depth]
-        key = probe_key(key_terms, binding)
-        candidates = index.get(key, ())
-        if not candidates and any(isinstance(t, Constant) for t in key_terms):
-            # string-coercion fallback for constants (IRI/value mismatch)
-            candidates = [
-                row
-                for rows in index.values()
-                for row in rows
-                if all(
-                    row[i] == (binding[t] if isinstance(t, Variable) else t.value)
-                    or (
-                        isinstance(t, Constant)
-                        and str(row[i]) == str(t.value)
-                    )
-                    for i, t in zip(key_positions, key_terms)
-                )
-            ]
-        for row in candidates:
+        key_terms, checks, index = plans[depth]
+        key = join_key(
+            term.value if isinstance(term, Constant) else binding[term]
+            for term in key_terms
+        )
+        for row in index.get(key, ()):
             local = dict(binding)
-            ok = True
-            for position, (term, value) in enumerate(zip(atom.args, row)):
-                if isinstance(term, Constant):
-                    continue  # checked by the key
-                bound = local.get(term)
-                if bound is None:
-                    local[term] = value
-                elif bound != value:
-                    ok = False
+            for position, term in checks:
+                if term not in local:
+                    local[term] = row[position]
+                elif not _same_term(local[term], row[position]):
                     break
-            if ok:
+            else:
                 join(depth + 1, local)
 
     join(0, {})

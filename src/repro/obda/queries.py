@@ -12,7 +12,7 @@ outputs small) and heavily exercised by the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import UnknownPredicate
@@ -39,7 +39,15 @@ class Variable:
 
 @dataclass(frozen=True)
 class Constant:
-    value: object
+    """A query constant.  Two constants are one term iff their values have
+    the same string form — the identity cells have in every executor — so
+    ``1`` and ``'1'`` are one term, ``1``, ``1.0`` and ``True`` three."""
+
+    value: object = field(compare=False)
+    key: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", str(self.value))
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
@@ -95,7 +103,9 @@ class ConjunctiveQuery:
     ):
         self.name = name
         self.answer_vars: Tuple[Variable, ...] = tuple(answer_vars)
-        self.atoms: Tuple[Atom, ...] = tuple(atoms)
+        # A conjunction is idempotent: each atom once, in first-occurrence
+        # order — the form canonical() (hence every cache key) assumes.
+        self.atoms: Tuple[Atom, ...] = tuple(dict.fromkeys(atoms))
         body_vars = set().union(*(atom.variables() for atom in atoms)) if atoms else set()
         missing = [v for v in self.answer_vars if v not in body_vars]
         if missing:
@@ -142,12 +152,12 @@ class ConjunctiveQuery:
                 tuple(
                     ("v", ordering[t]) if isinstance(t, Variable) and t in ordering
                     else ("e", t.name) if isinstance(t, Variable)
-                    else ("c", str(t.value))
+                    else ("c", t.key)
                     for t in atom.args
                 ),
             )
 
-        atoms = sorted(set(self.atoms), key=key)
+        atoms = sorted(self.atoms, key=key)
         # second pass: number existential variables by first occurrence
         counter = itertools.count(len(ordering))
         canon: Dict[Variable, int] = dict(ordering)
@@ -160,7 +170,7 @@ class ConjunctiveQuery:
                         canon[term] = next(counter)
                     terms.append(("v", canon[term]))
                 else:
-                    terms.append(("c", term.value))
+                    terms.append(("c", term.key))
             shape.append((atom.predicate, tuple(terms)))
         return (self.answer_vars and len(self.answer_vars) or 0, tuple(sorted(shape)))
 

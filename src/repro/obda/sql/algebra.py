@@ -5,6 +5,11 @@ algebra; the evaluator produces a :class:`ResultSet` (named columns +
 tuples).  Supported operators: scan, selection (conjunctions of
 column=column / column=constant / column!=...), projection with optional
 renaming, natural-free equi-join, and union.
+
+Cells compare by their string forms (:func:`~repro.obda.sql.stats.join_key`):
+selections, joins and duplicate elimination all treat ``1`` and ``"1"``
+as one value and ``1`` and ``1.0`` as two, exactly as an IRI template
+renders them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ...errors import MappingError
 from ...runtime.budget import Budget
 from .database import Database
-from .stats import JoinIndex, _value_keys
+from .stats import JoinIndex, join_key
 
 __all__ = [
     "ResultSet",
@@ -28,28 +33,6 @@ __all__ = [
     "Condition",
     "evaluate",
 ]
-
-
-def _distinct_key(value):
-    """The duplicate-elimination key of one projected cell.
-
-    Plain tuple equality is *too coarse* here: ``1 == 1.0 == True`` in
-    Python, yet their string forms differ, so collapsing them inside a
-    projection loses answers once an IRI template is applied downstream
-    (``person/1`` vs ``person/1.0`` are distinct individuals — KB mode
-    keeps both).  The key therefore refines both equalities at once:
-    strings key on themselves, finite numerics on (string form,
-    canonical numeric class), everything else (None, non-finite floats,
-    exotic cells) on (string form, type).  Two cells share a key only
-    if they are ``==`` *and* agree on ``str()`` — so a distinct
-    projection can never change the final answer set, only multiplicity.
-    """
-    if isinstance(value, str):
-        return value
-    keys = _value_keys(value)
-    if len(keys) == 2:
-        return keys
-    return (keys[0], value.__class__)
 
 
 class ResultSet:
@@ -70,10 +53,16 @@ class ResultSet:
             ) from None
 
     def distinct(self) -> "ResultSet":
+        """Drop repeated rows: same string forms *and* ``==`` cells.
+
+        The string forms keep ``1`` and ``1.0`` apart (they render two
+        IRIs); ``==`` keeps ``1`` and ``"1"`` apart, so a raw value
+        answer comes back as every cell the other executors return.
+        """
         seen = set()
         rows = []
         for row in self.rows:
-            key = tuple(_distinct_key(value) for value in row)
+            key = (join_key(row), row)
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
@@ -234,10 +223,10 @@ def _evaluate_join(
     become hash-join keys, side-local conditions filter their input
     before the join, and everything else (e.g. ``!=`` across the sides)
     runs as a residual filter over the joined rows.  Bucketing goes
-    through :class:`~repro.obda.sql.stats.JoinIndex`, whose multi-key
-    scheme matches ``equal()`` exactly (including the ``on`` pairs, so
-    join and selection equality agree), and the output columns/rows are
-    exactly those of the filtered cross product.
+    through :class:`~repro.obda.sql.stats.JoinIndex`, which keys on the
+    same string forms ``equal()`` compares (including the ``on`` pairs,
+    so join and selection equality agree), and the output columns/rows
+    are exactly those of the filtered cross product.
     """
     left = evaluate(join.left, database, budget)
     right = evaluate(join.right, database, budget)
@@ -330,10 +319,7 @@ def _compile_conditions(conditions: Sequence[Condition], source: ResultSet):
         compiled.append((left_const, left, right_const, right, condition.operator))
 
     def equal(left_value, right_value) -> bool:
-        # Values flowing back from IRI templates are strings, while the
-        # stored cell may be numeric; compare with a string fallback so
-        # `person/{id}` round-trips against integer keys.
-        return left_value == right_value or str(left_value) == str(right_value)
+        return str(left_value) == str(right_value)
 
     def predicate(row) -> bool:
         for left_const, left, right_const, right, operator in compiled:

@@ -6,36 +6,22 @@ PR 6/7 made the repo plan those queries well, but still interpreted
 them row-by-row in the in-memory algebra.  :class:`SqliteBackend`
 closes that gap: it materializes the mapping-defined source tables into
 a (memory- or file-backed) SQLite database and ships each unfolded UCQ
-as **one** SQL statement — disjuncts as ``UNION``, joins/selections/
-projections inline — so join ordering, index selection and
-deduplication happen inside a real query engine.
+as one SQL statement per 500 disjuncts (SQLite's compound-select limit)
+— disjuncts as ``UNION``, joins/selections/projections inline — so join
+ordering, index selection and deduplication happen inside a real query
+engine.
 
-Correctness hinges on the engine's mixed-type equality
-(``a == b or str(a) == str(b)``, see :mod:`repro.obda.sql.algebra`),
-which no single SQLite collation can express because it is not
-transitive (``"1" ~ 1 ~ 1.0`` yet ``"1" !~ 1.0``).  The backend
-therefore reuses the :func:`repro.obda.sql.stats._value_keys`
-canonicalization *as a storage encoding*: every logical column ``i``
-becomes three physical columns
+Cells compare by their string forms, the identity of
+:func:`repro.obda.sql.stats.join_key` that every executor shares, so
+the replica stores every logical column ``i`` as two physical columns
 
-``c{i}_v``
-    the raw value (INTEGER/REAL/TEXT/NULL; booleans as 0/1),
 ``c{i}_t``
     the string form ``str(value)`` — never NULL (``None`` stores
-    ``'None'``, exactly the string the evaluator's fallback compares),
-``c{i}_n``
-    the canonical numeric key (``int`` when integral) or NULL for
-    strings and non-finite floats,
-
-and every equality compiles to
-
-``(l_t = r_t OR (l_n IS NOT NULL AND r_n IS NOT NULL AND l_n = r_n))``
-
-which matches exactly the pairs ``equal()`` accepts, never evaluates
-to SQL NULL (safe under ``NOT`` for ``!=``), and stays sargable: with
-per-position indexes on both ``_t`` and ``_n`` (mirroring the
-:class:`~repro.obda.sql.stats.StatisticsCatalog` join indexes) SQLite
-answers it with its MULTI-INDEX OR optimization instead of a scan.
+    ``'None'``); every selection and join compares it with ``=`` (or
+    ``<>``), and it carries the column's one index;
+``c{i}_v``
+    the raw value (INTEGER/REAL/TEXT/NULL; booleans as 0/1), read only
+    to decode raw value answers.
 
 Loading is incremental and generation-validated like every other cache
 in the repo: tables are bulk-loaded via ``executemany`` batches, and on
@@ -79,7 +65,6 @@ from .algebra import (
     UnionAll,
 )
 from .database import Database
-from .stats import _value_keys
 
 __all__ = ["SqliteBackend"]
 
@@ -87,6 +72,10 @@ _PLACEHOLDER_RE = re.compile(r"\{[A-Za-z_][A-Za-z0-9_]*\}")
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
+
+#: SQLite's default SQLITE_MAX_COMPOUND_SELECT: the most SELECTs one
+#: compound statement may unite.
+_MAX_COMPOUND_SELECT = 500
 
 
 def _quote(identifier: str) -> str:
@@ -98,19 +87,14 @@ def _strip(column: str) -> str:
     return column.rsplit(".", 1)[-1]
 
 
-def _encode_cell(value) -> Tuple[object, str, object]:
-    """The ``(_v, _t, _n)`` physical triple for one logical cell.
+def _encode_cell(value) -> Tuple[object, str]:
+    """The ``(_v, _t)`` physical pair for one logical cell.
 
-    Mirrors :func:`repro.obda.sql.stats._value_keys`: ``_t`` is the
-    string form (the primary join key), ``_n`` the canonical numeric
-    class for finite numerics.  ``_v`` keeps the raw value when SQLite
-    can store it faithfully; otherwise it degrades to the string form.
+    ``_t`` is the string form, the cell's identity.  ``_v`` keeps the
+    raw value when SQLite can store it faithfully; otherwise it degrades
+    to the string form.
     """
-    keys = _value_keys(value)
-    text = keys[0]
-    numeric = keys[1] if len(keys) > 1 else None
-    if isinstance(numeric, int) and not (_INT64_MIN <= numeric <= _INT64_MAX):
-        numeric = float(numeric)  # beyond 64-bit: the REAL class is exact here
+    text = str(value)
     if value is None or isinstance(value, str) or isinstance(value, float):
         raw: object = value  # NaN becomes NULL; decoded back via _t
     elif isinstance(value, bool):
@@ -119,7 +103,7 @@ def _encode_cell(value) -> Tuple[object, str, object]:
         raw = value if _INT64_MIN <= value <= _INT64_MAX else text
     else:  # exotic cell object: keep the string form everywhere
         raw = text
-    return raw, text, numeric
+    return raw, text
 
 
 def _decode_raw(raw, text):
@@ -153,10 +137,6 @@ class _ColRef:
     def t(self) -> str:
         return f"{self.alias}.c{self.position}_t"
 
-    @property
-    def n(self) -> str:
-        return f"{self.alias}.c{self.position}_n"
-
 
 class _Frame:
     """A flattened SELECT under construction: FROM items, WHERE
@@ -183,14 +163,6 @@ class _Frame:
         if not matches:
             raise MappingError(f"no column {column!r} in {tuple(names)}")
         raise MappingError(f"ambiguous column {column!r} in {tuple(names)}")
-
-
-def _equality_sql(left: _ColRef, right: _ColRef) -> str:
-    """``equal(l, r)`` over the dual-key encoding; never SQL NULL."""
-    return (
-        f"({left.t} = {right.t} OR ({left.n} IS NOT NULL "
-        f"AND {right.n} IS NOT NULL AND {left.n} = {right.n}))"
-    )
 
 
 class _Compiler:
@@ -243,9 +215,7 @@ class _Compiler:
             frame.columns = left.columns + right.columns
             for left_name, right_name in expression.on:
                 frame.where.append(
-                    _equality_sql(
-                        left.resolve(left_name), right.resolve(right_name)
-                    )
+                    f"{left.resolve(left_name).t} = {right.resolve(right_name).t}"
                 )
             return frame
         if isinstance(expression, Projection):
@@ -256,8 +226,7 @@ class _Compiler:
             # DISTINCT is intentionally dropped: every unfolded part is
             # consumed as a set (final UNION / answer-set dedup), so
             # inner dedup only affects multiplicity, never membership —
-            # and keeping the SELECT flat is what lets SQLite use the
-            # MULTI-INDEX OR access path on the dual-key join predicate.
+            # and a flat SELECT lets SQLite order the whole part's joins.
             frame.columns = [
                 (name, frame.resolve(column))
                 for column, name in zip(expression.columns, names)
@@ -272,7 +241,7 @@ class _Compiler:
         for part in expression.parts:
             inner = self.flatten(part)
             select_list = ", ".join(
-                f"{ref.v} AS c{i}_v, {ref.t} AS c{i}_t, {ref.n} AS c{i}_n"
+                f"{ref.v} AS c{i}_v, {ref.t} AS c{i}_t"
                 for i, (_, ref) in enumerate(inner.columns)
             )
             sql = f"SELECT {select_list} FROM {', '.join(inner.from_items)}"
@@ -297,54 +266,35 @@ class _Compiler:
         return frame
 
     def _compile_condition(self, condition: Condition, frame: _Frame) -> None:
+        if condition.operator not in ("=", "!="):
+            raise MappingError(f"unsupported operator {condition.operator!r}")
+        operator = "=" if condition.operator == "=" else "<>"
         left_const = isinstance(condition.left, Const)
         right_const = isinstance(condition.right, Const)
         if left_const and right_const:
-            left, right = condition.left.value, condition.right.value
-            truth = left == right or str(left) == str(right)
-            if condition.operator == "!=":
-                truth = not truth
-            frame.where.append("1" if truth else "0")
-            return
-        if left_const or right_const:
+            equal = str(condition.left.value) == str(condition.right.value)
+            frame.where.append("1" if equal == (operator == "=") else "0")
+        elif left_const or right_const:
             constant = (condition.left if left_const else condition.right).value
             column = condition.right if left_const else condition.left
-            ref = frame.resolve(column)
-            keys = _value_keys(constant)
-            text = keys[0]
-            numeric = keys[1] if len(keys) > 1 else None
-            if isinstance(numeric, int) and not (
-                _INT64_MIN <= numeric <= _INT64_MAX
-            ):
-                numeric = float(numeric)
-            if numeric is None:
-                equality = f"{ref.t} = ?"
-                frame.params.append(text)
-            else:
-                # IS is null-safe: a NULL _n (string cell) never matches.
-                equality = f"({ref.t} = ? OR {ref.n} IS ?)"
-                frame.params.extend([text, numeric])
+            frame.where.append(f"{frame.resolve(column).t} {operator} ?")
+            frame.params.append(str(constant))
         else:
-            equality = _equality_sql(
-                frame.resolve(condition.left), frame.resolve(condition.right)
-            )
-        if condition.operator == "=":
-            frame.where.append(equality)
-        elif condition.operator == "!=":
-            frame.where.append(f"NOT {equality}")
-        else:
-            raise MappingError(f"unsupported operator {condition.operator!r}")
+            left = frame.resolve(condition.left).t
+            right = frame.resolve(condition.right).t
+            frame.where.append(f"{left} {operator} {right}")
 
 
 class _CompiledQuery:
-    """One unfolded UCQ compiled to a single SQL statement plus the
-    per-part Python answer assemblers."""
+    """One unfolded UCQ compiled to ``(sql, params)`` statements of at
+    most :data:`_MAX_COMPOUND_SELECT` parts each, plus the per-part
+    Python answer assemblers."""
 
-    __slots__ = ("sql", "params", "assemblers", "tables", "width")
+    __slots__ = ("statements", "sql", "assemblers", "tables", "width")
 
-    def __init__(self, sql, params, assemblers, tables, width):
-        self.sql = sql
-        self.params = params
+    def __init__(self, statements, assemblers, tables, width):
+        self.statements = statements
+        self.sql = ";\n".join(sql for sql, _ in statements)
         self.assemblers = assemblers
         self.tables = tables
         self.width = width
@@ -408,7 +358,7 @@ class _LoadState:
 
 class SqliteBackend:
     """Materialize the source tables in SQLite and push unfolded UCQs
-    down as single SQL statements.
+    down as SQL statements of at most 500 parts each.
 
     One backend is bound to one :class:`Database` (the raw one — retry
     wrappers are passed per call, mirroring ``StatisticsCatalog``) and
@@ -462,26 +412,22 @@ class SqliteBackend:
     def _create_table(self, name: str, column_count: int) -> None:
         physical = _quote(f"d_{name}")
         self._connection.execute(f"DROP TABLE IF EXISTS {physical}")
-        columns = ", ".join(
-            f"c{i}_v, c{i}_t, c{i}_n" for i in range(column_count)
-        )
+        columns = ", ".join(f"c{i}_v, c{i}_t" for i in range(column_count))
         self._connection.execute(f"CREATE TABLE {physical} ({columns})")
 
     def _create_indexes(self, name: str, column_count: int) -> None:
         physical = _quote(f"d_{name}")
         for i in range(column_count):
-            for suffix in ("t", "n"):
-                index = _quote(f"i_{name}_{i}_{suffix}")
-                self._connection.execute(
-                    f"CREATE INDEX IF NOT EXISTS {index} "
-                    f"ON {physical} (c{i}_{suffix})"
-                )
+            index = _quote(f"i_{name}_{i}_t")
+            self._connection.execute(
+                f"CREATE INDEX IF NOT EXISTS {index} ON {physical} (c{i}_t)"
+            )
 
     def _ship_rows(
         self, name: str, column_count: int, rows, budget: Optional[Budget]
     ) -> int:
         physical = _quote(f"d_{name}")
-        placeholders = ", ".join("?" for _ in range(3 * column_count))
+        placeholders = ", ".join("?" for _ in range(2 * column_count))
         statement = f"INSERT INTO {physical} VALUES ({placeholders})"
         shipped = 0
         batch: List[Tuple] = []
@@ -573,7 +519,7 @@ class SqliteBackend:
             (_part_width(recipes) for _, recipes in unfolded.parts), default=0
         )
         selects: List[str] = []
-        params: List[object] = []
+        params: List[List[object]] = []
         assemblers = []
         for index, (expression, recipes) in enumerate(unfolded.parts):
             frame = compiler.flatten(expression)
@@ -598,18 +544,24 @@ class SqliteBackend:
                 select_list = ", ".join(pads + [f"{index}"])
                 sql = f"SELECT {select_list} WHERE EXISTS ({inner})"
             selects.append(sql)
-            params.extend(frame.params)
+            params.append(frame.params)
             assemblers.append(_make_assembler(recipes))
-        if len(selects) == 1:
-            statement = "SELECT DISTINCT * FROM (" + selects[0] + ")"
-        else:
-            statement = "\nUNION\n".join(selects)
-        return _CompiledQuery(
-            statement, tuple(params), assemblers, compiler.tables, width
-        )
+        statements = []
+        for start in range(0, len(selects), _MAX_COMPOUND_SELECT):
+            chunk = selects[start : start + _MAX_COMPOUND_SELECT]
+            if len(chunk) == 1:
+                statement = "SELECT DISTINCT * FROM (" + chunk[0] + ")"
+            else:
+                statement = "\nUNION\n".join(chunk)
+            chunk_params = params[start : start + _MAX_COMPOUND_SELECT]
+            statements.append(
+                (statement, tuple(p for part in chunk_params for p in part))
+            )
+        return _CompiledQuery(statements, assemblers, compiler.tables, width)
 
     def sql_for(self, unfolded, database: Optional[Database] = None) -> str:
-        """The exact statement :meth:`execute_unfolded` would ship."""
+        """The exact statements :meth:`execute_unfolded` would ship,
+        separated by ``;``."""
         with self._lock:
             return self._compile(unfolded, database or self.database).sql
 
@@ -621,7 +573,8 @@ class SqliteBackend:
         budget: Optional[Budget] = None,
         database: Optional[Database] = None,
     ) -> Set[Tuple]:
-        """Certain-answer tuples of *unfolded* via one pushed-down statement.
+        """Certain-answer tuples of *unfolded*, pushed down as one
+        statement per 500 parts.
 
         *database* may be a retry-wrapped view of the bound database;
         table resolution (the source access path) goes through it.
@@ -678,9 +631,9 @@ class SqliteBackend:
                 handler_installed = True
             execute_started = time.perf_counter()
             try:
-                rows = self._connection.execute(
-                    compiled.sql, compiled.params
-                ).fetchall()
+                rows = []
+                for sql, params in compiled.statements:
+                    rows.extend(self._connection.execute(sql, params).fetchall())
             except sqlite3.OperationalError as exc:
                 if budget is not None and budget.expired():
                     metrics.counter("backend.sqlite.budget_aborts").inc()

@@ -10,15 +10,13 @@ access — the same invalidation discipline the extent/index caches of
 :mod:`repro.obda.evaluation` already use, so statistics can never be
 served for data that has since changed shape.
 
-Hash buckets must agree with the algebra evaluator's equality
-(``a == b or str(a) == str(b)`` — an IRI template round-trips ``"1"``
-against the integer cell ``1``).  That predicate is *not transitive*
-(``"1" ~ 1 ~ 1.0`` yet ``"1" !~ 1.0``), so no single key function can
-bucket it exactly; :class:`JoinIndex` therefore files every row under
-each key of :func:`join_keys` — its string form plus, for finite
-numerics, a canonical numeric key — and probes all of the probe value's
-keys, so two values match the index iff the filter would call them
-equal (over the supported cell domain: str, bool, int, float).
+Two cells are equal iff their string forms are equal — the identity an
+IRI template already gives individuals (``person/{id}`` renders ``1``
+and ``"1"`` to one IRI, ``1.0`` to another).  :func:`join_key` computes
+it for a tuple of cells; the SQL layer and the KB executors key every
+hash index and duplicate check on it and compare single cells by
+``str()``, the same relation.  It is transitive, so :class:`JoinIndex`
+is a plain dict of buckets.
 
 Concurrency follows the copy-on-write idiom of
 :meth:`repro.obda.evaluation.ExtentProvider.index`: bookkeeping happens
@@ -29,10 +27,9 @@ is still current.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...obs.metrics import global_metrics
 from ...runtime.budget import Budget
@@ -45,108 +42,34 @@ __all__ = [
     "StatisticsCatalog",
     "JoinIndex",
     "join_key",
-    "join_keys",
 ]
 
 
 def join_key(values) -> Tuple[str, ...]:
-    """The primary (string-form) hash key for equi-join/bucket values."""
+    """The identity key of a tuple of cells: each cell's string form."""
     return tuple(
         value if isinstance(value, str) else str(value) for value in values
     )
 
 
-def _value_keys(value) -> Tuple:
-    """Every bucket key *value* answers to.
-
-    Always the string form; finite numerics additionally key on their
-    canonical numeric class (``int`` when integral), because ``1``,
-    ``1.0`` and ``True`` are ``==`` — hence equal to the filter — while
-    their ``str()`` forms differ.  Non-finite floats need no numeric
-    key: ``inf == inf`` coincides with string equality and ``nan``
-    values only ever match through their shared ``"nan"`` string form.
-    A string key can never collide with a numeric key (``str`` never
-    ``==`` ``int``/``float`` in Python), so the two namespaces are
-    disjoint without tagging.
-    """
-    if isinstance(value, str):
-        return (value,)
-    text = str(value)
-    if isinstance(value, bool) or isinstance(value, int):
-        return (text, int(value))
-    if isinstance(value, float) and math.isfinite(value):
-        return (text, int(value) if value.is_integer() else value)
-    return (text,)
-
-
-def join_keys(values) -> List[Tuple]:
-    """All composite bucket keys for a row's join values.
-
-    The cross product of the per-value alternatives from
-    :func:`_value_keys`; :func:`join_key` (the all-string form) is
-    always among them.  Two value tuples share a composite key iff the
-    evaluator's ``equal()`` accepts every aligned pair — the invariant
-    :class:`JoinIndex` builds on (pinned by the key/equal agreement
-    test in tests/test_planner.py).
-    """
-    keys: List[Tuple] = [()]
-    for value in values:
-        alternatives = _value_keys(value)
-        if len(alternatives) == 1:
-            alternative = alternatives[0]
-            keys = [key + (alternative,) for key in keys]
-        else:
-            keys = [key + (alt,) for key in keys for alt in alternatives]
-    return keys
-
-
 class JoinIndex:
-    """Rows bucketed for equi-join probes, faithful to ``equal()``.
+    """Rows bucketed by :func:`join_key` of their join values."""
 
-    Each added row occurrence is filed under every composite key of its
-    join values; :meth:`probe` unions the buckets of every key of the
-    probe values, deduplicating by occurrence and restoring insertion
-    order, so the matches are exactly the rows a cross-product filter
-    with ``equal()`` would keep — including mixed-type pairs like
-    ``1``/``1.0`` (``==``, different strings) and ``1``/``"1"`` (equal
-    by string form only).
-    """
-
-    __slots__ = ("_buckets", "_size")
+    __slots__ = ("_buckets",)
 
     def __init__(self):
-        self._buckets: Dict[Tuple, List[Tuple[int, Row]]] = {}
-        self._size = 0
+        self._buckets: Dict[Tuple[str, ...], List[Row]] = {}
 
     def add(self, values, row: Row) -> None:
-        entry = (self._size, row)
-        self._size += 1
-        for key in join_keys(values):
-            self._buckets.setdefault(key, []).append(entry)
+        self._buckets.setdefault(join_key(values), []).append(row)
 
     def probe(self, values) -> List[Row]:
-        """All rows whose join values ``equal()`` *values* pairwise."""
-        keys = join_keys(values)
-        if len(keys) == 1:  # all-string probe (the common case): one bucket
-            bucket = self._buckets.get(keys[0])
-            return [row for _, row in bucket] if bucket else []
-        entries: List[Tuple[int, Row]] = []
-        seen: Set[int] = set()
-        for key in keys:
-            for entry in self._buckets.get(key, ()):
-                if entry[0] not in seen:
-                    seen.add(entry[0])
-                    entries.append(entry)
-        entries.sort(key=lambda entry: entry[0])
-        return [row for _, row in entries]
+        """All rows whose join values have the string forms of *values*."""
+        return self._buckets.get(join_key(values), [])
 
     def contains(self, values) -> bool:
         """True iff :meth:`probe` would return at least one row."""
-        buckets = self._buckets
-        return any(key in buckets for key in join_keys(values))
-
-    def __len__(self) -> int:
-        return self._size
+        return join_key(values) in self._buckets
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .generators import (
     random_profile_tbox,
     random_queries,
     random_tiny_tbox,
+    with_literal_names,
 )
 from .metamorphic import run_metamorphic_checks
 from .oracle import (
@@ -65,11 +66,11 @@ class ConformanceConfig:
     obda_every: int = 2
     #: run the planner-vs-naive SQL oracle every Nth round (0 = never)
     planner_every: int = 2
-    #: run the sqlite-pushdown-vs-in-memory oracle every Nth round (0 = never)
+    #: run the five-path backend oracle every Nth round (0 = never)
     backend_every: int = 2
     #: "all" runs the full battery; "planner" runs only the planner
     #: oracle, every round (the CI planner-smoke job); "backend" runs
-    #: only the sqlite pushdown oracle, every round (the sqlite-smoke job)
+    #: only the backend oracle, every round (the sqlite-smoke job)
     mode: str = "all"
     #: where minimized reproducers are written (None = don't write)
     regression_dir: Optional[str] = None
@@ -178,8 +179,8 @@ def _run_round(
         _run_planner_check(report, config, rng, round_index, budget)
         return
     if config.mode == "backend":
-        # Backend-only campaign: every round diffs the sqlite pushdown
-        # against both in-memory SQL paths.
+        # Backend-only campaign: every round diffs the sqlite pushdown,
+        # both in-memory SQL paths and both KB-mode rewriters.
         _run_backend_check(report, config, rng, round_index, budget)
         return
 
@@ -295,7 +296,7 @@ def _run_round(
     if config.planner_every and round_index % config.planner_every == 0:
         _run_planner_check(report, config, rng, round_index, budget)
 
-    # 6. backend oracle: sqlite pushdown vs both in-memory SQL paths
+    # 6. backend oracle: the five answering paths over mixed-type data
     if config.backend_every and round_index % config.backend_every == 0:
         _run_backend_check(report, config, rng, round_index, budget)
 
@@ -337,9 +338,11 @@ def _run_backend_check(
     round_index: int,
     budget: Budget,
 ) -> None:
-    """One backend-oracle check: sqlite pushdown vs in-memory SQL paths."""
+    """One backend-oracle check: the five answering paths over one ABox
+    whose individuals include the literal-looking names ``1``, ``1.0``
+    and ``True``."""
     small = random_tiny_tbox(rng, config.profile)
-    abox = random_abox(rng, small, config.profile)
+    abox = with_literal_names(random_abox(rng, small, config.profile))
     queries = random_queries(rng, small, config.profile)
     if not queries:
         return

@@ -21,10 +21,16 @@ ABox into one relational table per predicate plus the corresponding
 GAV mappings (so SQL-unfolded evaluation is comparable answer-for-answer
 with virtual-extent evaluation), and :func:`random_queries` draws small
 connected conjunctive queries over the signature.
+:func:`with_literal_names` renames three individuals ``1``, ``1.0`` and
+``True``, which the direct mapping stores as typed cells in every other
+table — mixed-type data whose answers the string-form identity of the
+executors must keep unchanged.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -65,7 +71,12 @@ __all__ = [
     "random_profile_tbox",
     "random_queries",
     "random_tiny_tbox",
+    "with_literal_names",
 ]
+
+#: Individual names that read as Python literals, each mapped to the
+#: typed cell whose ``str()`` it is (see with_literal_names).
+LITERAL_CELLS = {"1": 1, "1.0": 1.0, "True": True}
 
 
 @dataclass(frozen=True)
@@ -219,13 +230,30 @@ def random_abox(
     return abox
 
 
+def with_literal_names(abox: ABox) -> ABox:
+    """*abox* with individuals ``a0``-``a2`` renamed ``1``, ``1.0``, ``True``."""
+    renames = {f"a{i}": Individual(name) for i, name in enumerate(LITERAL_CELLS)}
+
+    def renamed(assertion):
+        changes = {}
+        for field in dataclasses.fields(assertion):
+            value = getattr(assertion, field.name)
+            if isinstance(value, Individual) and value.name in renames:
+                changes[field.name] = renames[value.name]
+        return dataclasses.replace(assertion, **changes)
+
+    return ABox(renamed(assertion) for assertion in abox)
+
+
 def direct_mapping_system(tbox: TBox, abox: ABox):
     """Lower *abox* into a relational database under a direct GAV mapping.
 
     One table per populated predicate, one mapping assertion per table,
     with identity IRI templates — so the individuals coming back from the
     SQL pipeline are literally the ABox individuals and answer sets are
-    comparable with knowledge-base mode using plain ``==``.
+    comparable with knowledge-base mode using plain ``==``.  Every other
+    table stores the individuals named in :data:`LITERAL_CELLS` as their
+    typed cells; a cell's string form, hence its IRI, is still the name.
     """
     from ..obda.mapping import (
         IriTemplate,
@@ -255,9 +283,21 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
             attribute_rows.setdefault(assertion.attribute.name, set()).add(
                 (assertion.subject.name, assertion.value)
             )
+    tables = itertools.count()
+
+    def lower(rows, individuals: int):
+        """Typed cells for the first *individuals* columns of every other table."""
+        if next(tables) % 2 == 0:
+            return rows
+        return [
+            tuple(LITERAL_CELLS.get(cell, cell) for cell in row[:individuals])
+            + row[individuals:]
+            for row in rows
+        ]
+
     for name, rows in sorted(concept_rows.items()):
         table = f"t_{name}"
-        database.create_table(table, ["s"], sorted(rows))
+        database.create_table(table, ["s"], lower(sorted(rows), 1))
         mappings.add(
             MappingAssertion(
                 f"SELECT s FROM {table}",
@@ -266,7 +306,7 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
         )
     for name, rows in sorted(role_rows.items()):
         table = f"t_{name}"
-        database.create_table(table, ["s", "o"], sorted(rows))
+        database.create_table(table, ["s", "o"], lower(sorted(rows), 2))
         mappings.add(
             MappingAssertion(
                 f"SELECT s, o FROM {table}",
@@ -280,7 +320,7 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
         )
     for name, rows in sorted(attribute_rows.items()):
         table = f"t_{name}"
-        database.create_table(table, ["s", "v"], sorted(rows, key=str))
+        database.create_table(table, ["s", "v"], lower(sorted(rows, key=str), 1))
         from ..dllite.syntax import AtomicAttribute
 
         mappings.add(

@@ -1,6 +1,6 @@
 """The differential oracle: every engine against every other.
 
-Three diff families, in decreasing authority (see the package docstring
+Four diff families, in decreasing authority (see the package docstring
 for the full hierarchy):
 
 * :func:`semantics_soundness` — the brute-force finite-model oracle of
@@ -15,6 +15,9 @@ for the full hierarchy):
   incomplete (``complete = False``, the CB analogue) are held to
   *soundness only*: everything they derive must also be derived by the
   reference.
+* :func:`diff_backend` — the five answering paths (PerfectRef and
+  Presto over an ABox, sqlite/planned/naive SQL over its direct
+  mapping) against KB-mode PerfectRef;
 * :func:`diff_answers` — certain answers end to end through
   :class:`~repro.obda.system.OBDASystem`: PerfectRef vs Presto over
   virtual extents, and — when a mapped system is supplied — the naive
@@ -321,26 +324,32 @@ def diff_backend(
     queries,
     budget: Optional[Budget] = None,
 ) -> List[Disagreement]:
-    """Diff the sqlite pushdown backend against both in-memory SQL paths.
+    """Diff all five answering paths over one ABox and its direct mapping.
 
-    Three systems over a direct mapping of *abox*: the pushed-down
-    sqlite backend (``perfectref-sqlite``), the cost-based planner, and
-    the naive algebra evaluator (both ``perfectref-sql``).  The naive
-    evaluator is the semantic reference; a divergence on the sqlite side
-    means the canonical-key equality encoding, the UNION compilation, or
-    the delta loader mis-translated the unfolding into real SQL.  An
-    empty list means all three produced identical certain answers on
-    every query.
+    PerfectRef and Presto over the explicit *abox* (knowledge-base mode)
+    against the three SQL paths over a direct mapping of it: the
+    pushed-down sqlite backend (``perfectref-sqlite``), the cost-based
+    planner and the naive algebra evaluator (both ``perfectref-sql``).
+    KB-mode PerfectRef is the reference: its answers are the certain
+    answers over the ABox the mapping virtualizes, and every executor
+    compares cells by their string forms, so an individual stored as a
+    typed cell (see :func:`~repro.testkit.generators.direct_mapping_system`)
+    must answer exactly like its name.  An empty list means all five
+    produced identical certain answers on every query.
     """
     from ..errors import MappingError
+    from ..obda.system import OBDASystem
     from .generators import direct_mapping_system
 
+    kb = OBDASystem(tbox, abox=abox)
     sqlite_system = direct_mapping_system(tbox, abox)
     planned = direct_mapping_system(tbox, abox)
     planned.use_planner = True
     naive = direct_mapping_system(tbox, abox)
     naive.use_planner = False
     sides = (
+        ("kb", kb, "perfectref"),
+        ("kb", kb, "presto"),
         ("sqlite", sqlite_system, "perfectref-sqlite"),
         ("planned", planned, "perfectref-sql"),
         ("naive", naive, "perfectref-sql"),
@@ -349,44 +358,40 @@ def diff_backend(
     for query in queries:
         outcomes = {}
         for label, system, method in sides:
+            key = f"{label}/{method}"
             try:
-                outcomes[label] = (
+                outcomes[key] = (
                     "answers",
                     frozenset(
                         system.certain_answers(query, method=method, budget=budget)
                     ),
                 )
             except InconsistentOntology:
-                outcomes[label] = ("inconsistent", frozenset())
+                outcomes[key] = ("inconsistent", frozenset())
             except MappingError as error:
-                outcomes[label] = (f"mapping-error:{error}", frozenset())
-        reference = outcomes["naive"]
-        for label in ("sqlite", "planned"):
-            if outcomes[label] == reference:
+                outcomes[key] = (f"mapping-error:{error}", frozenset())
+        reference_key = "kb/perfectref"
+        reference = outcomes[reference_key]
+        for key, outcome in outcomes.items():
+            if outcome == reference:
                 continue
-            (status, answers), (n_status, n_answers) = outcomes[label], reference
-            if status != n_status:
+            (status, answers), (r_status, r_answers) = outcome, reference
+            if status != r_status:
                 detail = (
-                    f"on {query.name}: {label} says {status}, "
-                    f"naive says {n_status}"
+                    f"on {query.name}: {key} says {status}, "
+                    f"{reference_key} says {r_status}"
                 )
             else:
                 parts = []
-                gained = answers - n_answers
-                lost = n_answers - answers
+                gained = answers - r_answers
+                lost = r_answers - answers
                 if gained:
                     parts.append(f"extra answers {_sample(gained)}")
                 if lost:
                     parts.append(f"missing answers {_sample(lost)}")
                 detail = f"on {query.name}: " + "; ".join(parts)
             problems.append(
-                Disagreement(
-                    "backend",
-                    f"{label}/{'perfectref-sqlite' if label == 'sqlite' else 'perfectref-sql'}",
-                    "naive/perfectref-sql",
-                    detail,
-                    tbox.name,
-                )
+                Disagreement("backend", key, reference_key, detail, tbox.name)
             )
     return problems
 

@@ -24,15 +24,19 @@ def test_all_closure_algorithms_give_same_classification(county_tbox, algorithm)
 
 
 def test_timings_are_populated(county_tbox):
-    classifier = GraphClassifier()
-    classifier.classify(county_tbox)
-    timings = classifier.timings
-    assert timings.build_ms >= 0
-    assert timings.closure_ms >= 0
-    assert timings.unsat_ms >= 0
-    assert timings.total_ms == pytest.approx(
-        timings.build_ms + timings.closure_ms + timings.unsat_ms
-    )
+    from repro.obs.trace import Tracer, use_tracer
+
+    tracer = Tracer("classify")
+    with use_tracer(tracer):
+        GraphClassifier().classify(county_tbox)
+    assert [span.name for span in tracer.spans] == [
+        "classify.digraph",
+        "classify.closure",
+        "classify.unsat",
+    ]
+    assert all(span.status == "ok" for span in tracer.spans)
+    assert all(span.elapsed_s >= 0 for span in tracer.spans)
+    assert not tracer.open_spans
 
 
 def test_budget_enforced_on_large_input():

@@ -74,3 +74,52 @@ def test_ucq_union(extents):
 def test_attribute_and_role_share_arity_two(extents):
     answers = evaluate_cq(parse_cq("q(x, v) :- age(x, v)"), extents)
     assert answers == {(ada, 30)}
+
+
+class _NoScanIndex(dict):
+    """An index that fails the test if anything walks its buckets."""
+
+    def values(self):
+        raise AssertionError("evaluate_cq scanned index.values()")
+
+    items = __iter__ = values
+
+
+class _NoScanExtents(ABoxExtents):
+    def index(self, predicate, arity, positions, budget=None):
+        return _NoScanIndex(super().index(predicate, arity, positions, budget))
+
+
+def test_constant_probe_never_scans_the_index():
+    # The index holds Individual cells, the constants are strings: the
+    # probe finds the bucket by string form, hit or miss, without a scan.
+    extents = _NoScanExtents(ABox([RoleAssertion(AtomicRole("knows"), ada, bob)]))
+    assert evaluate_cq(parse_cq("q(x) :- knows(x, 'bob')"), extents) == {(ada,)}
+    assert evaluate_cq(parse_cq("q(x) :- knows(x, 'eve')"), extents) == set()
+    assert evaluate_cq(
+        parse_cq("q(y) :- knows('ada', y), knows(x, y)"), extents
+    ) == {(bob,)}
+
+
+def test_cells_join_by_string_form_objects_apart_from_values():
+    one = Individual("1")
+    extents = ABoxExtents(
+        ABox(
+            [
+                AttributeAssertion(AtomicAttribute("code"), ada, 1),
+                AttributeAssertion(AtomicAttribute("label"), bob, "1"),
+                AttributeAssertion(AtomicAttribute("label"), carol, 1.0),
+                ConceptAssertion(AtomicConcept("Person"), one),
+            ]
+        )
+    )
+    # the value 1 joins the value "1" (one string form), not 1.0
+    assert evaluate_cq(
+        parse_cq("q(x, y) :- code(x, v), label(y, v)"), extents
+    ) == {(ada, bob)}
+    # ... and never the object named "1": objects and values stay apart
+    assert evaluate_cq(parse_cq("q(x) :- code(x, v), Person(v)"), extents) == set()
+    assert evaluate_cq(parse_cq("q(v) :- Person(v), code(x, v)"), extents) == set()
+    # a constant takes the kind of its position
+    assert evaluate_cq(parse_cq("q(x) :- code(x, '1')"), extents) == {(ada,)}
+    assert evaluate_cq(parse_cq("q() :- Person(1)"), extents) == {()}

@@ -22,6 +22,7 @@ from repro.obda.sql.algebra import (
     Join,
     Projection,
     Rename,
+    ResultSet,
     Scan,
     Selection,
     evaluate,
@@ -40,7 +41,6 @@ from repro.obda.sql.stats import (
     StatisticsCatalog,
     TableStatistics,
     join_key,
-    join_keys,
 )
 from repro.testkit.generators import direct_mapping_system
 
@@ -264,44 +264,42 @@ def test_join_key_string_normalizes():
     assert join_key(("1", "a")) == ("1", "a")
 
 
-def test_join_keys_add_numeric_class_alongside_string_form():
-    keys = join_keys((1, "a"))
-    assert ("1", "a") in keys and (1, "a") in keys
-    assert join_keys(("x",)) == [("x",)]  # strings: single key, no expansion
-    # 1, 1.0 and True are == with different str() forms: one shared key
-    assert set(join_keys((1,))) & set(join_keys((1.0,)))
-    assert set(join_keys((True,))) & set(join_keys((1,)))
-    # but "1" matches 1 (string form) and not 1.0, exactly like equal()
-    assert set(join_keys(("1",))) & set(join_keys((1,)))
-    assert not set(join_keys(("1",))) & set(join_keys((1.0,)))
+def test_join_key_is_the_string_form_identity():
+    # 1, 1.0 and True are == in Python but render different IRIs: three keys
+    assert len({join_key((1,)), join_key((1.0,)), join_key((True,))}) == 3
+    # "1" and 1 render the same IRI: one key
+    assert join_key(("1",)) == join_key((1,))
+    assert join_key(("1",)) != join_key((1.0,))
 
 
-def test_join_keys_agree_with_equal_on_mixed_pool():
+MIXED_POOL = [
+    "1", "1.0", "a", "True", "nan", "inf", "2", "0",
+    1, 1.0, 2, 2.5, -1, -1.0, 0, True, False,
+    float("nan"), float("inf"), 10**20, 1e20,
+]
+
+
+def test_join_key_agrees_with_selection_equality_on_mixed_pool():
     # The bucketing invariant JoinIndex relies on: two values share a
-    # bucket key iff the evaluator's equal() accepts the pair.
-    def equal(a, b):
-        return a == b or str(a) == str(b)
-
-    pool = [
-        "1", "1.0", "a", "True", "nan", "inf", "2", "0",
-        1, 1.0, 2, 2.5, -1, -1.0, 0, True, False,
-        float("nan"), float("inf"), 10**20, 1e20,
-    ]
-    for a in pool:
-        for b in pool:
-            share = bool(set(join_keys((a,))) & set(join_keys((b,))))
-            assert share == equal(a, b), (a, b)
+    # bucket key iff the evaluator's selection accepts the pair — and
+    # that relation is transitive, so one key per value suffices.
+    pairs = ResultSet(("a", "b"), [])
+    accepts = algebra._compile_conditions((Condition("a", "b", "="),), pairs)
+    for a in MIXED_POOL:
+        for b in MIXED_POOL:
+            share = join_key((a,)) == join_key((b,))
+            assert share == accepts((a, b)), (a, b)
+            assert share == (str(a) == str(b)), (a, b)
 
 
-def test_join_index_probe_dedups_and_keeps_build_order():
+def test_join_index_probe_matches_string_forms_in_build_order():
     index = JoinIndex()
     for row in [(1.0, "x"), ("1", "y"), (1, "z"), (2, "w")]:
         index.add([row[0]], row)
-    # probe value 1 matches all three 1-ish rows exactly once each, in
-    # build order, even though 1's two keys both hit the (1,)-row
-    assert index.probe([1]) == [(1.0, "x"), ("1", "y"), (1, "z")]
-    assert index.probe([True]) == [(1.0, "x"), (1, "z")]
-    assert index.probe(["1"]) == [("1", "y"), (1, "z")]
+    assert index.probe([1]) == [("1", "y"), (1, "z")]
+    assert index.probe(["1"]) == index.probe([1])
+    assert index.probe([1.0]) == [(1.0, "x")]
+    assert index.probe([True]) == []
     assert index.probe([3]) == []
     assert index.contains([2]) and not index.contains([3])
 
@@ -317,9 +315,9 @@ def test_shared_index_rebuilt_after_insert(db):
 
 
 def test_mixed_type_joins_match_filter_semantics_naive_and_planned():
-    # equal() is `a == b or str(a) == str(b)`; the hash paths must match
-    # it bucket-for-bucket, including pairs equal under == only (1 vs
-    # 1.0, True vs 1) and pairs equal by string form only (1 vs "1").
+    # equal() compares string forms; the hash paths must match it
+    # bucket-for-bucket: 1 joins "1" (same string form) but not 1.0 or
+    # True (== in Python, different string forms).
     database = Database("mixed")
     database.create_table("l", ["k"], [(1,), (2,), ("3",), (True,)])
     database.create_table("r", ["k"], [(1.0,), ("1",), (1,), (3,), (False,)])
@@ -327,13 +325,7 @@ def test_mixed_type_joins_match_filter_semantics_naive_and_planned():
         Join(Scan("l"), Scan("r"), on=()),
         (Condition("l.k", "r.k", "="),),
     )
-    expected = sorted(
-        [
-            ("1", "1.0"), ("1", "'1'"), ("1", "1"),
-            ("'3'", "3"),
-            ("True", "1.0"), ("True", "1"),
-        ]
-    )
+    expected = sorted([("1", "'1'"), ("1", "1"), ("'3'", "3")])
     naive = evaluate(expr, database)
     assert sorted(tuple(map(repr, row)) for row in naive.rows) == expected
     planner = Planner(StatisticsCatalog(database))

@@ -132,3 +132,23 @@ def test_presto_with_attributes():
     answers = evaluate_ucq(datalog.ucq, DatalogExtents(datalog, ABoxExtents(abox)))
     reference = evaluate_ucq(perfect_ref(query, tbox), ABoxExtents(abox))
     assert answers == reference == {(Individual("ada"), 10)}
+
+
+def test_repeated_atom_query_keeps_every_answer():
+    # `P(y, x), P(y, x)` is the query `P(y, x)`: y stays an unbound
+    # existential, so A ⊑ ∃P⁻ (and B ⊑ A) rewrite it for both methods —
+    # also when the plain form is asked second and hits the cache entry
+    # the repeated form created.
+    from repro.obda.system import OBDASystem
+
+    tbox = parse_tbox("role P\nA isa exists P^-\nB isa A")
+    abox = ABox()
+    abox.add(ConceptAssertion(AtomicConcept("B"), Individual("b")))
+    abox.add(RoleAssertion(AtomicRole("P"), Individual("s"), Individual("o")))
+    assert len(parse_query("q(x) :- P(y, x), P(y, x)").disjuncts[0].atoms) == 1
+    expected = {(Individual("b"),), (Individual("o"),)}
+    system = OBDASystem(tbox, abox=abox)
+    for query in ("q(x) :- P(y, x), P(y, x)", "q(x) :- P(y, x)"):
+        for method in ("presto", "perfectref"):
+            answers = system.certain_answers(query, method=method)
+            assert answers == expected, (query, method)

@@ -54,6 +54,21 @@ def test_parse_cq_variables_and_constants():
     assert Atom("age", (x, Constant(42))) in q2.atoms
 
 
+def test_constants_are_one_term_iff_their_string_forms_match():
+    assert Constant(1) == Constant("1")
+    assert hash(Constant(1)) == hash(Constant("1"))
+    assert len({Constant(1), Constant(1.0), Constant(True)}) == 3
+    one = parse_cq("q(x) :- code(x, 1)")
+    one_float = parse_cq("q(x) :- code(x, 1.0)")
+    assert one != one_float
+    assert one.canonical() != one_float.canonical()
+    assert not homomorphism_exists(one, one_float)
+    both = parse_cq("q(x) :- code(x, 1), code(x, 1.0)")
+    assert len(both.atoms) == 2
+    assert len(minimize_ucq(UnionQuery([one, one_float])).disjuncts) == 2
+    assert len(parse_cq("q(x) :- code(x, 1), code(x, '1')").atoms) == 1
+
+
 def test_parse_boolean_query():
     q = parse_cq("q() :- Person(x)")
     assert q.is_boolean

@@ -102,13 +102,17 @@ def test_planner_agrees_on_reproducer(path):
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_backend_agrees_on_reproducer(path):
-    """The sqlite pushdown equals both in-memory SQL paths on seeded data."""
+    """All five answering paths agree on seeded data with literal names."""
     from repro.testkit import diff_backend
-    from repro.testkit.generators import random_abox, random_queries
+    from repro.testkit.generators import (
+        random_abox,
+        random_queries,
+        with_literal_names,
+    )
 
     tbox = _load(path)
     rng = random.Random(f"backend-regression:{path.stem}")
-    abox = random_abox(rng, tbox)
+    abox = with_literal_names(random_abox(rng, tbox))
     queries = random_queries(rng, tbox)
     assert diff_backend(tbox, abox, queries) == []
 
@@ -194,8 +198,8 @@ def test_backend_regression_mixed_type_keys():
     """The pinned planner-sqlite-mixed-keys scenario, replayed explicitly.
 
     Mixed-type cells (1, "1", 1.0, True, None) must survive the sqlite
-    round trip: selections and joins match by the engine's loose
-    equality, while distinct IRI string forms stay apart in the answers.
+    round trip: selections and joins match cells by their string forms,
+    and distinct IRI string forms stay apart in the answers.
     """
     from repro.dllite import AtomicConcept, AtomicRole
     from repro.obda import Database, MappingAssertion, MappingCollection, TargetAtom
@@ -255,7 +259,7 @@ def test_backend_regression_mixed_type_keys():
         }
     assert outcomes["sqlite"] == outcomes["naive"]
     assert outcomes["planned"] == outcomes["naive"]
-    # the loose equality matched 1 / "1" / 1.0 / True, but their string
-    # forms — hence their IRIs — stay distinct certain answers
+    # 1 / "1" / 1.0 / True render three IRIs (1 and "1" share one), and
+    # each stays a distinct certain answer
     teachers = {answer[0].name for answer in outcomes["sqlite"]["q(x) :- Teacher(x)"]}
     assert {"person/1", "person/1.0", "person/True", "person/None"} <= teachers

@@ -22,6 +22,7 @@ from repro.testkit import (
     DEFAULT_ENGINES,
     Disagreement,
     diff_answers,
+    diff_backend,
     diff_classifications,
     diff_engines,
     semantics_soundness,
@@ -33,6 +34,7 @@ from repro.testkit.generators import (
     random_profile_tbox,
     random_queries,
     random_tiny_tbox,
+    with_literal_names,
 )
 
 A, B, C = (AtomicConcept(name) for name in "ABC")
@@ -186,3 +188,50 @@ class TestDiffAnswers:
     def test_disagreement_renders_readably(self):
         problem = Disagreement("answers", "kb/presto", "sql/perfectref", "gap", "t")
         assert "kb/presto" in str(problem) and "on t" in str(problem)
+
+
+class TestDiffBackend:
+    @staticmethod
+    def _abox():
+        from repro.dllite.abox import ABox, ConceptAssertion, Individual, RoleAssertion
+        from repro.dllite.syntax import AtomicRole
+
+        a0, a1, a2 = (Individual(f"a{i}") for i in range(3))
+        P, Q = AtomicRole("P"), AtomicRole("Q")
+        return with_literal_names(
+            ABox(
+                [
+                    ConceptAssertion(A, a0),
+                    ConceptAssertion(B, a2),
+                    RoleAssertion(P, a0, a1),
+                    RoleAssertion(P, a1, a2),
+                    RoleAssertion(Q, a2, a0),
+                ]
+            )
+        )
+
+    def test_literal_names_are_typed_cells_in_every_other_table(self):
+        tbox = parse_tbox("role P\nrole Q\nA isa exists P\nB isa A", name="lit")
+        database = direct_mapping_system(tbox, self._abox()).database
+        # tables in creation order t_A, t_B, t_P, t_Q: the 2nd and 4th typed
+        assert database.table("t_A").rows == [("1",)]
+        assert database.table("t_B").rows == [(True,)]
+        assert sorted(database.table("t_P").rows) == [
+            ("1", "1.0"), ("1.0", "True")
+        ]
+        assert database.table("t_Q").rows == [(True, 1)]
+
+    def test_five_paths_agree_on_literal_names(self):
+        from repro.obda.cq_parser import parse_query
+
+        tbox = parse_tbox("role P\nrole Q\nA isa exists P\nB isa A", name="lit")
+        queries = [
+            parse_query(text)
+            for text in (
+                "q(x) :- P(x, y), P(y, z)",
+                "q(x) :- P(x, y), Q(y, z)",
+                "q(y) :- A(x), P(x, y)",
+                "q(x) :- Q(x, y), A(y)",
+            )
+        ]
+        assert diff_backend(tbox, self._abox(), queries) == []
