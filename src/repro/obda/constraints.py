@@ -218,12 +218,23 @@ def prune_ucq_with_constraints(
     candidates = sorted(
         set(ucq.disjuncts), key=lambda cq: (len(cq.atoms), str(cq))
     )
+    supers: Dict[str, Set[str]] = {}
+    for sub, sup in inclusions:
+        supers.setdefault(sub, set()).add(sup)
+    predicates = [frozenset(atom.predicate for atom in cq.atoms) for cq in candidates]
+    # Prefilter: a keeper maps into a disjunct only if the disjunct covers
+    # each keeper predicate p, by p itself or by some q with (q, p) known.
+    covered = [
+        own.union(*(supers.get(predicate, ()) for predicate in own))
+        for own in predicates
+    ]
     removed: Set[int] = set()
     for index, disjunct in enumerate(candidates):
         if budget is not None:
             budget.check()
         if any(
-            weakening_homomorphism_exists(keeper, disjunct, inclusions)
+            predicates[position] <= covered[index]
+            and weakening_homomorphism_exists(keeper, disjunct, inclusions)
             for position, keeper in enumerate(candidates)
             if position != index and position not in removed
         ):

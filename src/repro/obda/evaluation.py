@@ -346,9 +346,10 @@ def evaluate_cq(
     ordered: List[Tuple[Atom, Set[Tuple]]] = []
     remaining = list(atom_rows)
     bound_vars: Set[Variable] = set()
-    # One iteration per query atom — bounded by the (small) query size,
-    # not by data; the per-row budget polls happen in the join below.
-    while remaining:  # repro-lint: disable=RL003
+    while remaining:
+        if budget is not None:
+            budget.check()
+
         def rank(item):
             atom, rows = item
             connected = bool(atom.variables() & bound_vars) if bound_vars else True

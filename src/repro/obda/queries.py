@@ -263,11 +263,16 @@ def minimize_ucq(ucq: UnionQuery) -> UnionQuery:
 
     A disjunct ``d`` is redundant when some other kept disjunct ``d0``
     maps homomorphically into it — every answer of ``d`` is already an
-    answer of ``d0``.
+    answer of ``d0``.  Shorter disjuncts (more general) are tried as
+    keepers first, and a keeper whose predicates are not all in ``d``
+    is skipped without entering the homomorphism search.
     """
-    kept: List[ConjunctiveQuery] = []
-    # prefer shorter disjuncts (more general) as keepers
+    kept: List[Tuple[ConjunctiveQuery, FrozenSet[str]]] = []
     for disjunct in sorted(set(ucq.disjuncts), key=lambda cq: len(cq.atoms)):
-        if not any(homomorphism_exists(keeper, disjunct) for keeper in kept):
-            kept.append(disjunct)
-    return UnionQuery(kept, ucq.name)
+        predicates = frozenset(atom.predicate for atom in disjunct.atoms)
+        if not any(
+            keeper_predicates <= predicates and homomorphism_exists(keeper, disjunct)
+            for keeper, keeper_predicates in kept
+        ):
+            kept.append((disjunct, predicates))
+    return UnionQuery([keeper for keeper, _predicates in kept], ucq.name)

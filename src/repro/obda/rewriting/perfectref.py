@@ -24,10 +24,11 @@ become unbound, enabling further rewritings.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ...dllite.axioms import (
     AttributeInclusion,
+    Axiom,
     ConceptInclusion,
     RoleInclusion,
 )
@@ -119,27 +120,78 @@ def _replace(cq: ConjunctiveQuery, old: Tuple[Atom, ...], new: Tuple[Atom, ...])
     return ConjunctiveQuery(cq.answer_vars, unique, cq.name)
 
 
+def _rewritten_predicate(axiom) -> Optional[str]:
+    """The predicate of the atoms *axiom* can rewrite (its right-hand side's)."""
+    if isinstance(axiom, ConceptInclusion):
+        rhs = axiom.rhs
+        if isinstance(rhs, AtomicConcept):
+            return rhs.name
+        if isinstance(rhs, (ExistentialRole, QualifiedExistential)):
+            return rhs.role.name  # an inverse role's name is its atomic role's
+        if isinstance(rhs, AttributeDomain):
+            return rhs.attribute.name
+        return None
+    if isinstance(axiom, (RoleInclusion, AttributeInclusion)):
+        return axiom.rhs.name  # an inverse role's name is its atomic role's
+    return None
+
+
+class AxiomIndex:
+    """A TBox's positive inclusions keyed by the predicate they rewrite.
+
+    Built once per rewriting (Presto keeps one per classification), so
+    the worklist visits only the axioms that can apply to the atoms of
+    the CQ it pops instead of rescanning the TBox per CQ.
+    """
+
+    def __init__(self, tbox: TBox):
+        #: the predicates whose binary atoms are role atoms (a name that
+        #: is also an attribute is read as the attribute)
+        self.role_names: Set[str] = {role.name for role in tbox.signature.roles} - {
+            attribute.name for attribute in tbox.signature.attributes
+        }
+        self._by_predicate: Dict[str, List[Tuple[int, str, Axiom]]] = {}
+        for position, axiom in enumerate(tbox.positive_inclusions):
+            name = _rewritten_predicate(axiom)
+            if name is not None:
+                self._by_predicate.setdefault(name, []).append(
+                    (position, name, axiom)
+                )
+
+    def axioms_for(self, predicates: Iterable[str]) -> List[Tuple[str, Axiom]]:
+        """``(predicate, axiom)`` for every inclusion that can rewrite an
+        atom over one of *predicates*, in TBox order."""
+        entries = [
+            entry
+            for predicate in predicates
+            for entry in self._by_predicate.get(predicate, ())
+        ]
+        entries.sort(key=lambda entry: entry[0])
+        return [(name, axiom) for _position, name, axiom in entries]
+
+
 def _atom_rewritings(
-    cq: ConjunctiveQuery, tbox: TBox, kinds: Dict[str, str]
+    cq: ConjunctiveQuery, index: AxiomIndex
 ) -> Iterator[ConjunctiveQuery]:
     counts = _occurrences(cq)
     atoms_by_pred: Dict[str, List[Atom]] = {}
     for atom in cq.atoms:
         atoms_by_pred.setdefault(atom.predicate, []).append(atom)
 
-    for axiom in tbox.positive_inclusions:
+    for name, axiom in index.axioms_for(atoms_by_pred):
+        atoms = atoms_by_pred[name]
         if isinstance(axiom, ConceptInclusion):
             rhs = axiom.rhs
             if isinstance(rhs, AtomicConcept):
-                for atom in atoms_by_pred.get(rhs.name, ()):
+                for atom in atoms:
                     if atom.arity == 1:
                         yield _replace(cq, (atom,), (_atom_for(axiom.lhs, atom.args[0]),))
             elif isinstance(rhs, (ExistentialRole, QualifiedExistential)):
-                role = rhs.role
-                name = role.name if isinstance(role, AtomicRole) else role.role.name
-                inverted = isinstance(role, InverseRole)
-                for atom in atoms_by_pred.get(name, ()):
-                    if atom.arity != 2 or kinds.get(name) != "role":
+                if name not in index.role_names:
+                    continue
+                inverted = isinstance(rhs.role, InverseRole)
+                for atom in atoms:
+                    if atom.arity != 2:
                         continue
                     subject, object_ = atom.args
                     if inverted:
@@ -162,28 +214,23 @@ def _atom_rewritings(
                                     (atom, filler_atom),
                                     (_atom_for(axiom.lhs, subject),),
                                 )
-            elif isinstance(rhs, AttributeDomain):
-                name = rhs.attribute.name
-                for atom in atoms_by_pred.get(name, ()):
+            else:  # AttributeDomain
+                for atom in atoms:
                     if atom.arity == 2 and _is_unbound(atom.args[1], cq, counts):
                         yield _replace(cq, (atom,), (_atom_for(axiom.lhs, atom.args[0]),))
         elif isinstance(axiom, RoleInclusion):
-            rhs_role = axiom.rhs
-            name = (
-                rhs_role.name
-                if isinstance(rhs_role, AtomicRole)
-                else rhs_role.role.name
-            )
-            rhs_inverted = isinstance(rhs_role, InverseRole)
-            for atom in atoms_by_pred.get(name, ()):
-                if atom.arity != 2 or kinds.get(name) != "role":
+            if name not in index.role_names:
+                continue
+            inverted = isinstance(axiom.rhs, InverseRole)
+            for atom in atoms:
+                if atom.arity != 2:
                     continue
                 subject, object_ = atom.args
-                if rhs_inverted:
+                if inverted:
                     subject, object_ = object_, subject
                 yield _replace(cq, (atom,), (_role_atom(axiom.lhs, subject, object_),))
-        elif isinstance(axiom, AttributeInclusion):
-            for atom in atoms_by_pred.get(axiom.rhs.name, ()):
+        else:  # AttributeInclusion
+            for atom in atoms:
                 if atom.arity == 2:
                     yield _replace(cq, (atom,), (Atom(axiom.lhs.name, atom.args),))
 
@@ -242,14 +289,19 @@ def perfect_ref(
     :class:`~repro.errors.TimeoutExceeded` instead of grinding through
     an exponential rewriting past its deadline.
     """
-    kinds: Dict[str, str] = {}
-    for concept in tbox.signature.concepts:
-        kinds[concept.name] = "concept"
-    for role in tbox.signature.roles:
-        kinds[role.name] = "role"
-    for attribute in tbox.signature.attributes:
-        kinds[attribute.name] = "attribute"
+    return perfect_ref_indexed(
+        query, AxiomIndex(tbox), max_disjuncts, minimize, budget=budget
+    )
 
+
+def perfect_ref_indexed(
+    query: UnionQuery,
+    index: AxiomIndex,
+    max_disjuncts: int = 20000,
+    minimize: bool = True,
+    budget: Optional["Budget"] = None,
+) -> UnionQuery:
+    """:func:`perfect_ref` over the prebuilt axiom index of a TBox."""
     seen: Dict[object, ConjunctiveQuery] = {}
     worklist: List[ConjunctiveQuery] = []
     for disjunct in query:
@@ -263,7 +315,7 @@ def perfect_ref(
             budget.check()
         current = worklist.pop()
         produced = itertools.chain(
-            _atom_rewritings(current, tbox, kinds), _reductions(current)
+            _atom_rewritings(current, index), _reductions(current)
         )
         for candidate in produced:
             key = candidate.canonical()

@@ -27,12 +27,13 @@ exponential UCQ — benchmark E3 measures exactly this gap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...core.classify import Classification
 from ...core.classifier import GraphClassifier
+from ...core.deductive import qualified_inclusions
+from ...dllite.axioms import ConceptInclusion
 from ...dllite.syntax import (
     AtomicAttribute,
     AtomicConcept,
@@ -44,7 +45,7 @@ from ...dllite.syntax import (
 from ...dllite.tbox import TBox
 from ...runtime.budget import Budget
 from ..queries import Atom, ConjunctiveQuery, UnionQuery, Variable
-from .perfectref import perfect_ref
+from .perfectref import AxiomIndex, perfect_ref_indexed
 
 __all__ = ["DatalogRule", "DatalogRewriting", "presto_rewrite"]
 
@@ -136,6 +137,45 @@ def _subsumee_rule(aux_name: str, arity: int, subsumee, of_role: bool) -> Option
     return None
 
 
+def _witness_tbox(classification: Classification) -> TBox:
+    """The TBox of Presto's existential-elimination phase.
+
+    It holds every *entailed* inclusion whose right-hand side is an
+    existential (∃Q, ∃Q.A) or attribute domain, taken straight from the
+    classification closure: with the deductively-closed witness set,
+    each unbound-variable elimination is a single axiom application, so
+    no hierarchy expansion is ever needed at the UCQ level — filler and
+    role upward-monotonicity is already folded into the axiom set.
+    """
+    witness_tbox = TBox(name=f"{classification.tbox.name}-witnesses")
+    for node in classification.graph.nodes:
+        if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
+            witness_tbox.declare(node)
+    for node in classification.graph.nodes:
+        if isinstance(node, (AtomicRole, InverseRole)):
+            continue
+        for upper in classification.subsumers(node):
+            if upper != node and isinstance(upper, (ExistentialRole, AttributeDomain)):
+                witness_tbox.add(ConceptInclusion(node, upper))
+    for axiom in qualified_inclusions(classification):
+        witness_tbox.add(axiom)
+    return witness_tbox
+
+
+def _witness_index(classification: Classification) -> AxiomIndex:
+    """The axiom index of *classification*'s witness set, built on first
+    use and kept on the classification: it depends on nothing else, so
+    every system sharing the classification (through a
+    ClassificationCache) shares it, and a mutated TBox, which classifies
+    anew, never sees a stale one.  Racing first uses build equal indexes;
+    either may be kept."""
+    index = getattr(classification, "_presto_witness_index", None)
+    if index is None:
+        index = AxiomIndex(_witness_tbox(classification))
+        classification._presto_witness_index = index
+    return index
+
+
 def presto_rewrite(
     query: UnionQuery,
     tbox: TBox,
@@ -147,38 +187,20 @@ def presto_rewrite(
     The existential-elimination phase reuses the PerfectRef loop but over
     a *hierarchy-free* copy of the TBox (only axioms whose right-hand
     side is an existential/domain survive), so the UCQ growth stays
-    limited to genuine witness reasoning.  A *budget* bounds both the
-    classification (when computed here) and the rewriting phases.
+    limited to genuine witness reasoning.  That witness set and its
+    axiom index depend only on *classification*, so they are built on
+    its first rewrite and reused until it is garbage.  A *budget* bounds
+    both the classification (when computed here) and the rewriting
+    phases.
     """
     if classification is None:
         classification = GraphClassifier().classify(tbox, watch=budget)
 
-    # Phase 1 — existential elimination only.  The witness TBox contains
-    # every *entailed* inclusion whose right-hand side is an existential
-    # (∃Q, ∃Q.A) or attribute domain, taken straight from the
-    # classification closure: with the deductively-closed witness set,
-    # each unbound-variable elimination is a single axiom application, so
-    # no hierarchy expansion is ever needed at the UCQ level — filler and
-    # role upward-monotonicity is already folded into the axiom set.
-    from ...core.deductive import qualified_inclusions
-    from ...dllite.axioms import ConceptInclusion as _CI
-
-    witness_tbox = TBox(name=f"{tbox.name}-witnesses")
-    for concept in tbox.signature.concepts:
-        witness_tbox.declare(concept)
-    for role in tbox.signature.roles:
-        witness_tbox.declare(role)
-    for attribute in tbox.signature.attributes:
-        witness_tbox.declare(attribute)
-    for node in classification.graph.nodes:
-        if isinstance(node, (AtomicRole, InverseRole)):
-            continue
-        for upper in classification.subsumers(node):
-            if upper != node and isinstance(upper, (ExistentialRole, AttributeDomain)):
-                witness_tbox.add(_CI(node, upper))
-    for axiom in qualified_inclusions(classification):
-        witness_tbox.add(axiom)
-    expanded = perfect_ref(query, witness_tbox, minimize=True, budget=budget)
+    # Phase 1 — existential elimination only, over the classification's
+    # witness set (see _witness_tbox).
+    expanded = perfect_ref_indexed(
+        query, _witness_index(classification), minimize=True, budget=budget
+    )
 
     # Phase 2 — hierarchy as flat datalog rules.
     rules: List[DatalogRule] = []

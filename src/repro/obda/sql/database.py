@@ -8,7 +8,7 @@ from typing import Dict, Iterable, List, Sequence
 from ...errors import MappingError
 from .table import Table
 
-__all__ = ["Database"]
+__all__ = ["Database", "DatabaseView"]
 
 
 class Database:
@@ -24,36 +24,31 @@ class Database:
     def __init__(self, name: str = "db"):
         self.name = name
         self._tables: Dict[str, Table] = {}
-        #: serializes schema changes (table creation) against generation
-        #: reads; row-level bumps are guarded by each table's own lock.
+        #: serializes schema changes and generation bumps
         self._lock = threading.Lock()
-        self._structure_generation = 0
+        self._generation = 0
 
     @property
     def generation(self) -> int:
         """Monotone counter covering schema *and* row changes.
 
-        :class:`~repro.obda.evaluation.MappingExtents` snapshots this to
-        invalidate its cross-query extent/index caches the moment any
-        table gains rows or the schema changes.
+        One counter, read in O(1): :meth:`create_table` and
+        :meth:`add_table` bump it, and so does every insert into a table
+        this database holds (the table notifies its databases after the
+        row is in).  :class:`~repro.obda.evaluation.MappingExtents`
+        snapshots it to invalidate its cross-query extent/index caches
+        the moment any table gains rows or the schema changes.
         """
+        return self._generation
+
+    def _bump(self) -> None:
         with self._lock:
-            tables = list(self._tables.values())
-            structure = self._structure_generation
-        return structure + sum(table.generation for table in tables)
+            self._generation += 1
 
     def create_table(
         self, name: str, columns: Sequence[str], rows: Iterable[Sequence] = ()
     ) -> Table:
-        table = Table(name, columns, rows)
-        with self._lock:
-            if name in self._tables:
-                raise MappingError(
-                    f"table {name!r} already exists in database {self.name!r}"
-                )
-            self._tables[name] = table
-            self._structure_generation += 1
-        return table
+        return self.add_table(Table(name, columns, rows))
 
     def add_table(self, table: Table) -> Table:
         with self._lock:
@@ -62,7 +57,11 @@ class Database:
                     f"table {table.name!r} already exists in database {self.name!r}"
                 )
             self._tables[table.name] = table
-            self._structure_generation += 1
+        # Attached before the bump: an insert racing this call lands
+        # either before the bump, which covers it, or after the attach,
+        # which notifies this database.
+        table._attach(self)
+        self._bump()
         return table
 
     def table(self, name: str) -> Table:
@@ -98,3 +97,21 @@ class Database:
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, {len(self._tables)} tables)"
+
+
+class DatabaseView(Database):
+    """A proxy over another database: the same tables, the same
+    generation, schema changes forwarded; subclasses change how
+    :meth:`table` reaches a table."""
+
+    def __init__(self, inner: Database):
+        super().__init__(name=inner.name)
+        self.inner = inner
+        self._tables = inner._tables
+
+    @property
+    def generation(self) -> int:
+        return self.inner.generation
+
+    def add_table(self, table: Table) -> Table:
+        return self.inner.add_table(table)

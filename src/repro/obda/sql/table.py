@@ -10,6 +10,7 @@ to be a DBMS.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...errors import MappingError
@@ -36,6 +37,9 @@ class Table:
         self._lock = threading.Lock()
         #: mutation counter; virtual-extent caches key their validity on it
         self.generation = 0
+        #: the databases holding this table, each bumped by every insert
+        #: (weak: a table never keeps a database alive)
+        self._databases: Tuple["weakref.ref", ...] = ()
         for row in rows:
             self.insert(row)
 
@@ -48,6 +52,18 @@ class Table:
         with self._lock:
             self.rows.append(tuple(row))
             self.generation += 1
+            databases = self._databases
+        # After the append and outside this lock (locks stay leaves): a
+        # reader that sees a database's new generation sees the row.
+        for ref in databases:
+            database = ref()
+            if database is not None:
+                database._bump()
+
+    def _attach(self, database) -> None:
+        """Notify *database* of every later insert (see Database.add_table)."""
+        with self._lock:
+            self._databases += (weakref.ref(database),)
 
     def insert_many(self, rows: Iterable[Sequence]) -> None:
         for row in rows:

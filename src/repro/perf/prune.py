@@ -7,24 +7,19 @@ answers are already contained in the former's, so the subsumed disjunct
 only adds join work and SQL text (Gottlob et al.: redundant-disjunct
 elimination dominates end-to-end rewriting cost).
 
-:func:`prune_ucq` keeps the exact semantics of
-:func:`repro.obda.queries.minimize_ucq` (shortest disjuncts win, answers
-preserved) but adds
-
-* a **predicate-set prefilter** — a keeper can only map into a disjunct
-  whose predicate set contains the keeper's, so the quadratic
-  homomorphism loop skips hopeless pairs without entering the
-  exponential matcher; and
-* a :class:`PruneResult` carrying before/after disjunct counts, which the
-  perf-report harness and ``BENCH_perf.json`` surface.
+:func:`prune_ucq` is :func:`repro.obda.queries.minimize_ucq` — the one
+shortest-first keeper loop, with its predicate-set prefilter (a keeper
+can only map into a disjunct whose predicate set contains the keeper's,
+so hopeless pairs never enter the exponential matcher) — plus a
+:class:`PruneResult` carrying before/after disjunct counts, which the
+perf-report harness and ``BENCH_perf.json`` surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List
 
-from ..obda.queries import ConjunctiveQuery, UnionQuery, homomorphism_exists
+from ..obda.queries import UnionQuery, minimize_ucq
 
 __all__ = ["PruneResult", "prune_ucq"]
 
@@ -52,21 +47,5 @@ def prune_ucq(ucq: UnionQuery) -> PruneResult:
     disjunct homomorphically mapping into it, so its answer set is a
     subset of the keeper's (asserted property-based in the test suite).
     """
-    before = len(ucq.disjuncts)
-    # shorter disjuncts are more general — prefer them as keepers
-    candidates = sorted(set(ucq.disjuncts), key=lambda cq: len(cq.atoms))
-    kept: List[ConjunctiveQuery] = []
-    kept_predicates: List[FrozenSet[str]] = []
-    for disjunct in candidates:
-        predicates = frozenset(atom.predicate for atom in disjunct.atoms)
-        subsumed = False
-        for keeper, keeper_predicates in zip(kept, kept_predicates):
-            if keeper_predicates <= predicates and homomorphism_exists(
-                keeper, disjunct
-            ):
-                subsumed = True
-                break
-        if not subsumed:
-            kept.append(disjunct)
-            kept_predicates.append(frozenset(atom.predicate for atom in disjunct.atoms))
-    return PruneResult(UnionQuery(kept, ucq.name), before, len(kept))
+    pruned = minimize_ucq(ucq)
+    return PruneResult(pruned, len(ucq.disjuncts), len(pruned.disjuncts))

@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..errors import PermanentSourceError, TransientSourceError
 from ..obda.evaluation import ExtentProvider
-from ..obda.sql.database import Database
+from ..obda.sql.database import Database, DatabaseView
 
 __all__ = [
     "FaultSpec",
@@ -127,14 +127,12 @@ class FaultyExtents(ExtentProvider):
         super().invalidate()
 
 
-class FaultyDatabase(Database):
+class FaultyDatabase(DatabaseView):
     """A database whose table lookups misbehave on purpose."""
 
     def __init__(self, inner: Database, injector: FaultInjector):
-        super().__init__(name=inner.name)
-        self.inner = inner
+        super().__init__(inner)
         self.injector = injector
-        self._tables = inner._tables
 
     def table(self, name: str):
         self.injector.before_call(f"table:{name}")

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Set, Tuple, Type
 
 from ..errors import PermanentSourceError, TransientSourceError
 from ..obda.evaluation import ExtentProvider
-from ..obda.sql.database import Database
+from ..obda.sql.database import Database, DatabaseView
 from ..obs.metrics import global_metrics
 from ..obs.trace import current_tracer
 from .budget import Budget
@@ -208,12 +208,12 @@ class RetryingExtents(ExtentProvider):
         super().invalidate()
 
 
-class RetryingDatabase(Database):
+class RetryingDatabase(DatabaseView):
     """A :class:`Database` proxy that retries transient table access.
 
     Shares the inner database's table registry (``in`` checks, listing)
-    but routes every :meth:`table` lookup — the access path of the SQL
-    algebra evaluator — through the retry policy.
+    and generation, but routes every :meth:`table` lookup — the access
+    path of the SQL algebra evaluator — through the retry policy.
     """
 
     def __init__(
@@ -222,11 +222,9 @@ class RetryingDatabase(Database):
         policy: RetryPolicy,
         budget: Optional[Budget] = None,
     ):
-        super().__init__(name=inner.name)
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy
         self.budget = budget
-        self._tables = inner._tables
 
     def table(self, name: str):
         return self.policy.call(

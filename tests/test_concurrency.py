@@ -10,6 +10,7 @@ always match a serial oracle over the final state.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.dllite.abox import ABox, ConceptAssertion, Individual, RoleAssertion
 from repro.dllite.axioms import ConceptInclusion
 from repro.dllite.syntax import AtomicConcept, AtomicRole, ExistentialRole
 from repro.dllite.tbox import TBox
+from repro.obda.sql.database import Database
 from repro.obda.system import OBDASystem
 from repro.obs.metrics import global_metrics
 from repro.perf.cache import CacheStats, ClassificationCache, LRUCache
@@ -208,6 +210,25 @@ def test_generation_bump_is_atomic_under_concurrent_inserts():
     _run_threads(work)
     assert abox.generation == THREADS * per_thread
     assert len(abox) == THREADS * per_thread
+
+
+def test_database_generation_loses_no_bump_under_concurrent_inserts():
+    database = Database("hammer")
+    tables = [database.create_table(f"t{index}", ["id"]) for index in range(THREADS)]
+    per_thread = 300
+    start = database.generation
+
+    def work(index):
+        for turn in range(per_thread):
+            tables[index].insert((turn,))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: expose a torn bump
+    try:
+        _run_threads(work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert database.generation == start + THREADS * per_thread
 
 
 def test_tbox_generation_is_atomic_under_concurrent_adds():

@@ -152,3 +152,38 @@ def test_repeated_atom_query_keeps_every_answer():
         for method in ("presto", "perfectref"):
             answers = system.certain_answers(query, method=method)
             assert answers == expected, (query, method)
+
+
+def test_tbox_mutation_reaches_the_next_presto_answer():
+    # The witness set is memoized per classification: a TBox mutation
+    # makes the system classify anew, so the new existential is seen.
+    from repro.dllite.axioms import ConceptInclusion
+    from repro.dllite.syntax import ExistentialRole
+    from repro.obda.system import OBDASystem
+
+    tbox = parse_tbox("role teaches\nLecturer isa exists teaches")
+    abox = ABox()
+    abox.add(ConceptAssertion(AtomicConcept("Professor"), Individual("ada")))
+    system = OBDASystem(tbox, abox=abox)
+    query = "q(x) :- teaches(x, y)"
+    assert system.certain_answers(query, method="presto") == set()
+    tbox.add(
+        ConceptInclusion(
+            AtomicConcept("Professor"), ExistentialRole(AtomicRole("teaches"))
+        )
+    )
+    assert system.certain_answers(query, method="presto") == {
+        (Individual("ada"),)
+    }
+
+
+def test_witness_index_is_built_once_per_classification():
+    from repro.core.classifier import GraphClassifier
+    from repro.obda.rewriting.presto import _witness_index
+
+    tbox = parse_tbox("role teaches\nLecturer isa exists teaches")
+    classification = GraphClassifier().classify(tbox)
+    index = _witness_index(classification)
+    presto_rewrite(parse_query("q(x) :- teaches(x, y)"), tbox, classification)
+    assert _witness_index(classification) is index
+    assert _witness_index(GraphClassifier().classify(tbox)) is not index

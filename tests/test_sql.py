@@ -56,6 +56,53 @@ def test_database_lookups(db):
         db.create_table("staff", ["x"])
 
 
+def test_generation_moves_on_every_schema_change_and_insert():
+    from repro.runtime import FaultInjector, FaultSpec, FaultyDatabase, RetryPolicy
+
+    database = Database("generations")
+    views = [
+        database.with_retry(RetryPolicy()),
+        FaultyDatabase(database, FaultInjector(FaultSpec())),
+    ]
+    stamps = [database.generation]
+
+    def moved() -> bool:
+        stamps.append(database.generation)
+        for view in views:
+            assert view.generation == database.generation
+        return stamps[-1] > stamps[-2]
+
+    staff = database.create_table("staff", ["id"])
+    assert moved()
+    staff.insert((1,))
+    assert moved()
+    courses = Table("course", ["id"], [(1,), (2,)])
+    database.add_table(courses)
+    assert moved()
+    courses.insert((3,))
+    assert moved()
+    views[0].create_table("room", ["id"], [(1,)])
+    assert moved()
+    assert "room" in database
+    database["room"].insert_many([(2,), (3,)])
+    assert moved()
+    with pytest.raises(MappingError):
+        database.create_table("staff", ["id"])
+    Table("loose", ["id"]).insert((1,))  # held by no database
+    assert not moved()
+
+
+def test_generation_of_a_shared_table_moves_every_holder():
+    shared = Table("shared", ["id"])
+    first, second = Database("first"), Database("second")
+    first.add_table(shared)
+    second.add_table(shared)
+    before = (first.generation, second.generation)
+    shared.insert((1,))
+    assert first.generation == before[0] + 1
+    assert second.generation == before[1] + 1
+
+
 # -- algebra ----------------------------------------------------------------------
 
 
