@@ -2,8 +2,8 @@
 
 DESIGN.md calls out the closure as "the major sub-task in ontology
 classification"; this bench compares the three interchangeable
-implementations (SCC+bitset DP, per-node BFS, dense matrix) on three
-differently-shaped corpus rows.
+implementations (one-pass SCC bitset closure, per-node BFS, dense matrix)
+on three differently-shaped corpus rows.
 """
 
 from __future__ import annotations

@@ -50,10 +50,15 @@ class GraphReasoner(Reasoner):
             for node in classification.unsatisfiable()
             if node in tbox.signature
         }
-        return NamedClassification(
-            frozenset(classification.subsumptions(named_only=True)),
-            frozenset(named_unsat),
-        )
+        subsumptions = []
+        for inclusion in classification.subsumptions(named_only=True):
+            if watch is not None:
+                watch.tick()
+            subsumptions.append(inclusion)
+        if watch is not None:
+            # no result past the budget, even between two polls
+            watch.check_budget()
+        return NamedClassification(frozenset(subsumptions), frozenset(named_unsat))
 
     def measure(self, tbox: TBox, watch: Optional[Stopwatch] = None) -> int:
         classification = self._classifier.classify(tbox, watch=watch)

@@ -176,7 +176,7 @@ class _TableauBase(Reasoner):
             for rhs in named:
                 if rhs is lhs or not _same_sort(lhs, rhs):
                     continue
-                if self._subsumption_test(label, rhs, watch):
+                if self._subsumption_test(label, rhs):
                     subsumptions.add(_make(lhs, rhs))
         return NamedClassification(frozenset(subsumptions), frozenset(unsat))
 
@@ -199,7 +199,7 @@ class _TableauBase(Reasoner):
             for rhs in named:
                 if rhs is lhs or not _same_sort(lhs, rhs):
                     continue
-                if self._subsumption_test(label, rhs, watch):
+                if self._subsumption_test(label, rhs):
                     count += 1
         return count
 
@@ -208,9 +208,7 @@ class _TableauBase(Reasoner):
     def _label_oracle(self, index: _AxiomIndex, watch):
         raise NotImplementedError
 
-    # Hook signature carries `watch` for overrides that expand lazily;
-    # this base implementation is a single O(1) membership test.
-    def _subsumption_test(self, label: Set, rhs, watch) -> bool:  # repro-lint: disable=RL003
+    def _subsumption_test(self, label: Set, rhs) -> bool:
         """``lhs ⊑ rhs`` given lhs's expanded label (clash with ¬rhs?)."""
         return rhs in label
 

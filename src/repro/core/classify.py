@@ -17,6 +17,7 @@ same-sort predicate), and derives the equivalence classes and the direct
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..dllite.axioms import (
@@ -40,6 +41,13 @@ from .digraph import (
 )
 
 __all__ = ["Classification", "phi_inclusions", "make_inclusion"]
+
+try:
+    _popcount = int.bit_count  # Python 3.10+
+except AttributeError:  # Python 3.9
+
+    def _popcount(mask: int) -> int:
+        return bin(mask).count("1")
 
 
 def make_inclusion(lhs, rhs) -> Inclusion:
@@ -79,17 +87,19 @@ class Classification:
         self.closure = closure
         self.unsat_ids = frozenset(unsat)
         self._sorts = graph.sorts()
-        self._sort_mask: Dict[str, int] = {
-            CONCEPT_SORT: 0,
-            ROLE_SORT: 0,
-            ATTRIBUTE_SORT: 0,
-        }
-        for node_id, sort in enumerate(self._sorts):
-            self._sort_mask[sort] |= 1 << node_id
+        self._named_ids = graph.named_ids()
         self._named_mask = 0
-        for node_id, node in enumerate(graph.nodes):
-            if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
-                self._named_mask |= 1 << node_id
+        for node_id in self._named_ids:
+            self._named_mask |= 1 << node_id
+
+    @cached_property
+    def _sort_mask(self) -> Dict[str, int]:
+        """Bitset of the nodes of each sort (built on first use: counting
+        a classification without unsatisfiable nodes never needs it)."""
+        masks = {CONCEPT_SORT: 0, ROLE_SORT: 0, ATTRIBUTE_SORT: 0}
+        for node_id, sort in enumerate(self._sorts):
+            masks[sort] |= 1 << node_id
+        return masks
 
     # -- basic lookups ---------------------------------------------------------
 
@@ -181,15 +191,17 @@ class Classification:
                 yield make_inclusion(nodes[node_id], nodes[superior_id])
 
     def subsumption_count(self, named_only: bool = True) -> int:
-        count = 0
-        for node_id in range(len(self.graph.nodes)):
-            if named_only and not (self._named_mask >> node_id & 1):
-                continue
-            mask = self._subsumer_mask(node_id)
-            if named_only:
-                mask &= self._named_mask
-            count += bin(mask).count("1") - (1 if mask >> node_id & 1 else 0)
-        return count
+        """How many pairs :meth:`subsumptions` enumerates, reflexives omitted."""
+        subsumer_mask = self._subsumer_mask
+        if named_only:
+            named = self._named_mask
+            ids = self._named_ids
+            count = sum(_popcount(subsumer_mask(node_id) & named) for node_id in ids)
+        else:
+            ids = range(len(self.graph.nodes))
+            count = sum(_popcount(subsumer_mask(node_id)) for node_id in ids)
+        # every subsumer set holds its node: the closure is reflexive
+        return count - len(ids)
 
     # -- structure for visualization ---------------------------------------------
 

@@ -6,9 +6,10 @@ provided — the default used by the QuOnto-like classifier, and two
 alternatives kept for the closure ablation (DESIGN.md experiment E5):
 
 ``scc_bitset`` (default)
-    Tarjan SCC condensation, then one reverse-topological pass over the
-    condensation DAG accumulating descendant sets as Python integer
-    bitsets.  Equivalent nodes (cycles of inclusions) share one bitset.
+    One iterative Tarjan pass: when a strongly connected component pops,
+    its reach is ORed from its members' successors, which have all been
+    closed by then, as a Python integer bitset.  Equivalent nodes
+    (cycles of inclusions) share one bitset.
 
 ``bfs``
     A per-node breadth-first search; simple, O(N·E).
@@ -42,98 +43,72 @@ __all__ = [
 def closure_scc_bitset(
     successors: Sequence[Set[int]], watch: Optional[Stopwatch] = None
 ) -> List[int]:
-    """SCC condensation + reverse-topological bitset DP (the default)."""
-    node_count = len(successors)
-    component_of = _tarjan_scc(successors)
-    component_count = max(component_of) + 1 if node_count else 0
+    """One iterative Tarjan pass that closes each component as it pops (the default).
 
-    # Members and condensed arcs; Tarjan emits components in reverse
-    # topological order (every arc goes from a higher to a lower id).
-    members: List[List[int]] = [[] for _ in range(component_count)]
-    for node, component in enumerate(component_of):
-        members[component].append(node)
-    condensed: List[Set[int]] = [set() for _ in range(component_count)]
-    for node in range(node_count):
-        for target in successors[node]:
-            if component_of[target] != component_of[node]:
-                condensed[component_of[node]].add(component_of[target])
-
-    component_mask: List[int] = [0] * component_count
-    for component, nodes in enumerate(members):
-        mask = 0
-        for node in nodes:
-            mask |= 1 << node
-        component_mask[component] = mask
-
-    # Process components in topological order (increasing id): successors
-    # have lower ids, so their reach sets are ready... Tarjan assigns lower
-    # ids to components found first, which are the "sink-most" ones.
-    reach: List[int] = [0] * component_count
-    for component in range(component_count):
-        if watch is not None:
-            watch.check_budget()
-        mask = component_mask[component]
-        for successor in condensed[component]:
-            mask |= reach[successor]
-        reach[component] = mask
-
-    return [reach[component_of[node]] for node in range(node_count)]
-
-
-def _tarjan_scc(successors: Sequence[Set[int]]) -> List[int]:
-    """Iterative Tarjan; returns the component id of each node.
-
-    Components are numbered in reverse topological order: if there is an
-    arc from component ``c1`` to ``c2`` (c1 != c2) then ``c1 > c2``.
+    A component pops only after every component it reaches has popped,
+    so its reach is its own members' bits ORed with the finished reach
+    of each member's successors.  Successors inside the component are
+    not finished yet and still read 0, which is also how the pass tells
+    a finished node from one on the Tarjan stack.
     """
     node_count = len(successors)
-    index_counter = 0
-    component_counter = 0
-    indices = [-1] * node_count
-    lowlink = [0] * node_count
-    on_stack = [False] * node_count
-    component_of = [-1] * node_count
+    closure: List[int] = [0] * node_count
+    order = [0] * node_count  # DFS number, 1-based; 0 = unvisited
+    low = [0] * node_count
+    position = [0] * node_count  # index on the Tarjan stack
     stack: List[int] = []
-
+    counter = 0
     for root in range(node_count):
-        if indices[root] != -1:
+        if order[root]:
             continue
-        # Explicit DFS stack of (node, iterator position) to avoid recursion
-        # limits on deep hierarchies (FMA-shaped ontologies are deep).
-        work = [(root, iter(successors[root]))]
-        indices[root] = lowlink[root] = index_counter
-        index_counter += 1
+        counter += 1
+        order[root] = low[root] = counter
+        position[root] = len(stack)
         stack.append(root)
-        on_stack[root] = True
+        # Explicit DFS stack of (node, successor iterator) to avoid
+        # recursion limits on deep hierarchies (FMA-shaped ontologies).
+        work = [(root, iter(successors[root]))]
         while work:
-            node, successor_iter = work[-1]
-            advanced = False
-            for target in successor_iter:
-                if indices[target] == -1:
-                    indices[target] = lowlink[target] = index_counter
-                    index_counter += 1
+            node, targets = work[-1]
+            for target in targets:
+                if not order[target]:
+                    counter += 1
+                    order[target] = low[target] = counter
+                    position[target] = len(stack)
                     stack.append(target)
-                    on_stack[target] = True
                     work.append((target, iter(successors[target])))
-                    advanced = True
                     break
-                if on_stack[target]:
-                    lowlink[node] = min(lowlink[node], indices[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component_of[member] = component_counter
-                    if member == node:
-                        break
-                component_counter += 1
-    return component_of
+                if not closure[target] and order[target] < low[node]:
+                    low[node] = order[target]
+            else:
+                work.pop()
+                node_low = low[node]
+                if work:
+                    parent = work[-1][0]
+                    if node_low < low[parent]:
+                        low[parent] = node_low
+                if node_low != order[node]:
+                    continue
+                if watch is not None:
+                    watch.check_budget()
+                if stack[-1] == node:  # a singleton, the common case
+                    stack.pop()
+                    reach = 1 << node
+                    for target in successors[node]:
+                        reach |= closure[target]
+                    closure[node] = reach
+                    continue
+                start = position[node]
+                members = stack[start:]
+                del stack[start:]
+                reach = 0
+                for member in members:
+                    reach |= 1 << member
+                    for target in successors[member]:
+                        reach |= closure[target]
+                for member in members:
+                    closure[member] = reach
+    return closure
 
 
 def closure_bfs(

@@ -5,50 +5,45 @@ The seed rule is the one the paper states: for each negative inclusion
 and ``predecessors(S2, G_T*)`` is unsatisfiable (it is subsumed by two
 disjoint predicates).  Predecessor sets are taken reflexively, so a
 self-disjointness ``B ⊑ ¬B`` directly kills ``B`` and everything below it.
+Both are read off the forward closure: node ``i`` lies below ``S`` iff
+bit ``S`` of ``closure[i]`` is set, so ``i`` is a seed when ``closure[i]``
+holds both sides of a negative inclusion.
 
-The seed is then propagated to a fixpoint with the DL-Lite-specific
-rules that make the result sound *and complete*:
+The seed is then propagated to a fixpoint with the DL-Lite-specific rules
+that make the result sound *and complete*:
 
 * a role and its inverse, domain and range stand or fall together:
   ``Q`` unsat ⇔ ``Q⁻`` unsat ⇔ ``∃Q`` unsat ⇔ ``∃Q⁻`` unsat
   (a single pair in ``Q`` would populate all four);
 * an attribute and its domain likewise: ``U`` unsat ⇔ ``δ(U)`` unsat;
 * every predecessor of an unsatisfiable node is unsatisfiable
-  (``S' ⊑ S ⊑ ⊥``);
+  (``S' ⊑ S ⊑ ⊥``): node ``i`` is when ``closure[i]`` meets Ω_T;
 * for an axiom ``B ⊑ ∃Q.A``: if the filler ``A`` is unsatisfiable, so is
   ``B`` (the role case ``Q`` unsat is already covered through the
   ``(B, ∃Q)`` arc and the predecessor rule).
 
 The fixpoint is needed because the qualified-existential rule can create
 new unsatisfiable concepts whose predecessors and role-companions must be
-reconsidered.
+reconsidered.  Every rule only spreads unsatisfiability, so an empty seed
+(in particular a TBox without negative inclusions) ends the work there.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
-from ..dllite.axioms import (
-    AttributeInclusion,
-    ConceptInclusion,
-    RoleInclusion,
-)
-from ..dllite.syntax import (
-    AtomicAttribute,
-    AtomicRole,
-    AttributeDomain,
-    ExistentialRole,
-    InverseRole,
-    NegatedAttribute,
-    NegatedConcept,
-    NegatedRole,
-    QualifiedExistential,
-    inverse_of,
-)
+from ..dllite.syntax import NegatedConcept, NegatedRole
 from ..util.timing import Stopwatch
 from .digraph import TBoxDigraph
 
 __all__ = ["compute_unsat"]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def compute_unsat(
@@ -57,94 +52,65 @@ def compute_unsat(
     watch: Optional[Stopwatch] = None,
 ) -> FrozenSet[int]:
     """Return the node ids of every unsatisfiable predicate of the TBox."""
-    node_count = graph.node_count
+    # partners[s]: bit t set for every negative inclusion between s and t
+    partners: Dict[int, int] = {}
+    for axiom in graph.negative_inclusions:
+        rhs = axiom.rhs
+        if isinstance(rhs, NegatedConcept):
+            negated = rhs.concept
+        elif isinstance(rhs, NegatedRole):
+            negated = rhs.role
+        else:
+            negated = rhs.attribute
+        first, second = graph.index.get(axiom.lhs), graph.index.get(negated)
+        if first is None or second is None:
+            continue  # nothing lies below a predicate outside the digraph
+        partners[first] = partners.get(first, 0) | 1 << second
+        partners[second] = partners.get(second, 0) | 1 << first
+    if not partners:
+        return frozenset()
 
-    # Predecessor bitsets of the closed graph: preds[j] has bit i set iff
-    # j is reachable from i (reflexive, like the closure itself).  Computed
-    # as the closure of the *reversed* digraph, which reuses the fast
-    # SCC+bitset pass instead of transposing `closure` bit by bit.
-    from .closure import closure_scc_bitset
-
-    preds = closure_scc_bitset(graph.predecessors, watch)
-
-    unsat_mask = 0
-
-    # -- seed: predecessor intersections per negative inclusion ---------------
-    for axiom in graph.tbox.negative_inclusions:
-        if watch is not None:
-            watch.check_budget()
-        if isinstance(axiom, ConceptInclusion):
-            negated: NegatedConcept = axiom.rhs
-            lhs, rhs = axiom.lhs, negated.concept
-        elif isinstance(axiom, RoleInclusion):
-            negated_role: NegatedRole = axiom.rhs
-            lhs, rhs = axiom.lhs, negated_role.role
-        elif isinstance(axiom, AttributeInclusion):
-            negated_attr: NegatedAttribute = axiom.rhs
-            lhs, rhs = axiom.lhs, negated_attr.attribute
-        else:  # pragma: no cover - defensive
-            continue
-        if lhs not in graph or rhs not in graph:
-            continue
-        unsat_mask |= preds[graph.node_id(lhs)] & preds[graph.node_id(rhs)]
+    # -- seed: closures holding both sides of a negative inclusion -------------
+    sides = 0
+    for side in partners:
+        sides |= 1 << side
+    unsat = 0
+    for node_id, reach in enumerate(closure):
+        hit = reach & sides
+        if hit and any(partners[side] & hit for side in _bits(hit)):
+            unsat |= 1 << node_id
+    if not unsat:
+        return frozenset()
 
     # -- propagation to fixpoint ------------------------------------------------
-
-    # Companion groups: {Q, Q⁻, ∃Q, ∃Q⁻} per role, {U, δ(U)} per attribute.
-    companion_groups: List[int] = []
-    for role in graph.tbox.signature.roles:
-        group = 0
-        for expression in (
-            role,
-            InverseRole(role),
-            ExistentialRole(role),
-            ExistentialRole(InverseRole(role)),
-        ):
-            if expression in graph:
-                group |= 1 << graph.node_id(expression)
-        companion_groups.append(group)
-    for attribute in graph.tbox.signature.attributes:
-        group = 0
-        for expression in (attribute, AttributeDomain(attribute)):
-            if expression in graph:
-                group |= 1 << graph.node_id(expression)
-        companion_groups.append(group)
-
-    qualified_axioms = [
-        (axiom.lhs, rhs.role, rhs.filler)
-        for axiom, rhs in graph.tbox.qualified_existentials()
-    ]
-
+    # The seed is closed under predecessors already: closure[p] ⊇ closure[i]
+    # whenever p lies below i.
+    qualified = []
+    for axiom, rhs in graph.tbox.qualified_existentials():
+        lhs, filler = graph.index.get(axiom.lhs), graph.index.get(rhs.filler)
+        if lhs is not None and filler is not None:
+            qualified.append((lhs, filler))
     while True:
         if watch is not None:
             watch.check_budget()
-        previous = unsat_mask
+        previous = unsat
 
         # Role/attribute companion propagation.
-        for group in companion_groups:
-            if unsat_mask & group:
-                unsat_mask |= group
+        for node_id in _bits(unsat):
+            block = graph.block(node_id)
+            unsat |= ((1 << len(block)) - 1) << block.start
 
-        # Predecessors of unsatisfiable nodes are unsatisfiable.
-        mask = unsat_mask
-        while mask:
-            low = mask & -mask
-            unsat_mask |= preds[low.bit_length() - 1]
-            mask ^= low
+        # B ⊑ ∃Q.A with unsatisfiable filler A makes B unsatisfiable.
+        for lhs, filler in qualified:
+            if unsat >> filler & 1:
+                unsat |= 1 << lhs
 
-        # B ⊑ ∃Q.A with unsatisfiable filler A (or role Q) makes B unsatisfiable.
-        for lhs, role, filler in qualified_axioms:
-            filler_unsat = unsat_mask >> graph.node_id(filler) & 1
-            role_node = role if not isinstance(role, InverseRole) else role
-            role_unsat = (
-                role_node in graph and unsat_mask >> graph.node_id(role_node) & 1
-            )
-            if filler_unsat or role_unsat:
-                unsat_mask |= 1 << graph.node_id(lhs)
-
-        if unsat_mask == previous:
+        if unsat == previous:
             break
 
-    return frozenset(
-        node_id for node_id in range(node_count) if unsat_mask >> node_id & 1
-    )
+        # Predecessors of unsatisfiable nodes are unsatisfiable; one sweep
+        # closes the set, by the same argument as for the seed.
+        for node_id in [i for i, reach in enumerate(closure) if reach & unsat]:
+            unsat |= 1 << node_id
+
+    return frozenset(_bits(unsat))

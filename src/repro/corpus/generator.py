@@ -232,7 +232,11 @@ def generate(profile: OntologyProfile, scale: float = 1.0) -> TBox:
         from ..core.digraph import build_digraph
 
         graph = build_digraph(tbox)
-        preds = closure_scc_bitset(graph.predecessors)
+        predecessors = [set() for _ in graph.successors]
+        for source, targets in enumerate(graph.successors):
+            for target in targets:
+                predecessors[target].add(source)
+        preds = closure_scc_bitset(predecessors)
 
         def compatible(first_expr, second_expr) -> bool:
             return not (

@@ -21,6 +21,7 @@ from .axioms import (
     FunctionalAttribute,
     FunctionalRole,
     RoleInclusion,
+    axiom_signature,
 )
 from .syntax import (
     AtomicAttribute,
@@ -146,14 +147,72 @@ def interpretations(
                 )
 
 
+def _models(
+    tbox: TBox, size: int, refuted: Optional[Axiom] = None
+) -> Iterator[Interpretation]:
+    """The models of *tbox* over ``size`` elements that violate *refuted*
+    (if given), in the order :func:`interpretations` yields them.
+
+    A depth-first search over the predicates in that order: every axiom
+    is checked as soon as its last predicate has an extension (its truth
+    depends on nothing else), and a partial interpretation that fails a
+    check is not extended.
+    """
+    concepts = sorted(tbox.signature.concepts, key=lambda c: c.name)
+    roles = sorted(tbox.signature.roles, key=lambda r: r.name)
+    attributes = sorted(tbox.signature.attributes, key=lambda a: a.name)
+    domain = list(range(size))
+    pairs = [(a, b) for a in domain for b in domain]
+    value_pairs = [(a, v) for a in domain for v in _VALUES]
+    current = Interpretation(size, {}, {}, {})
+    slots = (
+        [(concept, current.concepts, list(_all_subsets(domain))) for concept in concepts]
+        + [(role, current.roles, list(_all_subsets(pairs))) for role in roles]
+        + [
+            (attribute, current.attributes, list(_all_subsets(value_pairs)))
+            for attribute in attributes
+        ]
+    )
+    position = {predicate: index for index, (predicate, _, _) in enumerate(slots)}
+    # due[k]: the (axiom, must hold) checks decided once slots 0..k-1 are set
+    due: List[List[Tuple[Axiom, bool]]] = [[] for _ in range(len(slots) + 1)]
+    checks = [(axiom, True) for axiom in tbox]
+    if refuted is not None:
+        checks.append((refuted, False))
+    for axiom, holds in checks:
+        last = max(
+            (position[p] for p in axiom_signature(axiom) if p in position), default=-1
+        )
+        due[last + 1].append((axiom, holds))
+
+    def extend(filled: int) -> Iterator[Interpretation]:
+        for axiom, holds in due[filled]:
+            if current.satisfies(axiom) != holds:
+                return
+        if filled == len(slots):
+            yield Interpretation(
+                size, dict(current.concepts), dict(current.roles), dict(current.attributes)
+            )
+            return
+        predicate, table, choices = slots[filled]
+        for extension in choices:
+            table[predicate] = extension
+            yield from extend(filled + 1)
+        del table[predicate]
+
+    return extend(0)
+
+
 def find_countermodel(
     tbox: TBox, axiom: Axiom, max_domain: int = 2
 ) -> Optional[Interpretation]:
-    """Search for a model of *tbox* violating *axiom* with domain ≤ *max_domain*."""
+    """Search for a model of *tbox* violating *axiom* with domain ≤ *max_domain*.
+
+    Returns the first such interpretation in :func:`interpretations` order.
+    """
     for size in range(1, max_domain + 1):
-        for interpretation in interpretations(tbox, size):
-            if interpretation.is_model_of(tbox) and not interpretation.satisfies(axiom):
-                return interpretation
+        for interpretation in _models(tbox, size, refuted=axiom):
+            return interpretation
     return None
 
 
@@ -170,7 +229,7 @@ def entails(tbox: TBox, axiom: Axiom, max_domain: int = 2) -> bool:
 def is_satisfiable_concept(tbox: TBox, concept, max_domain: int = 2) -> bool:
     """True iff some model of *tbox* (domain ≤ bound) gives *concept* an instance."""
     for size in range(1, max_domain + 1):
-        for interpretation in interpretations(tbox, size):
-            if interpretation.is_model_of(tbox) and interpretation.concept_ext(concept):
+        for interpretation in _models(tbox, size):
+            if interpretation.concept_ext(concept):
                 return True
     return False

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,20 @@ def make_random_tbox(
             else:
                 tbox.add(RoleInclusion(first, second))
     return tbox
+
+
+HARNESS = Path(__file__).resolve().parents[1] / "benchmarks" / "harness"
+
+
+def fig1_texts(seed: int, **options) -> dict:
+    """Profile name -> serialized TBox, as the ``fig1-classify`` benchmark
+    workload generates them for *seed* (*options* go to its constructor)."""
+    sys.path.insert(0, str(HARNESS))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(HARNESS))
+    return workloads.Fig1Classify(**options).make_inputs(seed)["texts"]
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro.core import GraphClassifier
 from repro.dllite.abox import ABox, ConceptAssertion, Individual, RoleAssertion
 from repro.dllite.axioms import ConceptInclusion
 from repro.dllite.syntax import AtomicConcept, AtomicRole, ExistentialRole
@@ -246,6 +247,48 @@ def test_tbox_generation_is_atomic_under_concurrent_adds():
 
     _run_threads(work)
     assert len(tbox) == THREADS * per_thread
+
+
+def test_classifying_while_axioms_are_added_keeps_the_digraph_whole():
+    """``TBox.add`` appends an axiom before it registers the axiom's
+    predicates; a build that sees the axiom but not the predicates interns
+    them on first sight, so every classification stays self-consistent."""
+    person, professor = AtomicConcept("Person"), AtomicConcept("Professor")
+    tbox = TBox([ConceptInclusion(professor, person)], name="growing")
+    per_writer = 150
+    writers = THREADS // 2
+    done = threading.Event()
+    finished = []
+
+    def work(index):
+        if index < writers:
+            for turn in range(per_writer):
+                role = AtomicRole(f"r{index}_{turn}")
+                tbox.add(ConceptInclusion(ExistentialRole(role.inverse), person))
+                tbox.add(ConceptInclusion(AtomicConcept(f"c{index}_{turn}"), professor))
+            finished.append(index)
+            if len(finished) == writers:
+                done.set()
+            return
+        while not done.is_set():
+            classification = GraphClassifier().classify(tbox)
+            graph = classification.graph
+            assert len(graph.successors) == len(graph.sorts()) == len(graph.nodes)
+            assert all(graph.index[node] == i for i, node in enumerate(graph.nodes))
+            assert all(
+                target < len(graph.nodes) for targets in graph.successors for target in targets
+            )
+            for node in graph.nodes:
+                if isinstance(node, AtomicConcept) and node.name.startswith("c"):
+                    assert classification.subsumes(person, node)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often: catch an axiom without its predicates
+    try:
+        _run_threads(work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert GraphClassifier().classify(tbox).graph.node_count == 2 + writers * per_writer * 5
 
 
 # -- the hammer: one system, mixed queries and updates ------------------------

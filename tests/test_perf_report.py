@@ -25,6 +25,10 @@ def test_report_is_healthy_and_checkable():
 def test_check_report_flags_regressions():
     report = run_perf_report(**ARGS)
     broken = json.loads(json.dumps(report))  # deep copy
+    # Pin the live gap probes, which a loaded host can push past their
+    # allowances, so only the three planted regressions can fail.
+    broken["sql_gap"]["ratio"] = broken["sql_gap"]["recorded_ratio"]
+    broken["pushdown_gap"]["ratio"] = 1.0
     broken["caches"]["rewriting"]["hit_rate"] = 0.0
     broken["timings"]["warm_s"] = broken["timings"]["cold_s"] + 1.0
     broken["coherent"] = False

@@ -20,11 +20,15 @@ from repro.baselines.saturation import Saturation
 from repro.core import GraphClassifier, ImplicationChecker, classify
 from repro.core.closure import closure_bfs, closure_scc_bitset, transitive_closure
 from repro.dllite import (
+    AtomicAttribute,
     AtomicConcept,
     AtomicRole,
+    AttributeDomain,
+    AttributeInclusion,
     ConceptInclusion,
     ExistentialRole,
     InverseRole,
+    NegatedAttribute,
     NegatedConcept,
     NegatedRole,
     QualifiedExistential,
@@ -36,7 +40,9 @@ from repro.dllite import (
 CONCEPTS = [AtomicConcept(f"C{i}") for i in range(3)]
 ROLES = [AtomicRole(f"P{i}") for i in range(2)]
 BASIC_ROLES = ROLES + [InverseRole(role) for role in ROLES]
-BASICS = CONCEPTS + [ExistentialRole(role) for role in BASIC_ROLES]
+#: one attribute, so the oracles check the digraph's U, δ(U) block too
+U0 = AtomicAttribute("U0")
+BASICS = CONCEPTS + [ExistentialRole(role) for role in BASIC_ROLES] + [AttributeDomain(U0)]
 
 concepts_st = st.sampled_from(CONCEPTS)
 basics_st = st.sampled_from(BASICS)
@@ -57,7 +63,10 @@ role_axiom_st = st.one_of(
     st.builds(RoleInclusion, basic_roles_st, basic_roles_st),
     st.builds(RoleInclusion, basic_roles_st, st.builds(NegatedRole, basic_roles_st)),
 )
-axiom_st = st.one_of(concept_axiom_st, role_axiom_st)
+attribute_axiom_st = st.sampled_from(
+    [AttributeInclusion(U0, U0), AttributeInclusion(U0, NegatedAttribute(U0))]
+)
+axiom_st = st.one_of(concept_axiom_st, role_axiom_st, attribute_axiom_st)
 
 
 def build_tbox(axioms) -> TBox:
@@ -138,12 +147,8 @@ def test_implication_checker_never_crashes_and_is_sound(tbox, axiom):
 # paths for them (DataSomeValuesFrom, DisjointDataProperties, funct).
 
 from repro.dllite import (  # noqa: E402 — grouped with the strategies below
-    AtomicAttribute,
-    AttributeDomain,
-    AttributeInclusion,
     FunctionalAttribute,
     FunctionalRole,
-    NegatedAttribute,
     parse_owl_functional,
     parse_tbox,
     serialize_owl_functional,
