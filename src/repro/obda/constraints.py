@@ -3,8 +3,8 @@
 Rewriting compiles the TBox into the UCQ, so the unfolded-SQL path
 evaluates every disjunct over the *raw* mapped extents — no further
 inference happens below the rewriting.  That makes a purely extensional
-notion of redundancy sound for that path: if, at the current database
-generation, the extent of predicate ``q`` is contained in the extent of
+notion of redundancy sound for that path: if, at the current versions
+of their extents, the extent of predicate ``q`` is contained in the extent of
 predicate ``p`` (an *exactness/completeness* constraint over the
 mappings in the sense of Hovland et al., "OBDA Constraints for Effective
 Query Answering"), then any disjunct asking ``q`` where a kept disjunct
@@ -12,8 +12,9 @@ asks ``p`` is answer-subsumed and can be dropped before it ever becomes
 SQL.
 
 :class:`ExtensionalConstraints` discovers such inclusions lazily from an
-:class:`~repro.obda.evaluation.ExtentProvider` and caches the verdicts
-per database generation; :func:`prune_ucq_with_constraints` then runs
+:class:`~repro.obda.evaluation.ExtentProvider` and keys each verdict on
+the versions of the two extents it compares, so a write re-checks only
+the pairs whose extents it changed; :func:`prune_ucq_with_constraints` then runs
 the same keeper loop as :func:`repro.perf.prune.prune_ucq` but with a
 *predicate-weakening* homomorphism: a keeper atom ``p(t)`` may map onto
 a candidate atom ``q(s)`` whenever ``p == q`` or ``extent(q) ⊆
@@ -48,22 +49,14 @@ Inclusion = Tuple[str, str]
 
 
 class ExtensionalConstraints:
-    """Generation-cached extent-inclusion facts over one provider."""
+    """Extent-inclusion facts over one provider, each verdict keyed on
+    the versions of the two extents it compares."""
 
     def __init__(self, extents: ExtentProvider):
         self.extents = extents
         self._lock = threading.Lock()
-        self._generation = extents.generation()
-        self._verdicts: Dict[Tuple[str, str, int], bool] = {}
-
-    def _current_verdicts(self) -> Dict[Tuple[str, str, int], bool]:
-        with self._lock:
-            generation = self.extents.generation()
-            if generation != self._generation:
-                # Copy-on-write: discovery in flight keeps its snapshot.
-                self._verdicts = {}
-                self._generation = generation
-            return self._verdicts
+        #: (sub, sup, arity) -> (sub version, sup version, verdict)
+        self._verdicts: Dict[Tuple[str, str, int], Tuple[object, object, bool]] = {}
 
     def inclusion_holds(
         self,
@@ -73,24 +66,29 @@ class ExtensionalConstraints:
         budget: Optional[Budget] = None,
         extents: Optional[ExtentProvider] = None,
     ) -> bool:
-        """True iff extent(*sub*) ⊆ extent(*sup*) at the current generation.
+        """True iff extent(*sub*) ⊆ extent(*sup*) at their current versions.
 
         *extents*, when given, is the access path for the pulls (e.g. a
-        retry-wrapped view of the same provider); verdicts still key on
-        the bound provider's generation.
+        retry-wrapped view of the same provider); it reports the bound
+        provider's versions, so verdicts are shared between the two.
         """
         if sub == sup:
             return True
         provider = extents if extents is not None else self.extents
-        verdicts = self._current_verdicts()
+        sub_snapshot = provider.snapshot(sub, arity)
+        sup_snapshot = provider.snapshot(sup, arity)
         key = (sub, sup, arity)
-        cached = verdicts.get(key)
-        if cached is not None:
-            return cached
-        sub_extent = provider.extent(sub, arity)
-        sup_extent = provider.extent(sup, arity)
+        with self._lock:
+            cached = self._verdicts.get(key)
+        if (
+            cached is not None
+            and cached[0] == sub_snapshot.version
+            and cached[1] == sup_snapshot.version
+        ):
+            return cached[2]
+        sup_extent = sup_snapshot.rows
         holds = True
-        for row in sub_extent:
+        for row in sub_snapshot.rows:
             if budget is not None:
                 budget.tick()
             if row not in sup_extent:
@@ -98,9 +96,10 @@ class ExtensionalConstraints:
                 break
         global_metrics().counter("obda.constraints.checks").inc()
         with self._lock:
-            if self._verdicts is verdicts:  # snapshot still current — memoize
-                verdicts.setdefault(key, holds)
-                return verdicts[key]
+            # Replace only the verdict this check started from: a
+            # concurrent check may have stored one for newer versions.
+            if self._verdicts.get(key) is cached:
+                self._verdicts[key] = (sub_snapshot.version, sup_snapshot.version, holds)
         return holds
 
     def relevant_inclusions(

@@ -5,20 +5,26 @@ A UCQ produced by a rewriter is evaluated against *extent providers*:
 * :class:`ABoxExtents` — classic knowledge-base mode;
 * :class:`MappingExtents` — OBDA mode, pulling each predicate's extent
   through the mappings from the relational sources.  Extents are cached
-  **across queries** and invalidated by the database's generation
-  counter (or explicitly via :meth:`ExtentProvider.invalidate`), so a
-  workload of many queries pulls each predicate from the sources once;
+  **across queries**: each stays valid while the tables its mapping
+  sources read are unchanged, and a table that only grew extends the
+  extents mapped from it by the rows appended (see the class);
 * :class:`DatalogExtents` — wraps another provider with the auxiliary
   predicates of a Presto :class:`~repro.obda.rewriting.presto.DatalogRewriting`.
+
+Every provider serves an extent as a :class:`Snapshot`: the rows plus a
+*version* that changes whenever the rows may have.  Caches downstream of
+an extent key on its version (join indexes here, Presto's derived
+extents, the verdicts of :mod:`repro.obda.constraints`), so a write
+invalidates only what was derived from the extents it changed.
 
 Conjunctive queries are evaluated by a backtracking join that orders
 atoms greedily by current extent size and probes each later atom through
 a **per-argument-position hash index**.  Indexes are built lazily and
-cached *on the provider* (keyed by predicate and key positions), so
-repeated and structurally similar queries share index-construction work
-instead of re-hashing full extents per query.  Index construction polls
-the budget and installs the index only on completion, so a timeout never
-leaves a partial index behind.
+cached *on the provider* (keyed by predicate and key positions) under
+the version of the extent they index; when the extent grew by appended
+rows the index is extended by them, copy-on-write, instead of rebuilt.
+Building and extending poll the budget and install the index only on
+completion, so a timeout never leaves a partial index behind.
 
 Cells compare by their string forms
 (:func:`~repro.obda.sql.stats.join_key`, the identity the SQL executors
@@ -30,8 +36,9 @@ keeps IRI templates and value columns apart the same way.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 from ..dllite.abox import ABox, Individual
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
@@ -42,8 +49,10 @@ from .mapping import MappingCollection
 from .queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable
 from .sql.database import Database
 from .sql.stats import join_key
+from .sql.table import Table
 
 __all__ = [
+    "Snapshot",
     "ExtentProvider",
     "ABoxExtents",
     "MappingExtents",
@@ -54,28 +63,97 @@ __all__ = [
 
 #: predicate name + key argument positions — one hash index per pair
 IndexKey = Tuple[str, Tuple[int, ...]]
+#: join key -> the rows carrying it
+Index = Dict[Tuple, List[Tuple]]
+
+#: extent versions, unique across providers (``next`` on a count is
+#: atomic under the GIL)
+_VERSIONS = itertools.count(1)
+
+
+class Snapshot(NamedTuple):
+    """A predicate's extent at one version.
+
+    ``version`` changes whenever ``rows`` may have changed.  A snapshot
+    that grew out of the one at version ``base`` by the rows ``added``
+    (none of which that snapshot held) lets an index built at ``base``
+    be extended instead of rebuilt.
+    """
+
+    version: Hashable
+    rows: Set[Tuple]
+    base: Hashable = None
+    added: Tuple[Tuple, ...] = ()
+
+
+def _build_index(
+    rows: Set[Tuple], positions: Tuple[int, ...], budget: Optional[Budget]
+) -> Index:
+    index: Index = {}
+    for row in rows:
+        if budget is not None:
+            budget.tick()
+        index.setdefault(join_key(row[i] for i in positions), []).append(row)
+    return index
+
+
+def _extend_index(
+    index: Index,
+    added: Tuple[Tuple, ...],
+    positions: Tuple[int, ...],
+    budget: Optional[Budget],
+) -> Index:
+    """*index* plus the rows *added*, copy-on-write: a new dict whose
+    touched buckets are new lists.  Joins in flight iterate the buckets
+    of *index*, so those are never appended to."""
+    extended = dict(index)
+    touched: Set[Tuple] = set()
+    for row in added:
+        if budget is not None:
+            budget.tick()
+        key = join_key(row[i] for i in positions)
+        if key not in touched:
+            touched.add(key)
+            extended[key] = list(index.get(key, ()))
+        extended[key].append(row)
+    return extended
 
 
 class ExtentProvider:
     """Maps predicate names to their extents (sets of 1- or 2-tuples).
 
-    Besides raw extents, providers serve per-argument-position hash
-    indexes (:meth:`index`) used by the join evaluator.  The default
-    implementation caches indexes on the provider and revalidates them
-    against :meth:`generation` on every access, so subclasses only need
-    to report a changing generation to get correct invalidation.
+    Subclasses implement :meth:`extent`; the default :meth:`snapshot`
+    versions it by :meth:`generation`, so a provider only has to report
+    a changing generation to get correct invalidation.  Providers that
+    track changes per predicate (:class:`MappingExtents`,
+    :class:`DatalogExtents`) override :meth:`snapshot`.
 
-    Concurrency: index snapshots are **copy-on-write** — a generation
-    move swaps in a fresh cache dict instead of clearing the old one, so
-    a join that already holds an index keeps a consistent (if slightly
-    stale, bracket-bounded) snapshot while new queries index the new
-    data.  Bookkeeping happens under a small per-provider lock created
-    on demand; index *construction* runs outside it, so slow builds
-    don't serialize unrelated queries.
+    Besides raw extents, providers serve per-argument-position hash
+    indexes (:meth:`index`) used by the join evaluator, cached on the
+    provider under the version of the extent each one indexes.
+
+    Concurrency: snapshots and indexes never change once published — a
+    newer version is a new object, and an index extended by appended
+    rows is a new dict whose touched buckets are new lists — so a join
+    that holds one keeps a consistent (if slightly stale,
+    bracket-bounded) view while new queries see the new data.
+    Bookkeeping happens under a small per-provider lock created on
+    demand; index construction runs outside it, so slow builds don't
+    serialize unrelated queries.
     """
 
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
         raise NotImplementedError
+
+    def snapshot(self, predicate: str, arity: int) -> Snapshot:
+        """*predicate*'s extent with its version.
+
+        The default version is :meth:`generation`, read before the
+        extent: a concurrent change can leave the version behind the
+        rows, never ahead of them.
+        """
+        version = self.generation()
+        return Snapshot(version, self.extent(predicate, arity))
 
     def generation(self) -> int:
         """Monotone data-version counter; 0 for immutable providers."""
@@ -87,17 +165,19 @@ class ExtentProvider:
         ``dict.setdefault`` is atomic under the GIL, so two racing
         first-callers agree on one lock object.
         """
-        # The bootstrap cannot hold the lock it is creating; the GIL
-        # atomicity above is the whole synchronization story here.
-        return self.__dict__.setdefault(  # repro-lint: disable=RL001
-            "_provider_lock", threading.RLock()
-        )
+        lock = self.__dict__.get("_provider_lock")
+        if lock is None:
+            # The bootstrap cannot hold the lock it is creating; the GIL
+            # atomicity above is the whole synchronization story here.
+            lock = self.__dict__.setdefault(  # repro-lint: disable=RL001
+                "_provider_lock", threading.RLock()
+            )
+        return lock
 
     def invalidate(self) -> None:
         """Drop cached indexes (subclasses also drop cached extents)."""
         with self._sync_lock():
-            self.__dict__.pop("_index_cache", None)
-            self.__dict__.pop("_index_generation", None)
+            self._index_cache = {}
 
     def index(
         self,
@@ -105,53 +185,52 @@ class ExtentProvider:
         arity: int,
         positions: Tuple[int, ...],
         budget: Optional[Budget] = None,
-    ) -> Dict[Tuple, List[Tuple]]:
+    ) -> Index:
         """Rows of *predicate* hashed by :func:`join_key` of the values
         at *positions*.
 
         ``positions == ()`` degenerates to one bucket holding the whole
         extent (the leading atom of a join plan).  The index is built
-        lazily, cached across queries, and rebuilt when
-        :meth:`generation` moves.  Construction ticks *budget*; on
-        exhaustion the partially built index is discarded with the
-        raised :class:`~repro.errors.TimeoutExceeded`.
+        lazily and cached across queries under the version of the
+        extent it indexes.  When the current snapshot grew out of that
+        version by appended rows, the cached index is extended by them;
+        otherwise it is rebuilt.  Both tick *budget*; on exhaustion the
+        partial index is discarded with the raised
+        :class:`~repro.errors.TimeoutExceeded`.
         """
-        lock = self._sync_lock()
+        snapshot = self.snapshot(predicate, arity)
         key: IndexKey = (predicate, positions)
+        lock = self._sync_lock()
         with lock:
-            generation = self.generation()
-            cache: Optional[Dict[IndexKey, Dict]] = self.__dict__.get("_index_cache")
-            if cache is None or self.__dict__.get("_index_generation") != generation:
-                # Copy-on-write swap: in-flight joins keep the old snapshot.
-                cache = {}
-                self._index_cache = cache
-                self._index_generation = generation
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        with current_tracer().span("index-build") as span:
-            rows = self.extent(predicate, arity)
-            index: Dict[Tuple, List[Tuple]] = {}
-            for row in rows:
-                if budget is not None:
-                    budget.tick()
-                index.setdefault(
-                    join_key(row[i] for i in positions), []
-                ).append(row)
-            span.annotate(
-                predicate=predicate, positions=list(positions), rows=len(rows)
+            cache: Optional[Dict[IndexKey, Tuple[Hashable, Index]]] = (
+                self.__dict__.get("_index_cache")
             )
-        global_metrics().counter("obda.evaluation.index_builds").inc()
+            if cache is None:
+                cache = self._index_cache = {}
+            cached = cache.get(key)
+        if cached is not None and cached[0] == snapshot.version:
+            return cached[1]
+        if (
+            cached is not None
+            and snapshot.base is not None
+            and cached[0] == snapshot.base
+        ):
+            index = _extend_index(cached[1], snapshot.added, positions, budget)
+            global_metrics().counter("obda.evaluation.index_extends").inc()
+        else:
+            with current_tracer().span("index-build") as span:
+                index = _build_index(snapshot.rows, positions, budget)
+                span.annotate(
+                    predicate=predicate,
+                    positions=list(positions),
+                    rows=len(snapshot.rows),
+                )
+            global_metrics().counter("obda.evaluation.index_builds").inc()
         with lock:
-            # Install only into the snapshot we keyed against; if the
-            # generation moved mid-build the index may mix old and new
-            # rows, and the fresh snapshot must not inherit it.
-            if (
-                self.__dict__.get("_index_cache") is cache
-                and self.__dict__.get("_index_generation") == generation
-            ):
-                cache.setdefault(key, index)
-                return cache[key]
+            # Install only over the entry this work started from: a
+            # concurrent call may have installed a newer version since.
+            if self.__dict__.get("_index_cache") is cache and cache.get(key) is cached:
+                cache[key] = (snapshot.version, index)
         return index
 
 
@@ -203,25 +282,90 @@ class ABoxExtents(ExtentProvider):
         return extent
 
 
+#: what a cached extent consumed of one source table: ``(table,
+#: generation, consumed, last)`` — its first ``consumed`` rows as of the
+#: table's ``generation``, and ``rows[consumed - 1]`` (None when nothing
+#: was consumed), which an out-of-band truncation that regrew the table
+#: replaced
+_Read = Tuple[Table, int, int, object]
+
+
+def _read(table: Table) -> _Read:
+    """Record *table*: its generation first, then its row count (the
+    order of :meth:`SqliteBackend._ensure_loaded`).  A row appended
+    between the two reads is consumed now and offered again by the next
+    delta, where it is already present — never skipped."""
+    generation = table.generation
+    rows = table.rows
+    consumed = len(rows)
+    return table, generation, consumed, rows[consumed - 1] if consumed else None
+
+
+class _Entry:
+    """A cached extent of :class:`MappingExtents`, never changed once
+    installed: a refresh installs a new entry."""
+
+    __slots__ = ("snapshot", "reads", "checked")
+
+    def __init__(self, snapshot: Snapshot, reads: Tuple[_Read, ...], checked: int):
+        self.snapshot = snapshot
+        #: what the extent consumed of each table its sources read, in
+        #: the order of :meth:`MappingCollection.tables`
+        self.reads = reads
+        #: the database generation the reads were last confirmed at
+        self.checked = checked
+
+
+class _Appended:
+    """A one-table database holding only ``table.rows[start:stop]``,
+    under the table's name and columns: what a single-scan mapping
+    source reads to compute the tuples those rows add."""
+
+    def __init__(self, table: Table, start: int, stop: int):
+        self.columns = table.columns
+        self.rows = table.rows[start:stop]
+
+    def table(self, name: str) -> "_Appended":
+        return self
+
+
 class MappingExtents(ExtentProvider):
     """Extents unfolded through the mappings from the source database.
 
-    The cache is shared **across queries**: a workload touching the same
-    predicates repeatedly pulls each extent through the mappings exactly
-    once.  Validity is keyed on :attr:`Database.generation`, so any
-    insert or schema change transparently invalidates both the extent
-    and the index caches; :meth:`invalidate` forces the same drop
-    explicitly.
+    The cache is shared **across queries** and keeps each predicate's
+    extent while the tables its mapping sources read stay unchanged:
+    per table it records the table object, its generation and the rows
+    consumed.  While :attr:`Database.generation` holds, checking
+    validity is one integer compare.  When it moves, an extent whose
+    tables all kept their generations is confirmed as it is, and only
+    extents mapped from a written table are refreshed:
+
+    * by a **delta** when one assertion feeds the predicate, its source
+      reads one table once, and that table only grew: the extent gains
+      the source evaluated over the appended rows.  This is exact —
+      tables are append-only and the mapping algebra over one scan
+      (selection, projection, renaming) maps each row on its own, so the
+      source over the grown table is the source over the old rows plus
+      the source over the new ones;
+    * by a full **pull** through
+      :meth:`MappingCollection.predicate_extent` otherwise (a join or
+      union over tables, a second assertion, a shrunk or replaced table).
+
+    :meth:`invalidate` drops every extent and index, for out-of-band
+    edits no counter can see (rows rewritten in place, a mapping
+    collection edited).
     """
 
     def __init__(self, mappings: MappingCollection, database: Database):
         self.mappings = mappings
         self.database = database
-        self._cache: Dict[str, Set[Tuple]] = {}
-        self._generation = database.generation
-        #: extents actually unfolded from the sources (cache misses);
-        #: the regression tests and perf-report read this.
+        self._cache: Dict[str, _Entry] = {}
+        #: full pulls through the mappings (first use, or a refresh that
+        #: could not take a delta); the regression tests and perf-report
+        #: read this.
         self.pulls = 0
+        #: refreshes that evaluated a source over appended rows only
+        self.delta_pulls = 0
 
     def generation(self) -> int:
         return self.database.generation
@@ -230,27 +374,99 @@ class MappingExtents(ExtentProvider):
         with self._sync_lock():
             # Copy-on-write: readers holding the old dict keep a snapshot.
             self._cache = {}
-            self._generation = self.database.generation
             super().invalidate()
 
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
+        return self.snapshot(predicate, arity).rows
+
+    def snapshot(self, predicate: str, arity: int) -> Snapshot:
+        generation = self.database.generation
+        cache = self._cache
+        entry = cache.get(predicate)
+        if entry is not None and entry.checked == generation:
+            return entry.snapshot
+        return self._refresh(predicate, cache, entry, generation)
+
+    def _refresh(
+        self,
+        predicate: str,
+        cache: Dict[str, _Entry],
+        entry: Optional[_Entry],
+        generation: int,
+    ) -> Snapshot:
+        """*entry* brought up to the database at *generation*, which was
+        read before any table: every insert it counts is seen here.
+
+        The refreshed entry is installed over *entry* unless the slot
+        moved on; an entry a concurrent refresh installed for the same
+        generation is served instead, so both callers see one version.
+        """
+        tables = list(map(self.database.table, self.mappings.tables(predicate)))
+        pulled = delta = False
+        if entry is not None and len(entry.reads) == len(tables) and all(
+            read[0] is table and read[1] == table.generation
+            for read, table in zip(entry.reads, tables)
+        ):
+            refreshed = _Entry(entry.snapshot, entry.reads, generation)
+        else:
+            reads = tuple(map(_read, tables))
+            snapshot = None
+            if entry is not None:
+                snapshot = self._delta(predicate, entry, reads)
+                delta = snapshot is not None
+            if snapshot is None:
+                snapshot = self._pull(predicate)
+                pulled = True
+            refreshed = _Entry(snapshot, reads, generation)
         with self._sync_lock():
-            if self.database.generation != self._generation:
-                self.invalidate()
-            cache = self._cache
-            cached = cache.get(predicate)
-        if cached is not None:
-            return cached
+            self.pulls += pulled
+            self.delta_pulls += delta
+            if self._cache is cache:
+                current = cache.get(predicate)
+                if current is entry:
+                    cache[predicate] = refreshed
+                elif current is not None and current.checked == generation:
+                    return current.snapshot
+        return refreshed.snapshot
+
+    def _delta(self, predicate: str, entry: _Entry, reads) -> Optional[Snapshot]:
+        """*entry*'s snapshot grown by the rows appended to the table its
+        one source reads once, or None when the mapping has another shape
+        or that table did not only grow."""
+        sources = self.mappings.sources(predicate)
+        if len(sources) != 1 or len(sources[0][0].tables) != 1:
+            return None  # a second assertion, a join or a union
+        assertion, target = sources[0]
+        ((old_table, _, start, last),) = entry.reads
+        ((table, _, stop, _),) = reads
+        if (
+            table is not old_table
+            or stop < start
+            or (start and table.rows[start - 1] is not last)
+        ):
+            return None
+        base = entry.snapshot
+        with current_tracer().span("extent-delta") as span:
+            appended = _Appended(table, start, stop)
+            added = tuple(
+                dict.fromkeys(
+                    item
+                    for item in assertion.target_extent(target, appended)
+                    if item not in base.rows
+                )
+            )
+            span.annotate(predicate=predicate, rows=len(added))
+        global_metrics().counter("obda.extents.delta_pulls").inc()
+        if not added:
+            return base
+        return Snapshot(next(_VERSIONS), base.rows.union(added), base.version, added)
+
+    def _pull(self, predicate: str) -> Snapshot:
         with current_tracer().span("extent-pull") as span:
             pulled = self.mappings.predicate_extent(self.database, predicate)
             span.annotate(predicate=predicate, rows=len(pulled))
         global_metrics().counter("obda.extents.pulls").inc()
-        with self._sync_lock():
-            self.pulls += 1
-            if self._cache is cache:  # snapshot still current — memoize
-                cache.setdefault(predicate, pulled)
-                return cache[predicate]
-        return pulled
+        return Snapshot(next(_VERSIONS), pulled)
 
 
 class DatalogExtents(ExtentProvider):
@@ -258,16 +474,18 @@ class DatalogExtents(ExtentProvider):
 
     All rules are flat (single base atom bodies over ``x``/``y``), so an
     auxiliary extent is a union of base extents with optional argument
-    swapping and projection.  Derived extents are cached and revalidated
-    against the *base* provider's generation, so database changes
-    propagate through the whole provider stack.
+    swapping and projection.  A derived extent is kept while the
+    versions of the base extents it was derived from hold — compared
+    only when the base provider's generation moves — and its version is
+    the tuple of theirs.  Base predicates, extents and indexes alike,
+    come from the base provider, so every query shares its indexes.
     """
 
     def __init__(self, rewriting, base: ExtentProvider):
         self.rewriting = rewriting
         self.base = base
-        self._cache: Dict[str, Set[Tuple]] = {}
-        self._base_generation = base.generation()
+        #: predicate -> (derived snapshot, base generation it was confirmed at)
+        self._cache: Dict[str, Tuple[Snapshot, int]] = {}
 
     def generation(self) -> int:
         return self.base.generation()
@@ -276,41 +494,66 @@ class DatalogExtents(ExtentProvider):
         with self._sync_lock():
             # Copy-on-write: readers holding the old dict keep a snapshot.
             self._cache = {}
-            self._base_generation = self.base.generation()
             super().invalidate()
 
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
-        with self._sync_lock():
-            if self.base.generation() != self._base_generation:
-                self.invalidate()
-            cache = self._cache
+        return self.snapshot(predicate, arity).rows
+
+    def snapshot(self, predicate: str, arity: int) -> Snapshot:
         rules = self.rewriting.rules_by_head.get(predicate)
         if rules is None:
-            return self.base.extent(predicate, arity)
+            return self.base.snapshot(predicate, arity)
+        generation = self.base.generation()
+        cache = self._cache
         cached = cache.get(predicate)
-        if cached is not None:
-            return cached
-        result: Set[Tuple] = set()
+        if cached is not None and cached[1] == generation:
+            return cached[0]
+        bodies: Dict[Tuple[str, int], Snapshot] = {}
         for rule in rules:
-            body_atom = rule.body[0]
-            base_rows = self.base.extent(body_atom.predicate, body_atom.arity)
-            head_args = rule.head.args
-            body_args = body_atom.args
-            position = {
-                term: index
-                for index, term in enumerate(body_args)
-                if isinstance(term, Variable)
-            }
-            indices = [position[arg] for arg in head_args if arg in position]
-            if len(indices) != len(head_args):
-                continue  # head variable not bound by the body — vacuous rule
-            for row in base_rows:
-                result.add(tuple(row[i] for i in indices))
+            atom = rule.body[0]
+            key = (atom.predicate, len(atom.args))
+            if key not in bodies:
+                bodies[key] = self.base.snapshot(*key)
+        version = tuple([body.version for body in bodies.values()])
+        if cached is not None and cached[0].version == version:
+            derived = cached[0]
+        else:
+            derived = Snapshot(version, _derive(rules, bodies))
         with self._sync_lock():
-            if self._cache is cache:  # snapshot still current — memoize
-                cache.setdefault(predicate, result)
-                return cache[predicate]
-        return result
+            if self._cache is cache and cache.get(predicate) is cached:
+                cache[predicate] = (derived, generation)
+        return derived
+
+    def index(
+        self,
+        predicate: str,
+        arity: int,
+        positions: Tuple[int, ...],
+        budget: Optional[Budget] = None,
+    ) -> Index:
+        if predicate not in self.rewriting.rules_by_head:
+            return self.base.index(predicate, arity, positions, budget)
+        return super().index(predicate, arity, positions, budget)
+
+
+def _derive(rules, bodies: Dict[Tuple[str, int], Snapshot]) -> Set[Tuple]:
+    """The union of *rules*' heads over the base snapshots *bodies*."""
+    result: Set[Tuple] = set()
+    for rule in rules:
+        body_atom = rule.body[0]
+        base_rows = bodies[body_atom.predicate, len(body_atom.args)].rows
+        head_args = rule.head.args
+        position = {
+            term: index
+            for index, term in enumerate(body_atom.args)
+            if isinstance(term, Variable)
+        }
+        indices = [position[arg] for arg in head_args if arg in position]
+        if len(indices) != len(head_args):
+            continue  # head variable not bound by the body — vacuous rule
+        for row in base_rows:
+            result.add(tuple(row[i] for i in indices))
+    return result
 
 
 def _same_term(first: object, second: object) -> bool:

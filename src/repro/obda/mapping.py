@@ -15,14 +15,28 @@ Unfolding is exposed at two granularities:
 
 * :meth:`MappingCollection.materialize` — the full virtual ABox;
 * :meth:`MappingCollection.predicate_extent` — the extent of one
-  predicate, which is what the query-evaluation join pipeline pulls.
+  predicate, which is what the query-evaluation join pipeline pulls;
+* :meth:`MappingAssertion.target_extent` — one assertion's tuples for
+  one target atom over any database, e.g. one holding only the rows
+  appended to a table (the delta refresh of
+  :class:`~repro.obda.evaluation.MappingExtents`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from functools import lru_cache
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..dllite.abox import (
     ABox,
@@ -33,7 +47,7 @@ from ..dllite.abox import (
 )
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from ..errors import MappingError
-from .sql.algebra import Expression, ResultSet, evaluate
+from .sql.algebra import Expression, ResultSet, evaluate, scans
 from .sql.database import Database
 from .sql.sqlparser import parse_sql
 
@@ -48,6 +62,13 @@ __all__ = [
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
+@lru_cache(maxsize=1024)
+def _segments(pattern: str) -> Tuple[str, ...]:
+    """*pattern* split once: literal text at even positions, placeholder
+    columns at odd ones (every source row applies its templates)."""
+    return tuple(_PLACEHOLDER_RE.split(pattern))
+
+
 @dataclass(frozen=True)
 class IriTemplate:
     """An individual-building template, e.g. ``person/{pid}``."""
@@ -59,16 +80,17 @@ class IriTemplate:
         return tuple(_PLACEHOLDER_RE.findall(self.pattern))
 
     def apply(self, env: Dict[str, object]) -> Individual:
-        def replace(match) -> str:
-            column = match.group(1)
+        segments = _segments(self.pattern)
+        text = segments[0]
+        for index in range(1, len(segments), 2):
+            column = segments[index]
             if column not in env:
                 raise MappingError(
                     f"template {self.pattern!r} needs column {column!r}, "
                     f"source query produced {sorted(env)}"
                 )
-            return str(env[column])
-
-        return Individual(_PLACEHOLDER_RE.sub(replace, self.pattern))
+            text += str(env[column]) + segments[index + 1]
+        return Individual(text)
 
     def __str__(self) -> str:
         return self.pattern
@@ -140,9 +162,26 @@ class MappingAssertion:
         self.targets: Tuple[TargetAtom, ...] = tuple(targets)
         if not self.targets:
             raise MappingError("a mapping assertion needs at least one target atom")
+        #: the tables the source reads, one entry per scan (a self-join
+        #: names its table twice)
+        self.tables: Tuple[str, ...] = tuple(scan.table for scan in scans(self.source))
 
     def evaluate_source(self, database: Database) -> ResultSet:
         return evaluate(self.source, database)
+
+    def target_extent(self, target: TargetAtom, database: Database) -> Iterator[Tuple]:
+        """*target*'s tuples, one per row of the source over *database*."""
+        result = self.evaluate_source(database)
+        # column name -> row position (the last of a repeated name wins),
+        # plus the unqualified names when the source used aliases
+        positions = {column: index for index, column in enumerate(result.columns)}
+        for column, index in list(positions.items()):
+            positions.setdefault(column.rsplit(".", 1)[-1], index)
+        names = tuple(positions.items())
+        terms = target.terms
+        for row in result.rows:
+            env = {name: row[index] for name, index in names}
+            yield tuple(term.apply(env) for term in terms)
 
     def __repr__(self) -> str:
         label = self.identifier or "mapping"
@@ -155,14 +194,17 @@ class MappingCollection:
     def __init__(self, assertions: Iterable[MappingAssertion] = ()):
         self.assertions: List[MappingAssertion] = []
         self._by_predicate: Dict[str, List[Tuple[MappingAssertion, TargetAtom]]] = {}
+        self._tables: Dict[str, Tuple[str, ...]] = {}
         for assertion in assertions:
             self.add(assertion)
 
     def add(self, assertion: MappingAssertion) -> None:
         self.assertions.append(assertion)
         for target in assertion.targets:
-            self._by_predicate.setdefault(target.predicate.name, []).append(
-                (assertion, target)
+            name = target.predicate.name
+            self._by_predicate.setdefault(name, []).append((assertion, target))
+            self._tables[name] = tuple(
+                dict.fromkeys(self._tables.get(name, ()) + assertion.tables)
             )
 
     def __len__(self) -> int:
@@ -173,6 +215,16 @@ class MappingCollection:
 
     def mapped_predicates(self) -> Set[str]:
         return set(self._by_predicate)
+
+    def sources(
+        self, predicate_name: str
+    ) -> Tuple[Tuple[MappingAssertion, TargetAtom], ...]:
+        """The ``(assertion, target atom)`` pairs feeding *predicate_name*."""
+        return tuple(self._by_predicate.get(predicate_name, ()))
+
+    def tables(self, predicate_name: str) -> Tuple[str, ...]:
+        """The distinct tables read by the sources feeding *predicate_name*."""
+        return self._tables.get(predicate_name, ())
 
     # -- unfolding ---------------------------------------------------------------
 
@@ -186,14 +238,7 @@ class MappingCollection:
         """
         extent: Set[Tuple] = set()
         for assertion, target in self._by_predicate.get(predicate_name, ()):
-            result = assertion.evaluate_source(database)
-            for row in result.rows:
-                env = dict(zip(result.columns, row))
-                # also allow unqualified names when the source used aliases
-                for column, value in list(env.items()):
-                    bare = column.rsplit(".", 1)[-1]
-                    env.setdefault(bare, value)
-                extent.add(tuple(term.apply(env) for term in target.terms))
+            extent.update(assertion.target_extent(target, database))
         return extent
 
     def materialize(self, database: Database) -> ABox:

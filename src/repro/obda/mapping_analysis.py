@@ -26,17 +26,7 @@ from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from ..dllite.tbox import TBox
 from ..errors import MappingError
 from .mapping import IriTemplate, MappingAssertion, MappingCollection
-from .sql.algebra import (
-    Condition,
-    Expression,
-    Join,
-    Projection,
-    Rename,
-    Scan,
-    Selection,
-    UnionAll,
-    evaluate,
-)
+from .sql.algebra import evaluate, scans
 from .sql.database import Database
 
 __all__ = ["MappingIssue", "analyze_mappings"]
@@ -55,18 +45,6 @@ class MappingIssue:
         prefix = f"[{self.severity}/{self.category}]"
         suffix = f" (mapping {self.mapping})" if self.mapping else ""
         return f"{prefix} {self.message}{suffix}"
-
-
-def _scan_tables(expression: Expression) -> List[Scan]:
-    if isinstance(expression, Scan):
-        return [expression]
-    if isinstance(expression, (Selection, Projection, Rename)):
-        return _scan_tables(expression.source)
-    if isinstance(expression, Join):
-        return _scan_tables(expression.left) + _scan_tables(expression.right)
-    if isinstance(expression, UnionAll):
-        return [scan for part in expression.parts for scan in _scan_tables(part)]
-    return []
 
 
 def _source_output_columns(
@@ -98,7 +76,7 @@ def analyze_mappings(
 
         # -- schema: tables ------------------------------------------------------
         missing_table = False
-        for scan in _scan_tables(assertion.source):
+        for scan in scans(assertion.source):
             if scan.table not in database:
                 issues.append(
                     MappingIssue(

@@ -32,6 +32,7 @@ __all__ = [
     "UnionAll",
     "Condition",
     "evaluate",
+    "scans",
 ]
 
 
@@ -150,6 +151,20 @@ class Rename(Expression):
 
     source: Expression
     prefix: str
+
+
+def scans(expression: Expression) -> List[Scan]:
+    """The base-table reads of *expression*, one per :class:`Scan` (a
+    self-join lists its table twice)."""
+    if isinstance(expression, Scan):
+        return [expression]
+    if isinstance(expression, (Selection, Projection, Rename)):
+        return scans(expression.source)
+    if isinstance(expression, Join):
+        return scans(expression.left) + scans(expression.right)
+    if isinstance(expression, UnionAll):
+        return [scan for part in expression.parts for scan in scans(part)]
+    return []
 
 
 def evaluate(

@@ -347,13 +347,16 @@ def _part_width(recipes) -> int:
 
 
 class _LoadState:
-    __slots__ = ("table_id", "columns", "generation", "shipped")
+    __slots__ = ("table_id", "columns", "generation", "shipped", "last")
 
-    def __init__(self, table_id, columns, generation, shipped):
+    def __init__(self, table_id, columns, generation, rows):
         self.table_id = table_id
         self.columns = columns
         self.generation = generation
-        self.shipped = shipped
+        self.shipped = len(rows)
+        #: the last row shipped: an out-of-band truncation that regrew the
+        #: table past ``shipped`` replaced it
+        self.last = rows[-1] if rows else None
 
 
 class SqliteBackend:
@@ -483,7 +486,9 @@ class SqliteBackend:
                 self._create_indexes(name, len(columns))
                 self._stats["full_loads"] += 1
                 metrics.counter("backend.sqlite.full_loads").inc()
-            elif len(rows) < state.shipped:
+            elif len(rows) < state.shipped or (
+                state.shipped and rows[state.shipped - 1] is not state.last
+            ):
                 # Out-of-band shrink (monkeypatched rows): resync fully.
                 physical = _quote(f"d_{name}")
                 self._connection.execute(f"DELETE FROM {physical}")
@@ -498,7 +503,7 @@ class SqliteBackend:
                 metrics.counter("backend.sqlite.delta_loads").inc()
             self._connection.commit()
             self._loaded[name] = _LoadState(
-                id(table), columns, generation, len(rows)
+                id(table), columns, generation, rows
             )
             self._stats["rows_shipped"] += shipped
             metrics.counter("backend.sqlite.rows_shipped").inc(shipped)

@@ -112,9 +112,10 @@ class OBDASystem:
     * rewritings, unfoldings and certain answers are cached in bounded
       LRUs under *canonical* query keys, so alpha-equivalent queries
       (same shape, renamed variables, reordered atoms) share entries;
-    * the extent provider is shared across queries, with hash-join
-      indexes cached per predicate and invalidated by the database's
-      generation counter.
+    * the extent provider is shared across queries; a write refreshes
+      only the extents mapped from the tables it wrote (by a delta when
+      a table only grew), and hash-join indexes are cached per
+      predicate under the version of the extent they index.
 
     All caches are validated against the TBox/data generation counters
     on every use and only ever store *completed* results (a budget abort
@@ -166,7 +167,9 @@ class OBDASystem:
         self._lock = threading.RLock()
         self._classification: Optional[Classification] = None
         self._classification_generation: Optional[int] = None
-        self._violation_rewritings: Optional[List[Tuple[str, UnionQuery]]] = None
+        #: TBox-only consistency rewritings by kind ("violations",
+        #: "functionality", "unsat"), built once per TBox generation
+        self._consistency_rewritings: Dict[str, list] = {}
         self._shared_extents: Optional[ExtentProvider] = None
         self._tbox_generation = getattr(tbox, "generation", 0)
         if enable_caches:
@@ -224,7 +227,7 @@ class OBDASystem:
             self._tbox_generation = generation
             self._classification = None
             self._classification_generation = None
-            self._violation_rewritings = None
+            self._consistency_rewritings = {}
             if self.enable_caches:
                 self._rewriting_cache.invalidate()
                 self._unfolding_cache.invalidate()
@@ -243,9 +246,11 @@ class OBDASystem:
         with self._lock:
             self._classification = None
             self._classification_generation = None
-            self._violation_rewritings = None
+            self._consistency_rewritings = {}
             if self._shared_extents is not None:
                 self._shared_extents.invalidate()
+            if self._constraints is not None:
+                self._constraints.extents.invalidate()
             if self._sql_backend is not None:
                 self._sql_backend.invalidate()
             if self.enable_caches:
@@ -270,7 +275,10 @@ class OBDASystem:
             stats["planner"] = dict(self.planner_stats)
         provider = self._shared_extents
         if isinstance(provider, MappingExtents):
-            stats["extents"] = {"source_pulls": provider.pulls}
+            stats["extents"] = {
+                "source_pulls": provider.pulls,
+                "delta_pulls": provider.delta_pulls,
+            }
         with self._lock:
             backend = self._sql_backend
         if backend is not None:
@@ -311,9 +319,9 @@ class OBDASystem:
             return None
         with self._lock:
             if self._constraints is None:
-                # Bound to a raw provider of the mapped extents (for
-                # generation tracking); per-query pulls go through the
-                # context-wrapped view passed to relevant_inclusions.
+                # Bound to a raw provider of the mapped extents, whose
+                # versions key the verdicts; per-query pulls go through
+                # the context-wrapped view passed to relevant_inclusions.
                 self._constraints = ExtensionalConstraints(
                     MappingExtents(self.mappings, self.database)
                 )
@@ -377,9 +385,10 @@ class OBDASystem:
         """The extent provider, wrapped in the context's retry policy (if any).
 
         With caches enabled the underlying provider is shared across
-        queries (its extent/index caches persist; database mutation is
-        caught by the generation counter); only the stateless retry
-        wrapper is per-context.
+        queries (its extent/index caches persist; a write refreshes the
+        extents mapped from the tables it wrote); only the stateless
+        retry wrapper is per-context, and it delegates to the shared
+        provider's caches.
         """
         if self.enable_caches:
             with self._lock:  # exactly one shared provider, ever
@@ -872,45 +881,93 @@ class OBDASystem:
         Polls the context's budget per assertion (and inside each
         rewriting/evaluation), so consistency checking is bounded too.
         """
+        budget = context.scoped("consistency:functionality") if context else None
+        rewritings = self._consistency_checks(
+            "functionality", lambda: self._functionality_rewritings(budget)
+        )
         violated: List[str] = []
         extents = self.extents(context)
-        budget = context.scoped("consistency:functionality") if context else None
+        for label, ucq, inverse in rewritings:
+            if budget is not None:
+                budget.check()
+            pairs = evaluate_ucq(ucq, extents, budget=budget)
+            if inverse:
+                pairs = {(b, a) for a, b in pairs}
+            subjects = [subject for subject, _ in pairs]
+            if len(subjects) != len(set(subjects)):
+                violated.append(label)
+        return violated
+
+    def _consistency_checks(self, kind: str, build) -> list:
+        """The TBox-only rewritings of one kind of consistency check,
+        built by *build* once per TBox generation.
+
+        The first completed build wins; a racing duplicate build is
+        discarded (both are derived from the same TBox snapshot), and a
+        build a TBox change overtook is used once but not kept.
+        """
+        self._validate_caches()
+        with self._lock:
+            generation = self._tbox_generation
+            rewritings = self._consistency_rewritings.get(kind)
+        if rewritings is not None:
+            return rewritings
+        rewritings = build()
+        with self._lock:
+            if self._tbox_generation == generation:
+                return self._consistency_rewritings.setdefault(kind, rewritings)
+        return rewritings
+
+    def _violation_rewritings(self, budget) -> List[Tuple[str, UnionQuery]]:
+        rewritings = []
+        for label, ucq in self.violation_queries():
+            if budget is not None:
+                budget.check()
+            rewritings.append((label, perfect_ref(ucq, self.tbox, budget=budget)))
+        return rewritings
+
+    def _functionality_rewritings(self, budget) -> List[Tuple[str, UnionQuery, bool]]:
+        """``(axiom, rewritten extent query, inverse?)`` per functionality
+        assertion."""
+        rewritings = []
         for axiom in self.tbox.functionality_assertions:
             if budget is not None:
                 budget.check()
             if isinstance(axiom, FunctionalRole):
                 role = axiom.role
                 name = role.name if isinstance(role, AtomicRole) else role.role.name
-                ucq = perfect_ref(
-                    UnionQuery(
-                        [ConjunctiveQuery((_X, _Y), [Atom(name, (_X, _Y))])], "ext"
-                    ),
-                    self.tbox,
-                    budget=budget,
-                )
-                pairs = evaluate_ucq(ucq, extents, budget=budget)
-                if isinstance(role, InverseRole):
-                    pairs = {(b, a) for a, b in pairs}
+                inverse = isinstance(role, InverseRole)
             elif isinstance(axiom, FunctionalAttribute):
-                ucq = perfect_ref(
-                    UnionQuery(
-                        [
-                            ConjunctiveQuery(
-                                (_X, _Y), [Atom(axiom.attribute.name, (_X, _Y))]
-                            )
-                        ],
-                        "ext",
-                    ),
-                    self.tbox,
-                    budget=budget,
-                )
-                pairs = evaluate_ucq(ucq, extents, budget=budget)
+                name, inverse = axiom.attribute.name, False
             else:  # pragma: no cover - defensive
                 continue
-            subjects = [subject for subject, _ in pairs]
-            if len(subjects) != len(set(subjects)):
-                violated.append(str(axiom))
-        return violated
+            ucq = perfect_ref(
+                UnionQuery([ConjunctiveQuery((_X, _Y), [Atom(name, (_X, _Y))])], "ext"),
+                self.tbox,
+                budget=budget,
+            )
+            rewritings.append((str(axiom), ucq, inverse))
+        return rewritings
+
+    def _unsat_rewritings(self, budget) -> List[Tuple[str, UnionQuery]]:
+        """The rewritten extent query of every unsatisfiable predicate."""
+        rewritings = []
+        for node in self.classification.unsatisfiable():
+            if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
+                if budget is not None:
+                    budget.check()
+                arity = 1 if isinstance(node, AtomicConcept) else 2
+                variables = (_X,) if arity == 1 else (_X, _Y)
+                ucq = perfect_ref(
+                    UnionQuery(
+                        [ConjunctiveQuery(variables, [Atom(node.name, variables)])],
+                        "unsat",
+                    ),
+                    self.tbox,
+                    budget=budget,
+                )
+                rewritings.append((str(node), ucq))
+        return rewritings
 
     def inconsistency_witnesses(
         self, context: Optional[ExecutionContext] = None
@@ -947,23 +1004,11 @@ class OBDASystem:
         self, context: Optional[ExecutionContext], verdict_key
     ) -> List[str]:
         budget = context.scoped("consistency:check") if context else None
-        rewritings = self._violation_rewritings
-        if rewritings is None:
-            rewritings = []
-            for label, ucq in self.violation_queries():
-                if budget is not None:
-                    budget.check()
-                rewritings.append((label, perfect_ref(ucq, self.tbox, budget=budget)))
-            with self._lock:
-                # First completed build wins; a racing duplicate build is
-                # discarded (both are derived from the same TBox snapshot).
-                if self._violation_rewritings is None:
-                    self._violation_rewritings = rewritings
-                else:
-                    rewritings = self._violation_rewritings
         witnesses: List[str] = []
         extents = self.extents(context)
-        for label, rewritten in rewritings:
+        for label, rewritten in self._consistency_checks(
+            "violations", lambda: self._violation_rewritings(budget)
+        ):
             if budget is not None:
                 budget.check()
             if evaluate_ucq(rewritten, extents, budget=budget):
@@ -973,22 +1018,13 @@ class OBDASystem:
             for label in self.functionality_violations(context)
         )
         # Unsatisfiable predicates with a non-empty extent also break the KB.
-        for node in self.classification.unsatisfiable():
-            if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
-                if budget is not None:
-                    budget.check()
-                arity = 1 if isinstance(node, AtomicConcept) else 2
-                variables = (_X,) if arity == 1 else (_X, _Y)
-                ucq = perfect_ref(
-                    UnionQuery(
-                        [ConjunctiveQuery(variables, [Atom(node.name, variables)])],
-                        "unsat",
-                    ),
-                    self.tbox,
-                    budget=budget,
-                )
-                if evaluate_ucq(ucq, extents, budget=budget):
-                    witnesses.append(f"unsatisfiable predicate populated: {node}")
+        for label, rewritten in self._consistency_checks(
+            "unsat", lambda: self._unsat_rewritings(budget)
+        ):
+            if budget is not None:
+                budget.check()
+            if evaluate_ucq(rewritten, extents, budget=budget):
+                witnesses.append(f"unsatisfiable predicate populated: {label}")
         if verdict_key is not None:
             # completed check only — a budget abort raised before this line
             with self._lock:

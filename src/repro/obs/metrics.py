@@ -22,6 +22,16 @@ and fallback metadata were only visible in exceptions and
 Naming scheme (see DESIGN.md): dot-separated ``component.object.event``
 paths, lower-case, no wall-clock or per-run material in the name — a
 metric name identifies *what* is counted, never *when*.
+
+The virtual ABox (:mod:`repro.obda.evaluation`) counts its refresh work:
+
+* ``obda.extents.pulls`` — extents pulled in full through the mappings
+  (first use, or a refresh that could take no delta);
+* ``obda.extents.delta_pulls`` — refreshes that evaluated one mapping
+  source over the rows appended to its table only;
+* ``obda.evaluation.index_builds`` — join indexes built in full;
+* ``obda.evaluation.index_extends`` — join indexes extended by the rows
+  a delta added instead of rebuilt.
 """
 
 from __future__ import annotations

@@ -116,15 +116,22 @@ class FaultyExtents(ExtentProvider):
         self.injector.before_call(f"extent:{predicate}")
         return self.inner.extent(predicate, arity)
 
-    # Delegate cache-coherence hooks so a wrapped provider still tracks
-    # the underlying data: without these, the default generation()==0
-    # would keep serving index snapshots across ABox/database mutation.
+    # Versions and indexes come from the wrapped provider, so the
+    # wrapper tracks the underlying data and shares its index cache;
+    # every call that may pull runs the fault lottery first.
+    def snapshot(self, predicate: str, arity: int):
+        self.injector.before_call(f"extent:{predicate}")
+        return self.inner.snapshot(predicate, arity)
+
+    def index(self, predicate, arity, positions, budget=None):
+        self.injector.before_call(f"index:{predicate}")
+        return self.inner.index(predicate, arity, positions, budget)
+
     def generation(self) -> int:
         return self.inner.generation()
 
     def invalidate(self) -> None:
         self.inner.invalidate()
-        super().invalidate()
 
 
 class FaultyDatabase(DatabaseView):

@@ -198,14 +198,34 @@ class RetryingExtents(ExtentProvider):
             budget=self.budget,
         )
 
-    # Keep the wrapper cache-coherent with the wrapped provider (the
-    # default generation()==0 would pin index snapshots forever).
+    # Versions and indexes come from the wrapped provider, so a wrapper
+    # built per call shares its index cache; a pull inside either call
+    # is retried like any other.
+    def snapshot(self, predicate: str, arity: int):
+        return self.policy.call(
+            self.inner.snapshot,
+            predicate,
+            arity,
+            task=f"extent:{predicate}",
+            budget=self.budget,
+        )
+
+    def index(self, predicate, arity, positions, budget=None):
+        return self.policy.call(
+            self.inner.index,
+            predicate,
+            arity,
+            positions,
+            budget,
+            task=f"index:{predicate}",
+            budget=self.budget,
+        )
+
     def generation(self) -> int:
         return self.inner.generation()
 
     def invalidate(self) -> None:
         self.inner.invalidate()
-        super().invalidate()
 
 
 class RetryingDatabase(DatabaseView):

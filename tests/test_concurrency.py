@@ -389,3 +389,144 @@ def test_hammer_presto_agrees_with_serial_oracle():
     assert system.certain_answers(
         "q(x) :- Person(x)", method="presto", check_consistency=False
     ) == oracle.certain_answers("q(x) :- Person(x)", check_consistency=False)
+
+
+# -- mapped mode: writes beside consistency-checked reads ------------------------
+
+_UNIVERSITY_TBOX = """
+role teaches, enrolledIn, memberOf, advises, offeredBy
+Professor isa Teacher
+Lecturer isa Teacher
+Teacher isa Person
+Student isa Person
+GradStudent isa Student
+Teacher isa exists teaches
+exists teaches isa Teacher
+exists teaches^- isa Course
+exists enrolledIn isa Student
+exists enrolledIn^- isa Course
+exists memberOf isa Person
+exists memberOf^- isa Department
+exists advises isa Professor
+exists advises^- isa GradStudent
+exists offeredBy isa Course
+exists offeredBy^- isa Department
+Teacher isa not Student
+"""
+
+#: the join shapes of the benchmark's write workload (univ-mix)
+_UNIVERSITY_SHAPES = (
+    "q(x, c) :- Teacher(x), teaches(x, c), Course(c)",
+    "q(x) :- Student(x), enrolledIn(x, c), teaches(t, c)",
+    "q(x, t) :- enrolledIn(x, c), teaches(t, c), memberOf(t, d), memberOf(x, d)",
+    "q(s) :- advises(p, s), enrolledIn(s, c), teaches(p, c), Professor(p)",
+    "q(x, d) :- Student(x), enrolledIn(x, c), offeredBy(c, d), memberOf(x, d), "
+    "Person(x)",
+)
+
+_METHODS = ("perfectref", "perfectref-sql", "perfectref-sqlite", "presto")
+
+
+def _university(persons=60, courses=12, departments=4):
+    """A seeded university with the benchmark's schema and mappings:
+    every teacher teaches and every student takes one course."""
+    from repro.dllite.parser import parse_tbox
+    from repro.obda.mapping import (
+        IriTemplate,
+        MappingAssertion,
+        MappingCollection,
+        TargetAtom,
+    )
+
+    rng = random.Random(2013)
+    kinds = ["prof", "lect", "grad"] * (persons // 6) + ["student"] * (persons // 2)
+    rng.shuffle(kinds)
+    people = [(p, kind, p % departments) for p, kind in enumerate(kinds)]
+    teachers = [p for p, kind, _ in people if kind in ("prof", "lect")]
+    students = [p for p, kind, _ in people if kind in ("grad", "student")]
+    database = Database("university")
+    database.create_table("person", ["id", "kind", "dept"], people)
+    database.create_table(
+        "course", ["code", "dept"], [(c, c % departments) for c in range(courses)]
+    )
+    database.create_table(
+        "teaching", ["staff", "course"], [(t, rng.randrange(courses)) for t in teachers]
+    )
+    database.create_table(
+        "enrolment", ["student", "course"], [(s, rng.randrange(courses)) for s in students]
+    )
+    database.create_table(
+        "advising",
+        ["prof", "student"],
+        [
+            (rng.choice([p for p, kind, _ in people if kind == "prof"]), g)
+            for g, kind, _ in people
+            if kind == "grad"
+        ],
+    )
+    assertions = [
+        MappingAssertion(
+            f"SELECT id FROM person WHERE kind = '{kind}'",
+            [TargetAtom(AtomicConcept(concept), (IriTemplate("p/{id}"),))],
+        )
+        for kind, concept in (("prof", "Professor"), ("lect", "Lecturer"),
+                              ("student", "Student"), ("grad", "GradStudent"))
+    ]
+    for sql, role, subject, object_ in (
+        ("SELECT id, dept FROM person", "memberOf", "p/{id}", "d/{dept}"),
+        ("SELECT code, dept FROM course", "offeredBy", "c/{code}", "d/{dept}"),
+        ("SELECT staff, course FROM teaching", "teaches", "p/{staff}", "c/{course}"),
+        ("SELECT student, course FROM enrolment", "enrolledIn", "p/{student}",
+         "c/{course}"),
+        ("SELECT prof, student FROM advising", "advises", "p/{prof}", "p/{student}"),
+    ):
+        assertions.append(MappingAssertion(
+            sql,
+            [TargetAtom(AtomicRole(role), (IriTemplate(subject), IriTemplate(object_)))],
+        ))
+    tbox = parse_tbox(_UNIVERSITY_TBOX, name="university")
+    mappings = MappingCollection(assertions)
+    return OBDASystem(tbox, mappings, database), teachers, students, courses
+
+
+def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
+    system, teachers, students, courses = _university()
+    database = system.database
+    for method in _METHODS:  # warm every cache the readers will race on
+        for query in _UNIVERSITY_SHAPES:
+            system.certain_answers(query, method=method)
+
+    def work(index):
+        rng = random.Random(index)
+        if index < 2:
+            for _ in range(30):
+                database["enrolment"].insert((rng.choice(students), rng.randrange(courses)))
+                database["teaching"].insert((rng.choice(teachers), rng.randrange(courses)))
+        else:
+            for turn in range(8):
+                system.certain_answers(
+                    rng.choice(_UNIVERSITY_SHAPES),
+                    method=_METHODS[(index + turn) % len(_METHODS)],
+                    check_consistency=True,
+                )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(work, count=6)
+    finally:
+        sys.setswitchinterval(interval)
+
+    oracle = OBDASystem(
+        system.tbox, system.mappings, database, enable_caches=False
+    )
+    try:
+        for query in _UNIVERSITY_SHAPES:
+            for method in _METHODS:
+                assert system.certain_answers(query, method=method) == (
+                    oracle.certain_answers(query, method=method)
+                ), f"post-hammer divergence: {method} on {query!r}"
+    finally:
+        for twin in (system, oracle):
+            if twin._sql_backend is not None:
+                twin._sql_backend.close()

@@ -179,6 +179,16 @@ class StaticExtents(ExtentProvider):
         return set(self.rows)
 
 
+def test_faulty_extents_fault_index_calls_too():
+    outage = FaultyExtents(
+        StaticExtents({("a",)}), FaultInjector(FaultSpec(permanent_after=0))
+    )
+    with pytest.raises(PermanentSourceError):
+        outage.index("P", 1, (0,))
+    with pytest.raises(PermanentSourceError):
+        outage.snapshot("P", 1)
+
+
 def test_faulty_extents_under_retry_recover():
     inner = StaticExtents({("a",), ("b",)})
     injector = FaultInjector(FaultSpec(transient_rate=0.5, seed=3))

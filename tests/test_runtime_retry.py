@@ -145,6 +145,14 @@ def test_retrying_extents_recovers():
     assert inner.calls == 3
 
 
+def test_retrying_extents_retries_a_pull_inside_index():
+    policy, _ = recording_policy(max_attempts=4, base_delay_s=0.0)
+    inner = FlakyExtents(fail_times=2)
+    index = RetryingExtents(inner, policy).index("Person", 1, (0,))
+    assert sorted(index) == [("a",), ("b",)]
+    assert inner.calls == 3
+
+
 def test_retrying_extents_exhaustion_is_typed():
     policy, _ = recording_policy(max_attempts=2, base_delay_s=0.0)
     provider = RetryingExtents(FlakyExtents(fail_times=99), policy)
