@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import UnknownPredicate
-from .evaluation import ExtentProvider
-from .queries import Atom, Constant, Variable
+from .evaluation import ExtentProvider, Snapshot, evaluate_cq
+from .queries import Atom, ConjunctiveQuery, Variable
 
 __all__ = ["Rule", "Program", "ProgramExtents", "evaluate_program"]
 
@@ -82,64 +82,70 @@ class Program:
         return "\n".join(str(rule) for rule in self.rules)
 
 
-def _join_rule(
+class _RuleExtents(ExtentProvider):
+    """What one rule evaluation reads: the delta relation under a name no
+    rule uses, the IDB relations as they stand, and the EDB relations of
+    the base provider (with its cached indexes).  Thrown away after the
+    evaluation, so the IDB sets growing afterwards invalidates nothing."""
+
+    def __init__(self, edb: ExtentProvider, idb, delta_name: str, delta_rows):
+        self.edb = edb
+        self.idb = idb
+        self.delta_name = delta_name
+        self.delta_rows = delta_rows
+
+    def extent(self, predicate: str, arity: int) -> Set[Tuple]:
+        if predicate == self.delta_name:
+            return self.delta_rows
+        if predicate in self.idb:
+            return self.idb[predicate]
+        return self.edb.extent(predicate, arity)
+
+    def index(self, predicate, arity, positions, budget=None):
+        if predicate == self.delta_name or predicate in self.idb:
+            return super().index(predicate, arity, positions, budget)
+        return self.edb.index(predicate, arity, positions, budget)
+
+
+def _fire(
     rule: Rule,
-    extent_of,
+    edb: ExtentProvider,
+    idb: Dict[str, Set[Tuple]],
+    delta_name: str,
     delta: Optional[Dict[str, Set[Tuple]]] = None,
 ) -> Set[Tuple]:
-    """All head tuples derivable by *rule*.
+    """All head tuples derivable by *rule*, each body evaluated by
+    :func:`~repro.obda.evaluation.evaluate_cq`.
 
     With *delta*, implements the semi-naive trick: the result is the
-    union over body positions of joins where that position reads from
-    the delta relation and earlier positions read from the full relation
-    (later positions read full too — the standard formulation).
+    union over body positions of joins where that position reads the
+    delta relation (renamed to *delta_name*) and every other position
+    reads the full relation.
     """
+    variables = [term for term in rule.head.args if isinstance(term, Variable)]
+    bodies = [(rule.body, set())]
+    if delta is not None:
+        bodies = [
+            (
+                rule.body[:position]
+                + (Atom(delta_name, atom.args),)
+                + rule.body[position + 1:],
+                delta[atom.predicate],
+            )
+            for position, atom in enumerate(rule.body)
+            if delta.get(atom.predicate)
+        ]
     results: Set[Tuple] = set()
-    positions = range(len(rule.body)) if delta is not None else [None]
-    for delta_position in positions:
-        if delta_position is not None:
-            atom = rule.body[delta_position]
-            if not delta.get(atom.predicate):
-                continue
-
-        def rows_for(index: int, atom: Atom) -> Set[Tuple]:
-            if delta is not None and index == delta_position:
-                return delta.get(atom.predicate, set())
-            return extent_of(atom.predicate, atom.arity)
-
-        def bind(index: int, binding: Dict[Variable, object]) -> None:
-            if index == len(rule.body):
-                results.add(
-                    tuple(
-                        binding[term] if isinstance(term, Variable) else term.value
-                        for term in rule.head.args
-                    )
+    for body, delta_rows in bodies:
+        extents = _RuleExtents(edb, idb, delta_name, delta_rows)
+        for answer in evaluate_cq(ConjunctiveQuery(variables, body), extents):
+            values = iter(answer)
+            results.add(
+                tuple(
+                    next(values) if isinstance(term, Variable) else term.value
+                    for term in rule.head.args
                 )
-                return
-            atom = rule.body[index]
-            for row in rows_for(index, atom):
-                local = binding
-                copied = False
-                ok = True
-                for term, value in zip(atom.args, row):
-                    if isinstance(term, Constant):
-                        if term.value != value and str(term.value) != str(value):
-                            ok = False
-                            break
-                    else:
-                        bound = local.get(term)
-                        if bound is None:
-                            if not copied:
-                                local = dict(local)
-                                copied = True
-                            local[term] = value
-                        elif bound != value:
-                            ok = False
-                            break
-                if ok:
-                    bind(index + 1, local)
-
-        bind(0, {})
+            )
     return results
 
 
@@ -148,16 +154,15 @@ def evaluate_program(
 ) -> Dict[str, Set[Tuple]]:
     """Least fixpoint of *program* over *edb*; returns IDB extents."""
     idb: Dict[str, Set[Tuple]] = {name: set() for name in program.idb_predicates()}
-
-    def extent_of(predicate: str, arity: int) -> Set[Tuple]:
-        if predicate in idb:
-            return idb[predicate]
-        return edb.extent(predicate, arity)
+    delta_name = "Δ"
+    predicates = idb.keys() | program.edb_predicates()
+    while delta_name in predicates:
+        delta_name += "'"
 
     # First round: naive evaluation seeds the deltas.
     delta: Dict[str, Set[Tuple]] = {name: set() for name in idb}
     for rule in program:
-        derived = _join_rule(rule, extent_of)
+        derived = _fire(rule, edb, idb, delta_name)
         fresh = derived - idb[rule.head.predicate]
         idb[rule.head.predicate] |= fresh
         delta[rule.head.predicate] |= fresh
@@ -171,7 +176,7 @@ def evaluate_program(
                 for atom in rule.body
             ):
                 continue
-            derived = _join_rule(rule, extent_of, delta)
+            derived = _fire(rule, edb, idb, delta_name, delta)
             fresh = derived - idb[rule.head.predicate]
             idb[rule.head.predicate] |= fresh
             next_delta[rule.head.predicate] |= fresh
@@ -180,17 +185,39 @@ def evaluate_program(
 
 
 class ProgramExtents(ExtentProvider):
-    """Expose a program's IDB predicates (lazily evaluated, then cached)
-    on top of a base provider; EDB predicates fall through."""
+    """Expose a program's IDB predicates on top of a base provider.
+
+    The IDB is evaluated on first use and again whenever the base
+    provider's generation moves.  EDB predicates fall through to the
+    base provider, snapshots and indexes alike.
+    """
 
     def __init__(self, program: Program, base: ExtentProvider):
         self.program = program
         self.base = base
-        self._idb: Optional[Dict[str, Set[Tuple]]] = None
+        #: (base generation, IDB extents evaluated at it)
+        self._idb: Optional[Tuple[int, Dict[str, Set[Tuple]]]] = None
+
+    def generation(self) -> int:
+        return self.base.generation()
 
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
         if predicate not in self.program.by_head:
             return self.base.extent(predicate, arity)
-        if self._idb is None:
-            self._idb = evaluate_program(self.program, self.base)
-        return self._idb.get(predicate, set())
+        # The generation is read before evaluating: a concurrent write
+        # leaves it behind the IDB, so the next read evaluates again.
+        generation = self.base.generation()
+        evaluated = self._idb
+        if evaluated is None or evaluated[0] != generation:
+            evaluated = self._idb = (generation, evaluate_program(self.program, self.base))
+        return evaluated[1].get(predicate, set())
+
+    def snapshot(self, predicate: str, arity: int) -> Snapshot:
+        if predicate not in self.program.by_head:
+            return self.base.snapshot(predicate, arity)
+        return super().snapshot(predicate, arity)
+
+    def index(self, predicate, arity, positions, budget=None):
+        if predicate not in self.program.by_head:
+            return self.base.index(predicate, arity, positions, budget)
+        return super().index(predicate, arity, positions, budget)

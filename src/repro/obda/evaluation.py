@@ -17,28 +17,34 @@ an extent key on its version (join indexes here, Presto's derived
 extents, the verdicts of :mod:`repro.obda.constraints`), so a write
 invalidates only what was derived from the extents it changed.
 
-Conjunctive queries are evaluated by a backtracking join that orders
-atoms greedily by current extent size and probes each later atom through
-a **per-argument-position hash index**.  Indexes are built lazily and
-cached *on the provider* (keyed by predicate and key positions) under
-the version of the extent they index; when the extent grew by appended
-rows the index is extended by them, copy-on-write, instead of rebuilt.
-Building and extending poll the budget and install the index only on
-completion, so a timeout never leaves a partial index behind.
+Conjunctive queries are evaluated by a **compiled join**: the query's
+variables are numbered into slots and each atom becomes one probe step
+of a plan fixed before the first row is read.  The next step is always
+the connected atom with the smallest estimated fan-out, its extent size
+over the number of keys of the index it would probe.  Indexes hash an
+extent by the string forms of the cells at the step's key positions
+(constants and slots bound by earlier steps).  They are built lazily
+and cached *on the provider* (keyed by predicate and key positions)
+under the version of the extent they index; when the extent grew by
+appended rows the index is extended by them, copy-on-write, instead of
+rebuilt.  Building and extending poll the budget and install the index
+only on completion, so a timeout never leaves a partial index behind.
 
 Cells compare by their string forms
 (:func:`~repro.obda.sql.stats.join_key`, the identity the SQL executors
 share; an :class:`~repro.dllite.abox.Individual` renders as its IRI), so
 a query constant probes its bucket directly.  An object (``Individual``)
 never equals a value, whatever their string forms — the SQL unfolder
-keeps IRI templates and value columns apart the same way.
+keeps IRI templates and value columns apart the same way — so a probe
+step re-checks the kind of every cell its key matched on a bound slot.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..dllite.abox import ABox, Individual
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
@@ -190,12 +196,12 @@ class ExtentProvider:
         at *positions*.
 
         ``positions == ()`` degenerates to one bucket holding the whole
-        extent (the leading atom of a join plan).  The index is built
-        lazily and cached across queries under the version of the
-        extent it indexes.  When the current snapshot grew out of that
-        version by appended rows, the cached index is extended by them;
-        otherwise it is rebuilt.  Both tick *budget*; on exhaustion the
-        partial index is discarded with the raised
+        extent.  The index is built lazily and cached across queries
+        under the version of the extent it indexes.  When the current
+        snapshot grew out of that version by appended rows, the cached
+        index is extended by them (or kept as it is when the delta added
+        none); otherwise it is rebuilt.  Both tick *budget*; on
+        exhaustion the partial index is discarded with the raised
         :class:`~repro.errors.TimeoutExceeded`.
         """
         snapshot = self.snapshot(predicate, arity)
@@ -215,8 +221,10 @@ class ExtentProvider:
             and snapshot.base is not None
             and cached[0] == snapshot.base
         ):
-            index = _extend_index(cached[1], snapshot.added, positions, budget)
-            global_metrics().counter("obda.evaluation.index_extends").inc()
+            index = cached[1]
+            if snapshot.added:
+                index = _extend_index(index, snapshot.added, positions, budget)
+                global_metrics().counter("obda.evaluation.index_extends").inc()
         else:
             with current_tracer().span("index-build") as span:
                 index = _build_index(snapshot.rows, positions, budget)
@@ -474,16 +482,30 @@ class DatalogExtents(ExtentProvider):
 
     All rules are flat (single base atom bodies over ``x``/``y``), so an
     auxiliary extent is a union of base extents with optional argument
-    swapping and projection.  A derived extent is kept while the
-    versions of the base extents it was derived from hold — compared
-    only when the base provider's generation moves — and its version is
-    the tuple of theirs.  Base predicates, extents and indexes alike,
-    come from the base provider, so every query shares its indexes.
+    swapping and projection.  A predicate defined by one identity rule
+    (``teaches*(x, y) :- teaches(x, y)``) is served as its base
+    predicate: snapshot and indexes come from the base provider, with no
+    copy.  Any other derived extent is kept while the versions of the
+    base extents it was derived from hold — compared only when the base
+    provider's generation moves — and its version is the tuple of
+    theirs.  When each of those base extents kept its version or grew by
+    one delta from it, the derived extent grows by the rules'
+    projections of the added rows (a :class:`Snapshot` with
+    ``base``/``added``, so its indexes are extended too); otherwise it
+    is derived again.  Base predicates, extents and indexes alike, come
+    from the base provider, so every query shares their indexes.
     """
 
     def __init__(self, rewriting, base: ExtentProvider):
         self.rewriting = rewriting
         self.base = base
+        #: auxiliary predicate -> the base predicate its one rule copies
+        self._aliases: Dict[str, str] = {
+            head: rules[0].body[0].predicate
+            for head, rules in rewriting.rules_by_head.items()
+            if len(rules) == 1
+            and _projection(rules[0]) == tuple(range(len(rules[0].body[0].args)))
+        }
         #: predicate -> (derived snapshot, base generation it was confirmed at)
         self._cache: Dict[str, Tuple[Snapshot, int]] = {}
 
@@ -496,13 +518,20 @@ class DatalogExtents(ExtentProvider):
             self._cache = {}
             super().invalidate()
 
+    def _served_by(self, predicate: str) -> Optional[str]:
+        """The base predicate serving *predicate*; None when it is derived."""
+        if predicate not in self.rewriting.rules_by_head:
+            return predicate
+        return self._aliases.get(predicate)
+
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
         return self.snapshot(predicate, arity).rows
 
     def snapshot(self, predicate: str, arity: int) -> Snapshot:
-        rules = self.rewriting.rules_by_head.get(predicate)
-        if rules is None:
-            return self.base.snapshot(predicate, arity)
+        served_by = self._served_by(predicate)
+        if served_by is not None:
+            return self.base.snapshot(served_by, arity)
+        rules = self.rewriting.rules_by_head[predicate]
         generation = self.base.generation()
         cache = self._cache
         cached = cache.get(predicate)
@@ -514,11 +543,14 @@ class DatalogExtents(ExtentProvider):
             key = (atom.predicate, len(atom.args))
             if key not in bodies:
                 bodies[key] = self.base.snapshot(*key)
-        version = tuple([body.version for body in bodies.values()])
-        if cached is not None and cached[0].version == version:
-            derived = cached[0]
-        else:
-            derived = Snapshot(version, _derive(rules, bodies))
+        derived = None
+        if cached is not None:
+            derived = _grown(rules, cached[0], bodies)
+        if derived is None:
+            derived = Snapshot(
+                tuple([body.version for body in bodies.values()]),
+                _derive(rules, {key: body.rows for key, body in bodies.items()}),
+            )
         with self._sync_lock():
             if self._cache is cache and cache.get(predicate) is cached:
                 cache[predicate] = (derived, generation)
@@ -531,29 +563,60 @@ class DatalogExtents(ExtentProvider):
         positions: Tuple[int, ...],
         budget: Optional[Budget] = None,
     ) -> Index:
-        if predicate not in self.rewriting.rules_by_head:
-            return self.base.index(predicate, arity, positions, budget)
+        served_by = self._served_by(predicate)
+        if served_by is not None:
+            return self.base.index(served_by, arity, positions, budget)
         return super().index(predicate, arity, positions, budget)
 
 
-def _derive(rules, bodies: Dict[Tuple[str, int], Snapshot]) -> Set[Tuple]:
-    """The union of *rules*' heads over the base snapshots *bodies*."""
+def _projection(rule) -> Optional[Tuple[int, ...]]:
+    """The body positions *rule*'s head arguments are read from, or None
+    when a head variable is not bound by the body (a vacuous rule)."""
+    body = rule.body[0]
+    position = {
+        term: index for index, term in enumerate(body.args) if isinstance(term, Variable)
+    }
+    indices = tuple([position[arg] for arg in rule.head.args if arg in position])
+    return indices if len(indices) == len(rule.head.args) else None
+
+
+def _derive(rules, rows_of: Dict[Tuple[str, int], Iterable[Tuple]]) -> Set[Tuple]:
+    """The union of *rules*' heads over the base rows *rows_of*, keyed by
+    body predicate and arity (a body it lacks contributes nothing)."""
     result: Set[Tuple] = set()
     for rule in rules:
-        body_atom = rule.body[0]
-        base_rows = bodies[body_atom.predicate, len(body_atom.args)].rows
-        head_args = rule.head.args
-        position = {
-            term: index
-            for index, term in enumerate(body_atom.args)
-            if isinstance(term, Variable)
-        }
-        indices = [position[arg] for arg in head_args if arg in position]
-        if len(indices) != len(head_args):
-            continue  # head variable not bound by the body — vacuous rule
-        for row in base_rows:
-            result.add(tuple(row[i] for i in indices))
+        body = rule.body[0]
+        rows = rows_of.get((body.predicate, len(body.args)))
+        indices = _projection(rule)
+        if not rows or indices is None:
+            continue
+        if indices == tuple(range(len(body.args))):
+            result.update(rows)
+        elif len(indices) == 1:
+            (index,) = indices
+            result.update([(row[index],) for row in rows])
+        else:
+            result.update(map(itemgetter(*indices), rows))
     return result
+
+
+def _grown(rules, old: Snapshot, bodies: Dict[Tuple[str, int], Snapshot]):
+    """*old* (derived by *rules*) brought to the base snapshots *bodies*:
+    itself when none moved, grown by the projections of the rows added
+    when each that moved grew by one delta from the version *old* read,
+    and None when one changed otherwise."""
+    added_to: Dict[Tuple[str, int], Tuple[Tuple, ...]] = {}
+    for (key, body), read in zip(bodies.items(), old.version):
+        if body.version != read:
+            if body.base != read:
+                return None
+            added_to[key] = body.added
+    if not added_to:
+        return old
+    added = tuple(_derive(rules, added_to) - old.rows)
+    global_metrics().counter("obda.evaluation.derived_deltas").inc()
+    version = tuple([body.version for body in bodies.values()])
+    return Snapshot(version, old.rows.union(added) if added else old.rows, old.version, added)
 
 
 def _same_term(first: object, second: object) -> bool:
@@ -564,6 +627,202 @@ def _same_term(first: object, second: object) -> bool:
     )
 
 
+def _fan_out(rows: Set[Tuple], index: Optional[Index]) -> float:
+    """The rows a probe of *index* over the extent *rows* yields on
+    average; the whole extent for a step without a key (no index)."""
+    if index is None:
+        return len(rows)
+    return len(rows) / len(index) if index else 0.0
+
+
+def _compile(
+    cq: ConjunctiveQuery,
+    extents: ExtentProvider,
+    budget: Optional[Budget],
+    probes: Optional[List[Tuple[Atom, Tuple[int, ...], float]]],
+):
+    """*cq* compiled into probe steps over *extents*: ``(steps, size,
+    constants, answer_slots)``, or None when the join has no answer (an
+    empty extent or constant bucket).
+
+    Variables are numbered into slots by first occurrence; a constant in
+    a key that also reads a slot takes a slot of its own, whose string
+    form ``constants`` lists.  Each step is ``(rows, index, k0, k1,
+    binds, rechecks, repeat)``: the rows to scan (the extent, or the
+    bucket of an all-constant key), else the index to probe with the
+    string forms in slots ``k0`` (and ``k1``); the ``(position, slot)``
+    pairs to bind and those to re-check the kind of (the keyed slots);
+    and the ``(position, first position)`` of a variable repeated within
+    the atom, or None.
+
+    The plan is built in one pass.  Each step takes, among the atoms
+    sharing a bound slot (all atoms when none does), the one with the
+    smallest fan-out: ``len(extent) / len(index)`` for the index at its
+    key positions, or ``len(extent)`` when it has no key.  Ranking
+    fetches the index only of keyed candidates, and none when one atom
+    remains.  With *probes*, each step's atom, key positions and
+    estimated fan-out are appended to it.
+    """
+    atoms = cq.atoms
+    extents_of = [extents.extent(atom.predicate, atom.arity) for atom in atoms]
+    if not all(extents_of):
+        return None
+    slot_of: Dict[Variable, int] = {}
+    shapes = [
+        tuple([
+            term.key if isinstance(term, Constant) else slot_of.setdefault(term, len(slot_of))
+            for term in atom.args
+        ])
+        for atom in atoms
+    ]
+    size = len(slot_of)
+    bound: Set[int] = set()
+    constants: List[Tuple[int, str]] = []
+    fetched: Dict[Tuple[int, Tuple[int, ...]], Index] = {}
+    steps: List[Tuple] = []
+    remaining = list(range(len(atoms)))
+    while remaining:
+        if budget is not None:
+            budget.check()
+        pick = remaining[0]
+        if len(remaining) > 1:
+            candidates = [
+                i for i in remaining if not bound.isdisjoint(shapes[i])
+            ] or remaining
+            pick = candidates[0]
+            if len(candidates) > 1:
+                best = None
+                for i in candidates:
+                    positions = tuple([
+                        position
+                        for position, part in enumerate(shapes[i])
+                        if isinstance(part, str) or part in bound
+                    ])
+                    index = fetched.get((i, positions))
+                    if positions and index is None:
+                        index = fetched[i, positions] = extents.index(
+                            atoms[i].predicate, atoms[i].arity, positions, budget=budget
+                        )
+                    rank = _fan_out(extents_of[i], index)
+                    if best is None or rank < best:
+                        pick, best = i, rank
+        remaining.remove(pick)
+        key_positions: List[int] = []
+        key: List = []
+        binds: List[Tuple[int, int]] = []
+        rechecks: List[Tuple[int, int]] = []
+        repeat = None
+        for position, part in enumerate(shapes[pick]):
+            if isinstance(part, str):
+                key_positions.append(position)
+                key.append(part)
+            elif part in bound:
+                key_positions.append(position)
+                key.append(part)
+                rechecks.append((position, part))
+            elif binds and binds[0][1] == part:
+                # atoms have arity 1 or 2: only position 0 can bind it
+                repeat = (position, binds[0][0])
+            else:
+                binds.append((position, part))
+        bound.update([slot for _, slot in binds])
+        atom = atoms[pick]
+        rows = extents_of[pick]
+        positions = tuple(key_positions)
+        index = fetched.get((pick, positions))
+        if positions and index is None:
+            index = extents.index(atom.predicate, atom.arity, positions, budget=budget)
+        if probes is not None:
+            probes.append((atom, positions, _fan_out(rows, index)))
+        k0 = k1 = None
+        if rechecks:
+            for at, part in enumerate(key):
+                if isinstance(part, str):
+                    constants.append((size, part))
+                    key[at] = size
+                    size += 1
+            k0 = key[0]
+            k1 = key[1] if len(key) > 1 else None
+            rows = None
+        elif positions:
+            rows = index.get(tuple(key))
+            if not rows:
+                return None
+        steps.append((rows, index, k0, k1, tuple(binds), tuple(rechecks), repeat))
+    answer_slots = tuple([slot_of[variable] for variable in cq.answer_vars])
+    return steps, size, constants, answer_slots
+
+
+def _join(plan, budget: Optional[Budget]) -> Set[Tuple]:
+    """Run a plan of :func:`_compile`: backtracking over per-call slot
+    lists, polling *budget* once per binding.  Binding a slot caches the
+    string form and kind of its cell for the keys and kind re-checks of
+    later steps."""
+    steps, size, constants, answer_slots = plan
+    values: List[object] = [None] * size
+    strs: List[Optional[str]] = [None] * size
+    kinds: List[bool] = [False] * size
+    for slot, text in constants:
+        strs[slot] = text
+    answers: Set[Tuple] = set()
+    last = len(steps)
+
+    def join(depth: int) -> None:
+        if budget is not None:
+            budget.tick()
+        if depth == last:
+            answers.add(tuple([values[slot] for slot in answer_slots]))
+            return
+        rows, index, k0, k1, binds, rechecks, repeat = steps[depth]
+        if rows is None:
+            rows = index.get((strs[k0],) if k1 is None else (strs[k0], strs[k1]), ())
+        depth += 1
+        for row in rows:
+            for position, slot in rechecks:
+                # the key matched the string form only
+                if isinstance(row[position], Individual) is not kinds[slot]:
+                    break
+            else:
+                if repeat is not None and not _same_term(
+                    row[repeat[0]], row[repeat[1]]
+                ):
+                    continue
+                for position, slot in binds:
+                    value = values[slot] = row[position]
+                    strs[slot] = value if isinstance(value, str) else str(value)
+                    kinds[slot] = isinstance(value, Individual)
+                join(depth)
+
+    join(0)
+    return answers
+
+
+def _evaluate(
+    cq: ConjunctiveQuery,
+    extents: ExtentProvider,
+    budget: Optional[Budget],
+    tracer,
+) -> Set[Tuple]:
+    """:func:`evaluate_cq` with the tracer looked up, or None when it is
+    disabled."""
+    if budget is not None:
+        budget.check()
+    if tracer is None:
+        plan = _compile(cq, extents, budget, None)
+        return set() if plan is None else _join(plan, budget)
+    with tracer.span("join") as span:
+        probes: List[Tuple[Atom, Tuple[int, ...], float]] = []
+        plan = _compile(cq, extents, budget, probes)
+        answers = set() if plan is None else _join(plan, budget)
+        span.annotate(
+            atoms=[str(atom) for atom, _, _ in probes],
+            keys=[list(positions) for _, positions, _ in probes],
+            fan_outs=[round(fan_out, 3) for _, _, fan_out in probes],
+            answers=len(answers),
+        )
+        return answers
+
+
 def evaluate_cq(
     cq: ConjunctiveQuery,
     extents: ExtentProvider,
@@ -571,86 +830,21 @@ def evaluate_cq(
 ) -> Set[Tuple]:
     """All answer tuples of *cq* over *extents* (set semantics).
 
-    Atoms are ordered greedily (smallest extent first, connected atoms
-    preferred); each later atom is then probed through a hash index on
-    the positions its earlier neighbours bind.  Indexes come from
-    :meth:`ExtentProvider.index`, so they persist across queries with
-    the same probe shape instead of being rebuilt per evaluation.
+    The query is compiled into probe steps in fan-out order (see
+    :func:`_compile`); each step probes the index of its atom on the
+    string forms of its constants and earlier slots, re-checks the kind
+    of each keyed slot and compares a variable repeated within the atom.
+    Indexes come from :meth:`ExtentProvider.index`, so they persist
+    across queries with the same probe shape instead of being rebuilt
+    per evaluation.  With a tracer installed, the evaluation is a
+    ``join`` span annotated with the plan and the answer count.
 
-    With a *budget*, the join recursion polls it (amortized) and aborts
-    with :class:`~repro.errors.TimeoutExceeded` instead of running an
-    unbounded join to completion.
+    With a *budget*, the join polls it once per binding (amortized) and
+    aborts with :class:`~repro.errors.TimeoutExceeded` instead of running
+    an unbounded join to completion.
     """
-    if budget is not None:
-        budget.check()
-    atom_rows = [
-        (atom, extents.extent(atom.predicate, atom.arity)) for atom in cq.atoms
-    ]
-    ordered: List[Tuple[Atom, Set[Tuple]]] = []
-    remaining = list(atom_rows)
-    bound_vars: Set[Variable] = set()
-    while remaining:
-        if budget is not None:
-            budget.check()
-
-        def rank(item):
-            atom, rows = item
-            connected = bool(atom.variables() & bound_vars) if bound_vars else True
-            return (not connected, len(rows))
-
-        best = min(remaining, key=rank)
-        remaining.remove(best)
-        ordered.append(best)
-        bound_vars |= best[0].variables()
-
-    # For each atom: which argument positions are keys (constant, or
-    # variable bound by an earlier atom) — fixed per ordering.  Every
-    # variable position is then checked against the binding: a bound one
-    # (its key matched the string form, not yet the kind) and a repeat
-    # within the atom are compared, a first occurrence binds.
-    plans = []
-    seen_vars: Set[Variable] = set()
-    for atom, _rows in ordered:
-        key_positions: List[int] = []
-        key_terms: List = []
-        checks: List[Tuple[int, Variable]] = []
-        for position, term in enumerate(atom.args):
-            if isinstance(term, Constant) or term in seen_vars:
-                key_positions.append(position)
-                key_terms.append(term)
-            if isinstance(term, Variable):
-                checks.append((position, term))
-        index = extents.index(
-            atom.predicate, atom.arity, tuple(key_positions), budget=budget
-        )
-        plans.append((tuple(key_terms), tuple(checks), index))
-        seen_vars |= atom.variables()
-
-    answers: Set[Tuple] = set()
-
-    def join(depth: int, binding: Dict[Variable, object]) -> None:
-        if budget is not None:
-            budget.tick()
-        if depth == len(plans):
-            answers.add(tuple(binding[v] for v in cq.answer_vars))
-            return
-        key_terms, checks, index = plans[depth]
-        key = join_key(
-            term.value if isinstance(term, Constant) else binding[term]
-            for term in key_terms
-        )
-        for row in index.get(key, ()):
-            local = dict(binding)
-            for position, term in checks:
-                if term not in local:
-                    local[term] = row[position]
-                elif not _same_term(local[term], row[position]):
-                    break
-            else:
-                join(depth + 1, local)
-
-    join(0, {})
-    return answers
+    tracer = current_tracer()
+    return _evaluate(cq, extents, budget, tracer if tracer.enabled else None)
 
 
 def evaluate_ucq(
@@ -658,10 +852,16 @@ def evaluate_ucq(
     extents: ExtentProvider,
     budget: Optional[Budget] = None,
 ) -> Set[Tuple]:
-    """Certain-answer union over all disjuncts (budget polled per disjunct)."""
+    """Certain-answer union over all disjuncts (budget polled per disjunct).
+
+    The tracer is looked up once: under the NullTracer no disjunct opens
+    a span or computes its annotations."""
+    tracer = current_tracer()
+    if not tracer.enabled:
+        tracer = None
     answers: Set[Tuple] = set()
     for disjunct in ucq:
         if budget is not None:
             budget.check()
-        answers |= evaluate_cq(disjunct, extents, budget=budget)
+        answers |= _evaluate(disjunct, extents, budget, tracer)
     return answers

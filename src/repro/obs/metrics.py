@@ -31,7 +31,9 @@ The virtual ABox (:mod:`repro.obda.evaluation`) counts its refresh work:
   source over the rows appended to its table only;
 * ``obda.evaluation.index_builds`` — join indexes built in full;
 * ``obda.evaluation.index_extends`` — join indexes extended by the rows
-  a delta added instead of rebuilt.
+  a delta added instead of rebuilt;
+* ``obda.evaluation.derived_deltas`` — Presto's derived extents grown by
+  the projections of their base extents' deltas instead of derived again.
 """
 
 from __future__ import annotations

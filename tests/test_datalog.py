@@ -4,14 +4,16 @@ import pytest
 
 from repro.dllite import (
     ABox,
+    AtomicAttribute,
     AtomicConcept,
     AtomicRole,
+    AttributeAssertion,
     ConceptAssertion,
     Individual,
     RoleAssertion,
 )
 from repro.errors import UnknownPredicate
-from repro.obda import ABoxExtents, parse_cq
+from repro.obda import ABoxExtents, evaluate_cq, parse_cq
 from repro.obda.datalog import Program, ProgramExtents, Rule, evaluate_program
 from repro.obda.queries import Atom, Constant, Variable
 
@@ -136,3 +138,42 @@ def test_join_on_repeated_variables():
     program = Program([Rule(Atom("loop", (x,)), (Atom("edge", (x, x)),))])
     idb = evaluate_program(program, edge_extents((a, a), (a, b)))
     assert idb["loop"] == {(a,)}
+
+
+def _program_over_abox():
+    """``R(x, y) :- P(x, y)`` over an ABox holding ``P(a, b)`` and ``A(b)``."""
+    abox = ABox(
+        [RoleAssertion(AtomicRole("P"), a, b), ConceptAssertion(AtomicConcept("A"), b)]
+    )
+    program = Program([rule("R(x, y)", "P(x, y)")])
+    return abox, ProgramExtents(program, ABoxExtents(abox))
+
+
+def test_program_extents_serve_a_base_write_to_edb_joins():
+    abox, provider = _program_over_abox()
+    query = parse_cq("q(x) :- A(y), P(x, y)")
+    assert evaluate_cq(query, provider) == {(a,)}
+    abox.add(RoleAssertion(AtomicRole("P"), c, b))
+    assert evaluate_cq(query, provider) == {(a,), (c,)}
+
+
+def test_program_extents_evaluate_the_idb_again_after_a_base_write():
+    abox, provider = _program_over_abox()
+    query = parse_cq("q(x) :- A(y), R(x, y)")
+    assert evaluate_cq(query, provider) == {(a,)}
+    abox.add(RoleAssertion(AtomicRole("P"), c, b))
+    assert evaluate_cq(query, provider) == {(a,), (c,)}
+
+
+def test_rules_join_cells_by_the_identity_of_evaluate_cq():
+    # the value 1 and the value "1" are one term (one string form)
+    abox = ABox(
+        [
+            AttributeAssertion(AtomicAttribute("U"), a, 1),
+            AttributeAssertion(AtomicAttribute("V"), b, "1"),
+        ]
+    )
+    extents = ABoxExtents(abox)
+    query = "q(x, y) :- U(x, v), V(y, v)"
+    idb = evaluate_program(Program([rule("q(x, y)", "U(x, v), V(y, v)")]), extents)
+    assert idb["q"] == evaluate_cq(parse_cq(query), extents) == {(a, b)}

@@ -1,6 +1,8 @@
 """Unit tests for query evaluation over extents."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.dllite import (
     ABox,
@@ -12,7 +14,12 @@ from repro.dllite import (
     Individual,
     RoleAssertion,
 )
+from repro.errors import TimeoutExceeded
 from repro.obda import ABoxExtents, evaluate_cq, evaluate_ucq, parse_cq, parse_query
+from repro.obda.evaluation import ExtentProvider
+from repro.obda.queries import Atom, ConjunctiveQuery, Constant, Variable
+from repro.obs.trace import NullTracer, Tracer, use_tracer
+from repro.runtime.budget import Budget
 
 ada, bob, carol = Individual("ada"), Individual("bob"), Individual("carol")
 
@@ -123,3 +130,182 @@ def test_cells_join_by_string_form_objects_apart_from_values():
     # a constant takes the kind of its position
     assert evaluate_cq(parse_cq("q(x) :- code(x, '1')"), extents) == {(ada,)}
     assert evaluate_cq(parse_cq("q() :- Person(1)"), extents) == {()}
+
+
+# -- the compiled join against a brute-force reference ---------------------------
+
+
+def _identity(cell):
+    """A cell's identity: object or value, and its string form."""
+    return isinstance(cell, Individual), str(cell)
+
+
+class _FixedExtents(ExtentProvider):
+    def __init__(self, extents):
+        self.extents = extents
+
+    def extent(self, predicate, arity):
+        return self.extents.get(predicate, set())
+
+
+def _reference(cq, extents):
+    """Every answer of *cq* by nested loops over full scans in query
+    order: a bound variable takes a cell of its identity, a constant a
+    cell of its string form."""
+    answers = []
+
+    def bind(depth, binding):
+        if depth == len(cq.atoms):
+            answers.append(tuple(binding[variable] for variable in cq.answer_vars))
+            return
+        atom = cq.atoms[depth]
+        for row in extents.extent(atom.predicate, atom.arity):
+            local = dict(binding)
+            for term, cell in zip(atom.args, row):
+                if isinstance(term, Constant):
+                    if str(cell) != term.key:
+                        break
+                elif term in local:
+                    if _identity(local[term]) != _identity(cell):
+                        break
+                else:
+                    local[term] = cell
+            else:
+                bind(depth + 1, local)
+
+    bind(0, {})
+    return answers
+
+
+_ARITIES = {"A": 1, "B": 1, "P": 2, "Q": 2}
+#: objects and values sharing string forms (``Individual("1")``/``"1"``/``1``)
+#: or equal under ``==`` while rendering apart (``1``/``1.0``/``True``)
+_CELLS = (Individual("1"), Individual("a"), "1", 1, 1.0, True, "a")
+_TERMS = st.one_of(
+    st.sampled_from([Variable(name) for name in "xyz"]),
+    st.sampled_from(("1", 1, 1.0, True, "a", "b")).map(Constant),
+)
+
+
+@st.composite
+def _joins(draw):
+    extents = {
+        predicate: draw(
+            st.sets(st.tuples(*[st.sampled_from(_CELLS)] * arity), max_size=6)
+        )
+        for predicate, arity in _ARITIES.items()
+    }
+    atoms = []
+    for _ in range(draw(st.integers(1, 5))):
+        predicate = draw(st.sampled_from(sorted(_ARITIES)))
+        atoms.append(
+            Atom(predicate, tuple(draw(_TERMS) for _ in range(_ARITIES[predicate])))
+        )
+    variables = sorted(
+        {term for atom in atoms for term in atom.args if isinstance(term, Variable)},
+        key=str,
+    )
+    head = draw(st.lists(st.sampled_from(variables), max_size=2)) if variables else []
+    return ConjunctiveQuery(head, atoms), extents
+
+
+@given(_joins())
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_compiled_join_matches_nested_loops(join):
+    cq, extents = join
+    provider = _FixedExtents(extents)
+    answers = evaluate_cq(cq, provider)
+    reference = _reference(cq, provider)
+    identities = {tuple(map(_identity, answer)) for answer in answers}
+    # every answer is a reference answer, and every reference answer is
+    # found (or merged under == into a found one, as sets of cells do)
+    assert identities <= {tuple(map(_identity, answer)) for answer in reference}
+    for answer in reference:
+        assert tuple(map(_identity, answer)) in identities or answer in answers
+    # where no two raw cells share an identity, the raw answers agree too
+    by_identity = {}
+    for rows in extents.values():
+        for row in rows:
+            for cell in row:
+                by_identity.setdefault(_identity(cell), set()).add(cell)
+    if all(len(cells) == 1 for cells in by_identity.values()):
+        assert answers == set(reference)
+
+
+# -- the plan ---------------------------------------------------------------------
+
+
+def _univ_mix_extents():
+    """The sizes of the benchmark's write workload (univ-mix): 600
+    persons in 20 departments, 120 teachers and 480 students, each
+    teaching or taking one or two of 120 courses."""
+    abox = ABox()
+    teachers = students = 0
+    for person in range(600):
+        who = Individual(f"p/{person}")
+        abox.add(
+            RoleAssertion(AtomicRole("memberOf"), who, Individual(f"d/{person % 20}"))
+        )
+        if person % 5 == 0:
+            role, index = "teaches", teachers
+            teachers += 1
+        else:
+            role, index = "enrolledIn", students
+            students += 1
+        for course in range(1 + index % 2):
+            abox.add(
+                RoleAssertion(
+                    AtomicRole(role), who, Individual(f"c/{(index * 7 + course) % 120}")
+                )
+            )
+    return ABoxExtents(abox)
+
+
+def test_join_probes_the_atom_of_smallest_fan_out_next():
+    extents = _univ_mix_extents()
+    cq = parse_cq(
+        "q(x, t) :- enrolledIn(x, c), teaches(t, c), memberOf(t, d), memberOf(x, d)"
+    )
+    tracer = Tracer("join")
+    with use_tracer(tracer):
+        answers = evaluate_ucq(parse_query(str(cq)), extents)
+    [span] = [span for span in tracer.spans if span.name == "join"]
+    atoms = span.attributes["atoms"]
+    # memberOf(x, d) keyed on d has 30 rows a department, enrolledIn(x, c)
+    # keyed on c 6 a course: probe enrolledIn first
+    assert atoms.index("enrolledIn(x, c)") < atoms.index("memberOf(x, d)")
+    assert sorted(atoms) == sorted(map(str, cq.atoms))
+    assert len(span.attributes["keys"]) == len(span.attributes["fan_outs"]) == 4
+    assert span.attributes["keys"][0] == []
+    assert span.attributes["answers"] == len(answers)
+
+
+class _NoSpans(NullTracer):
+    """A disabled tracer that fails the test when asked for a span."""
+
+    def span(self, name, **attributes):
+        raise AssertionError(f"span {name!r} requested from a disabled tracer")
+
+
+def test_a_disabled_tracer_is_asked_for_no_join_span(extents):
+    query = parse_query("q(x, z) :- knows(x, y), knows(y, z) ; Teacher(x), knows(x, z)")
+    answers = evaluate_ucq(query, extents)  # indexes built outside the check
+    with use_tracer(_NoSpans()):
+        assert evaluate_ucq(query, extents) == answers
+
+
+class _ExpiresInTheJoin(Budget):
+    """Unbounded until the first binding polls it, then exhausted."""
+
+    def tick(self, stride=None):
+        self.budget_s = 0.0
+        super().tick(stride=1)
+
+
+def test_budget_abort_inside_the_compiled_join_raises(extents):
+    query = parse_cq("q(x, z) :- knows(x, y), knows(y, z)")
+    assert evaluate_cq(query, extents)  # indexes built: only the join ticks now
+    with pytest.raises(TimeoutExceeded):
+        evaluate_cq(query, extents, budget=_ExpiresInTheJoin(None, task="join"))

@@ -22,6 +22,8 @@ from repro.obda.mapping import (
     TargetAtom,
     ValueColumn,
 )
+from repro.obda.queries import Atom, ConjunctiveQuery, UnionQuery, Variable
+from repro.obda.rewriting.presto import DatalogRewriting, DatalogRule
 from repro.obda.sql.database import Database
 from repro.obda.sql.stats import join_key
 from repro.obda.system import OBDASystem
@@ -519,3 +521,180 @@ def test_a_refresh_by_appended_rows_is_counted_and_traced():
     assert deltas.value == before + 1
     [span] = [span for span in tracer.spans if span.name == "extent-delta"]
     assert span.attributes == {"predicate": "teaches", "rows": 1}
+
+
+# -- Presto's derived extents: aliases and deltas --------------------------------
+
+_X, _Y = Variable("x"), Variable("y")
+
+
+def _rule(head, head_args, body, body_args):
+    return DatalogRule(Atom(head, head_args), (Atom(body, body_args),))
+
+
+#: one alias of each arity, a single swap and a single value projection
+#: (derived, not aliased), and heads fed by several rules
+_DERIVED_RULES = (
+    _rule("P*", (_X, _Y), "P", (_X, _Y)),
+    _rule("C*", (_X,), "C", (_X,)),
+    _rule("Pinv*", (_X, _Y), "P", (_Y, _X)),
+    _rule("V*", (_X,), "U", (_Y, _X)),
+    _rule("S*", (_X, _Y), "P", (_X, _Y)),
+    _rule("S*", (_X, _Y), "Q", (_Y, _X)),
+    _rule("D*", (_X,), "C", (_X,)),
+    _rule("D*", (_X,), "P", (_X, _Y)),
+    _rule("D*", (_X,), "Q", (_Y, _X)),
+    _rule("D*", (_X,), "U", (_X, _Y)),
+)
+
+_DERIVED_ARITIES = {"P*": 2, "C*": 1, "Pinv*": 2, "V*": 1, "S*": 2, "D*": 1}
+
+#: value cells with no two equal under == yet rendered apart, so a set
+#: keeps the same representative however it was grown
+_DERIVED_VALUES = ("1", 1, "a", 2.5)
+
+
+def _derived_source():
+    database = Database("derived")
+    for name, columns in (("p", ("s", "o")), ("q", ("s", "o")), ("c", ("id",)),
+                          ("u", ("s", "v"))):
+        database.create_table(name, columns, [])
+
+    def role(table, name):
+        return MappingAssertion(
+            f"SELECT s, o FROM {table}",
+            [TargetAtom(AtomicRole(name), (IriTemplate("i/{s}"), IriTemplate("i/{o}")))],
+        )
+
+    mappings = MappingCollection(
+        [
+            role("p", "P"),
+            role("q", "Q"),
+            MappingAssertion(
+                "SELECT id FROM c",
+                [TargetAtom(AtomicConcept("C"), (IriTemplate("i/{id}"),))],
+            ),
+            MappingAssertion(
+                "SELECT s, v FROM u",
+                [
+                    TargetAtom(
+                        AtomicAttribute("U"), (IriTemplate("i/{s}"), ValueColumn("v"))
+                    )
+                ],
+            ),
+        ]
+    )
+    rewriting = DatalogRewriting(
+        UnionQuery([ConjunctiveQuery((_X,), [Atom("D*", (_X,))])]),
+        list(_DERIVED_RULES),
+    )
+    return database, mappings, rewriting
+
+
+def _derived_row(rng, table):
+    if table == "c":
+        return (rng.randrange(6),)
+    if table == "u":
+        return (rng.randrange(6), rng.choice(_DERIVED_VALUES))
+    return (rng.randrange(6), rng.randrange(6))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_derived_deltas_and_aliases_match_a_fresh_derivation(seed):
+    rng = random.Random(seed)
+    database, mappings, rewriting = _derived_source()
+    for table in ("p", "q", "c", "u"):
+        database[table].insert_many(
+            _derived_row(rng, table) for _ in range(rng.randint(0, 4))
+        )
+    base = MappingExtents(mappings, database)
+    provider = DatalogExtents(rewriting, base)
+    held = []
+    for _ in range(rng.randint(5, 30)):
+        if rng.random() < 0.5:
+            table = rng.choice(("p", "q", "c", "u"))
+            database[table].insert(_derived_row(rng, table))
+        else:
+            head, arity = rng.choice(sorted(_DERIVED_ARITIES.items()))
+            provider.extent(head, arity)
+            positions = rng.choice(((), (0,), (arity - 1,)))
+            index = provider.index(head, arity, positions)
+            held.append((index, {key: list(rows) for key, rows in index.items()}))
+    fresh_base = MappingExtents(mappings, database)
+    fresh = DatalogExtents(rewriting, fresh_base)
+    for head, arity in _DERIVED_ARITIES.items():
+        derived = _reprs(provider.extent(head, arity))
+        assert derived == _reprs(fresh.extent(head, arity)), head
+        # ... and what the rules say, projected here without the provider
+        expected = set()
+        for rule in rewriting.rules_by_head[head]:
+            (body,) = rule.body
+            expected |= {
+                tuple(row[body.args.index(arg)] for arg in rule.head.args)
+                for row in fresh_base.extent(body.predicate, len(body.args))
+            }
+        assert derived == _reprs(expected), head
+    arities = {"P": 2, "Q": 2, "C": 1, "U": 2, **_DERIVED_ARITIES}
+    for owner in (provider, base):
+        for predicate, positions in list(getattr(owner, "_index_cache", {})):
+            arity = arities[predicate]
+            assert _same_buckets(
+                owner.index(predicate, arity, positions),
+                _fresh_index(fresh.extent(predicate, arity), positions),
+            ), (predicate, positions)
+    for index, buckets in held:
+        assert {key: list(rows) for key, rows in index.items()} == buckets
+
+
+def test_an_identity_rule_is_served_as_its_base_predicate():
+    database, mappings, rewriting = _derived_source()
+    database["p"].insert((1, 2))
+    base = MappingExtents(mappings, database)
+    provider = DatalogExtents(rewriting, base)
+    assert provider.snapshot("P*", 2) is base.snapshot("P", 2)
+    assert provider.index("P*", 2, (0,)) is base.index("P", 2, (0,))
+    assert provider.snapshot("C*", 1) is base.snapshot("C", 1)
+    # a swapped copy is derived, not served as P
+    assert provider.extent("Pinv*", 2) == {(Individual("i/2"), Individual("i/1"))}
+    assert "P*" not in provider._cache and "Pinv*" in provider._cache
+
+
+def test_a_derived_extent_grows_by_the_projected_delta():
+    database, mappings, rewriting = _derived_source()
+    database["p"].insert((1, 2))
+    provider = DatalogExtents(rewriting, MappingExtents(mappings, database))
+    before = provider.snapshot("D*", 1)
+    index = provider.index("D*", 1, (0,))
+    counters = global_metrics()
+    deltas = counters.counter("obda.evaluation.derived_deltas").value
+    builds = counters.counter("obda.evaluation.index_builds").value
+    database["p"].insert((3, 4))
+    database["q"].insert((5, 1))  # projects to i/1, already derived
+    grown = provider.snapshot("D*", 1)
+    assert grown.base == before.version
+    assert grown.added == ((Individual("i/3"),),)
+    assert grown.rows == before.rows | {(Individual("i/3"),)}
+    assert counters.counter("obda.evaluation.derived_deltas").value == deltas + 1
+    extended = provider.index("D*", 1, (0,))
+    assert extended is not index and set(extended) == set(index) | {("i/3",)}
+    assert counters.counter("obda.evaluation.index_builds").value == builds
+    # a delta that adds nothing keeps the index as it is
+    database["c"].insert((3,))
+    assert provider.snapshot("D*", 1).added == ()
+    assert provider.index("D*", 1, (0,)) is extended
+
+
+def test_budget_abort_during_a_derived_delta_installs_nothing():
+    database, mappings, rewriting = _derived_source()
+    database["p"].insert_many((i, i + 1) for i in range(10))
+    provider = DatalogExtents(rewriting, MappingExtents(mappings, database))
+    provider.index("Pinv*", 2, (0,))
+    cached = provider._index_cache[("Pinv*", (0,))]
+    database["p"].insert_many((i, i + 1) for i in range(10, 1210))
+    with pytest.raises(TimeoutExceeded):
+        provider.index("Pinv*", 2, (0,), budget=Budget(0.0, task="derived"))
+    assert provider._index_cache[("Pinv*", (0,))] is cached
+    index = provider.index("Pinv*", 2, (0,))
+    assert _same_buckets(index, _fresh_index(provider.extent("Pinv*", 2), (0,)))
+    assert sum(len(rows) for rows in index.values()) == 1210
