@@ -14,8 +14,8 @@ Calibration, matching how the codebase actually amortizes polls:
   their budget enforcement happens at the poll in the enclosing loop or
   phase boundary (a documented coarseness, see DESIGN.md);
 * a poll in an **enclosing loop** of the same function counts — the
-  sanctioned pattern is ``if source % 256 == 0: watch.check_budget()``
-  in the outer loop, inner loops riding along;
+  sanctioned pattern is ``if source % 256 == 0: watch.check()`` in
+  the outer loop, inner loops riding along;
 * a function that takes a budget parameter and then never mentions it
   at all has dropped the contract on the floor, wherever its loops are;
 * calls to known pipeline phases from a budget-carrying function must
@@ -38,7 +38,7 @@ _BUDGET_PARAMS: FrozenSet[str] = frozenset({"budget", "watch", "deadline"})
 _BUDGET_HINTS = ("budget", "watch", "deadline")
 
 #: budget poll methods
-_POLL_METHODS: FrozenSet[str] = frozenset({"check", "tick", "check_budget"})
+_POLL_METHODS: FrozenSet[str] = frozenset({"check", "tick"})
 
 #: known pipeline phases that accept (and must be handed) the budget
 _PHASE_CALLEES: FrozenSet[str] = frozenset(

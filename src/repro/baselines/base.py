@@ -18,7 +18,7 @@ from typing import FrozenSet, Optional, Set, Tuple
 
 from ..dllite.axioms import Inclusion
 from ..dllite.tbox import TBox
-from ..util.timing import Stopwatch
+from ..runtime.budget import Budget
 
 __all__ = ["NamedClassification", "Reasoner"]
 
@@ -54,11 +54,11 @@ class Reasoner:
     complete: bool = True
 
     def classify_named(
-        self, tbox: TBox, watch: Optional[Stopwatch] = None
+        self, tbox: TBox, watch: Optional[Budget] = None
     ) -> NamedClassification:
         raise NotImplementedError
 
-    def measure(self, tbox: TBox, watch: Optional[Stopwatch] = None) -> int:
+    def measure(self, tbox: TBox, watch: Optional[Budget] = None) -> int:
         """Run the classification and return the subsumption *count*.
 
         This is the benchmark entry point: it performs the engine's full

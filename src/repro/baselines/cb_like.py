@@ -32,7 +32,7 @@ from ..dllite.syntax import (
     inverse_of,
 )
 from ..dllite.tbox import TBox
-from ..util.timing import Stopwatch
+from ..runtime.budget import Budget
 from .base import NamedClassification, Reasoner
 
 __all__ = ["ConsequenceBasedReasoner"]
@@ -45,7 +45,7 @@ class ConsequenceBasedReasoner(Reasoner):
     complete = False
 
     def _saturate(
-        self, tbox: TBox, watch: Optional[Stopwatch]
+        self, tbox: TBox, watch: Optional[Budget]
     ) -> Tuple[List, List[int], List[int]]:
         """Shared saturation over the concept fragment.
 
@@ -102,7 +102,7 @@ class ConsequenceBasedReasoner(Reasoner):
         return nodes, closure, concept_ids
 
     def classify_named(
-        self, tbox: TBox, watch: Optional[Stopwatch] = None
+        self, tbox: TBox, watch: Optional[Budget] = None
     ) -> NamedClassification:
         nodes, closure, concept_ids = self._saturate(tbox, watch)
         concept_id_set = set(concept_ids)
@@ -121,7 +121,7 @@ class ConsequenceBasedReasoner(Reasoner):
                     )
         return NamedClassification(frozenset(subsumptions), frozenset())
 
-    def measure(self, tbox: TBox, watch: Optional[Stopwatch] = None) -> int:
+    def measure(self, tbox: TBox, watch: Optional[Budget] = None) -> int:
         nodes, closure, concept_ids = self._saturate(tbox, watch)
         concept_mask = 0
         for node_id in concept_ids:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.classifier import GraphClassifier
 from ..dllite.tbox import TBox
-from ..util.timing import Stopwatch
+from ..runtime.budget import Budget
 from .base import NamedClassification, Reasoner
 from .cb_like import ConsequenceBasedReasoner
 from .saturation import SaturationReasoner
@@ -42,7 +42,7 @@ class GraphReasoner(Reasoner):
         self._classifier = GraphClassifier(**options)
 
     def classify_named(
-        self, tbox: TBox, watch: Optional[Stopwatch] = None
+        self, tbox: TBox, watch: Optional[Budget] = None
     ) -> NamedClassification:
         classification = self._classifier.classify(tbox, watch=watch)
         named_unsat = {
@@ -57,10 +57,10 @@ class GraphReasoner(Reasoner):
             subsumptions.append(inclusion)
         if watch is not None:
             # no result past the budget, even between two polls
-            watch.check_budget()
+            watch.check()
         return NamedClassification(frozenset(subsumptions), frozenset(named_unsat))
 
-    def measure(self, tbox: TBox, watch: Optional[Stopwatch] = None) -> int:
+    def measure(self, tbox: TBox, watch: Optional[Budget] = None) -> int:
         classification = self._classifier.classify(tbox, watch=watch)
         return classification.subsumption_count(named_only=True)
 

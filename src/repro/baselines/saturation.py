@@ -46,7 +46,7 @@ from ..dllite.syntax import (
     inverse_of,
 )
 from ..dllite.tbox import TBox
-from ..util.timing import Stopwatch
+from ..runtime.budget import Budget
 from .base import NamedClassification, Reasoner
 
 __all__ = ["SaturationReasoner", "Saturation"]
@@ -57,7 +57,7 @@ Pair = Tuple[object, object]
 class Saturation:
     """The saturated consequence sets of one TBox."""
 
-    def __init__(self, tbox: TBox, watch: Optional[Stopwatch] = None):
+    def __init__(self, tbox: TBox, watch: Optional[Budget] = None):
         self.tbox = tbox
         self.positive: Set[Pair] = set()
         self.negative: Set[Pair] = set()
@@ -79,7 +79,7 @@ class Saturation:
             yield attribute
             yield AttributeDomain(attribute)
 
-    def _run(self, watch: Optional[Stopwatch]) -> None:
+    def _run(self, watch: Optional[Budget]) -> None:
         told_qualified = []
         for axiom in self.tbox:
             if isinstance(axiom, ConceptInclusion):
@@ -114,7 +114,7 @@ class Saturation:
         changed = True
         while changed:
             if watch is not None:
-                watch.check_budget()
+                watch.check()
             changed = False
             changed |= self._apply_positive_rules(roles)
             changed |= self._apply_qualified_rules(roles)
@@ -293,7 +293,7 @@ class SaturationReasoner(Reasoner):
     name = "saturation"
 
     def classify_named(
-        self, tbox: TBox, watch: Optional[Stopwatch] = None
+        self, tbox: TBox, watch: Optional[Budget] = None
     ) -> NamedClassification:
         saturation = Saturation(tbox, watch)
         named = (

@@ -53,7 +53,7 @@ from ..dllite.syntax import (
     inverse_of,
 )
 from ..dllite.tbox import TBox
-from ..util.timing import Stopwatch
+from ..runtime.budget import Budget
 from .base import NamedClassification, Reasoner
 from .saturation import _make
 
@@ -152,7 +152,7 @@ class _TableauBase(Reasoner):
     """Shared classification loop: unsat detection, then pairwise tests."""
 
     def classify_named(
-        self, tbox: TBox, watch: Optional[Stopwatch] = None
+        self, tbox: TBox, watch: Optional[Budget] = None
     ) -> NamedClassification:
         index = _AxiomIndex(tbox)
         named = index.named_predicates()
@@ -166,7 +166,7 @@ class _TableauBase(Reasoner):
         subsumptions = set()
         for lhs in named:
             if watch is not None:
-                watch.check_budget()
+                watch.check()
             if lhs in unsat:
                 for rhs in named:
                     if rhs is not lhs and _same_sort(lhs, rhs):
@@ -180,7 +180,7 @@ class _TableauBase(Reasoner):
                     subsumptions.add(_make(lhs, rhs))
         return NamedClassification(frozenset(subsumptions), frozenset(unsat))
 
-    def measure(self, tbox: TBox, watch: Optional[Stopwatch] = None) -> int:
+    def measure(self, tbox: TBox, watch: Optional[Budget] = None) -> int:
         """Benchmark path: run the same test loop, count instead of build."""
         index = _AxiomIndex(tbox)
         named = index.named_predicates()
@@ -189,7 +189,7 @@ class _TableauBase(Reasoner):
         count = 0
         for lhs in named:
             if watch is not None:
-                watch.check_budget()
+                watch.check()
             if lhs in unsat:
                 count += sum(
                     1 for rhs in named if rhs is not lhs and _same_sort(lhs, rhs)
@@ -235,7 +235,7 @@ class _TableauBase(Reasoner):
         changed = True
         while changed:
             if watch is not None:
-                watch.check_budget()
+                watch.check()
             changed = False
             dead_sources = {
                 lhs
@@ -297,7 +297,7 @@ class PairwiseTableauReasoner(_TableauBase):
     def _label_oracle(self, index: _AxiomIndex, watch):
         def label_of(seed):
             if watch is not None:
-                watch.check_budget()
+                watch.check()
             return index.implied_types(seed)
 
         return label_of
@@ -366,7 +366,7 @@ class MemoizedTableauReasoner(_TableauBase):
             label = cache.get(seed)
             if label is None:
                 if watch is not None:
-                    watch.check_budget()
+                    watch.check()
                 label = index.implied_types(seed)
                 cache[seed] = label
                 footprint[0] += len(label)
@@ -390,7 +390,7 @@ class DenseMatrixTableauReasoner(_TableauBase):
         # FaCT++'s out-of-memory cell on that row.
         self.memory_limit_cells = memory_limit_cells
 
-    def measure(self, tbox: TBox, watch: Optional[Stopwatch] = None) -> int:
+    def measure(self, tbox: TBox, watch: Optional[Budget] = None) -> int:
         import numpy
 
         matrix, position, universe, index, named, unsat = self._closure_matrix(
@@ -412,7 +412,7 @@ class DenseMatrixTableauReasoner(_TableauBase):
                     count += 1
         return count
 
-    def _closure_matrix(self, tbox: TBox, watch: Optional[Stopwatch]):
+    def _closure_matrix(self, tbox: TBox, watch: Optional[Budget]):
         import numpy
 
         index = _AxiomIndex(tbox)
@@ -449,7 +449,7 @@ class DenseMatrixTableauReasoner(_TableauBase):
         numpy.fill_diagonal(matrix, 1.0)
         while True:
             if watch is not None:
-                watch.check_budget()
+                watch.check()
             squared = ((matrix @ matrix) > 0.0).astype(numpy.float32)
             if (squared == matrix).all():
                 break
@@ -471,7 +471,7 @@ class DenseMatrixTableauReasoner(_TableauBase):
         return matrix, position, universe, index, named, unsat
 
     def classify_named(
-        self, tbox: TBox, watch: Optional[Stopwatch] = None
+        self, tbox: TBox, watch: Optional[Budget] = None
     ) -> NamedClassification:
         matrix, position, universe, index, named, unsat = self._closure_matrix(
             tbox, watch

@@ -25,7 +25,7 @@ from typing import Optional
 
 from ..dllite.tbox import TBox
 from ..obs.trace import current_tracer
-from ..util.timing import Stopwatch
+from ..runtime.budget import Budget
 from .classify import Classification
 from .closure import transitive_closure
 from .digraph import TBoxDigraph, build_digraph
@@ -67,7 +67,7 @@ class GraphClassifier:
         self.include_unsat = include_unsat
 
     def classify(
-        self, tbox: TBox, watch: Optional[Stopwatch] = None
+        self, tbox: TBox, watch: Optional[Budget] = None
     ) -> Classification:
         """Classify *tbox*; raises TimeoutExceeded if *watch*'s budget expires."""
         tracer = current_tracer()

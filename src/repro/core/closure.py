@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from ..util.timing import Stopwatch
+from ..runtime.budget import Budget
 
 __all__ = [
     "transitive_closure",
@@ -41,7 +41,7 @@ __all__ = [
 
 
 def closure_scc_bitset(
-    successors: Sequence[Set[int]], watch: Optional[Stopwatch] = None
+    successors: Sequence[Set[int]], watch: Optional[Budget] = None
 ) -> List[int]:
     """One iterative Tarjan pass that closes each component as it pops (the default).
 
@@ -90,7 +90,7 @@ def closure_scc_bitset(
                 if node_low != order[node]:
                     continue
                 if watch is not None:
-                    watch.check_budget()
+                    watch.check()
                 if stack[-1] == node:  # a singleton, the common case
                     stack.pop()
                     reach = 1 << node
@@ -112,14 +112,14 @@ def closure_scc_bitset(
 
 
 def closure_bfs(
-    successors: Sequence[Set[int]], watch: Optional[Stopwatch] = None
+    successors: Sequence[Set[int]], watch: Optional[Budget] = None
 ) -> List[int]:
     """Per-node BFS reachability (the naive ablation variant)."""
     node_count = len(successors)
     closure: List[int] = [0] * node_count
     for source in range(node_count):
         if watch is not None and source % 256 == 0:
-            watch.check_budget()
+            watch.check()
         seen = 1 << source
         frontier = [source]
         while frontier:
@@ -136,7 +136,7 @@ def closure_bfs(
 
 
 def closure_dense(
-    successors: Sequence[Set[int]], watch: Optional[Stopwatch] = None
+    successors: Sequence[Set[int]], watch: Optional[Budget] = None
 ) -> List[int]:
     """Dense boolean-matrix closure via repeated squaring (numpy)."""
     import numpy
@@ -152,7 +152,7 @@ def closure_dense(
     numpy.fill_diagonal(matrix, 1.0)
     while True:
         if watch is not None:
-            watch.check_budget()
+            watch.check()
         squared = (matrix @ matrix) > 0.0
         squared = squared.astype(numpy.float32)
         if (squared == matrix).all():
@@ -178,7 +178,7 @@ CLOSURE_ALGORITHMS: Dict[str, Callable[..., List[int]]] = {
 def transitive_closure(
     successors: Sequence[Set[int]],
     algorithm: str = "scc_bitset",
-    watch: Optional[Stopwatch] = None,
+    watch: Optional[Budget] = None,
 ) -> List[int]:
     """Reflexive-transitive closure of an integer digraph as bitsets."""
     try:

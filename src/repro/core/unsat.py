@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from ..dllite.syntax import NegatedConcept, NegatedRole
-from ..util.timing import Stopwatch
+from ..runtime.budget import Budget
 from .digraph import TBoxDigraph
 
 __all__ = ["compute_unsat"]
@@ -49,7 +49,7 @@ def _bits(mask: int) -> Iterator[int]:
 def compute_unsat(
     graph: TBoxDigraph,
     closure: List[int],
-    watch: Optional[Stopwatch] = None,
+    watch: Optional[Budget] = None,
 ) -> FrozenSet[int]:
     """Return the node ids of every unsatisfiable predicate of the TBox."""
     # partners[s]: bit t set for every negative inclusion between s and t
@@ -92,7 +92,7 @@ def compute_unsat(
             qualified.append((lhs, filler))
     while True:
         if watch is not None:
-            watch.check_budget()
+            watch.check()
         previous = unsat
 
         # Role/attribute companion propagation.

@@ -134,15 +134,12 @@ class OBDASystem:
         cache_size: int = 256,
         classification_cache=None,
         use_planner: bool = True,
-        backend: str = "memory",
         backend_path: Optional[str] = None,
     ):
         if (mappings is None) != (database is None):
             raise ReproError("mappings and database must be provided together")
         if (mappings is None) == (abox is None):
             raise ReproError("provide either mappings+database or an abox")
-        if backend not in ("memory", "sqlite"):
-            raise ReproError(f"unknown SQL backend {backend!r}")
         self.tbox = tbox
         self.mappings = mappings
         self.database = database
@@ -152,12 +149,8 @@ class OBDASystem:
         #: (repro.obda.sql.planner) with extensional constraint pruning;
         #: off = the naive unfolded execution, kept as the oracle baseline
         self.use_planner = use_planner
-        #: execution engine of the SQL path: "memory" interprets the
-        #: unfolded algebra in-process (planned or naive), "sqlite"
-        #: pushes each unfolded UCQ down to a real SQLite statement
-        #: (repro.obda.sql.backends); method="perfectref-sqlite" forces
-        #: the pushdown per-query regardless of this default.
-        self.backend = backend
+        #: file of the SQLite replica method="perfectref-sqlite" pushes
+        #: down to (repro.obda.sql.backends); None keeps it in memory
         self._backend_path = backend_path
         #: guards the system's own mutable state (classification slot,
         #: generation snapshot, consistency verdicts, pruning counters,
@@ -181,8 +174,8 @@ class OBDASystem:
                 else shared_classification_cache()
             )
             # Rewritings/unfoldings depend only on the TBox (and mappings),
-            # not on the data, so they are keyed on canonical query forms;
-            # answers additionally key on the data generation.
+            # not on the data, so they are keyed on canonical query forms
+            # and the TBox generation; answers also key on the data's.
             self._rewriting_cache = LRUCache(cache_size, name="rewriting")
             self._unfolding_cache = LRUCache(cache_size, name="unfolding")
             self._answer_cache = LRUCache(cache_size, name="answers")
@@ -421,12 +414,13 @@ class OBDASystem:
         """Rewrite only (no evaluation); returns a UCQ or DatalogRewriting.
 
         Rewritings depend only on the TBox, not on the data, so they are
-        cached across queries under the *canonical* form of the query —
-        alpha-equivalent queries (renamed variables, reordered atoms or
-        disjuncts) share one entry.  PerfectRef outputs additionally get
-        subsumption-pruned (:func:`repro.perf.prune.prune_ucq`) before
-        caching, shrinking the join work and the rendered SQL; the
-        before/after disjunct counts accumulate in ``pruning_stats``.
+        cached across queries under the TBox generation and the
+        *canonical* form of the query — alpha-equivalent queries (renamed
+        variables, reordered atoms or disjuncts) share one entry.
+        PerfectRef outputs additionally get subsumption-pruned
+        (:func:`repro.perf.prune.prune_ucq`) before caching, shrinking the
+        join work and the rendered SQL; the before/after disjunct counts
+        accumulate in ``pruning_stats``.
 
         Only *completed* rewritings enter the cache, so a budget abort
         never poisons it.
@@ -449,7 +443,10 @@ class OBDASystem:
                 from ..perf import ucq_key
 
                 self._validate_caches()
-                key = (ucq_key(ucq), group)
+                # Keyed on the TBox generation read before rewriting, as
+                # the answers are: a rewriting of the TBox from before a
+                # concurrent axiom add is never served after it.
+                key = (ucq_key(ucq), group, self._tbox_generation)
                 cached = self._rewriting_cache.get(key)
                 if cached is not None:
                     span.set("cache", "hit")
@@ -582,7 +579,7 @@ class OBDASystem:
             if self.mappings is None:
                 raise ReproError(f"{method} requires mappings and a database")
             rewritten = self.rewrite(ucq, budget=context.scoped(f"rewrite:{label}"))
-            pushdown = method == "perfectref-sqlite" or self.backend == "sqlite"
+            pushdown = method == "perfectref-sqlite"
             if pushdown or self.use_planner:
                 answers = self._planned_sql_answers(
                     rewritten,
@@ -598,7 +595,10 @@ class OBDASystem:
             with tracer.span("unfold") as span:
                 unfolded = None
                 if self.enable_caches:
-                    unfolded = self._unfolding_cache.get(answer_key[0])
+                    # the rewriting unfolded here is of this TBox
+                    # generation or a later one, never an earlier one
+                    unfold_key = (answer_key[0], answer_key[2])
+                    unfolded = self._unfolding_cache.get(unfold_key)
                 if unfolded is None:
                     span.set("cache", "miss" if self.enable_caches else "off")
                     unfolded = unfold(
@@ -607,7 +607,7 @@ class OBDASystem:
                         budget=context.scoped(f"unfold:{label}"),
                     )
                     if self.enable_caches:
-                        self._unfolding_cache.put(answer_key[0], unfolded)
+                        self._unfolding_cache.put(unfold_key, unfolded)
                 else:
                     span.set("cache", "hit")
                 span.set("sql_parts", unfolded.size)
@@ -657,8 +657,9 @@ class OBDASystem:
 
         The constraint pruning is *data-dependent* (inclusions hold at a
         database generation), so the unfolding cache keys on the
-        discovered inclusion fingerprint alongside the canonical query —
-        a data change that flips an inclusion simply keys a fresh entry.
+        discovered inclusion fingerprint alongside the canonical query and
+        the TBox generation — a data change that flips an inclusion
+        simply keys a fresh entry.
         Because the pruned query executes after the inclusions were
         verified, a concurrent insert in between could invalidate an
         inclusion whose subsumed disjunct was already dropped; the loop
@@ -697,7 +698,9 @@ class OBDASystem:
                 )
             fingerprint = ExtensionalConstraints.fingerprint(inclusions)
             unfold_key = (
-                (answer_key[0], fingerprint) if answer_key is not None else None
+                (answer_key[0], answer_key[2], fingerprint)
+                if answer_key is not None
+                else None
             )
             with tracer.span("unfold") as span:
                 unfolded = (

@@ -60,9 +60,8 @@ class Counter:
 
     ``inc`` is a locked read-modify-write: ``self.value += amount``
     compiles to separate load and store bytecodes, so two unlocked
-    threads can drop increments.  Under the soak drill those drops made
-    e.g. ``runtime.admission.requests`` disagree with the number of
-    requests actually issued.
+    threads can drop increments, and a counter bumped from the soak
+    drill's worker threads would then undercount its events.
     """
 
     __slots__ = ("name", "value", "_lock")

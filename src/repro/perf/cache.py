@@ -2,10 +2,10 @@
 
 Every hot-path cache in the stack (classification memoization, canonical
 rewriting cache, unfolding cache, answer cache) is an :class:`LRUCache`:
-bounded, observable, explicitly invalidatable — and **thread-safe**: the
-ROADMAP's concurrent multi-tenant service shares these caches across
-worker threads, so every mutation happens under a per-cache ``RLock``
-and every statistics update is atomic.
+bounded, observable, explicitly invalidatable — and **thread-safe**: one
+system answers queries from many threads at once (``repro soak`` drives
+it so), so every mutation happens under a per-cache ``RLock`` and every
+statistics update is atomic.
 
 Budget discipline (the resilience contract of
 :mod:`repro.runtime.budget`): callers only ever :meth:`LRUCache.put`
@@ -334,7 +334,7 @@ class ClassificationCache:
 
 
 #: Process-wide classification cache: distinct OBDA systems over the same
-#: ontology (a common multi-tenant layout) classify it exactly once.
+#: ontology classify it exactly once.
 _SHARED_CLASSIFICATIONS = ClassificationCache()
 
 

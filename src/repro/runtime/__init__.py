@@ -3,7 +3,7 @@
 Bounded, degradable execution for the whole OBDA stack:
 
 * :mod:`repro.runtime.budget` — deadlines and pollable, named time
-  budgets (generalizing :class:`repro.util.timing.Stopwatch`);
+  budgets;
 * :mod:`repro.runtime.retry` — exponential backoff with deterministic
   jitter around extent providers and the SQL backend;
 * :mod:`repro.runtime.fallback` — reasoner chains that degrade from an
@@ -12,17 +12,16 @@ Bounded, degradable execution for the whole OBDA stack:
   tier-1 resilience tests;
 * :mod:`repro.runtime.execution` — the context object
   ``OBDASystem`` threads through a query;
-* :mod:`repro.runtime.concurrency` — atomic counters, single-flight
-  deduplication and the admission controller (bounded concurrency,
-  queueing, load shedding) in front of query answering;
+* :mod:`repro.runtime.concurrency` — single-flight deduplication, which
+  the classification cache runs its cold computations through;
 * :mod:`repro.runtime.soak` — the seeded chaos-soak drill behind the
   ``repro soak`` CLI command.
 
 Only :mod:`.budget` is imported eagerly: it is a leaf module, and
-:mod:`repro.util.timing` (imported by every reasoner) depends on it.
-The heavier modules import the OBDA and baseline layers — which
-themselves import ``util.timing`` — so they are loaded lazily via
-PEP 562 to keep the import graph acyclic.
+every reasoner imports :class:`Budget` from it.  The heavier modules
+import the OBDA and baseline layers — which themselves import
+:mod:`.budget` — so they are loaded lazily via PEP 562 to keep the
+import graph acyclic.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from __future__ import annotations
 from .budget import Budget, Deadline
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionOutcome",
-    "AtomicCounter",
     "Budget",
     "ChainResult",
     "Deadline",
@@ -65,9 +61,6 @@ _LAZY = {
     "FaultyDatabase": "faults",
     "FaultyReasoner": "faults",
     "ExecutionContext": "execution",
-    "AdmissionController": "concurrency",
-    "AdmissionOutcome": "concurrency",
-    "AtomicCounter": "concurrency",
     "SingleFlight": "concurrency",
     "SoakConfig": "soak",
     "run_soak": "soak",

@@ -16,9 +16,8 @@ Design notes:
   loops.  Truly hot inner loops (the join recursion, the PerfectRef
   worklist) use :meth:`Budget.tick`, which only pays for the clock once
   every *stride* calls.
-* :class:`repro.util.timing.Stopwatch` is now a thin subclass kept for
-  backward compatibility; every ``watch.check_budget()`` call site in
-  the reasoners keeps working unchanged.
+* Every reasoner and the graph classifier take an optional budget as
+  ``watch`` and poll ``watch.check()``.
 """
 
 from __future__ import annotations
@@ -120,9 +119,6 @@ class Budget:
             global_metrics().counter("runtime.budget.expired").inc()
             raise TimeoutExceeded(self.budget_s, self.elapsed_s, task=self.task)
 
-    #: Stopwatch-compatible spelling — every reasoner already calls this.
-    check_budget = check
-
     def tick(self, stride: Optional[int] = None) -> None:
         """Amortized :meth:`check` for hot loops: clock once per *stride* calls."""
         self._ticks += 1
@@ -149,9 +145,9 @@ class Budget:
     ) -> Optional["Budget"]:
         """Coerce ``None`` / seconds / an existing budget into a budget.
 
-        Numbers start a fresh budget named *task*; an existing budget
-        (including a :class:`~repro.util.timing.Stopwatch`) is returned
-        as-is so callers can thread one allowance through many layers.
+        Numbers start a fresh budget named *task*; an existing budget is
+        returned as-is so callers can thread one allowance through many
+        layers.
         """
         if value is None:
             return None

@@ -1,94 +1,34 @@
-"""Concurrency primitives and admission control for the OBDA stack.
+"""In-flight deduplication for the OBDA stack's shared caches.
 
-The ROADMAP's north star is a concurrent multi-tenant query service, and
-shared rewriting caches are exactly the resource that makes
-rewriting-based OBDA fast in practice — so they must survive concurrent
-readers and writers without corruption.  This module supplies the
-building blocks the rest of the stack hardens itself with:
+Shared rewriting and classification caches are what make
+rewriting-based OBDA fast in practice, so they must survive concurrent
+readers and writers without corruption.  This module supplies
+:class:`SingleFlight` — keyed in-flight deduplication: N threads asking
+for the same expensive computation (classifying one TBox fingerprint)
+run it *once* and share the result, exceptions included.
 
-* :class:`AtomicCounter` — a lock-guarded monotone counter, used for the
-  generation counters that every cache keys its validity on (a torn
-  ``+= 1`` would silently serve stale answers);
-* :class:`SingleFlight` — keyed in-flight deduplication: N threads
-  asking for the same expensive computation (classifying one TBox
-  fingerprint, answering one canonical query) run it *once* and share
-  the result, exceptions included;
-* :class:`AdmissionController` — a bounded concurrency gate in front of
-  ``OBDASystem.certain_answers``: at most ``max_concurrency`` requests
-  evaluate at a time, at most ``max_queue`` wait, and a request that
-  would wait past ``queue_timeout_s`` is *shed* — it returns a degraded
-  (empty, explicitly flagged) :class:`AdmissionOutcome` and emits a
-  :class:`~repro.errors.DegradedResult` warning, the same signal the
-  :class:`~repro.runtime.fallback.FallbackChain` uses — instead of
-  piling onto an overloaded system.
-
-Locking discipline (see DESIGN.md "Concurrency hardening"): every lock
-in this module is a leaf — no code path acquires another repro lock
-while holding one, so lock ordering is trivially acyclic.  The gate's
-condition variable is released while a request evaluates; only the
-bookkeeping (active/waiting counts, the in-flight table) is guarded.
+Locking discipline (see DESIGN.md "Concurrency hardening"): the flight
+table's lock is a leaf — no code path acquires another repro lock while
+holding it, and it is released while the computation runs.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-import warnings
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-from ..errors import DegradedResult, SourceError, TimeoutExceeded
-
-__all__ = [
-    "AtomicCounter",
-    "SingleFlight",
-    "AdmissionOutcome",
-    "AdmissionController",
-]
-
-
-class AtomicCounter:
-    """A monotone integer counter safe under concurrent increments.
-
-    >>> counter = AtomicCounter()
-    >>> counter.increment()
-    1
-    >>> counter.value
-    1
-    """
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, initial: int = 0):
-        self._lock = threading.Lock()
-        self._value = initial
-
-    def increment(self, amount: int = 1) -> int:
-        """Add *amount* and return the new value (atomically)."""
-        with self._lock:
-            self._value += amount
-            return self._value
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-    def __repr__(self) -> str:
-        return f"AtomicCounter({self.value})"
+__all__ = ["SingleFlight"]
 
 
 class _Flight:
     """One in-flight computation: an event plus its eventual outcome."""
 
-    __slots__ = ("done", "result", "error", "shared")
+    __slots__ = ("done", "result", "error")
 
     def __init__(self):
         self.done = threading.Event()
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        #: how many followers joined this flight (leader excluded)
-        self.shared = 0
 
 
 class SingleFlight:
@@ -106,27 +46,17 @@ class SingleFlight:
         self._lock = threading.Lock()
         self._flights: Dict[Hashable, _Flight] = {}
 
-    def do(
-        self,
-        key: Hashable,
-        fn: Callable[[], Any],
-        timeout: Optional[float] = None,
-    ) -> Tuple[Any, bool]:
+    def do(self, key: Hashable, fn: Callable[[], Any]) -> Tuple[Any, bool]:
         """Run ``fn()`` once per open flight of *key*.
 
         Returns ``(result, leader)`` where *leader* is True for the
-        caller that actually computed.  A follower whose wait exceeds
-        *timeout* raises :class:`TimeoutError` (the flight itself keeps
-        running for the remaining followers).
+        caller that actually computed.
         """
         with self._lock:
             flight = self._flights.get(key)
-            if flight is None:
+            leader = flight is None
+            if leader:
                 flight = self._flights[key] = _Flight()
-                leader = True
-            else:
-                flight.shared += 1
-                leader = False
         if leader:
             try:
                 flight.result = fn()
@@ -138,8 +68,7 @@ class SingleFlight:
                     self._flights.pop(key, None)
                 flight.done.set()
             return flight.result, True
-        if not flight.done.wait(timeout):
-            raise TimeoutError(f"single-flight wait for {key!r} timed out")
+        flight.done.wait()
         if flight.error is not None:
             raise flight.error
         return flight.result, False
@@ -148,330 +77,3 @@ class SingleFlight:
         """How many keys are currently being computed."""
         with self._lock:
             return len(self._flights)
-
-
-@dataclass
-class AdmissionOutcome:
-    """What the admission controller returned for one request.
-
-    ``answers`` is always a frozenset; when ``degraded`` is True it is a
-    *sound under-approximation* (possibly empty) of the certain answers
-    — the same contract as an incomplete engine in a
-    :class:`~repro.runtime.fallback.FallbackChain` — and the caller was
-    warned via :class:`~repro.errors.DegradedResult`.  ``stamp_before``
-    and ``stamp_after`` are ``(tbox_generation, data_generation)`` pairs
-    read at admission and at completion: the answers are exactly the
-    certain answers of some state between the two stamps (the soak drill
-    verifies this bracket against a serial oracle).
-    """
-
-    answers: frozenset = frozenset()
-    outcome: str = "ok"  # "ok" | "shed" | "degraded"
-    degraded: bool = False
-    shed: bool = False
-    #: True when this request shared another request's in-flight result.
-    deduped: bool = False
-    reason: str = ""
-    queued_s: float = 0.0
-    elapsed_s: float = 0.0
-    stamp_before: Tuple[int, int] = (0, 0)
-    stamp_after: Tuple[int, int] = (0, 0)
-    query_name: str = "query"
-    method: str = "perfectref"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "outcome": self.outcome,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "deduped": self.deduped,
-            "reason": self.reason,
-            "answers": len(self.answers),
-            "queued_s": round(self.queued_s, 6),
-            "elapsed_s": round(self.elapsed_s, 6),
-            "stamp_before": list(self.stamp_before),
-            "stamp_after": list(self.stamp_after),
-            "query": self.query_name,
-            "method": self.method,
-        }
-
-
-class _Gate:
-    """Bounded concurrency + bounded queue, with deadline-based shedding."""
-
-    def __init__(self, max_concurrency: int, max_queue: int):
-        self.max_concurrency = max_concurrency
-        self.max_queue = max_queue
-        self._condition = threading.Condition(threading.Lock())
-        self.active = 0
-        self.waiting = 0
-        #: high-water marks, reported by AdmissionController.stats()
-        self.peak_active = 0
-        self.peak_waiting = 0
-
-    def acquire(self, timeout_s: float) -> Tuple[bool, float, str]:
-        """Try to take a slot; returns ``(admitted, waited_s, reason)``."""
-        start = time.perf_counter()
-        with self._condition:
-            if self.active < self.max_concurrency:
-                self.active += 1
-                self.peak_active = max(self.peak_active, self.active)
-                return True, 0.0, ""
-            if self.waiting >= self.max_queue:
-                return False, 0.0, "queue full"
-            self.waiting += 1
-            self.peak_waiting = max(self.peak_waiting, self.waiting)
-            try:
-                deadline = start + timeout_s
-                while self.active >= self.max_concurrency:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        return (
-                            False,
-                            time.perf_counter() - start,
-                            "queue deadline exceeded",
-                        )
-                    self._condition.wait(remaining)
-                self.active += 1
-                self.peak_active = max(self.peak_active, self.active)
-                return True, time.perf_counter() - start, ""
-            finally:
-                self.waiting -= 1
-
-    def release(self) -> None:
-        with self._condition:
-            self.active -= 1
-            self._condition.notify()
-
-    def depth(self) -> Tuple[int, int]:
-        with self._condition:
-            return self.active, self.waiting
-
-
-class AdmissionController:
-    """Admission control in front of ``OBDASystem.certain_answers``.
-
-    >>> from repro.runtime.concurrency import AdmissionController
-    >>> controller = AdmissionController(max_concurrency=4)
-
-    One controller guards one system (or one tenant's systems); call
-    :meth:`certain_answers` instead of the system's method.  Three
-    mechanisms compose, in order:
-
-    1. **in-flight dedup** — requests whose
-       :func:`~repro.perf.canonical.ucq_key` (plus method and the
-       current generation stamps, so an update never shares a pre-update
-       flight) matches a running request wait for *that* request's
-       result instead of taking a slot;
-    2. **bounded gate + queue** — at most ``max_concurrency`` requests
-       evaluate concurrently; up to ``max_queue`` wait, each at most
-       ``queue_timeout_s``;
-    3. **load shedding / degradation** — a request the gate cannot admit
-       in time, or whose evaluation fails with one of ``degrade_on``
-       (source outages, budget exhaustion), returns a flagged degraded
-       outcome instead of raising or queueing unboundedly.
-
-    Every decision is recorded in :mod:`repro.obs.metrics`
-    (``runtime.admission.*``) and as attributes of an ``admission`` span.
-    """
-
-    def __init__(
-        self,
-        max_concurrency: int = 8,
-        max_queue: int = 32,
-        queue_timeout_s: float = 2.0,
-        per_request_budget_s: Optional[float] = None,
-        dedup_in_flight: bool = True,
-        degrade_on: Tuple[type, ...] = (SourceError, TimeoutExceeded),
-        warn: bool = True,
-        retry=None,
-    ):
-        if max_concurrency < 1:
-            raise ValueError("max_concurrency must be positive")
-        if max_queue < 0:
-            raise ValueError("max_queue must be non-negative")
-        self._gate = _Gate(max_concurrency, max_queue)
-        self.queue_timeout_s = queue_timeout_s
-        self.per_request_budget_s = per_request_budget_s
-        self.dedup_in_flight = dedup_in_flight
-        self.degrade_on = degrade_on
-        self.warn = warn
-        self.retry = retry
-        self._flights = SingleFlight()
-
-    # -- introspection ---------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        active, waiting = self._gate.depth()
-        return {
-            "active": active,
-            "waiting": waiting,
-            "peak_active": self._gate.peak_active,
-            "peak_waiting": self._gate.peak_waiting,
-            "max_concurrency": self._gate.max_concurrency,
-            "max_queue": self._gate.max_queue,
-        }
-
-    # -- the front door --------------------------------------------------------
-
-    def certain_answers(
-        self,
-        system,
-        query,
-        method: str = "perfectref",
-        check_consistency: bool = True,
-    ) -> AdmissionOutcome:
-        """Answer *query* over *system* under admission control.
-
-        Never raises for overload or for ``degrade_on`` failures — those
-        come back as flagged degraded outcomes; programming errors and
-        everything else propagate untouched.
-        """
-        from ..obs.metrics import global_metrics
-        from ..obs.trace import current_tracer
-
-        metrics = global_metrics()
-        metrics.counter("runtime.admission.requests").inc()
-        ucq = system._as_ucq(query)
-        label = ucq.name or "query"
-        stamp = self._stamp(system)
-        with current_tracer().span("admission") as span:
-            span.annotate(query=label, method=method)
-            if self.dedup_in_flight:
-                from ..perf import ucq_key
-
-                flight_key = (ucq_key(ucq), method, id(system), stamp)
-                try:
-                    outcome, leader = self._flights.do(
-                        flight_key,
-                        lambda: self._admit_and_run(
-                            system, ucq, label, method, check_consistency, stamp
-                        ),
-                        timeout=self.queue_timeout_s,
-                    )
-                except TimeoutError:
-                    outcome, leader = self._shed_outcome(
-                        label, method, stamp, "in-flight wait timed out"
-                    ), True
-                if not leader:
-                    metrics.counter("runtime.admission.deduped").inc()
-                    outcome = AdmissionOutcome(
-                        **{**outcome.__dict__, "deduped": True}
-                    )
-            else:
-                outcome = self._admit_and_run(
-                    system, ucq, label, method, check_consistency, stamp
-                )
-            span.annotate(
-                outcome=outcome.outcome,
-                degraded=outcome.degraded,
-                deduped=outcome.deduped,
-                queued_s=round(outcome.queued_s, 6),
-            )
-            if outcome.shed:
-                span.set_status("error", outcome.reason)
-        return outcome
-
-    # -- internals -------------------------------------------------------------
-
-    @staticmethod
-    def _stamp(system) -> Tuple[int, int]:
-        return (
-            getattr(system.tbox, "generation", 0),
-            system._data_generation(),
-        )
-
-    def _shed_outcome(
-        self, label: str, method: str, stamp: Tuple[int, int], reason: str
-    ) -> AdmissionOutcome:
-        from ..obs.metrics import global_metrics
-
-        global_metrics().counter("runtime.admission.shed").inc()
-        if self.warn:
-            warnings.warn(
-                f"admission control shed {label!r} ({reason}); "
-                "returning an empty degraded answer set",
-                DegradedResult,
-                stacklevel=3,
-            )
-        return AdmissionOutcome(
-            answers=frozenset(),
-            outcome="shed",
-            degraded=True,
-            shed=True,
-            reason=reason,
-            stamp_before=stamp,
-            stamp_after=stamp,
-            query_name=label,
-            method=method,
-        )
-
-    def _admit_and_run(
-        self, system, ucq, label, method, check_consistency, stamp
-    ) -> AdmissionOutcome:
-        from ..obs.metrics import global_metrics
-        from .budget import Budget
-
-        metrics = global_metrics()
-        admitted, waited_s, reason = self._gate.acquire(self.queue_timeout_s)
-        active, waiting = self._gate.depth()
-        metrics.gauge("runtime.admission.active").set(active)
-        metrics.gauge("runtime.admission.queue_depth").set(waiting)
-        metrics.histogram("runtime.admission.queued_s").observe(waited_s)
-        if not admitted:
-            outcome = self._shed_outcome(label, method, stamp, reason)
-            outcome.queued_s = waited_s
-            return outcome
-        metrics.counter("runtime.admission.admitted").inc()
-        if waited_s > 0:
-            metrics.counter("runtime.admission.queued").inc()
-        start = time.perf_counter()
-        try:
-            budget = (
-                Budget(self.per_request_budget_s, task=f"admitted:{label}")
-                if self.per_request_budget_s is not None
-                else None
-            )
-            try:
-                answers = system.certain_answers(
-                    ucq,
-                    method=method,
-                    check_consistency=check_consistency,
-                    budget=budget,
-                    retry=self.retry,
-                )
-            except self.degrade_on as error:
-                metrics.counter("runtime.admission.degraded").inc()
-                if self.warn:
-                    warnings.warn(
-                        f"{label!r} degraded: {type(error).__name__}: {error}",
-                        DegradedResult,
-                        stacklevel=4,
-                    )
-                return AdmissionOutcome(
-                    answers=frozenset(),
-                    outcome="degraded",
-                    degraded=True,
-                    reason=f"{type(error).__name__}: {error}",
-                    queued_s=waited_s,
-                    elapsed_s=time.perf_counter() - start,
-                    stamp_before=stamp,
-                    stamp_after=self._stamp(system),
-                    query_name=label,
-                    method=method,
-                )
-            return AdmissionOutcome(
-                answers=frozenset(answers),
-                outcome="ok",
-                queued_s=waited_s,
-                elapsed_s=time.perf_counter() - start,
-                stamp_before=stamp,
-                stamp_after=self._stamp(system),
-                query_name=label,
-                method=method,
-            )
-        finally:
-            self._gate.release()
-            active, waiting = self._gate.depth()
-            metrics.gauge("runtime.admission.active").set(active)
-            metrics.gauge("runtime.admission.queue_depth").set(waiting)

@@ -3,9 +3,7 @@
 ``OBDASystem.certain_answers`` threads a budget and a retry policy
 through rewriting, unfolding, extent access and SQL evaluation.  An
 :class:`ExecutionContext` bundles the two (plus the wrapping helpers)
-so call sites pass one object — and so later subsystems (sharding,
-multi-backend execution) have a place to add routing state without
-touching every signature again.
+so call sites pass one object instead of two loose arguments.
 """
 
 from __future__ import annotations

@@ -1,25 +1,24 @@
 """Seeded chaos-soak drill for the concurrency-hardened engine.
 
-The hardening claims of this PR are *tested under fire*: :func:`run_soak`
+The concurrency hardening is *tested under fire*: :func:`run_soak`
 hammers one shared :class:`~repro.obda.system.OBDASystem` from worker
-threads with a mixed workload — certain-answer queries through the
-:class:`~repro.runtime.concurrency.AdmissionController`, ABox inserts,
+threads with a mixed workload — certain-answer queries, ABox inserts,
 TBox axiom adds — while a seeded
 :class:`~repro.runtime.faults.FaultInjector` makes the extent source
 misbehave, and then proves four invariants:
 
 * **zero lost updates** — every journaled mutation is visible in the
   final TBox/ABox;
-* **zero stale answers** — every non-degraded answer set equals the
-  certain answers of *some* state between its two generation stamps.
-  The workload is monotone (only additions), so answers are validated
-  against a serial oracle bracket: ``oracle(stamp_before) ⊆ answers ⊆
-  oracle(stamp_after)``, with exact equality when the stamps match a
-  journaled state;
-* **zero deadlocks** — every worker joins within the drill's timeout
-  and the admission gate drains back to zero;
-* **degradation always flagged** — a shed or source-degraded request is
-  never silently empty: its outcome carries ``degraded=True``.
+* **zero stale answers** — every answer set equals the certain answers
+  of *some* state between its two generation stamps, read from the
+  journal before and after the query.  The workload is monotone (only
+  additions), so answers are validated against a serial oracle
+  bracket: ``oracle(stamp_before) ⊆ answers ⊆ oracle(stamp_after)``,
+  with exact equality when the stamps match a journaled state.  A query
+  whose source retries ran out (a :class:`~repro.errors.SourceError`)
+  is recorded as degraded and has no answers to check;
+* **zero deadlocks** — every worker joins within the drill's timeout;
+* **zero errors** — no worker raised anything else.
 
 Determinism: one seed drives the per-thread operation streams, the
 fault lottery and the retry jitter, so a failing drill replays
@@ -48,7 +47,7 @@ from ..dllite.abox import (
 from ..dllite.axioms import Axiom, ConceptInclusion
 from ..dllite.syntax import AtomicConcept, AtomicRole, ExistentialRole, InverseRole
 from ..dllite.tbox import TBox
-from .concurrency import AdmissionController, AdmissionOutcome
+from ..errors import SourceError
 from .faults import FaultInjector, FaultSpec
 from .retry import RetryPolicy
 
@@ -72,10 +71,6 @@ class SoakConfig:
     transient_rate: float = 0.05
     slow_rate: float = 0.02
     slow_call_s: float = 0.002
-    #: admission control in front of the system
-    max_concurrency: int = 4
-    max_queue: int = 64
-    queue_timeout_s: float = 10.0
     method: str = "perfectref"
     #: a worker that has not joined by then counts as deadlocked
     join_timeout_s: float = 120.0
@@ -163,8 +158,8 @@ class _Journal:
     The lock spans (apply mutation, read stamps, append), so journal
     order *is* stamp order and each entry's stamp describes exactly the
     state after its mutation — the replay oracle depends on this.
-    Mutations are cheap (a set add + counter bump); queries never take
-    this lock, so it throttles writers only.
+    Mutations are cheap (a set add + counter bump); queries take this
+    lock only to read their two stamps, never while they evaluate.
     """
 
     def __init__(self, tbox: TBox, abox: ABox):
@@ -262,10 +257,13 @@ class _Oracle:
 # -- the drill ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _QueryRecord:
     query: str
-    outcome: AdmissionOutcome
+    #: None when the query's source retries ran out (a degraded query)
+    answers: Optional[frozenset]
+    stamp_before: Stamp
+    stamp_after: Stamp
 
 
 def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
@@ -293,17 +291,8 @@ def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
         # Pre-install the shared provider behind the fault wrapper; the
         # wrapper delegates generation(), so invalidation still works.
         system._shared_extents = FaultyExtents(ABoxExtents(abox), injector)
-    controller = AdmissionController(
-        max_concurrency=config.max_concurrency,
-        max_queue=config.max_queue,
-        queue_timeout_s=config.queue_timeout_s,
-        retry=RetryPolicy(
-            max_attempts=5,
-            base_delay_s=0.0005,
-            max_delay_s=0.005,
-            seed=config.seed,
-        ),
-        warn=False,  # flags on the outcome, not a warning storm
+    policy = RetryPolicy(
+        max_attempts=5, base_delay_s=0.0005, max_delay_s=0.005, seed=config.seed
     )
     journal = _Journal(tbox, abox)
     base_stamp = journal.stamp()
@@ -324,13 +313,21 @@ def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
                 roll = rng.random()
                 if roll < config.query_ratio:
                     query = rng.choice(_QUERY_POOL)
-                    outcome = controller.certain_answers(
-                        system,
-                        query,
-                        method=config.method,
-                        check_consistency=False,
+                    stamp_before = journal.stamp()
+                    try:
+                        answers = frozenset(
+                            system.certain_answers(
+                                query,
+                                method=config.method,
+                                check_consistency=False,
+                                retry=policy,
+                            )
+                        )
+                    except SourceError:  # the retries ran out: degraded
+                        answers = None
+                    local_records.append(
+                        _QueryRecord(query, answers, stamp_before, journal.stamp())
                     )
-                    local_records.append(_QueryRecord(query, outcome))
                 elif rng.random() < config.axiom_ratio and axiom_pool:
                     axiom = axiom_pool.pop()
                     journal.add_axiom(axiom)
@@ -366,23 +363,9 @@ def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
     invariants = _validate(
         config, journal, base_stamp, records, tbox, abox, deadlocked, errors
     )
-    gate = controller.stats()
-    if not deadlocked and gate["active"]:
-        invariants["deadlocks"].append(
-            f"admission gate did not drain: {gate['active']} slot(s) held"
-        )
-    invariants["ok"] = not any(
-        invariants[key]
-        for key in (
-            "lost_updates",
-            "stale_answers",
-            "deadlocks",
-            "unflagged_degradation",
-            "errors",
-        )
-    )
+    invariants["ok"] = not any(invariants.values())
 
-    outcomes = [record.outcome for record in records]
+    degraded = sum(1 for record in records if record.answers is None)
     report: Dict[str, object] = {
         "config": asdict(config),
         "totals": {
@@ -396,14 +379,8 @@ def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
                     1 for kind, _ in expected_mutations if kind == "axiom"
                 ),
             },
-            "outcomes": {
-                "ok": sum(1 for o in outcomes if o.outcome == "ok"),
-                "degraded": sum(1 for o in outcomes if o.outcome == "degraded"),
-                "shed": sum(1 for o in outcomes if o.shed),
-                "deduped": sum(1 for o in outcomes if o.deduped),
-            },
+            "outcomes": {"ok": len(records) - degraded, "degraded": degraded},
         },
-        "admission": gate,
         "faults": {
             "calls": injector.calls if injector else 0,
             "transients_injected": injector.transients_injected if injector else 0,
@@ -417,7 +394,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
     report["metrics"] = {
         name: value
         for name, value in snapshot.get("counters", {}).items()
-        if name.startswith(("runtime.admission.", "runtime.retry.", "perf."))
+        if name.startswith(("runtime.retry.", "perf."))
     }
     return report
 
@@ -454,63 +431,43 @@ def _validate(
             lost.append(f"assertion missing from final ABox: {payload}")
 
     stale: List[str] = []
-    unflagged: List[str] = []
     oracle = _Oracle(journal, base_stamp, config.method)
-    final_prefix = len(journal.entries)
     for record in records:
-        outcome = record.outcome
-        if outcome.outcome != "ok":
-            if not outcome.degraded:
-                unflagged.append(
-                    f"{outcome.outcome} outcome not flagged degraded: "
-                    f"{record.query}"
-                )
-            # A degraded answer set must still be sound (never invented
-            # tuples): a subset of the final — largest — state's answers.
-            extra = outcome.answers - oracle.answers(final_prefix, record.query)
-            if extra:
-                stale.append(
-                    f"degraded answers unsound for {record.query!r}: "
-                    f"{len(extra)} invented tuple(s)"
-                )
-            continue
+        answers = record.answers
+        if answers is None:
+            continue  # degraded: the source stayed down, nothing to check
         exact = (
-            oracle.exact_prefix(outcome.stamp_before)
-            if outcome.stamp_before == outcome.stamp_after
+            oracle.exact_prefix(record.stamp_before)
+            if record.stamp_before == record.stamp_after
             else None
         )
         if exact is not None:
             expected = oracle.answers(exact, record.query)
-            if outcome.answers != expected:
+            if answers != expected:
                 stale.append(
                     f"stale answers for {record.query!r} at stamp "
-                    f"{outcome.stamp_before}: got {len(outcome.answers)}, "
+                    f"{record.stamp_before}: got {len(answers)}, "
                     f"oracle says {len(expected)}"
                 )
             continue
-        lower = oracle.answers(
-            oracle.lower_prefix(outcome.stamp_before), record.query
-        )
-        upper = oracle.answers(
-            oracle.upper_prefix(outcome.stamp_after), record.query
-        )
-        if not lower <= outcome.answers:
+        lower = oracle.answers(oracle.lower_prefix(record.stamp_before), record.query)
+        upper = oracle.answers(oracle.upper_prefix(record.stamp_after), record.query)
+        if not lower <= answers:
             stale.append(
                 f"stale answers for {record.query!r}: missing "
-                f"{len(lower - outcome.answers)} tuple(s) already entailed "
-                f"at stamp {outcome.stamp_before}"
+                f"{len(lower - answers)} tuple(s) already entailed "
+                f"at stamp {record.stamp_before}"
             )
-        if not outcome.answers <= upper:
+        if not answers <= upper:
             stale.append(
                 f"phantom answers for {record.query!r}: "
-                f"{len(outcome.answers - upper)} tuple(s) not entailed "
-                f"even at stamp {outcome.stamp_after}"
+                f"{len(answers - upper)} tuple(s) not entailed "
+                f"even at stamp {record.stamp_after}"
             )
 
     return {
         "lost_updates": lost,
         "stale_answers": stale,
         "deadlocks": [f"worker did not join: {name}" for name in deadlocked],
-        "unflagged_degradation": unflagged,
         "errors": errors,
     }

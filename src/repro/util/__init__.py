@@ -1,5 +1,5 @@
 """Small shared utilities (timing, deterministic ordering)."""
 
-from .timing import Stopwatch, format_millis
+from .timing import format_millis
 
-__all__ = ["Stopwatch", "format_millis"]
+__all__ = ["format_millis"]

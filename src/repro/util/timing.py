@@ -1,33 +1,13 @@
-"""Wall-clock helpers used by the Figure 1 harness and the benchmarks.
+"""Wall-clock formatting used by the Figure 1 harness and the benchmarks.
 
-:class:`Stopwatch` predates the resilient execution layer; it is now a
-thin veneer over :class:`repro.runtime.budget.Budget`, which generalizes
-it with task names, deadlines, amortized polling and scoped sub-budgets.
-Existing call sites (``watch.check_budget()`` in every reasoner) keep
-working unchanged, and a ``Stopwatch`` can be passed anywhere a
-``Budget`` is accepted.
+Time budgets themselves live in :mod:`repro.runtime.budget`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..runtime.budget import Budget, Deadline
-
-__all__ = ["Budget", "Deadline", "Stopwatch", "format_millis"]
-
-
-class Stopwatch(Budget):
-    """A monotonic stopwatch with an optional budget.
-
-    The Figure 1 harness reruns each reasoner with a timeout, like the
-    paper ("Timeout was set at one hour"); reasoners poll
-    :meth:`check_budget` at convenient points and abort by raising
-    :class:`repro.errors.TimeoutExceeded`.
-    """
-
-    def __init__(self, budget_s: Optional[float] = None, task: str = "reasoning task"):
-        super().__init__(budget_s=budget_s, task=task)
+__all__ = ["format_millis"]
 
 
 def format_millis(ms: Optional[float]) -> str:

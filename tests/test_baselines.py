@@ -24,7 +24,7 @@ from repro.dllite import (
     parse_tbox,
 )
 from repro.errors import TimeoutExceeded
-from repro.util.timing import Stopwatch
+from repro.runtime.budget import Budget
 from tests.conftest import make_random_tbox
 
 COMPLETE_ENGINES = [
@@ -102,7 +102,7 @@ def test_timeout_budget_respected():
 
     tbox = load_profile("Transportation")
     with pytest.raises(TimeoutExceeded):
-        PairwiseTableauReasoner().classify_named(tbox, watch=Stopwatch(budget_s=0.0))
+        PairwiseTableauReasoner().classify_named(tbox, watch=Budget(0.0))
 
 
 def test_registry_contents():

@@ -5,7 +5,7 @@ import pytest
 from repro.core import CLOSURE_ALGORITHMS, GraphClassifier, classify
 from repro.dllite import AtomicConcept, parse_tbox
 from repro.errors import TimeoutExceeded
-from repro.util.timing import Stopwatch
+from repro.runtime.budget import Budget
 
 
 def test_classify_convenience_equals_classifier(county_tbox):
@@ -44,7 +44,7 @@ def test_budget_enforced_on_large_input():
 
     tbox = load_profile("Mouse")
     with pytest.raises(TimeoutExceeded):
-        GraphClassifier().classify(tbox, watch=Stopwatch(budget_s=0.0))
+        GraphClassifier().classify(tbox, watch=Budget(0.0))
 
 
 def test_empty_tbox():

@@ -12,7 +12,7 @@ from repro.core.closure import (
     transitive_closure,
 )
 from repro.errors import TimeoutExceeded
-from repro.util.timing import Stopwatch
+from repro.runtime.budget import Budget
 
 
 def bits(mask):
@@ -81,7 +81,7 @@ def test_unknown_algorithm_rejected():
 
 
 def test_budget_timeout_propagates():
-    watch = Stopwatch(budget_s=0.0)
+    watch = Budget(0.0)
     n = 200
     successors = [{(i + 1) % n} for i in range(n)]
     with pytest.raises(TimeoutExceeded):

@@ -24,7 +24,7 @@ from repro.obda.sql.database import Database
 from repro.obda.system import OBDASystem
 from repro.obs.metrics import global_metrics
 from repro.perf.cache import CacheStats, ClassificationCache, LRUCache
-from repro.runtime.concurrency import AtomicCounter, SingleFlight
+from repro.runtime.concurrency import SingleFlight
 
 THREADS = 8
 
@@ -53,18 +53,6 @@ def _run_threads(target, count=THREADS):
 
 
 # -- primitives ---------------------------------------------------------------
-
-
-def test_atomic_counter_loses_no_increments():
-    counter = AtomicCounter()
-    increments = 2000
-
-    def work(_index):
-        for _ in range(increments):
-            counter.increment()
-
-    _run_threads(work)
-    assert counter.value == THREADS * increments
 
 
 def test_cache_stats_counters_are_atomic():
@@ -111,22 +99,21 @@ def test_lru_cache_survives_concurrent_mixed_use():
 def test_single_flight_runs_leader_once_and_shares():
     flights = SingleFlight()
     barrier = threading.Barrier(THREADS)
-    computed = AtomicCounter()
+    computed = 0
     release = threading.Event()
     results = []
     results_lock = threading.Lock()
 
     def compute():
-        computed.increment()
+        nonlocal computed
+        with results_lock:
+            computed += 1
         release.wait(10.0)
         return "value"
 
     def work(_index):
         barrier.wait(10.0)
-        if computed.value == 0:
-            # make sure somebody is already inside before followers join
-            pass
-        result, leader = flights.do("key", compute, timeout=10.0)
+        result, leader = flights.do("key", compute)
         with results_lock:
             results.append((result, leader))
 
@@ -139,7 +126,7 @@ def test_single_flight_runs_leader_once_and_shares():
     import time
 
     deadline = time.monotonic() + 5.0
-    while computed.value == 0 and time.monotonic() < deadline:
+    while computed == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
     time.sleep(0.05)
     release.set()
@@ -147,10 +134,10 @@ def test_single_flight_runs_leader_once_and_shares():
         thread.join(10.0)
         assert not thread.is_alive()
 
-    assert computed.value >= 1
+    assert computed >= 1
     assert all(result == "value" for result, _ in results)
     leaders = [leader for _, leader in results if leader]
-    assert len(leaders) == computed.value  # one leader per actual run
+    assert len(leaders) == computed  # one leader per actual run
 
 
 def test_single_flight_propagates_leader_exception():
@@ -389,6 +376,93 @@ def test_hammer_presto_agrees_with_serial_oracle():
     assert system.certain_answers(
         "q(x) :- Person(x)", method="presto", check_consistency=False
     ) == oracle.certain_answers("q(x) :- Person(x)", check_consistency=False)
+
+
+# -- a cache fill racing an axiom add ---------------------------------------------
+
+_PERSON_QUERY = "q(x) :- Person(x)"
+_TUTOR = AtomicConcept("Tutor")
+
+
+class _PauseAfterFirstCall:
+    """A pipeline phase whose first call computes, then waits to be resumed."""
+
+    def __init__(self, phase):
+        self._phase = phase
+        self.computed = threading.Event()
+        self.resume = threading.Event()
+
+    def __call__(self, *args, **kwargs):
+        result = self._phase(*args, **kwargs)
+        if not self.computed.is_set():
+            self.computed.set()
+            self.resume.wait(10.0)
+        return result
+
+
+def _answer_across_a_paused_fill(monkeypatch, system, phase, method):
+    """Answer the Person query on a worker whose *phase* call pauses after
+    computing.  Meanwhile add ``Tutor isa Person`` and answer another
+    query, which clears the caches; then let the worker store what it
+    computed before the add, and answer the Person query again."""
+    import repro.obda.system as system_module
+
+    paused = _PauseAfterFirstCall(getattr(system_module, phase))
+    monkeypatch.setattr(system_module, phase, paused)
+    options = {"method": method, "check_consistency": False}
+    worker = threading.Thread(
+        target=system.certain_answers, args=(_PERSON_QUERY,), kwargs=options
+    )
+    worker.start()
+    assert paused.computed.wait(10.0), f"{phase} never ran"
+    system.tbox.add(ConceptInclusion(_TUTOR, _PERSON))
+    system.certain_answers("q(x) :- Professor(x)", **options)
+    paused.resume.set()
+    worker.join(10.0)
+    assert not worker.is_alive()
+    return system.certain_answers(_PERSON_QUERY, **options)
+
+
+def test_rewriting_from_before_an_axiom_add_is_not_served_after_it(monkeypatch):
+    tbox = TBox([ConceptInclusion(_PROFESSOR, _PERSON)], name="tutors")
+    abox = ABox(
+        [
+            ConceptAssertion(_PROFESSOR, Individual("p")),
+            ConceptAssertion(_TUTOR, Individual("t")),
+        ]
+    )
+    system = OBDASystem(tbox, abox=abox)
+    answers = _answer_across_a_paused_fill(
+        monkeypatch, system, "perfect_ref", "perfectref"
+    )
+    assert answers == {(Individual("p"),), (Individual("t"),)}
+
+
+def test_unfolding_from_before_an_axiom_add_is_not_served_after_it(monkeypatch):
+    from repro.obda.mapping import (
+        IriTemplate,
+        MappingAssertion,
+        MappingCollection,
+        TargetAtom,
+    )
+
+    database = Database("tutors")
+    database.create_table("staff", ["id", "kind"], [(1, "prof"), (2, "tutor")])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                f"SELECT id FROM staff WHERE kind = '{kind}'",
+                [TargetAtom(concept, (IriTemplate("p/{id}"),))],
+            )
+            for kind, concept in (("prof", _PROFESSOR), ("tutor", _TUTOR))
+        ]
+    )
+    tbox = TBox([ConceptInclusion(_PROFESSOR, _PERSON)], name="tutors")
+    system = OBDASystem(tbox, mappings, database, use_planner=False)
+    answers = _answer_across_a_paused_fill(
+        monkeypatch, system, "unfold", "perfectref-sql"
+    )
+    assert answers == {(Individual("p/1"),), (Individual("p/2"),)}
 
 
 # -- mapped mode: writes beside consistency-checked reads ------------------------

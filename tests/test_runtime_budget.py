@@ -1,4 +1,4 @@
-"""Unit tests for repro.runtime.budget (Deadline/Budget) and Stopwatch compat."""
+"""Unit tests for repro.runtime.budget (Deadline/Budget)."""
 
 import time
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import TimeoutExceeded
 from repro.runtime import Budget, Deadline
-from repro.util.timing import Stopwatch
 
 
 def test_deadline_after_and_remaining():
@@ -21,7 +20,6 @@ def test_deadline_after_and_remaining():
 def test_unbounded_budget_never_raises():
     budget = Budget(task="free")
     budget.check()
-    budget.check_budget()
     for _ in range(3000):
         budget.tick()
     assert budget.remaining_s is None
@@ -88,16 +86,3 @@ def test_restart_resets_clock_and_ticks():
     assert budget.elapsed_s < 0.002
     budget.check()
 
-
-def test_stopwatch_is_a_budget():
-    """Backward compat: Stopwatch is the Budget everyone already passes."""
-    watch = Stopwatch(budget_s=1000)
-    assert isinstance(watch, Budget)
-    watch.check_budget()
-    assert Budget.ensure(watch) is watch
-    tight = Stopwatch(budget_s=0.0)
-    time.sleep(0.001)
-    with pytest.raises(TimeoutExceeded) as info:
-        tight.check_budget()
-    # Stopwatch keeps the historical "reasoning task" label.
-    assert "reasoning task" in str(info.value)

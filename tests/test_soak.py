@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,12 +18,12 @@ def quick_report():
     return run_soak(_QUICK)
 
 
-def test_soak_invariants_hold(quick_report):
-    invariants = quick_report["invariants"]
+@pytest.mark.parametrize("method", ["perfectref", "presto"])
+def test_soak_invariants_hold(method):
+    invariants = run_soak(replace(_QUICK, method=method))["invariants"]
     assert invariants["lost_updates"] == []
     assert invariants["stale_answers"] == []
     assert invariants["deadlocks"] == []
-    assert invariants["unflagged_degradation"] == []
     assert invariants["errors"] == []
     assert invariants["ok"] is True
 
@@ -33,7 +34,6 @@ def test_soak_report_is_machine_readable(quick_report):
     assert set(serialized) >= {
         "config",
         "totals",
-        "admission",
         "faults",
         "invariants",
         "metrics",
@@ -45,9 +45,7 @@ def test_soak_report_is_machine_readable(quick_report):
         "operations"
     ]
     outcomes = totals["outcomes"]
-    assert outcomes["ok"] + outcomes["degraded"] + outcomes["shed"] == totals[
-        "queries"
-    ]
+    assert outcomes["ok"] + outcomes["degraded"] == totals["queries"]
     assert serialized["config"]["seed"] == 0
 
 
@@ -55,7 +53,7 @@ def test_soak_exercises_faults_and_mutations(quick_report):
     assert quick_report["faults"]["transients_injected"] > 0
     assert quick_report["totals"]["mutations"]["asserts"] > 0
     assert quick_report["totals"]["mutations"]["axioms"] > 0
-    assert quick_report["metrics"].get("runtime.admission.requests", 0) > 0
+    assert quick_report["metrics"].get("runtime.retry.transient_failures", 0) > 0
 
 
 def test_soak_workload_is_seed_deterministic():
@@ -65,22 +63,6 @@ def test_soak_workload_is_seed_deterministic():
     # the workload composition must replay exactly
     assert first["totals"]["queries"] == second["totals"]["queries"]
     assert first["totals"]["mutations"] == second["totals"]["mutations"]
-
-
-def test_soak_sheds_under_pressure_without_violations():
-    report = run_soak(
-        SoakConfig(
-            seed=3,
-            threads=6,
-            ops_per_thread=10,
-            max_concurrency=1,
-            max_queue=1,
-            queue_timeout_s=0.001,
-            join_timeout_s=60.0,
-        )
-    )
-    assert report["invariants"]["ok"] is True
-    assert report["totals"]["outcomes"]["shed"] > 0
 
 
 def test_soak_without_faults_runs_clean():

@@ -95,7 +95,7 @@ QUERIES = [
 
 def _systems():
     database, mappings = _campus()
-    sqlite = OBDASystem(TBOX, mappings, database, backend="sqlite")
+    sqlite = OBDASystem(TBOX, mappings, database)
     naive = OBDASystem(TBOX, mappings, database, use_planner=False)
     planned = OBDASystem(TBOX, mappings, database, use_planner=True)
     return database, sqlite, naive, planned
@@ -112,16 +112,6 @@ def test_backend_matches_naive_and_planner(query):
     assert planned.certain_answers(query, method="perfectref-sql") == expected
 
 
-def test_backend_flag_routes_plain_sql_method():
-    _, sqlite, naive, _ = _systems()
-    query = "q(x) :- Teacher(x)"
-    assert sqlite.certain_answers(
-        query, method="perfectref-sql"
-    ) == naive.certain_answers(query, method="perfectref-sql")
-    assert sqlite.planner_stats["pushdown_queries"] >= 1
-    assert sqlite.planner_stats["planned_queries"] == 0
-
-
 def test_mixed_numeric_templates_keep_all_individuals():
     """The 1 vs 1.0 completeness case: KB mode, naive, planner and the
     backend all answer with *both* person/1 and person/1.0."""
@@ -134,7 +124,7 @@ def test_mixed_numeric_templates_keep_all_individuals():
     for kwargs, method in [
         (dict(use_planner=False), "perfectref-sql"),
         (dict(use_planner=True), "perfectref-sql"),
-        (dict(backend="sqlite"), "perfectref-sqlite"),
+        (dict(), "perfectref-sqlite"),
     ]:
         system = OBDASystem(TBOX, mappings, database, **kwargs)
         assert system.certain_answers("q(x) :- Teacher(x)", method=method) == expected
@@ -145,7 +135,7 @@ FIVE_PATHS = [
     (dict(), "presto"),
     (dict(use_planner=True), "perfectref-sql"),
     (dict(use_planner=False), "perfectref-sql"),
-    (dict(backend="sqlite"), "perfectref-sqlite"),
+    (dict(), "perfectref-sqlite"),
 ]
 FIVE_PATH_IDS = ["perfectref", "presto", "planned-sql", "naive-sql", "sqlite"]
 
@@ -261,7 +251,7 @@ def test_raw_value_answers_decode_faithfully():
     )
     tbox = parse_tbox("exists salary isa Paid")
     naive = OBDASystem(tbox, mappings, database, use_planner=False)
-    sqlite = OBDASystem(tbox, mappings, database, backend="sqlite")
+    sqlite = OBDASystem(tbox, mappings, database)
     expected = naive.certain_answers("q(x, v) :- salary(x, v)", method="perfectref-sql")
     got = sqlite.certain_answers("q(x, v) :- salary(x, v)", method="perfectref-sqlite")
     assert got == expected
@@ -274,8 +264,6 @@ def test_raw_value_answers_decode_faithfully():
 
 def test_unknown_backend_and_method_rejected():
     database, mappings = _campus()
-    with pytest.raises(ReproError):
-        OBDASystem(TBOX, mappings, database, backend="postgres")
     system = OBDASystem(TBOX, mappings, database)
     with pytest.raises(ReproError):
         system.certain_answers("q(x) :- Teacher(x)", method="perfectref-duckdb")
@@ -337,16 +325,12 @@ def test_invalidate_forces_full_reload():
 def test_file_backed_path_reloads_cleanly(tmp_path):
     path = os.fspath(tmp_path / "pushdown.db")
     database, mappings = _campus()
-    first = OBDASystem(
-        TBOX, mappings, database, backend="sqlite", backend_path=path
-    )
+    first = OBDASystem(TBOX, mappings, database, backend_path=path)
     expected = first.certain_answers("q(x) :- Teacher(x)", method="perfectref-sqlite")
     first.sql_backend().close()
     assert os.path.exists(path)
     # a fresh backend over the same file treats it as scratch and reloads
-    second = OBDASystem(
-        TBOX, mappings, database, backend="sqlite", backend_path=path
-    )
+    second = OBDASystem(TBOX, mappings, database, backend_path=path)
     assert (
         second.certain_answers("q(x) :- Teacher(x)", method="perfectref-sqlite")
         == expected
@@ -366,7 +350,7 @@ def test_closed_backend_raises():
 
 def test_statement_cache_hits_on_requery():
     database, mappings = _campus()
-    system = OBDASystem(TBOX, mappings, database, backend="sqlite")
+    system = OBDASystem(TBOX, mappings, database)
     ucq = system.rewrite(parse_query("q(x) :- Teacher(x)"))
     unfolded = unfold(ucq, mappings)
     backend = system.sql_backend()
@@ -410,7 +394,7 @@ def test_union_mapping_source_pushes_down():
         ]
     )
     naive = OBDASystem(TBOX, mappings, database, use_planner=False)
-    sqlite = OBDASystem(TBOX, mappings, database, backend="sqlite")
+    sqlite = OBDASystem(TBOX, mappings, database)
     expected = naive.certain_answers("q(x) :- Professor(x)", method="perfectref-sql")
     assert (
         sqlite.certain_answers("q(x) :- Professor(x)", method="perfectref-sqlite")
@@ -433,7 +417,7 @@ def test_inequality_condition_pushes_down():
         ]
     )
     naive = OBDASystem(TBOX, mappings, database, use_planner=False)
-    sqlite = OBDASystem(TBOX, mappings, database, backend="sqlite")
+    sqlite = OBDASystem(TBOX, mappings, database)
     expected = naive.certain_answers("q(x) :- Professor(x)", method="perfectref-sql")
     assert (
         sqlite.certain_answers("q(x) :- Professor(x)", method="perfectref-sqlite")
@@ -455,7 +439,7 @@ def test_numeric_constant_selection_matches_equal_semantics():
         ]
     )
     naive = OBDASystem(TBOX, mappings, database, use_planner=False)
-    sqlite = OBDASystem(TBOX, mappings, database, backend="sqlite")
+    sqlite = OBDASystem(TBOX, mappings, database)
     expected = naive.certain_answers("q(x) :- Professor(x)", method="perfectref-sql")
     got = sqlite.certain_answers("q(x) :- Professor(x)", method="perfectref-sqlite")
     assert got == expected
@@ -481,7 +465,7 @@ def test_unfolding_past_the_compound_select_limit_is_chunked():
         ]
     )
     naive = OBDASystem(TBOX, mappings, database, use_planner=False)
-    sqlite = OBDASystem(TBOX, mappings, database, backend="sqlite")
+    sqlite = OBDASystem(TBOX, mappings, database)
     query = "q(x) :- Professor(x)"
     expected = naive.certain_answers(query, method="perfectref-sql")
     assert len(expected) == 1040
@@ -502,7 +486,7 @@ def test_empty_unfolding_returns_empty_set():
 
 def test_single_statement_is_shipped():
     database, mappings = _campus()
-    system = OBDASystem(TBOX, mappings, database, backend="sqlite")
+    system = OBDASystem(TBOX, mappings, database)
     system.certain_answers("q(x) :- Teacher(x)", method="perfectref-sqlite")
     report = system.last_backend_report()
     assert report is not None
@@ -582,7 +566,7 @@ def test_retry_wrapped_database_is_used_for_table_access():
     from repro.runtime.retry import RetryPolicy
 
     database, mappings = _campus()
-    system = OBDASystem(TBOX, mappings, database, backend="sqlite")
+    system = OBDASystem(TBOX, mappings, database)
     answers = system.certain_answers(
         "q(x) :- Teacher(x)",
         method="perfectref-sqlite",

@@ -5,11 +5,12 @@ import time
 import pytest
 
 from repro.errors import TimeoutExceeded
-from repro.util import Stopwatch, format_millis
+from repro.runtime import Budget
+from repro.util import format_millis
 
 
 def test_stopwatch_elapsed_monotone():
-    watch = Stopwatch()
+    watch = Budget()
     first = watch.elapsed_s
     second = watch.elapsed_s
     assert second >= first >= 0
@@ -17,26 +18,26 @@ def test_stopwatch_elapsed_monotone():
 
 
 def test_stopwatch_restart():
-    watch = Stopwatch()
+    watch = Budget()
     time.sleep(0.01)
     watch.restart()
     assert watch.elapsed_s < 0.01
 
 
 def test_budget_check():
-    watch = Stopwatch(budget_s=1000)
-    watch.check_budget()  # well within budget
-    tight = Stopwatch(budget_s=0.0)
+    watch = Budget(budget_s=1000)
+    watch.check()  # well within budget
+    tight = Budget(budget_s=0.0)
     time.sleep(0.001)
     with pytest.raises(TimeoutExceeded) as info:
-        tight.check_budget()
+        tight.check()
     assert info.value.budget_s == 0.0
     assert info.value.elapsed_s > 0
 
 
 def test_no_budget_never_raises():
-    watch = Stopwatch()
-    watch.check_budget()
+    watch = Budget()
+    watch.check()
 
 
 def test_format_millis_matches_figure1_style():
