@@ -11,44 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-#: Default round discipline for timed entries: enough rounds for a
-#: meaningful mean/stddev, one untimed warmup round to absorb first-call
-#: effects (imports, allocator warmup) before measurement starts.
-ROUNDS = 5
-WARMUP_ROUNDS = 1
-
 
 @lru_cache(maxsize=8)
 def corpus_tbox(name: str, scale: float = 1.0):
     from repro.corpus import load_profile
 
     return load_profile(name, scale=scale)
-
-
-def timed_certain_answers(
-    benchmark,
-    system,
-    query: str,
-    method: str,
-    rounds: int = ROUNDS,
-    warmup_rounds: int = WARMUP_ROUNDS,
-):
-    """Benchmark one certain-answer computation, cold on every round.
-
-    The system's caches (answers, rewriting, unfolding, classification,
-    and the sqlite replica when one exists) are invalidated in the
-    per-round *setup* hook — outside the timed region — so each round
-    measures the full cold pipeline instead of an answer-cache hit, and
-    the reported mean/stddev describe real repeated work.
-    """
-
-    def setup():
-        system.invalidate_caches()
-
-    return benchmark.pedantic(
-        lambda: system.certain_answers(query, method=method, check_consistency=False),
-        setup=setup,
-        rounds=rounds,
-        iterations=1,
-        warmup_rounds=warmup_rounds,
-    )

@@ -15,9 +15,6 @@ Subcommands cover the workflow steps of the paper's methodology (§3):
   declarations);
 * ``corpus`` — materialize one of the Figure 1 benchmark ontologies;
 * ``figure1`` — run the full Figure 1 grid (same as ``python -m repro.figure1``);
-* ``perf-report`` — answer a seeded corpus workload cold then warm and
-  report cache hit rates, pruning shrinkage and the warm-path speedup
-  (``--check`` fails the build on cache regressions);
 * ``explain`` — answer one query with tracing on and print the nested
   span tree (classify → rewrite → unfold → sql-eval) with per-span wall
   times, cache outcomes and the metrics snapshot (``--json`` exports the
@@ -418,44 +415,13 @@ def _cmd_resilience(args) -> int:
     return 0
 
 
-def _cmd_perf_report(args) -> int:
-    """Measure the hot-path caches on a seeded corpus workload.
-
-    Exit 0 iff the report is healthy (``--check``: non-zero on a cold
-    warm path, a warm pass slower than cold, or incoherent answers).
-    """
-    import json
-
-    from .perf.report import check_report, format_report, run_perf_report
-
-    report = run_perf_report(
-        profile=args.profile,
-        scale=args.scale,
-        seed=args.seed,
-        queries=args.queries,
-        repeats=args.repeats,
-        method=args.method,
-        budget=args.budget,
-    )
-    if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True))
-        print(f"wrote {args.json}")
-    print(format_report(report))
-    if args.check:
-        failures = check_report(report)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
-
-
 def _cmd_explain(args) -> int:
     """Trace one query end-to-end and print the span tree.
 
     The ontology comes from a file (positional) or a corpus profile
-    (``--profile``); the data side is synthesized exactly like
-    ``perf-report``.  Exit 0 iff the run completed (with ``--check``,
-    also iff the exported JSON-lines validate structurally).
+    (``--profile``); the data side is a seeded random ABox lowered
+    through direct GAV mappings.  Exit 0 iff the run completed (with
+    ``--check``, also iff the exported JSON-lines validate structurally).
     """
     from .obs.explain import explain_jsonlines, render_explain, run_explain
     from .obs.schema import validate_trace_lines
@@ -724,41 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=float, help="overall time budget in seconds"
     )
     resilience.set_defaults(handler=_cmd_resilience)
-
-    perf_report = commands.add_parser(
-        "perf-report",
-        help="measure the hot-path caches: cold vs warm pass on a seeded "
-        "corpus workload, with hit rates and pruning statistics",
-    )
-    perf_report.add_argument(
-        "--profile", default="Mouse", help="Figure 1 corpus ontology name"
-    )
-    perf_report.add_argument(
-        "--scale", type=float, default=0.25, help="corpus profile scale factor"
-    )
-    perf_report.add_argument(
-        "--seed", type=int, default=7, help="workload seed (fully deterministic)"
-    )
-    perf_report.add_argument(
-        "--queries", type=int, default=6, help="queries in the workload batch"
-    )
-    perf_report.add_argument(
-        "--repeats", type=int, default=3, help="warm passes (fastest is reported)"
-    )
-    perf_report.add_argument(
-        "--method", choices=["perfectref", "presto"], default="perfectref"
-    )
-    perf_report.add_argument(
-        "--budget", type=float, help="per-query time budget in seconds"
-    )
-    perf_report.add_argument("--json", help="also write the full report as JSON here")
-    perf_report.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if the warm path shows no cache hits, is slower "
-        "than the cold path, or diverges from cold answers",
-    )
-    perf_report.set_defaults(handler=_cmd_perf_report)
 
     conformance = commands.add_parser(
         "conformance",

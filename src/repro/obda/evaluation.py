@@ -369,8 +369,8 @@ class MappingExtents(ExtentProvider):
         self.database = database
         self._cache: Dict[str, _Entry] = {}
         #: full pulls through the mappings (first use, or a refresh that
-        #: could not take a delta); the regression tests and perf-report
-        #: read this.
+        #: could not take a delta); the regression tests and
+        #: ``cache_stats()["extents"]`` read this.
         self.pulls = 0
         #: refreshes that evaluated a source over appended rows only
         self.delta_pulls = 0

@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...errors import MappingError
 from ...obs.metrics import global_metrics
+from ...obs.trace import current_tracer
 from ...runtime.budget import Budget
 from .algebra import (
     Condition,
@@ -398,7 +399,6 @@ class SqliteBackend:
         cursor.execute("PRAGMA cache_size = -65536")
         self._loaded: Dict[str, _LoadState] = {}
         self._compiled = weakref.WeakKeyDictionary()
-        self._statement_stamps: Dict[str, int] = {}
         self._stats = {
             "statement_hits": 0,
             "statement_misses": 0,
@@ -407,7 +407,6 @@ class SqliteBackend:
             "rows_shipped": 0,
             "executions": 0,
         }
-        self._last_report: Optional[Dict[str, object]] = None
         self._closed = False
 
     # -- loading -----------------------------------------------------------------
@@ -455,7 +454,7 @@ class SqliteBackend:
     ) -> Dict[str, int]:
         """Materialize (or delta-refresh) every referenced table.
 
-        Returns rows shipped per table for the execution report.  The
+        Returns rows shipped per table for the ``backend-load`` span.  The
         generation is captured *before* the row snapshot: rows appended
         mid-copy are shipped now and re-offered as a (empty-prefix)
         delta when the moved generation is observed on the next call —
@@ -583,102 +582,84 @@ class SqliteBackend:
 
         *database* may be a retry-wrapped view of the bound database;
         table resolution (the source access path) goes through it.
+
+        Runs in a ``backend-exec`` span carrying the part count, the
+        statement-cache outcome, the rows fetched and, under an enabled
+        tracer, the SQL text; its ``backend-load`` child covers the
+        replica refresh and carries the rows shipped per table.
         """
-        if budget is not None:
-            budget.check()
         metrics = global_metrics()
-        if not unfolded.parts:
-            self._last_report = {
-                "backend": self.name,
-                "sql": "-- empty rewriting: no mapping matches the query",
-                "parts": 0,
-                "rows_fetched": 0,
-                "answers": 0,
-                "tables": {},
-                "load_s": 0.0,
-                "execute_s": 0.0,
-                "statement_cache": "empty",
-            }
-            return set()
-        view = database if database is not None else self.database
-        with self._lock:
-            if self._closed:
-                raise MappingError("sqlite backend is closed")
-            compiled = self._compiled.get(unfolded)
-            if compiled is None:
-                compiled = self._compile(unfolded, view)
-                self._compiled[unfolded] = compiled
-                self._stats["statement_misses"] += 1
-                metrics.counter("backend.sqlite.statement_misses").inc()
-                cache_state = "miss"
-            else:
-                # Revalidate the snapshot through the caller's (possibly
-                # retry-wrapped) access path before reusing the statement.
-                for name in compiled.tables:
-                    compiled.tables[name] = view.table(name)
-                self._stats["statement_hits"] += 1
-                metrics.counter("backend.sqlite.statement_hits").inc()
-                cache_state = "hit"
-            load_started = time.perf_counter()
-            shipped = self._ensure_loaded(compiled.tables, budget)
-            load_s = time.perf_counter() - load_started
-            generation_stamp = sum(
-                state.generation for state in self._loaded.values()
-            )
-            self._statement_stamps[compiled.sql] = generation_stamp
-            if len(self._statement_stamps) > 128:
-                self._statement_stamps.pop(next(iter(self._statement_stamps)))
-            handler_installed = False
-            if budget is not None and budget.deadline is not None:
-                self._connection.set_progress_handler(
-                    lambda: 1 if budget.expired() else 0, self.progress_stride
-                )
-                handler_installed = True
-            execute_started = time.perf_counter()
-            try:
-                rows = []
-                for sql, params in compiled.statements:
-                    rows.extend(self._connection.execute(sql, params).fetchall())
-            except sqlite3.OperationalError as exc:
-                if budget is not None and budget.expired():
-                    metrics.counter("backend.sqlite.budget_aborts").inc()
-                    budget.check()  # raises the canonical TimeoutExceeded
-                raise MappingError(f"sqlite backend error: {exc}") from exc
-            finally:
-                if handler_installed:
-                    self._connection.set_progress_handler(None, 0)
-            execute_s = time.perf_counter() - execute_started
-        answers: Set[Tuple] = set()
-        assemblers = compiled.assemblers
-        for row in rows:
+        tracer = current_tracer()
+        with tracer.span("backend-exec") as span:
+            span.annotate(backend=self.name, parts=len(unfolded.parts))
             if budget is not None:
-                budget.tick(stride=2048)
-            answers.add(assemblers[row[-1]](row))
-        with self._lock:
-            self._stats["executions"] += 1
-        metrics.counter("backend.sqlite.executions").inc()
-        metrics.histogram("backend.sqlite.execute_s").observe(execute_s)
-        metrics.histogram("backend.sqlite.load_s").observe(load_s)
-        self._last_report = {
-            "backend": self.name,
-            "sql": compiled.sql,
-            "parts": len(compiled.assemblers),
-            "rows_fetched": len(rows),
-            "answers": len(answers),
-            "tables": shipped,
-            "load_s": round(load_s, 6),
-            "execute_s": round(execute_s, 6),
-            "statement_cache": cache_state,
-            "generation_stamp": generation_stamp,
-        }
-        return answers
+                budget.check()
+            if not unfolded.parts:
+                span.annotate(statement_cache="empty", rows_fetched=0, answers=0)
+                return set()
+            view = database if database is not None else self.database
+            with self._lock:
+                if self._closed:
+                    raise MappingError("sqlite backend is closed")
+                compiled = self._compiled.get(unfolded)
+                if compiled is None:
+                    compiled = self._compile(unfolded, view)
+                    self._compiled[unfolded] = compiled
+                    self._stats["statement_misses"] += 1
+                    metrics.counter("backend.sqlite.statement_misses").inc()
+                    span.set("statement_cache", "miss")
+                else:
+                    # Revalidate the snapshot through the caller's (possibly
+                    # retry-wrapped) access path before reusing the statement.
+                    for name in compiled.tables:
+                        compiled.tables[name] = view.table(name)
+                    self._stats["statement_hits"] += 1
+                    metrics.counter("backend.sqlite.statement_hits").inc()
+                    span.set("statement_cache", "hit")
+                if tracer.enabled:
+                    span.set("sql", compiled.sql)
+                load_started = time.perf_counter()
+                with tracer.span("backend-load") as load_span:
+                    shipped = self._ensure_loaded(compiled.tables, budget)
+                    load_span.set("rows_shipped", shipped)
+                load_s = time.perf_counter() - load_started
+                handler_installed = False
+                if budget is not None and budget.deadline is not None:
+                    self._connection.set_progress_handler(
+                        lambda: 1 if budget.expired() else 0, self.progress_stride
+                    )
+                    handler_installed = True
+                execute_started = time.perf_counter()
+                try:
+                    rows = []
+                    for sql, params in compiled.statements:
+                        rows.extend(
+                            self._connection.execute(sql, params).fetchall()
+                        )
+                except sqlite3.OperationalError as exc:
+                    if budget is not None and budget.expired():
+                        metrics.counter("backend.sqlite.budget_aborts").inc()
+                        budget.check()  # raises the canonical TimeoutExceeded
+                    raise MappingError(f"sqlite backend error: {exc}") from exc
+                finally:
+                    if handler_installed:
+                        self._connection.set_progress_handler(None, 0)
+                execute_s = time.perf_counter() - execute_started
+            answers: Set[Tuple] = set()
+            assemblers = compiled.assemblers
+            for row in rows:
+                if budget is not None:
+                    budget.tick(stride=2048)
+                answers.add(assemblers[row[-1]](row))
+            with self._lock:
+                self._stats["executions"] += 1
+            metrics.counter("backend.sqlite.executions").inc()
+            metrics.histogram("backend.sqlite.execute_s").observe(execute_s)
+            metrics.histogram("backend.sqlite.load_s").observe(load_s)
+            span.annotate(rows_fetched=len(rows), answers=len(answers))
+            return answers
 
     # -- introspection -----------------------------------------------------------
-
-    def last_report(self) -> Optional[Dict[str, object]]:
-        """Load/execute profile of the most recent pushed-down query."""
-        with self._lock:
-            return dict(self._last_report) if self._last_report else None
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -4,8 +4,8 @@ The unfolder (:mod:`repro.obda.rewriting.unfolding`) emits each UCQ
 disjunct as ``Projection(Selection(Join(... Rename(source) ...)))`` with
 *every* join condition parked in the top selection and ``on=()`` on the
 joins — semantically fine, but the naive evaluator then materializes the
-full cross product of the sources before filtering (the measured ~50x
-gap between the SQL path and KB mode in BENCH_obda_pipeline.json).
+full cross product of the sources before filtering (a ~50x gap between
+the SQL path and KB mode when the planner was introduced).
 
 :class:`Planner` turns such a tree into an executable :class:`PlanNode`
 tree instead:

@@ -15,10 +15,13 @@ Query answering methods:
 * ``"perfectref-sql"`` — same rewriting, but *unfolded* into source-level
   SQL algebra and executed by the relational engine (the textbook OBDA
   pipeline);
+* ``"perfectref-sqlite"`` — same unfolding, but pushed down as SQL
+  statements to a SQLite replica of the sources
+  (:mod:`repro.obda.sql.backends`);
 * ``"presto"`` — classification-driven datalog rewriting (the paper's
   motivation for fast classification), evaluated over virtual extents.
 
-All three return the same certain answers; the test-suite asserts it.
+All four return the same certain answers; the test-suite asserts it.
 
 Consistency checking follows the standard reduction: every negative
 inclusion becomes a boolean violation query (rewritten, so inferred
@@ -153,7 +156,7 @@ class OBDASystem:
         #: down to (repro.obda.sql.backends); None keeps it in memory
         self._backend_path = backend_path
         #: guards the system's own mutable state (classification slot,
-        #: generation snapshot, consistency verdicts, pruning counters,
+        #: generation snapshot, consistency verdicts, planner counters,
         #: shared-extent construction).  Never held while classifying,
         #: rewriting or evaluating — only around bookkeeping — so it
         #: cannot participate in a lock cycle (see DESIGN.md).
@@ -188,8 +191,6 @@ class OBDASystem:
             self._answer_cache = None
             self._datalog_extents = None
             self._consistency_cache = None
-        #: cumulative subsumption-pruning counters (see repro.perf.prune)
-        self.pruning_stats: Dict[str, int] = {"before": 0, "after": 0, "rewrites": 0}
         #: cumulative planner counters (planned queries, constraint-pruned
         #: disjuncts); the plan of the most recent planned query is kept
         #: for `repro explain` / last_plan_report()
@@ -242,6 +243,8 @@ class OBDASystem:
             self._consistency_rewritings = {}
             if self._shared_extents is not None:
                 self._shared_extents.invalidate()
+            if self._statistics_catalog is not None:
+                self._statistics_catalog.invalidate()
             if self._constraints is not None:
                 self._constraints.extents.invalidate()
             if self._sql_backend is not None:
@@ -264,7 +267,6 @@ class OBDASystem:
             "answers": self._answer_cache.stats.to_dict(),
         }
         with self._lock:
-            stats["pruning"] = dict(self.pruning_stats)
             stats["planner"] = dict(self.planner_stats)
         provider = self._shared_extents
         if isinstance(provider, MappingExtents):
@@ -300,12 +302,6 @@ class OBDASystem:
                     self.database, path=self._backend_path
                 )
             return self._sql_backend
-
-    def last_backend_report(self) -> Optional[Dict[str, object]]:
-        """Load/execute profile of the most recent pushed-down query."""
-        with self._lock:
-            backend = self._sql_backend
-        return backend.last_report() if backend is not None else None
 
     def _planner_constraints(self) -> Optional[ExtensionalConstraints]:
         if self.mappings is None:
@@ -419,8 +415,8 @@ class OBDASystem:
         variables, reordered atoms or disjuncts) share one entry.
         PerfectRef outputs additionally get subsumption-pruned
         (:func:`repro.perf.prune.prune_ucq`) before caching, shrinking the
-        join work and the rendered SQL; the before/after disjunct counts
-        accumulate in ``pruning_stats``.
+        join work and the rendered SQL; the ``rewrite`` span records the
+        before/after disjunct counts.
 
         Only *completed* rewritings enter the cache, so a budget abort
         never poisons it.
@@ -464,10 +460,6 @@ class OBDASystem:
 
                 raw = perfect_ref(ucq, self.tbox, minimize=False, budget=budget)
                 pruned = prune_ucq(raw)
-                with self._lock:  # read-modify-write of shared counters
-                    self.pruning_stats["before"] += pruned.before
-                    self.pruning_stats["after"] += pruned.after
-                    self.pruning_stats["rewrites"] += 1
                 rewritten = pruned.ucq
                 span.annotate(
                     disjuncts_before_pruning=pruned.before,
@@ -721,23 +713,11 @@ class OBDASystem:
                     span.set("cache", "hit")
                 span.set("sql_parts", unfolded.size)
             if engine == "sqlite":
-                with tracer.span("backend-exec") as span:
-                    span.set("backend", backend.name)
-                    answers = backend.execute_unfolded(
-                        unfolded,
-                        budget=context.scoped(f"sql:{label}"),
-                        database=context.wrap_database(self.database),
-                    )
-                    if tracer.enabled:
-                        report = backend.last_report() or {}
-                        span.annotate(
-                            parts=report.get("parts"),
-                            rows_fetched=report.get("rows_fetched"),
-                            load_s=report.get("load_s"),
-                            execute_s=report.get("execute_s"),
-                            statement_cache=report.get("statement_cache"),
-                        )
-                    span.set("answers", len(answers))
+                answers = backend.execute_unfolded(
+                    unfolded,
+                    budget=context.scoped(f"sql:{label}"),
+                    database=context.wrap_database(self.database),
+                )
             else:
                 with tracer.span("plan") as span:
                     planned = PlannedQuery.from_unfolded(

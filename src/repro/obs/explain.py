@@ -4,14 +4,16 @@
 tracing on and show every stage the pipeline actually executed —
 classification (and whether it came from the shared cache), rewriting
 (with disjunct counts before/after subsumption pruning), unfolding (SQL
-parts), evaluation (extent pulls, index builds, answers) — with per-span
-wall times, statuses, and the process metrics snapshot.
+parts), evaluation (extent pulls, index builds, answers), the sqlite
+pushdown (SQL text, statement cache, rows shipped, load and execute
+times, all read from its ``backend-exec`` and ``backend-load`` spans) —
+with per-span wall times, statuses, and the process metrics snapshot.
 
-The data side is synthesized exactly like ``repro perf-report``: a
-seeded random ABox over the ontology's signature, lowered through direct
-GAV mappings into relational tables.  That makes ``explain`` work on
-*any* ontology file (or corpus profile) without hand-written mappings,
-while still exercising the real unfold → SQL path.
+The data side is synthesized: a seeded random ABox over the ontology's
+signature, lowered through direct GAV mappings into relational tables.
+That makes ``explain`` work on *any* ontology file (or corpus profile)
+without hand-written mappings, while still exercising the real unfold →
+SQL path.
 
 :func:`run_explain` returns an :class:`ExplainReport`;
 :func:`render_explain` renders it for humans and
@@ -51,9 +53,6 @@ class ExplainReport:
     #: the cost-based plan (estimated vs actual per operator) when the
     #: planned perfectref-sql path ran; see OBDASystem.last_plan_report
     plan: Optional[Dict[str, Any]] = None
-    #: the pushdown execution report (SQL, load/execute timings, statement
-    #: cache) when the sqlite backend ran; see OBDASystem.last_backend_report
-    backend: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -137,8 +136,6 @@ def run_explain(
                 root.set("answers", len(answers))
                 if method == "perfectref-sql":
                     report.plan = system.last_plan_report()
-                elif method == "perfectref-sqlite":
-                    report.backend = system.last_backend_report()
             except TimeoutExceeded as error:
                 report.status, report.detail = "timeout", str(error)
                 root.set_status("timeout", str(error))
@@ -172,8 +169,12 @@ def render_explain(report: ExplainReport, metrics: bool = True) -> str:
         )
         for text_line in str(report.plan.get("text", "")).splitlines():
             lines.append(f"  {text_line}")
-    if report.backend is not None:
-        info = report.backend
+    pushdowns = [span for span in report.tracer.spans if span.name == "backend-exec"]
+    if pushdowns:
+        # execute is the backend-exec span's time outside its backend-load
+        info = pushdowns[-1].attributes
+        loads = [c for c in pushdowns[-1].children if c.name == "backend-load"]
+        load_s = loads[0].elapsed_s if loads else 0.0
         lines.append("")
         lines.append(
             f"pushdown backend ({info.get('backend', '?')}): "
@@ -182,10 +183,10 @@ def render_explain(report: ExplainReport, metrics: bool = True) -> str:
             f"statement cache {info.get('statement_cache', '?')}"
         )
         lines.append(
-            f"  load {float(info.get('load_s', 0.0)) * 1000:.1f}ms, "
-            f"execute {float(info.get('execute_s', 0.0)) * 1000:.1f}ms"
+            f"  load {load_s * 1000:.1f}ms, "
+            f"execute {(pushdowns[-1].elapsed_s - load_s) * 1000:.1f}ms"
         )
-        tables = info.get("tables") or {}
+        tables = loads[0].attributes.get("rows_shipped") if loads else None
         if tables:
             shipped = ", ".join(
                 f"{name}+{count}" for name, count in sorted(tables.items())
@@ -235,7 +236,6 @@ def explain_records(report: ExplainReport) -> List[Dict[str, Any]]:
             "answers": report.answers,
             "fallback": report.fallback,
             "plan": report.plan,
-            "backend": report.backend,
             "spans": len(report.tracer.spans),
         }
     ]

@@ -22,7 +22,8 @@ Instrumented library code never takes a tracer parameter; it asks
 :func:`current_tracer` — which defaults to the :data:`NULL_TRACER`
 singleton whose spans are a single shared no-op object, so the
 uninstrumented hot path allocates nothing and pays only a global read
-and an empty method call per stage (the perf-smoke job guards this).
+and an empty method call per stage
+(``test_null_tracer_is_the_default_and_allocation_free`` pins this).
 Tracing is opted into with :func:`use_tracer`::
 
     tracer = Tracer("my-query")
@@ -275,7 +276,7 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """The default tracer: every span is the one shared no-op object.
 
-    The no-overhead contract (asserted by the perf-smoke job): with the
+    The no-overhead contract (asserted by the tier-1 suite): with the
     NullTracer installed, instrumented code allocates **no span
     objects** — ``span()`` returns the module-level :data:`_NULL_SPAN`
     singleton, whose enter/exit/set methods are empty.
@@ -341,6 +342,8 @@ def _format_attributes(attributes: Dict[str, Any]) -> str:
         value = attributes[key]
         if isinstance(value, float):
             value = round(value, 4)
+        elif isinstance(value, str) and ("\n" in value or len(value) > 80):
+            value = f"<{len(value)} chars>"  # keep the tree one line per span
         parts.append(f"{key}={value}")
     return "  [" + " ".join(parts) + "]"
 

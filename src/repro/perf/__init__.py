@@ -1,4 +1,4 @@
-"""Hot-path performance layer: fingerprints, caches, pruning, reporting.
+"""Hot-path performance layer: fingerprints, caches and pruning.
 
 The paper's whole pitch is *efficiency* — classification exists so that
 rewriting-based query answering is fast enough for practice.  This
@@ -13,10 +13,7 @@ package supplies the machinery that makes repeated work free:
   unfolding and answer cache entries;
 * :mod:`~repro.perf.prune` — subsumption pruning of rewriting outputs
   (drop disjuncts another disjunct maps into homomorphically), with
-  before/after statistics;
-* :mod:`~repro.perf.report` — the ``repro perf-report`` harness: a
-  seeded corpus workload answered cold, then warm, with cache statistics
-  and machine-checkable regression conditions.
+  before/after statistics.
 
 :class:`~repro.obda.system.OBDASystem` turns all of this on by default;
 pass ``enable_caches=False`` to opt out.

@@ -122,9 +122,6 @@ class CacheStats:
             "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
         }
 
-    #: Backward-compatible spelling kept for pre-observability callers.
-    as_dict = to_dict
-
     def __str__(self) -> str:
         return format_stats_line(self.to_dict())
 
@@ -132,9 +129,8 @@ class CacheStats:
 def format_stats_line(stats: Mapping[str, object]) -> str:
     """The one canonical rendering of a cache-stats dict.
 
-    Shared by ``CacheStats.__str__``, ``repro perf-report`` and the
-    ``repro explain`` metrics section, so every surface prints cache
-    statistics identically.
+    Shared by ``CacheStats.__str__`` and the ``repro explain`` metrics
+    section, so every surface prints cache statistics identically.
     """
     hits = int(stats.get("hits", 0))
     lookups = hits + int(stats.get("misses", 0))

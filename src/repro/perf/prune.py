@@ -12,7 +12,8 @@ shortest-first keeper loop, with its predicate-set prefilter (a keeper
 can only map into a disjunct whose predicate set contains the keeper's,
 so hopeless pairs never enter the exponential matcher) — plus a
 :class:`PruneResult` carrying before/after disjunct counts, which the
-perf-report harness and ``BENCH_perf.json`` surface.
+``rewrite`` span records as ``disjuncts_before_pruning`` and
+``disjuncts_after_pruning``.
 """
 
 from __future__ import annotations

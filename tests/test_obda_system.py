@@ -175,3 +175,51 @@ def test_rewrite_only_api(university):
     assert datalog.rules
     with pytest.raises(ReproError):
         university.rewrite("q(x) :- Person(x)", method="nope")
+
+
+def test_invalidate_caches_reaches_the_planner_statistics():
+    # Rows replaced in place leave the generation counters unchanged, so
+    # only invalidate_caches() can tell the system; the planner's shared
+    # index on teaching[0] must be dropped with the other caches.
+    tbox = parse_tbox("role hasRole\nrole teaches")
+    db = Database("campus")
+    staff = db.create_table("staff", ["id", "role"], [(1, "dean"), (2, "tutor")])
+    teaching = db.create_table("teaching", ["sid", "course"], [(1, "c1"), (2, "c2")])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT * FROM staff",
+                [
+                    TargetAtom(
+                        AtomicRole("hasRole"),
+                        (IriTemplate("p/{id}"), IriTemplate("r/{role}")),
+                    )
+                ],
+            ),
+            MappingAssertion(
+                "SELECT * FROM teaching",
+                [
+                    TargetAtom(
+                        AtomicRole("teaches"),
+                        (IriTemplate("p/{sid}"), IriTemplate("c/{course}")),
+                    )
+                ],
+            ),
+        ]
+    )
+    system = OBDASystem(tbox, mappings=mappings, database=db)
+    naive = OBDASystem(tbox, mappings=mappings, database=db, use_planner=False)
+    query = "q(x, c) :- hasRole(x, r), teaches(x, c)"
+    paths = [(system, method) for method in METHODS + ("perfectref-sqlite",)]
+    paths.append((naive, "perfectref-sql"))
+    for answering, method in paths:
+        assert len(answering.certain_answers(query, method=method)) == 2, method
+    system.certain_answers(query, method="perfectref-sql")
+    assert "via index teaching[0]" in system.last_plan_report()["text"]
+    staff.rows[:] = [(9, "r9")]
+    teaching.rows[:] = [(9, "c9")]
+    system.invalidate_caches()
+    naive.invalidate_caches()
+    expected = {(Individual("p/9"), Individual("c/c9"))}
+    for answering, method in paths:
+        assert answering.certain_answers(query, method=method) == expected, method

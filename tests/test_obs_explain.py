@@ -88,16 +88,27 @@ def test_explain_surfaces_the_sqlite_backend(university):
     )
     assert report.ok
     assert report.answers > 0
-    assert report.backend is not None
-    assert report.backend["backend"] == "sqlite"
-    assert report.backend["parts"] >= 1
-    assert "SELECT" in report.backend["sql"]
-    names = [span.name for span in report.tracer.spans]
-    assert "backend-exec" in names
+    (pushdown,) = [s for s in report.tracer.spans if s.name == "backend-exec"]
+    assert pushdown.attributes["backend"] == "sqlite"
+    assert pushdown.attributes["parts"] >= 1
+    assert pushdown.attributes["statement_cache"] == "miss"
+    assert pushdown.attributes["rows_fetched"] >= report.answers
+    assert "SELECT" in pushdown.attributes["sql"]
+    (load,) = pushdown.children
+    assert load.name == "backend-load"
+    shipped = load.attributes["rows_shipped"]
+    assert shipped and all(count > 0 for count in shipped.values())
     rendered = render_explain(report)
     assert "pushdown backend (sqlite)" in rendered
-    header = json.loads(explain_jsonlines(report).splitlines()[0])
-    assert header["backend"]["backend"] == "sqlite"
+    assert "statement cache miss" in rendered
+    assert "load " in rendered and "execute " in rendered
+    assert "rows shipped: " in rendered
+    assert "  | SELECT" in rendered
+    # the SQL text is printed below the tree, not inline on its span
+    assert "sql=<" in rendered
+    spans = [json.loads(line) for line in explain_jsonlines(report).splitlines()]
+    exported = [r for r in spans if r.get("name") == "backend-exec"]
+    assert exported[0]["attributes"]["sql"] == pushdown.attributes["sql"]
     assert validate_trace_lines(explain_jsonlines(report)) == []
 
 

@@ -23,6 +23,7 @@ from repro.obda.rewriting.perfectref import perfect_ref
 from repro.perf import LRUCache, cq_key, prune_ucq, ucq_key
 from repro.testkit.generators import (
     FuzzProfile,
+    direct_mapping_system,
     random_abox,
     random_profile_tbox,
     random_queries,
@@ -149,3 +150,30 @@ def test_pruning_never_changes_certain_answers():
             pruned = prune_ucq(raw)
             assert pruned.after <= pruned.before
             assert evaluate_ucq(pruned.ucq, extents) == evaluate_ucq(raw, extents)
+
+
+# -- warm path ----------------------------------------------------------------
+
+
+def test_warm_batch_is_served_by_the_caches_and_matches_cold():
+    from repro.corpus import load_profile
+
+    tbox = load_profile("Mouse", scale=0.1)
+    rng = random.Random(7)
+    sizes = FuzzProfile(max_individuals=40, max_assertions=200, max_queries=3)
+    system = direct_mapping_system(tbox, random_abox(rng, tbox, profile=sizes))
+    batch = []
+    while len(batch) < 3:
+        batch.extend(random_queries(rng, tbox, sizes))
+    batch = batch[:3]
+    cold = [system.certain_answers(query) for query in batch]
+    hits = system.cache_stats()["answers"]["hits"]
+    warm = [system.certain_answers(query) for query in batch]
+    assert warm == cold
+    assert system.cache_stats()["answers"]["hits"] == hits + len(batch)
+    # the answer cache served the warm pass before rewriting was asked;
+    # the rewrite-only entry point must hit the rewriting cache
+    rewriting_hits = system.cache_stats()["rewriting"]["hits"]
+    for query in batch:
+        system.rewrite(query)
+    assert system.cache_stats()["rewriting"]["hits"] == rewriting_hits + len(batch)

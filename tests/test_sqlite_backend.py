@@ -28,6 +28,7 @@ from repro.obda.rewriting.unfolding import unfold
 from repro.obda.sql.backends import SqliteBackend, _decode_raw, _encode_cell
 from repro.obda.sql.database import Database
 from repro.obda.system import OBDASystem
+from repro.obs.trace import Tracer, use_tracer
 from repro.runtime.budget import Budget
 
 TBOX = parse_tbox(
@@ -348,6 +349,14 @@ def test_closed_backend_raises():
 # -- statement cache -----------------------------------------------------------
 
 
+def _pushdown(tracer):
+    """The one ``backend-exec`` span of *tracer* and its ``backend-load``."""
+    (span,) = [span for span in tracer.spans if span.name == "backend-exec"]
+    (load,) = span.children
+    assert load.name == "backend-load"
+    return span, load
+
+
 def test_statement_cache_hits_on_requery():
     database, mappings = _campus()
     system = OBDASystem(TBOX, mappings, database)
@@ -355,11 +364,16 @@ def test_statement_cache_hits_on_requery():
     unfolded = unfold(ucq, mappings)
     backend = system.sql_backend()
     first = backend.execute_unfolded(unfolded)
-    assert backend.stats()["statement_misses"] >= 1
-    second = backend.execute_unfolded(unfolded)
+    assert backend.stats()["statement_misses"] == 1
+    tracer = Tracer("requery")
+    with use_tracer(tracer):
+        second = backend.execute_unfolded(unfolded)
     assert first == second
-    assert backend.stats()["statement_hits"] >= 1
-    assert backend.last_report()["statement_cache"] == "hit"
+    assert backend.stats()["statement_hits"] == 1
+    span, load = _pushdown(tracer)
+    assert span.attributes["statement_cache"] == "hit"
+    assert span.attributes["sql"] == backend.sql_for(unfolded)
+    assert set(load.attributes["rows_shipped"].values()) == {0}
 
 
 def test_statement_cache_revalidates_generation():
@@ -370,11 +384,12 @@ def test_statement_cache_revalidates_generation():
     )
     unfolded = unfold(ucq, mappings)
     before = backend.execute_unfolded(unfolded)
-    stamp_before = backend.last_report()["generation_stamp"]
+    stats = backend.stats()
     database["staff"].insert((42, "prof"))
     after = backend.execute_unfolded(unfolded)
-    assert backend.last_report()["statement_cache"] == "hit"
-    assert backend.last_report()["generation_stamp"] > stamp_before
+    grown = backend.stats()
+    for key in ("statement_hits", "delta_loads", "rows_shipped"):
+        assert grown[key] == stats[key] + 1, key
     assert after == before | {(Individual("person/42"),)}
 
 
@@ -470,9 +485,9 @@ def test_unfolding_past_the_compound_select_limit_is_chunked():
     expected = naive.certain_answers(query, method="perfectref-sql")
     assert len(expected) == 1040
     assert sqlite.certain_answers(query, method="perfectref-sqlite") == expected
-    report = sqlite.last_backend_report()
-    assert report["parts"] == 520
-    assert report["sql"].count(";\n") == 1  # two statements
+    unfolded = unfold(sqlite.rewrite(parse_query(query)), mappings)
+    assert unfolded.size == 520
+    assert sqlite.sql_backend().sql_for(unfolded).count(";\n") == 1  # two statements
 
 
 def test_empty_unfolding_returns_empty_set():
@@ -481,17 +496,28 @@ def test_empty_unfolding_returns_empty_set():
     ucq = parse_query("q(x) :- Unmapped(x)")
     unfolded = unfold(ucq, mappings)
     assert unfolded.size == 0
-    assert backend.execute_unfolded(unfolded) == set()
+    tracer = Tracer("empty")
+    with use_tracer(tracer):
+        assert backend.execute_unfolded(unfolded) == set()
+    (span,) = tracer.spans  # nothing to load
+    assert span.attributes["statement_cache"] == "empty"
+    assert backend.stats()["executions"] == 0
 
 
 def test_single_statement_is_shipped():
     database, mappings = _campus()
     system = OBDASystem(TBOX, mappings, database)
-    system.certain_answers("q(x) :- Teacher(x)", method="perfectref-sqlite")
-    report = system.last_backend_report()
-    assert report is not None
-    assert report["parts"] >= 3  # Professor, Lecturer, exists-teaches disjuncts
-    assert report["sql"].count("UNION") == report["parts"] - 1
+    tracer = Tracer("teachers")
+    with use_tracer(tracer):
+        answers = system.certain_answers("q(x) :- Teacher(x)", method="perfectref-sqlite")
+    span, load = _pushdown(tracer)
+    parts = span.attributes["parts"]
+    assert parts >= 3  # Professor, Lecturer, exists-teaches disjuncts
+    assert span.attributes["sql"].count("UNION") == parts - 1
+    assert ";" not in span.attributes["sql"]
+    assert span.attributes["statement_cache"] == "miss"
+    assert span.attributes["answers"] == len(answers)
+    assert load.attributes["rows_shipped"] == {"staff": 5, "teaching": 5}
 
 
 # -- budgets -------------------------------------------------------------------
