@@ -2,8 +2,8 @@
 
 Every cache in the engine is invalidated by a monotone **generation
 counter** (TBox axioms, ABox/database inserts, constraint discovery).
-The protocol, as practiced by ``perf.cache``, ``obda.evaluation`` and
-``obda.sql.stats``:
+The protocol, as practiced by ``perf.cache``, ``obda.evaluation``,
+``obda.sql.stats`` and ``obda.sql.table``:
 
 1. **bracket** — snapshot the generation *before* computing, compare it
    again before installing the result (a mid-compute mutation must
@@ -11,8 +11,9 @@ The protocol, as practiced by ``perf.cache``, ``obda.evaluation`` and
    *into the cache key*, which is self-invalidating;
 2. **install by assignment** — ``cache.setdefault(key, value)`` keeps
    serving the *old* entry when a stale one is present; PR 7's
-   stale-shared-index bug (``StatisticsCatalog.index`` kept answering
-   with pre-insert rows) was exactly this, fixed by plain assignment.
+   stale-shared-index bug (``StatisticsCatalog.index``, since replaced
+   by ``Table.index``, kept answering with pre-insert rows) was exactly
+   this, fixed by plain assignment.
    ``setdefault`` is legitimate only under a snapshot-identity guard
    (``if self._cache is cache: cache.setdefault(...)``) where the
    snapshot can never hold a stale entry.

@@ -18,8 +18,11 @@ tree instead:
   exists, and pick the partner minimizing the estimated join cardinality
   ``|L||R| / max(V(L,a), V(R,b))`` from the
   :class:`~repro.obda.sql.stats.StatisticsCatalog`;
-* equi-joins against a bare table scan probe the catalog's shared
-  per-position hash indexes instead of rebuilding a hash table per query;
+* an equi-join whose build side is a chain of renames, projections and
+  filters over one table scan (every mapping source is one) does not
+  execute that side: each outer row probes the table's own hash index
+  (:meth:`~repro.obda.sql.table.Table.index`, extended on append) and
+  runs the chain over the matching raw rows only;
 * under set semantics (every unfolded part is consumed as a set: the
   root projection is ``DISTINCT`` and boolean parts are existence
   checks), factor columns no other operator needs are pruned early with
@@ -62,6 +65,7 @@ from .algebra import (
 )
 from .database import Database
 from .stats import JoinIndex, StatisticsCatalog
+from .table import Row, join_key
 
 __all__ = [
     "PlanNode",
@@ -297,11 +301,12 @@ class RenameNode(PlanNode):
 class HashJoinNode(PlanNode):
     """Equi-join by hash probe; ``semi=True`` keeps left rows only.
 
-    When the build side is a bare table scan, the build is served by the
-    catalog's shared per-position index instead of hashing per execution
-    (only when executing against the catalog's own database — a wrapped
-    or substituted database bypasses the shared index, preserving
-    fault-injection and retry semantics of the access path).
+    With a *probe* (see :class:`ChainProbe`) the build side is not
+    executed: each left row probes the build table's shared index and
+    the probe turns the bucket into the build side's matching rows.
+    The table is resolved through the executing database, so a retry- or
+    fault-wrapped database keeps its access-path semantics.  Without
+    one, the build side is executed and hashed per execution.
     """
 
     op = "hash-join"
@@ -314,37 +319,27 @@ class HashJoinNode(PlanNode):
         right_keys,
         estimated_rows,
         semi=False,
-        index_table=None,
-        index_positions=(),
+        probe=None,
     ):
         columns = left.columns if semi else left.columns + right.columns
         super().__init__(columns, estimated_rows, (left, right))
         self.left_keys = tuple(left_keys)
         self.right_keys = tuple(right_keys)
         self.semi = bool(semi)
-        self.index_table = index_table
-        self.index_positions = tuple(index_positions)
+        self.probe: Optional[ChainProbe] = probe
 
     def _execute(self, database, catalog, budget, observed):
         left = self.children[0].execute(database, catalog, budget, observed)
         left_positions = [left.column_index(column) for column in self.left_keys]
-        index = None
-        if (
-            self.index_table is not None
-            and catalog is not None
-            and database is catalog.database
-        ):
-            index = catalog.index(self.index_table, self.index_positions, budget=budget)
-        if index is None:
-            right = self.children[1].execute(database, catalog, budget, observed)
-            right_positions = [
-                right.column_index(column) for column in self.right_keys
-            ]
-            index = JoinIndex()
-            for row in right.rows:
-                if budget is not None:
-                    budget.tick()
-                index.add([row[i] for i in right_positions], row)
+        if self.probe is not None:
+            return self._probe(left, left_positions, database, budget)
+        right = self.children[1].execute(database, catalog, budget, observed)
+        right_positions = [right.column_index(column) for column in self.right_keys]
+        index = JoinIndex()
+        for row in right.rows:
+            if budget is not None:
+                budget.tick()
+            index.add([row[i] for i in right_positions], row)
         rows = []
         if self.semi:
             for row in left.rows:
@@ -360,6 +355,31 @@ class HashJoinNode(PlanNode):
                 rows.append(row + match)
         return ResultSet(self.columns, rows)
 
+    def _probe(self, left, left_positions, database, budget) -> ResultSet:
+        probe = self.probe
+        index = database.table(probe.table).index(probe.positions, budget)
+        # join key -> the build side's rows with it (the first when semi)
+        found: Dict[Tuple[str, ...], List[Row]] = {}
+        rows = []
+        for row in left.rows:
+            key = join_key([row[i] for i in left_positions])
+            matches = found.get(key)
+            if matches is None:
+                matches = found[key] = probe.matches(
+                    index.get(key, ()), self.semi, budget
+                )
+            if self.semi:
+                if budget is not None:
+                    budget.tick()
+                if matches:
+                    rows.append(row)
+                continue
+            for match in matches:
+                if budget is not None:
+                    budget.tick()
+                rows.append(row + match)
+        return ResultSet(self.columns, rows)
+
     def describe(self):
         kind = "HashSemiJoin" if self.semi else "HashJoin"
         if not self.left_keys:
@@ -369,8 +389,8 @@ class HashJoinNode(PlanNode):
                 f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
             )
         via = ""
-        if self.index_table is not None:
-            via = f" via index {self.index_table}{list(self.index_positions)}"
+        if self.probe is not None:
+            via = f" via index {self.probe.table}{list(self.probe.positions)}"
         return f"{kind} [{keys}]{via}"
 
     def distinct_estimate(self, column):
@@ -379,6 +399,63 @@ class HashJoinNode(PlanNode):
             if below is not None:
                 return min(below, self.estimated_rows)
         return None
+
+
+class ChainProbe:
+    """A join's build side that is a chain of :class:`RenameNode`,
+    :class:`ProjectNode` and :class:`FilterNode` over one
+    :class:`TableScanNode`, compiled against the table's raw rows.
+
+    Renames and projections only move cells, so the join keys and output
+    columns map back to raw positions and the filters run on raw rows.
+    Filters commute with projections (they read projected cells), and
+    the build side's rows with one key are the chain over the raw rows
+    with that key, because the keys are among its output columns.  The
+    rows are deduplicated at the topmost DISTINCT projection, with
+    :meth:`ResultSet.distinct`'s identity, and any plain projection
+    above it keeps the first raw row of each duplicate group — exactly
+    what executing the chain yields, in every mode.
+    """
+
+    __slots__ = ("table", "positions", "predicate", "distinct", "output")
+
+    def __init__(self, table, positions, predicate, distinct, output):
+        self.table = table
+        #: raw positions of the join keys: the table index to probe
+        self.positions = tuple(positions)
+        #: the chain's filters over a raw row, or None
+        self.predicate = predicate
+        #: raw positions of the topmost DISTINCT projection, or None
+        self.distinct = distinct
+        #: raw positions of the chain's output columns, or None when
+        #: they are the raw row itself
+        self.output = output
+
+    def matches(
+        self, bucket: Sequence[Row], first: bool, budget: Optional[Budget]
+    ) -> List[Row]:
+        """The build side's rows among the raw rows of *bucket*; with
+        *first*, only the first of them."""
+        predicate, output = self.predicate, self.output
+        # one raw row cannot repeat
+        distinct = self.distinct if len(bucket) > 1 else None
+        seen = set()
+        rows: List[Row] = []
+        for raw in bucket:
+            if budget is not None:
+                budget.tick()
+            if predicate is not None and not predicate(raw):
+                continue
+            if distinct is not None:
+                cells = tuple([raw[i] for i in distinct])
+                identity = (join_key(cells), cells)
+                if identity in seen:
+                    continue
+                seen.add(identity)
+            rows.append(raw if output is None else tuple([raw[i] for i in output]))
+            if first:
+                break
+        return rows
 
 
 class UnionNode(PlanNode):
@@ -759,34 +836,63 @@ class Planner:
             semi = self._semi_join_eligible(
                 plans[j], j, remaining - {j}, edges, needed_columns, residual_refs
             )
-            index_table = None
-            index_positions: Tuple[int, ...] = ()
-            right_plan = plans[j]
-            # A rename chain over a bare scan serves raw table rows, so the
-            # catalog's shared per-position index can stand in for the build.
-            base = right_plan
-            while isinstance(base, RenameNode):
-                base = base.children[0]
-            if keys and isinstance(base, TableScanNode):
-                index_table = base.table
-                index_positions = tuple(
-                    right_plan.columns.index(right) for _, right in keys
-                )
             if semi:
                 estimated = current.estimated_rows * (0.75 if keys else 1.0)
+            right_keys = tuple(right for _, right in keys)
             current = HashJoinNode(
                 current,
-                right_plan,
+                plans[j],
                 tuple(left for left, _ in keys),
-                tuple(right for _, right in keys),
+                right_keys,
                 estimated,
                 semi=semi,
-                index_table=index_table,
-                index_positions=index_positions,
+                probe=self._chain_probe(plans[j], right_keys) if keys else None,
             )
             current_set.add(j)
             remaining.discard(j)
         return current, current_set
+
+    def _chain_probe(self, plan, keys) -> Optional[ChainProbe]:
+        """*plan* as a probe of its table's index on *keys*, or None
+        when it is not a rename/project/filter chain over one scan."""
+        chain = []
+        scan = plan
+        while isinstance(scan, (RenameNode, ProjectNode, FilterNode)):
+            chain.append(scan)
+            scan = scan.children[0]
+        if not isinstance(scan, TableScanNode):
+            return None
+        positions = tuple(range(len(scan.columns)))  # per column of the level
+        conditions: List[Condition] = []
+        distinct = None
+        for link in reversed(chain):
+            below = link.children[0].columns
+            if isinstance(link, FilterNode):
+                conditions.extend(
+                    self._map_condition(
+                        condition,
+                        lambda ref: scan.columns[positions[below.index(ref)]],
+                    )
+                    for condition in link.conditions
+                )
+            elif isinstance(link, ProjectNode):
+                positions = tuple(
+                    positions[below.index(column)] for column in link.source_columns
+                )
+                if link.distinct_flag:
+                    distinct = positions
+        predicate = (
+            _compile_conditions(conditions, ResultSet(scan.columns, []))
+            if conditions
+            else None
+        )
+        return ChainProbe(
+            scan.table,
+            [positions[plan.columns.index(key)] for key in keys],
+            predicate,
+            distinct,
+            None if positions == tuple(range(len(scan.columns))) else positions,
+        )
 
     def _semi_join_eligible(
         self, right_plan, j, still_remaining, edges, needed_columns, residual_refs

@@ -1,14 +1,15 @@
-"""Table/column statistics and shared join indexes for the SQL planner.
+"""Table/column statistics for the SQL planner, and the hash join index.
 
-A cost-based planner needs two things from the storage layer: *numbers*
-(how many rows, how many distinct values per column — the inputs of the
-classic ``|R ⋈ S| = |R||S| / max(V(R,a), V(S,b))`` estimate) and *access
-paths* (hash indexes on join-key columns, so an equi-join probes instead
-of scanning).  :class:`StatisticsCatalog` provides both, cached per
-table and revalidated against the table's generation counter on every
-access — the same invalidation discipline the extent/index caches of
+A cost-based planner needs *numbers* from the storage layer: how many
+rows, how many distinct values per column — the inputs of the classic
+``|R ⋈ S| = |R||S| / max(V(R,a), V(S,b))`` estimate.
+:class:`StatisticsCatalog` caches them per table and revalidates them
+against the table's generation counter on every access — the same
+invalidation discipline the extent/index caches of
 :mod:`repro.obda.evaluation` already use, so statistics can never be
-served for data that has since changed shape.
+served for data that has since changed shape.  The *access paths* (hash
+indexes on join-key columns, so an equi-join probes instead of
+scanning) live on the table itself: :meth:`~repro.obda.sql.table.Table.index`.
 
 Two cells are equal iff their string forms are equal — the identity an
 IRI template already gives individuals (``person/{id}`` renders ``1``
@@ -21,8 +22,8 @@ is a plain dict of buckets.
 Concurrency follows the copy-on-write idiom of
 :meth:`repro.obda.evaluation.ExtentProvider.index`: bookkeeping happens
 under a small lock, construction runs outside it, and a finished
-statistic/index is installed only if the generation it was computed for
-is still current.
+statistic is installed only if the generation it was computed for is
+still current.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from ...obs.metrics import global_metrics
 from ...runtime.budget import Budget
 from .database import Database
-from .table import Row
+from .table import Row, join_key
 
 __all__ = [
     "ColumnStatistics",
@@ -43,13 +44,6 @@ __all__ = [
     "JoinIndex",
     "join_key",
 ]
-
-
-def join_key(values) -> Tuple[str, ...]:
-    """The identity key of a tuple of cells: each cell's string form."""
-    return tuple(
-        value if isinstance(value, str) else str(value) for value in values
-    )
 
 
 class JoinIndex:
@@ -113,9 +107,9 @@ class TableStatistics:
 
 
 class StatisticsCatalog:
-    """Per-table statistics and hash indexes over one :class:`Database`.
+    """Per-table statistics over one :class:`Database`.
 
-    Both caches are keyed by ``Table.generation``; a stale entry is
+    The cache is keyed by ``Table.generation``; a stale entry is
     recomputed on the next access, so callers never invalidate manually
     (``invalidate`` exists for out-of-band mutation only, mirroring the
     extent provider).  One catalog is meant to be shared by all queries
@@ -126,14 +120,10 @@ class StatisticsCatalog:
         self.database = database
         self._lock = threading.Lock()
         self._stats: Dict[str, Tuple[int, TableStatistics]] = {}
-        self._indexes: Dict[
-            Tuple[str, Tuple[int, ...]], Tuple[int, JoinIndex]
-        ] = {}
 
     def invalidate(self) -> None:
         with self._lock:
             self._stats = {}
-            self._indexes = {}
 
     def statistics(
         self, table_name: str, budget: Optional[Budget] = None, table=None
@@ -175,35 +165,3 @@ class StatisticsCatalog:
 
     def row_count(self, table_name: str, budget: Optional[Budget] = None) -> int:
         return self.statistics(table_name, budget=budget).row_count
-
-    def index(
-        self,
-        table_name: str,
-        positions: Tuple[int, ...],
-        budget: Optional[Budget] = None,
-    ) -> JoinIndex:
-        """A :class:`JoinIndex` of *table_name*'s rows on the values at
-        *positions*; built lazily, shared across queries, rebuilt when
-        the table's generation moves."""
-        key = (table_name, tuple(positions))
-        table = self.database.table(table_name)
-        generation = table.generation
-        with self._lock:
-            entry = self._indexes.get(key)
-            if entry is not None and entry[0] == generation:
-                global_metrics().counter("obda.planner.index_hits").inc()
-                return entry[1]
-        rows = list(table.rows)
-        index = JoinIndex()
-        for row in rows:
-            if budget is not None:
-                budget.tick()
-            index.add([row[i] for i in key[1]], row)
-        global_metrics().counter("obda.planner.index_builds").inc()
-        with self._lock:
-            # Install only if no insert landed while we were scanning;
-            # assignment (not setdefault) so a stale-generation entry is
-            # actually replaced, matching statistics() above.
-            if table.generation == generation:
-                self._indexes[key] = (generation, index)
-        return index

@@ -233,9 +233,11 @@ class OBDASystem:
         """Explicitly drop every cache held by this system.
 
         The shared classification cache is left alone (other systems may
-        be using it); this system will simply re-key into it.  Needed
-        only after out-of-band mutation the generation counters cannot
-        see (e.g. editing a mapping collection in place).
+        be using it); this system will simply re-key into it.  The hash
+        indexes of the database's tables are dropped too, for every
+        system over those tables.  Needed only after out-of-band mutation
+        the generation counters cannot see (e.g. editing a mapping
+        collection or table rows in place).
         """
         with self._lock:
             self._classification = None
@@ -245,6 +247,9 @@ class OBDASystem:
                 self._shared_extents.invalidate()
             if self._statistics_catalog is not None:
                 self._statistics_catalog.invalidate()
+            if self.database is not None:
+                for table in self.database.tables():
+                    table.invalidate_indexes()
             if self._constraints is not None:
                 self._constraints.extents.invalidate()
             if self._sql_backend is not None:
@@ -281,7 +286,7 @@ class OBDASystem:
         return stats
 
     def statistics_catalog(self) -> Optional[StatisticsCatalog]:
-        """The shared per-table statistics/index catalog (OBDA mode only)."""
+        """The shared per-table statistics catalog (OBDA mode only)."""
         if self.database is None:
             return None
         with self._lock:

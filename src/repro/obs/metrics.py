@@ -34,6 +34,13 @@ The virtual ABox (:mod:`repro.obda.evaluation`) counts its refresh work:
   a delta added instead of rebuilt;
 * ``obda.evaluation.derived_deltas`` — Presto's derived extents grown by
   the projections of their base extents' deltas instead of derived again.
+
+The source tables count the hash indexes the SQL planner probes
+(:meth:`repro.obda.sql.table.Table.index`):
+
+* ``obda.sql.index_builds`` — table indexes built in full;
+* ``obda.sql.index_extends`` — table indexes extended by the rows
+  appended since they were stamped instead of rebuilt.
 """
 
 from __future__ import annotations

@@ -66,13 +66,14 @@ def test_rl001_catches_unlocking_a_guarded_read():
 
 
 def test_rl002_catches_the_pr7_setdefault_regression():
-    """PR 7's stale-shared-index bug: StatisticsCatalog.index installed
-    with setdefault kept serving pre-mutation rows.  Re-introducing the
-    exact bug must trip RL002."""
+    """PR 7's stale-shared-index bug: the shared join index was installed
+    with setdefault and kept serving pre-mutation rows.  Its successor is
+    Table.index; re-planting setdefault there, where a stale entry would
+    never be replaced, must trip RL002."""
     before, after = _mutate(
-        "obda/sql/stats.py",
-        "self._indexes[key] = (generation, index)",
-        "self._indexes.setdefault(key, (generation, index))",
+        "obda/sql/table.py",
+        "self._indexes[positions] = (generation, consumed, last, index)",
+        "self._indexes.setdefault(positions, (generation, consumed, last, index))",
         "RL002",
     )
     assert before == []
@@ -132,6 +133,7 @@ def test_rl005_catches_a_quoting_helper_bypass():
         "obs/metrics.py",
         "perf/cache.py",
         "obda/sql/stats.py",
+        "obda/sql/table.py",
         "obda/sql/planner.py",
     ],
 )

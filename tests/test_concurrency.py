@@ -25,6 +25,7 @@ from repro.obda.system import OBDASystem
 from repro.obs.metrics import global_metrics
 from repro.perf.cache import CacheStats, ClassificationCache, LRUCache
 from repro.runtime.concurrency import SingleFlight
+from tests.test_perf_extents import _assert_table_indexes, _hold_table_indexes
 
 THREADS = 8
 
@@ -569,6 +570,7 @@ def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
     for method in _METHODS:  # warm every cache the readers will race on
         for query in _UNIVERSITY_SHAPES:
             system.certain_answers(query, method=method)
+    held = []  # (table index, its buckets when returned)
 
     def work(index):
         rng = random.Random(index)
@@ -583,6 +585,7 @@ def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
                     method=_METHODS[(index + turn) % len(_METHODS)],
                     check_consistency=True,
                 )
+                _hold_table_indexes(database, held)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -591,8 +594,9 @@ def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
     finally:
         sys.setswitchinterval(interval)
 
+    # the naive executor: a planned twin would probe the same table indexes
     oracle = OBDASystem(
-        system.tbox, system.mappings, database, enable_caches=False
+        system.tbox, system.mappings, database, enable_caches=False, use_planner=False
     )
     try:
         for query in _UNIVERSITY_SHAPES:
@@ -604,3 +608,5 @@ def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
         for twin in (system, oracle):
             if twin._sql_backend is not None:
                 twin._sql_backend.close()
+    assert held
+    _assert_table_indexes(database, held)

@@ -179,8 +179,8 @@ def test_rewrite_only_api(university):
 
 def test_invalidate_caches_reaches_the_planner_statistics():
     # Rows replaced in place leave the generation counters unchanged, so
-    # only invalidate_caches() can tell the system; the planner's shared
-    # index on teaching[0] must be dropped with the other caches.
+    # only invalidate_caches() can tell the system; the table index on
+    # teaching[0] the planner probes must be dropped with the caches.
     tbox = parse_tbox("role hasRole\nrole teaches")
     db = Database("campus")
     staff = db.create_table("staff", ["id", "role"], [(1, "dean"), (2, "tutor")])
@@ -216,6 +216,18 @@ def test_invalidate_caches_reaches_the_planner_statistics():
         assert len(answering.certain_answers(query, method=method)) == 2, method
     system.certain_answers(query, method="perfectref-sql")
     assert "via index teaching[0]" in system.last_plan_report()["text"]
+    # an edit that keeps the row count and the last row: no index stamp
+    # (generation, rows consumed, last row) can see it
+    staff.rows[0] = (3, "r3")
+    teaching.rows[0] = (3, "c3")
+    system.invalidate_caches()
+    naive.invalidate_caches()
+    expected = {
+        (Individual("p/3"), Individual("c/c3")),
+        (Individual("p/2"), Individual("c/c2")),
+    }
+    for answering, method in paths:
+        assert answering.certain_answers(query, method=method) == expected, method
     staff.rows[:] = [(9, "r9")]
     teaching.rows[:] = [(9, "c9")]
     system.invalidate_caches()

@@ -372,6 +372,30 @@ def _same_buckets(index, fresh):
     )
 
 
+def _buckets(index):
+    return {key: list(rows) for key, rows in index.items()}
+
+
+def _hold_table_indexes(database, held):
+    """Append to *held* every table index of *database*, as a probe
+    would get it now, with its buckets at that moment."""
+    for table in database.tables():
+        for positions in list(table._indexes):
+            index = table.index(positions)
+            held.append((index, _buckets(index)))
+
+
+def _assert_table_indexes(database, held):
+    """Every table index equals a fresh build, bucket for bucket, and
+    every index in *held* still has the buckets it had when held."""
+    for table in database.tables():
+        for positions in list(table._indexes):
+            fresh = _fresh_index(table.rows, positions)
+            assert _same_buckets(table.index(positions), fresh), (table.name, positions)
+    for index, buckets in held:
+        assert _buckets(index) == buckets
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_delta_refreshes_match_fresh_pulls(seed):
@@ -395,9 +419,10 @@ def test_delta_refreshes_match_fresh_pulls(seed):
         for query in queries
     ]
     held = []  # (index, its buckets when returned): published indexes never change
+    table_held = []  # the same for the tables' own indexes
 
     def hold(index):
-        held.append((index, {key: list(rows) for key, rows in index.items()}))
+        held.append((index, _buckets(index)))
 
     for _ in range(rng.randint(10, 40)):
         roll = rng.random()
@@ -421,6 +446,7 @@ def test_delta_refreshes_match_fresh_pulls(seed):
             head, rules = rng.choice(sorted(program.rewriting.rules_by_head.items()))
             hold(program.index(head, rules[0].head.arity, ()))
             constraints.relevant_inclusions(rng.choice(rewritings))
+            _hold_table_indexes(database, table_held)
         else:
             query = rng.choice(queries)
             system.certain_answers(
@@ -428,6 +454,7 @@ def test_delta_refreshes_match_fresh_pulls(seed):
             )
             if rng.random() < 0.3:
                 system.inconsistency_witnesses()
+            _hold_table_indexes(database, table_held)
 
     for table in database.tables():
         if isinstance(table.rows, _InsertOnCount):
@@ -442,7 +469,7 @@ def test_delta_refreshes_match_fresh_pulls(seed):
         fresh = _fresh_index(mappings.predicate_extent(database, predicate), positions)
         assert _same_buckets(provider.index(predicate, arity, positions), fresh)
     for index, buckets in held:
-        assert {key: list(rows) for key, rows in index.items()} == buckets
+        assert _buckets(index) == buckets
     # derived extents, verdicts and answers against cache-free twins
     oracle_base = MappingExtents(mappings, database)
     for program in derived:
@@ -455,7 +482,10 @@ def test_delta_refreshes_match_fresh_pulls(seed):
         assert constraints.relevant_inclusions(
             rewritten
         ) == oracle_constraints.relevant_inclusions(rewritten)
-    oracle = OBDASystem(tbox, mappings, database, enable_caches=False)
+    # the naive executor: a planned twin would probe the same table indexes
+    oracle = OBDASystem(
+        tbox, mappings, database, enable_caches=False, use_planner=False
+    )
     try:
         for query in queries:
             for method in _METHODS:
@@ -470,6 +500,7 @@ def test_delta_refreshes_match_fresh_pulls(seed):
             backend = twin_system._sql_backend
             if backend is not None:
                 backend.close()
+    _assert_table_indexes(database, table_held)
 
 
 def test_budget_abort_during_index_extension_installs_nothing():

@@ -14,6 +14,7 @@ import pytest
 from repro.dllite import ABox, AtomicConcept, Individual, parse_tbox
 from repro.dllite.abox import ConceptAssertion, RoleAssertion
 from repro.dllite.syntax import AtomicRole
+from repro.errors import TimeoutExceeded
 from repro.obda.cq_parser import parse_query
 from repro.obda.sql import algebra
 from repro.obda.sql.algebra import (
@@ -42,6 +43,7 @@ from repro.obda.sql.stats import (
     TableStatistics,
     join_key,
 )
+from repro.obs.metrics import global_metrics
 from repro.testkit.generators import direct_mapping_system
 
 
@@ -56,6 +58,37 @@ class CountingBudget:
 
     def tick(self, stride=None):
         self.ticks += 1
+
+
+class TickLimit(CountingBudget):
+    """Duck-typed Budget that expires on its *limit*-th tick."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def tick(self, stride=None):
+        super().tick(stride)
+        if self.ticks >= self.limit:
+            raise TimeoutExceeded(0.0, 0.0, task="tick-limit")
+
+
+def index_counts():
+    metrics = global_metrics()
+    return (
+        metrics.counter("obda.sql.index_builds").value,
+        metrics.counter("obda.sql.index_extends").value,
+    )
+
+
+def probing_join(plan):
+    """The plan's one join that probes a table index."""
+    (join,) = [
+        node
+        for node in plan.nodes()
+        if isinstance(node, HashJoinNode) and node.probe is not None
+    ]
+    return join
 
 
 @pytest.fixture
@@ -145,13 +178,14 @@ def test_equi_join_probes_shared_catalog_index(db):
         (Condition("emp.dept", "dept.name", "="),),
     )
     plan = planner.plan(expr)
-    joins = [n for n in plan.nodes() if isinstance(n, HashJoinNode)]
-    assert any(j.index_table is not None for j in joins)
-    result = plan.execute(db, catalog)
-    assert_same_rows(result, evaluate(expr, db))
-    # the probe populated the shared index; a second execution reuses it
-    assert catalog._indexes
-    plan.execute(db, catalog)
+    probe = probing_join(plan).probe
+    builds, extends = index_counts()
+    assert_same_rows(plan.execute(db, catalog), evaluate(expr, db))
+    index = db.table(probe.table).index(probe.positions)
+    # the second execution probes the index the first one built
+    assert_same_rows(plan.execute(db, catalog), evaluate(expr, db))
+    assert index_counts() == (builds + 1, extends)
+    assert db.table(probe.table).index(probe.positions) is index
 
 
 def test_index_bypassed_when_database_is_not_the_catalogs(db):
@@ -162,6 +196,7 @@ def test_index_bypassed_when_database_is_not_the_catalogs(db):
         (Condition("emp.dept", "dept.name", "="),),
     )
     plan = planner.plan(expr)
+    # the probe resolves its table through the database it executes on
     other = Database("shadow")
     other.create_table("emp", ["id", "dept"], [(9, "a")])
     other.create_table("dept", ["name", "head"], [("a", 9)])
@@ -305,13 +340,21 @@ def test_join_index_probe_matches_string_forms_in_build_order():
 
 
 def test_shared_index_rebuilt_after_insert(db):
-    catalog = StatisticsCatalog(db)
-    index = catalog.index("emp", (1,))
-    assert index.probe(["d"]) == []
-    db.table("emp").insert((5, "d"))
+    emp = db.table("emp")
+    index = emp.index((1,))
+    assert ("d",) not in index
+    emp.insert((5, "d"))
     # a stale-generation entry must be *replaced*, not kept via setdefault
-    assert catalog.index("emp", (1,)).probe(["d"]) == [(5, "d")]
-    assert catalog.index("emp", (1,)).probe(["d"]) == [(5, "d")]
+    grown = emp.index((1,))
+    assert grown[("d",)] == [(5, "d")] and ("d",) not in index
+    assert emp.index((1,)) is grown
+    # rows rewritten out of band, then an insert: the last consumed row
+    # is gone, so the index is rebuilt rather than extended
+    builds, extends = index_counts()
+    emp.rows[4:] = [(6, "a")]
+    emp.insert((7, "d"))
+    assert emp.index((1,))[("d",)] == [(7, "d")]
+    assert index_counts() == (builds + 1, extends)
 
 
 def test_mixed_type_joins_match_filter_semantics_naive_and_planned():
@@ -332,6 +375,110 @@ def test_mixed_type_joins_match_filter_semantics_naive_and_planned():
     plan = planner.plan(expr)
     planned = plan.execute(database, planner.catalog)
     assert sorted(tuple(map(repr, row)) for row in planned.rows) == expected
+
+
+def test_probe_through_distinct_filtered_chain_is_exact(db):
+    # Rename(Project DISTINCT(Filter(Scan))): skill holds (3, "ml") once
+    # and (4, "ml") twice after the insert, so the chain deduplicates
+    # within a probe's bucket; the exact-mode bag must match the naive one
+    db.table("skill").insert((4, "ml"))
+    db.table("skill").insert((4, "db"))
+    chain = Rename(
+        Projection(
+            Selection(Scan("skill"), (Condition("skill.tag", Const("ml"), "="),)),
+            ("skill.eid", "skill.tag"),
+            distinct=True,
+        ),
+        "s",
+    )
+    expr = Selection(
+        Join(Rename(Scan("emp"), "e"), chain, on=()),
+        (Condition("e.id", "s.eid", "="),),
+    )
+    plan = Planner(StatisticsCatalog(db)).plan(expr)
+    assert probing_join(plan).probe.table == "skill"
+    assert_same_rows(plan.execute(db, None), evaluate(expr, db))
+    assert len(plan.execute(db, None).rows) == 3
+
+
+def test_semi_join_probe_through_filtered_chain(db):
+    # ids of dept-a employees with an "ml" skill: emp 2 has only a "db"
+    # skill row, which the chain's filter must reject
+    chain = Rename(
+        Selection(Scan("skill"), (Condition("skill.tag", Const("ml"), "="),)),
+        "s",
+    )
+    expr = Projection(
+        Selection(
+            Join(Rename(Scan("emp"), "e"), chain, on=()),
+            (
+                Condition("e.id", "s.eid", "="),
+                Condition("e.dept", Const("a"), "="),
+            ),
+        ),
+        ("e.id",),
+        names=("x",),
+        distinct=True,
+    )
+    plan = Planner(StatisticsCatalog(db)).plan(expr, set_semantics=True)
+    join = probing_join(plan)
+    assert join.semi and join.probe.table == "skill"
+    planned = plan.execute(db, None)
+    assert set(planned.rows) == set(evaluate(expr, db).rows) == {(1,)}
+
+
+def test_probe_keys_follow_string_forms_through_a_chain():
+    # 1 and "1" share a bucket, 1.0 and True do not; the DISTINCT chain
+    # keeps 1 and "1" apart (== differs), as ResultSet.distinct does
+    database = Database("mixed-probe")
+    database.create_table("l", ["k"], [(1,), ("1",), (1.0,), (True,), (2,)])
+    database.create_table(
+        "r", ["k", "v"], [(1, "a"), ("1", "b"), (1, "a"), (1.0, "c"), (True, "d")]
+    )
+    chain = Rename(Projection(Scan("r"), ("r.k", "r.v"), distinct=True), "s")
+    expr = Selection(
+        Join(Rename(Scan("l"), "p"), chain, on=()),
+        (Condition("p.k", "s.k", "="),),
+    )
+    plan = Planner(StatisticsCatalog(database)).plan(expr)
+    assert probing_join(plan).probe.table == "r"
+    planned = plan.execute(database, None)
+    naive = evaluate(expr, database)
+    assert sorted(map(repr, planned.rows)) == sorted(map(repr, naive.rows))
+    assert len(naive.rows) == 6
+
+
+def test_append_between_executions_extends_the_probed_index(db):
+    expr = Selection(
+        Join(Rename(Scan("emp"), "e"), Rename(Scan("skill"), "s"), on=()),
+        (Condition("e.id", "s.eid", "="),),
+    )
+    plan = Planner(StatisticsCatalog(db)).plan(expr)
+    probe = probing_join(plan).probe
+    plan.execute(db, None)
+    builds, extends = index_counts()
+    db.table(probe.table).insert(
+        (4, "go") if probe.table == "skill" else (4, "d")
+    )
+    assert_same_rows(plan.execute(db, None), evaluate(expr, db))
+    assert index_counts() == (builds, extends + 1)
+
+
+def test_budget_expiring_mid_build_installs_no_index(db):
+    expr = Selection(
+        Join(Rename(Scan("emp"), "e"), Rename(Scan("skill"), "s"), on=()),
+        (Condition("e.id", "s.eid", "="),),
+    )
+    plan = Planner(StatisticsCatalog(db)).plan(expr)
+    table = db.table(probing_join(plan).probe.table)
+    builds, extends = index_counts()
+    budget = TickLimit(2)
+    with pytest.raises(TimeoutExceeded):
+        plan.execute(db, None, budget=budget)
+    assert budget.ticks == 2 < len(table.rows)
+    assert table._indexes == {} and index_counts() == (builds, extends)
+    assert_same_rows(plan.execute(db, None), evaluate(expr, db))
+    assert index_counts() == (builds + 1, extends)
 
 
 def test_statistics_selectivity_bounds():

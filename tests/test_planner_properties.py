@@ -70,20 +70,37 @@ def random_database(rng: random.Random) -> Database:
     return database
 
 
+def random_source(rng: random.Random, table):
+    """A mapping-source-shaped factor body: a scan, sometimes filtered by
+    a constant, sometimes projected (DISTINCT or not).  Returns it with
+    its output column names."""
+    source = Scan(table.name)
+    columns = [f"{table.name}.{column}" for column in table.columns]
+    if rng.random() < 0.3:
+        source = Selection(
+            source, (Condition(rng.choice(columns), Const(rng.randint(0, 5)), "="),)
+        )
+    if rng.random() < 0.5:
+        kept = rng.sample(columns, rng.randint(1, len(columns)))
+        source = Projection(source, tuple(kept), distinct=rng.random() < 0.7)
+        columns = kept
+    return source, [column.split(".")[1] for column in columns]
+
+
 def random_tree(rng: random.Random, database: Database):
     """A random unfolder-shaped tree: Selection over a Join of Renames."""
     names = sorted(table.name for table in database.tables())
     count = rng.randint(1, min(3, len(names)))
     picked = [rng.choice(names) for _ in range(count)]
-    sources = [Rename(Scan(name), f"q{i}") for i, name in enumerate(picked)]
+    sources = []
+    columns = []
+    for i, name in enumerate(picked):
+        source, outputs = random_source(rng, database.table(name))
+        sources.append(Rename(source, f"q{i}"))
+        columns += [f"q{i}.{output}" for output in outputs]
     tree = sources[0]
     for source in sources[1:]:
         tree = Join(tree, source, on=())
-    columns = [
-        f"q{i}.{column}"
-        for i, name in enumerate(picked)
-        for column in database.table(name).columns
-    ]
     conditions = []
     for _ in range(rng.randint(0, 3)):
         kind = rng.random()
