@@ -21,11 +21,15 @@ a candidate atom ``q(s)`` whenever ``p == q`` or ``extent(q) ⊆
 extent(p)``.  Plain subsumption is the special case with no inclusions,
 so constraint pruning only ever drops more.
 
-Because the inclusions are data-dependent, everything downstream of the
-pruned UCQ (notably the unfolding cache in
-:class:`~repro.obda.system.OBDASystem`) must key on
-:meth:`ExtensionalConstraints.fingerprint`, which changes whenever the
-discovered inclusion set does.
+Because the inclusions are data-dependent, a cache of anything derived
+from the pruned UCQ must key on :meth:`ExtensionalConstraints.fingerprint`,
+which changes whenever the discovered inclusion set does.
+
+:class:`~repro.obda.system.OBDASystem` does not prune with this module:
+once subsumption pruning had collapsed most rewritings to one or two
+disjuncts, the inclusion check cost more than the execution it saved.
+Only the benchmark replay (``benchmarks/harness/replay.py``) still calls
+it, and the module goes when that step does (ROADMAP).
 """
 
 from __future__ import annotations

@@ -54,8 +54,7 @@ from ..runtime.budget import Budget
 from .mapping import MappingCollection
 from .queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable
 from .sql.database import Database
-from .sql.stats import join_key
-from .sql.table import Table
+from .sql.table import Index, Table, grown_index
 
 __all__ = [
     "Snapshot",
@@ -69,8 +68,6 @@ __all__ = [
 
 #: predicate name + key argument positions — one hash index per pair
 IndexKey = Tuple[str, Tuple[int, ...]]
-#: join key -> the rows carrying it
-Index = Dict[Tuple, List[Tuple]]
 
 #: extent versions, unique across providers (``next`` on a count is
 #: atomic under the GIL)
@@ -90,39 +87,6 @@ class Snapshot(NamedTuple):
     rows: Set[Tuple]
     base: Hashable = None
     added: Tuple[Tuple, ...] = ()
-
-
-def _build_index(
-    rows: Set[Tuple], positions: Tuple[int, ...], budget: Optional[Budget]
-) -> Index:
-    index: Index = {}
-    for row in rows:
-        if budget is not None:
-            budget.tick()
-        index.setdefault(join_key(row[i] for i in positions), []).append(row)
-    return index
-
-
-def _extend_index(
-    index: Index,
-    added: Tuple[Tuple, ...],
-    positions: Tuple[int, ...],
-    budget: Optional[Budget],
-) -> Index:
-    """*index* plus the rows *added*, copy-on-write: a new dict whose
-    touched buckets are new lists.  Joins in flight iterate the buckets
-    of *index*, so those are never appended to."""
-    extended = dict(index)
-    touched: Set[Tuple] = set()
-    for row in added:
-        if budget is not None:
-            budget.tick()
-        key = join_key(row[i] for i in positions)
-        if key not in touched:
-            touched.add(key)
-            extended[key] = list(index.get(key, ()))
-        extended[key].append(row)
-    return extended
 
 
 class ExtentProvider:
@@ -223,11 +187,11 @@ class ExtentProvider:
         ):
             index = cached[1]
             if snapshot.added:
-                index = _extend_index(index, snapshot.added, positions, budget)
+                index = grown_index(index, snapshot.added, positions, budget)
                 global_metrics().counter("obda.evaluation.index_extends").inc()
         else:
             with current_tracer().span("index-build") as span:
-                index = _build_index(snapshot.rows, positions, budget)
+                index = grown_index({}, snapshot.rows, positions, budget)
                 span.annotate(
                     predicate=predicate,
                     positions=list(positions),

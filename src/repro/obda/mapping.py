@@ -32,6 +32,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -47,6 +48,7 @@ from ..dllite.abox import (
 )
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from ..errors import MappingError
+from ..runtime.budget import Budget
 from .sql.algebra import Expression, ResultSet, evaluate, scans
 from .sql.database import Database
 from .sql.sqlparser import parse_sql
@@ -54,6 +56,7 @@ from .sql.sqlparser import parse_sql
 __all__ = [
     "IriTemplate",
     "ValueColumn",
+    "read_terms",
     "TargetAtom",
     "MappingAssertion",
     "MappingCollection",
@@ -69,6 +72,13 @@ def _segments(pattern: str) -> Tuple[str, ...]:
     return tuple(_PLACEHOLDER_RE.split(pattern))
 
 
+@lru_cache(maxsize=1024)
+def _parser(pattern: str) -> "re.Pattern":
+    """Matches what *pattern* renders, one greedy group per placeholder."""
+    literals = _segments(pattern)[0::2]
+    return re.compile("^" + "(.*)".join(map(re.escape, literals)) + "$")
+
+
 @dataclass(frozen=True)
 class IriTemplate:
     """An individual-building template, e.g. ``person/{pid}``."""
@@ -77,20 +87,45 @@ class IriTemplate:
 
     @property
     def placeholders(self) -> Tuple[str, ...]:
-        return tuple(_PLACEHOLDER_RE.findall(self.pattern))
+        return _segments(self.pattern)[1::2]
 
-    def apply(self, env: Dict[str, object]) -> Individual:
+    @property
+    def skeleton(self) -> str:
+        """The pattern with its placeholder names erased (``a/{}/{}``);
+        the unfolder joins two templates only when their skeletons match."""
+        return "{}".join(_segments(self.pattern)[0::2])
+
+    def render(self, values: Sequence[object]) -> Individual:
+        """The individual named by the placeholder *values*, given in
+        pattern order.  Literal text and values alternate as the pattern
+        has them, so a value that reads like a placeholder stays a value."""
         segments = _segments(self.pattern)
         text = segments[0]
-        for index in range(1, len(segments), 2):
-            column = segments[index]
-            if column not in env:
-                raise MappingError(
-                    f"template {self.pattern!r} needs column {column!r}, "
-                    f"source query produced {sorted(env)}"
-                )
-            text += str(env[column]) + segments[index + 1]
+        for index, value in enumerate(values, 1):
+            text += str(value) + segments[2 * index]
         return Individual(text)
+
+    def parse(self, text: str) -> Optional[Tuple[str, ...]]:
+        """Placeholder values, in pattern order, that render *text*, or
+        None when the template cannot produce it.  The groups are greedy:
+        when a value may contain the literal between two placeholders,
+        only one of the possible splits is returned (a known gap, see
+        ROADMAP: non-injective templates)."""
+        match = _parser(self.pattern).match(text)
+        return match.groups() if match else None
+
+    def values(self, env: Dict[str, object]) -> List[object]:
+        """*env*'s entries for the placeholder columns, in pattern order."""
+        try:
+            return [env[column] for column in self.placeholders]
+        except KeyError as error:
+            raise MappingError(
+                f"template {self.pattern!r} needs column {error.args[0]!r}, "
+                f"source query produced {sorted(env)}"
+            ) from None
+
+    def apply(self, env: Dict[str, object]) -> Individual:
+        return self.render(self.values(env))
 
     def __str__(self) -> str:
         return self.pattern
@@ -102,19 +137,44 @@ class ValueColumn:
 
     column: str
 
-    def apply(self, env: Dict[str, object]):
+    def values(self, env: Dict[str, object]) -> List[object]:
+        """*env*'s entry for the column, as the one value."""
         if self.column not in env:
             raise MappingError(
                 f"value column {self.column!r} missing from source output "
                 f"{sorted(env)}"
             )
-        return env[self.column]
+        return [env[self.column]]
+
+    def apply(self, env: Dict[str, object]):
+        return self.values(env)[0]
 
     def __str__(self) -> str:
         return f"{{{self.column}}}"
 
 
 TargetTerm = Union[IriTemplate, ValueColumn]
+
+
+def read_terms(
+    rows: Iterable[Sequence],
+    readers: Sequence[Tuple[Optional[IriTemplate], Sequence[int]]],
+    budget: Optional[Budget] = None,
+) -> Iterator[Tuple]:
+    """One tuple of terms per row.  Each reader ``(template, positions)``
+    renders its template over the cells at *positions*; without a
+    template (a raw value column) it takes the cell at its one position."""
+    for row in rows:
+        if budget is not None:
+            budget.tick()
+        yield tuple(
+            [
+                row[positions[0]]
+                if template is None
+                else template.render([row[i] for i in positions])
+                for template, positions in readers
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -172,16 +232,18 @@ class MappingAssertion:
     def target_extent(self, target: TargetAtom, database: Database) -> Iterator[Tuple]:
         """*target*'s tuples, one per row of the source over *database*."""
         result = self.evaluate_source(database)
+        if not result.rows:
+            return
         # column name -> row position (the last of a repeated name wins),
         # plus the unqualified names when the source used aliases
         positions = {column: index for index, column in enumerate(result.columns)}
         for column, index in list(positions.items()):
             positions.setdefault(column.rsplit(".", 1)[-1], index)
-        names = tuple(positions.items())
-        terms = target.terms
-        for row in result.rows:
-            env = {name: row[index] for name, index in names}
-            yield tuple(term.apply(env) for term in terms)
+        readers = [
+            (term if isinstance(term, IriTemplate) else None, term.values(positions))
+            for term in target.terms
+        ]
+        yield from read_terms(result.rows, readers)
 
     def __repr__(self) -> str:
         label = self.identifier or "mapping"

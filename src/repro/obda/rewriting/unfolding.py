@@ -20,14 +20,12 @@ the (renamed) source queries:
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ...dllite.abox import Individual
 from ...errors import MappingError
 from ...runtime.budget import Budget
-from ..mapping import IriTemplate, MappingCollection, ValueColumn
+from ..mapping import IriTemplate, MappingCollection, read_terms
 from ..queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable
 from ..sql.algebra import (
     Condition,
@@ -36,40 +34,33 @@ from ..sql.algebra import (
     Join,
     Projection,
     Rename,
+    ResultSet,
     Selection,
     evaluate,
 )
 from ..sql.database import Database
 
-__all__ = ["UnfoldedQuery", "unfold"]
-
-_PLACEHOLDER_RE = re.compile(r"\{[A-Za-z_][A-Za-z0-9_]*\}")
+__all__ = ["UnfoldedQuery", "answer_rows", "unfold"]
 
 
 @dataclass
 class _VarSource:
     """Where one query variable comes from in the joined source tree."""
 
-    template: Optional[str]  # IRI pattern, or None for raw value columns
+    template: Optional[IriTemplate]  # None for raw value columns
     columns: Tuple[str, ...]  # prefixed placeholder columns, in pattern order
 
-    @property
-    def skeleton(self) -> Optional[str]:
-        """The pattern with placeholder *names* erased — two templates are
-        join-compatible iff their skeletons match."""
-        if self.template is None:
-            return None
-        return _PLACEHOLDER_RE.sub("{}", self.template)
 
-
-def _template_regex(pattern: str) -> re.Pattern:
-    parts = re.split(r"\{[A-Za-z_][A-Za-z0-9_]*\}", pattern)
-    return re.compile("^" + "(.*)".join(re.escape(part) for part in parts) + "$")
-
-
-def _parse_constant(pattern: str, value: str) -> Optional[Tuple[str, ...]]:
-    match = _template_regex(pattern).match(value)
-    return match.groups() if match else None
+def answer_rows(
+    result: ResultSet, recipes: Sequence[_VarSource], budget: Optional[Budget] = None
+) -> Iterator[Tuple]:
+    """The answer tuple of each row of one unfolded part's *result*; a
+    boolean part (no recipes) yields ``()`` per row."""
+    readers = [
+        (recipe.template, [result.column_index(column) for column in recipe.columns])
+        for recipe in recipes
+    ]
+    return read_terms(result.rows, readers, budget)
 
 
 class UnfoldedQuery:
@@ -109,27 +100,7 @@ class UnfoldedQuery:
             if budget is not None:
                 budget.check()
             result = evaluate(expression, database, budget=budget)
-            positions = [
-                tuple(result.column_index(column) for column in recipe.columns)
-                for recipe in recipes
-            ]
-            for row in result.rows:
-                if budget is not None:
-                    budget.tick()
-                answer = []
-                for recipe, cols in zip(recipes, positions):
-                    values = [row[i] for i in cols]
-                    if recipe.template is None:
-                        answer.append(values[0])
-                    else:
-                        iri = recipe.template
-                        for placeholder, value in zip(
-                            re.findall(r"\{[A-Za-z_][A-Za-z0-9_]*\}", recipe.template),
-                            values,
-                        ):
-                            iri = iri.replace(placeholder, str(value), 1)
-                        answer.append(Individual(iri))
-                answers.add(tuple(answer))
+            answers.update(answer_rows(result, recipes, budget))
         return answers
 
 
@@ -181,7 +152,7 @@ def _unfold_combination(disjunct: ConjunctiveQuery, combination, counter):
                     f"{prefix}.{placeholder}"
                     for placeholder in mapping_term.placeholders
                 )
-                source = _VarSource(mapping_term.pattern, columns)
+                source = _VarSource(mapping_term, columns)
             else:
                 source = _VarSource(None, (f"{prefix}.{mapping_term.column}",))
             if isinstance(term, Constant):
@@ -190,7 +161,7 @@ def _unfold_combination(disjunct: ConjunctiveQuery, combination, counter):
                         Condition(source.columns[0], Const(term.value), "=")
                     )
                 else:
-                    extracted = _parse_constant(source.template, str(term.value))
+                    extracted = source.template.parse(str(term.value))
                     if extracted is None:
                         return None  # constant cannot come from this template
                     for column, value in zip(source.columns, extracted):
@@ -200,7 +171,10 @@ def _unfold_combination(disjunct: ConjunctiveQuery, combination, counter):
             if existing is None:
                 var_sources[term] = source
             else:
-                if existing.skeleton != source.skeleton:
+                # a value column (no template, no skeleton) joins values only
+                if getattr(existing.template, "skeleton", None) != getattr(
+                    source.template, "skeleton", None
+                ):
                     return None  # incompatible IRI spaces never join
                 if len(existing.columns) != len(source.columns):
                     return None

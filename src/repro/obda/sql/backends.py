@@ -43,7 +43,6 @@ from the ``_t`` columns, which are exact.
 
 from __future__ import annotations
 
-import re
 import sqlite3
 import threading
 import time
@@ -68,8 +67,6 @@ from .algebra import (
 from .database import Database
 
 __all__ = ["SqliteBackend"]
-
-_PLACEHOLDER_RE = re.compile(r"\{[A-Za-z_][A-Za-z0-9_]*\}")
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -312,30 +309,19 @@ def _make_assembler(recipes):
     specs = []
     offset = 0
     for recipe in recipes:
-        if recipe.template is None:
-            specs.append((None, None, offset, 2))
-            offset += 2
-        else:
-            placeholders = _PLACEHOLDER_RE.findall(recipe.template)
-            specs.append(
-                (recipe.template, placeholders, offset, len(recipe.columns))
-            )
-            offset += len(recipe.columns)
-    from ...dllite.abox import Individual
+        width = 2 if recipe.template is None else len(recipe.columns)
+        specs.append((recipe.template, offset, offset + width))
+        offset += width
 
     def assemble(row) -> Tuple:
-        answer = []
-        for template, placeholders, start, count in specs:
-            if template is None:
-                answer.append(_decode_raw(row[start], row[start + 1]))
-            else:
-                iri = template
-                for placeholder, value in zip(
-                    placeholders, row[start : start + count]
-                ):
-                    iri = iri.replace(placeholder, str(value), 1)
-                answer.append(Individual(iri))
-        return tuple(answer)
+        return tuple(
+            [
+                _decode_raw(row[start], row[start + 1])
+                if template is None
+                else template.render(row[start:end])
+                for template, start, end in specs
+            ]
+        )
 
     return assemble
 

@@ -41,10 +41,8 @@ an optimizer, never a second source of truth for semantics; the testkit
 
 from __future__ import annotations
 
-import re
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ...dllite.abox import Individual
 from ...errors import MappingError
 from ...obs.metrics import global_metrics
 from ...runtime.budget import Budget
@@ -79,9 +77,6 @@ __all__ = [
     "Planner",
     "PlannedQuery",
 ]
-
-_PLACEHOLDER_RE = re.compile(r"\{[A-Za-z_][A-Za-z0-9_]*\}")
-
 
 class _Unplannable(Exception):
     """Internal: this subtree cannot be statically analyzed; fall back."""
@@ -1092,35 +1087,14 @@ class PlannedQuery:
         budget: Optional[Budget] = None,
         observed: Optional[Dict[int, int]] = None,
     ) -> Set[Tuple]:
+        from ..rewriting.unfolding import answer_rows
+
         answers: Set[Tuple] = set()
         for part in self.parts:
             if budget is not None:
                 budget.check()
             result = part.plan.execute(database, self.catalog, budget, observed)
-            if not part.recipes:
-                if result.rows:  # boolean part: any row entails the query
-                    answers.add(())
-                continue
-            positions = [
-                tuple(result.column_index(column) for column in recipe.columns)
-                for recipe in part.recipes
-            ]
-            for row in result.rows:
-                if budget is not None:
-                    budget.tick()
-                answer = []
-                for recipe, columns in zip(part.recipes, positions):
-                    values = [row[i] for i in columns]
-                    if recipe.template is None:
-                        answer.append(values[0])
-                    else:
-                        iri = recipe.template
-                        for placeholder, value in zip(
-                            _PLACEHOLDER_RE.findall(recipe.template), values
-                        ):
-                            iri = iri.replace(placeholder, str(value), 1)
-                        answer.append(Individual(iri))
-                answers.add(tuple(answer))
+            answers.update(answer_rows(result, part.recipes, budget))
         return answers
 
     def render(self, observed: Optional[Dict[int, int]] = None) -> str:

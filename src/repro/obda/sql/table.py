@@ -23,7 +23,7 @@ from ...obs.metrics import global_metrics
 from ...obs.trace import current_tracer
 from ...runtime.budget import Budget
 
-__all__ = ["Table", "join_key"]
+__all__ = ["Table", "grown_index", "join_key"]
 
 Row = Tuple[object, ...]
 #: join key -> the rows carrying it, in table order
@@ -37,9 +37,9 @@ def join_key(values) -> Tuple[str, ...]:
     )
 
 
-def _grown(
+def grown_index(
     index: Index,
-    rows: Sequence[Row],
+    rows: Iterable[Row],
     positions: Tuple[int, ...],
     budget: Optional[Budget],
 ) -> Index:
@@ -137,11 +137,13 @@ class Table:
             and entry[1] <= consumed
             and (not entry[1] or rows[entry[1] - 1] is entry[2])
         ):
-            index = _grown(entry[3], rows[entry[1] : consumed], positions, budget)
+            index = grown_index(
+                entry[3], rows[entry[1] : consumed], positions, budget
+            )
             global_metrics().counter("obda.sql.index_extends").inc()
         else:
             with current_tracer().span("index-build") as span:
-                index = _grown({}, rows[:consumed], positions, budget)
+                index = grown_index({}, rows[:consumed], positions, budget)
                 span.annotate(
                     table=self.name, positions=list(positions), rows=consumed
                 )

@@ -57,7 +57,6 @@ from ..errors import InconsistentOntology, ReproError
 from ..obs.trace import current_tracer
 from ..runtime.budget import Budget
 from ..runtime.execution import ExecutionContext
-from .constraints import ExtensionalConstraints, prune_ucq_with_constraints
 from .evaluation import (
     ABoxExtents,
     DatalogExtents,
@@ -148,15 +147,15 @@ class OBDASystem:
         self.database = database
         self.abox = abox
         self.enable_caches = enable_caches
-        #: route the perfectref-sql path through the cost-based planner
-        #: (repro.obda.sql.planner) with extensional constraint pruning;
-        #: off = the naive unfolded execution, kept as the oracle baseline
+        #: execute the perfectref-sql unfolding with the cost-based planner
+        #: (repro.obda.sql.planner); off = the naive algebra evaluator,
+        #: kept as the oracle baseline
         self.use_planner = use_planner
         #: file of the SQLite replica method="perfectref-sqlite" pushes
         #: down to (repro.obda.sql.backends); None keeps it in memory
         self._backend_path = backend_path
         #: guards the system's own mutable state (classification slot,
-        #: generation snapshot, consistency verdicts, planner counters,
+        #: generation snapshot, consistency verdicts, last plan,
         #: shared-extent construction).  Never held while classifying,
         #: rewriting or evaluating — only around bookkeeping — so it
         #: cannot participate in a lock cycle (see DESIGN.md).
@@ -191,17 +190,9 @@ class OBDASystem:
             self._answer_cache = None
             self._datalog_extents = None
             self._consistency_cache = None
-        #: cumulative planner counters (planned queries, constraint-pruned
-        #: disjuncts); the plan of the most recent planned query is kept
-        #: for `repro explain` / last_plan_report()
-        self.planner_stats: Dict[str, int] = {
-            "planned_queries": 0,
-            "pruned_disjuncts": 0,
-            "prune_retries": 0,
-            "pushdown_queries": 0,
-        }
         self._statistics_catalog: Optional[StatisticsCatalog] = None
-        self._constraints: Optional[ExtensionalConstraints] = None
+        #: the plan of the most recent planned query, for `repro explain`
+        #: (last_plan_report())
         self._last_plan = None
         self._sql_backend = None
 
@@ -250,8 +241,6 @@ class OBDASystem:
             if self.database is not None:
                 for table in self.database.tables():
                     table.invalidate_indexes()
-            if self._constraints is not None:
-                self._constraints.extents.invalidate()
             if self._sql_backend is not None:
                 self._sql_backend.invalidate()
             if self.enable_caches:
@@ -271,8 +260,6 @@ class OBDASystem:
             "unfolding": self._unfolding_cache.stats.to_dict(),
             "answers": self._answer_cache.stats.to_dict(),
         }
-        with self._lock:
-            stats["planner"] = dict(self.planner_stats)
         provider = self._shared_extents
         if isinstance(provider, MappingExtents):
             stats["extents"] = {
@@ -308,19 +295,6 @@ class OBDASystem:
                 )
             return self._sql_backend
 
-    def _planner_constraints(self) -> Optional[ExtensionalConstraints]:
-        if self.mappings is None:
-            return None
-        with self._lock:
-            if self._constraints is None:
-                # Bound to a raw provider of the mapped extents, whose
-                # versions key the verdicts; per-query pulls go through
-                # the context-wrapped view passed to relevant_inclusions.
-                self._constraints = ExtensionalConstraints(
-                    MappingExtents(self.mappings, self.database)
-                )
-            return self._constraints
-
     def last_plan_report(self) -> Optional[Dict[str, object]]:
         """The plan (estimated vs actual cardinalities) of the most recent
         planner-executed query, or None if no planned query ran yet."""
@@ -328,10 +302,9 @@ class OBDASystem:
             entry = self._last_plan
         if entry is None:
             return None
-        planned, observed, label, pruning = entry
+        planned, observed, label = entry
         report = planned.report(observed)
         report["query"] = label
-        report["constraint_pruning"] = pruning
         report["text"] = planned.render(observed)
         return report
 
@@ -576,19 +549,6 @@ class OBDASystem:
             if self.mappings is None:
                 raise ReproError(f"{method} requires mappings and a database")
             rewritten = self.rewrite(ucq, budget=context.scoped(f"rewrite:{label}"))
-            pushdown = method == "perfectref-sqlite"
-            if pushdown or self.use_planner:
-                answers = self._planned_sql_answers(
-                    rewritten,
-                    label,
-                    context,
-                    tracer,
-                    answer_key,
-                    engine="sqlite" if pushdown else "planner",
-                )
-                if answer_key is not None:
-                    self._answer_cache.put(answer_key, frozenset(answers))
-                return answers
             with tracer.span("unfold") as span:
                 unfolded = None
                 if self.enable_caches:
@@ -608,12 +568,39 @@ class OBDASystem:
                 else:
                     span.set("cache", "hit")
                 span.set("sql_parts", unfolded.size)
-            with tracer.span("sql-eval") as span:
-                answers = unfolded.execute(
-                    context.wrap_database(self.database),
-                    budget=context.scoped(f"sql:{label}"),
+            database = context.wrap_database(self.database)
+            budget = context.scoped(f"sql:{label}")
+            if method == "perfectref-sqlite":
+                answers = self.sql_backend().execute_unfolded(
+                    unfolded, budget=budget, database=database
                 )
-                span.set("answers", len(answers))
+            elif self.use_planner:
+                from .sql.planner import PlannedQuery
+
+                with tracer.span("plan") as span:
+                    planned = PlannedQuery.from_unfolded(
+                        unfolded,
+                        self.statistics_catalog(),
+                        budget=context.scoped(f"plan:{label}"),
+                        database=database,
+                    )
+                    span.annotate(
+                        parts=planned.size,
+                        estimated_rows=round(planned.estimated_rows, 1),
+                    )
+                observed: Dict[int, int] = {}
+                with tracer.span("sql-eval") as span:
+                    span.set("planned", True)
+                    answers = planned.execute(
+                        database, budget=budget, observed=observed
+                    )
+                    span.set("answers", len(answers))
+                with self._lock:
+                    self._last_plan = (planned, observed, label)
+            else:
+                with tracer.span("sql-eval") as span:
+                    answers = unfolded.execute(database, budget=budget)
+                    span.set("answers", len(answers))
         else:  # presto
             rewriting = self.rewrite(
                 ucq, method="presto", budget=context.scoped(f"rewrite:{label}")
@@ -638,127 +625,6 @@ class OBDASystem:
                 span.set("answers", len(answers))
         if answer_key is not None:
             self._answer_cache.put(answer_key, frozenset(answers))
-        return answers
-
-    def _planned_sql_answers(
-        self, rewritten, label, context, tracer, answer_key, engine: str = "planner"
-    ) -> Set[Tuple]:
-        """The optimized SQL path: constraint-prune → unfold → execute.
-
-        *engine* selects the executor for the unfolded UCQ: ``"planner"``
-        runs the cost-based in-memory plan (:mod:`repro.obda.sql.planner`),
-        ``"sqlite"`` pushes the whole statement down to the SQLite
-        backend (:mod:`repro.obda.sql.backends`).  Everything before the
-        executor — and the generation-retry discipline around it — is
-        shared.
-
-        The constraint pruning is *data-dependent* (inclusions hold at a
-        database generation), so the unfolding cache keys on the
-        discovered inclusion fingerprint alongside the canonical query and
-        the TBox generation — a data change that flips an inclusion
-        simply keys a fresh entry.
-        Because the pruned query executes after the inclusions were
-        verified, a concurrent insert in between could invalidate an
-        inclusion whose subsumed disjunct was already dropped; the loop
-        below snapshots the provider generation before pruning,
-        re-checks it after execution, and replans when it moved — the
-        final attempt runs unpruned, which is sound at any generation.
-        """
-        from .sql.planner import PlannedQuery
-
-        constraints = self._planner_constraints()
-        catalog = self.statistics_catalog()
-        backend = self.sql_backend() if engine == "sqlite" else None
-        planned = None
-        observed: Dict[int, int] = {}
-        retries = 0
-        for attempt in range(3):
-            prune_generation = constraints.generation()
-            with tracer.span("constraint-prune") as span:
-                budget = context.scoped(f"constraint-prune:{label}")
-                if attempt < 2:
-                    inclusions = constraints.relevant_inclusions(
-                        rewritten,
-                        budget=budget,
-                        extents=context.wrap_extents(constraints.extents),
-                    )
-                else:  # last attempt: give up on pruning under churn
-                    inclusions = frozenset()
-                pruned = prune_ucq_with_constraints(
-                    rewritten, inclusions, budget=budget
-                )
-                span.annotate(
-                    inclusions=len(inclusions),
-                    disjuncts_before=pruned.before,
-                    disjuncts_after=pruned.after,
-                    attempt=attempt,
-                )
-            fingerprint = ExtensionalConstraints.fingerprint(inclusions)
-            unfold_key = (
-                (answer_key[0], answer_key[2], fingerprint)
-                if answer_key is not None
-                else None
-            )
-            with tracer.span("unfold") as span:
-                unfolded = (
-                    self._unfolding_cache.get(unfold_key)
-                    if unfold_key is not None
-                    else None
-                )
-                if unfolded is None:
-                    span.set("cache", "miss" if unfold_key is not None else "off")
-                    unfolded = unfold(
-                        pruned.ucq,
-                        self.mappings,
-                        budget=context.scoped(f"unfold:{label}"),
-                    )
-                    if unfold_key is not None:
-                        self._unfolding_cache.put(unfold_key, unfolded)
-                else:
-                    span.set("cache", "hit")
-                span.set("sql_parts", unfolded.size)
-            if engine == "sqlite":
-                answers = backend.execute_unfolded(
-                    unfolded,
-                    budget=context.scoped(f"sql:{label}"),
-                    database=context.wrap_database(self.database),
-                )
-            else:
-                with tracer.span("plan") as span:
-                    planned = PlannedQuery.from_unfolded(
-                        unfolded,
-                        catalog,
-                        budget=context.scoped(f"plan:{label}"),
-                        database=context.wrap_database(self.database),
-                    )
-                    span.annotate(
-                        parts=planned.size,
-                        estimated_rows=round(planned.estimated_rows, 1),
-                    )
-                observed = {}
-                with tracer.span("sql-eval") as span:
-                    span.set("planned", True)
-                    answers = planned.execute(
-                        context.wrap_database(self.database),
-                        budget=context.scoped(f"sql:{label}"),
-                        observed=observed,
-                    )
-                    span.set("answers", len(answers))
-            if (
-                not inclusions  # without inclusions pruning is data-independent
-                or not pruned.dropped
-                or constraints.generation() == prune_generation
-            ):
-                break
-            retries += 1
-        with self._lock:
-            if engine == "sqlite":
-                self.planner_stats["pushdown_queries"] += 1
-            else:
-                self.planner_stats["planned_queries"] += 1
-                self._last_plan = (planned, observed, label, pruned.as_dict())
-            self.planner_stats["pruned_disjuncts"] += pruned.dropped
-            self.planner_stats["prune_retries"] += retries
         return answers
 
     def certain_answers_eql(self, query, check_consistency: bool = True):

@@ -160,13 +160,8 @@ def render_explain(report: ExplainReport, metrics: bool = True) -> str:
         render_span_tree(report.tracer),
     ]
     if report.plan is not None:
-        pruning = report.plan.get("constraint_pruning") or {}
         lines.append("")
-        lines.append(
-            "plan (est/actual rows per operator; constraint pruning "
-            f"{pruning.get('before', '?')} -> {pruning.get('after', '?')} "
-            "disjuncts):"
-        )
+        lines.append("plan (est/actual rows per operator):")
         for text_line in str(report.plan.get("text", "")).splitlines():
             lines.append(f"  {text_line}")
     pushdowns = [span for span in report.tracer.spans if span.name == "backend-exec"]

@@ -258,9 +258,9 @@ def diff_planner(
     :attr:`~repro.obda.system.OBDASystem.use_planner`.  The naive
     evaluator executes the unfolded algebra literally, so it is the
     semantic reference here: any divergence is a planner bug — a wrong
-    pushdown, join order, semi-join, index probe, or an unsound
-    constraint prune.  An empty list means the planned path produced
-    byte-identical certain answers on every query.
+    pushdown, join order, semi-join or index probe.  An empty list means
+    the planned path produced byte-identical certain answers on every
+    query.
     """
     from ..errors import MappingError
     from .generators import direct_mapping_system

@@ -439,7 +439,19 @@ def test_rewriting_from_before_an_axiom_add_is_not_served_after_it(monkeypatch):
     assert answers == {(Individual("p"),), (Individual("t"),)}
 
 
-def test_unfolding_from_before_an_axiom_add_is_not_served_after_it(monkeypatch):
+@pytest.mark.parametrize(
+    "use_planner,method",
+    [
+        (True, "perfectref-sql"),
+        (False, "perfectref-sql"),
+        (True, "perfectref-sqlite"),
+    ],
+    ids=["planned-sql", "naive-sql", "sqlite"],
+)
+def test_unfolding_from_before_an_axiom_add_is_not_served_after_it(
+    monkeypatch, use_planner, method
+):
+    # The three SQL executors share one unfolding-cache entry and key.
     from repro.obda.mapping import (
         IriTemplate,
         MappingAssertion,
@@ -459,10 +471,8 @@ def test_unfolding_from_before_an_axiom_add_is_not_served_after_it(monkeypatch):
         ]
     )
     tbox = TBox([ConceptInclusion(_PROFESSOR, _PERSON)], name="tutors")
-    system = OBDASystem(tbox, mappings, database, use_planner=False)
-    answers = _answer_across_a_paused_fill(
-        monkeypatch, system, "unfold", "perfectref-sql"
-    )
+    system = OBDASystem(tbox, mappings, database, use_planner=use_planner)
+    answers = _answer_across_a_paused_fill(monkeypatch, system, "unfold", method)
     assert answers == {(Individual("p/1"),), (Individual("p/2"),)}
 
 

@@ -33,7 +33,6 @@ from repro.obda.sql.planner import (
     HashJoinNode,
     OpaqueNode,
     Planner,
-    PlannedQuery,
     ProjectNode,
     TableScanNode,
 )
@@ -585,8 +584,6 @@ def test_last_plan_report_is_populated():
     report = system.last_plan_report()
     assert report is not None
     assert report["parts"] and report["text"]
-    assert "constraint_pruning" in report
-    assert system.cache_stats()["planner"]["planned_queries"] >= 1
 
 
 def test_use_planner_false_keeps_naive_path():
@@ -631,53 +628,54 @@ def test_planned_path_sees_inserts_through_shared_index():
     assert system.certain_answers(query, method="perfectref-sql") == second
 
 
-def test_constraint_prune_revalidated_under_concurrent_insert(monkeypatch):
-    # An insert between inclusion discovery and plan execution can
-    # invalidate the inclusion that justified dropping a disjunct; the
-    # planned path must notice the generation moved and replan.
-    tbox = parse_tbox("Professor isa Teacher", name="prune-race")
-    abox = ABox()
-    for i in range(4):
-        abox.add(ConceptAssertion(AtomicConcept("Professor"), Individual(f"p{i}")))
-        abox.add(ConceptAssertion(AtomicConcept("Teacher"), Individual(f"p{i}")))
-    abox.add(ConceptAssertion(AtomicConcept("Teacher"), Individual("t9")))
-    system = direct_mapping_system(tbox, abox)
-    original = PlannedQuery.execute
-    fired = []
-
-    def racing_execute(self, database, budget=None, observed=None):
-        if not fired:  # first execution only: land an insert mid-query
-            fired.append(True)
-            system.database.table("t_Professor").insert(("p_new",))
-        return original(self, database, budget=budget, observed=observed)
-
-    monkeypatch.setattr(PlannedQuery, "execute", racing_execute)
-    query = parse_query("q(x) :- Teacher(x)")
-    answers = system.certain_answers(
-        query, method="perfectref-sql", check_consistency=False
-    )
-    assert (Individual("p_new"),) in answers
-    assert len(answers) == 6
-    assert system.cache_stats()["planner"]["prune_retries"] >= 1
-
-
-def test_constraint_pruning_drops_subsumed_disjunct():
-    # Professor ⊑ Teacher and every professor is also asserted a teacher
-    # in the data, so extent(t_Professor) ⊆ extent(t_Teacher) holds and
-    # the Professor disjunct of the rewriting is extensionally redundant.
+def _prune_scenario():
+    """Professor ⊑ Teacher, and every professor is also asserted a
+    teacher in the data: extent(t_Professor) ⊆ extent(t_Teacher), so the
+    Professor disjunct of the rewriting adds no answer."""
     tbox = parse_tbox("Professor isa Teacher", name="prune")
     abox = ABox()
     for i in range(4):
         abox.add(ConceptAssertion(AtomicConcept("Professor"), Individual(f"p{i}")))
         abox.add(ConceptAssertion(AtomicConcept("Teacher"), Individual(f"p{i}")))
     abox.add(ConceptAssertion(AtomicConcept("Teacher"), Individual("t9")))
-    system = direct_mapping_system(tbox, abox)
-    query = parse_query("q(x) :- Teacher(x)")
-    answers = system.certain_answers(query, method="perfectref-sql")
+    return tbox, abox
+
+
+#: the three SQL executors: (use_planner, method)
+SQL_PATHS = {
+    "planned-sql": (True, "perfectref-sql"),
+    "naive-sql": (False, "perfectref-sql"),
+    "sqlite": (True, "perfectref-sqlite"),
+}
+
+
+def test_constraint_pruning_drops_subsumed_disjunct():
+    # The scenario extensional constraint pruning once shortened: every
+    # SQL executor runs the whole rewriting and answers as the KB does.
+    from repro.obda.system import OBDASystem
+
+    tbox, abox = _prune_scenario()
+    kb = OBDASystem(tbox, abox=abox)
+    for query in ("q(x) :- Teacher(x)", "q() :- Professor(x)"):
+        expected = kb.certain_answers(query, method="perfectref")
+        for use_planner, method in SQL_PATHS.values():
+            system = direct_mapping_system(tbox, abox)
+            system.use_planner = use_planner
+            assert system.certain_answers(query, method=method) == expected
+    assert len(kb.certain_answers("q(x) :- Teacher(x)")) == 5
+
+
+@pytest.mark.parametrize("path", sorted(SQL_PATHS))
+def test_sql_paths_pull_no_virtual_extent(path):
+    # The SQL paths read the sources through the unfolding only; without
+    # a consistency check nothing materializes a mapped extent.
+    use_planner, method = SQL_PATHS[path]
+    system = direct_mapping_system(*_prune_scenario())
+    system.use_planner = use_planner
+    pulls = global_metrics().counter("obda.extents.pulls")
+    before = pulls.value
+    answers = system.certain_answers(
+        "q(x) :- Teacher(x)", method=method, check_consistency=False
+    )
     assert len(answers) == 5
-    report = system.last_plan_report()
-    pruning = report["constraint_pruning"]
-    assert pruning["before"] == 2 and pruning["after"] == 1
-    naive = direct_mapping_system(tbox, abox)
-    naive.use_planner = False
-    assert answers == naive.certain_answers(query, method="perfectref-sql")
+    assert pulls.value == before

@@ -181,17 +181,31 @@ def test_planner_regression_all_redundant_disjuncts_pruned():
         "Lecturer": shared[:1],
         "Teacher": shared + [("t9",)],
     }
-    system = _mapped_system(tbox, tables)
-    naive = _mapped_system(tbox, tables)
-    naive.use_planner = False
+    # The rewriting is Teacher ∨ Professor ∨ Lecturer, and both
+    # specializations are extensionally contained in Teacher: the SQL
+    # paths run all three disjuncts and answer as the KB does.
+    from repro.dllite import ABox, AtomicConcept
+    from repro.dllite.abox import ConceptAssertion, Individual
+    from repro.obda.system import OBDASystem
+
+    abox = ABox(
+        [
+            ConceptAssertion(AtomicConcept(name), Individual(row[0]))
+            for name, rows in tables.items()
+            for row in rows
+        ]
+    )
     query = "q(x) :- Teacher(x)"
-    assert _answers(system, query) == _answers(naive, query)
-    report = system.last_plan_report()
-    pruning = report["constraint_pruning"]
-    # rewriting yields Teacher ∨ Professor ∨ Lecturer; both specializations
-    # are extensionally contained in Teacher, so only one disjunct survives
-    assert pruning["before"] == 3
-    assert pruning["after"] == 1
+    expected = _answers(OBDASystem(tbox, abox=abox), query, method="perfectref")
+    assert len(expected) == 4
+    for use_planner, method in (
+        (True, "perfectref-sql"),
+        (False, "perfectref-sql"),
+        (True, "perfectref-sqlite"),
+    ):
+        system = _mapped_system(tbox, tables)
+        system.use_planner = use_planner
+        assert _answers(system, query, method=method) == expected
 
 
 def test_backend_regression_mixed_type_keys():

@@ -230,6 +230,64 @@ def test_one_subject_keeps_values_one_and_one_float(kwargs, method):
     }
 
 
+def _templates_system(tables, kwargs):
+    """Concepts named by IRI templates: *tables* maps a concept to
+    ``(pattern, rows)``, with one column per placeholder of the pattern."""
+    database = Database("templates")
+    mappings = MappingCollection()
+    for concept, (pattern, rows) in sorted(tables.items()):
+        template = IriTemplate(pattern)
+        database.create_table(f"t_{concept}", template.placeholders, rows)
+        mappings.add(
+            MappingAssertion(
+                f"SELECT {', '.join(template.placeholders)} FROM t_{concept}",
+                [TargetAtom(AtomicConcept(concept), (template,))],
+            )
+        )
+    tbox = parse_tbox("concept " + ", ".join(sorted(tables)))
+    return OBDASystem(tbox, mappings, database, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs,method", FIVE_PATHS, ids=FIVE_PATH_IDS)
+def test_a_value_that_reads_like_a_placeholder_stays_in_its_slot(kwargs, method):
+    """``a/{x}/{y}`` over x = "{y}", y = "2" names ``a/{y}/2``: a value is
+    never substituted again by a later placeholder of the template."""
+    system = _templates_system({"A": ("a/{x}/{y}", [("{y}", "2")])}, kwargs)
+    assert _subjects(system, "q(z) :- A(z)", method) == {"a/{y}/2"}
+
+
+_NON_INJECTIVE_TEMPLATES = pytest.mark.xfail(
+    strict=True,
+    reason="the unfolder joins equal template skeletons column by column "
+    "and parses a constant with greedy groups, so a separator inside a "
+    "value loses the answer on the SQL paths (ROADMAP, non-injective "
+    "templates)",
+)
+
+
+@pytest.mark.parametrize(
+    "kwargs,method",
+    [
+        pytest.param(*path, id=path_id)
+        if path_id in ("perfectref", "presto")
+        else pytest.param(*path, id=path_id, marks=_NON_INJECTIVE_TEMPLATES)
+        for path, path_id in zip(FIVE_PATHS, FIVE_PATH_IDS)
+    ],
+)
+def test_templates_that_render_one_iri_from_different_splits(kwargs, method):
+    """``a/{x}/{y}`` over ("b/c", "d") and ``a/{p}/{q}`` over ("b", "c/d")
+    both name ``a/b/c/d``."""
+    system = _templates_system(
+        {
+            "A": ("a/{x}/{y}", [("b/c", "d")]),
+            "B": ("a/{p}/{q}", [("b", "c/d")]),
+        },
+        kwargs,
+    )
+    assert _subjects(system, "q(z) :- A(z), B(z)", method) == {"a/b/c/d"}
+    assert system.certain_answers("q() :- B('a/b/c/d')", method=method) == {()}
+
+
 def test_raw_value_answers_decode_faithfully():
     database = Database("hr")
     database.create_table(
