@@ -442,7 +442,6 @@ def _cmd_explain(args) -> int:
         seed=args.seed,
         budget=args.budget,
         fallback=args.fallback,
-        use_planner=not args.no_planner,
     )
     print(render_explain(report))
     problems = []
@@ -482,7 +481,6 @@ def _cmd_conformance(args) -> int:
         budget_s=args.budget,
         semantics_every=args.semantics_every,
         obda_every=args.obda_every,
-        planner_every=args.planner_every,
         backend_every=args.backend_every,
         mode=args.mode,
         regression_dir=args.regressions,
@@ -724,26 +722,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the end-to-end OBDA answer diff every Nth round (0 = never)",
     )
     conformance.add_argument(
-        "--planner-every",
-        type=int,
-        default=2,
-        help="run the naive-vs-planned SQL equivalence diff every Nth "
-        "round (0 = never)",
-    )
-    conformance.add_argument(
         "--backend-every",
         type=int,
         default=2,
         help="run the five-path backend diff (KB perfectref/presto, sqlite, "
-        "planned and naive SQL) every Nth round (0 = never)",
+        "the SQL join and the naive SQL evaluator) every Nth round "
+        "(0 = never)",
     )
     conformance.add_argument(
         "--mode",
-        choices=["all", "planner", "backend"],
+        choices=["all", "backend"],
         default="all",
-        help="'planner' runs only the naive-vs-planned SQL oracle every "
-        "round (the planner-smoke CI job); 'backend' runs only the "
-        "five-path backend oracle every round (the sqlite-smoke CI job)",
+        help="'backend' runs only the five-path backend oracle every "
+        "round (the sqlite-smoke CI job)",
     )
     conformance.add_argument(
         "--regressions",
@@ -792,12 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fallback",
         action="store_true",
         help="also classify through the resilient fallback chain, traced",
-    )
-    explain.add_argument(
-        "--no-planner",
-        action="store_true",
-        help="run the perfectref-sql path through the naive evaluator "
-        "instead of the cost-based planner",
     )
     explain.add_argument(
         "--json", help="write the trace as JSON-lines to this file"

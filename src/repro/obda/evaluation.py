@@ -23,12 +23,23 @@ of a plan fixed before the first row is read.  The next step is always
 the connected atom with the smallest estimated fan-out, its extent size
 over the number of keys of the index it would probe.  Indexes hash an
 extent by the string forms of the cells at the step's key positions
-(constants and slots bound by earlier steps).  They are built lazily
-and cached *on the provider* (keyed by predicate and key positions)
-under the version of the extent they index; when the extent grew by
-appended rows the index is extended by them, copy-on-write, instead of
-rebuilt.  Building and extending poll the budget and install the index
-only on completion, so a timeout never leaves a partial index behind.
+(constants and slots bound by earlier steps, any number of them).  They
+are built lazily and cached *on the provider* (keyed by predicate and
+key positions) under the version of the extent they index; when the
+extent grew by appended rows the index is extended by them,
+copy-on-write, instead of rebuilt.  Building and extending poll the
+budget and install the index only on completion, so a timeout never
+leaves a partial index behind.  A slot is bound only when something
+reads it, and a step that binds none stops at its first match (a
+semi-join).
+
+The same join runs the SQL path (:func:`evaluate_table_cqs`): each
+unfolded part is a union of conjunctive queries over the source tables
+(:mod:`repro.obda.sql.tablecq`), whose atoms have one argument per
+table column, may repeat a variable at any position, and carry ``!=``
+checks, each run on the step that binds the later of its two sides.
+Their steps probe the tables' own indexes
+(:meth:`~repro.obda.sql.table.Table.index`).
 
 Cells compare by their string forms
 (:func:`~repro.obda.sql.stats.join_key`, the identity the SQL executors
@@ -37,6 +48,8 @@ a query constant probes its bucket directly.  An object (``Individual``)
 never equals a value, whatever their string forms — the SQL unfolder
 keeps IRI templates and value columns apart the same way — so a probe
 step re-checks the kind of every cell its key matched on a bound slot.
+Table cells are compared by string form alone, as the algebra evaluator
+compares them.
 """
 
 from __future__ import annotations
@@ -44,7 +57,19 @@ from __future__ import annotations
 import itertools
 import threading
 from operator import itemgetter
-from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Sized,
+    Tuple,
+)
 
 from ..dllite.abox import ABox, Individual
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
@@ -52,7 +77,7 @@ from ..obs.metrics import global_metrics
 from ..obs.trace import current_tracer
 from ..runtime.budget import Budget
 from .mapping import MappingCollection
-from .queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable
+from .queries import Constant, ConjunctiveQuery, UnionQuery, Variable
 from .sql.database import Database
 from .sql.table import Index, Table, grown_index
 
@@ -63,6 +88,7 @@ __all__ = [
     "MappingExtents",
     "DatalogExtents",
     "evaluate_cq",
+    "evaluate_table_cqs",
     "evaluate_ucq",
 ]
 
@@ -591,7 +617,66 @@ def _same_term(first: object, second: object) -> bool:
     )
 
 
-def _fan_out(rows: Set[Tuple], index: Optional[Index]) -> float:
+def _same_text(first: object, second: object) -> bool:
+    """Source-cell equality: the same string form."""
+    return str(first) == str(second)
+
+
+#: a conjunctive query in the terms of :func:`_compile`: ``(shapes,
+#: captures, unequal, answer, size)``.  Per atom, per argument position,
+#: ``shapes`` holds the part the position plays: a constant's string form
+#: (str), a slot (int) or nothing (None): a slot is bound only because
+#: something reads it (a key of another atom, a repeat within its own, an
+#: inequality or the answer), so a step that binds none can stop at its
+#: first match.  ``captures`` holds per atom the
+#: ``(position, slot)`` pairs bound from every matching row besides (the
+#: raw cells a SQL answer reads), or is None when no atom has any;
+#: ``unequal`` the pairs whose string forms must differ, each side a slot
+#: or a constant's string form; ``answer`` the answer slots and ``size``
+#: the number of slots.
+Query = Tuple[
+    Sequence[Sequence[object]],
+    Optional[Tuple[Tuple[Tuple[int, int], ...], ...]],
+    Tuple[Tuple[object, object], ...],
+    Tuple[int, ...],
+    int,
+]
+
+
+def _shape(cq: ConjunctiveQuery) -> Query:
+    """*cq* over extents: variables numbered into slots by first
+    occurrence, constants as their string forms, and a variable that
+    occurs once and is no answer variable as None.  Plain loops: this
+    runs once per evaluated disjunct, most of them a few terms long."""
+    slot_of: Dict[str, int] = {}  # by name, a variable's identity
+    uses: List[int] = []
+    shapes: List[List[object]] = []
+    for atom in cq.atoms:
+        shape: List[object] = []
+        for term in atom.args:
+            if isinstance(term, Constant):
+                shape.append(term.key)
+                continue
+            slot = slot_of.get(term.name)
+            if slot is None:
+                slot_of[term.name] = slot = len(uses)
+                uses.append(1)
+            else:
+                uses[slot] += 1
+            shape.append(slot)
+        shapes.append(shape)
+    answer = tuple([slot_of[variable.name] for variable in cq.answer_vars])
+    for slot in answer:
+        uses[slot] = 2
+    if 1 in uses:
+        for shape in shapes:
+            for position, part in enumerate(shape):
+                if part.__class__ is int and uses[part] == 1:
+                    shape[position] = None
+    return shapes, None, (), answer, len(uses)
+
+
+def _fan_out(rows: Sized, index: Optional[Index]) -> float:
     """The rows a probe of *index* over the extent *rows* yields on
     average; the whole extent for a step without a key (no index)."""
     if index is None:
@@ -600,51 +685,52 @@ def _fan_out(rows: Set[Tuple], index: Optional[Index]) -> float:
 
 
 def _compile(
-    cq: ConjunctiveQuery,
-    extents: ExtentProvider,
+    query: Query,
+    rows_of: Sequence[Sized],
+    index_of: Callable[[int, Tuple[int, ...]], Index],
+    typed: bool,
     budget: Optional[Budget],
-    probes: Optional[List[Tuple[Atom, Tuple[int, ...], float]]],
+    probes: Optional[List[Tuple[int, Tuple[int, ...], float]]],
 ):
-    """*cq* compiled into probe steps over *extents*: ``(steps, size,
-    constants, answer_slots)``, or None when the join has no answer (an
-    empty extent or constant bucket).
+    """*query* compiled into probe steps over the rows of its atoms,
+    *rows_of*: ``(steps, size, constants, answer, same)``, or None when
+    the join has no answer (an empty extent or constant bucket).
+    ``index_of(atom, positions)`` serves the index of an atom's rows on
+    key positions.
 
-    Variables are numbered into slots by first occurrence; a constant in
-    a key that also reads a slot takes a slot of its own, whose string
-    form ``constants`` lists.  Each step is ``(rows, index, k0, k1,
-    binds, rechecks, repeat)``: the rows to scan (the extent, or the
-    bucket of an all-constant key), else the index to probe with the
-    string forms in slots ``k0`` (and ``k1``); the ``(position, slot)``
-    pairs to bind and those to re-check the kind of (the keyed slots);
-    and the ``(position, first position)`` of a variable repeated within
-    the atom, or None.
+    A constant in a key that also reads a slot takes a slot of its own,
+    whose string form ``constants`` lists; so does a constant side of an
+    inequality.  Each step is ``(rows, index, k0, key, binds, rechecks,
+    checks)``: the rows to scan (the extent, or the bucket of an
+    all-constant key), else the index to probe with the string form in
+    slot ``k0`` (one-column keys) or those ``key`` gets from the slots;
+    the ``(position, slot)`` pairs to bind; those to re-check the kind of
+    (keyed slots, *typed* queries only); and ``checks``: None for a step
+    that checks nothing else per row, True for one that only stops at
+    its first match, because nothing later (no key, check or answer)
+    reads the slots it binds, or else ``(repeats, unequal, first)``: the
+    ``(position, first position)`` of a variable repeated within the
+    atom, compared by ``same`` (cell identity when *typed*, string form
+    otherwise), the slot pairs whose string forms must differ, checked
+    on the step that binds the later of their sides, and whether the
+    step stops at its first match.
 
     The plan is built in one pass.  Each step takes, among the atoms
     sharing a bound slot (all atoms when none does), the one with the
-    smallest fan-out: ``len(extent) / len(index)`` for the index at its
-    key positions, or ``len(extent)`` when it has no key.  Ranking
-    fetches the index only of keyed candidates, and none when one atom
-    remains.  With *probes*, each step's atom, key positions and
-    estimated fan-out are appended to it.
+    smallest fan-out: ``len(rows) / len(index)`` for the index at its
+    key positions, or ``len(rows)`` when it has no key.  Ranking fetches
+    the index only of keyed candidates, and none when one atom remains.
+    With *probes*, each step's atom number, key positions and estimated
+    fan-out are appended to it.
     """
-    atoms = cq.atoms
-    extents_of = [extents.extent(atom.predicate, atom.arity) for atom in atoms]
-    if not all(extents_of):
+    if not all(rows_of):
         return None
-    slot_of: Dict[Variable, int] = {}
-    shapes = [
-        tuple([
-            term.key if isinstance(term, Constant) else slot_of.setdefault(term, len(slot_of))
-            for term in atom.args
-        ])
-        for atom in atoms
-    ]
-    size = len(slot_of)
+    shapes, captures, pending, answer, size = query
     bound: Set[int] = set()
     constants: List[Tuple[int, str]] = []
     fetched: Dict[Tuple[int, Tuple[int, ...]], Index] = {}
     steps: List[Tuple] = []
-    remaining = list(range(len(atoms)))
+    remaining = list(range(len(shapes)))
     while remaining:
         if budget is not None:
             budget.check()
@@ -664,10 +750,8 @@ def _compile(
                     ])
                     index = fetched.get((i, positions))
                     if positions and index is None:
-                        index = fetched[i, positions] = extents.index(
-                            atoms[i].predicate, atoms[i].arity, positions, budget=budget
-                        )
-                    rank = _fan_out(extents_of[i], index)
+                        index = fetched[i, positions] = index_of(i, positions)
+                    rank = _fan_out(rows_of[i], index)
                     if best is None or rank < best:
                         pick, best = i, rank
         remaining.remove(pick)
@@ -675,54 +759,86 @@ def _compile(
         key: List = []
         binds: List[Tuple[int, int]] = []
         rechecks: List[Tuple[int, int]] = []
-        repeat = None
+        repeats: List[Tuple[int, int]] = []
+        reads_slot = False
         for position, part in enumerate(shapes[pick]):
             if isinstance(part, str):
                 key_positions.append(position)
                 key.append(part)
+            elif part is None:
+                continue
             elif part in bound:
                 key_positions.append(position)
                 key.append(part)
-                rechecks.append((position, part))
-            elif binds and binds[0][1] == part:
-                # atoms have arity 1 or 2: only position 0 can bind it
-                repeat = (position, binds[0][0])
+                reads_slot = True
+                if typed:
+                    rechecks.append((position, part))
             else:
-                binds.append((position, part))
+                for at, slot in binds:
+                    if slot == part:
+                        repeats.append((position, at))
+                        break
+                else:
+                    binds.append((position, part))
         bound.update([slot for _, slot in binds])
-        atom = atoms[pick]
-        rows = extents_of[pick]
+        if captures is not None:
+            binds.extend(captures[pick])
+        unequal: Tuple = ()
+        if pending:
+            placed, waiting = [], []
+            for pair in pending:
+                if not all([isinstance(side, str) or side in bound for side in pair]):
+                    waiting.append(pair)
+                    continue
+                sides = []
+                for side in pair:
+                    if isinstance(side, str):
+                        constants.append((size, side))
+                        side, size = size, size + 1
+                    sides.append(side)
+                placed.append(tuple(sides))
+            unequal, pending = tuple(placed), waiting
+        rows = rows_of[pick]
         positions = tuple(key_positions)
         index = fetched.get((pick, positions))
         if positions and index is None:
-            index = extents.index(atom.predicate, atom.arity, positions, budget=budget)
+            index = index_of(pick, positions)
         if probes is not None:
-            probes.append((atom, positions, _fan_out(rows, index)))
-        k0 = k1 = None
-        if rechecks:
+            probes.append((pick, positions, _fan_out(rows, index)))
+        k0 = getter = None
+        if reads_slot:
             for at, part in enumerate(key):
                 if isinstance(part, str):
                     constants.append((size, part))
                     key[at] = size
                     size += 1
-            k0 = key[0]
-            k1 = key[1] if len(key) > 1 else None
+            if len(key) == 1:
+                k0 = key[0]
+            else:
+                getter = itemgetter(*key)
             rows = None
         elif positions:
             rows = index.get(tuple(key))
             if not rows:
                 return None
-        steps.append((rows, index, k0, k1, tuple(binds), tuple(rechecks), repeat))
-    answer_slots = tuple([slot_of[variable] for variable in cq.answer_vars])
-    return steps, size, constants, answer_slots
+        # only a step that binds no slot can stop at its first match: every
+        # slot is bound because something reads it (see Query)
+        if repeats or unequal:
+            checks = (tuple(repeats), unequal, not binds)
+        else:
+            checks = None if binds else True
+        steps.append((rows, index, k0, getter, tuple(binds), tuple(rechecks), checks))
+    return steps, size, constants, answer, _same_term if typed else _same_text
 
 
-def _join(plan, budget: Optional[Budget]) -> Set[Tuple]:
+def _join(plan, budget: Optional[Budget], identity: bool = False) -> Set[Tuple]:
     """Run a plan of :func:`_compile`: backtracking over per-call slot
     lists, polling *budget* once per binding.  Binding a slot caches the
-    string form and kind of its cell for the keys and kind re-checks of
-    later steps."""
-    steps, size, constants, answer_slots = plan
+    string form and kind of its cell for the keys and checks of later
+    steps.  With *identity*, each answer row comes paired with its
+    :func:`join_key`, so rows equal under ``==`` that render apart (``1``
+    and ``1.0``) stay two answers, as do ``1`` and ``"1"``."""
+    steps, size, constants, answer, same = plan
     values: List[object] = [None] * size
     strs: List[Optional[str]] = [None] * size
     kinds: List[bool] = [False] * size
@@ -731,33 +847,67 @@ def _join(plan, budget: Optional[Budget]) -> Set[Tuple]:
     answers: Set[Tuple] = set()
     last = len(steps)
 
+    def emit(depth: int) -> None:
+        if budget is not None:
+            budget.tick()
+        row = tuple([values[slot] for slot in answer])
+        answers.add((tuple([strs[slot] for slot in answer]), row) if identity else row)
+
     def join(depth: int) -> None:
         if budget is not None:
             budget.tick()
-        if depth == last:
-            answers.add(tuple([values[slot] for slot in answer_slots]))
-            return
-        rows, index, k0, k1, binds, rechecks, repeat = steps[depth]
+        rows, index, k0, key, binds, rechecks, checks = steps[depth]
         if rows is None:
-            rows = index.get((strs[k0],) if k1 is None else (strs[k0], strs[k1]), ())
+            rows = index.get((strs[k0],) if key is None else key(strs), ())
         depth += 1
+        then = join if depth < last else emit
+        if checks is None:
+            for row in rows:
+                for position, slot in rechecks:
+                    # the key matched the string form only
+                    if isinstance(row[position], Individual) is not kinds[slot]:
+                        break
+                else:
+                    for position, slot in binds:
+                        value = values[slot] = row[position]
+                        strs[slot] = value if isinstance(value, str) else str(value)
+                        kinds[slot] = isinstance(value, Individual)
+                    then(depth)
+            return
+        if checks is True:
+            # a semi-join: the first row that passes is the only one
+            # needed, and nothing reads what it would bind
+            for row in rows:
+                for position, slot in rechecks:
+                    if isinstance(row[position], Individual) is not kinds[slot]:
+                        break
+                else:
+                    then(depth)
+                    return
+            return
+        repeats, unequal, first = checks
         for row in rows:
             for position, slot in rechecks:
-                # the key matched the string form only
                 if isinstance(row[position], Individual) is not kinds[slot]:
                     break
             else:
-                if repeat is not None and not _same_term(
-                    row[repeat[0]], row[repeat[1]]
-                ):
-                    continue
-                for position, slot in binds:
-                    value = values[slot] = row[position]
-                    strs[slot] = value if isinstance(value, str) else str(value)
-                    kinds[slot] = isinstance(value, Individual)
-                join(depth)
+                for position, other in repeats:
+                    if not same(row[position], row[other]):
+                        break
+                else:
+                    for position, slot in binds:
+                        value = values[slot] = row[position]
+                        strs[slot] = value if isinstance(value, str) else str(value)
+                        kinds[slot] = isinstance(value, Individual)
+                    for left, right in unequal:
+                        if strs[left] == strs[right]:
+                            break
+                    else:
+                        then(depth)
+                        if first:
+                            break
 
-    join(0)
+    (join if last else emit)(0)
     return answers
 
 
@@ -771,20 +921,78 @@ def _evaluate(
     disabled."""
     if budget is not None:
         budget.check()
+    atoms = cq.atoms
+    rows_of = [extents.extent(atom.predicate, atom.arity) for atom in atoms]
+    if tracer is None and not all(rows_of):
+        return set()  # before the query is shaped: many disjuncts end here
+
+    def index_of(i: int, positions: Tuple[int, ...]) -> Index:
+        atom = atoms[i]
+        return extents.index(atom.predicate, atom.arity, positions, budget=budget)
+
     if tracer is None:
-        plan = _compile(cq, extents, budget, None)
+        plan = _compile(_shape(cq), rows_of, index_of, True, budget, None)
         return set() if plan is None else _join(plan, budget)
     with tracer.span("join") as span:
-        probes: List[Tuple[Atom, Tuple[int, ...], float]] = []
-        plan = _compile(cq, extents, budget, probes)
+        probes: List[Tuple[int, Tuple[int, ...], float]] = []
+        plan = _compile(_shape(cq), rows_of, index_of, True, budget, probes)
         answers = set() if plan is None else _join(plan, budget)
-        span.annotate(
-            atoms=[str(atom) for atom, _, _ in probes],
-            keys=[list(positions) for _, positions, _ in probes],
-            fan_outs=[round(fan_out, 3) for _, _, fan_out in probes],
-            answers=len(answers),
-        )
+        _annotate(span, [str(atom) for atom in atoms], probes, len(answers))
         return answers
+
+
+def _annotate(span, labels: List[str], probes, answers: int) -> None:
+    """A ``join`` span's plan: the atoms in probe order, their key
+    positions and estimated fan-outs, and the answer count."""
+    span.annotate(
+        atoms=[labels[i] for i, _, _ in probes],
+        keys=[list(positions) for _, positions, _ in probes],
+        fan_outs=[round(fan_out, 3) for _, _, fan_out in probes],
+        answers=answers,
+    )
+
+
+def evaluate_table_cqs(
+    cqs: Iterable,
+    tables: Dict[str, Table],
+    budget: Optional[Budget] = None,
+) -> Set[Tuple[Tuple[str, ...], Tuple]]:
+    """The output rows of the table CQs *cqs*
+    (:class:`~repro.obda.sql.tablecq.TableCQ`) over *tables* (by name),
+    each paired with its :func:`join_key`: a row is one answer per
+    identity, so ``1`` and ``1.0`` stay apart, and so do ``1`` and
+    ``"1"``.
+
+    Each CQ runs through the compiled join of :func:`evaluate_cq`, its
+    atoms probing :meth:`Table.index` and its cells comparing by string
+    form alone, as the algebra evaluator compares them.  The budget is
+    polled once per binding; with a tracer installed, each CQ is a
+    ``join`` span annotated with its plan.
+    """
+    tracer = current_tracer()
+    found: Set[Tuple[Tuple[str, ...], Tuple]] = set()
+    for cq in cqs:
+        if budget is not None:
+            budget.check()
+        read = [tables[name] for name in cq.tables]
+        rows_of = [table.rows for table in read]
+
+        def index_of(i: int, positions: Tuple[int, ...], read=read) -> Index:
+            return read[i].index(positions, budget)
+
+        query = cq[1:]  # the table names lead, then the query
+        if not tracer.enabled:
+            plan = _compile(query, rows_of, index_of, False, budget, None)
+            if plan is not None:
+                found |= _join(plan, budget, identity=True)
+            continue
+        with tracer.span("join") as span:
+            probes: List[Tuple[int, Tuple[int, ...], float]] = []
+            plan = _compile(query, rows_of, index_of, False, budget, probes)
+            rows = set() if plan is None else _join(plan, budget, identity=True)
+            _annotate(span, cq.labels(), probes, len(rows))
+        found |= rows
+    return found
 
 
 def evaluate_cq(

@@ -15,6 +15,13 @@ the (renamed) source queries:
 * answer variables are projected as their placeholder columns, and the
   :class:`UnfoldedQuery` re-applies the templates row-wise to assemble
   the final :class:`~repro.dllite.abox.Individual` answers.
+
+:meth:`UnfoldedQuery.join` runs each part as conjunctive queries over
+the tables (:mod:`repro.obda.sql.tablecq`) through the compiled join of
+:mod:`repro.obda.evaluation`, which probes the tables' hash indexes;
+:meth:`UnfoldedQuery.execute` evaluates the algebra as it is written,
+with no index kept between calls, and is the reference the tests check
+the join against.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...errors import MappingError
 from ...runtime.budget import Budget
+from ..evaluation import evaluate_table_cqs
 from ..mapping import IriTemplate, MappingCollection, read_terms
-from ..queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable
+from ..queries import Constant, ConjunctiveQuery, UnionQuery, Variable
 from ..sql.algebra import (
     Condition,
     Const,
@@ -37,8 +45,10 @@ from ..sql.algebra import (
     ResultSet,
     Selection,
     evaluate,
+    scans,
 )
 from ..sql.database import Database
+from ..sql.tablecq import table_cqs
 
 __all__ = ["UnfoldedQuery", "answer_rows", "unfold"]
 
@@ -73,6 +83,10 @@ class UnfoldedQuery:
     ):
         self.parts = list(parts)
         self.arity = arity
+        #: per part, the tables it scans and the table CQs and answer
+        #: readers :meth:`join` runs, keyed by those tables' columns;
+        #: built by the first join
+        self._joins: Optional[List[Tuple[Tuple[str, ...], Dict[Tuple, Tuple]]]] = None
 
     @property
     def size(self) -> int:
@@ -95,6 +109,7 @@ class UnfoldedQuery:
     def execute(
         self, database: Database, budget: Optional[Budget] = None
     ) -> Set[Tuple]:
+        """The answers by the algebra evaluator, part by part."""
         answers: Set[Tuple] = set()
         for expression, recipes in self.parts:
             if budget is not None:
@@ -102,6 +117,55 @@ class UnfoldedQuery:
             result = evaluate(expression, database, budget=budget)
             answers.update(answer_rows(result, recipes, budget))
         return answers
+
+    def join(self, database: Database, budget: Optional[Budget] = None) -> Set[Tuple]:
+        """The answers by the compiled join over the tables' indexes.
+
+        Each part's tables are looked up through *database*, so retry and
+        fault wrappers apply, and the part runs as the table CQs converted
+        for those tables' columns: converted on first use, and again only
+        for tables with other columns.  A part's output rows are one per
+        identity (:func:`~repro.obda.evaluation.evaluate_table_cqs`)
+        before its templates render them, so ``1`` and ``1.0`` render two
+        IRIs.  The budget is polled per part, per branch converted and per
+        binding.
+        """
+        parts = self._joins
+        if parts is None:
+            parts = self._joins = [
+                (tuple(dict.fromkeys(scan.table for scan in scans(expression))), {})
+                for expression, _ in self.parts
+            ]
+        answers: Set[Tuple] = set()
+        for (expression, recipes), (names, joins) in zip(self.parts, parts):
+            if budget is not None:
+                budget.check()
+            tables = {name: database.table(name) for name in names}
+            columns = tuple([table.columns for table in tables.values()])
+            compiled = joins.get(columns)
+            if compiled is None:
+                compiled = joins[columns] = _compile_part(expression, recipes, tables, budget)
+            cqs, readers = compiled
+            rows = evaluate_table_cqs(cqs, tables, budget)
+            answers.update(read_terms([row for _, row in rows], readers, budget))
+        return answers
+
+
+def _compile_part(
+    expression: Expression, recipes, tables, budget: Optional[Budget]
+) -> Tuple[list, list]:
+    """*expression*'s table CQs over *tables* (by name), and the reader
+    of each recipe: its template and output positions.  A boolean part
+    (no recipes) outputs no column."""
+    columns, cqs = table_cqs(
+        expression, tables.__getitem__, outputs=bool(recipes), budget=budget
+    )
+    output = ResultSet(columns, [])
+    readers = [
+        (recipe.template, [output.column_index(column) for column in recipe.columns])
+        for recipe in recipes
+    ]
+    return cqs, readers
 
 
 def unfold(

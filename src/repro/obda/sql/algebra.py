@@ -15,7 +15,7 @@ renders them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from ...errors import MappingError
 from ...runtime.budget import Budget
@@ -197,7 +197,7 @@ def evaluate(
         return ResultSet(source.columns, [row for row in source.rows if predicate(row)])
     if isinstance(expression, Projection):
         source = evaluate(expression.source, database, budget)
-        indices = [_resolve(source, column) for column in expression.columns]
+        indices = [_resolve(source.columns, column) for column in expression.columns]
         names = expression.names or tuple(
             _strip(source.columns[i]) for i in indices
         )
@@ -245,8 +245,8 @@ def _evaluate_join(
     """
     left = evaluate(join.left, database, budget)
     right = evaluate(join.right, database, budget)
-    left_keys = [_resolve(left, l) for l, _ in join.on]
-    right_keys = [_resolve(right, r) for _, r in join.on]
+    left_keys = [_resolve(left.columns, l) for l, _ in join.on]
+    right_keys = [_resolve(right.columns, r) for _, r in join.on]
     columns = list(left.columns) + list(right.columns)
     width = len(left.columns)
     combined = ResultSet(columns, [])
@@ -255,7 +255,7 @@ def _evaluate_join(
     residual: List[Condition] = []
     for condition in conditions:
         refs = [
-            _resolve(combined, side)
+            _resolve(combined.columns, side)
             for side in (condition.left, condition.right)
             if not isinstance(side, Const)
         ]
@@ -306,20 +306,22 @@ def _strip(column: str) -> str:
     return column.rsplit(".", 1)[-1]
 
 
-def _resolve(result: ResultSet, column: str) -> int:
-    """Resolve a possibly-unqualified column name against a result set."""
-    if column in result._position:
-        return result._position[column]
+def _resolve(columns: Tuple[str, ...], column: str) -> int:
+    """Resolve a possibly-unqualified column name against the columns of
+    a result: an exact name at its last position, else the one column of
+    that unqualified name."""
+    if column in columns:
+        return len(columns) - 1 - columns[::-1].index(column)
     matches = [
         index
-        for index, name in enumerate(result.columns)
+        for index, name in enumerate(columns)
         if _strip(name) == column
     ]
     if len(matches) == 1:
         return matches[0]
     if not matches:
-        raise MappingError(f"no column {column!r} in {result.columns}")
-    raise MappingError(f"ambiguous column {column!r} in {result.columns}")
+        raise MappingError(f"no column {column!r} in {columns}")
+    raise MappingError(f"ambiguous column {column!r} in {columns}")
 
 
 def _compile_conditions(conditions: Sequence[Condition], source: ResultSet):
@@ -327,9 +329,9 @@ def _compile_conditions(conditions: Sequence[Condition], source: ResultSet):
     for condition in conditions:
         left_const = isinstance(condition.left, Const)
         right_const = isinstance(condition.right, Const)
-        left = condition.left.value if left_const else _resolve(source, condition.left)
+        left = condition.left.value if left_const else _resolve(source.columns, condition.left)
         right = (
-            condition.right.value if right_const else _resolve(source, condition.right)
+            condition.right.value if right_const else _resolve(source.columns, condition.right)
         )
         compiled.append((left_const, left, right_const, right, condition.operator))
 

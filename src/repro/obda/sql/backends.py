@@ -47,7 +47,7 @@ import sqlite3
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ...errors import MappingError
 from ...obs.metrics import global_metrics

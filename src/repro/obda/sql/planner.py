@@ -31,12 +31,16 @@ tree instead:
 * selections are pushed through projections, renames, and union branches.
 
 Every node records its estimated cardinality at plan time and its actual
-row count at execution time (via an ``observed`` dict), which is what
-``repro explain`` renders.  Anything the planner cannot statically
-resolve (ambiguous columns, unknown operators) falls back to an
-:class:`OpaqueNode` that defers to the naive evaluator — the planner is
-an optimizer, never a second source of truth for semantics; the testkit
-``planner`` oracle and the property suite pin the equivalence.
+row count at execution time (via an ``observed`` dict).  Anything the
+planner cannot statically resolve (ambiguous columns, unknown operators)
+falls back to an :class:`OpaqueNode` that defers to the naive evaluator
+— the planner is an optimizer, never a second source of truth for
+semantics; the unit and property suites pin the equivalence.
+
+No query path of :class:`~repro.obda.system.OBDASystem` plans any more:
+``perfectref-sql`` runs its unfolded parts through the compiled join
+over the tables (:mod:`repro.obda.sql.tablecq`).  The module stays while
+the benchmark's traced replay plans with it.
 """
 
 from __future__ import annotations
@@ -1109,7 +1113,7 @@ class PlannedQuery:
     def report(
         self, observed: Optional[Dict[int, int]] = None
     ) -> Dict[str, object]:
-        """A JSON-friendly plan report (what ``repro explain`` surfaces)."""
+        """A JSON-friendly plan report."""
         return {
             "parts": [
                 {

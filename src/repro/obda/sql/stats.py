@@ -112,8 +112,8 @@ class StatisticsCatalog:
     The cache is keyed by ``Table.generation``; a stale entry is
     recomputed on the next access, so callers never invalidate manually
     (``invalidate`` exists for out-of-band mutation only, mirroring the
-    extent provider).  One catalog is meant to be shared by all queries
-    of an :class:`~repro.obda.system.OBDASystem`.
+    extent provider).  One catalog is meant to be shared by all plans
+    over one database (:meth:`~repro.obda.system.OBDASystem.statistics_catalog`).
     """
 
     def __init__(self, database: Database):

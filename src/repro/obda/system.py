@@ -13,8 +13,9 @@ Query answering methods:
 * ``"perfectref"``  — PerfectRef UCQ rewriting, evaluated over the
   virtual extents pulled through the mappings;
 * ``"perfectref-sql"`` — same rewriting, but *unfolded* into source-level
-  SQL algebra and executed by the relational engine (the textbook OBDA
-  pipeline);
+  SQL algebra whose parts run as conjunctive queries over the source
+  tables, through the same compiled join over the tables' indexes (the
+  textbook OBDA pipeline);
 * ``"perfectref-sqlite"`` — same unfolding, but pushed down as SQL
   statements to a SQLite replica of the sources
   (:mod:`repro.obda.sql.backends`);
@@ -32,7 +33,7 @@ rewritten extent of its role/attribute.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..core.classifier import GraphClassifier
 from ..core.classify import Classification
@@ -135,7 +136,6 @@ class OBDASystem:
         enable_caches: bool = True,
         cache_size: int = 256,
         classification_cache=None,
-        use_planner: bool = True,
         backend_path: Optional[str] = None,
     ):
         if (mappings is None) != (database is None):
@@ -147,16 +147,12 @@ class OBDASystem:
         self.database = database
         self.abox = abox
         self.enable_caches = enable_caches
-        #: execute the perfectref-sql unfolding with the cost-based planner
-        #: (repro.obda.sql.planner); off = the naive algebra evaluator,
-        #: kept as the oracle baseline
-        self.use_planner = use_planner
         #: file of the SQLite replica method="perfectref-sqlite" pushes
         #: down to (repro.obda.sql.backends); None keeps it in memory
         self._backend_path = backend_path
         #: guards the system's own mutable state (classification slot,
-        #: generation snapshot, consistency verdicts, last plan,
-        #: shared-extent construction).  Never held while classifying,
+        #: generation snapshot, consistency verdicts, shared-extent
+        #: construction).  Never held while classifying,
         #: rewriting or evaluating — only around bookkeeping — so it
         #: cannot participate in a lock cycle (see DESIGN.md).
         self._lock = threading.RLock()
@@ -191,9 +187,6 @@ class OBDASystem:
             self._datalog_extents = None
             self._consistency_cache = None
         self._statistics_catalog: Optional[StatisticsCatalog] = None
-        #: the plan of the most recent planned query, for `repro explain`
-        #: (last_plan_report())
-        self._last_plan = None
         self._sql_backend = None
 
     # -- shared infrastructure ---------------------------------------------------
@@ -273,7 +266,10 @@ class OBDASystem:
         return stats
 
     def statistics_catalog(self) -> Optional[StatisticsCatalog]:
-        """The shared per-table statistics catalog (OBDA mode only)."""
+        """The shared per-table statistics catalog (OBDA mode only).
+
+        No query path reads it: it serves the benchmark's traced replay
+        of the cost-based planner (:mod:`repro.obda.sql.planner`)."""
         if self.database is None:
             return None
         with self._lock:
@@ -294,19 +290,6 @@ class OBDASystem:
                     self.database, path=self._backend_path
                 )
             return self._sql_backend
-
-    def last_plan_report(self) -> Optional[Dict[str, object]]:
-        """The plan (estimated vs actual cardinalities) of the most recent
-        planner-executed query, or None if no planned query ran yet."""
-        with self._lock:
-            entry = self._last_plan
-        if entry is None:
-            return None
-        planned, observed, label = entry
-        report = planned.report(observed)
-        report["query"] = label
-        report["text"] = planned.render(observed)
-        return report
 
     @property
     def classification(self) -> Classification:
@@ -574,32 +557,9 @@ class OBDASystem:
                 answers = self.sql_backend().execute_unfolded(
                     unfolded, budget=budget, database=database
                 )
-            elif self.use_planner:
-                from .sql.planner import PlannedQuery
-
-                with tracer.span("plan") as span:
-                    planned = PlannedQuery.from_unfolded(
-                        unfolded,
-                        self.statistics_catalog(),
-                        budget=context.scoped(f"plan:{label}"),
-                        database=database,
-                    )
-                    span.annotate(
-                        parts=planned.size,
-                        estimated_rows=round(planned.estimated_rows, 1),
-                    )
-                observed: Dict[int, int] = {}
-                with tracer.span("sql-eval") as span:
-                    span.set("planned", True)
-                    answers = planned.execute(
-                        database, budget=budget, observed=observed
-                    )
-                    span.set("answers", len(answers))
-                with self._lock:
-                    self._last_plan = (planned, observed, label)
             else:
                 with tracer.span("sql-eval") as span:
-                    answers = unfolded.execute(database, budget=budget)
+                    answers = unfolded.join(database, budget=budget)
                     span.set("answers", len(answers))
         else:  # presto
             rewriting = self.rewrite(

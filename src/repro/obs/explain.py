@@ -4,7 +4,9 @@
 tracing on and show every stage the pipeline actually executed —
 classification (and whether it came from the shared cache), rewriting
 (with disjunct counts before/after subsumption pruning), unfolding (SQL
-parts), evaluation (extent pulls, index builds, answers), the sqlite
+parts), evaluation (extent pulls, index builds, answers, and each
+``join`` span's probe order, key positions and estimated fan-outs, over
+extents or, under ``sql-eval``, over the source tables), the sqlite
 pushdown (SQL text, statement cache, rows shipped, load and execute
 times, all read from its ``backend-exec`` and ``backend-load`` spans) —
 with per-span wall times, statuses, and the process metrics snapshot.
@@ -50,9 +52,6 @@ class ExplainReport:
     tracer: Tracer = field(default_factory=Tracer)
     metrics: Dict[str, Any] = field(default_factory=dict)
     fallback: Optional[Dict[str, Any]] = None
-    #: the cost-based plan (estimated vs actual per operator) when the
-    #: planned perfectref-sql path ran; see OBDASystem.last_plan_report
-    plan: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -75,7 +74,6 @@ def run_explain(
     fallback: bool = False,
     max_individuals: int = 40,
     max_assertions: int = 200,
-    use_planner: bool = True,
 ) -> ExplainReport:
     """Run one query over *tbox* with tracing on; never raises pipeline errors.
 
@@ -99,7 +97,6 @@ def run_explain(
     )
     abox = random_abox(rng, tbox, profile=sizes)
     system = direct_mapping_system(tbox, abox)
-    system.use_planner = use_planner
     if query is None:
         ucq = _pick_query(rng, tbox)
     elif isinstance(query, str):
@@ -134,8 +131,6 @@ def run_explain(
                 answers = system.certain_answers(ucq, method=method, budget=budget)
                 report.answers = len(answers)
                 root.set("answers", len(answers))
-                if method == "perfectref-sql":
-                    report.plan = system.last_plan_report()
             except TimeoutExceeded as error:
                 report.status, report.detail = "timeout", str(error)
                 root.set_status("timeout", str(error))
@@ -159,11 +154,6 @@ def render_explain(report: ExplainReport, metrics: bool = True) -> str:
         "",
         render_span_tree(report.tracer),
     ]
-    if report.plan is not None:
-        lines.append("")
-        lines.append("plan (est/actual rows per operator):")
-        for text_line in str(report.plan.get("text", "")).splitlines():
-            lines.append(f"  {text_line}")
     pushdowns = [span for span in report.tracer.spans if span.name == "backend-exec"]
     if pushdowns:
         # execute is the backend-exec span's time outside its backend-load
@@ -230,7 +220,6 @@ def explain_records(report: ExplainReport) -> List[Dict[str, Any]]:
             "detail": report.detail,
             "answers": report.answers,
             "fallback": report.fallback,
-            "plan": report.plan,
             "spans": len(report.tracer.spans),
         }
     ]

@@ -35,12 +35,17 @@ The virtual ABox (:mod:`repro.obda.evaluation`) counts its refresh work:
 * ``obda.evaluation.derived_deltas`` — Presto's derived extents grown by
   the projections of their base extents' deltas instead of derived again.
 
-The source tables count the hash indexes the SQL planner probes
+The source tables count the hash indexes the SQL join probes
 (:meth:`repro.obda.sql.table.Table.index`):
 
 * ``obda.sql.index_builds`` — table indexes built in full;
 * ``obda.sql.index_extends`` — table indexes extended by the rows
   appended since they were stamped instead of rebuilt.
+
+The cost-based planner's counters (``obda.planner.*``) move only under
+the benchmark's traced replay, which still plans with
+:mod:`repro.obda.sql.planner`; no query path of
+:class:`~repro.obda.system.OBDASystem` runs the planner.
 """
 
 from __future__ import annotations

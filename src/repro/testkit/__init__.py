@@ -10,8 +10,9 @@ the agreement of every other engine pair in the stack — mechanically, on
    truth by finite-model enumeration, only feasible on tiny signatures;
 2. **differential** (:mod:`repro.testkit.oracle`) — every registered
    reasoner against every other (classification, Φ_T, Ω_T), PerfectRef
-   against Presto, and SQL-algebra evaluation against the naive UCQ
-   evaluator, end to end through :class:`repro.obda.system.OBDASystem`;
+   against Presto, and the SQL paths against the KB-mode executors and
+   the naive algebra evaluator, end to end through
+   :class:`repro.obda.system.OBDASystem`;
 3. **metamorphic** (:mod:`repro.testkit.metamorphic`) — invariants that
    need no oracle at all: renaming, axiom order/duplication, entailed
    additions, module extraction, union monotonicity.
@@ -49,7 +50,7 @@ from .oracle import (
     diff_backend,
     diff_classifications,
     diff_engines,
-    diff_planner,
+    naive_sql_answers,
     semantics_soundness,
 )
 from .shrink import shrink_axioms, shrink_tbox, write_reproducer
@@ -71,8 +72,8 @@ __all__ = [
     "diff_backend",
     "diff_classifications",
     "diff_engines",
-    "diff_planner",
     "direct_mapping_system",
+    "naive_sql_answers",
     "random_abox",
     "random_profile_tbox",
     "random_queries",

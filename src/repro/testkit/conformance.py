@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..dllite.tbox import TBox
 from ..errors import TimeoutExceeded
@@ -43,7 +43,6 @@ from .oracle import (
     diff_answers,
     diff_backend,
     diff_engines,
-    diff_planner,
     semantics_soundness,
 )
 from .shrink import shrink_tbox, write_reproducer
@@ -64,13 +63,10 @@ class ConformanceConfig:
     semantics_every: int = 2
     #: run the end-to-end OBDA answer diff every Nth round (0 = never)
     obda_every: int = 2
-    #: run the planner-vs-naive SQL oracle every Nth round (0 = never)
-    planner_every: int = 2
     #: run the five-path backend oracle every Nth round (0 = never)
     backend_every: int = 2
-    #: "all" runs the full battery; "planner" runs only the planner
-    #: oracle, every round (the CI planner-smoke job); "backend" runs
-    #: only the backend oracle, every round (the sqlite-smoke job)
+    #: "all" runs the full battery; "backend" runs only the backend
+    #: oracle, every round (the sqlite-smoke job)
     mode: str = "all"
     #: where minimized reproducers are written (None = don't write)
     regression_dir: Optional[str] = None
@@ -174,10 +170,6 @@ def _run_round(
     round_index: int,
     budget: Budget,
 ) -> None:
-    if config.mode == "planner":
-        # Planner-only campaign: every round is one planner-oracle check.
-        _run_planner_check(report, config, rng, round_index, budget)
-        return
     if config.mode == "backend":
         # Backend-only campaign: every round diffs the sqlite pushdown,
         # both in-memory SQL paths and both KB-mode rewriters.
@@ -292,43 +284,9 @@ def _run_round(
                     report, config, small, problems, recheck, round_index, budget
                 )
 
-    # 5. planner oracle: planned perfectref-sql vs the naive evaluator
-    if config.planner_every and round_index % config.planner_every == 0:
-        _run_planner_check(report, config, rng, round_index, budget)
-
-    # 6. backend oracle: the five answering paths over mixed-type data
+    # 5. backend oracle: the five answering paths over mixed-type data
     if config.backend_every and round_index % config.backend_every == 0:
         _run_backend_check(report, config, rng, round_index, budget)
-
-
-def _run_planner_check(
-    report: ConformanceReport,
-    config: ConformanceConfig,
-    rng: random.Random,
-    round_index: int,
-    budget: Budget,
-) -> None:
-    """One planner-oracle check: planned SQL vs naive algebra evaluation."""
-    small = random_tiny_tbox(rng, config.profile)
-    abox = random_abox(rng, small, config.profile)
-    queries = random_queries(rng, small, config.profile)
-    if not queries:
-        return
-    problems = diff_planner(small, abox, queries, budget=budget)
-    report.checks_run += 1
-    if problems:
-        # Like answer diffs, planner diffs shrink over the TBox with the
-        # data and queries held fixed — the divergence reproduces as long
-        # as the offending unfolding survives the shrink.
-        _shrink_and_record(
-            report,
-            config,
-            small,
-            problems,
-            lambda t: diff_planner(t, abox, queries, budget=budget),
-            round_index,
-            budget,
-        )
 
 
 def _run_backend_check(
@@ -349,7 +307,7 @@ def _run_backend_check(
     problems = diff_backend(small, abox, queries, budget=budget)
     report.checks_run += 1
     if problems:
-        # Backend diffs shrink like planner diffs: TBox only, data and
+        # Backend diffs shrink like answer diffs: TBox only, data and
         # queries fixed, so the mistranslated unfolding survives.
         _shrink_and_record(
             report,

@@ -16,8 +16,8 @@ for the full hierarchy):
   *soundness only*: everything they derive must also be derived by the
   reference.
 * :func:`diff_backend` — the five answering paths (PerfectRef and
-  Presto over an ABox, sqlite/planned/naive SQL over its direct
-  mapping) against KB-mode PerfectRef;
+  Presto over an ABox, sqlite, the SQL join and the naive SQL evaluator
+  over its direct mapping) against KB-mode PerfectRef;
 * :func:`diff_answers` — certain answers end to end through
   :class:`~repro.obda.system.OBDASystem`: PerfectRef vs Presto over
   virtual extents, and — when a mapped system is supplied — the naive
@@ -29,7 +29,7 @@ list means conformance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..baselines.base import NamedClassification, Reasoner
@@ -46,7 +46,7 @@ __all__ = [
     "diff_backend",
     "diff_classifications",
     "diff_engines",
-    "diff_planner",
+    "naive_sql_answers",
     "semantics_soundness",
 ]
 
@@ -67,7 +67,7 @@ class Disagreement:
     """One observed divergence between two components of the stack."""
 
     #: "classification" | "unsat" | "semantics" | "answers" | "consistency"
-    #: | "error" | "planner" | "backend" | "metamorphic:<invariant>"
+    #: | "error" | "backend" | "metamorphic:<invariant>"
     kind: str
     #: The two sides that disagree (engine or method names).
     left: str
@@ -245,77 +245,31 @@ def semantics_soundness(
     return problems
 
 
-def diff_planner(
-    tbox: TBox,
-    abox,
-    queries,
+def naive_sql_answers(
+    system,
+    query,
     budget: Optional[Budget] = None,
-) -> List[Disagreement]:
-    """Diff the cost-based SQL planner against the naive algebra evaluator.
+    check_consistency: bool = True,
+):
+    """*query*'s perfectref-sql answers on *system* by the algebra
+    evaluator: ``unfold(rewritten, mappings).execute(database)``.
 
-    Both sides run the *same* perfectref-sql pipeline over a direct
-    mapping of *abox*; the only difference is
-    :attr:`~repro.obda.system.OBDASystem.use_planner`.  The naive
-    evaluator executes the unfolded algebra literally, so it is the
-    semantic reference here: any divergence is a planner bug — a wrong
-    pushdown, join order, semi-join or index probe.  An empty list means
-    the planned path produced byte-identical certain answers on every
-    query.
+    The index-free reference for the SQL join: it keeps no index between
+    calls, where a cache-free ``perfectref-sql`` twin would probe the
+    very :meth:`~repro.obda.sql.table.Table.index` it is meant to check.
+    Consistency is checked first unless *check_consistency* is off, as
+    ``certain_answers`` checks it.
     """
-    from ..errors import MappingError
-    from .generators import direct_mapping_system
+    from ..obda.rewriting.unfolding import unfold
 
-    planned = direct_mapping_system(tbox, abox)
-    planned.use_planner = True
-    naive = direct_mapping_system(tbox, abox)
-    naive.use_planner = False
-    problems: List[Disagreement] = []
-    for query in queries:
-        outcomes = {}
-        for label, system in (("planned", planned), ("naive", naive)):
-            try:
-                outcomes[label] = (
-                    "answers",
-                    frozenset(
-                        system.certain_answers(
-                            query, method="perfectref-sql", budget=budget
-                        )
-                    ),
-                )
-            except InconsistentOntology:
-                outcomes[label] = ("inconsistent", frozenset())
-            except MappingError as error:
-                outcomes[label] = (f"mapping-error:{error}", frozenset())
-        if outcomes["planned"] == outcomes["naive"]:
-            continue
-        (p_status, p_answers), (n_status, n_answers) = (
-            outcomes["planned"],
-            outcomes["naive"],
+    if check_consistency and not system.is_consistent():
+        raise InconsistentOntology(
+            "the mapped sources violate the TBox; every tuple is entailed"
         )
-        if p_status != n_status:
-            detail = (
-                f"on {query.name}: planned says {p_status}, "
-                f"naive says {n_status}"
-            )
-        else:
-            parts = []
-            gained = p_answers - n_answers
-            lost = n_answers - p_answers
-            if gained:
-                parts.append(f"extra answers {_sample(gained)}")
-            if lost:
-                parts.append(f"missing answers {_sample(lost)}")
-            detail = f"on {query.name}: " + "; ".join(parts)
-        problems.append(
-            Disagreement(
-                "planner",
-                "planned/perfectref-sql",
-                "naive/perfectref-sql",
-                detail,
-                tbox.name,
-            )
-        )
-    return problems
+    rewritten = system.rewrite(query, budget=budget)
+    return unfold(rewritten, system.mappings, budget=budget).execute(
+        system.database, budget=budget
+    )
 
 
 def diff_backend(
@@ -328,8 +282,9 @@ def diff_backend(
 
     PerfectRef and Presto over the explicit *abox* (knowledge-base mode)
     against the three SQL paths over a direct mapping of it: the
-    pushed-down sqlite backend (``perfectref-sqlite``), the cost-based
-    planner and the naive algebra evaluator (both ``perfectref-sql``).
+    pushed-down sqlite backend (``perfectref-sqlite``), the compiled join
+    over the tables (``perfectref-sql``) and the naive algebra evaluator
+    (:func:`naive_sql_answers`).
     KB-mode PerfectRef is the reference: its answers are the certain
     answers over the ABox the mapping virtualizes, and every executor
     compares cells by their string forms, so an individual stored as a
@@ -343,29 +298,27 @@ def diff_backend(
 
     kb = OBDASystem(tbox, abox=abox)
     sqlite_system = direct_mapping_system(tbox, abox)
-    planned = direct_mapping_system(tbox, abox)
-    planned.use_planner = True
+    sql = direct_mapping_system(tbox, abox)
     naive = direct_mapping_system(tbox, abox)
-    naive.use_planner = False
     sides = (
         ("kb", kb, "perfectref"),
         ("kb", kb, "presto"),
         ("sqlite", sqlite_system, "perfectref-sqlite"),
-        ("planned", planned, "perfectref-sql"),
-        ("naive", naive, "perfectref-sql"),
+        ("sql", sql, "perfectref-sql"),
+        ("naive", naive, None),
     )
     problems: List[Disagreement] = []
     for query in queries:
         outcomes = {}
         for label, system, method in sides:
-            key = f"{label}/{method}"
+            key = f"{label}/{method or 'perfectref-sql'}"
             try:
-                outcomes[key] = (
-                    "answers",
-                    frozenset(
-                        system.certain_answers(query, method=method, budget=budget)
-                    ),
+                answers = (
+                    naive_sql_answers(system, query, budget=budget)
+                    if method is None
+                    else system.certain_answers(query, method=method, budget=budget)
                 )
+                outcomes[key] = ("answers", frozenset(answers))
             except InconsistentOntology:
                 outcomes[key] = ("inconsistent", frozenset())
             except MappingError as error:

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import load_ontology_file, main
@@ -162,6 +164,17 @@ def test_explain_command_json_export_validates(
     )
     assert code == 0
     assert validate_trace_lines(out.read_text()) == []
+    # the default method is perfectref-sql: its plan is the join spans
+    # under sql-eval
+    spans = [
+        record
+        for record in map(json.loads, out.read_text().splitlines())
+        if record["kind"] == "span"
+    ]
+    (sql_eval,) = [span for span in spans if span["name"] == "sql-eval"]
+    joins = [span for span in spans if span["parent"] == sql_eval["id"]]
+    assert joins and all(span["name"] == "join" for span in joins)
+    assert all(span["attributes"]["atoms"] for span in joins)
 
 
 def test_explain_command_profile_and_missing_input(capsys):

@@ -25,6 +25,7 @@ from repro.obda.system import OBDASystem
 from repro.obs.metrics import global_metrics
 from repro.perf.cache import CacheStats, ClassificationCache, LRUCache
 from repro.runtime.concurrency import SingleFlight
+from repro.testkit import naive_sql_answers
 from tests.test_perf_extents import _assert_table_indexes, _hold_table_indexes
 
 THREADS = 8
@@ -440,18 +441,14 @@ def test_rewriting_from_before_an_axiom_add_is_not_served_after_it(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "use_planner,method",
-    [
-        (True, "perfectref-sql"),
-        (False, "perfectref-sql"),
-        (True, "perfectref-sqlite"),
-    ],
-    ids=["planned-sql", "naive-sql", "sqlite"],
+    "method",
+    ["perfectref-sql", "perfectref-sqlite"],
+    ids=["planned-sql", "sqlite"],
 )
 def test_unfolding_from_before_an_axiom_add_is_not_served_after_it(
-    monkeypatch, use_planner, method
+    monkeypatch, method
 ):
-    # The three SQL executors share one unfolding-cache entry and key.
+    # The two SQL executors share one unfolding-cache entry and key.
     from repro.obda.mapping import (
         IriTemplate,
         MappingAssertion,
@@ -471,7 +468,7 @@ def test_unfolding_from_before_an_axiom_add_is_not_served_after_it(
         ]
     )
     tbox = TBox([ConceptInclusion(_PROFESSOR, _PERSON)], name="tutors")
-    system = OBDASystem(tbox, mappings, database, use_planner=use_planner)
+    system = OBDASystem(tbox, mappings, database)
     answers = _answer_across_a_paused_fill(monkeypatch, system, "unfold", method)
     assert answers == {(Individual("p/1"),), (Individual("p/2"),)}
 
@@ -604,15 +601,21 @@ def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
     finally:
         sys.setswitchinterval(interval)
 
-    # the naive executor: a planned twin would probe the same table indexes
+    # perfectref-sql against the naive evaluator: a cache-free twin would
+    # probe the same table indexes
     oracle = OBDASystem(
-        system.tbox, system.mappings, database, enable_caches=False, use_planner=False
+        system.tbox, system.mappings, database, enable_caches=False
     )
     try:
         for query in _UNIVERSITY_SHAPES:
             for method in _METHODS:
+                expected = (
+                    naive_sql_answers(oracle, query)
+                    if method == "perfectref-sql"
+                    else oracle.certain_answers(query, method=method)
+                )
                 assert system.certain_answers(query, method=method) == (
-                    oracle.certain_answers(query, method=method)
+                    expected
                 ), f"post-hammer divergence: {method} on {query!r}"
     finally:
         for twin in (system, oracle):

@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.dllite import (
     ABox,
@@ -181,6 +181,27 @@ _ARITIES = {"A": 1, "B": 1, "P": 2, "Q": 2}
 #: objects and values sharing string forms (``Individual("1")``/``"1"``/``1``)
 #: or equal under ``==`` while rendering apart (``1``/``1.0``/``True``)
 _CELLS = (Individual("1"), Individual("a"), "1", 1, 1.0, True, "a")
+
+
+def _merge_classes(cells):
+    """Each identity's class under the closure of identity-equality and
+    ``==`` over *cells*: the cells a Python set of answers may keep any
+    one of (``"1"``, ``1``, ``1.0`` and ``True`` are one class)."""
+    parent = list(range(len(cells)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, first in enumerate(cells):
+        for j, second in enumerate(cells[:i]):
+            if _identity(first) == _identity(second) or first == second:
+                parent[find(i)] = find(j)
+    return {_identity(cell): find(i) for i, cell in enumerate(cells)}
+
+
+_CLASS_OF = _merge_classes(_CELLS)
 _TERMS = st.one_of(
     st.sampled_from([Variable(name) for name in "xyz"]),
     st.sampled_from(("1", 1, 1.0, True, "a", "b")).map(Constant),
@@ -209,7 +230,24 @@ def _joins(draw):
     return ConjunctiveQuery(head, atoms), extents
 
 
+_X, _Y = Variable("x"), Variable("y")
+#: a join whose answers 1 and 1.0 merge in the answer set, which keeps
+#: whichever came first, so the set's iteration order picks the survivor
+_MERGED = (
+    ConjunctiveQuery(
+        (_Y,), [Atom("P", (_X, _Y)), Atom("P", (Constant("1"), _Y))]
+    ),
+    {
+        "A": set(),
+        "B": set(),
+        "P": {(Individual("1"), 1.0), ("1", 1), (Individual("a"), "1")},
+        "Q": set(),
+    },
+)
+
+
 @given(_joins())
+@example(_MERGED)
 @settings(
     max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -220,10 +258,14 @@ def test_compiled_join_matches_nested_loops(join):
     reference = _reference(cq, provider)
     identities = {tuple(map(_identity, answer)) for answer in answers}
     # every answer is a reference answer, and every reference answer is
-    # found (or merged under == into a found one, as sets of cells do)
+    # found, or merged under == into a found one as sets of cells do:
+    # compared per position by class, whichever cell the set kept
     assert identities <= {tuple(map(_identity, answer)) for answer in reference}
+    classes = {
+        tuple([_CLASS_OF[_identity(cell)] for cell in answer]) for answer in answers
+    }
     for answer in reference:
-        assert tuple(map(_identity, answer)) in identities or answer in answers
+        assert tuple([_CLASS_OF[_identity(cell)] for cell in answer]) in classes
     # where no two raw cells share an identity, the raw answers agree too
     by_identity = {}
     for rows in extents.values():
@@ -232,6 +274,17 @@ def test_compiled_join_matches_nested_loops(join):
                 by_identity.setdefault(_identity(cell), set()).add(cell)
     if all(len(cells) == 1 for cells in by_identity.values()):
         assert answers == set(reference)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="answer sets are Python sets of raw cells, where 1 == 1.0: one "
+    "of the two answers is lost (ROADMAP, mixed-type values)",
+)
+def test_answers_one_and_one_float_are_both_kept():
+    cq, extents = _MERGED
+    answers = evaluate_cq(cq, _FixedExtents(extents))
+    assert {_identity(cell) for (cell,) in answers} == {(False, "1"), (False, "1.0")}
 
 
 # -- the plan ---------------------------------------------------------------------

@@ -4,12 +4,10 @@ import pytest
 
 from repro.dllite import (
     ABox,
-    AtomicAttribute,
     AtomicConcept,
     AtomicRole,
     ConceptAssertion,
     Individual,
-    RoleAssertion,
     parse_tbox,
 )
 from repro.errors import InconsistentOntology, ReproError
@@ -21,6 +19,8 @@ from repro.obda import (
     TargetAtom,
 )
 from repro.obda.mapping import IriTemplate
+from repro.obs.trace import Tracer, use_tracer
+from repro.testkit import naive_sql_answers
 
 METHODS = ("perfectref", "perfectref-sql", "presto")
 
@@ -180,7 +180,8 @@ def test_rewrite_only_api(university):
 def test_invalidate_caches_reaches_the_planner_statistics():
     # Rows replaced in place leave the generation counters unchanged, so
     # only invalidate_caches() can tell the system; the table index on
-    # teaching[0] the planner probes must be dropped with the caches.
+    # teaching[0] the SQL join probes must be dropped with the caches,
+    # and so must the planner's statistics (read by no query path).
     tbox = parse_tbox("role hasRole\nrole teaches")
     db = Database("campus")
     staff = db.create_table("staff", ["id", "role"], [(1, "dean"), (2, "tutor")])
@@ -208,30 +209,44 @@ def test_invalidate_caches_reaches_the_planner_statistics():
         ]
     )
     system = OBDASystem(tbox, mappings=mappings, database=db)
-    naive = OBDASystem(tbox, mappings=mappings, database=db, use_planner=False)
     query = "q(x, c) :- hasRole(x, r), teaches(x, c)"
-    paths = [(system, method) for method in METHODS + ("perfectref-sqlite",)]
-    paths.append((naive, "perfectref-sql"))
-    for answering, method in paths:
-        assert len(answering.certain_answers(query, method=method)) == 2, method
-    system.certain_answers(query, method="perfectref-sql")
-    assert "via index teaching[0]" in system.last_plan_report()["text"]
+    methods = METHODS + ("perfectref-sqlite",)
+
+    def answers():
+        found = {
+            method: system.certain_answers(query, method=method) for method in methods
+        }
+        found["naive"] = naive_sql_answers(system, query)
+        return found
+
+    tracer = Tracer("probes")
+    with use_tracer(tracer):
+        for method, answered in answers().items():
+            assert len(answered) == 2, method
+    probes = [
+        (atom, key)
+        for span in tracer.spans
+        if span.name == "join"
+        for atom, key in zip(span.attributes["atoms"], span.attributes["keys"])
+    ]
+    assert any(atom.startswith("teaching(") and key == [0] for atom, key in probes)
+    statistics = system.statistics_catalog().statistics("staff")
+    assert statistics.row_count == 2
     # an edit that keeps the row count and the last row: no index stamp
     # (generation, rows consumed, last row) can see it
     staff.rows[0] = (3, "r3")
     teaching.rows[0] = (3, "c3")
     system.invalidate_caches()
-    naive.invalidate_caches()
     expected = {
         (Individual("p/3"), Individual("c/c3")),
         (Individual("p/2"), Individual("c/c2")),
     }
-    for answering, method in paths:
-        assert answering.certain_answers(query, method=method) == expected, method
+    for method, answered in answers().items():
+        assert answered == expected, method
     staff.rows[:] = [(9, "r9")]
     teaching.rows[:] = [(9, "c9")]
     system.invalidate_caches()
-    naive.invalidate_caches()
     expected = {(Individual("p/9"), Individual("c/c9"))}
-    for answering, method in paths:
-        assert answering.certain_answers(query, method=method) == expected, method
+    for method, answered in answers().items():
+        assert answered == expected, method
+    assert system.statistics_catalog().statistics("staff").row_count == 1

@@ -4,7 +4,11 @@ The planner is an optimizer, never a second source of truth: every test
 here checks a planned execution against the naive algebra evaluator on
 the same tree, plus the structural claims (index dispatch, semi-joins,
 opaque fallback, plan reports) that the equivalence tests alone would
-not pin.
+not pin.  No query path runs the planner any more (``perfectref-sql``
+runs its parts through the compiled join over the tables); the
+benchmark's traced replay still does.  The system-level tests at the
+end check the SQL paths, the join among them, against KB mode and the
+naive evaluator.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ from repro.obda.sql.algebra import (
     evaluate,
 )
 from repro.obda.sql.database import Database
-from repro.obda.sql.planner import (
-    HashJoinNode,
-    OpaqueNode,
-    Planner,
-    ProjectNode,
-    TableScanNode,
-)
+from repro.obda.sql.planner import HashJoinNode, OpaqueNode, Planner
 from repro.obda.sql.stats import (
     JoinIndex,
     StatisticsCatalog,
@@ -43,6 +41,7 @@ from repro.obda.sql.stats import (
     join_key,
 )
 from repro.obs.metrics import global_metrics
+from repro.testkit import naive_sql_answers
 from repro.testkit.generators import direct_mapping_system
 
 
@@ -561,7 +560,6 @@ def test_system_planned_answers_match_naive_and_kb():
     tbox, abox = make_system()
     planned = direct_mapping_system(tbox, abox)
     naive = direct_mapping_system(tbox, abox)
-    naive.use_planner = False
     kb = OBDASystem(tbox, abox=abox)
     for text in (
         "q(x) :- Teacher(x)",
@@ -570,43 +568,34 @@ def test_system_planned_answers_match_naive_and_kb():
     ):
         query = parse_query(text)
         a = planned.certain_answers(query, method="perfectref-sql")
-        b = naive.certain_answers(query, method="perfectref-sql")
+        b = naive_sql_answers(naive, query)
         c = kb.certain_answers(query, method="perfectref")
         assert a == b == c
 
 
-def test_last_plan_report_is_populated():
-    tbox, abox = make_system()
-    system = direct_mapping_system(tbox, abox)
-    assert system.last_plan_report() is None
-    query = parse_query("q(x) :- Teacher(x)")
-    system.certain_answers(query, method="perfectref-sql")
-    report = system.last_plan_report()
-    assert report is not None
-    assert report["parts"] and report["text"]
-
-
-def test_use_planner_false_keeps_naive_path():
-    tbox, abox = make_system()
-    system = direct_mapping_system(tbox, abox)
-    system.use_planner = False
-    query = parse_query("q(x) :- Teacher(x)")
-    answers = system.certain_answers(query, method="perfectref-sql")
-    assert system.last_plan_report() is None
-    assert answers
-
-
 def test_explain_carries_plan():
+    # The SQL join's plan is its join spans under sql-eval: the table
+    # atoms in probe order, their key positions and estimated fan-outs.
     from repro.obs.explain import explain_records, run_explain, render_explain
 
     tbox, _ = make_system()
     report = run_explain(tbox, query="q(x) :- Teacher(x)", seed=3)
     assert report.ok
-    assert report.plan is not None
-    rendered = render_explain(report)
-    assert "plan (est/actual rows per operator" in rendered
-    header = explain_records(report)[0]
-    assert header["plan"] is not None
+    (sql_eval,) = [span for span in report.tracer.spans if span.name == "sql-eval"]
+    joins = [span for span in sql_eval.children if span.name == "join"]
+    assert joins
+    for span in joins:
+        atoms = span.attributes["atoms"]
+        assert atoms and all(atom.startswith("t_") for atom in atoms)
+        assert len(span.attributes["keys"]) == len(span.attributes["fan_outs"])
+    assert sum(span.attributes["answers"] for span in joins) >= report.answers
+    assert "join" in render_explain(report)
+    records = explain_records(report)
+    assert "plan" not in records[0]
+    assert sum(
+        record.get("name") == "join" and record.get("parent") == sql_eval.span_id
+        for record in records
+    ) == len(joins)
 
 
 def test_planned_path_sees_inserts_through_shared_index():
@@ -641,11 +630,19 @@ def _prune_scenario():
     return tbox, abox
 
 
-#: the three SQL executors: (use_planner, method)
+def _method(method):
+    def answer(system, query, **options):
+        return system.certain_answers(query, method=method, **options)
+
+    return answer
+
+
+#: the three SQL executors, as ``answer(system, query, **options)``: the
+#: join's probe plan over the tables, the naive evaluator and sqlite
 SQL_PATHS = {
-    "planned-sql": (True, "perfectref-sql"),
-    "naive-sql": (False, "perfectref-sql"),
-    "sqlite": (True, "perfectref-sqlite"),
+    "planned-sql": _method("perfectref-sql"),
+    "naive-sql": naive_sql_answers,
+    "sqlite": _method("perfectref-sqlite"),
 }
 
 
@@ -658,10 +655,9 @@ def test_constraint_pruning_drops_subsumed_disjunct():
     kb = OBDASystem(tbox, abox=abox)
     for query in ("q(x) :- Teacher(x)", "q() :- Professor(x)"):
         expected = kb.certain_answers(query, method="perfectref")
-        for use_planner, method in SQL_PATHS.values():
+        for answer in SQL_PATHS.values():
             system = direct_mapping_system(tbox, abox)
-            system.use_planner = use_planner
-            assert system.certain_answers(query, method=method) == expected
+            assert answer(system, query) == expected
     assert len(kb.certain_answers("q(x) :- Teacher(x)")) == 5
 
 
@@ -669,13 +665,9 @@ def test_constraint_pruning_drops_subsumed_disjunct():
 def test_sql_paths_pull_no_virtual_extent(path):
     # The SQL paths read the sources through the unfolding only; without
     # a consistency check nothing materializes a mapped extent.
-    use_planner, method = SQL_PATHS[path]
     system = direct_mapping_system(*_prune_scenario())
-    system.use_planner = use_planner
     pulls = global_metrics().counter("obda.extents.pulls")
     before = pulls.value
-    answers = system.certain_answers(
-        "q(x) :- Teacher(x)", method=method, check_consistency=False
-    )
+    answers = SQL_PATHS[path](system, "q(x) :- Teacher(x)", check_consistency=False)
     assert len(answers) == 5
     assert pulls.value == before

@@ -37,6 +37,7 @@ from repro.obda.sql.algebra import (
     Rename,
     Scan,
     Selection,
+    UnionAll,
     evaluate,
 )
 from repro.obda.sql.database import Database
@@ -57,45 +58,59 @@ SETTINGS = settings(
 )
 
 
-def random_database(rng: random.Random) -> Database:
+def _cell(rng: random.Random, cells):
+    """The integers 0-5, or one of *cells* when given."""
+    return rng.randint(0, 5) if cells is None else rng.choice(cells)
+
+
+def random_database(rng: random.Random, cells=None) -> Database:
     database = Database("prop")
     for index in range(rng.randint(2, 4)):
         width = rng.randint(1, 3)
         columns = [f"c{j}" for j in range(width)]
         rows = [
-            tuple(rng.randint(0, 5) for _ in range(width))
+            tuple(_cell(rng, cells) for _ in range(width))
             for _ in range(rng.randint(0, 12))
         ]
         database.create_table(f"t{index}", columns, rows)
     return database
 
 
-def random_source(rng: random.Random, table):
+def random_source(rng: random.Random, table, cells=None, unions=False):
     """A mapping-source-shaped factor body: a scan, sometimes filtered by
-    a constant, sometimes projected (DISTINCT or not).  Returns it with
-    its output column names."""
+    a constant, sometimes projected (DISTINCT or not), and with *unions*
+    sometimes united with a filtered scan of the same columns.  Returns
+    it with its output column names."""
     source = Scan(table.name)
     columns = [f"{table.name}.{column}" for column in table.columns]
     if rng.random() < 0.3:
         source = Selection(
-            source, (Condition(rng.choice(columns), Const(rng.randint(0, 5)), "="),)
+            source, (Condition(rng.choice(columns), Const(_cell(rng, cells)), "="),)
         )
     if rng.random() < 0.5:
         kept = rng.sample(columns, rng.randint(1, len(columns)))
         source = Projection(source, tuple(kept), distinct=rng.random() < 0.7)
         columns = kept
+    if unions and rng.random() < 0.4:
+        other = Selection(
+            Scan(table.name),
+            (Condition(rng.choice(columns), Const(_cell(rng, cells)), "!="),),
+        )
+        source = UnionAll((source, Projection(other, tuple(columns), distinct=False)))
     return source, [column.split(".")[1] for column in columns]
 
 
-def random_tree(rng: random.Random, database: Database):
-    """A random unfolder-shaped tree: Selection over a Join of Renames."""
+def random_tree(rng: random.Random, database: Database, cells=None, unions=False):
+    """A random unfolder-shaped tree: Selection over a Join of Renames,
+    over sources of :func:`random_source`; constants are drawn like the
+    cells of :func:`random_database`."""
     names = sorted(table.name for table in database.tables())
     count = rng.randint(1, min(3, len(names)))
     picked = [rng.choice(names) for _ in range(count)]
     sources = []
     columns = []
     for i, name in enumerate(picked):
-        source, outputs = random_source(rng, database.table(name))
+        source, outputs = random_source(rng, database.table(name), cells, unions)
         sources.append(Rename(source, f"q{i}"))
         columns += [f"q{i}.{output}" for output in outputs]
     tree = sources[0]
@@ -108,7 +123,7 @@ def random_tree(rng: random.Random, database: Database):
         if kind < 0.6:
             conditions.append(Condition(left, rng.choice(columns), "="))
         elif kind < 0.8:
-            conditions.append(Condition(left, Const(rng.randint(0, 5)), "="))
+            conditions.append(Condition(left, Const(_cell(rng, cells)), "="))
         else:
             conditions.append(Condition(left, rng.choice(columns), "!="))
     if conditions:

@@ -19,6 +19,7 @@ import pytest
 from repro.dllite import parse_tbox
 from repro.testkit import (
     diff_engines,
+    naive_sql_answers,
     run_metamorphic_checks,
     semantics_soundness,
 )
@@ -83,21 +84,36 @@ def test_reproducer_round_trips_through_serialization(path):
 
 
 # ---------------------------------------------------------------------------
-# planner replays: every fixture through the planner oracle, plus the
-# three pinned scenarios the planner-*.dl fixtures exist for
+# SQL replays: every fixture through the SQL join and the naive
+# evaluator, plus the three pinned scenarios the planner-*.dl fixtures
+# exist for (named after the cost-based planner they were found on)
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_planner_agrees_on_reproducer(path):
-    """Planned perfectref-sql equals the naive evaluator on seeded data."""
-    from repro.testkit import diff_planner
-    from repro.testkit.generators import random_abox, random_queries
+    """perfectref-sql's join plan over the tables equals the naive
+    evaluator on seeded data."""
+    from repro.errors import InconsistentOntology
+    from repro.testkit.generators import (
+        direct_mapping_system,
+        random_abox,
+        random_queries,
+    )
 
     tbox = _load(path)
     rng = random.Random(f"planner-regression:{path.stem}")
     abox = random_abox(rng, tbox)
     queries = random_queries(rng, tbox)
-    assert diff_planner(tbox, abox, queries) == []
+    system = direct_mapping_system(tbox, abox)
+    naive = direct_mapping_system(tbox, abox)
+    for query in queries:
+        try:
+            expected = naive_sql_answers(naive, query)
+        except InconsistentOntology:
+            with pytest.raises(InconsistentOntology):
+                system.certain_answers(query, method="perfectref-sql")
+            continue
+        assert system.certain_answers(query, method="perfectref-sql") == expected
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
@@ -148,28 +164,22 @@ def test_planner_regression_empty_table():
     system = _mapped_system(
         tbox, {"Professor": [], "Teacher": [("t1",), ("t2",)]}
     )
-    naive = _mapped_system(
-        tbox, {"Professor": [], "Teacher": [("t1",), ("t2",)]}
-    )
-    naive.use_planner = False
-    assert _answers(system, "q(x) :- Teacher(x)") == _answers(
-        naive, "q(x) :- Teacher(x)"
+    assert _answers(system, "q(x) :- Teacher(x)") == naive_sql_answers(
+        system, "q(x) :- Teacher(x)"
     )
     assert len(_answers(system, "q(x) :- Teacher(x)")) == 2
     # boolean query over the empty extent: no rows, so no () answer
     assert _answers(system, "q() :- Professor(x)") == set()
-    assert _answers(naive, "q() :- Professor(x)") == set()
+    assert naive_sql_answers(system, "q() :- Professor(x)") == set()
 
 
 def test_planner_regression_cross_product_only():
     tbox = _load(CORPUS / "planner-cross-product.dl")
     tables = {"A": [("a1",), ("a2",)], "B": [("b1",), ("b2",), ("b3",)]}
     system = _mapped_system(tbox, tables)
-    naive = _mapped_system(tbox, tables)
-    naive.use_planner = False
     query = "q(x, y) :- A(x), B(y)"
     planned = _answers(system, query)
-    assert planned == _answers(naive, query)
+    assert planned == naive_sql_answers(system, query)
     assert len(planned) == 6  # honest cross product, exact column order
 
 
@@ -198,14 +208,10 @@ def test_planner_regression_all_redundant_disjuncts_pruned():
     query = "q(x) :- Teacher(x)"
     expected = _answers(OBDASystem(tbox, abox=abox), query, method="perfectref")
     assert len(expected) == 4
-    for use_planner, method in (
-        (True, "perfectref-sql"),
-        (False, "perfectref-sql"),
-        (True, "perfectref-sqlite"),
-    ):
+    for method in ("perfectref-sql", "perfectref-sqlite"):
         system = _mapped_system(tbox, tables)
-        system.use_planner = use_planner
         assert _answers(system, query, method=method) == expected
+    assert naive_sql_answers(_mapped_system(tbox, tables), query) == expected
 
 
 def test_backend_regression_mixed_type_keys():
@@ -255,15 +261,16 @@ def test_backend_regression_mixed_type_keys():
         return OBDASystem(tbox, mappings=mappings, database=database)
 
     outcomes = {}
-    for label, method, planner in (
-        ("sqlite", "perfectref-sqlite", True),
-        ("planned", "perfectref-sql", True),
-        ("naive", "perfectref-sql", False),
+    for label, method in (
+        ("sqlite", "perfectref-sqlite"),
+        ("planned", "perfectref-sql"),
+        ("naive", None),
     ):
         system = build()
-        system.use_planner = planner
         outcomes[label] = {
-            text: _answers(system, text, method=method)
+            text: naive_sql_answers(system, text)
+            if method is None
+            else _answers(system, text, method=method)
             for text in (
                 "q(x) :- Teacher(x)",
                 "q(x, y) :- teaches(x, y)",

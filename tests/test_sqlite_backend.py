@@ -1,7 +1,9 @@
 """Unit tests for the SQLite pushdown backend (repro.obda.sql.backends).
 
 The contract under test: for every unfolded UCQ, the backend's answer
-set equals the naive in-memory evaluator's — including mixed-type cells,
+set equals the naive in-memory evaluator's
+(:func:`~repro.testkit.naive_sql_answers`) and the compiled join's —
+including mixed-type cells,
 which compare by their string forms in both — while loading
 incrementally (only new rows re-shipped on insert) and honoring
 ``runtime.budget`` deadlines from inside SQLite via a progress handler.
@@ -15,7 +17,7 @@ import pytest
 from repro.dllite import AtomicAttribute, AtomicConcept, AtomicRole
 from repro.dllite.abox import Individual
 from repro.dllite.parser import parse_tbox
-from repro.errors import MappingError, ReproError, TimeoutExceeded
+from repro.errors import ReproError, TimeoutExceeded
 from repro.obda.mapping import (
     IriTemplate,
     MappingAssertion,
@@ -30,6 +32,7 @@ from repro.obda.sql.database import Database
 from repro.obda.system import OBDASystem
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime.budget import Budget
+from repro.testkit import naive_sql_answers
 
 TBOX = parse_tbox(
     """
@@ -95,10 +98,12 @@ QUERIES = [
 
 
 def _systems():
+    """The campus behind three systems: the sqlite pushdown's, the naive
+    evaluator's (:func:`naive_sql_answers`) and the SQL join's."""
     database, mappings = _campus()
     sqlite = OBDASystem(TBOX, mappings, database)
-    naive = OBDASystem(TBOX, mappings, database, use_planner=False)
-    planned = OBDASystem(TBOX, mappings, database, use_planner=True)
+    naive = OBDASystem(TBOX, mappings, database)
+    planned = OBDASystem(TBOX, mappings, database)
     return database, sqlite, naive, planned
 
 
@@ -108,55 +113,65 @@ def _systems():
 @pytest.mark.parametrize("query", QUERIES)
 def test_backend_matches_naive_and_planner(query):
     _, sqlite, naive, planned = _systems()
-    expected = naive.certain_answers(query, method="perfectref-sql")
+    expected = naive_sql_answers(naive, query)
     assert sqlite.certain_answers(query, method="perfectref-sqlite") == expected
     assert planned.certain_answers(query, method="perfectref-sql") == expected
 
 
 def test_mixed_numeric_templates_keep_all_individuals():
-    """The 1 vs 1.0 completeness case: KB mode, naive, planner and the
-    backend all answer with *both* person/1 and person/1.0."""
+    """The 1 vs 1.0 completeness case: KB mode, naive, the SQL join and
+    the backend all answer with *both* person/1 and person/1.0."""
     database, mappings = _campus(
         rows_staff=[], rows_teaching=[(1, "c1"), (1.0, "c4")]
     )
     expected = {(Individual("person/1"),), (Individual("person/1.0"),)}
     kb = OBDASystem(TBOX, mappings, database)
     assert kb.certain_answers("q(x) :- Teacher(x)", method="perfectref") == expected
-    for kwargs, method in [
-        (dict(use_planner=False), "perfectref-sql"),
-        (dict(use_planner=True), "perfectref-sql"),
-        (dict(), "perfectref-sqlite"),
-    ]:
-        system = OBDASystem(TBOX, mappings, database, **kwargs)
-        assert system.certain_answers("q(x) :- Teacher(x)", method=method) == expected
+    for answer in (
+        naive_sql_answers,
+        _method("perfectref-sql"),
+        _method("perfectref-sqlite"),
+    ):
+        system = OBDASystem(TBOX, mappings, database)
+        assert answer(system, "q(x) :- Teacher(x)") == expected
 
 
+def _method(method):
+    """The answers of ``certain_answers(query, method=method)``."""
+
+    def answer(system, query):
+        return system.certain_answers(query, method=method)
+
+    return answer
+
+
+#: every answering path, as ``answer(system, query)``: the two KB
+#: rewriters over the mapped extents, the SQL join's probe plan over the
+#: tables (planned-sql), the naive algebra evaluator and sqlite
 FIVE_PATHS = [
-    (dict(), "perfectref"),
-    (dict(), "presto"),
-    (dict(use_planner=True), "perfectref-sql"),
-    (dict(use_planner=False), "perfectref-sql"),
-    (dict(), "perfectref-sqlite"),
+    _method("perfectref"),
+    _method("presto"),
+    _method("perfectref-sql"),
+    naive_sql_answers,
+    _method("perfectref-sqlite"),
 ]
 FIVE_PATH_IDS = ["perfectref", "presto", "planned-sql", "naive-sql", "sqlite"]
 
 
-@pytest.mark.parametrize("kwargs,method", FIVE_PATHS, ids=FIVE_PATH_IDS)
-def test_mixed_type_join_keys_agree_on_every_path(kwargs, method):
+@pytest.mark.parametrize("answer", FIVE_PATHS, ids=FIVE_PATH_IDS)
+def test_mixed_type_join_keys_agree_on_every_path(answer):
     """staff(1) joins teaching('1') — both render person/1 — but not
     teaching(1.0), which renders person/1.0: every path answers sets."""
     database, mappings = _campus(
         rows_staff=[(1, "prof")],
         rows_teaching=[(1.0, "logic"), ("1", "sets")],
     )
-    system = OBDASystem(TBOX, mappings, database, **kwargs)
-    answers = system.certain_answers(
-        "q(y) :- Professor(x), teaches(x, y)", method=method
-    )
+    system = OBDASystem(TBOX, mappings, database)
+    answers = answer(system, "q(y) :- Professor(x), teaches(x, y)")
     assert answers == {(Individual("course/sets"),)}
 
 
-def _codes_system(rows, kwargs):
+def _codes_system(rows):
     """``code(person/{pid}, code)`` over *rows* of ``(pid, code)``."""
     database = Database("codes")
     database.create_table("codes", ["pid", "code"], rows)
@@ -174,32 +189,55 @@ def _codes_system(rows, kwargs):
         ]
     )
     tbox = parse_tbox("exists code isa Coded")
-    return OBDASystem(tbox, mappings, database, **kwargs)
+    return OBDASystem(tbox, mappings, database)
 
 
-@pytest.mark.parametrize("kwargs,method", FIVE_PATHS, ids=FIVE_PATH_IDS)
-def test_raw_value_answers_keep_cells_that_share_a_string_form(kwargs, method):
+@pytest.mark.parametrize("answer", FIVE_PATHS, ids=FIVE_PATH_IDS)
+def test_raw_value_answers_keep_cells_that_share_a_string_form(answer):
     """1 and "1" are one join key, but as raw value answers every path
     returns both cells, as the extents of the virtual ABox hold both."""
-    system = _codes_system([(1, 1), (2, "1")], kwargs)
-    answers = system.certain_answers("q(v) :- code(x, v)", method=method)
-    assert answers == {(1,), ("1",)}
+    system = _codes_system([(1, 1), (2, "1")])
+    assert answer(system, "q(v) :- code(x, v)") == {(1,), ("1",)}
 
 
-def _subjects(system, query, method):
-    answers = system.certain_answers(query, method=method)
-    return {str(individual) for (individual,) in answers}
+@pytest.mark.parametrize("answer", FIVE_PATHS, ids=FIVE_PATH_IDS)
+def test_a_column_fixed_by_a_constant_answers_its_raw_cells(answer):
+    """``WHERE flag = 1`` keeps the cells 1 and "1" (one string form),
+    and each answers as it is stored, not as the constant."""
+    database = Database("flags")
+    database.create_table(
+        "t", ["id", "flag"], [(1, 1), (2, "1"), (3, 1.0), (4, 2)]
+    )
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT id, flag FROM t WHERE flag = 1",
+                [
+                    TargetAtom(
+                        AtomicAttribute("flag"),
+                        (IriTemplate("p/{id}"), ValueColumn("flag")),
+                    )
+                ],
+            )
+        ]
+    )
+    system = OBDASystem(parse_tbox("exists flag isa Flagged"), mappings, database)
+    assert answer(system, "q(v) :- flag(x, v)") == {(1,), ("1",)}
 
 
-@pytest.mark.parametrize("kwargs,method", FIVE_PATHS, ids=FIVE_PATH_IDS)
-def test_query_constants_one_and_one_float_stay_apart(kwargs, method):
+def _subjects(system, query, answer):
+    return {str(individual) for (individual,) in answer(system, query)}
+
+
+@pytest.mark.parametrize("answer", FIVE_PATHS, ids=FIVE_PATH_IDS)
+def test_query_constants_one_and_one_float_stay_apart(answer):
     """The constants 1 and 1.0 are two terms, as the cells are: neither
     the atom dedup, the cache keys nor subsumption may merge them."""
-    system = _codes_system([("ada", 1), ("bob", 1.0)], kwargs)
-    assert _subjects(system, "q(x) :- code(x, 1)", method) == {"person/ada"}
-    assert _subjects(system, "q(x) :- code(x, 1.0)", method) == {"person/bob"}
-    assert _subjects(system, "q(x) :- code(x, 1), code(x, 1.0)", method) == set()
-    assert _subjects(system, "q(x) :- code(x, 1) ; code(x, 1.0)", method) == {
+    system = _codes_system([("ada", 1), ("bob", 1.0)])
+    assert _subjects(system, "q(x) :- code(x, 1)", answer) == {"person/ada"}
+    assert _subjects(system, "q(x) :- code(x, 1.0)", answer) == {"person/bob"}
+    assert _subjects(system, "q(x) :- code(x, 1), code(x, 1.0)", answer) == set()
+    assert _subjects(system, "q(x) :- code(x, 1) ; code(x, 1.0)", answer) == {
         "person/ada",
         "person/bob",
     }
@@ -213,24 +251,24 @@ _KB_EXTENTS_MERGE = pytest.mark.xfail(
 
 
 @pytest.mark.parametrize(
-    "kwargs,method",
+    "answer",
     [
-        pytest.param(*path, id=path_id, marks=_KB_EXTENTS_MERGE)
+        pytest.param(path, id=path_id, marks=_KB_EXTENTS_MERGE)
         if path_id in ("perfectref", "presto")
-        else pytest.param(*path, id=path_id)
+        else pytest.param(path, id=path_id)
         for path, path_id in zip(FIVE_PATHS, FIVE_PATH_IDS)
     ],
 )
-def test_one_subject_keeps_values_one_and_one_float(kwargs, method):
-    system = _codes_system([("cy", 1), ("cy", 1.0)], kwargs)
-    assert _subjects(system, "q(x) :- code(x, 1)", method) == {"person/cy"}
-    assert _subjects(system, "q(x) :- code(x, 1.0)", method) == {"person/cy"}
-    assert _subjects(system, "q(x) :- code(x, 1), code(x, 1.0)", method) == {
+def test_one_subject_keeps_values_one_and_one_float(answer):
+    system = _codes_system([("cy", 1), ("cy", 1.0)])
+    assert _subjects(system, "q(x) :- code(x, 1)", answer) == {"person/cy"}
+    assert _subjects(system, "q(x) :- code(x, 1.0)", answer) == {"person/cy"}
+    assert _subjects(system, "q(x) :- code(x, 1), code(x, 1.0)", answer) == {
         "person/cy"
     }
 
 
-def _templates_system(tables, kwargs):
+def _templates_system(tables):
     """Concepts named by IRI templates: *tables* maps a concept to
     ``(pattern, rows)``, with one column per placeholder of the pattern."""
     database = Database("templates")
@@ -245,15 +283,15 @@ def _templates_system(tables, kwargs):
             )
         )
     tbox = parse_tbox("concept " + ", ".join(sorted(tables)))
-    return OBDASystem(tbox, mappings, database, **kwargs)
+    return OBDASystem(tbox, mappings, database)
 
 
-@pytest.mark.parametrize("kwargs,method", FIVE_PATHS, ids=FIVE_PATH_IDS)
-def test_a_value_that_reads_like_a_placeholder_stays_in_its_slot(kwargs, method):
+@pytest.mark.parametrize("answer", FIVE_PATHS, ids=FIVE_PATH_IDS)
+def test_a_value_that_reads_like_a_placeholder_stays_in_its_slot(answer):
     """``a/{x}/{y}`` over x = "{y}", y = "2" names ``a/{y}/2``: a value is
     never substituted again by a later placeholder of the template."""
-    system = _templates_system({"A": ("a/{x}/{y}", [("{y}", "2")])}, kwargs)
-    assert _subjects(system, "q(z) :- A(z)", method) == {"a/{y}/2"}
+    system = _templates_system({"A": ("a/{x}/{y}", [("{y}", "2")])})
+    assert _subjects(system, "q(z) :- A(z)", answer) == {"a/{y}/2"}
 
 
 _NON_INJECTIVE_TEMPLATES = pytest.mark.xfail(
@@ -266,15 +304,15 @@ _NON_INJECTIVE_TEMPLATES = pytest.mark.xfail(
 
 
 @pytest.mark.parametrize(
-    "kwargs,method",
+    "answer",
     [
-        pytest.param(*path, id=path_id)
+        pytest.param(path, id=path_id)
         if path_id in ("perfectref", "presto")
-        else pytest.param(*path, id=path_id, marks=_NON_INJECTIVE_TEMPLATES)
+        else pytest.param(path, id=path_id, marks=_NON_INJECTIVE_TEMPLATES)
         for path, path_id in zip(FIVE_PATHS, FIVE_PATH_IDS)
     ],
 )
-def test_templates_that_render_one_iri_from_different_splits(kwargs, method):
+def test_templates_that_render_one_iri_from_different_splits(answer):
     """``a/{x}/{y}`` over ("b/c", "d") and ``a/{p}/{q}`` over ("b", "c/d")
     both name ``a/b/c/d``."""
     system = _templates_system(
@@ -282,10 +320,9 @@ def test_templates_that_render_one_iri_from_different_splits(kwargs, method):
             "A": ("a/{x}/{y}", [("b/c", "d")]),
             "B": ("a/{p}/{q}", [("b", "c/d")]),
         },
-        kwargs,
     )
-    assert _subjects(system, "q(z) :- A(z), B(z)", method) == {"a/b/c/d"}
-    assert system.certain_answers("q() :- B('a/b/c/d')", method=method) == {()}
+    assert _subjects(system, "q(z) :- A(z), B(z)", answer) == {"a/b/c/d"}
+    assert answer(system, "q() :- B('a/b/c/d')") == {()}
 
 
 def test_raw_value_answers_decode_faithfully():
@@ -309,9 +346,9 @@ def test_raw_value_answers_decode_faithfully():
         ]
     )
     tbox = parse_tbox("exists salary isa Paid")
-    naive = OBDASystem(tbox, mappings, database, use_planner=False)
+    naive = OBDASystem(tbox, mappings, database)
     sqlite = OBDASystem(tbox, mappings, database)
-    expected = naive.certain_answers("q(x, v) :- salary(x, v)", method="perfectref-sql")
+    expected = naive_sql_answers(naive, "q(x, v) :- salary(x, v)")
     got = sqlite.certain_answers("q(x, v) :- salary(x, v)", method="perfectref-sqlite")
     assert got == expected
     values = {answer[1] for answer in got}
@@ -349,7 +386,7 @@ def test_delta_loading_ships_only_new_rows():
     shipped_before = stats["rows_shipped"]
     database["staff"].insert((7, "prof"))
     answers = sqlite.certain_answers(query, method="perfectref-sqlite")
-    assert answers == naive.certain_answers(query, method="perfectref-sql")
+    assert answers == naive_sql_answers(naive, query)
     assert (Individual("person/7"),) in answers
     stats = backend.stats()
     assert stats["delta_loads"] >= 1
@@ -377,7 +414,7 @@ def test_invalidate_forces_full_reload():
     naive.invalidate_caches()
     assert sqlite.certain_answers(
         query, method="perfectref-sqlite"
-    ) == naive.certain_answers(query, method="perfectref-sql")
+    ) == naive_sql_answers(naive, query)
     assert backend.stats()["full_loads"] >= 2
 
 
@@ -466,9 +503,9 @@ def test_union_mapping_source_pushes_down():
             )
         ]
     )
-    naive = OBDASystem(TBOX, mappings, database, use_planner=False)
+    naive = OBDASystem(TBOX, mappings, database)
     sqlite = OBDASystem(TBOX, mappings, database)
-    expected = naive.certain_answers("q(x) :- Professor(x)", method="perfectref-sql")
+    expected = naive_sql_answers(naive, "q(x) :- Professor(x)")
     assert (
         sqlite.certain_answers("q(x) :- Professor(x)", method="perfectref-sqlite")
         == expected
@@ -489,9 +526,9 @@ def test_inequality_condition_pushes_down():
             )
         ]
     )
-    naive = OBDASystem(TBOX, mappings, database, use_planner=False)
+    naive = OBDASystem(TBOX, mappings, database)
     sqlite = OBDASystem(TBOX, mappings, database)
-    expected = naive.certain_answers("q(x) :- Professor(x)", method="perfectref-sql")
+    expected = naive_sql_answers(naive, "q(x) :- Professor(x)")
     assert (
         sqlite.certain_answers("q(x) :- Professor(x)", method="perfectref-sqlite")
         == expected
@@ -511,9 +548,9 @@ def test_numeric_constant_selection_matches_equal_semantics():
             )
         ]
     )
-    naive = OBDASystem(TBOX, mappings, database, use_planner=False)
+    naive = OBDASystem(TBOX, mappings, database)
     sqlite = OBDASystem(TBOX, mappings, database)
-    expected = naive.certain_answers("q(x) :- Professor(x)", method="perfectref-sql")
+    expected = naive_sql_answers(naive, "q(x) :- Professor(x)")
     got = sqlite.certain_answers("q(x) :- Professor(x)", method="perfectref-sqlite")
     assert got == expected
     # the constant 1 matches the cells whose string form is "1": 1 and
@@ -537,10 +574,10 @@ def test_unfolding_past_the_compound_select_limit_is_chunked():
             for i in range(520)
         ]
     )
-    naive = OBDASystem(TBOX, mappings, database, use_planner=False)
+    naive = OBDASystem(TBOX, mappings, database)
     sqlite = OBDASystem(TBOX, mappings, database)
     query = "q(x) :- Professor(x)"
-    expected = naive.certain_answers(query, method="perfectref-sql")
+    expected = naive_sql_answers(naive, query)
     assert len(expected) == 1040
     assert sqlite.certain_answers(query, method="perfectref-sqlite") == expected
     unfolded = unfold(sqlite.rewrite(parse_query(query)), mappings)
@@ -656,5 +693,5 @@ def test_retry_wrapped_database_is_used_for_table_access():
         method="perfectref-sqlite",
         retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
     )
-    naive = OBDASystem(TBOX, mappings, database, use_planner=False)
-    assert answers == naive.certain_answers("q(x) :- Teacher(x)", method="perfectref-sql")
+    naive = OBDASystem(TBOX, mappings, database)
+    assert answers == naive_sql_answers(naive, "q(x) :- Teacher(x)")
