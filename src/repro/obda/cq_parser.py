@@ -15,7 +15,7 @@ common datalog conventions).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..errors import SyntaxError_
 from .queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable

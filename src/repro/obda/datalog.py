@@ -15,7 +15,7 @@ in the body (safety), checked at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import UnknownPredicate
 from .evaluation import ExtentProvider, Snapshot, evaluate_cq

@@ -27,7 +27,7 @@ Example — "students not known to attend any course"::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from ..dllite.tbox import TBox
 from ..errors import ReproError, UnknownPredicate

@@ -41,6 +41,16 @@ checks, each run on the step that binds the later of its two sides.
 Their steps probe the tables' own indexes
 (:meth:`~repro.obda.sql.table.Table.index`).
 
+Both entries into the join can run it over a delta
+(:func:`evaluate_ucq_delta`, ``evaluate_table_cqs(grown=...)``): when
+an input only grew since earlier answers were computed, each atom over
+it in turn reads only the rows added, through an index built over them,
+while every other atom reads its whole current input.  These are the
+answers that read an added row; with the earlier answers they are the
+answers over the grown inputs (the delta rule of semi-naive evaluation,
+:func:`_run`), which is how :class:`~repro.obda.system.OBDASystem`
+extends cached answers and consistency verdicts after an append.
+
 Cells compare by their string forms
 (:func:`~repro.obda.sql.stats.join_key`, the identity the SQL executors
 share; an :class:`~repro.dllite.abox.Individual` renders as its IRI), so
@@ -90,6 +100,7 @@ __all__ = [
     "evaluate_cq",
     "evaluate_table_cqs",
     "evaluate_ucq",
+    "evaluate_ucq_delta",
 ]
 
 #: predicate name + key argument positions — one hash index per pair
@@ -916,13 +927,33 @@ def _evaluate(
     extents: ExtentProvider,
     budget: Optional[Budget],
     tracer,
+    read: Dict[str, Tuple[int, Snapshot]],
+    grown: Optional[Dict[str, Sequence[Tuple]]] = None,
 ) -> Set[Tuple]:
     """:func:`evaluate_cq` with the tracer looked up, or None when it is
-    disabled."""
+    disabled, reading the extents through *read*; with *grown*, as
+    :func:`evaluate_ucq_delta` evaluates one disjunct."""
     if budget is not None:
         budget.check()
     atoms = cq.atoms
-    rows_of = [extents.extent(atom.predicate, atom.arity) for atom in atoms]
+    seeds = None
+    if grown is not None:
+        seeds = [
+            (i, grown[atom.predicate])
+            for i, atom in enumerate(atoms)
+            if atom.predicate in grown
+        ]
+        if not seeds:
+            return set()  # nothing it reads grew
+    rows_of = []
+    for atom in atoms:
+        entry = read.get(atom.predicate)
+        if entry is None:
+            entry = read[atom.predicate] = (
+                atom.arity,
+                extents.snapshot(atom.predicate, atom.arity),
+            )
+        rows_of.append(entry[1].rows)
     if tracer is None and not all(rows_of):
         return set()  # before the query is shaped: many disjuncts end here
 
@@ -930,14 +961,80 @@ def _evaluate(
         atom = atoms[i]
         return extents.index(atom.predicate, atom.arity, positions, budget=budget)
 
+    labels = None if tracer is None else (lambda: [str(atom) for atom in atoms])
+    return _run(_shape(cq), rows_of, index_of, True, budget, tracer, labels, seeds)
+
+
+def _run(
+    query: Query,
+    rows_of: Sequence[Sized],
+    index_of: Callable[[int, Tuple[int, ...]], Index],
+    typed: bool,
+    budget: Optional[Budget],
+    tracer,
+    labels: Optional[Callable[[], List[str]]],
+    seeds: Optional[Sequence[Tuple[int, Sequence[Tuple]]]] = None,
+    identity: bool = False,
+) -> Set[Tuple]:
+    """The answers of *query* over the rows of its atoms, *rows_of*, by
+    :func:`_compile` and :func:`_join`; with a *tracer*, a ``join`` span
+    annotated with the plan, its atoms labelled by ``labels()``.
+
+    With *seeds*, ``(atom, added)`` pairs naming the atoms whose rows
+    grew by the rows *added*, only the answers that read an added row:
+    one join per seed, in which that atom reads its added rows alone
+    (through an index built over them) and every other atom its whole
+    input.  Together with the answers over the inputs before they grew,
+    these are the answers over the grown inputs: the delta rule of
+    semi-naive evaluation, which the datalog engine applies to rule
+    bodies (:mod:`repro.obda.datalog`).  The join span of a seeded run
+    names the atom and counts its added rows.
+    """
+    if seeds is None:
+        return _joined(query, rows_of, index_of, typed, budget, tracer, labels, identity)
+    found: Set[Tuple] = set()
+    for atom, added in seeds:
+        rows = list(rows_of)
+        rows[atom] = added
+
+        def index_over_added(
+            i: int, positions: Tuple[int, ...], atom=atom, added=added
+        ) -> Index:
+            if i == atom:
+                return grown_index({}, added, positions, budget)
+            return index_of(i, positions)
+
+        found |= _joined(
+            query, rows, index_over_added, typed, budget, tracer, labels, identity,
+            (atom, len(added)),
+        )
+    return found
+
+
+def _joined(
+    query: Query,
+    rows_of: Sequence[Sized],
+    index_of: Callable[[int, Tuple[int, ...]], Index],
+    typed: bool,
+    budget: Optional[Budget],
+    tracer,
+    labels: Optional[Callable[[], List[str]]],
+    identity: bool,
+    seed: Optional[Tuple[int, int]] = None,
+) -> Set[Tuple]:
+    """One compiled join of :func:`_run`; *seed* is the ``(atom, added
+    row count)`` of a seeded run."""
     if tracer is None:
-        plan = _compile(_shape(cq), rows_of, index_of, True, budget, None)
-        return set() if plan is None else _join(plan, budget)
+        plan = _compile(query, rows_of, index_of, typed, budget, None)
+        return set() if plan is None else _join(plan, budget, identity)
     with tracer.span("join") as span:
         probes: List[Tuple[int, Tuple[int, ...], float]] = []
-        plan = _compile(_shape(cq), rows_of, index_of, True, budget, probes)
-        answers = set() if plan is None else _join(plan, budget)
-        _annotate(span, [str(atom) for atom in atoms], probes, len(answers))
+        plan = _compile(query, rows_of, index_of, typed, budget, probes)
+        answers = set() if plan is None else _join(plan, budget, identity)
+        names = labels()
+        _annotate(span, names, probes, len(answers))
+        if seed is not None:
+            span.annotate(delta_atom=names[seed[0]], delta_rows=seed[1])
         return answers
 
 
@@ -956,6 +1053,7 @@ def evaluate_table_cqs(
     cqs: Iterable,
     tables: Dict[str, Table],
     budget: Optional[Budget] = None,
+    grown: Optional[Dict[str, Sequence[Tuple]]] = None,
 ) -> Set[Tuple[Tuple[str, ...], Tuple]]:
     """The output rows of the table CQs *cqs*
     (:class:`~repro.obda.sql.tablecq.TableCQ`) over *tables* (by name),
@@ -968,30 +1066,44 @@ def evaluate_table_cqs(
     form alone, as the algebra evaluator compares them.  The budget is
     polled once per binding; with a tracer installed, each CQ is a
     ``join`` span annotated with its plan.
+
+    With *grown* (table name -> the rows appended to it since the rows
+    were last computed), only the rows that read an appended row, by
+    the delta rule of :func:`_run`: one join per atom over a grown
+    table, that atom reading the appended rows alone.  A CQ over no
+    grown table is skipped.
     """
     tracer = current_tracer()
+    if not tracer.enabled:
+        tracer = None
     found: Set[Tuple[Tuple[str, ...], Tuple]] = set()
     for cq in cqs:
         if budget is not None:
             budget.check()
+        seeds = None
+        if grown is not None:
+            seeds = [
+                (i, grown[name]) for i, name in enumerate(cq.tables) if name in grown
+            ]
+            if not seeds:
+                continue
         read = [tables[name] for name in cq.tables]
-        rows_of = [table.rows for table in read]
 
         def index_of(i: int, positions: Tuple[int, ...], read=read) -> Index:
             return read[i].index(positions, budget)
 
         query = cq[1:]  # the table names lead, then the query
-        if not tracer.enabled:
-            plan = _compile(query, rows_of, index_of, False, budget, None)
-            if plan is not None:
-                found |= _join(plan, budget, identity=True)
-            continue
-        with tracer.span("join") as span:
-            probes: List[Tuple[int, Tuple[int, ...], float]] = []
-            plan = _compile(query, rows_of, index_of, False, budget, probes)
-            rows = set() if plan is None else _join(plan, budget, identity=True)
-            _annotate(span, cq.labels(), probes, len(rows))
-        found |= rows
+        found |= _run(
+            query,
+            [table.rows for table in read],
+            index_of,
+            False,
+            budget,
+            tracer,
+            cq.labels,
+            seeds,
+            identity=True,
+        )
     return found
 
 
@@ -1016,7 +1128,7 @@ def evaluate_cq(
     an unbounded join to completion.
     """
     tracer = current_tracer()
-    return _evaluate(cq, extents, budget, tracer if tracer.enabled else None)
+    return _evaluate(cq, extents, budget, tracer if tracer.enabled else None, {})
 
 
 def evaluate_ucq(
@@ -1026,8 +1138,37 @@ def evaluate_ucq(
 ) -> Set[Tuple]:
     """Certain-answer union over all disjuncts (budget polled per disjunct).
 
-    The tracer is looked up once: under the NullTracer no disjunct opens
-    a span or computes its annotations."""
+    Each predicate's snapshot is read once, so every disjunct sees the
+    same rows of it.  The tracer is looked up once: under the NullTracer
+    no disjunct opens a span or computes its annotations."""
+    return _evaluate_ucq(ucq, extents, budget, {}, None)
+
+
+def evaluate_ucq_delta(
+    ucq: UnionQuery,
+    extents: ExtentProvider,
+    read: Dict[str, Tuple[int, Snapshot]],
+    grown: Optional[Dict[str, Sequence[Tuple]]] = None,
+    budget: Optional[Budget] = None,
+) -> Set[Tuple]:
+    """:func:`evaluate_ucq`, reading each predicate's rows through *read*
+    (predicate -> ``(arity, snapshot)``): the snapshot held there, or one
+    read from *extents* once and added, so that afterwards *read* holds
+    the versions the answers were computed from.  Indexes still come
+    from *extents*, for the snapshot current when each is probed.
+
+    With *grown* (predicate -> the rows its snapshot in *read* added to
+    the one earlier answers were computed from), only the answers that
+    read an added row: per disjunct, one join per atom over a grown
+    predicate, that atom reading the added rows alone (the delta rule
+    of :func:`_run`).  A disjunct over no grown predicate is skipped.
+    Together with the earlier answers, these are the answers over the
+    snapshots in *read*.
+    """
+    return _evaluate_ucq(ucq, extents, budget, read, grown)
+
+
+def _evaluate_ucq(ucq, extents, budget, read, grown) -> Set[Tuple]:
     tracer = current_tracer()
     if not tracer.enabled:
         tracer = None
@@ -1035,5 +1176,5 @@ def evaluate_ucq(
     for disjunct in ucq:
         if budget is not None:
             budget.check()
-        answers |= _evaluate(disjunct, extents, budget, tracer)
+        answers |= _evaluate(disjunct, extents, budget, tracer, read, grown)
     return answers

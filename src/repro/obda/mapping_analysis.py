@@ -26,7 +26,7 @@ from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from ..dllite.tbox import TBox
 from ..errors import MappingError
 from .mapping import IriTemplate, MappingAssertion, MappingCollection
-from .sql.algebra import evaluate, scans
+from .sql.algebra import scans
 from .sql.database import Database
 
 __all__ = ["MappingIssue", "analyze_mappings"]

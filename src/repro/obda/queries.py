@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple, Union
 
 from ..errors import UnknownPredicate
 
@@ -106,6 +106,8 @@ class ConjunctiveQuery:
         # A conjunction is idempotent: each atom once, in first-occurrence
         # order — the form canonical() (hence every cache key) assumes.
         self.atoms: Tuple[Atom, ...] = tuple(dict.fromkeys(atoms))
+        #: the memo of canonical(): a query never changes once built
+        self._canonical = None
         body_vars = set().union(*(atom.variables() for atom in atoms)) if atoms else set()
         missing = [v for v in self.answer_vars if v not in body_vars]
         if missing:
@@ -143,7 +145,14 @@ class ConjunctiveQuery:
         return self.substitute(mapping)
 
     def canonical(self) -> Tuple:
-        """A canonical form invariant under existential-variable renaming."""
+        """A canonical form invariant under existential-variable renaming,
+        computed on the first call and kept: hashing, equality and the
+        cache keys of :mod:`repro.perf.canonical` all read it."""
+        if self._canonical is None:
+            self._canonical = self._canonical_form()
+        return self._canonical
+
+    def _canonical_form(self) -> Tuple:
         ordering: Dict[Variable, int] = {v: i for i, v in enumerate(self.answer_vars)}
 
         def key(atom: Atom):
@@ -177,7 +186,7 @@ class ConjunctiveQuery:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConjunctiveQuery):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self is other or self.canonical() == other.canonical()
 
     def __hash__(self) -> int:
         return hash(self.canonical())

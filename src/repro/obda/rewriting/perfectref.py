@@ -33,7 +33,6 @@ from ...dllite.axioms import (
     RoleInclusion,
 )
 from ...dllite.syntax import (
-    AtomicAttribute,
     AtomicConcept,
     AtomicRole,
     AttributeDomain,
@@ -46,7 +45,6 @@ from ...errors import ReproError
 from ...runtime.budget import Budget
 from ..queries import (
     Atom,
-    Constant,
     ConjunctiveQuery,
     UnionQuery,
     Variable,

@@ -48,6 +48,7 @@ from ..sql.algebra import (
     scans,
 )
 from ..sql.database import Database
+from ..sql.table import Table
 from ..sql.tablecq import table_cqs
 
 __all__ = ["UnfoldedQuery", "answer_rows", "unfold"]
@@ -118,7 +119,13 @@ class UnfoldedQuery:
             answers.update(answer_rows(result, recipes, budget))
         return answers
 
-    def join(self, database: Database, budget: Optional[Budget] = None) -> Set[Tuple]:
+    def join(
+        self,
+        database: Database,
+        budget: Optional[Budget] = None,
+        grown: Optional[Dict[str, Sequence[Tuple]]] = None,
+        read: Optional[Dict[str, Tuple[Table, int]]] = None,
+    ) -> Set[Tuple]:
         """The answers by the compiled join over the tables' indexes.
 
         Each part's tables are looked up through *database*, so retry and
@@ -129,6 +136,15 @@ class UnfoldedQuery:
         before its templates render them, so ``1`` and ``1.0`` render two
         IRIs.  The budget is polled per part, per branch converted and per
         binding.
+
+        With *grown* (table name -> the rows appended to it since earlier
+        answers were computed), only the answers that read an appended
+        row, by the delta rule of
+        :func:`~repro.obda.evaluation.evaluate_table_cqs`; a part that
+        scans no grown table is skipped.  Together with the earlier
+        answers, these are the answers over the grown tables.  *read*,
+        when given, gains each table the join looks up, with its row
+        count at the first lookup: before the join read any of its rows.
         """
         parts = self._joins
         if parts is None:
@@ -138,15 +154,21 @@ class UnfoldedQuery:
             ]
         answers: Set[Tuple] = set()
         for (expression, recipes), (names, joins) in zip(self.parts, parts):
+            if grown is not None and grown.keys().isdisjoint(names):
+                continue
             if budget is not None:
                 budget.check()
             tables = {name: database.table(name) for name in names}
+            if read is not None:
+                for name, table in tables.items():
+                    if name not in read:
+                        read[name] = (table, len(table.rows))
             columns = tuple([table.columns for table in tables.values()])
             compiled = joins.get(columns)
             if compiled is None:
                 compiled = joins[columns] = _compile_part(expression, recipes, tables, budget)
             cqs, readers = compiled
-            rows = evaluate_table_cqs(cqs, tables, budget)
+            rows = evaluate_table_cqs(cqs, tables, budget, grown)
             answers.update(read_terms([row for _, row in rows], readers, budget))
         return answers
 

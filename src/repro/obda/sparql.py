@@ -26,7 +26,7 @@ semantics over DL-Lite.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import SyntaxError_
 from .queries import Atom, Constant, ConjunctiveQuery, Term, UnionQuery, Variable

@@ -15,7 +15,7 @@ renders them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ...errors import MappingError
 from ...runtime.budget import Budget

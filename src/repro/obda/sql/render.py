@@ -11,7 +11,7 @@ to a real DBMS.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List
 
 from .algebra import (
     Condition,

@@ -33,7 +33,7 @@ rewritten extent of its role/attribute.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from ..core.classifier import GraphClassifier
 from ..core.classify import Classification
@@ -64,6 +64,7 @@ from .evaluation import (
     ExtentProvider,
     MappingExtents,
     evaluate_ucq,
+    evaluate_ucq_delta,
 )
 from .mapping import MappingCollection
 from .queries import Atom, ConjunctiveQuery, UnionQuery, Variable
@@ -101,6 +102,182 @@ def _role_atom(role, subject: Variable, object_: Variable) -> Atom:
     return Atom(role.role.name, (object_, subject))
 
 
+class _Stamped(NamedTuple):
+    """A cached result: the data generation it was last confirmed at,
+    the stamps of what it read (None when none are kept, and then a
+    moved generation recomputes it) and its answers."""
+
+    generation: int
+    stamps: Optional[tuple]
+    answers: FrozenSet[Tuple]
+
+
+class _Delta(NamedTuple):
+    """What grew since a result's stamps: per predicate or table name,
+    the rows added (empty when nothing grew), and what a reader needs to
+    stamp the result again."""
+
+    grown: Dict[str, Sequence[Tuple]]
+    reads: object
+
+
+class _OverExtents:
+    """A UCQ over an extent provider.  Its stamps are ``(predicate,
+    arity, version)`` per predicate it reads, for the snapshot the
+    answers were computed from."""
+
+    span = "evaluate"
+    phase = "evaluate"
+
+    def __init__(self, ucq: UnionQuery, provider: ExtentProvider, stamped: bool):
+        self.ucq = ucq
+        self.provider = provider
+        self.stamped = stamped
+
+    def annotate(self, span) -> None:
+        span.set("disjuncts", len(self.ucq))
+
+    def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
+        read: dict = {}
+        answers = evaluate_ucq_delta(self.ucq, self.provider, read, budget=budget)
+        return answers, _versions(read) if self.stamped else None
+
+    def delta(self, stamps: tuple) -> Optional[_Delta]:
+        """The rows each stamped snapshot added since, or None when one
+        moved other than by one delta (``Snapshot.base``) or added more
+        rows than it held before."""
+        read: dict = {}
+        grown: dict = {}
+        for predicate, arity, version in stamps:
+            snapshot = self.provider.snapshot(predicate, arity)
+            read[predicate] = (arity, snapshot)
+            if snapshot.version != version:
+                added = snapshot.added
+                if snapshot.base != version or 2 * len(added) > len(snapshot.rows):
+                    return None
+                if added:
+                    grown[predicate] = added
+        return _Delta(grown, read)
+
+    def extend(self, budget, delta: _Delta) -> Set[Tuple]:
+        return evaluate_ucq_delta(
+            self.ucq, self.provider, delta.reads, delta.grown, budget=budget
+        )
+
+    def stamps(self, delta: _Delta) -> tuple:
+        return _versions(delta.reads)
+
+
+def _versions(read) -> tuple:
+    return tuple(
+        [(predicate, arity, snapshot.version) for predicate, (arity, snapshot) in read.items()]
+    )
+
+
+class _OverTables:
+    """An unfolding joined over the source tables.  Its stamps are
+    ``(name, table, start, end, last)`` per table it scans: the answers
+    hold every answer over the table's first *start* rows (counted
+    before the join read any), and the join may have read its first
+    *end* rows, the last of them *last* (both read after the join).  The
+    table only grew while the database still holds it, it has at least
+    *end* rows and *last* is still in place; its delta is then every row
+    from *start* on."""
+
+    span = "sql-eval"
+    phase = "sql"
+
+    def __init__(self, unfolded, database: Database, stamped: bool):
+        self.unfolded = unfolded
+        #: the database the join looks tables up through (the context's
+        #: retry wrapper, if any)
+        self.database = database
+        self.stamped = stamped
+
+    def annotate(self, span) -> None:
+        pass
+
+    def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
+        read: dict = {}
+        answers = self.unfolded.join(self.database, budget=budget, read=read)
+        if not self.stamped:
+            return answers, None
+        return answers, _table_stamps(
+            [(name, table, start) for name, (table, start) in read.items()]
+        )
+
+    def delta(self, stamps: tuple) -> Optional[_Delta]:
+        """The rows appended to each table since, or None when one was
+        replaced, shrank, or gained more rows than the join had read."""
+        grown: dict = {}
+        counts = []
+        for name, table, start, end, last in stamps:
+            rows = table.rows
+            count = len(rows)
+            if (
+                count < end
+                or (end and rows[end - 1] is not last)
+                or count - start > end
+                or self.database.table(name) is not table
+            ):
+                return None
+            if count > start:
+                grown[name] = rows[start:count]
+            counts.append((name, table, count))
+        return _Delta(grown, counts)
+
+    def extend(self, budget, delta: _Delta) -> Set[Tuple]:
+        return self.unfolded.join(self.database, budget=budget, grown=delta.grown)
+
+    def stamps(self, delta: _Delta) -> tuple:
+        return _table_stamps(delta.reads)
+
+
+def _table_stamps(counts) -> tuple:
+    """The stamps of :class:`_OverTables` from ``(name, table, start)``
+    triples, each table's end and last row read now."""
+    stamps = []
+    for name, table, start in counts:
+        rows = table.rows
+        end = len(rows)
+        stamps.append((name, table, start, end, rows[end - 1] if end else None))
+    return tuple(stamps)
+
+
+class _PushedDown:
+    """An unfolding pushed down to the SQLite replica: run in full, its
+    statements untracked."""
+
+    span = None
+    phase = "sql"
+
+    def __init__(self, backend, unfolded, database: Database):
+        self.backend = backend
+        self.unfolded = unfolded
+        self.database = database
+
+    def full(self, budget) -> Tuple[Set[Tuple], None]:
+        answers = self.backend.execute_unfolded(
+            self.unfolded, budget=budget, database=self.database
+        )
+        return answers, None
+
+
+def _refresh(reader, entry: Optional[_Stamped], delta: Optional[_Delta], generation, budget):
+    """*reader*'s answers and the entry to cache them under: computed in
+    full without a *delta*, else *entry*'s answers extended by the
+    answers that read a row *delta* added."""
+    if delta is None:
+        answers, stamps = reader.full(budget)
+        return answers, _Stamped(generation, stamps, frozenset(answers))
+    added = reader.extend(budget, delta)
+    stamps = reader.stamps(delta)
+    if added <= entry.answers:
+        return set(entry.answers), _Stamped(generation, stamps, entry.answers)
+    added |= entry.answers
+    return added, _Stamped(generation, stamps, frozenset(added))
+
+
 class OBDASystem:
     """An OBDA specification bound to its sources.
 
@@ -118,13 +295,28 @@ class OBDASystem:
     * the extent provider is shared across queries; a write refreshes
       only the extents mapped from the tables it wrote (by a delta when
       a table only grew), and hash-join indexes are cached per
-      predicate under the version of the extent they index.
+      predicate under the version of the extent they index;
+    * answers grow with appends: an answer-cache entry keeps the data
+      generation it was confirmed at and the stamps of what it read
+      (extent versions for perfectref and presto, table row counts and
+      last rows for perfectref-sql).  When those inputs only grew since,
+      the entry is extended by the answers that read an added row
+      instead of recomputed, and the consistency check's
+      negative-inclusion and unsatisfiable-predicate checks are kept and
+      extended the same way.  A stamp that moved other than by one
+      delta, a shrunk or replaced table, more added rows than were read
+      before, a TBox change or :meth:`invalidate_caches` recompute in
+      full; so do perfectref-sqlite's pushed-down statements, the
+      functionality checks and every result in knowledge-base mode.
 
     All caches are validated against the TBox/data generation counters
-    on every use and only ever store *completed* results (a budget abort
-    propagates before the store).  Pass ``enable_caches=False`` to run
-    every query through the full cold pipeline, or call
-    :meth:`invalidate_caches` to drop the system's caches explicitly.
+    (or the stamps above) on every use and only ever store *completed*
+    results (a budget abort propagates before the store, leaving the
+    previous entry in place).  An extension counts as an answer-cache
+    miss and sets the root span's ``answer_cache`` to ``extended``.
+    Pass ``enable_caches=False`` to run every query through the full
+    cold pipeline, or call :meth:`invalidate_caches` to drop the
+    system's caches explicitly.
     """
 
     def __init__(
@@ -179,6 +371,8 @@ class OBDASystem:
             self._answer_cache = LRUCache(cache_size, name="answers")
             self._datalog_extents = LRUCache(cache_size, name="datalog-extents")
             self._consistency_cache: Dict[Tuple[int, int], List[str]] = {}
+            #: per violation or unsat check, its last result and stamps
+            self._check_cache: Dict[Tuple[str, str, int], _Stamped] = {}
         else:
             self._classification_cache = None
             self._rewriting_cache = None
@@ -186,6 +380,7 @@ class OBDASystem:
             self._answer_cache = None
             self._datalog_extents = None
             self._consistency_cache = None
+            self._check_cache = None
         self._statistics_catalog: Optional[StatisticsCatalog] = None
         self._sql_backend = None
 
@@ -212,6 +407,7 @@ class OBDASystem:
                 self._answer_cache.invalidate()
                 self._datalog_extents.invalidate()
                 self._consistency_cache = {}
+                self._check_cache = {}
 
     def invalidate_caches(self) -> None:
         """Explicitly drop every cache held by this system.
@@ -242,6 +438,7 @@ class OBDASystem:
                 self._answer_cache.invalidate()
                 self._datalog_extents.invalidate()
                 self._consistency_cache = {}
+                self._check_cache = {}
 
     def cache_stats(self) -> Dict[str, Dict[str, object]]:
         """Hit/miss/eviction statistics of every cache this system uses."""
@@ -497,95 +694,100 @@ class OBDASystem:
                 "the mapped sources violate the TBox; every tuple is entailed"
             )
         context.check()
-        answer_key = None
+        key = entry = generation = None
         if self.enable_caches:
             from ..perf import ucq_key
 
             self._validate_caches()
-            # Answers are a pure function of (query shape, method family,
-            # TBox generation, data generation) — the generations are in
-            # the key, so stale entries are simply never looked up again.
-            answer_key = (
-                ucq_key(ucq),
-                method,
-                self._tbox_generation,
-                self._data_generation(),
-            )
-            cached = self._answer_cache.get(answer_key)
-            if cached is not None:
-                root.set("answer_cache", "hit")
-                return set(cached)
-            root.set("answer_cache", "miss")
+            # The data generation is read before anything the answers
+            # are computed from, so a write after this read moves it.
+            generation = self._data_generation()
+            key = (ucq_key(ucq), method, self._tbox_generation)
+            entry = self._answer_cache.get(key, record=False)
+            if entry is not None and entry.generation == generation:
+                return self._answer_hit(key, entry, entry, root)
         else:
             root.set("answer_cache", "off")
+        reader = self._answer_reader(ucq, label, method, context, tracer, key)
+        delta = None
+        if entry is not None and entry.stamps is not None:
+            delta = reader.delta(entry.stamps)
+            if delta is not None and not delta.grown:
+                current = _Stamped(generation, reader.stamps(delta), entry.answers)
+                return self._answer_hit(key, entry, current, root)
+        if key is not None:
+            self._answer_cache.stats.record_miss()
+            root.set("answer_cache", "miss" if delta is None else "extended")
+        budget = context.scoped(f"{reader.phase}:{label}")
+        if reader.span is None:
+            answers, fresh = _refresh(reader, entry, delta, generation, budget)
+        else:
+            with tracer.span(reader.span) as span:
+                reader.annotate(span)
+                answers, fresh = _refresh(reader, entry, delta, generation, budget)
+                span.set("answers", len(answers))
+        if key is not None:
+            # only over the entry this work started from: a concurrent
+            # call may have installed a newer one since
+            self._answer_cache.replace(key, entry, fresh)
+        return answers
+
+    def _answer_hit(self, key, entry: _Stamped, current: _Stamped, root) -> Set[Tuple]:
+        """*entry*'s answers served without evaluation; *current* is the
+        entry confirmed at the current data generation."""
+        if current is not entry:
+            self._answer_cache.replace(key, entry, current)
+        self._answer_cache.stats.record_hit()
+        root.set("answer_cache", "hit")
+        return set(entry.answers)
+
+    def _answer_reader(self, ucq, label, method, context, tracer, key):
+        """What answers *ucq* by *method*: its rewriting (and unfolding)
+        from the caches, over the sources it reads."""
+        stamped = self.enable_caches and self.abox is None
         if method == "perfectref":
             rewritten = self.rewrite(ucq, budget=context.scoped(f"rewrite:{label}"))
-            with tracer.span("evaluate") as span:
-                span.set("disjuncts", len(rewritten))
-                answers = evaluate_ucq(
-                    rewritten,
-                    self.extents(context),
-                    budget=context.scoped(f"evaluate:{label}"),
-                )
-                span.set("answers", len(answers))
-        elif method in ("perfectref-sql", "perfectref-sqlite"):
+            return _OverExtents(rewritten, self.extents(context), stamped)
+        if method in ("perfectref-sql", "perfectref-sqlite"):
             if self.mappings is None:
                 raise ReproError(f"{method} requires mappings and a database")
             rewritten = self.rewrite(ucq, budget=context.scoped(f"rewrite:{label}"))
             with tracer.span("unfold") as span:
                 unfolded = None
-                if self.enable_caches:
+                if key is not None:
                     # the rewriting unfolded here is of this TBox
                     # generation or a later one, never an earlier one
-                    unfold_key = (answer_key[0], answer_key[2])
+                    unfold_key = (key[0], key[2])
                     unfolded = self._unfolding_cache.get(unfold_key)
                 if unfolded is None:
-                    span.set("cache", "miss" if self.enable_caches else "off")
+                    span.set("cache", "miss" if key is not None else "off")
                     unfolded = unfold(
                         rewritten,
                         self.mappings,
                         budget=context.scoped(f"unfold:{label}"),
                     )
-                    if self.enable_caches:
+                    if key is not None:
                         self._unfolding_cache.put(unfold_key, unfolded)
                 else:
                     span.set("cache", "hit")
                 span.set("sql_parts", unfolded.size)
             database = context.wrap_database(self.database)
-            budget = context.scoped(f"sql:{label}")
             if method == "perfectref-sqlite":
-                answers = self.sql_backend().execute_unfolded(
-                    unfolded, budget=budget, database=database
-                )
-            else:
-                with tracer.span("sql-eval") as span:
-                    answers = unfolded.join(database, budget=budget)
-                    span.set("answers", len(answers))
-        else:  # presto
-            rewriting = self.rewrite(
-                ucq, method="presto", budget=context.scoped(f"rewrite:{label}")
-            )
-            provider = None
-            if self.enable_caches and context.retry is None:
-                # Reuse the derived auxiliary extents across queries; the
-                # provider revalidates against the base generation itself.
-                provider = self._datalog_extents.get(answer_key[0])
-                if provider is None or provider.rewriting is not rewriting:
-                    provider = DatalogExtents(rewriting, self.extents())
-                    self._datalog_extents.put(answer_key[0], provider)
-            else:
-                provider = DatalogExtents(rewriting, self.extents(context))
-            with tracer.span("evaluate") as span:
-                span.set("disjuncts", len(rewriting.ucq))
-                answers = evaluate_ucq(
-                    rewriting.ucq,
-                    provider,
-                    budget=context.scoped(f"evaluate:{label}"),
-                )
-                span.set("answers", len(answers))
-        if answer_key is not None:
-            self._answer_cache.put(answer_key, frozenset(answers))
-        return answers
+                return _PushedDown(self.sql_backend(), unfolded, database)
+            return _OverTables(unfolded, database, stamped)
+        rewriting = self.rewrite(
+            ucq, method="presto", budget=context.scoped(f"rewrite:{label}")
+        )
+        if key is not None and context.retry is None:
+            # Reuse the derived auxiliary extents across queries; the
+            # provider revalidates against the base generation itself.
+            provider = self._datalog_extents.get(key[0])
+            if provider is None or provider.rewriting is not rewriting:
+                provider = DatalogExtents(rewriting, self.extents())
+                self._datalog_extents.put(key[0], provider)
+        else:
+            provider = DatalogExtents(rewriting, self.extents(context))
+        return _OverExtents(rewriting.ucq, provider, stamped)
 
     def certain_answers_eql(self, query, check_consistency: bool = True):
         """Answer an EQL-Lite query (epistemic FO shell over K-atoms).
@@ -809,23 +1011,26 @@ class OBDASystem:
             else:
                 span.set("cache", "off")
             witnesses = self._inconsistency_witnesses_uncached(
-                context, verdict_key
+                context, verdict_key, span
             )
             span.set("witnesses", len(witnesses))
             return witnesses
 
     def _inconsistency_witnesses_uncached(
-        self, context: Optional[ExecutionContext], verdict_key
+        self, context: Optional[ExecutionContext], verdict_key, span
     ) -> List[str]:
         budget = context.scoped("consistency:check") if context else None
         witnesses: List[str] = []
         extents = self.extents(context)
+        outcomes: List[str] = []
         for label, rewritten in self._consistency_checks(
             "violations", lambda: self._violation_rewritings(budget)
         ):
             if budget is not None:
                 budget.check()
-            if evaluate_ucq(rewritten, extents, budget=budget):
+            if self._populated(
+                "violations", label, rewritten, extents, budget, verdict_key, outcomes
+            ):
                 witnesses.append(f"negative inclusion violated: {label}")
         witnesses.extend(
             f"functionality violated: {label}"
@@ -837,15 +1042,60 @@ class OBDASystem:
         ):
             if budget is not None:
                 budget.check()
-            if evaluate_ucq(rewritten, extents, budget=budget):
+            if self._populated(
+                "unsat", label, rewritten, extents, budget, verdict_key, outcomes
+            ):
                 witnesses.append(f"unsatisfiable predicate populated: {label}")
         if verdict_key is not None:
+            span.annotate(
+                checks_extended=outcomes.count("extended"),
+                checks_recomputed=outcomes.count("miss"),
+            )
             # completed check only — a budget abort raised before this line
             with self._lock:
                 self._consistency_cache[verdict_key] = list(witnesses)
                 if len(self._consistency_cache) > 64:
                     self._consistency_cache.pop(next(iter(self._consistency_cache)))
         return witnesses
+
+    def _populated(
+        self, kind, label, ucq, extents, budget, verdict_key, outcomes
+    ) -> bool:
+        """Whether the rewritten check *ucq* has an answer.  With caches
+        on, each check keeps its last result and stamps and is extended
+        like an answer-cache entry; a populated check stays populated
+        while everything it read only grew, so it is confirmed without a
+        join.  Appends ``"hit"``, ``"extended"`` or ``"miss"`` to
+        *outcomes*."""
+        if verdict_key is None:
+            return bool(evaluate_ucq(ucq, extents, budget=budget))
+        tbox_generation, generation = verdict_key
+        key = (kind, label, tbox_generation)
+        with self._lock:
+            entry = self._check_cache.get(key)
+        reader = _OverExtents(ucq, extents, self.abox is None)
+        delta = None
+        if entry is not None:
+            if entry.generation == generation:
+                outcomes.append("hit")
+                return bool(entry.answers)
+            if entry.stamps is not None:
+                delta = reader.delta(entry.stamps)
+        if delta is not None and (entry.answers or not delta.grown):
+            outcomes.append("hit")
+            fresh = _Stamped(generation, reader.stamps(delta), entry.answers)
+        else:
+            outcomes.append("miss" if delta is None else "extended")
+            _, fresh = _refresh(reader, entry, delta, generation, budget)
+        with self._lock:
+            # only over the entry this work started from, and never
+            # after a TBox change dropped the checks of this generation
+            if (
+                self._tbox_generation == tbox_generation
+                and self._check_cache.get(key) is entry
+            ):
+                self._check_cache[key] = fresh
+        return bool(fresh.answers)
 
     def is_consistent(self, context: Optional[ExecutionContext] = None) -> bool:
         return not self.inconsistency_witnesses(context)

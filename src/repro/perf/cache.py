@@ -23,7 +23,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Mapping, Tuple
 
 from .fingerprint import tbox_fingerprint
 
@@ -206,15 +206,21 @@ class LRUCache:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(self, key: Hashable, default: Any = None, record: bool = True) -> Any:
+        """The value under *key* (*default* when absent), made the most
+        recently used.  With ``record=False`` the lookup counts as neither
+        hit nor miss: for a caller that first checks the value is still
+        current and records the outcome itself on :attr:`stats`."""
         with self._lock:
             try:
                 value = self._entries[key]
             except KeyError:
-                self.stats.record_miss()
+                if record:
+                    self.stats.record_miss()
                 return default
             self._entries.move_to_end(key)
-        self.stats.record_hit()
+        if record:
+            self.stats.record_hit()
         return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -223,8 +229,19 @@ class LRUCache:
             return self._entries.get(key, default)
 
     def put(self, key: Hashable, value: Any) -> None:
+        self._store(key, value, False, None)
+
+    def replace(self, key: Hashable, expected: Any, value: Any) -> bool:
+        """Store *value* under *key* only if *key* still holds *expected*
+        (compared by identity; None when absent), so a result computed
+        from one entry never overwrites a newer one.  True when stored."""
+        return self._store(key, value, True, expected)
+
+    def _store(self, key: Hashable, value: Any, check: bool, expected: Any) -> bool:
         evicted = 0
         with self._lock:
+            if check and self._entries.get(key) is not expected:
+                return False
             if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = value
@@ -233,6 +250,7 @@ class LRUCache:
                 evicted += 1
         if evicted:
             self.stats.record_eviction(evicted)
+        return True
 
     def invalidate(self) -> int:
         """Drop every entry; returns how many were dropped."""

@@ -5,7 +5,9 @@ run the differential engine oracle and the metamorphic battery on it,
 then — on a schedule within the round — the brute-force semantics check
 on a tiny sibling ontology and the end-to-end OBDA answer diff
 (PerfectRef vs Presto vs unfolded SQL over a direct mapping of a random
-ABox).  Any disagreement is shrunk to a minimal reproducer and written
+ABox, diffed again after a few assertions are appended, so that the
+mapped system's extended answers meet knowledge-base mode's recomputed
+ones).  Any disagreement is shrunk to a minimal reproducer and written
 to the regression corpus directory.
 
 The runner reuses :class:`repro.runtime.budget.Budget` for bounded
@@ -29,8 +31,10 @@ from ..errors import TimeoutExceeded
 from ..runtime.budget import Budget
 from .generators import (
     FuzzProfile,
+    append_direct,
     direct_mapping_system,
     random_abox,
+    random_appends,
     random_profile_tbox,
     random_queries,
     random_tiny_tbox,
@@ -247,46 +251,63 @@ def _run_round(
                 budget,
             )
 
-    # 4. end-to-end OBDA: PerfectRef vs Presto vs unfolded SQL algebra
+    # 4. end-to-end OBDA: PerfectRef vs Presto vs unfolded SQL algebra,
+    #    then again after a few appends, on the same warm systems
     if config.obda_every and round_index % config.obda_every == 0:
-        from ..obda.system import OBDASystem
-
         small = random_tiny_tbox(rng, config.profile)
         abox = random_abox(rng, small, config.profile)
         queries = random_queries(rng, small, config.profile)
         if queries:
-            systems = {
-                "kb": OBDASystem(small, abox=abox),
-                "sql": direct_mapping_system(small, abox),
-            }
-            problems = diff_answers(
-                systems,
-                queries,
-                methods=("perfectref", "perfectref-sql", "presto"),
-                budget=budget,
+            append_rng = random.Random(f"append:{config.seed}:{round_index}")
+            appends = random_appends(
+                append_rng, abox, append_rng.randint(1, 3), queries
             )
-            report.checks_run += 1
+            problems = _obda_diff(small, abox, queries, appends, budget)
+            report.checks_run += 2
             if problems:
-                # Answer diffs shrink over the TBox with data and queries
-                # held fixed — the bug is almost always in the rewriting.
-                def recheck(t: TBox):
-                    return diff_answers(
-                        {
-                            "kb": OBDASystem(t, abox=abox),
-                            "sql": direct_mapping_system(t, abox),
-                        },
-                        queries,
-                        methods=("perfectref", "perfectref-sql", "presto"),
-                        budget=budget,
-                    )
-
+                # Answer diffs shrink over the TBox with data, appends and
+                # queries held fixed — the bug is almost always in the
+                # rewriting.
                 _shrink_and_record(
-                    report, config, small, problems, recheck, round_index, budget
+                    report,
+                    config,
+                    small,
+                    problems,
+                    lambda t: _obda_diff(t, abox, queries, appends, budget),
+                    round_index,
+                    budget,
                 )
 
     # 5. backend oracle: the five answering paths over mixed-type data
     if config.backend_every and round_index % config.backend_every == 0:
         _run_backend_check(report, config, rng, round_index, budget)
+
+
+#: the methods step 4 diffs; the mapped system extends its answers of
+#: all three after the appends, while knowledge-base mode recomputes them
+_OBDA_METHODS = ("perfectref", "perfectref-sql", "presto")
+
+
+def _obda_diff(
+    tbox: TBox, abox, queries, appends, budget: Budget
+) -> List[Disagreement]:
+    """Step 4 on *tbox*: diff the answers of *queries* on a knowledge-base
+    system over a copy of *abox* and on its direct mapping, then append
+    *appends* to both (the copy, and the mapped tables as the mapping
+    lowered their rows) and diff again on the same warm systems."""
+    from ..obda.system import OBDASystem
+
+    facts = abox.copy()
+    systems = {
+        "kb": OBDASystem(tbox, abox=facts),
+        "sql": direct_mapping_system(tbox, abox),
+    }
+    problems = diff_answers(systems, queries, methods=_OBDA_METHODS, budget=budget)
+    facts.extend(appends)
+    append_direct(systems["sql"], appends)
+    return problems + diff_answers(
+        systems, queries, methods=_OBDA_METHODS, budget=budget
+    )
 
 
 def _run_backend_check(

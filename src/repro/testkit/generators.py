@@ -20,7 +20,9 @@ signature with individuals, :func:`direct_mapping_system` lowers that
 ABox into one relational table per predicate plus the corresponding
 GAV mappings (so SQL-unfolded evaluation is comparable answer-for-answer
 with virtual-extent evaluation), and :func:`random_queries` draws small
-connected conjunctive queries over the signature.
+connected conjunctive queries over the signature.  :func:`random_appends`
+draws assertions to append to an ABox already answered over, and
+:func:`append_direct` inserts them into a direct mapping's tables.
 :func:`with_literal_names` renames three individuals ``1``, ``1.0`` and
 ``True``, which the direct mapping stores as typed cells in every other
 table — mixed-type data whose answers the string-form identity of the
@@ -33,7 +35,7 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 from ..corpus.generator import OntologyProfile, generate
 from ..dllite.abox import (
@@ -66,8 +68,10 @@ from ..obda.queries import Atom, ConjunctiveQuery, UnionQuery, Variable
 
 __all__ = [
     "FuzzProfile",
+    "append_direct",
     "direct_mapping_system",
     "random_abox",
+    "random_appends",
     "random_profile_tbox",
     "random_queries",
     "random_tiny_tbox",
@@ -230,6 +234,39 @@ def random_abox(
     return abox
 
 
+def random_appends(
+    rng: random.Random, abox: ABox, count: int, queries: Sequence[UnionQuery] = ()
+) -> List:
+    """*count* assertions over predicates *abox* already has rows for,
+    between its individuals and one fresh individual ``new``, so that
+    appending them can add answers as well as repeat known ones.  The
+    predicates the *queries* mention are preferred when *abox* has rows
+    for any of them."""
+    known = sorted(abox, key=repr)
+    asked = {atom.predicate for query in queries for cq in query for atom in cq.atoms}
+    known = [a for a in known if _predicate_name(a) in asked] or known
+    if not known:
+        return []
+    individuals = sorted(abox.individuals(), key=lambda i: i.name)
+    individuals.append(Individual("new"))
+    appended = []
+    for _ in range(count):
+        like = rng.choice(known)
+        if isinstance(like, ConceptAssertion):
+            appended.append(ConceptAssertion(like.concept, rng.choice(individuals)))
+        elif isinstance(like, RoleAssertion):
+            appended.append(
+                RoleAssertion(like.role, rng.choice(individuals), rng.choice(individuals))
+            )
+        else:
+            appended.append(
+                AttributeAssertion(
+                    like.attribute, rng.choice(individuals), rng.randint(0, 3)
+                )
+            )
+    return appended
+
+
 def with_literal_names(abox: ABox) -> ABox:
     """*abox* with individuals ``a0``-``a2`` renamed ``1``, ``1.0``, ``True``."""
     renames = {f"a{i}": Individual(name) for i, name in enumerate(LITERAL_CELLS)}
@@ -289,11 +326,7 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
         """Typed cells for the first *individuals* columns of every other table."""
         if next(tables) % 2 == 0:
             return rows
-        return [
-            tuple(LITERAL_CELLS.get(cell, cell) for cell in row[:individuals])
-            + row[individuals:]
-            for row in rows
-        ]
+        return [_typed(row, individuals) for row in rows]
 
     for name, rows in sorted(concept_rows.items()):
         table = f"t_{name}"
@@ -335,6 +368,42 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
             )
         )
     return OBDASystem(tbox, mappings=mappings, database=database)
+
+
+def _typed(row: tuple, individuals: int) -> tuple:
+    """*row* with its first *individuals* cells typed per LITERAL_CELLS."""
+    return (
+        tuple(LITERAL_CELLS.get(cell, cell) for cell in row[:individuals])
+        + row[individuals:]
+    )
+
+
+def _predicate_name(assertion) -> str:
+    if isinstance(assertion, ConceptAssertion):
+        return assertion.concept.name
+    if isinstance(assertion, RoleAssertion):
+        return assertion.role.name
+    return assertion.attribute.name
+
+
+def append_direct(system, assertions) -> None:
+    """Insert *assertions* into the tables of a
+    :func:`direct_mapping_system`, each row lowered as that function
+    lowered its table's rows (typed cells in every other table, in the
+    order it created them).  Every assertion's predicate must have a
+    table already."""
+    typed = {table.name for table in system.database.tables()[1::2]}
+    for assertion in assertions:
+        if isinstance(assertion, ConceptAssertion):
+            row = (assertion.individual.name,)
+        elif isinstance(assertion, RoleAssertion):
+            row = (assertion.subject.name, assertion.object.name)
+        else:
+            row = (assertion.subject.name, assertion.value)
+        table = f"t_{_predicate_name(assertion)}"
+        if table in typed:
+            row = _typed(row, 2 if isinstance(assertion, RoleAssertion) else 1)
+        system.database[table].insert(row)
 
 
 _VARS = (Variable("x"), Variable("y"), Variable("z"))

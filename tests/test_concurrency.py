@@ -571,6 +571,59 @@ def _university(persons=60, courses=12, departments=4):
     return OBDASystem(tbox, mappings, database), teachers, students, courses
 
 
+def test_racing_extensions_of_one_entry_serve_each_round_exactly():
+    """Readers race to extend the same entries after each fenced round
+    of appends: whichever extension installs, every answer equals the
+    cache-free twin's for that round, so none is lost or stale."""
+    system, teachers, students, courses = _university()
+    database = system.database
+    methods = ("perfectref", "perfectref-sql", "presto")
+    twin = OBDASystem(system.tbox, system.mappings, database, enable_caches=False)
+    for method in methods:
+        for query in _UNIVERSITY_SHAPES:
+            system.certain_answers(query, method=method)
+    readers, rounds = 4, 5
+    fence = threading.Barrier(readers + 1, timeout=30.0)
+    answered = []  # (round, query, method, answers)
+    expected = {}  # (round, query, method) -> answers
+
+    def work(index):
+        rng = random.Random(index)
+        for round_ in range(rounds):
+            if index == readers:  # the writer
+                database["enrolment"].insert((rng.choice(students), rng.randrange(courses)))
+                database["teaching"].insert((rng.choice(teachers), rng.randrange(courses)))
+                fence.wait()
+                fence.wait()
+                for query in _UNIVERSITY_SHAPES:
+                    for method in methods:
+                        expected[round_, query, method] = (
+                            naive_sql_answers(twin, query)
+                            if method == "perfectref-sql"
+                            else twin.certain_answers(query, method=method)
+                        )
+                continue
+            fence.wait()
+            shapes = list(_UNIVERSITY_SHAPES)
+            rng.shuffle(shapes)
+            for query in shapes:
+                for method in methods:
+                    answers = system.certain_answers(query, method=method)
+                    answered.append((round_, query, method, answers))
+            fence.wait()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(work, count=readers + 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(answered) == readers * rounds * len(_UNIVERSITY_SHAPES) * len(methods)
+    for round_, query, method, answers in answered:
+        assert answers == expected[round_, query, method], (round_, method, query)
+    assert system.cache_stats()["answers"]["hits"] > 0
+
+
 def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
     system, teachers, students, courses = _university()
     database = system.database

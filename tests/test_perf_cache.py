@@ -109,6 +109,16 @@ def test_alpha_equivalent_queries_share_cache_keys():
                 assert cq_key(cq) == cq_key(_alpha_variant(cq, rng))
 
 
+def test_canonical_form_is_computed_once_per_query():
+    x, y = Variable("x"), Variable("y")
+    cq = ConjunctiveQuery((x,), [Atom("P", (x, y)), Atom("C", (y,))])
+    first = cq.canonical()
+    assert cq.canonical() is first
+    assert cq_key(cq) is first
+    assert ucq_key(UnionQuery([cq]))[1][0] is first
+    assert hash(cq) == hash(first)
+
+
 def test_distinct_shapes_get_distinct_keys():
     x, y = Variable("x"), Variable("y")
     chain = ConjunctiveQuery((x,), [Atom("P", (x, y)), Atom("C", (y,))])

@@ -6,9 +6,10 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.dllite import parse_tbox
+from repro.dllite.parser import parse_axiom
 from repro.dllite.abox import ABox, Individual, RoleAssertion
 from repro.dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from repro.errors import TimeoutExceeded
@@ -29,7 +30,7 @@ from repro.obda.sql.stats import join_key
 from repro.obda.system import OBDASystem
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import Tracer, use_tracer
-from repro.perf import ClassificationCache
+from repro.perf import ClassificationCache, ucq_key
 from repro.runtime.budget import Budget
 from repro.runtime.fallback import FallbackChain
 from repro.runtime.retry import RetryPolicy
@@ -397,11 +398,42 @@ def _assert_table_indexes(database, held):
         assert _buckets(index) == buckets
 
 
+def _held_back(database, call):
+    """*call*'s result with every pending mid-count insert of *database*
+    held back, so the call itself inserts nothing."""
+    pending = [
+        (table.rows, table.rows.pending)
+        for table in database.tables()
+        if isinstance(table.rows, _InsertOnCount)
+    ]
+    for rows, _ in pending:
+        rows.pending = None
+    try:
+        return call()
+    finally:
+        for rows, row in pending:
+            rows.pending = row
+
+
+def _bracketed(database, ask, oracle):
+    """Assert that ``ask()`` lies between ``oracle()`` before and after
+    it: answers grow with inserts, so a call that a mid-count insert
+    raced sees at least the rows before it and at most those after it;
+    with no insert during the call, the bounds meet."""
+    before = _held_back(database, oracle)
+    found = ask()
+    after = _held_back(database, oracle)
+    assert set(before) <= set(found) <= set(after), (before, found, after)
+
+
 @given(st.integers(0, 2**32 - 1))
+@example(1899239)
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_delta_refreshes_match_fresh_pulls(seed):
     """Seeded interleavings of inserts, out-of-band shrinks and reads:
-    afterwards every cache equals what a cache-free pull computes."""
+    each answer and consistency verdict, extended or not, matches a
+    cache-free twin as it is made, and afterwards every cache equals
+    what a cache-free pull computes."""
     rng = random.Random(seed)
     tbox = parse_tbox(_DELTA_TBOX)
     mappings = _delta_mappings()
@@ -411,6 +443,7 @@ def test_delta_refreshes_match_fresh_pulls(seed):
             name, columns, [_delta_row(rng, name) for _ in range(rng.randint(0, 3))]
         )
     system = OBDASystem(tbox, mappings, database)
+    cache_free = OBDASystem(tbox, mappings, database, enable_caches=False)
     provider = system.extents()
     constraints = ExtensionalConstraints(provider)
     queries = [parse_query(text) for text in _DELTA_QUERIES]
@@ -449,12 +482,26 @@ def test_delta_refreshes_match_fresh_pulls(seed):
             constraints.relevant_inclusions(rng.choice(rewritings))
             _hold_table_indexes(database, table_held)
         else:
-            query = rng.choice(queries)
-            system.certain_answers(
-                query, method=rng.choice(_METHODS), check_consistency=False
+            query, method = rng.choice(queries), rng.choice(_METHODS)
+            _bracketed(
+                database,
+                lambda: system.certain_answers(
+                    query, method=method, check_consistency=False
+                ),
+                lambda: (
+                    naive_sql_answers(cache_free, query, check_consistency=False)
+                    if method == "perfectref-sql"
+                    else cache_free.certain_answers(
+                        query, method=method, check_consistency=False
+                    )
+                ),
             )
             if rng.random() < 0.3:
-                system.inconsistency_witnesses()
+                _bracketed(
+                    database,
+                    system.inconsistency_witnesses,
+                    cache_free.inconsistency_witnesses,
+                )
             _hold_table_indexes(database, table_held)
 
     for table in database.tables():
@@ -485,23 +532,22 @@ def test_delta_refreshes_match_fresh_pulls(seed):
         ) == oracle_constraints.relevant_inclusions(rewritten)
     # perfectref-sql against the naive evaluator: a cache-free twin would
     # probe the same table indexes
-    oracle = OBDASystem(tbox, mappings, database, enable_caches=False)
     try:
         for query in queries:
             for method in _METHODS:
                 expected = (
-                    naive_sql_answers(oracle, query, check_consistency=False)
+                    naive_sql_answers(cache_free, query, check_consistency=False)
                     if method == "perfectref-sql"
-                    else oracle.certain_answers(
+                    else cache_free.certain_answers(
                         query, method=method, check_consistency=False
                     )
                 )
                 assert system.certain_answers(
                     query, method=method, check_consistency=False
                 ) == expected, (method, str(query))
-        assert system.inconsistency_witnesses() == oracle.inconsistency_witnesses()
+        assert system.inconsistency_witnesses() == cache_free.inconsistency_witnesses()
     finally:
-        for twin_system in (system, oracle):
+        for twin_system in (system, cache_free):
             backend = twin_system._sql_backend
             if backend is not None:
                 backend.close()
@@ -557,6 +603,211 @@ def test_a_refresh_by_appended_rows_is_counted_and_traced():
     assert deltas.value == before + 1
     [span] = [span for span in tracer.spans if span.name == "extent-delta"]
     assert span.attributes == {"predicate": "teaches", "rows": 1}
+
+
+# -- answers and verdicts extended by appended rows ---------------------------------
+
+#: the methods whose answer-cache entries grow by deltas (perfectref-sqlite
+#: runs its pushed-down statements in full)
+_EXTENDING = ("perfectref", "perfectref-sql", "presto")
+_ASKED = "q(x, y) :- Teacher(x), teaches(x, y)"
+
+
+def _ask(system, query, method, budget=None):
+    """One call's answers, its root span's ``answer_cache`` outcome and
+    its ``join`` spans."""
+    tracer = Tracer("ask")
+    with use_tracer(tracer):
+        answers = system.certain_answers(
+            query, method=method, check_consistency=False, budget=budget
+        )
+    [root] = [span for span in tracer.spans if span.name == "certain-answers"]
+    joins = [span for span in tracer.spans if span.name == "join"]
+    return answers, root.attributes["answer_cache"], joins
+
+
+def _cache_free(system, query, method):
+    twin = OBDASystem(system.tbox, system.mappings, system.database, enable_caches=False)
+    if method == "perfectref-sql":
+        return naive_sql_answers(twin, query, check_consistency=False)
+    return twin.certain_answers(query, method=method, check_consistency=False)
+
+
+@pytest.mark.parametrize("method", _EXTENDING)
+def test_an_append_extends_the_cached_answers_and_counts_as_a_miss(method):
+    system = _campus_system()
+    _, outcome, _ = _ask(system, _ASKED, method)
+    assert outcome == "miss"
+    stats = system.cache_stats()["answers"]
+    system.database["t_teaches"].insert(("bob", "compilers"))
+    answers, outcome, joins = _ask(system, _ASKED, method)
+    assert outcome == "extended"
+    after = system.cache_stats()["answers"]
+    assert (after["hits"], after["misses"]) == (stats["hits"], stats["misses"] + 1)
+    assert (Individual("bob"), Individual("compilers")) in answers
+    assert answers == _cache_free(system, _ASKED, method)
+    # every join of the extension reads the appended rows at one atom
+    assert joins and all(span.attributes["delta_rows"] == 1 for span in joins)
+    # a hit is still an answer served without evaluation
+    again, outcome, joins = _ask(system, _ASKED, method)
+    assert (again, outcome, joins) == (answers, "hit", [])
+    assert system.cache_stats()["answers"]["hits"] == after["hits"] + 1
+
+
+@pytest.mark.parametrize("method", _EXTENDING)
+def test_a_write_to_a_table_the_answers_never_read_is_a_hit(method):
+    system = _campus_system()
+    system.database.create_table("t_other", ["s"])
+    answers, _, _ = _ask(system, _ASKED, method)
+    system.database["t_other"].insert(("zed",))
+    assert _ask(system, _ASKED, method) == (answers, "hit", [])
+
+
+def _shrink(system):
+    """Out of band: replace the one row of t_teaches, so the table holds
+    as many rows as before but did not grow from them."""
+    table = system.database["t_teaches"]
+    del table.rows[:]
+    table.insert(("bob", "compilers"))
+
+
+def _refresh_twice(system):
+    """Two appends, each seen by a read of the extent in between: the
+    extent moves by two deltas between the asks."""
+    for course in ("compilers", "algebra"):
+        system.database["t_teaches"].insert(("bob", course))
+        system.extents().extent("teaches", 2)
+
+
+def _change_tbox(system):
+    system.tbox.add(parse_axiom("Lecturer isa Teacher"))
+    system.database["t_teaches"].insert(("bob", "compilers"))
+
+
+def _invalidate(system):
+    system.database["t_teaches"].insert(("bob", "compilers"))
+    system.invalidate_caches()
+
+
+@pytest.mark.parametrize(
+    "method, fallback",
+    [
+        (method, fallback)
+        for fallback in (_shrink, _refresh_twice, _change_tbox, _invalidate)
+        for method in _EXTENDING
+        # the SQL join reads the tables, not the extents
+        if not (fallback is _refresh_twice and method == "perfectref-sql")
+    ],
+    ids=lambda value: getattr(value, "__name__", value).strip("_"),
+)
+def test_fallbacks_recompute_in_full(method, fallback):
+    system = _campus_system()
+    _ask(system, _ASKED, method)
+    fallback(system)
+    answers, outcome, joins = _ask(system, _ASKED, method)
+    assert outcome == "miss"
+    assert "delta_rows" not in {key for span in joins for key in span.attributes}
+    assert answers == _cache_free(system, _ASKED, method)
+
+
+@pytest.mark.parametrize("method", _EXTENDING)
+def test_a_bulk_load_after_an_ask_on_empty_tables_recomputes_in_full(method):
+    database = Database("empty")
+    database.create_table("t_teaches", ["s", "o"])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT s, o FROM t_teaches",
+                [TargetAtom(AtomicRole("teaches"), (IriTemplate("{s}"), IriTemplate("{o}")))],
+            )
+        ]
+    )
+    system = OBDASystem(parse_tbox(TBOX_TEXT), mappings, database)
+    answers, outcome, _ = _ask(system, _ASKED, method)
+    assert (answers, outcome) == (set(), "miss")
+    system.database["t_teaches"].insert_many(
+        [(f"p{i}", f"c{i}") for i in range(5)]
+    )
+    answers, outcome, _ = _ask(system, _ASKED, method)
+    assert outcome == "miss"
+    assert len(answers) == 5
+    assert answers == _cache_free(system, _ASKED, method)
+
+
+@pytest.mark.parametrize("method", ("perfectref", "perfectref-sql"))
+def test_budget_abort_during_an_extension_leaves_the_old_entry(method, monkeypatch):
+    system = _campus_system()
+    query = parse_query(_ASKED)
+    before, _, _ = _ask(system, query, method)
+    key = (ucq_key(query), method, system._tbox_generation)
+    entry = system._answer_cache.peek(key)
+    assert entry is not None and entry.answers == before
+    system.database["t_teaches"].insert(("bob", "compilers"))
+
+    def expired(self, stride=None):
+        raise TimeoutExceeded(self.budget_s, self.elapsed_s, task=self.task)
+
+    with monkeypatch.context() as patched:
+        # every check passes, and the first binding or index row expires
+        patched.setattr(Budget, "tick", expired)
+        with pytest.raises(TimeoutExceeded):
+            system.certain_answers(
+                query, method=method, check_consistency=False, budget=60.0
+            )
+    assert system._answer_cache.peek(key) is entry
+    answers, outcome, _ = _ask(system, query, method)
+    assert outcome == "extended"
+    assert answers == _cache_free(system, query, method) != before
+
+
+_CONSISTENCY_TBOX = TBOX_TEXT + "Teacher isa not Student\n"
+
+
+def test_consistency_checks_extend_and_catch_a_violating_append():
+    system = _campus_system(_CONSISTENCY_TBOX)
+    system.database.create_table("t_Student", ["s"], [("carl",)])
+    system.mappings.add(
+        MappingAssertion(
+            "SELECT s FROM t_Student",
+            [TargetAtom(AtomicConcept("Student"), (IriTemplate("{s}"),))],
+        )
+    )
+    system.invalidate_caches()
+    assert system.inconsistency_witnesses() == []
+
+    def recheck():
+        tracer = Tracer("consistency")
+        with use_tracer(tracer):
+            witnesses = system.inconsistency_witnesses()
+        [span] = [span for span in tracer.spans if span.name == "consistency"]
+        joins = [s for s in tracer.spans if s.name == "join"]
+        twin = OBDASystem(
+            system.tbox, system.mappings, system.database, enable_caches=False
+        )
+        assert witnesses == twin.inconsistency_witnesses()
+        return witnesses, span.attributes, joins
+
+    system.database["t_Student"].insert(("dan",))
+    witnesses, attributes, joins = recheck()
+    assert witnesses == []
+    assert (attributes["checks_extended"], attributes["checks_recomputed"]) == (1, 0)
+    assert joins and all("delta_rows" in span.attributes for span in joins)
+    system.database["t_teaches"].insert(("dan", "logic"))  # dan teaches: a Teacher
+    witnesses, attributes, _ = recheck()
+    assert witnesses == ["negative inclusion violated: Teacher ⊑ ¬Student"]
+    assert attributes["checks_extended"] == 1
+    # a violated check stays violated while its extents only grow
+    system.database["t_Student"].insert(("eve",))
+    witnesses, attributes, joins = recheck()
+    assert witnesses == ["negative inclusion violated: Teacher ⊑ ¬Student"]
+    assert (attributes["checks_extended"], joins) == (0, [])
+    # an out-of-band edit that drops the violating row is recomputed
+    table = system.database["t_teaches"]
+    del table.rows[-1:]
+    table.insert(("ada", "algebra"))
+    witnesses, attributes, _ = recheck()
+    assert witnesses == []
+    assert attributes["checks_recomputed"] == 1
 
 
 # -- Presto's derived extents: aliases and deltas --------------------------------

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
+import repro.obda.system as system_module
 from repro.cli import main
+from repro.dllite import parse_tbox
+from repro.dllite.abox import ABox, ConceptAssertion, Individual, RoleAssertion
+from repro.dllite.syntax import AtomicConcept, AtomicRole
+from repro.obda.cq_parser import parse_query
 from repro.testkit import ConformanceConfig, ConformanceReport, run_conformance
-from repro.testkit.generators import FuzzProfile
+from repro.testkit.conformance import _obda_diff
+from repro.testkit.generators import (
+    FuzzProfile,
+    append_direct,
+    direct_mapping_system,
+    random_appends,
+    with_literal_names,
+)
 
 #: Small-but-real campaign knobs: every check family runs at least once.
 _FAST = dict(
@@ -54,6 +68,51 @@ def test_report_summary_mentions_disagreements():
     report.disagreements.append(Disagreement("unsat", "a", "b", "detail"))
     assert not report.ok
     assert "1 disagreement(s)" in report.summary()
+
+
+def _teaching_abox() -> ABox:
+    abox = ABox()
+    abox.add(ConceptAssertion(AtomicConcept("A"), Individual("a0")))
+    abox.add(RoleAssertion(AtomicRole("P"), Individual("a0"), Individual("a1")))
+    abox.add(RoleAssertion(AtomicRole("P"), Individual("a2"), Individual("a1")))
+    return abox
+
+
+def test_appends_are_lowered_as_the_direct_mapping_lowers_its_tables():
+    tbox = parse_tbox("role P\nA isa exists P\n")
+    system = direct_mapping_system(tbox, with_literal_names(_teaching_abox()))
+    # t_A is the first table (raw cells), t_P the second (typed cells)
+    assert [table.name for table in system.database.tables()] == ["t_A", "t_P"]
+    append_direct(
+        system,
+        [
+            ConceptAssertion(AtomicConcept("A"), Individual("True")),
+            RoleAssertion(AtomicRole("P"), Individual("True"), Individual("1.0")),
+        ],
+    )
+    assert system.database["t_A"].rows[-1] == ("True",)
+    assert [type(cell) for cell in system.database["t_P"].rows[-1]] == [bool, float]
+
+
+def test_random_appends_prefer_the_predicates_the_queries_ask():
+    queries = [parse_query("q(x) :- P(x, y)")]
+    appends = random_appends(random.Random(3), _teaching_abox(), 5, queries)
+    assert len(appends) == 5
+    assert all(isinstance(assertion, RoleAssertion) for assertion in appends)
+
+
+def test_obda_step_diffs_the_extended_answers_after_appends(monkeypatch):
+    tbox = parse_tbox("role P\nA isa exists P\n")
+    queries = [parse_query("q(x) :- A(x)"), parse_query("q(y) :- P(x, y)")]
+    appends = [RoleAssertion(AtomicRole("P"), Individual("a1"), Individual("new"))]
+    assert _obda_diff(tbox, _teaching_abox(), queries, appends, None) == []
+    # extensions that drop what the appended rows add are caught
+    monkeypatch.setattr(
+        system_module._OverExtents, "extend", lambda self, budget, delta: set()
+    )
+    problems = _obda_diff(tbox, _teaching_abox(), queries, appends, None)
+    assert {problem.kind for problem in problems} == {"answers"}
+    assert any("sql/perfectref" in str(problem) for problem in problems)
 
 
 class TestCli:
