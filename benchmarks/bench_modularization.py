@@ -8,8 +8,6 @@ not scale.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.dllite import AtomicConcept
 from repro.graphical import focus_view, horizontal_modules, vertical_views
 from repro_bench_util import corpus_tbox

@@ -17,7 +17,7 @@ from repro.approximation import (
     semantic_approximation,
     syntactic_approximation,
 )
-from repro.approximation.owl import All, And, Not, Or, OwlClass as C, Some
+from repro.approximation.owl import And, Or, OwlClass as C, Some
 from repro.core import classify
 
 

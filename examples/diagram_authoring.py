@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from repro.corpus import load_profile
-from repro.dllite import AtomicConcept, parse_tbox
+from repro.dllite import AtomicConcept
 from repro.graphical import (
     Diagram,
     diagram_to_tbox,

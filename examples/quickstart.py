@@ -7,7 +7,7 @@ Run with::
 
 from repro import classify, parse_axiom, parse_tbox
 from repro.core import ImplicationChecker
-from repro.dllite import AtomicConcept, AtomicRole
+from repro.dllite import AtomicConcept
 
 ONTOLOGY = """
 # A small university ontology in the textual DL-Lite syntax.

@@ -40,8 +40,9 @@ def _is_generation_expr(node: ast.AST) -> bool:
     """A read of a generation counter, by naming convention.
 
     Matches ``x.generation``, ``self._tbox_generation``,
-    ``provider.generation()``, ``self._data_generation()`` and
-    ``getattr(x, "generation", 0)``.
+    ``provider.generation()``, ``self._data_generation()``,
+    ``getattr(x, "generation", 0)`` and ``table.stamp()``, which reads
+    the table's generation first.
     """
     if isinstance(node, ast.Call):
         func = node.func
@@ -53,7 +54,7 @@ def _is_generation_expr(node: ast.AST) -> bool:
                 for arg in node.args
             )
         name = terminal_name(func)
-        return name is not None and "generation" in name.lower()
+        return name is not None and ("generation" in name.lower() or name == "stamp")
     if isinstance(node, (ast.Attribute, ast.Name)):
         name = terminal_name(node)
         return name is not None and "generation" in name.lower()

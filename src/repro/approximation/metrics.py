@@ -17,7 +17,7 @@ expressible in the target language are preserved."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 from ..core.implication import ImplicationChecker
 from ..dllite.axioms import Axiom, ConceptInclusion, RoleInclusion
@@ -31,13 +31,9 @@ from ..dllite.syntax import (
 )
 from ..dllite.tbox import TBox
 from .owl import (
-    All,
-    And,
     Not,
     OwlClass,
     OwlOntology,
-    OwlSubClassOf,
-    OwlSubPropertyOf,
     Some,
     Top,
 )

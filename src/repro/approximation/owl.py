@@ -22,7 +22,7 @@ axioms are still recovered).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Set, Tuple, Union
+from typing import Iterable, List, Set, Tuple
 
 __all__ = [
     "OwlClass",

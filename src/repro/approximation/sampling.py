@@ -14,14 +14,12 @@ from typing import List
 from .owl import (
     All,
     And,
-    Bottom,
     ClassExpression,
     Not,
     Or,
     OwlClass,
     OwlOntology,
     Some,
-    Top,
 )
 
 __all__ = ["random_owl_ontology", "random_class_expression"]

@@ -31,8 +31,7 @@ hierarchy (``∃P⁻ ⊑ ∃R⁻`` iff ``P ⊑* R``) — both handled in closed 
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..dllite.axioms import Axiom, ConceptInclusion, RoleInclusion
 from ..dllite.syntax import (
@@ -41,18 +40,14 @@ from ..dllite.syntax import (
     ExistentialRole,
     InverseRole,
     NegatedConcept,
-    NegatedRole,
     QualifiedExistential,
 )
 from ..dllite.tbox import TBox
 from .owl import (
-    And,
-    Bottom,
     ClassExpression,
     Not,
     OwlClass,
     OwlOntology,
-    OwlSubClassOf,
     OwlSubPropertyOf,
     Some,
     Top,

@@ -36,12 +36,10 @@ from ..dllite.tbox import TBox
 from .owl import (
     All,
     And,
-    Bottom,
     Not,
     Or,
     OwlClass,
     OwlOntology,
-    OwlSubClassOf,
     OwlSubPropertyOf,
     Some,
     Top,

@@ -14,7 +14,7 @@ incompleteness is demonstrated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Set
 
 from ..dllite.axioms import Inclusion
 from ..dllite.tbox import TBox

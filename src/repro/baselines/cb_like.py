@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..dllite.axioms import ConceptInclusion, RoleInclusion
 from ..dllite.syntax import (
-    AtomicConcept,
     ExistentialRole,
     NegatedConcept,
     NegatedRole,

@@ -24,7 +24,7 @@ Rules (⊑* ranges over derived positive pairs):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..dllite.axioms import (
     AttributeInclusion,

@@ -32,7 +32,7 @@ agree with the graph classifier — like the real systems in Figure 1.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..dllite.axioms import (
     AttributeInclusion,

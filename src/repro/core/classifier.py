@@ -28,7 +28,7 @@ from ..obs.trace import current_tracer
 from ..runtime.budget import Budget
 from .classify import Classification
 from .closure import transitive_closure
-from .digraph import TBoxDigraph, build_digraph
+from .digraph import build_digraph
 from .unsat import compute_unsat
 
 __all__ = ["GraphClassifier", "classify"]

@@ -18,7 +18,7 @@ same-sort predicate), and derives the equivalence classes and the direct
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from ..dllite.axioms import (
     AttributeInclusion,

@@ -29,7 +29,7 @@ suite against the saturation baseline and the brute-force semantics.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from ..dllite.axioms import (
     AttributeInclusion,
@@ -49,9 +49,9 @@ from ..dllite.syntax import (
     negate,
 )
 from ..dllite.tbox import TBox
-from .classify import Classification, make_inclusion, phi_inclusions
 from .classifier import GraphClassifier
-from .digraph import CONCEPT_SORT, ROLE_SORT
+from .classify import Classification, make_inclusion
+from .digraph import CONCEPT_SORT
 
 __all__ = ["deductive_closure", "qualified_inclusions", "negative_closure"]
 

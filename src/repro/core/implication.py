@@ -17,8 +17,6 @@ right), negative inclusions, and functionality-free DL-Lite_R/A axioms.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
-
 from ..dllite.axioms import (
     AttributeInclusion,
     Axiom,
@@ -26,11 +24,8 @@ from ..dllite.axioms import (
     RoleInclusion,
 )
 from ..dllite.syntax import (
-    AtomicConcept,
-    AtomicRole,
     AttributeDomain,
     ExistentialRole,
-    InverseRole,
     NegatedAttribute,
     NegatedConcept,
     NegatedRole,
@@ -38,8 +33,8 @@ from ..dllite.syntax import (
     inverse_of,
 )
 from ..dllite.tbox import TBox
-from .classify import Classification
 from .classifier import GraphClassifier
+from .classify import Classification
 from .deductive import _witnesses
 
 __all__ = ["ImplicationChecker", "entails_without_closure"]

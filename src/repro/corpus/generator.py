@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List
 
 from ..dllite.axioms import (
     AttributeInclusion,
@@ -44,7 +44,6 @@ from ..dllite.syntax import (
     NegatedConcept,
     NegatedRole,
     QualifiedExistential,
-    inverse_of,
 )
 from ..dllite.tbox import TBox
 

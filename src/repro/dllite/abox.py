@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, Set, Tuple, Union
 
 from .syntax import AtomicAttribute, AtomicConcept, AtomicRole
 

@@ -39,7 +39,6 @@ from typing import List, Optional, Tuple, Union
 
 from ..errors import LanguageViolation, SyntaxError_
 from .abox import (
-    ABox,
     AttributeAssertion,
     ConceptAssertion,
     Individual,

@@ -30,7 +30,7 @@ Example::
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SyntaxError_
 from .axioms import (

@@ -12,7 +12,7 @@ graph-based classifier and the saturation baseline are cross-checked.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .axioms import (
     AttributeInclusion,

@@ -23,11 +23,9 @@ from typing import Dict, List, Optional, Set
 from ..core.classifier import GraphClassifier
 from ..core.classify import Classification
 from ..dllite.axioms import (
-    AttributeInclusion,
     ConceptInclusion,
     FunctionalAttribute,
     FunctionalRole,
-    RoleInclusion,
 )
 from ..dllite.syntax import (
     AtomicAttribute,

@@ -18,7 +18,7 @@ version preserves every old consequence over the old vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Set
 
 from ..core.classifier import GraphClassifier

@@ -13,7 +13,7 @@ ontology stays out of the picture (background).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set
 
 from ..dllite.axioms import axiom_signature
 from ..dllite.tbox import TBox

@@ -12,11 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .model import (
-    AttributeNode,
-    ConceptNode,
     Diagram,
-    RestrictionSquare,
-    RoleNode,
 )
 
 __all__ = ["layout", "NODE_WIDTH", "NODE_HEIGHT", "H_GAP", "V_GAP"]

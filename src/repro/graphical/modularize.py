@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..dllite.axioms import Axiom, ConceptInclusion, axiom_signature
+from ..dllite.axioms import axiom_signature
 from ..dllite.syntax import AtomicConcept
 from ..dllite.tbox import TBox
 

@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple
 
 from ..dllite.axioms import (
     AttributeInclusion,
-    Axiom,
     ConceptInclusion,
     RoleInclusion,
 )
@@ -37,7 +36,6 @@ from .model import (
     AttributeNode,
     ConceptNode,
     Diagram,
-    InclusionEdge,
     RestrictionSquare,
     RoleNode,
 )

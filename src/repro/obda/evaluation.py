@@ -3,11 +3,12 @@
 A UCQ produced by a rewriter is evaluated against *extent providers*:
 
 * :class:`ABoxExtents` — classic knowledge-base mode;
-* :class:`MappingExtents` — OBDA mode, pulling each predicate's extent
-  through the mappings from the relational sources.  Extents are cached
-  **across queries**: each stays valid while the tables its mapping
-  sources read are unchanged, and a table that only grew extends the
-  extents mapped from it by the rows appended (see the class);
+* :class:`MappingExtents` — OBDA mode: each predicate's extent is the
+  answer set of its atom query, unfolded through the mappings and joined
+  over the relational sources like any unfolded query.  Extents are
+  cached **across queries**: each stays valid while the tables its join
+  read are unchanged, and grows by the answers that read an appended row
+  while they only grew (see the class);
 * :class:`DatalogExtents` — wraps another provider with the auxiliary
   predicates of a Presto :class:`~repro.obda.rewriting.presto.DatalogRewriting`.
 
@@ -52,7 +53,7 @@ answers over the grown inputs (the delta rule of semi-naive evaluation,
 extends cached answers and consistency verdicts after an append.
 
 Cells compare by their string forms
-(:func:`~repro.obda.sql.stats.join_key`, the identity the SQL executors
+(:func:`~repro.obda.sql.table.join_key`, the identity the SQL executors
 share; an :class:`~repro.dllite.abox.Individual` renders as its IRI), so
 a query constant probes its bucket directly.  An object (``Individual``)
 never equals a value, whatever their string forms — the SQL unfolder
@@ -72,6 +73,7 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    KeysView,
     List,
     NamedTuple,
     Optional,
@@ -87,9 +89,9 @@ from ..obs.metrics import global_metrics
 from ..obs.trace import current_tracer
 from ..runtime.budget import Budget
 from .mapping import MappingCollection
-from .queries import Constant, ConjunctiveQuery, UnionQuery, Variable
+from .queries import ConjunctiveQuery, Constant, UnionQuery, Variable
 from .sql.database import Database
-from .sql.table import Index, Table, grown_index
+from .sql.table import Index, Read, Stamp, Table, ended, grown_index, grown_tables
 
 __all__ = [
     "Snapshot",
@@ -291,77 +293,42 @@ class ABoxExtents(ExtentProvider):
         return extent
 
 
-#: what a cached extent consumed of one source table: ``(table,
-#: generation, consumed, last)`` — its first ``consumed`` rows as of the
-#: table's ``generation``, and ``rows[consumed - 1]`` (None when nothing
-#: was consumed), which an out-of-band truncation that regrew the table
-#: replaced
-_Read = Tuple[Table, int, int, object]
+class _Entry(NamedTuple):
+    """A cached extent: its snapshot, the tables its join read and the
+    database generation they were last confirmed at."""
 
-
-def _read(table: Table) -> _Read:
-    """Record *table*: its generation first, then its row count (the
-    order of :meth:`SqliteBackend._ensure_loaded`).  A row appended
-    between the two reads is consumed now and offered again by the next
-    delta, where it is already present — never skipped."""
-    generation = table.generation
-    rows = table.rows
-    consumed = len(rows)
-    return table, generation, consumed, rows[consumed - 1] if consumed else None
-
-
-class _Entry:
-    """A cached extent of :class:`MappingExtents`, never changed once
-    installed: a refresh installs a new entry."""
-
-    __slots__ = ("snapshot", "reads", "checked")
-
-    def __init__(self, snapshot: Snapshot, reads: Tuple[_Read, ...], checked: int):
-        self.snapshot = snapshot
-        #: what the extent consumed of each table its sources read, in
-        #: the order of :meth:`MappingCollection.tables`
-        self.reads = reads
-        #: the database generation the reads were last confirmed at
-        self.checked = checked
-
-
-class _Appended:
-    """A one-table database holding only ``table.rows[start:stop]``,
-    under the table's name and columns: what a single-scan mapping
-    source reads to compute the tuples those rows add."""
-
-    def __init__(self, table: Table, start: int, stop: int):
-        self.columns = table.columns
-        self.rows = table.rows[start:stop]
-
-    def table(self, name: str) -> "_Appended":
-        return self
+    snapshot: Snapshot
+    reads: Tuple[Read, ...]
+    checked: int
 
 
 class MappingExtents(ExtentProvider):
     """Extents unfolded through the mappings from the source database.
 
-    The cache is shared **across queries** and keeps each predicate's
-    extent while the tables its mapping sources read stay unchanged:
-    per table it records the table object, its generation and the rows
-    consumed.  While :attr:`Database.generation` holds, checking
-    validity is one integer compare.  When it moves, an extent whose
-    tables all kept their generations is confirmed as it is, and only
-    extents mapped from a written table are refreshed:
+    A predicate's extent is the answer set of its atom query ``q(x[,
+    y]) :- P(x[, y])``, unfolded through the mappings once per mapping
+    collection (:meth:`MappingCollection.atom_unfolding`) and run by the
+    compiled join over the tables' indexes
+    (:meth:`~repro.obda.rewriting.unfolding.UnfoldedQuery.join`).
 
-    * by a **delta** when one assertion feeds the predicate, its source
-      reads one table once, and that table only grew: the extent gains
-      the source evaluated over the appended rows.  This is exact —
-      tables are append-only and the mapping algebra over one scan
-      (selection, projection, renaming) maps each row on its own, so the
-      source over the grown table is the source over the old rows plus
-      the source over the new ones;
-    * by a full **pull** through
-      :meth:`MappingCollection.predicate_extent` otherwise (a join or
-      union over tables, a second assertion, a shrunk or replaced table).
+    The cache is shared **across queries** and keeps each extent while
+    the tables its join read stay unchanged: per table it keeps the
+    table and its stamps (:meth:`~repro.obda.sql.table.Table.stamp`).
+    While :attr:`Database.generation` holds, checking validity is one
+    integer compare.  When it moves, an extent whose tables gained no
+    rows is confirmed as it is, and only extents read from a written
+    table are refreshed:
+
+    * by a **delta** when every table it read only grew: the extent
+      gains the answers of the join that read an appended row (the
+      delta rule of :func:`evaluate_table_cqs`), whatever the shape of
+      the mapping sources: a scan, a join, a UNION, a self-join or
+      several assertions;
+    * by a full **pull** otherwise (a table replaced, or one that lost
+      or replaced rows out of band), and on first use.
 
     :meth:`invalidate` drops every extent and index, for out-of-band
-    edits no counter can see (rows rewritten in place, a mapping
+    edits no stamp can see (rows rewritten in place, a mapping
     collection edited).
     """
 
@@ -373,7 +340,7 @@ class MappingExtents(ExtentProvider):
         #: could not take a delta); the regression tests and
         #: ``cache_stats()["extents"]`` read this.
         self.pulls = 0
-        #: refreshes that evaluated a source over appended rows only
+        #: refreshes that joined the mapping sources over appended rows
         self.delta_pulls = 0
 
     def generation(self) -> int:
@@ -410,26 +377,16 @@ class MappingExtents(ExtentProvider):
         moved on; an entry a concurrent refresh installed for the same
         generation is served instead, so both callers see one version.
         """
-        tables = list(map(self.database.table, self.mappings.tables(predicate)))
-        pulled = delta = False
-        if entry is not None and len(entry.reads) == len(tables) and all(
-            read[0] is table and read[1] == table.generation
-            for read, table in zip(entry.reads, tables)
-        ):
-            refreshed = _Entry(entry.snapshot, entry.reads, generation)
+        grown = None if entry is None else grown_tables(self.database, entry.reads)
+        if grown is None:
+            refreshed = self._pull(predicate, generation)
+        elif grown[0]:
+            refreshed = self._delta(predicate, entry.snapshot, grown, generation)
         else:
-            reads = tuple(map(_read, tables))
-            snapshot = None
-            if entry is not None:
-                snapshot = self._delta(predicate, entry, reads)
-                delta = snapshot is not None
-            if snapshot is None:
-                snapshot = self._pull(predicate)
-                pulled = True
-            refreshed = _Entry(snapshot, reads, generation)
+            refreshed = _Entry(entry.snapshot, entry.reads, generation)
         with self._sync_lock():
-            self.pulls += pulled
-            self.delta_pulls += delta
+            self.pulls += grown is None
+            self.delta_pulls += grown is not None and bool(grown[0])
             if self._cache is cache:
                 current = cache.get(predicate)
                 if current is entry:
@@ -438,44 +395,28 @@ class MappingExtents(ExtentProvider):
                     return current.snapshot
         return refreshed.snapshot
 
-    def _delta(self, predicate: str, entry: _Entry, reads) -> Optional[Snapshot]:
-        """*entry*'s snapshot grown by the rows appended to the table its
-        one source reads once, or None when the mapping has another shape
-        or that table did not only grow."""
-        sources = self.mappings.sources(predicate)
-        if len(sources) != 1 or len(sources[0][0].tables) != 1:
-            return None  # a second assertion, a join or a union
-        assertion, target = sources[0]
-        ((old_table, _, start, last),) = entry.reads
-        ((table, _, stop, _),) = reads
-        if (
-            table is not old_table
-            or stop < start
-            or (start and table.rows[start - 1] is not last)
-        ):
-            return None
-        base = entry.snapshot
+    def _pull(self, predicate: str, generation: int) -> _Entry:
+        started: Dict[str, Tuple[Table, Stamp]] = {}
+        with current_tracer().span("extent-pull") as span:
+            rows = self.mappings.atom_unfolding(predicate).join(self.database, read=started)
+            span.annotate(predicate=predicate, rows=len(rows))
+        global_metrics().counter("obda.extents.pulls").inc()
+        return _Entry(Snapshot(next(_VERSIONS), rows), ended(started), generation)
+
+    def _delta(self, predicate: str, base: Snapshot, grown, generation: int) -> _Entry:
+        """*base* grown by the answers of the atom query that read a row
+        appended to a table (:func:`grown_tables`), which it lacks."""
+        appended, started = grown
         with current_tracer().span("extent-delta") as span:
-            appended = _Appended(table, start, stop)
-            added = tuple(
-                dict.fromkeys(
-                    item
-                    for item in assertion.target_extent(target, appended)
-                    if item not in base.rows
-                )
+            joined = self.mappings.atom_unfolding(predicate).join(
+                self.database, grown=appended
             )
+            added = tuple([row for row in joined if row not in base.rows])
             span.annotate(predicate=predicate, rows=len(added))
         global_metrics().counter("obda.extents.delta_pulls").inc()
-        if not added:
-            return base
-        return Snapshot(next(_VERSIONS), base.rows.union(added), base.version, added)
-
-    def _pull(self, predicate: str) -> Snapshot:
-        with current_tracer().span("extent-pull") as span:
-            pulled = self.mappings.predicate_extent(self.database, predicate)
-            span.annotate(predicate=predicate, rows=len(pulled))
-        global_metrics().counter("obda.extents.pulls").inc()
-        return Snapshot(next(_VERSIONS), pulled)
+        if added:
+            base = Snapshot(next(_VERSIONS), base.rows.union(added), base.version, added)
+        return _Entry(base, ended(started), generation)
 
 
 class DatalogExtents(ExtentProvider):
@@ -842,27 +783,33 @@ def _compile(
     return steps, size, constants, answer, _same_term if typed else _same_text
 
 
-def _join(plan, budget: Optional[Budget], identity: bool = False) -> Set[Tuple]:
-    """Run a plan of :func:`_compile`: backtracking over per-call slot
-    lists, polling *budget* once per binding.  Binding a slot caches the
-    string form and kind of its cell for the keys and checks of later
-    steps.  With *identity*, each answer row comes paired with its
-    :func:`join_key`, so rows equal under ``==`` that render apart (``1``
-    and ``1.0``) stay two answers, as do ``1`` and ``"1"``."""
+def _join(plan, budget: Optional[Budget], identity: bool = False):
+    """Run a plan of :func:`_compile` (None: no answer): backtracking
+    over per-call slot lists, polling *budget* once per binding.  Binding
+    a slot caches the string form and kind of its cell for the keys and
+    checks of later steps.  With *identity*, the answers are the keys of
+    a dict, in the order found, each row paired with its
+    :func:`join_key`, so rows equal under ``==`` that render apart
+    (``1`` and ``1.0``) stay two answers, as do ``1`` and ``"1"``."""
+    answers = {} if identity else set()
+    if plan is None:
+        return answers
     steps, size, constants, answer, same = plan
     values: List[object] = [None] * size
     strs: List[Optional[str]] = [None] * size
     kinds: List[bool] = [False] * size
     for slot, text in constants:
         strs[slot] = text
-    answers: Set[Tuple] = set()
     last = len(steps)
 
     def emit(depth: int) -> None:
         if budget is not None:
             budget.tick()
         row = tuple([values[slot] for slot in answer])
-        answers.add((tuple([strs[slot] for slot in answer]), row) if identity else row)
+        if identity:
+            answers[tuple([strs[slot] for slot in answer]), row] = None
+        else:
+            answers.add(row)
 
     def join(depth: int) -> None:
         if budget is not None:
@@ -992,7 +939,7 @@ def _run(
     """
     if seeds is None:
         return _joined(query, rows_of, index_of, typed, budget, tracer, labels, identity)
-    found: Set[Tuple] = set()
+    found = {} if identity else set()
     for atom, added in seeds:
         rows = list(rows_of)
         rows[atom] = added
@@ -1025,12 +972,11 @@ def _joined(
     """One compiled join of :func:`_run`; *seed* is the ``(atom, added
     row count)`` of a seeded run."""
     if tracer is None:
-        plan = _compile(query, rows_of, index_of, typed, budget, None)
-        return set() if plan is None else _join(plan, budget, identity)
+        return _join(_compile(query, rows_of, index_of, typed, budget, None), budget, identity)
     with tracer.span("join") as span:
         probes: List[Tuple[int, Tuple[int, ...], float]] = []
         plan = _compile(query, rows_of, index_of, typed, budget, probes)
-        answers = set() if plan is None else _join(plan, budget, identity)
+        answers = _join(plan, budget, identity)
         names = labels()
         _annotate(span, names, probes, len(answers))
         if seed is not None:
@@ -1054,12 +1000,14 @@ def evaluate_table_cqs(
     tables: Dict[str, Table],
     budget: Optional[Budget] = None,
     grown: Optional[Dict[str, Sequence[Tuple]]] = None,
-) -> Set[Tuple[Tuple[str, ...], Tuple]]:
+) -> KeysView[Tuple[Tuple[str, ...], Tuple]]:
     """The output rows of the table CQs *cqs*
     (:class:`~repro.obda.sql.tablecq.TableCQ`) over *tables* (by name),
     each paired with its :func:`join_key`: a row is one answer per
     identity, so ``1`` and ``1.0`` stay apart, and so do ``1`` and
-    ``"1"``.
+    ``"1"``.  The pairs form a set that iterates in the order the join
+    finds them (table order, for a CQ over one table): the keys of a
+    dict.
 
     Each CQ runs through the compiled join of :func:`evaluate_cq`, its
     atoms probing :meth:`Table.index` and its cells comparing by string
@@ -1076,7 +1024,7 @@ def evaluate_table_cqs(
     tracer = current_tracer()
     if not tracer.enabled:
         tracer = None
-    found: Set[Tuple[Tuple[str, ...], Tuple]] = set()
+    found: Dict[Tuple[Tuple[str, ...], Tuple], None] = {}
     for cq in cqs:
         if budget is not None:
             budget.check()
@@ -1104,7 +1052,7 @@ def evaluate_table_cqs(
             seeds,
             identity=True,
         )
-    return found
+    return found.keys()
 
 
 def evaluate_cq(

@@ -11,15 +11,16 @@ Example::
     m1: SELECT pid, dept FROM employees WHERE role = 'prof'
         ⤳ Professor(person/{pid}), worksFor(person/{pid}, dept/{dept})
 
-Unfolding is exposed at two granularities:
+The mapped data is read at two granularities:
 
 * :meth:`MappingCollection.materialize` — the full virtual ABox;
-* :meth:`MappingCollection.predicate_extent` — the extent of one
-  predicate, which is what the query-evaluation join pipeline pulls;
-* :meth:`MappingAssertion.target_extent` — one assertion's tuples for
-  one target atom over any database, e.g. one holding only the rows
-  appended to a table (the delta refresh of
-  :class:`~repro.obda.evaluation.MappingExtents`).
+* the extent of one predicate.  The query path reads it as the answers
+  of the predicate's atom query, unfolded once per collection
+  (:meth:`MappingCollection.atom_unfolding`) and joined over the
+  tables' indexes (:class:`~repro.obda.evaluation.MappingExtents`);
+  :meth:`MappingCollection.predicate_extent` evaluates each source as
+  written, with no index kept, and is the reference the tests check
+  those extents against.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from ..dllite.abox import (
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from ..errors import MappingError
 from ..runtime.budget import Budget
-from .sql.algebra import Expression, ResultSet, evaluate, scans
+from .queries import Atom, ConjunctiveQuery, UnionQuery, Variable
+from .sql.algebra import Expression, ResultSet, evaluate
 from .sql.database import Database
 from .sql.sqlparser import parse_sql
 
@@ -63,6 +65,8 @@ __all__ = [
 ]
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+_X = Variable("x")
+_Y = Variable("y")
 
 
 @lru_cache(maxsize=1024)
@@ -222,28 +226,9 @@ class MappingAssertion:
         self.targets: Tuple[TargetAtom, ...] = tuple(targets)
         if not self.targets:
             raise MappingError("a mapping assertion needs at least one target atom")
-        #: the tables the source reads, one entry per scan (a self-join
-        #: names its table twice)
-        self.tables: Tuple[str, ...] = tuple(scan.table for scan in scans(self.source))
 
     def evaluate_source(self, database: Database) -> ResultSet:
         return evaluate(self.source, database)
-
-    def target_extent(self, target: TargetAtom, database: Database) -> Iterator[Tuple]:
-        """*target*'s tuples, one per row of the source over *database*."""
-        result = self.evaluate_source(database)
-        if not result.rows:
-            return
-        # column name -> row position (the last of a repeated name wins),
-        # plus the unqualified names when the source used aliases
-        positions = {column: index for index, column in enumerate(result.columns)}
-        for column, index in list(positions.items()):
-            positions.setdefault(column.rsplit(".", 1)[-1], index)
-        readers = [
-            (term if isinstance(term, IriTemplate) else None, term.values(positions))
-            for term in target.terms
-        ]
-        yield from read_terms(result.rows, readers)
 
     def __repr__(self) -> str:
         label = self.identifier or "mapping"
@@ -256,7 +241,8 @@ class MappingCollection:
     def __init__(self, assertions: Iterable[MappingAssertion] = ()):
         self.assertions: List[MappingAssertion] = []
         self._by_predicate: Dict[str, List[Tuple[MappingAssertion, TargetAtom]]] = {}
-        self._tables: Dict[str, Tuple[str, ...]] = {}
+        #: predicate -> its atom unfolding (see :meth:`atom_unfolding`)
+        self._atom_unfoldings: Dict[str, object] = {}
         for assertion in assertions:
             self.add(assertion)
 
@@ -265,9 +251,7 @@ class MappingCollection:
         for target in assertion.targets:
             name = target.predicate.name
             self._by_predicate.setdefault(name, []).append((assertion, target))
-            self._tables[name] = tuple(
-                dict.fromkeys(self._tables.get(name, ()) + assertion.tables)
-            )
+        self._atom_unfoldings = {}
 
     def __len__(self) -> int:
         return len(self.assertions)
@@ -278,20 +262,32 @@ class MappingCollection:
     def mapped_predicates(self) -> Set[str]:
         return set(self._by_predicate)
 
-    def sources(
-        self, predicate_name: str
-    ) -> Tuple[Tuple[MappingAssertion, TargetAtom], ...]:
-        """The ``(assertion, target atom)`` pairs feeding *predicate_name*."""
-        return tuple(self._by_predicate.get(predicate_name, ()))
-
-    def tables(self, predicate_name: str) -> Tuple[str, ...]:
-        """The distinct tables read by the sources feeding *predicate_name*."""
-        return self._tables.get(predicate_name, ())
-
     # -- unfolding ---------------------------------------------------------------
 
+    def atom_unfolding(self, predicate_name: str):
+        """The atom query ``q(x[, y]) :- P(x[, y])`` of *predicate_name*
+        unfolded through these mappings
+        (:class:`~repro.obda.rewriting.unfolding.UnfoldedQuery`), whose
+        answers are the predicate's extent.  Built on first use and kept
+        until :meth:`add` changes the collection, so every extent
+        provider over the collection shares it."""
+        unfoldings = self._atom_unfoldings
+        unfolded = unfoldings.get(predicate_name)
+        if unfolded is None:
+            from .rewriting.unfolding import unfold
+
+            pairs = self._by_predicate.get(predicate_name)
+            args = (_X, _Y)[: len(pairs[0][1].terms) if pairs else 1]
+            query = ConjunctiveQuery(args, (Atom(predicate_name, args),))
+            unfolded = unfoldings.setdefault(
+                predicate_name, unfold(UnionQuery([query]), self)
+            )
+        return unfolded
+
     def predicate_extent(self, database: Database, predicate_name: str) -> Set[Tuple]:
-        """The virtual extent of one ontology predicate over *database*.
+        """The virtual extent of one ontology predicate over *database*:
+        one tuple per row of each source feeding it, the source evaluated
+        as written with no index kept.
 
         Concepts yield 1-tuples of :class:`Individual`; roles yield
         ``(Individual, Individual)`` pairs; attributes
@@ -300,11 +296,24 @@ class MappingCollection:
         """
         extent: Set[Tuple] = set()
         for assertion, target in self._by_predicate.get(predicate_name, ()):
-            extent.update(assertion.target_extent(target, database))
+            result = assertion.evaluate_source(database)
+            if not result.rows:
+                continue
+            # column name -> row position (the last of a repeated name
+            # wins), plus the unqualified names when the source used aliases
+            positions = {column: index for index, column in enumerate(result.columns)}
+            for column, index in list(positions.items()):
+                positions.setdefault(column.rsplit(".", 1)[-1], index)
+            readers = [
+                (term if isinstance(term, IriTemplate) else None, term.values(positions))
+                for term in target.terms
+            ]
+            extent.update(read_terms(result.rows, readers))
         return extent
 
     def materialize(self, database: Database) -> ABox:
-        """Build the full virtual ABox (used by the Presto evaluation mode)."""
+        """The full virtual ABox: every assertion's source evaluated as
+        written, each row instantiating every target atom."""
         abox = ABox()
         for assertion in self.assertions:
             result = assertion.evaluate_source(database)

@@ -34,7 +34,7 @@ from ...errors import MappingError
 from ...runtime.budget import Budget
 from ..evaluation import evaluate_table_cqs
 from ..mapping import IriTemplate, MappingCollection, read_terms
-from ..queries import Constant, ConjunctiveQuery, UnionQuery, Variable
+from ..queries import ConjunctiveQuery, Constant, UnionQuery, Variable
 from ..sql.algebra import (
     Condition,
     Const,
@@ -48,7 +48,7 @@ from ..sql.algebra import (
     scans,
 )
 from ..sql.database import Database
-from ..sql.table import Table
+from ..sql.table import Stamp, Table
 from ..sql.tablecq import table_cqs
 
 __all__ = ["UnfoldedQuery", "answer_rows", "unfold"]
@@ -124,7 +124,7 @@ class UnfoldedQuery:
         database: Database,
         budget: Optional[Budget] = None,
         grown: Optional[Dict[str, Sequence[Tuple]]] = None,
-        read: Optional[Dict[str, Tuple[Table, int]]] = None,
+        read: Optional[Dict[str, Tuple[Table, Stamp]]] = None,
     ) -> Set[Tuple]:
         """The answers by the compiled join over the tables' indexes.
 
@@ -134,8 +134,10 @@ class UnfoldedQuery:
         for tables with other columns.  A part's output rows are one per
         identity (:func:`~repro.obda.evaluation.evaluate_table_cqs`)
         before its templates render them, so ``1`` and ``1.0`` render two
-        IRIs.  The budget is polled per part, per branch converted and per
-        binding.
+        IRIs.  Answers are added part by part, each part's in the order
+        the join finds them, so among answers equal under ``==`` the set
+        keeps the first found.  The budget is polled per part, per branch
+        converted and per binding.
 
         With *grown* (table name -> the rows appended to it since earlier
         answers were computed), only the answers that read an appended
@@ -143,8 +145,9 @@ class UnfoldedQuery:
         :func:`~repro.obda.evaluation.evaluate_table_cqs`; a part that
         scans no grown table is skipped.  Together with the earlier
         answers, these are the answers over the grown tables.  *read*,
-        when given, gains each table the join looks up, with its row
-        count at the first lookup: before the join read any of its rows.
+        when given, gains each table the join looks up, with its stamp
+        (:meth:`~repro.obda.sql.table.Table.stamp`) at the first lookup:
+        before the join read any of its rows.
         """
         parts = self._joins
         if parts is None:
@@ -162,7 +165,7 @@ class UnfoldedQuery:
             if read is not None:
                 for name, table in tables.items():
                     if name not in read:
-                        read[name] = (table, len(table.rows))
+                        read[name] = (table, table.stamp())
             columns = tuple([table.columns for table in tables.values()])
             compiled = joins.get(columns)
             if compiled is None:

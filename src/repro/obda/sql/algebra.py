@@ -6,7 +6,7 @@ tuples).  Supported operators: scan, selection (conjunctions of
 column=column / column=constant / column!=...), projection with optional
 renaming, natural-free equi-join, and union.
 
-Cells compare by their string forms (:func:`~repro.obda.sql.stats.join_key`):
+Cells compare by their string forms (:func:`~repro.obda.sql.table.join_key`):
 selections, joins and duplicate elimination all treat ``1`` and ``"1"``
 as one value and ``1`` and ``1.0`` as two, exactly as an IRI template
 renders them.

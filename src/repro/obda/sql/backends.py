@@ -12,7 +12,7 @@ ordering, index selection and deduplication happen inside a real query
 engine.
 
 Cells compare by their string forms, the identity of
-:func:`repro.obda.sql.stats.join_key` that every executor shares, so
+:func:`repro.obda.sql.table.join_key` that every executor shares, so
 the replica stores every logical column ``i`` as two physical columns
 
 ``c{i}_t``
@@ -23,14 +23,14 @@ the replica stores every logical column ``i`` as two physical columns
     the raw value (INTEGER/REAL/TEXT/NULL; booleans as 0/1), read only
     to decode raw value answers.
 
-Loading is incremental and generation-validated like every other cache
-in the repo: tables are bulk-loaded via ``executemany`` batches, and on
-insert only the new rows are re-shipped (the engine's tables are
-append-only and bump their generation per insert, so ``rows[shipped:]``
-is exactly the delta).  Compiled statements are cached per unfolded
-query (SQLite additionally caches the prepared statement by SQL text),
-and ``runtime.budget`` deadlines are enforced *inside* SQLite through a
-progress handler that aborts the statement when the budget expires.
+Loading is incremental: tables are bulk-loaded via ``executemany``
+batches, and after inserts only the rows appended since are shipped, by
+the table stamps every reader of an append-only table shares
+(:meth:`~repro.obda.sql.table.Table.appended`).  Compiled statements
+are cached per unfolded query (SQLite additionally caches the prepared
+statement by SQL text), and ``runtime.budget`` deadlines are enforced
+*inside* SQLite through a progress handler that aborts the statement
+when the budget expires.
 
 Known fidelity limits (documented, exercised by tests where possible):
 raw value-column answers come back as SQLite scalars, so ``bool`` cells
@@ -47,7 +47,7 @@ import sqlite3
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ...errors import MappingError
 from ...obs.metrics import global_metrics
@@ -63,8 +63,11 @@ from .algebra import (
     Scan,
     Selection,
     UnionAll,
+    _resolve,
+    _strip,
 )
 from .database import Database
+from .table import Stamp
 
 __all__ = ["SqliteBackend"]
 
@@ -79,10 +82,6 @@ _MAX_COMPOUND_SELECT = 500
 def _quote(identifier: str) -> str:
     """Quote an arbitrary identifier for SQLite."""
     return '"' + identifier.replace('"', '""') + '"'
-
-
-def _strip(column: str) -> str:
-    return column.rsplit(".", 1)[-1]
 
 
 def _encode_cell(value) -> Tuple[object, str]:
@@ -149,18 +148,10 @@ class _Frame:
         self.columns: List[Tuple[str, _ColRef]] = []
 
     def resolve(self, column: str) -> _ColRef:
-        """Mirror ``algebra._resolve``: exact name (last occurrence wins,
-        like ``ResultSet._position``), else a unique suffix match."""
-        for name, ref in reversed(self.columns):
-            if name == column:
-                return ref
-        matches = [ref for name, ref in self.columns if _strip(name) == column]
-        if len(matches) == 1:
-            return matches[0]
-        names = [name for name, _ in self.columns]
-        if not matches:
-            raise MappingError(f"no column {column!r} in {tuple(names)}")
-        raise MappingError(f"ambiguous column {column!r} in {tuple(names)}")
+        """The column *column* names, resolved as the algebra evaluator
+        resolves it (:func:`~repro.obda.sql.algebra._resolve`)."""
+        names = tuple([name for name, _ in self.columns])
+        return self.columns[_resolve(names, column)][1]
 
 
 class _Compiler:
@@ -333,17 +324,13 @@ def _part_width(recipes) -> int:
     )
 
 
-class _LoadState:
-    __slots__ = ("table_id", "columns", "generation", "shipped", "last")
+class _LoadState(NamedTuple):
+    """A table as the replica holds it: the table's identity and
+    columns, and its stamp as of the rows shipped."""
 
-    def __init__(self, table_id, columns, generation, rows):
-        self.table_id = table_id
-        self.columns = columns
-        self.generation = generation
-        self.shipped = len(rows)
-        #: the last row shipped: an out-of-band truncation that regrew the
-        #: table past ``shipped`` replaced it
-        self.last = rows[-1] if rows else None
+    table_id: int
+    columns: Tuple[str, ...]
+    stamp: Stamp
 
 
 class SqliteBackend:
@@ -440,55 +427,44 @@ class SqliteBackend:
     ) -> Dict[str, int]:
         """Materialize (or delta-refresh) every referenced table.
 
-        Returns rows shipped per table for the ``backend-load`` span.  The
-        generation is captured *before* the row snapshot: rows appended
-        mid-copy are shipped now and re-offered as a (empty-prefix)
-        delta when the moved generation is observed on the next call —
-        the count bookkeeping keeps the replica exactly duplicate-free.
+        Returns rows shipped per table for the ``backend-load`` span.
+        Each loaded table keeps the stamp of the rows shipped
+        (:meth:`~repro.obda.sql.table.Table.stamp`); the rows the table
+        appended since are shipped as a delta, and a table that lost or
+        replaced rows out of band is reloaded in full.
         """
         shipped_report: Dict[str, int] = {}
         metrics = global_metrics()
         for name, table in tables.items():
-            generation = table.generation
+            now = table.stamp()
             state = self._loaded.get(name)
             columns = tuple(table.columns)
-            if (
-                state is not None
-                and state.table_id == id(table)
-                and state.columns == columns
-                and state.generation == generation
-            ):
-                shipped_report[name] = 0
-                continue
-            rows = list(table.rows)
-            if (
-                state is None
-                or state.table_id != id(table)
-                or state.columns != columns
-            ):
+            if state is None or state.table_id != id(table) or state.columns != columns:
                 self._create_table(name, len(columns))
-                shipped = self._ship_rows(name, len(columns), rows, budget)
+                shipped = self._ship_rows(name, len(columns), table.rows[: now.count], budget)
                 self._create_indexes(name, len(columns))
                 self._stats["full_loads"] += 1
                 metrics.counter("backend.sqlite.full_loads").inc()
-            elif len(rows) < state.shipped or (
-                state.shipped and rows[state.shipped - 1] is not state.last
-            ):
-                # Out-of-band shrink (monkeypatched rows): resync fully.
-                physical = _quote(f"d_{name}")
-                self._connection.execute(f"DELETE FROM {physical}")
-                shipped = self._ship_rows(name, len(columns), rows, budget)
-                self._stats["full_loads"] += 1
-                metrics.counter("backend.sqlite.full_loads").inc()
             else:
-                shipped = self._ship_rows(
-                    name, len(columns), rows[state.shipped :], budget
-                )
-                self._stats["delta_loads"] += 1
-                metrics.counter("backend.sqlite.delta_loads").inc()
+                added = table.appended(state.stamp, now)
+                if added is not None and not added:
+                    shipped_report[name] = 0
+                    continue
+                if added is None:
+                    # Out-of-band edit (monkeypatched rows): resync fully.
+                    self._connection.execute(f"DELETE FROM {_quote(f'd_{name}')}")
+                    shipped = self._ship_rows(
+                        name, len(columns), table.rows[: now.count], budget
+                    )
+                    self._stats["full_loads"] += 1
+                    metrics.counter("backend.sqlite.full_loads").inc()
+                else:
+                    shipped = self._ship_rows(name, len(columns), added, budget)
+                    self._stats["delta_loads"] += 1
+                    metrics.counter("backend.sqlite.delta_loads").inc()
             self._connection.commit()
             self._loaded[name] = _LoadState(
-                id(table), columns, generation, rows
+                id(table), columns, now
             )
             self._stats["rows_shipped"] += shipped
             metrics.counter("backend.sqlite.rows_shipped").inc(shipped)

@@ -10,20 +10,25 @@ Two cells are equal iff their string forms are equal (:func:`join_key`),
 and a table keeps lazily built hash indexes on that identity, one per
 tuple of key positions (:meth:`Table.index`), which every reader of the
 table shares.
+
+Tables are append-only, so what a reader computed from one stays valid
+while it only grows.  Every such reader (indexes, mapped extents, cached
+answers, the sqlite replica) asks one rule: :meth:`Table.stamp` and
+:meth:`Table.appended`.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...errors import MappingError
 from ...obs.metrics import global_metrics
 from ...obs.trace import current_tracer
 from ...runtime.budget import Budget
 
-__all__ = ["Table", "grown_index", "join_key"]
+__all__ = ["Stamp", "Table", "ended", "grown_index", "grown_tables", "join_key"]
 
 Row = Tuple[object, ...]
 #: join key -> the rows carrying it, in table order
@@ -35,6 +40,14 @@ def join_key(values) -> Tuple[str, ...]:
     return tuple(
         value if isinstance(value, str) else str(value) for value in values
     )
+
+
+class Stamp(NamedTuple):
+    """What a reader consumed of a table (:meth:`Table.stamp`)."""
+
+    generation: int
+    count: int
+    last: object
 
 
 def grown_index(
@@ -78,9 +91,8 @@ class Table:
         #: the databases holding this table, each bumped by every insert
         #: (weak: a table never keeps a database alive)
         self._databases: Tuple["weakref.ref", ...] = ()
-        #: key positions -> (generation, rows consumed, last consumed
-        #: row, index); see :meth:`index`
-        self._indexes: Dict[Tuple[int, ...], Tuple[int, int, object, Index]] = {}
+        #: key positions -> (stamp, index); see :meth:`index`
+        self._indexes: Dict[Tuple[int, ...], Tuple[Stamp, Index]] = {}
         for row in rows:
             self.insert(row)
 
@@ -110,52 +122,66 @@ class Table:
         for row in rows:
             self.insert(row)
 
+    def stamp(self) -> Stamp:
+        """The table as a reader starts to read it: the generation
+        first, then the row count and the last row.  A row appended
+        between the two reads is counted under the older generation, so
+        a reader that covers the counted rows never skips a row."""
+        generation = self.generation
+        rows = self.rows
+        count = len(rows)
+        return Stamp(generation, count, rows[count - 1] if count else None)
+
+    def appended(self, since: Stamp, now: Stamp) -> Optional[Sequence[Row]]:
+        """The rows appended between the stamps *since* and *now*:
+        ``()`` when the generation held, None when a row *since* counted
+        was removed or replaced out of band.  A reader that gets rows
+        stamps itself *now*; one that gets none keeps *since*."""
+        if since.generation == now.generation:
+            return ()
+        rows = self.rows
+        count = since.count
+        if now.count < count or (count and rows[count - 1] is not since.last):
+            return None
+        return rows[count : now.count]
+
     def index(
         self, positions: Tuple[int, ...], budget: Optional[Budget] = None
     ) -> Index:
         """The rows bucketed by :func:`join_key` of their cells at
         *positions*, built on first use and shared by every reader.
 
-        An index is stamped the way a mapped extent stamps its tables:
-        the generation first, then the rows consumed and the last of
-        them.  While the generation holds it is served as it is; when
-        the table only grew (the last consumed row is still in place) it
-        is extended by the appended rows, copy-on-write, and otherwise
-        rebuilt.  Both tick *budget* and install the result only on
-        completion, so a timeout leaves the previous index in place.
+        An index is stamped with the rows it holds (:meth:`stamp`).  It
+        is served as it is while no row was appended since, extended by
+        the appended rows, copy-on-write, when the table only grew, and
+        otherwise rebuilt.  Both tick *budget* and install the result
+        only on completion, so a timeout leaves the previous index in
+        place.
         """
-        generation = self.generation
-        rows = self.rows
-        consumed = len(rows)
+        now = self.stamp()
         with self._lock:
             indexes = self._indexes
             entry = indexes.get(positions)
-        if entry is not None and entry[0] == generation:
-            return entry[3]
-        if (
-            entry is not None
-            and entry[1] <= consumed
-            and (not entry[1] or rows[entry[1] - 1] is entry[2])
-        ):
-            index = grown_index(
-                entry[3], rows[entry[1] : consumed], positions, budget
-            )
+        added = None if entry is None else self.appended(entry[0], now)
+        if added is not None and not added:
+            return entry[1]
+        if added is not None:
+            index = grown_index(entry[1], added, positions, budget)
             global_metrics().counter("obda.sql.index_extends").inc()
         else:
             with current_tracer().span("index-build") as span:
-                index = grown_index({}, rows[:consumed], positions, budget)
+                index = grown_index({}, self.rows[: now.count], positions, budget)
                 span.annotate(
-                    table=self.name, positions=list(positions), rows=consumed
+                    table=self.name, positions=list(positions), rows=now.count
                 )
             global_metrics().counter("obda.sql.index_builds").inc()
-        last = rows[consumed - 1] if consumed else None
         with self._lock:
             # Install only over the entry this work started from, in the
             # dict it was read from: invalidate_indexes() swaps the dict,
             # and a concurrent call may have installed a newer stamp.
             current = self._indexes
             if current is indexes and current.get(positions) is entry:
-                self._indexes[positions] = (generation, consumed, last, index)
+                self._indexes[positions] = (now, index)
         return index
 
     def invalidate_indexes(self) -> None:
@@ -180,3 +206,37 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {list(self.columns)}, {len(self.rows)} rows)"
+
+
+#: a table one join read: ``(name, table, start, end)``, its stamps
+#: before the join read any of its rows and after the join
+Read = Tuple[str, Table, Stamp, Stamp]
+
+
+def ended(started: Dict[str, Tuple[Table, Stamp]]) -> Tuple[Read, ...]:
+    """*started* (name -> table and start stamp) stamped after the join."""
+    return tuple(
+        [(name, table, start, table.stamp()) for name, (table, start) in started.items()]
+    )
+
+
+def grown_tables(
+    database, reads: Sequence[Read]
+) -> Optional[Tuple[Dict[str, Sequence[Row]], Dict[str, Tuple[Table, Stamp]]]]:
+    """The rows appended to the tables of *reads* since their start
+    stamps, by name (none for a table that gained none), and the tables
+    and stamps a join over them starts from; None when *database* holds
+    another table under a name, or a row the join may have read (up to
+    its end stamp) was removed or replaced."""
+    grown: Dict[str, Sequence[Row]] = {}
+    started: Dict[str, Tuple[Table, Stamp]] = {}
+    for name, table, start, end in reads:
+        now = table.stamp()
+        added = table.appended(start, now)
+        if added is None or table.appended(end, now) is None or database.table(name) is not table:
+            return None
+        if added:
+            grown[name] = added
+            start = now
+        started[name] = (table, start)
+    return grown, started

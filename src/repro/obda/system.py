@@ -58,6 +58,7 @@ from ..errors import InconsistentOntology, ReproError
 from ..obs.trace import current_tracer
 from ..runtime.budget import Budget
 from ..runtime.execution import ExecutionContext
+from .cq_parser import parse_query
 from .evaluation import (
     ABoxExtents,
     DatalogExtents,
@@ -68,12 +69,12 @@ from .evaluation import (
 )
 from .mapping import MappingCollection
 from .queries import Atom, ConjunctiveQuery, UnionQuery, Variable
-from .cq_parser import parse_query
 from .rewriting.perfectref import perfect_ref
 from .rewriting.presto import presto_rewrite
 from .rewriting.unfolding import unfold
 from .sql.database import Database
 from .sql.stats import StatisticsCatalog
+from .sql.table import ended, grown_tables
 
 __all__ = ["OBDASystem"]
 
@@ -175,14 +176,11 @@ def _versions(read) -> tuple:
 
 
 class _OverTables:
-    """An unfolding joined over the source tables.  Its stamps are
-    ``(name, table, start, end, last)`` per table it scans: the answers
-    hold every answer over the table's first *start* rows (counted
-    before the join read any), and the join may have read its first
-    *end* rows, the last of them *last* (both read after the join).  The
-    table only grew while the database still holds it, it has at least
-    *end* rows and *last* is still in place; its delta is then every row
-    from *start* on."""
+    """An unfolding joined over the source tables.  Its stamps are the
+    tables the join read, each with its stamps before and after the
+    join (:func:`~repro.obda.sql.table.grown_tables`); the answers are
+    extended by the rows appended since, unless a table gained more rows
+    than the join had read, which a recompute handles better."""
 
     span = "sql-eval"
     phase = "sql"
@@ -198,50 +196,23 @@ class _OverTables:
         pass
 
     def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
-        read: dict = {}
-        answers = self.unfolded.join(self.database, budget=budget, read=read)
-        if not self.stamped:
-            return answers, None
-        return answers, _table_stamps(
-            [(name, table, start) for name, (table, start) in read.items()]
-        )
+        started: dict = {}
+        answers = self.unfolded.join(self.database, budget=budget, read=started)
+        return answers, ended(started) if self.stamped else None
 
     def delta(self, stamps: tuple) -> Optional[_Delta]:
-        """The rows appended to each table since, or None when one was
-        replaced, shrank, or gained more rows than the join had read."""
-        grown: dict = {}
-        counts = []
-        for name, table, start, end, last in stamps:
-            rows = table.rows
-            count = len(rows)
-            if (
-                count < end
-                or (end and rows[end - 1] is not last)
-                or count - start > end
-                or self.database.table(name) is not table
-            ):
-                return None
-            if count > start:
-                grown[name] = rows[start:count]
-            counts.append((name, table, count))
-        return _Delta(grown, counts)
+        grown = grown_tables(self.database, stamps)
+        if grown is None or any(
+            len(grown[0].get(name, ())) > end.count for name, _, _, end in stamps
+        ):
+            return None
+        return _Delta(*grown)
 
     def extend(self, budget, delta: _Delta) -> Set[Tuple]:
         return self.unfolded.join(self.database, budget=budget, grown=delta.grown)
 
     def stamps(self, delta: _Delta) -> tuple:
-        return _table_stamps(delta.reads)
-
-
-def _table_stamps(counts) -> tuple:
-    """The stamps of :class:`_OverTables` from ``(name, table, start)``
-    triples, each table's end and last row read now."""
-    stamps = []
-    for name, table, start in counts:
-        rows = table.rows
-        end = len(rows)
-        stamps.append((name, table, start, end, rows[end - 1] if end else None))
-    return tuple(stamps)
+        return ended(delta.reads)
 
 
 class _PushedDown:
@@ -298,8 +269,8 @@ class OBDASystem:
       predicate under the version of the extent they index;
     * answers grow with appends: an answer-cache entry keeps the data
       generation it was confirmed at and the stamps of what it read
-      (extent versions for perfectref and presto, table row counts and
-      last rows for perfectref-sql).  When those inputs only grew since,
+      (extent versions for perfectref and presto, table stamps for
+      perfectref-sql).  When those inputs only grew since,
       the entry is extended by the answers that read an added row
       instead of recomputed, and the consistency check's
       negative-inclusion and unsatisfiable-predicate checks are kept and

@@ -6,7 +6,8 @@ classification (and whether it came from the shared cache), rewriting
 (with disjunct counts before/after subsumption pruning), unfolding (SQL
 parts), evaluation (extent pulls, index builds, answers, and each
 ``join`` span's probe order, key positions and estimated fan-outs, over
-extents or, under ``sql-eval``, over the source tables), the sqlite
+extents or, under ``sql-eval``, ``extent-pull`` and ``extent-delta``,
+over the source tables), the sqlite
 pushdown (SQL text, statement cache, rows shipped, load and execute
 times, all read from its ``backend-exec`` and ``backend-load`` spans) —
 with per-span wall times, statuses, and the process metrics snapshot.

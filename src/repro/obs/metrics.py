@@ -27,8 +27,8 @@ The virtual ABox (:mod:`repro.obda.evaluation`) counts its refresh work:
 
 * ``obda.extents.pulls`` — extents pulled in full through the mappings
   (first use, or a refresh that could take no delta);
-* ``obda.extents.delta_pulls`` — refreshes that evaluated one mapping
-  source over the rows appended to its table only;
+* ``obda.extents.delta_pulls`` — refreshes that joined an extent's
+  mapping sources over the rows appended to their tables only;
 * ``obda.evaluation.index_builds`` — join indexes built in full;
 * ``obda.evaluation.index_extends`` — join indexes extended by the rows
   a delta added instead of rebuilt;

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import TimeoutExceeded
 

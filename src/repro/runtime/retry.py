@@ -23,8 +23,8 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Set, Tuple, Type
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple, Type
 
 from ..errors import PermanentSourceError, TransientSourceError
 from ..obda.evaluation import ExtentProvider

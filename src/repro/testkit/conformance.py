@@ -5,10 +5,10 @@ run the differential engine oracle and the metamorphic battery on it,
 then — on a schedule within the round — the brute-force semantics check
 on a tiny sibling ontology and the end-to-end OBDA answer diff
 (PerfectRef vs Presto vs unfolded SQL over a direct mapping of a random
-ABox, diffed again after a few assertions are appended, so that the
-mapped system's extended answers meet knowledge-base mode's recomputed
-ones).  Any disagreement is shrunk to a minimal reproducer and written
-to the regression corpus directory.
+ABox that a consistent knowledge base holds, diffed again after a few
+assertions are appended, so that the mapped system's extended answers
+meet knowledge-base mode's recomputed ones).  Any disagreement is shrunk
+to a minimal reproducer and written to the regression corpus directory.
 
 The runner reuses :class:`repro.runtime.budget.Budget` for bounded
 execution: the CI smoke job runs with a ~60s allowance, and a budget
@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..dllite.abox import ABox
 from ..dllite.tbox import TBox
 from ..errors import TimeoutExceeded
 from ..runtime.budget import Budget
@@ -255,7 +256,7 @@ def _run_round(
     #    then again after a few appends, on the same warm systems
     if config.obda_every and round_index % config.obda_every == 0:
         small = random_tiny_tbox(rng, config.profile)
-        abox = random_abox(rng, small, config.profile)
+        abox = _consistent_abox(rng, small, config.profile)
         queries = random_queries(rng, small, config.profile)
         if queries:
             append_rng = random.Random(f"append:{config.seed}:{round_index}")
@@ -281,6 +282,19 @@ def _run_round(
     # 5. backend oracle: the five answering paths over mixed-type data
     if config.backend_every and round_index % config.backend_every == 0:
         _run_backend_check(report, config, rng, round_index, budget)
+
+
+def _consistent_abox(rng: random.Random, tbox: TBox, profile: FuzzProfile) -> ABox:
+    """A random ABox over *tbox* (:func:`random_abox`) less seeded
+    assertions, dropped one at a time until the knowledge-base system
+    over it is consistent: a diff over an inconsistent knowledge base
+    compares consistency verdicts and never reaches an answer."""
+    from ..obda.system import OBDASystem
+
+    assertions = sorted(random_abox(rng, tbox, profile), key=str)
+    while assertions and not OBDASystem(tbox, abox=ABox(assertions)).is_consistent():
+        del assertions[rng.randrange(len(assertions))]
+    return ABox(assertions)
 
 
 #: the methods step 4 diffs; the mapped system extends its answers of
@@ -321,7 +335,7 @@ def _run_backend_check(
     whose individuals include the literal-looking names ``1``, ``1.0``
     and ``True``."""
     small = random_tiny_tbox(rng, config.profile)
-    abox = with_literal_names(random_abox(rng, small, config.profile))
+    abox = with_literal_names(_consistent_abox(rng, small, config.profile))
     queries = random_queries(rng, small, config.profile)
     if not queries:
         return

@@ -10,7 +10,7 @@ Everything here is pure: the input TBox is never mutated.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..dllite.axioms import (
     AttributeInclusion,

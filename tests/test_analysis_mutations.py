@@ -72,8 +72,8 @@ def test_rl002_catches_the_pr7_setdefault_regression():
     never be replaced, must trip RL002."""
     before, after = _mutate(
         "obda/sql/table.py",
-        "self._indexes[positions] = (generation, consumed, last, index)",
-        "self._indexes.setdefault(positions, (generation, consumed, last, index))",
+        "self._indexes[positions] = (now, index)",
+        "self._indexes.setdefault(positions, (now, index))",
         "RL002",
     )
     assert before == []

@@ -10,7 +10,7 @@ from repro.approximation import (
     soundness_report,
     syntactic_approximation,
 )
-from repro.approximation.owl import All, And, Not, Or, OwlClass, Some, Top
+from repro.approximation.owl import And, Or, OwlClass, Some
 from repro.dllite import (
     AtomicConcept,
     AtomicRole,

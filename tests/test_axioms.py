@@ -90,8 +90,6 @@ def test_expression_signature_errors_on_garbage():
 
 
 def test_ascii_rendering_parses_back():
-    from repro.dllite.parser import parse_axiom
-
     axioms = [
         ConceptInclusion(A, QualifiedExistential(InverseRole(P), B)),
         RoleInclusion(InverseRole(P), NegatedRole(R)),

@@ -6,14 +6,13 @@ import pytest
 
 from repro.baselines import (
     FIGURE1_COLUMNS,
+    REASONER_FACTORIES,
     ConsequenceBasedReasoner,
     DenseMatrixTableauReasoner,
     GraphReasoner,
     MemoizedTableauReasoner,
     NamedClassification,
     PairwiseTableauReasoner,
-    REASONER_FACTORIES,
-    SaturationReasoner,
     make_reasoner,
 )
 from repro.dllite import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import CLOSURE_ALGORITHMS, GraphClassifier, classify
-from repro.dllite import AtomicConcept, parse_tbox
+from repro.dllite import parse_tbox
 from repro.errors import TimeoutExceeded
 from repro.runtime.budget import Budget
 

@@ -1,8 +1,6 @@
 """Unit tests for Φ_T and the Classification result object."""
 
-import pytest
-
-from repro.core import GraphClassifier, build_digraph, classify, phi_inclusions
+from repro.core import build_digraph, classify, phi_inclusions
 from repro.core.closure import transitive_closure
 from repro.dllite import (
     AtomicConcept,
@@ -10,7 +8,6 @@ from repro.dllite import (
     ConceptInclusion,
     ExistentialRole,
     InverseRole,
-    RoleInclusion,
     parse_tbox,
 )
 

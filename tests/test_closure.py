@@ -7,7 +7,6 @@ import pytest
 from repro.core.closure import (
     CLOSURE_ALGORITHMS,
     closure_bfs,
-    closure_dense,
     closure_scc_bitset,
     transitive_closure,
 )

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.baselines.saturation import Saturation
-from repro.core import GraphClassifier, deductive_closure, qualified_inclusions
+from repro.core import deductive_closure
 from repro.dllite import (
     AtomicConcept,
     AtomicRole,
@@ -16,7 +16,6 @@ from repro.dllite import (
     NegatedRole,
     QualifiedExistential,
     RoleInclusion,
-    parse_axiom,
     parse_tbox,
 )
 from tests.conftest import make_random_tbox

@@ -23,7 +23,6 @@ def test_run_cell_out_of_memory():
     # a 5%-scale FMA 2.0 with an artificially tiny dense cap
     from repro.baselines.tableau import DenseMatrixTableauReasoner
     from repro.corpus import load_profile
-    from repro.errors import TimeoutExceeded
 
     tbox = load_profile("FMA 2.0", scale=0.2)
     with pytest.raises(MemoryError):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.dllite import (
     AtomicAttribute,
-    AtomicConcept,
     AtomicRole,
     parse_axiom,
     parse_tbox,

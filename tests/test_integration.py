@@ -17,7 +17,7 @@ from repro.approximation import (
 )
 from repro.approximation.owl import And, OwlClass, Some
 from repro.baselines import make_reasoner
-from repro.core import GraphClassifier, classify
+from repro.core import classify
 from repro.corpus import load_profile
 from repro.dllite import (
     ABox,
@@ -39,8 +39,8 @@ from repro.graphical import (
 )
 from repro.obda import (
     ABoxExtents,
-    DatalogExtents,
     Database,
+    DatalogExtents,
     MappingAssertion,
     MappingCollection,
     OBDASystem,
@@ -49,7 +49,6 @@ from repro.obda import (
     parse_query,
     perfect_ref,
     presto_rewrite,
-    unfold,
 )
 from repro.obda.mapping import IriTemplate
 from tests.conftest import make_random_tbox

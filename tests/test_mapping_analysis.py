@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dllite import AtomicConcept, AtomicRole, parse_tbox
+from repro.dllite import AtomicConcept, parse_tbox
 from repro.errors import ReproError
 from repro.obda import (
     Database,
@@ -11,7 +11,7 @@ from repro.obda import (
     OBDASystem,
     TargetAtom,
 )
-from repro.obda.mapping import IriTemplate, ValueColumn
+from repro.obda.mapping import IriTemplate
 from repro.obda.mapping_analysis import analyze_mappings
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dllite import AtomicConcept, AtomicRole, parse_tbox
+from repro.dllite import AtomicConcept, parse_tbox
 from repro.errors import UnknownPredicate
 from repro.graphical import (
     focus_view,

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.approximation.owl import (
+    BOTTOM,
+    TOP,
     All,
     And,
-    BOTTOM,
-    Bottom,
     Not,
     Or,
     OwlClass,
@@ -14,8 +14,6 @@ from repro.approximation.owl import (
     OwlSubClassOf,
     OwlSubPropertyOf,
     Some,
-    TOP,
-    Top,
     class_signature,
     nnf,
 )

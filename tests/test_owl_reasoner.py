@@ -1,18 +1,16 @@
 """Unit tests for the ALCH tableau reasoner."""
 
-import pytest
-
 from repro.approximation import OwlOntology, OwlReasoner
 from repro.approximation.owl import (
+    BOTTOM,
+    TOP,
     All,
     And,
-    BOTTOM,
     Not,
     Or,
     OwlClass,
     OwlSubClassOf,
     Some,
-    TOP,
     nnf,
 )
 

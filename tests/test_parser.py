@@ -7,7 +7,6 @@ from repro.dllite import (
     AtomicConcept,
     AtomicRole,
     AttributeDomain,
-    AttributeInclusion,
     ConceptInclusion,
     ExistentialRole,
     FunctionalAttribute,

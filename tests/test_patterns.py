@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core import ImplicationChecker, classify
-from repro.dllite import AtomicConcept, TBox, parse_axiom
+from repro.dllite import ABox, AtomicRole, Individual, RoleAssertion, TBox, parse_axiom
 from repro.obda import OBDASystem
-from repro.dllite import ABox, ConceptAssertion, Individual, RoleAssertion, AtomicRole
 from repro.patterns import (
     n_ary_relation_pattern,
     part_whole_pattern,

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from repro.dllite import parse_tbox
-from repro.dllite.parser import parse_axiom
 from repro.dllite.abox import ABox, Individual, RoleAssertion
+from repro.dllite.parser import parse_axiom
 from repro.dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from repro.errors import TimeoutExceeded
+from repro.obda import mapping
 from repro.obda.constraints import ExtensionalConstraints
 from repro.obda.cq_parser import parse_query
 from repro.obda.evaluation import ABoxExtents, DatalogExtents, MappingExtents
@@ -24,7 +25,9 @@ from repro.obda.mapping import (
     ValueColumn,
 )
 from repro.obda.queries import Atom, ConjunctiveQuery, UnionQuery, Variable
+from repro.obda.rewriting import unfolding
 from repro.obda.rewriting.presto import DatalogRewriting, DatalogRule
+from repro.obda.sql import algebra
 from repro.obda.sql.database import Database
 from repro.obda.sql.stats import join_key
 from repro.obda.system import OBDASystem
@@ -64,22 +67,19 @@ def _campus_system(tbox_text=TBOX_TEXT):
 def test_workload_pulls_each_predicate_extent_once():
     """S1 regression: two queries, one source pull per predicate."""
     system = _campus_system()
-    pulled = []
-    original = system.mappings.predicate_extent
-
-    def counting(database, predicate):
-        pulled.append(predicate)
-        return original(database, predicate)
-
-    system.mappings.predicate_extent = counting
-    first = system.certain_answers(
-        "q(x) :- Teacher(x)", check_consistency=False
-    )
-    second = system.certain_answers(
-        "q(x) :- Teacher(x), teaches(x, y)", check_consistency=False
-    )
+    tracer = Tracer("workload")
+    with use_tracer(tracer):
+        first = system.certain_answers(
+            "q(x) :- Teacher(x)", check_consistency=False
+        )
+        second = system.certain_answers(
+            "q(x) :- Teacher(x), teaches(x, y)", check_consistency=False
+        )
     assert first and second
-    assert len(pulled) == len(set(pulled)), (
+    pulled = [
+        span.attributes["predicate"] for span in tracer.spans if span.name == "extent-pull"
+    ]
+    assert pulled and len(pulled) == len(set(pulled)), (
         f"duplicate source pulls across the workload: {sorted(pulled)}"
     )
     assert system.cache_stats()["extents"]["source_pulls"] == len(pulled)
@@ -605,6 +605,109 @@ def test_a_refresh_by_appended_rows_is_counted_and_traced():
     assert span.attributes == {"predicate": "teaches", "rows": 1}
 
 
+@pytest.mark.parametrize(
+    "predicate, table, row",
+    [
+        ("worksIn", "teaching", ("s9", "c1")),  # a join
+        ("Member", "enrolment", ("s9", "c1")),  # a UNION
+        ("colleague", "teaching", ("s9", "c1")),  # a self-join
+        ("Course", "teaching", ("s9", "c9")),  # two assertions
+    ],
+)
+def test_every_mapping_shape_refreshes_by_delta(predicate, table, row):
+    database = Database("shapes")
+    for name, rows in (
+        ("person", [("p1", "prof", "x")]),
+        ("course", [("c1", "d1")]),
+        ("teaching", [("p1", "c1")]),
+        ("enrolment", [("s1", "c1")]),
+    ):
+        database.create_table(name, _DELTA_TABLES[name], rows)
+    mappings = _delta_mappings()
+    provider = MappingExtents(mappings, database)
+    arity = _DELTA_ARITIES[predicate]
+    before = provider.extent(predicate, arity)
+    pulls = provider.pulls
+    database[table].insert(row)
+    tracer = Tracer("refresh")
+    with use_tracer(tracer):
+        after = provider.extent(predicate, arity)
+    assert (provider.pulls, provider.delta_pulls) == (pulls, 1)
+    refreshes = [span.name for span in tracer.spans if span.name.startswith("extent-")]
+    assert refreshes == ["extent-delta"]
+    assert _reprs(after) == _reprs(mappings.predicate_extent(database, predicate))
+    assert after > before
+
+
+def test_an_extent_keeps_the_cell_its_table_holds_first():
+    """Of raw cells equal under ``==`` (``1.0`` and ``True``), an extent
+    keeps the one its table holds first, as a fresh pull does."""
+    database = Database("cells")
+    database.create_table(
+        "person",
+        _DELTA_TABLES["person"],
+        [(f"p{i}", "prof", cell) for i in range(8) for cell in (1.0, True)],
+    )
+    mappings = _delta_mappings()
+    fresh = mappings.predicate_extent(database, "tag")
+    assert _reprs(fresh) == _reprs([(Individual(f"p/p{i}"), 1.0) for i in range(8)])
+    assert _reprs(MappingExtents(mappings, database).extent("tag", 2)) == _reprs(fresh)
+
+
+@pytest.mark.parametrize("method", ("perfectref", "perfectref-sql"))
+def test_a_row_read_past_the_start_stamp_then_replaced_is_recomputed(method):
+    """The join reads a row inserted after it stamped the table; an
+    out-of-band edit that replaces that row leaves no answer of it."""
+    database = Database("replaced")
+    table = database.create_table("t_teaches", ["s", "o"], [("ada", "logic")])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT s, o FROM t_teaches",
+                [TargetAtom(AtomicRole("teaches"), (IriTemplate("{s}"), IriTemplate("{o}")))],
+            )
+        ]
+    )
+    system = OBDASystem(parse_tbox(TBOX_TEXT), mappings, database)
+    query = "q(x, y) :- teaches(x, y)"
+    table.rows = _InsertOnCount(table, ("bob", "algebra"))
+    assert len(system.certain_answers(query, method=method, check_consistency=False)) == 2
+    del table.rows[1:]
+    table.insert(("eve", "logic"))
+    answers = system.certain_answers(query, method=method, check_consistency=False)
+    assert answers == _cache_free(system, query, method)
+    assert (Individual("bob"), Individual("algebra")) not in answers
+
+
+def test_mapped_answers_never_run_the_algebra_evaluator(monkeypatch):
+    """perfectref and presto read the mapped extents through the table
+    join, cold and after an append, consistency checks included."""
+    calls = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran on the query path")
+
+        return call
+
+    for module in (algebra, mapping, unfolding):
+        monkeypatch.setattr(module, "evaluate", forbidden("algebra.evaluate"))
+    monkeypatch.setattr(
+        MappingCollection, "predicate_extent", forbidden("predicate_extent")
+    )
+    system = _campus_system(_CONSISTENCY_TBOX)
+    methods = ("perfectref", "presto")
+    for method in methods:
+        system.certain_answers(_ASKED, method=method)
+    system.database["t_teaches"].insert(("bob", "compilers"))
+    answers = {method: system.certain_answers(_ASKED, method=method) for method in methods}
+    monkeypatch.undo()
+    assert calls == []
+    for method, found in answers.items():
+        assert found == _cache_free(system, _ASKED, method)
+
+
 # -- answers and verdicts extended by appended rows ---------------------------------
 
 #: the methods whose answer-cache entries grow by deltas (perfectref-sqlite
@@ -613,17 +716,29 @@ _EXTENDING = ("perfectref", "perfectref-sql", "presto")
 _ASKED = "q(x, y) :- Teacher(x), teaches(x, y)"
 
 
+def _evaluation_joins(tracer):
+    """The ``join`` spans of answer and consistency evaluation: not those
+    an extent refresh opens under ``extent-pull`` or ``extent-delta``."""
+    refreshes = {
+        span.span_id for span in tracer.spans if span.name in ("extent-pull", "extent-delta")
+    }
+    return [
+        span
+        for span in tracer.spans
+        if span.name == "join" and span.parent_id not in refreshes
+    ]
+
+
 def _ask(system, query, method, budget=None):
     """One call's answers, its root span's ``answer_cache`` outcome and
-    its ``join`` spans."""
+    the ``join`` spans of its evaluation."""
     tracer = Tracer("ask")
     with use_tracer(tracer):
         answers = system.certain_answers(
             query, method=method, check_consistency=False, budget=budget
         )
     [root] = [span for span in tracer.spans if span.name == "certain-answers"]
-    joins = [span for span in tracer.spans if span.name == "join"]
-    return answers, root.attributes["answer_cache"], joins
+    return answers, root.attributes["answer_cache"], _evaluation_joins(tracer)
 
 
 def _cache_free(system, query, method):
@@ -780,7 +895,7 @@ def test_consistency_checks_extend_and_catch_a_violating_append():
         with use_tracer(tracer):
             witnesses = system.inconsistency_witnesses()
         [span] = [span for span in tracer.spans if span.name == "consistency"]
-        joins = [s for s in tracer.spans if s.name == "join"]
+        joins = _evaluation_joins(tracer)
         twin = OBDASystem(
             system.tbox, system.mappings, system.database, enable_caches=False
         )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.dllite import parse_axiom, parse_tbox
 from repro.dllite.abox import ABox, ConceptAssertion, Individual
 from repro.dllite.syntax import AtomicConcept

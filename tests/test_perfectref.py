@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dllite import parse_tbox
-from repro.obda import parse_cq, parse_query, perfect_ref
+from repro.obda import parse_query, perfect_ref
 from repro.obda.rewriting.perfectref import RewritingTooLarge
 
 

@@ -1,10 +1,10 @@
 """Unit tests for the Presto-style datalog rewriter."""
 
-import random
-
 import pytest
 
 from repro.dllite import ABox, parse_tbox
+from repro.dllite.abox import ConceptAssertion, Individual, RoleAssertion
+from repro.dllite.syntax import AtomicConcept, AtomicRole
 from repro.obda import (
     ABoxExtents,
     DatalogExtents,
@@ -13,8 +13,6 @@ from repro.obda import (
     perfect_ref,
     presto_rewrite,
 )
-from repro.dllite.abox import ConceptAssertion, Individual, RoleAssertion
-from repro.dllite.syntax import AtomicConcept, AtomicRole
 
 
 def test_hierarchy_goes_to_rules_not_disjuncts():

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.baselines import SaturationReasoner, make_reasoner
 from repro.baselines.saturation import Saturation
-from repro.core import GraphClassifier, ImplicationChecker, classify
+from repro.core import ImplicationChecker, classify
 from repro.core.closure import closure_bfs, closure_scc_bitset, transitive_closure
 from repro.dllite import (
     AtomicAttribute,

@@ -16,8 +16,6 @@ from repro.dllite import (
     NegatedAttribute,
     NegatedConcept,
     QualifiedExistential,
-    RoleInclusion,
-    TBox,
     entails,
     find_countermodel,
     parse_axiom,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SyntaxError_
-from repro.obda import parse_cq
 from repro.obda.sparql import parse_sparql
 
 

@@ -24,7 +24,6 @@ from repro.obda.sql.algebra import (
     Projection,
     Scan,
     Selection,
-    UnionAll,
 )
 
 

@@ -10,13 +10,16 @@ from repro.dllite import parse_tbox
 from repro.dllite.abox import ABox, ConceptAssertion, Individual, RoleAssertion
 from repro.dllite.syntax import AtomicConcept, AtomicRole
 from repro.obda.cq_parser import parse_query
+from repro.obda.system import OBDASystem
 from repro.testkit import ConformanceConfig, ConformanceReport, run_conformance
-from repro.testkit.conformance import _obda_diff
+from repro.testkit.conformance import _consistent_abox, _obda_diff
 from repro.testkit.generators import (
     FuzzProfile,
     append_direct,
     direct_mapping_system,
+    random_abox,
     random_appends,
+    random_tiny_tbox,
     with_literal_names,
 )
 
@@ -113,6 +116,24 @@ def test_obda_step_diffs_the_extended_answers_after_appends(monkeypatch):
     problems = _obda_diff(tbox, _teaching_abox(), queries, appends, None)
     assert {problem.kind for problem in problems} == {"answers"}
     assert any("sql/perfectref" in str(problem) for problem in problems)
+
+
+def test_the_drawn_abox_is_consistent():
+    """Steps 4 and 5 drop seeded assertions from the drawn ABox until the
+    knowledge base over it is consistent, so their diffs reach answers."""
+    profile = FuzzProfile()
+    dropped = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        tbox = random_tiny_tbox(rng, profile)
+        state = rng.getstate()
+        drawn = random_abox(rng, tbox, profile)
+        rng.setstate(state)
+        abox = _consistent_abox(rng, tbox, profile)
+        assert set(abox) <= set(drawn)
+        assert OBDASystem(tbox, abox=abox).is_consistent()
+        dropped += len(drawn) - len(abox)
+    assert dropped, "no drawn ABox was inconsistent: the test proves nothing"
 
 
 class TestCli:

@@ -11,7 +11,6 @@ from repro.baselines.base import NamedClassification
 from repro.dllite import (
     AtomicConcept,
     ConceptInclusion,
-    NegatedConcept,
     TBox,
     parse_tbox,
 )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dllite import AtomicConcept, AtomicRole, Individual
-from repro.errors import MappingError
 from repro.obda import (
     Database,
     MappingAssertion,

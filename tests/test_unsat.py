@@ -2,12 +2,8 @@
 
 from repro.core import GraphClassifier, classify
 from repro.dllite import (
-    AtomicAttribute,
     AtomicConcept,
     AtomicRole,
-    AttributeDomain,
-    ExistentialRole,
-    InverseRole,
     parse_tbox,
 )
 
