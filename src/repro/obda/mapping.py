@@ -243,6 +243,9 @@ class MappingCollection:
         self._by_predicate: Dict[str, List[Tuple[MappingAssertion, TargetAtom]]] = {}
         #: predicate -> its atom unfolding (see :meth:`atom_unfolding`)
         self._atom_unfoldings: Dict[str, object] = {}
+        #: the sources' table-CQ conversions, which every unfolding over
+        #: the collection shares (see :func:`~repro.obda.sql.tablecq.table_cqs`)
+        self._sources: Dict[int, tuple] = {}
         for assertion in assertions:
             self.add(assertion)
 

@@ -16,19 +16,21 @@ the (renamed) source queries:
   :class:`UnfoldedQuery` re-applies the templates row-wise to assemble
   the final :class:`~repro.dllite.abox.Individual` answers.
 
-:meth:`UnfoldedQuery.join` runs each part as conjunctive queries over
-the tables (:mod:`repro.obda.sql.tablecq`) through the compiled join of
-:mod:`repro.obda.evaluation`, which probes the tables' hash indexes;
+:meth:`UnfoldedQuery.converted` reads each part as conjunctive queries
+over the tables (:mod:`repro.obda.sql.tablecq`), which
+:meth:`UnfoldedQuery.join` runs through the compiled join of
+:mod:`repro.obda.evaluation`, probing the tables' hash indexes, and
+:class:`~repro.obda.sql.backends.SqliteBackend` renders as SQL;
 :meth:`UnfoldedQuery.execute` evaluates the algebra as it is written,
 with no index kept between calls, and is the reference the tests check
-the join against.
+both against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...errors import MappingError
 from ...runtime.budget import Budget
@@ -81,13 +83,18 @@ class UnfoldedQuery:
         self,
         parts: Sequence[Tuple[Expression, Tuple[_VarSource, ...]]],
         arity: int,
+        sources: Optional[Dict[int, tuple]] = None,
     ):
         self.parts = list(parts)
         self.arity = arity
-        #: per part, the tables it scans and the table CQs and answer
-        #: readers :meth:`join` runs, keyed by those tables' columns;
-        #: built by the first join
-        self._joins: Optional[List[Tuple[Tuple[str, ...], Dict[Tuple, Tuple]]]] = None
+        #: the mapping collection's converted sources, shared by every
+        #: unfolding over it (see :func:`~repro.obda.sql.tablecq.table_cqs`)
+        self._sources = sources
+        #: per part, the tables it scans and its conversions, keyed by
+        #: those tables' columns; built by the first :meth:`converted`
+        self._conversions: Optional[
+            List[Tuple[Tuple[str, ...], Dict[Tuple, Tuple[list, list]]]]
+        ] = None
 
     @property
     def size(self) -> int:
@@ -119,6 +126,43 @@ class UnfoldedQuery:
             answers.update(answer_rows(result, recipes, budget))
         return answers
 
+    def converted(
+        self,
+        lookup: Callable[[str], Table],
+        budget: Optional[Budget] = None,
+        grown: Optional[Dict[str, Sequence[Tuple]]] = None,
+    ) -> Iterator[Tuple[Dict[str, Table], list, list]]:
+        """Per part, in order: the tables it scans by name, each looked up
+        by *lookup*, and the part's table CQs
+        (:func:`~repro.obda.sql.tablecq.table_cqs`) and answer readers
+        for those tables' columns.  A part is converted on first use, and
+        again only for tables with other columns.  A reader is
+        ``(template, positions)`` over a CQ's output columns, as
+        :func:`~repro.obda.mapping.read_terms` takes it; a boolean part
+        has none, and its CQs output nothing.  With *grown*, a part that
+        scans no grown table is skipped.  The budget is polled per part
+        and per branch converted.
+        """
+        parts = self._conversions
+        if parts is None:
+            parts = self._conversions = [
+                (tuple(dict.fromkeys(scan.table for scan in scans(expression))), {})
+                for expression, _ in self.parts
+            ]
+        for (expression, recipes), (names, conversions) in zip(self.parts, parts):
+            if grown is not None and grown.keys().isdisjoint(names):
+                continue
+            if budget is not None:
+                budget.check()
+            tables = {name: lookup(name) for name in names}
+            columns = tuple([table.columns for table in tables.values()])
+            converted = conversions.get(columns)
+            if converted is None:
+                converted = conversions[columns] = _compile_part(
+                    expression, recipes, tables, budget, self._sources
+                )
+            yield tables, converted[0], converted[1]
+
     def join(
         self,
         database: Database,
@@ -129,15 +173,14 @@ class UnfoldedQuery:
         """The answers by the compiled join over the tables' indexes.
 
         Each part's tables are looked up through *database*, so retry and
-        fault wrappers apply, and the part runs as the table CQs converted
-        for those tables' columns: converted on first use, and again only
-        for tables with other columns.  A part's output rows are one per
-        identity (:func:`~repro.obda.evaluation.evaluate_table_cqs`)
-        before its templates render them, so ``1`` and ``1.0`` render two
-        IRIs.  Answers are added part by part, each part's in the order
-        the join finds them, so among answers equal under ``==`` the set
-        keeps the first found.  The budget is polled per part, per branch
-        converted and per binding.
+        fault wrappers apply, and the part runs as its table CQs
+        (:meth:`converted`).  A part's output rows are one per identity
+        (:func:`~repro.obda.evaluation.evaluate_table_cqs`) before its
+        templates render them, so ``1`` and ``1.0`` render two IRIs.
+        Answers are added part by part, each part's in the order the join
+        finds them, so among answers equal under ``==`` the set keeps the
+        first found.  The budget is polled per part, per branch converted
+        and per binding.
 
         With *grown* (table name -> the rows appended to it since earlier
         answers were computed), only the answers that read an appended
@@ -149,41 +192,25 @@ class UnfoldedQuery:
         (:meth:`~repro.obda.sql.table.Table.stamp`) at the first lookup:
         before the join read any of its rows.
         """
-        parts = self._joins
-        if parts is None:
-            parts = self._joins = [
-                (tuple(dict.fromkeys(scan.table for scan in scans(expression))), {})
-                for expression, _ in self.parts
-            ]
         answers: Set[Tuple] = set()
-        for (expression, recipes), (names, joins) in zip(self.parts, parts):
-            if grown is not None and grown.keys().isdisjoint(names):
-                continue
-            if budget is not None:
-                budget.check()
-            tables = {name: database.table(name) for name in names}
+        for tables, cqs, readers in self.converted(database.table, budget, grown):
             if read is not None:
                 for name, table in tables.items():
                     if name not in read:
                         read[name] = (table, table.stamp())
-            columns = tuple([table.columns for table in tables.values()])
-            compiled = joins.get(columns)
-            if compiled is None:
-                compiled = joins[columns] = _compile_part(expression, recipes, tables, budget)
-            cqs, readers = compiled
             rows = evaluate_table_cqs(cqs, tables, budget, grown)
             answers.update(read_terms([row for _, row in rows], readers, budget))
         return answers
 
 
 def _compile_part(
-    expression: Expression, recipes, tables, budget: Optional[Budget]
+    expression: Expression, recipes, tables, budget: Optional[Budget], sources
 ) -> Tuple[list, list]:
     """*expression*'s table CQs over *tables* (by name), and the reader
     of each recipe: its template and output positions.  A boolean part
     (no recipes) outputs no column."""
     columns, cqs = table_cqs(
-        expression, tables.__getitem__, outputs=bool(recipes), budget=budget
+        expression, tables.__getitem__, bool(recipes), budget, sources
     )
     output = ResultSet(columns, [])
     readers = [
@@ -223,7 +250,7 @@ def unfold(
             part = _unfold_combination(disjunct, combination, counter)
             if part is not None:
                 parts.append(part)
-    return UnfoldedQuery(parts, ucq.arity)
+    return UnfoldedQuery(parts, ucq.arity, mappings._sources)
 
 
 def _unfold_combination(disjunct: ConjunctiveQuery, combination, counter):

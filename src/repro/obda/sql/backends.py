@@ -2,14 +2,18 @@
 
 The paper's practicality claim is that rewritten queries are "directly
 translatable into SQL" and can be *delegated* to a relational engine.
-PR 6/7 made the repo plan those queries well, but still interpreted
-them row-by-row in the in-memory algebra.  :class:`SqliteBackend`
-closes that gap: it materializes the mapping-defined source tables into
-a (memory- or file-backed) SQLite database and ships each unfolded UCQ
-as one SQL statement per 500 disjuncts (SQLite's compound-select limit)
-— disjuncts as ``UNION``, joins/selections/projections inline — so join
-ordering, index selection and deduplication happen inside a real query
-engine.
+:class:`SqliteBackend` materializes the mapping-defined source tables
+into a (memory- or file-backed) SQLite database and ships each unfolded
+UCQ as SQL, so join ordering, index selection and deduplication happen
+inside a real query engine.  The SQL is rendered from the table CQs
+the in-memory SQL join runs
+(:meth:`~repro.obda.rewriting.unfolding.UnfoldedQuery.converted`): one
+flat SELECT per CQ, its atoms as ``"d_<table>" AS a<i>``, its classes
+as ``=``, its constants as ``?`` parameters and its inequalities as
+``<>``, united by ``UNION`` at most 500 to a statement (SQLite's
+compound-select limit).  So both SQL executors read an unfolded part
+through one conversion: column resolution, ``=`` classes, UNION
+branches and boolean parts are decided in one place.
 
 Cells compare by their string forms, the identity of
 :func:`repro.obda.sql.table.join_key` that every executor shares, so
@@ -27,8 +31,9 @@ Loading is incremental: tables are bulk-loaded via ``executemany``
 batches, and after inserts only the rows appended since are shipped, by
 the table stamps every reader of an append-only table shares
 (:meth:`~repro.obda.sql.table.Table.appended`).  Compiled statements
-are cached per unfolded query (SQLite additionally caches the prepared
-statement by SQL text), and ``runtime.budget`` deadlines are enforced
+are cached per unfolded query and the columns of the tables it scans
+(SQLite additionally caches the prepared statement by SQL text), and
+``runtime.budget`` deadlines are enforced
 *inside* SQLite through a progress handler that aborts the statement
 when the budget expires.
 
@@ -53,21 +58,8 @@ from ...errors import MappingError
 from ...obs.metrics import global_metrics
 from ...obs.trace import current_tracer
 from ...runtime.budget import Budget
-from .algebra import (
-    Condition,
-    Const,
-    Expression,
-    Join,
-    Projection,
-    Rename,
-    Scan,
-    Selection,
-    UnionAll,
-    _resolve,
-    _strip,
-)
 from .database import Database
-from .table import Stamp
+from .table import Stamp, Table
 
 __all__ = ["SqliteBackend"]
 
@@ -117,191 +109,86 @@ def _decode_raw(raw, text):
     return raw
 
 
-class _ColRef:
-    """One logical column of a compiled frame: physical alias + position."""
+def _render(cq, readers) -> Tuple[List[str], str, List[str]]:
+    """Table CQ *cq* as the parts of one flat SELECT: its output columns,
+    its ``FROM … [WHERE …]`` body over ``"d_<table>" AS a<i>``, and the
+    body's parameters in the order their ``?`` appear.
 
-    __slots__ = ("alias", "position")
-
-    def __init__(self, alias: str, position: int):
-        self.alias = alias
-        self.position = position
-
-    @property
-    def v(self) -> str:
-        return f"{self.alias}.c{self.position}_v"
-
-    @property
-    def t(self) -> str:
-        return f"{self.alias}.c{self.position}_t"
-
-
-class _Frame:
-    """A flattened SELECT under construction: FROM items, WHERE
-    conjuncts (with positional params) and the logical column list."""
-
-    __slots__ = ("from_items", "where", "params", "columns")
-
-    def __init__(self):
-        self.from_items: List[str] = []
-        self.where: List[str] = []
-        self.params: List[object] = []
-        self.columns: List[Tuple[str, _ColRef]] = []
-
-    def resolve(self, column: str) -> _ColRef:
-        """The column *column* names, resolved as the algebra evaluator
-        resolves it (:func:`~repro.obda.sql.algebra._resolve`)."""
-        names = tuple([name for name, _ in self.columns])
-        return self.columns[_resolve(names, column)][1]
-
-
-class _Compiler:
-    """Compile one unfolded part's algebra tree into a flat SELECT."""
-
-    def __init__(self, database: Database):
-        self.database = database
-        self.tables: Dict[str, object] = {}  # name -> Table, in first-use order
-        self._alias_counter = 0
-
-    def fresh_alias(self) -> str:
-        alias = f"a{self._alias_counter}"
-        self._alias_counter += 1
-        return alias
-
-    def flatten(self, expression: Expression) -> _Frame:
-        if isinstance(expression, Scan):
-            table = self.database.table(expression.table)
-            self.tables.setdefault(expression.table, table)
-            alias = self.fresh_alias()
-            frame = _Frame()
-            frame.from_items.append(
-                f"{_quote('d_' + expression.table)} AS {alias}"
-            )
-            label = expression.label
-            frame.columns = [
-                (f"{label}.{column}", _ColRef(alias, position))
-                for position, column in enumerate(table.columns)
-            ]
-            return frame
-        if isinstance(expression, Rename):
-            frame = self.flatten(expression.source)
-            frame.columns = [
-                (f"{expression.prefix}.{_strip(name)}", ref)
-                for name, ref in frame.columns
-            ]
-            return frame
-        if isinstance(expression, Selection):
-            frame = self.flatten(expression.source)
-            for condition in expression.conditions:
-                self._compile_condition(condition, frame)
-            return frame
-        if isinstance(expression, Join):
-            left = self.flatten(expression.left)
-            right = self.flatten(expression.right)
-            frame = _Frame()
-            frame.from_items = left.from_items + right.from_items
-            frame.where = left.where + right.where
-            frame.params = left.params + right.params
-            frame.columns = left.columns + right.columns
-            for left_name, right_name in expression.on:
-                frame.where.append(
-                    f"{left.resolve(left_name).t} = {right.resolve(right_name).t}"
-                )
-            return frame
-        if isinstance(expression, Projection):
-            frame = self.flatten(expression.source)
-            names = expression.names or tuple(
-                _strip(column) for column in expression.columns
-            )
-            # DISTINCT is intentionally dropped: every unfolded part is
-            # consumed as a set (final UNION / answer-set dedup), so
-            # inner dedup only affects multiplicity, never membership —
-            # and a flat SELECT lets SQLite order the whole part's joins.
-            frame.columns = [
-                (name, frame.resolve(column))
-                for column, name in zip(expression.columns, names)
-            ]
-            return frame
-        if isinstance(expression, UnionAll):
-            return self._flatten_union(expression)
-        raise MappingError(f"not an algebra expression: {expression!r}")
-
-    def _flatten_union(self, expression: UnionAll) -> _Frame:
-        branches: List[Tuple[str, List[object], List[Tuple[str, _ColRef]]]] = []
-        for part in expression.parts:
-            inner = self.flatten(part)
-            select_list = ", ".join(
-                f"{ref.v} AS c{i}_v, {ref.t} AS c{i}_t"
-                for i, (_, ref) in enumerate(inner.columns)
-            )
-            sql = f"SELECT {select_list} FROM {', '.join(inner.from_items)}"
-            if inner.where:
-                sql += " WHERE " + " AND ".join(inner.where)
-            branches.append((sql, inner.params, inner.columns))
-        width = len(branches[0][2])
-        for _, _, columns in branches[1:]:
-            if len(columns) != width:
-                raise MappingError("UNION branches have different arities")
-        alias = self.fresh_alias()
-        frame = _Frame()
-        frame.from_items.append(
-            "(" + " UNION ALL ".join(sql for sql, _, _ in branches) + f") AS {alias}"
-        )
-        for _, params, _ in branches:
-            frame.params.extend(params)
-        frame.columns = [
-            (name, _ColRef(alias, position))
-            for position, (name, _) in enumerate(branches[0][2])
-        ]
-        return frame
-
-    def _compile_condition(self, condition: Condition, frame: _Frame) -> None:
-        if condition.operator not in ("=", "!="):
-            raise MappingError(f"unsupported operator {condition.operator!r}")
-        operator = "=" if condition.operator == "=" else "<>"
-        left_const = isinstance(condition.left, Const)
-        right_const = isinstance(condition.right, Const)
-        if left_const and right_const:
-            equal = str(condition.left.value) == str(condition.right.value)
-            frame.where.append("1" if equal == (operator == "=") else "0")
-        elif left_const or right_const:
-            constant = (condition.left if left_const else condition.right).value
-            column = condition.right if left_const else condition.left
-            frame.where.append(f"{frame.resolve(column).t} {operator} ?")
-            frame.params.append(str(constant))
+    A constant position is bound as a parameter, each later column of a
+    class slot equals the slot's first column (in atom, then position
+    order), and each ``unequal`` pair is a ``<>``.  The output columns
+    follow *readers*: a template reads the ``_t`` column of each of its
+    positions, a raw value reader the ``(_v, _t)`` pair of its one.
+    """
+    where: List[str] = []
+    params: List[str] = []
+    first: Dict[int, str] = {}  # class slot -> its first column
+    captured: Dict[int, str] = {}  # output slot -> its column, unsuffixed
+    for atom, (shape, captures) in enumerate(zip(cq.shapes, cq.captures)):
+        for position, part in enumerate(shape):
+            if part is None:
+                continue
+            column = f"a{atom}.c{position}_t"
+            if part.__class__ is str:
+                where.append(f"{column} = ?")
+                params.append(part)
+            elif part in first:
+                where.append(f"{column} = {first[part]}")
+            else:
+                first[part] = column
+        for position, slot in captures:
+            captured[slot] = f"a{atom}.c{position}"
+    for pair in cq.unequal:
+        sides = []
+        for side in pair:
+            if side.__class__ is str:
+                params.append(side)
+                sides.append("?")
+            else:
+                sides.append(first[side])
+        where.append(" <> ".join(sides))
+    body = "FROM " + ", ".join(
+        [f"{_quote('d_' + table)} AS a{atom}" for atom, table in enumerate(cq.tables)]
+    )
+    if where:
+        body += " WHERE " + " AND ".join(where)
+    outputs: List[str] = []
+    for template, positions in readers:
+        columns = [captured[cq.answer[position]] for position in positions]
+        if template is None:
+            outputs += [f"{columns[0]}_v", f"{columns[0]}_t"]
         else:
-            left = frame.resolve(condition.left).t
-            right = frame.resolve(condition.right).t
-            frame.where.append(f"{left} {operator} {right}")
+            outputs += [f"{column}_t" for column in columns]
+    return outputs, body, params
 
 
 class _CompiledQuery:
     """One unfolded UCQ compiled to ``(sql, params)`` statements of at
-    most :data:`_MAX_COMPOUND_SELECT` parts each, plus the per-part
-    Python answer assemblers."""
+    most :data:`_MAX_COMPOUND_SELECT` SELECTs each, the per-part Python
+    answer assemblers, and the names of the tables the statements read."""
 
-    __slots__ = ("statements", "sql", "assemblers", "tables", "width")
+    __slots__ = ("statements", "sql", "assemblers", "reads")
 
-    def __init__(self, statements, assemblers, tables, width):
+    def __init__(self, statements, assemblers, reads):
         self.statements = statements
         self.sql = ";\n".join(sql for sql, _ in statements)
         self.assemblers = assemblers
-        self.tables = tables
-        self.width = width
+        self.reads = reads
 
 
-def _make_assembler(recipes):
+def _make_assembler(readers):
     """Build the row → answer tuple function for one part.
 
-    The SELECT list for the part was laid out by :func:`_compile_part`:
-    template recipes contribute one ``_t`` column per placeholder (exact
+    Each SELECT of the part laid out its outputs by :func:`_render`:
+    template readers contribute one ``_t`` column per position (exact
     string forms, so ``str(value)`` substitution is the identity), raw
-    value recipes contribute a ``(_v, _t)`` pair for faithful decoding.
+    value readers a ``(_v, _t)`` pair for faithful decoding.
     """
     specs = []
     offset = 0
-    for recipe in recipes:
-        width = 2 if recipe.template is None else len(recipe.columns)
-        specs.append((recipe.template, offset, offset + width))
+    for template, positions in readers:
+        width = 2 if template is None else len(positions)
+        specs.append((template, offset, offset + width))
         offset += width
 
     def assemble(row) -> Tuple:
@@ -317,11 +204,9 @@ def _make_assembler(recipes):
     return assemble
 
 
-def _part_width(recipes) -> int:
-    return sum(
-        2 if recipe.template is None else len(recipe.columns)
-        for recipe in recipes
-    )
+def _columns(tables: Dict[str, Table]) -> Tuple[Tuple[str, ...], ...]:
+    """The statement cache's key: the columns of *tables*, in order."""
+    return tuple([table.columns for table in tables.values()])
 
 
 class _LoadState(NamedTuple):
@@ -335,12 +220,12 @@ class _LoadState(NamedTuple):
 
 class SqliteBackend:
     """Materialize the source tables in SQLite and push unfolded UCQs
-    down as SQL statements of at most 500 parts each.
+    down as SQL statements of at most 500 SELECTs each.
 
     One backend is bound to one :class:`Database` (the raw one — retry
-    wrappers are passed per call, mirroring ``StatisticsCatalog``) and
-    is safe to share across threads: the connection is serialized by a
-    lock, answer assembly runs outside it.
+    wrappers are passed per call) and is safe to share across threads:
+    the connection is serialized by a lock, answer assembly runs outside
+    it.
 
     ``path=None`` keeps the materialized copy in ``:memory:``; a file
     path persists it across backends, but each new backend *reloads*
@@ -371,6 +256,8 @@ class SqliteBackend:
         cursor.execute("PRAGMA temp_store = MEMORY")
         cursor.execute("PRAGMA cache_size = -65536")
         self._loaded: Dict[str, _LoadState] = {}
+        #: unfolding -> (the names of the tables it scans, {their
+        #: columns: the statements rendered for them})
         self._compiled = weakref.WeakKeyDictionary()
         self._stats = {
             "statement_hits": 0,
@@ -479,57 +366,59 @@ class SqliteBackend:
 
     # -- compilation -------------------------------------------------------------
 
-    def _compile(self, unfolded, database: Database) -> _CompiledQuery:
-        compiler = _Compiler(database)
-        width = max(
-            (_part_width(recipes) for _, recipes in unfolded.parts), default=0
-        )
-        selects: List[str] = []
-        params: List[List[object]] = []
+    def _compile(
+        self, unfolded, database: Database, budget: Optional[Budget] = None
+    ) -> Tuple[_CompiledQuery, Dict[str, Table]]:
+        """*unfolded* as SQL, and the tables it scans by name, looked up
+        through *database*.
+
+        Each table CQ of a part
+        (:meth:`~repro.obda.rewriting.unfolding.UnfoldedQuery.converted`:
+        the conversions the SQL join runs) is one SELECT tagged with its
+        part and padded with NULLs to the widest; a CQ without outputs
+        asks ``WHERE EXISTS``.  A part with no satisfiable CQ renders
+        none, and an unfolding of such parts no statement.
+        """
+        selects: List[Tuple[int, List[str], str, List[str]]] = []
         assemblers = []
-        for index, (expression, recipes) in enumerate(unfolded.parts):
-            frame = compiler.flatten(expression)
-            pads = ["NULL"] * (width - _part_width(recipes))
-            if recipes:
-                exprs: List[str] = []
-                for recipe in recipes:
-                    refs = [frame.resolve(column) for column in recipe.columns]
-                    if recipe.template is None:
-                        exprs.extend([refs[0].v, refs[0].t])
-                    else:
-                        exprs.extend(ref.t for ref in refs)
-                select_list = ", ".join(exprs + pads + [f"{index}"])
-                sql = f"SELECT {select_list} FROM {', '.join(frame.from_items)}"
-                if frame.where:
-                    sql += " WHERE " + " AND ".join(frame.where)
-            else:
-                # Boolean part: one row iff the join is non-empty.
-                inner = f"SELECT 1 FROM {', '.join(frame.from_items)}"
-                if frame.where:
-                    inner += " WHERE " + " AND ".join(frame.where)
-                select_list = ", ".join(pads + [f"{index}"])
-                sql = f"SELECT {select_list} WHERE EXISTS ({inner})"
-            selects.append(sql)
-            params.append(frame.params)
-            assemblers.append(_make_assembler(recipes))
+        tables: Dict[str, Table] = {}
+        reads: Dict[str, None] = {}
+        for index, (scanned, cqs, readers) in enumerate(
+            unfolded.converted(database.table, budget)
+        ):
+            tables.update(scanned)
+            assemblers.append(_make_assembler(readers))
+            for cq in cqs:
+                reads.update(dict.fromkeys(cq.tables))
+                selects.append((index,) + _render(cq, readers))
+        width = max((len(outputs) for _, outputs, _, _ in selects), default=0)
         statements = []
         for start in range(0, len(selects), _MAX_COMPOUND_SELECT):
-            chunk = selects[start : start + _MAX_COMPOUND_SELECT]
-            if len(chunk) == 1:
-                statement = "SELECT DISTINCT * FROM (" + chunk[0] + ")"
+            texts: List[str] = []
+            params: List[str] = []
+            for index, outputs, body, part_params in selects[
+                start : start + _MAX_COMPOUND_SELECT
+            ]:
+                pads = ["NULL"] * (width - len(outputs))
+                columns = ", ".join(outputs + pads + [f"{index}"])
+                if outputs:
+                    texts.append(f"SELECT {columns} {body}")
+                else:
+                    # Boolean part: one row iff the join is non-empty.
+                    texts.append(f"SELECT {columns} WHERE EXISTS (SELECT 1 {body})")
+                params.extend(part_params)
+            if len(texts) == 1:
+                statement = "SELECT DISTINCT * FROM (" + texts[0] + ")"
             else:
-                statement = "\nUNION\n".join(chunk)
-            chunk_params = params[start : start + _MAX_COMPOUND_SELECT]
-            statements.append(
-                (statement, tuple(p for part in chunk_params for p in part))
-            )
-        return _CompiledQuery(statements, assemblers, compiler.tables, width)
+                statement = "\nUNION\n".join(texts)
+            statements.append((statement, tuple(params)))
+        return _CompiledQuery(statements, assemblers, tuple(reads)), tables
 
     def sql_for(self, unfolded, database: Optional[Database] = None) -> str:
         """The exact statements :meth:`execute_unfolded` would ship,
         separated by ``;``."""
         with self._lock:
-            return self._compile(unfolded, database or self.database).sql
+            return self._compile(unfolded, database or self.database)[0].sql
 
     # -- execution ---------------------------------------------------------------
 
@@ -540,7 +429,7 @@ class SqliteBackend:
         database: Optional[Database] = None,
     ) -> Set[Tuple]:
         """Certain-answer tuples of *unfolded*, pushed down as one
-        statement per 500 parts.
+        statement per 500 SELECTs.
 
         *database* may be a retry-wrapped view of the bound database;
         table resolution (the source access path) goes through it.
@@ -563,18 +452,22 @@ class SqliteBackend:
             with self._lock:
                 if self._closed:
                     raise MappingError("sqlite backend is closed")
-                compiled = self._compiled.get(unfolded)
+                cached = self._compiled.get(unfolded)
+                compiled = None
+                if cached is not None:
+                    # Revalidate the snapshot through the caller's (possibly
+                    # retry-wrapped) access path before reusing a statement.
+                    tables = {name: view.table(name) for name in cached[0]}
+                    compiled = cached[1].get(_columns(tables))
                 if compiled is None:
-                    compiled = self._compile(unfolded, view)
-                    self._compiled[unfolded] = compiled
+                    compiled, tables = self._compile(unfolded, view, budget)
+                    if cached is None:
+                        cached = self._compiled[unfolded] = (tuple(tables), {})
+                    cached[1][_columns(tables)] = compiled
                     self._stats["statement_misses"] += 1
                     metrics.counter("backend.sqlite.statement_misses").inc()
                     span.set("statement_cache", "miss")
                 else:
-                    # Revalidate the snapshot through the caller's (possibly
-                    # retry-wrapped) access path before reusing the statement.
-                    for name in compiled.tables:
-                        compiled.tables[name] = view.table(name)
                     self._stats["statement_hits"] += 1
                     metrics.counter("backend.sqlite.statement_hits").inc()
                     span.set("statement_cache", "hit")
@@ -582,7 +475,9 @@ class SqliteBackend:
                     span.set("sql", compiled.sql)
                 load_started = time.perf_counter()
                 with tracer.span("backend-load") as load_span:
-                    shipped = self._ensure_loaded(compiled.tables, budget)
+                    shipped = self._ensure_loaded(
+                        {name: tables[name] for name in compiled.reads}, budget
+                    )
                     load_span.set("rows_shipped", shipped)
                 load_s = time.perf_counter() - load_started
                 handler_installed = False

@@ -6,8 +6,9 @@ JOIN-WHERE blocks whose conditions compare columns and constants with
 projects such sources.  So every unfolded part is a union of
 conjunctive queries with inequalities over the tables, which the
 compiled join of :mod:`repro.obda.evaluation` runs over the tables' own
-hash indexes (:meth:`~repro.obda.sql.table.Table.index`).
-:func:`table_cqs` converts a tree into those queries:
+hash indexes (:meth:`~repro.obda.sql.table.Table.index`) and
+:class:`~repro.obda.sql.backends.SqliteBackend` renders as SQL, one
+SELECT per query.  :func:`table_cqs` converts a tree into those queries:
 
 * every :class:`~repro.obda.sql.algebra.Scan` is one atom over its
   table, with one argument per column of the table;
@@ -46,6 +47,7 @@ from .algebra import (
     UnionAll,
     _resolve,
     _strip,
+    scans,
 )
 
 __all__ = ["TableCQ", "table_cqs"]
@@ -112,6 +114,7 @@ def table_cqs(
     table: Callable[[str], object],
     outputs: bool = True,
     budget: Optional[Budget] = None,
+    sources: Optional[Dict[int, tuple]] = None,
 ) -> Tuple[Tuple[str, ...], List[TableCQ]]:
     """*expression* as table CQs: its output column names and one query
     per satisfiable branch.  ``table(name)`` serves the table a scan
@@ -121,8 +124,15 @@ def table_cqs(
     they only ask whether the tree has a row.  A join of unions has as
     many branches as the product of theirs, so *budget* is ticked per
     branch built and per branch finished.
+
+    The conversion of each renamed subtree (in an unfolded part, a
+    mapping source) is kept in *sources* for the columns of the tables
+    it scans; a mapping collection passes one, so that the parts of
+    every unfolding over it convert each of its sources once.
     """
-    columns, branches = _convert(expression, table, budget)
+    if sources is None:
+        sources = {}
+    columns, branches = _convert(expression, table, budget, sources)
     cqs = []
     for branch in branches:
         if budget is not None:
@@ -134,16 +144,19 @@ def table_cqs(
 
 
 def _convert(
-    expression: Expression, table: Callable[[str], object], budget: Optional[Budget]
+    expression: Expression,
+    table: Callable[[str], object],
+    budget: Optional[Budget],
+    sources: Dict[int, tuple],
 ) -> Tuple[Tuple[str, ...], List[_Branch]]:
     """The output columns of *expression* and its conjunctive branches,
     resolved in the order the evaluator resolves them."""
     if isinstance(expression, Rename):
-        columns, branches = _convert(expression.source, table, budget)
+        columns, branches = _source(expression.source, table, budget, sources)
         prefix = expression.prefix
         return tuple([f"{prefix}.{_strip(name)}" for name in columns]), branches
     if isinstance(expression, Projection):
-        columns, branches = _convert(expression.source, table, budget)
+        columns, branches = _convert(expression.source, table, budget, sources)
         indices = [_resolve(columns, column) for column in expression.columns]
         names = expression.names or tuple(_strip(columns[i]) for i in indices)
         return tuple(names), [
@@ -151,7 +164,7 @@ def _convert(
             for tables, widths, refs, equal, unequal in branches
         ]
     if isinstance(expression, Selection):
-        columns, branches = _convert(expression.source, table, budget)
+        columns, branches = _convert(expression.source, table, budget, sources)
         conditions = []
         for condition in expression.conditions:
             sides = [
@@ -163,8 +176,8 @@ def _convert(
             conditions.append((sides, condition.operator == "="))
         return columns, [_restrict(branch, conditions) for branch in branches]
     if isinstance(expression, Join):
-        left_columns, lefts = _convert(expression.left, table, budget)
-        right_columns, rights = _convert(expression.right, table, budget)
+        left_columns, lefts = _convert(expression.left, table, budget, sources)
+        right_columns, rights = _convert(expression.right, table, budget, sources)
         left_keys = [_resolve(left_columns, column) for column, _ in expression.on]
         right_keys = [_resolve(right_columns, column) for _, column in expression.on]
         branches = []
@@ -198,13 +211,34 @@ def _convert(
         )
         return tuple([f"{prefix}.{name}" for name in names]), [branch]
     if isinstance(expression, UnionAll):
-        parts = [_convert(part, table, budget) for part in expression.parts]
+        parts = [_convert(part, table, budget, sources) for part in expression.parts]
         width = len(parts[0][0])
         for columns, _ in parts[1:]:
             if len(columns) != width:
                 raise MappingError("UNION branches have different arities")
         return parts[0][0], [branch for _, branches in parts for branch in branches]
     raise TypeError(f"not an algebra expression: {expression!r}")
+
+
+def _source(
+    expression: Expression,
+    table: Callable[[str], object],
+    budget: Optional[Budget],
+    sources: Dict[int, tuple],
+) -> Tuple[Tuple[str, ...], List[_Branch]]:
+    """:func:`_convert` of a renamed *expression*, kept in *sources*
+    under its identity (the entry holds it, so the identity is never
+    reused) per tuple of the columns of the tables it scans."""
+    entry = sources.get(id(expression))
+    if entry is None:
+        names = tuple(dict.fromkeys(scan.table for scan in scans(expression)))
+        entry = sources[id(expression)] = (expression, names, {})
+    _, names, conversions = entry
+    columns = tuple([table(name).columns for name in names])
+    converted = conversions.get(columns)
+    if converted is None:
+        converted = conversions[columns] = _convert(expression, table, budget, sources)
+    return converted
 
 
 def _restrict(branch: _Branch, conditions) -> _Branch:

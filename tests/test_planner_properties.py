@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
+from tests.test_tablecq import SETTINGS, random_database, random_tree
 
 from repro.obda.constraints import (
     ExtensionalConstraints,
@@ -29,17 +30,7 @@ from repro.obda.constraints import (
 )
 from repro.obda.evaluation import MappingExtents, evaluate_ucq
 from repro.obda.queries import UnionQuery
-from repro.obda.sql.algebra import (
-    Condition,
-    Const,
-    Join,
-    Projection,
-    Rename,
-    Scan,
-    Selection,
-    UnionAll,
-    evaluate,
-)
+from repro.obda.sql.algebra import Projection, evaluate
 from repro.obda.sql.database import Database
 from repro.obda.sql.planner import Planner
 from repro.obda.sql.stats import StatisticsCatalog
@@ -50,95 +41,6 @@ from repro.testkit.generators import (
     random_queries,
     random_tiny_tbox,
 )
-
-SETTINGS = settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-def _cell(rng: random.Random, cells):
-    """The integers 0-5, or one of *cells* when given."""
-    return rng.randint(0, 5) if cells is None else rng.choice(cells)
-
-
-def random_database(rng: random.Random, cells=None) -> Database:
-    database = Database("prop")
-    for index in range(rng.randint(2, 4)):
-        width = rng.randint(1, 3)
-        columns = [f"c{j}" for j in range(width)]
-        rows = [
-            tuple(_cell(rng, cells) for _ in range(width))
-            for _ in range(rng.randint(0, 12))
-        ]
-        database.create_table(f"t{index}", columns, rows)
-    return database
-
-
-def random_source(rng: random.Random, table, cells=None, unions=False):
-    """A mapping-source-shaped factor body: a scan, sometimes filtered by
-    a constant, sometimes projected (DISTINCT or not), and with *unions*
-    sometimes united with a filtered scan of the same columns.  Returns
-    it with its output column names."""
-    source = Scan(table.name)
-    columns = [f"{table.name}.{column}" for column in table.columns]
-    if rng.random() < 0.3:
-        source = Selection(
-            source, (Condition(rng.choice(columns), Const(_cell(rng, cells)), "="),)
-        )
-    if rng.random() < 0.5:
-        kept = rng.sample(columns, rng.randint(1, len(columns)))
-        source = Projection(source, tuple(kept), distinct=rng.random() < 0.7)
-        columns = kept
-    if unions and rng.random() < 0.4:
-        other = Selection(
-            Scan(table.name),
-            (Condition(rng.choice(columns), Const(_cell(rng, cells)), "!="),),
-        )
-        source = UnionAll((source, Projection(other, tuple(columns), distinct=False)))
-    return source, [column.split(".")[1] for column in columns]
-
-
-def random_tree(rng: random.Random, database: Database, cells=None, unions=False):
-    """A random unfolder-shaped tree: Selection over a Join of Renames,
-    over sources of :func:`random_source`; constants are drawn like the
-    cells of :func:`random_database`."""
-    names = sorted(table.name for table in database.tables())
-    count = rng.randint(1, min(3, len(names)))
-    picked = [rng.choice(names) for _ in range(count)]
-    sources = []
-    columns = []
-    for i, name in enumerate(picked):
-        source, outputs = random_source(rng, database.table(name), cells, unions)
-        sources.append(Rename(source, f"q{i}"))
-        columns += [f"q{i}.{output}" for output in outputs]
-    tree = sources[0]
-    for source in sources[1:]:
-        tree = Join(tree, source, on=())
-    conditions = []
-    for _ in range(rng.randint(0, 3)):
-        kind = rng.random()
-        left = rng.choice(columns)
-        if kind < 0.6:
-            conditions.append(Condition(left, rng.choice(columns), "="))
-        elif kind < 0.8:
-            conditions.append(Condition(left, Const(_cell(rng, cells)), "="))
-        else:
-            conditions.append(Condition(left, rng.choice(columns), "!="))
-    if conditions:
-        tree = Selection(tree, tuple(conditions))
-    if rng.random() < 0.7:
-        width = rng.randint(1, min(3, len(columns)))
-        chosen = rng.sample(columns, width)
-        tree = Projection(
-            tree,
-            tuple(chosen),
-            names=tuple(f"o{i}" for i in range(width)),
-            distinct=rng.random() < 0.5,
-        )
-    return tree
-
 
 @SETTINGS
 @given(st.integers(0, 10_000))

@@ -18,6 +18,7 @@ from repro.dllite import AtomicAttribute, AtomicConcept, AtomicRole
 from repro.dllite.abox import Individual
 from repro.dllite.parser import parse_tbox
 from repro.errors import ReproError, TimeoutExceeded
+from repro.obda.cq_parser import parse_query
 from repro.obda.mapping import (
     IriTemplate,
     MappingAssertion,
@@ -25,7 +26,7 @@ from repro.obda.mapping import (
     TargetAtom,
     ValueColumn,
 )
-from repro.obda.cq_parser import parse_query
+from repro.obda.rewriting import unfolding
 from repro.obda.rewriting.unfolding import unfold
 from repro.obda.sql.backends import SqliteBackend, _decode_raw, _encode_cell
 from repro.obda.sql.database import Database
@@ -325,6 +326,51 @@ def test_templates_that_render_one_iri_from_different_splits(answer):
     assert answer(system, "q() :- B('a/b/c/d')") == {()}
 
 
+def _clubs_system():
+    """Professors filtered by role, members by a UNION source whose first
+    branch is filtered by club, and staff by an inequality on role."""
+    database = Database("clubs")
+    database.create_table("staff", ["id", "role"], [(1, "prof"), (2, "lect"), (3, "prof")])
+    database.create_table(
+        "a_members", ["pid", "club"], [(1, "chess"), (2, "chess"), (3, "go")]
+    )
+    database.create_table("b_members", ["pid"], [(3,)])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT id FROM staff WHERE role = 'prof'",
+                [TargetAtom(AtomicConcept("Professor"), (IriTemplate("p/{id}"),))],
+            ),
+            MappingAssertion(
+                "SELECT pid FROM a_members WHERE club = 'chess' "
+                "UNION SELECT pid FROM b_members",
+                [TargetAtom(AtomicConcept("Member"), (IriTemplate("p/{pid}"),))],
+            ),
+            MappingAssertion(
+                "SELECT id FROM staff WHERE role != 'lect'",
+                [TargetAtom(AtomicConcept("Staff"), (IriTemplate("p/{id}"),))],
+            ),
+        ]
+    )
+    tbox = parse_tbox("concept Professor, Member, Staff")
+    return OBDASystem(tbox, mappings, database)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "q(x) :- Professor(x), Member(x)",
+        "q(x) :- Member(x), Professor(x)",
+        "q(x) :- Staff(x), Professor(x)",
+    ],
+)
+@pytest.mark.parametrize("answer", FIVE_PATHS, ids=FIVE_PATH_IDS)
+def test_constants_bind_in_the_order_their_placeholders_appear(answer, query):
+    """Filtered sources, a UNION source and an inequality joined: each
+    constant must bind to its own ``?``, whichever atom comes first."""
+    assert _subjects(_clubs_system(), query, answer) == {"p/1", "p/3"}
+
+
 def test_raw_value_answers_decode_faithfully():
     database = Database("hr")
     database.create_table(
@@ -488,6 +534,51 @@ def test_statement_cache_revalidates_generation():
     assert after == before | {(Individual("person/42"),)}
 
 
+def test_a_statement_serves_only_tables_of_its_columns(monkeypatch):
+    calls = []
+    convert = unfolding.table_cqs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(unfolding, "table_cqs", counting)
+    first = Database("staff")
+    first.create_table("staff", ["id", "dept"], [(1, "a"), (2, "b")])
+    swapped = Database("staff")
+    swapped.create_table("staff", ["dept", "id"], [("a", 1), ("b", 2), ("c", 3)])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT id, dept FROM staff",
+                [
+                    TargetAtom(
+                        AtomicRole("worksIn"),
+                        (IriTemplate("p/{id}"), IriTemplate("d/{dept}")),
+                    )
+                ],
+            )
+        ]
+    )
+    unfolded = unfold(parse_query("q(x, y) :- worksIn(x, y)"), mappings)
+    backend = SqliteBackend(first)
+    expected = {
+        (Individual(f"p/{i}"), Individual(f"d/{dept}")) for i, dept in ((1, "a"), (2, "b"))
+    }
+    assert backend.execute_unfolded(unfolded) == expected
+    assert backend.execute_unfolded(unfolded) == expected
+    assert len(calls) == 1
+    # the same table name with its columns in another order: compiled
+    # again, not read through the first statement's positions
+    assert backend.execute_unfolded(unfolded, database=swapped) == expected | {
+        (Individual("p/3"), Individual("d/c"))
+    }
+    assert len(calls) == 2
+    assert backend.execute_unfolded(unfolded) == expected
+    assert len(calls) == 2
+    assert backend.stats()["statement_misses"] == 2
+
+
 # -- SQL shapes ----------------------------------------------------------------
 
 
@@ -558,31 +649,86 @@ def test_numeric_constant_selection_matches_equal_semantics():
     assert {answer[0].name for answer in got} == {"p/1", "p/2"}
 
 
-def test_unfolding_past_the_compound_select_limit_is_chunked():
-    # SQLite unites at most 500 SELECTs in one compound statement; an
-    # unfolding of 520 parts runs as two statements with united answers.
+@pytest.mark.parametrize("parts, branches", [(520, 1), (20, 30)])
+def test_unfolding_past_the_compound_select_limit_is_chunked(parts, branches):
+    # SQLite unites at most 500 SELECTs in one compound statement: 520
+    # parts, or 20 parts whose UNION sources have 30 branches each, run
+    # as two statements with united answers.
+    kinds = parts * branches
     database = Database("wide")
     database.create_table(
-        "facts", ["id", "kind"], [(i, f"k{i % 520}") for i in range(1040)]
+        "facts", ["id", "kind"], [(i, f"k{i % kinds}") for i in range(2 * kinds)]
     )
     mappings = MappingCollection(
         [
             MappingAssertion(
-                f"SELECT id FROM facts WHERE kind = 'k{i}'",
+                " UNION ".join(
+                    f"SELECT id FROM facts WHERE kind = 'k{branches * i + j}'"
+                    for j in range(branches)
+                ),
                 [TargetAtom(AtomicConcept("Professor"), (IriTemplate("p/{id}"),))],
             )
-            for i in range(520)
+            for i in range(parts)
         ]
     )
     naive = OBDASystem(TBOX, mappings, database)
     sqlite = OBDASystem(TBOX, mappings, database)
     query = "q(x) :- Professor(x)"
     expected = naive_sql_answers(naive, query)
-    assert len(expected) == 1040
+    assert len(expected) == 2 * kinds
     assert sqlite.certain_answers(query, method="perfectref-sqlite") == expected
     unfolded = unfold(sqlite.rewrite(parse_query(query)), mappings)
-    assert unfolded.size == 520
-    assert sqlite.sql_backend().sql_for(unfolded).count(";\n") == 1  # two statements
+    assert unfolded.size == parts
+    sql = sqlite.sql_backend().sql_for(unfolded)
+    assert sql.count(";\n") == 1  # two statements
+    assert sql.count("SELECT") == kinds
+
+
+def _unsatisfiable_system():
+    """``Professor`` from a source no row satisfies, ``Lecturer`` not."""
+    database, _ = _campus()
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT id FROM staff WHERE role = 'prof' AND role = 'lect'",
+                [TargetAtom(AtomicConcept("Professor"), (IriTemplate("person/{id}"),))],
+            ),
+            MappingAssertion(
+                "SELECT id FROM staff WHERE role = 'lect'",
+                [TargetAtom(AtomicConcept("Lecturer"), (IriTemplate("person/{id}"),))],
+            ),
+        ]
+    )
+    return OBDASystem(TBOX, mappings, database)
+
+
+def test_an_unsatisfiable_part_renders_no_select():
+    system = _unsatisfiable_system()
+    query = "q(x) :- Teacher(x)"
+    unfolded = unfold(system.rewrite(parse_query(query)), system.mappings)
+    assert unfolded.size == 2
+    sql = system.sql_backend().sql_for(unfolded)
+    assert sql.count('"d_staff" AS') == 1  # the Lecturer part's one SELECT
+    expected = naive_sql_answers(_unsatisfiable_system(), query)
+    assert system.certain_answers(query, method="perfectref-sqlite") == expected
+    assert {str(individual) for (individual,) in expected} == {"person/2", "person/True"}
+
+
+def test_an_unfolding_of_unsatisfiable_parts_executes_no_statement():
+    system = _unsatisfiable_system()
+    backend = system.sql_backend()
+    unfolded = unfold(parse_query("q(x) :- Professor(x)"), system.mappings)
+    assert unfolded.size == 1
+    assert backend.sql_for(unfolded) == ""
+    statements = []
+    backend._connection.set_trace_callback(statements.append)
+    tracer = Tracer("unsatisfiable")
+    with use_tracer(tracer):
+        assert backend.execute_unfolded(unfolded) == set()
+    assert statements == []  # nothing loaded, nothing queried
+    span, load = _pushdown(tracer)
+    assert span.attributes["rows_fetched"] == 0
+    assert load.attributes["rows_shipped"] == {}
 
 
 def test_empty_unfolding_returns_empty_set():

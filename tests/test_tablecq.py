@@ -5,7 +5,9 @@ and run through the compiled join over the tables' hash indexes
 (:func:`~repro.obda.evaluation.evaluate_table_cqs`).  The algebra
 evaluator is the reference: the join's rows must be the evaluator's, as
 sets under ``(join_key(row), row)``, so ``1``, ``"1"``, ``1.0`` and
-``True`` stay four cells.
+``True`` stay four cells, and sqlite's answers over the SQL it renders
+from the same table CQs must be the evaluator's answers.  The random
+algebra trees here also serve the planner's properties.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
-from tests.test_planner_properties import SETTINGS, random_database, random_tree
+from hypothesis import HealthCheck, given, settings
 
 from repro.dllite import AtomicConcept, Individual, parse_tbox
 from repro.errors import MappingError, PermanentSourceError, TimeoutExceeded
@@ -28,6 +29,7 @@ from repro.obda.mapping import (
 )
 from repro.obda.rewriting import unfolding
 from repro.obda.rewriting.unfolding import UnfoldedQuery, unfold
+from repro.obda.sql import tablecq
 from repro.obda.sql.algebra import (
     Condition,
     Const,
@@ -36,8 +38,10 @@ from repro.obda.sql.algebra import (
     Rename,
     Scan,
     Selection,
+    UnionAll,
     evaluate,
 )
+from repro.obda.sql.backends import SqliteBackend
 from repro.obda.sql.database import Database
 from repro.obda.sql.sqlparser import parse_sql
 from repro.obda.sql.table import join_key
@@ -55,6 +59,94 @@ from repro.runtime import (
 #: cells sharing a string form (1 and "1") or equal under == while
 #: rendering apart (1, 1.0 and True)
 MIXED_CELLS = (0, 1, "1", 1.0, True, 2, "2")
+
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _cell(rng: random.Random, cells):
+    """The integers 0-5, or one of *cells* when given."""
+    return rng.randint(0, 5) if cells is None else rng.choice(cells)
+
+
+def random_database(rng: random.Random, cells=None) -> Database:
+    database = Database("prop")
+    for index in range(rng.randint(2, 4)):
+        width = rng.randint(1, 3)
+        columns = [f"c{j}" for j in range(width)]
+        rows = [
+            tuple(_cell(rng, cells) for _ in range(width))
+            for _ in range(rng.randint(0, 12))
+        ]
+        database.create_table(f"t{index}", columns, rows)
+    return database
+
+
+def random_source(rng: random.Random, table, cells=None, unions=False):
+    """A mapping-source-shaped factor body: a scan, sometimes filtered by
+    a constant, sometimes projected (DISTINCT or not), and with *unions*
+    sometimes united with a filtered scan of the same columns.  Returns
+    it with its output column names."""
+    source = Scan(table.name)
+    columns = [f"{table.name}.{column}" for column in table.columns]
+    if rng.random() < 0.3:
+        source = Selection(
+            source, (Condition(rng.choice(columns), Const(_cell(rng, cells)), "="),)
+        )
+    if rng.random() < 0.5:
+        kept = rng.sample(columns, rng.randint(1, len(columns)))
+        source = Projection(source, tuple(kept), distinct=rng.random() < 0.7)
+        columns = kept
+    if unions and rng.random() < 0.4:
+        other = Selection(
+            Scan(table.name),
+            (Condition(rng.choice(columns), Const(_cell(rng, cells)), "!="),),
+        )
+        source = UnionAll((source, Projection(other, tuple(columns), distinct=False)))
+    return source, [column.split(".")[1] for column in columns]
+
+
+def random_tree(rng: random.Random, database: Database, cells=None, unions=False):
+    """A random unfolder-shaped tree: Selection over a Join of Renames,
+    over sources of :func:`random_source`; constants are drawn like the
+    cells of :func:`random_database`."""
+    names = sorted(table.name for table in database.tables())
+    count = rng.randint(1, min(3, len(names)))
+    picked = [rng.choice(names) for _ in range(count)]
+    sources = []
+    columns = []
+    for i, name in enumerate(picked):
+        source, outputs = random_source(rng, database.table(name), cells, unions)
+        sources.append(Rename(source, f"q{i}"))
+        columns += [f"q{i}.{output}" for output in outputs]
+    tree = sources[0]
+    for source in sources[1:]:
+        tree = Join(tree, source, on=())
+    conditions = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.random()
+        left = rng.choice(columns)
+        if kind < 0.6:
+            conditions.append(Condition(left, rng.choice(columns), "="))
+        elif kind < 0.8:
+            conditions.append(Condition(left, Const(_cell(rng, cells)), "="))
+        else:
+            conditions.append(Condition(left, rng.choice(columns), "!="))
+    if conditions:
+        tree = Selection(tree, tuple(conditions))
+    if rng.random() < 0.7:
+        width = rng.randint(1, min(3, len(columns)))
+        chosen = rng.sample(columns, width)
+        tree = Projection(
+            tree,
+            tuple(chosen),
+            names=tuple(f"o{i}" for i in range(width)),
+            distinct=rng.random() < 0.5,
+        )
+    return tree
 
 
 def _identities(rows):
@@ -80,6 +172,16 @@ def test_join_of_random_trees_equals_the_evaluator(seed):
     assert _joined(tree, database) == _identities(result.rows)
     # without outputs the queries only ask whether there is a row
     assert bool(_joined(tree, database, outputs=False)) == bool(result.rows)
+    # sqlite renders the same queries: the tree as an unfolding of one
+    # part that answers each output column raw, and as a boolean part
+    recipes = tuple(unfolding._VarSource(None, (column,)) for column in columns)
+    backend = SqliteBackend(database)
+    try:
+        for part in ((tree, recipes), (tree, ())):
+            unfolded = UnfoldedQuery([part], len(part[1]))
+            assert backend.execute_unfolded(unfolded) == unfolded.execute(database)
+    finally:
+        backend.close()
 
 
 def _cells_database():
@@ -293,6 +395,28 @@ def test_a_conversion_serves_only_tables_of_its_columns(monkeypatch):
     assert len(calls) == 2
     assert unfolded.join(first) == expected
     assert len(calls) == 2
+
+
+def test_each_mapping_source_is_converted_once_per_collection(monkeypatch):
+    calls = []
+    convert = tablecq._convert
+
+    def counting(expression, *args):
+        calls.append(expression)
+        return convert(expression, *args)
+
+    monkeypatch.setattr(tablecq, "_convert", counting)
+    mappings = _staff_mappings()
+    (source,) = [assertion.source for assertion in mappings]
+    first = _staff()
+    for query in ("q(x) :- Professor(x)", "q() :- Professor(x)"):
+        assert unfold(_ucq(query), mappings).join(first)
+    assert sum(expression is source for expression in calls) == 1
+    # a table with its columns in another order: the source is converted
+    # again, once
+    for query in ("q(x) :- Professor(x)", "q() :- Professor(x)"):
+        assert unfold(_ucq(query), mappings).join(_staff(swapped=True))
+    assert sum(expression is source for expression in calls) == 2
 
 
 def test_an_unfolding_cache_hit_converts_nothing(monkeypatch):
