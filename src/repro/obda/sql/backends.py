@@ -30,8 +30,20 @@ the replica stores every logical column ``i`` as two physical columns
 Loading is incremental: tables are bulk-loaded via ``executemany``
 batches, and after inserts only the rows appended since are shipped, by
 the table stamps every reader of an append-only table shares
-(:meth:`~repro.obda.sql.table.Table.appended`).  Compiled statements
-are cached per unfolded query and the columns of the tables it scans
+(:meth:`~repro.obda.sql.table.Table.appended`).  Each replica row is
+keyed by its 1-based position in the source table (its ``rowid``, an
+``INTEGER PRIMARY KEY`` set on insert), so ``rowid > n`` selects
+exactly the rows appended after the first *n*, however the replica was
+loaded.  A table loads in one transaction: a load that fails part-way
+rolls back, and the replica keeps the rows it had.
+
+Answers grow with appends as the in-memory join's do.  Given the row
+counts that earlier answers read, :meth:`SqliteBackend.execute_unfolded`
+ships the appended rows and runs a *delta statement*: per table CQ, one
+SELECT per atom over a grown table, that atom bounded by
+``a<i>.rowid > ?``, so only the answers that read an appended row come
+back.  Compiled statements, full and delta, are cached per unfolded
+query, the columns of the tables it scans and the set of grown tables
 (SQLite additionally caches the prepared statement by SQL text), and
 ``runtime.budget`` deadlines are enforced
 *inside* SQLite through a progress handler that aborts the statement
@@ -52,7 +64,7 @@ import sqlite3
 import threading
 import time
 import weakref
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from ...errors import MappingError
 from ...obs.metrics import global_metrics
@@ -109,19 +121,31 @@ def _decode_raw(raw, text):
     return raw
 
 
-def _render(cq, readers) -> Tuple[List[str], str, List[str]]:
+class _Since(NamedTuple):
+    """The parameter of a delta SELECT's ``a<i>.rowid > ?``: the rows of
+    *table* the earlier answers read, bound per execution."""
+
+    table: str
+
+
+def _render(cq, readers, bounded: Optional[int] = None) -> Tuple[List[str], str, list]:
     """Table CQ *cq* as the parts of one flat SELECT: its output columns,
     its ``FROM … [WHERE …]`` body over ``"d_<table>" AS a<i>``, and the
     body's parameters in the order their ``?`` appear.
 
     A constant position is bound as a parameter, each later column of a
     class slot equals the slot's first column (in atom, then position
-    order), and each ``unequal`` pair is a ``<>``.  The output columns
-    follow *readers*: a template reads the ``_t`` column of each of its
+    order), and each ``unequal`` pair is a ``<>``.  Atom *bounded*, when
+    given, reads only the rows past a bound: ``a<bounded>.rowid > ?``,
+    its parameter a :class:`_Since`.  The output columns follow
+    *readers*: a template reads the ``_t`` column of each of its
     positions, a raw value reader the ``(_v, _t)`` pair of its one.
     """
     where: List[str] = []
-    params: List[str] = []
+    params: list = []
+    if bounded is not None:
+        where.append(f"a{bounded}.rowid > ?")
+        params.append(_Since(cq.tables[bounded]))
     first: Dict[int, str] = {}  # class slot -> its first column
     captured: Dict[int, str] = {}  # output slot -> its column, unsuffixed
     for atom, (shape, captures) in enumerate(zip(cq.shapes, cq.captures)):
@@ -162,10 +186,19 @@ def _render(cq, readers) -> Tuple[List[str], str, List[str]]:
     return outputs, body, params
 
 
+def _bind(params: tuple, since: Dict[str, int]) -> tuple:
+    """A delta statement's *params*, each :class:`_Since` bound to the
+    row count *since* gives its table."""
+    return tuple(
+        [since[param.table] if param.__class__ is _Since else param for param in params]
+    )
+
+
 class _CompiledQuery:
     """One unfolded UCQ compiled to ``(sql, params)`` statements of at
     most :data:`_MAX_COMPOUND_SELECT` SELECTs each, the per-part Python
-    answer assemblers, and the names of the tables the statements read."""
+    answer assemblers, and the names of the tables the statements read.
+    A delta statement's params hold a :class:`_Since` per bound."""
 
     __slots__ = ("statements", "sql", "assemblers", "reads")
 
@@ -205,13 +238,15 @@ def _make_assembler(readers):
 
 
 def _columns(tables: Dict[str, Table]) -> Tuple[Tuple[str, ...], ...]:
-    """The statement cache's key: the columns of *tables*, in order."""
+    """The columns of *tables*, in order: with the set of grown tables,
+    the statement cache's key."""
     return tuple([table.columns for table in tables.values()])
 
 
 class _LoadState(NamedTuple):
     """A table as the replica holds it: the table's identity and
-    columns, and its stamp as of the rows shipped."""
+    columns, and its stamp as of the rows shipped (the replica holds
+    rows ``1`` to ``stamp.count`` of it, each at its position)."""
 
     table_id: int
     columns: Tuple[str, ...]
@@ -247,8 +282,12 @@ class SqliteBackend:
         self.batch_size = batch_size
         self.progress_stride = progress_stride
         self._lock = threading.RLock()
+        # isolation_level=None: no implicit transactions; each table
+        # load is one explicit BEGIN ... COMMIT (see _ensure_loaded)
         self._connection = sqlite3.connect(
-            path if path is not None else ":memory:", check_same_thread=False
+            path if path is not None else ":memory:",
+            check_same_thread=False,
+            isolation_level=None,
         )
         cursor = self._connection
         cursor.execute("PRAGMA synchronous = OFF")
@@ -275,7 +314,11 @@ class SqliteBackend:
         physical = _quote(f"d_{name}")
         self._connection.execute(f"DROP TABLE IF EXISTS {physical}")
         columns = ", ".join(f"c{i}_v, c{i}_t" for i in range(column_count))
-        self._connection.execute(f"CREATE TABLE {physical} ({columns})")
+        # the declared INTEGER PRIMARY KEY is the rowid itself, which
+        # no VACUUM renumbers
+        self._connection.execute(
+            f"CREATE TABLE {physical} (rowid INTEGER PRIMARY KEY, {columns})"
+        )
 
     def _create_indexes(self, name: str, column_count: int) -> None:
         physical = _quote(f"d_{name}")
@@ -286,17 +329,19 @@ class SqliteBackend:
             )
 
     def _ship_rows(
-        self, name: str, column_count: int, rows, budget: Optional[Budget]
+        self, name: str, column_count: int, rows, start: int, budget: Optional[Budget]
     ) -> int:
+        """Insert *rows*, the source rows after the first *start*, each
+        at its position."""
         physical = _quote(f"d_{name}")
-        placeholders = ", ".join("?" for _ in range(2 * column_count))
+        placeholders = ", ".join("?" for _ in range(2 * column_count + 1))
         statement = f"INSERT INTO {physical} VALUES ({placeholders})"
         shipped = 0
         batch: List[Tuple] = []
-        for row in rows:
+        for position, row in enumerate(rows, start + 1):
             if budget is not None:
                 budget.tick(stride=1024)
-            encoded: List[object] = []
+            encoded: List[object] = [position]
             for value in row:
                 encoded.extend(_encode_cell(value))
             batch.append(tuple(encoded))
@@ -310,64 +355,87 @@ class SqliteBackend:
         return shipped
 
     def _ensure_loaded(
-        self, tables: Dict[str, object], budget: Optional[Budget]
-    ) -> Dict[str, int]:
-        """Materialize (or delta-refresh) every referenced table.
+        self, tables: Dict[str, Table], budget: Optional[Budget]
+    ) -> Tuple[Dict[str, int], Dict[str, Stamp]]:
+        """Materialize (or delta-refresh) every table of *tables*.
 
-        Returns rows shipped per table for the ``backend-load`` span.
-        Each loaded table keeps the stamp of the rows shipped
+        Returns per table the rows shipped, for the ``backend-load``
+        span, and per table the stamp of the rows the replica now holds.
+        Each loaded table keeps that stamp
         (:meth:`~repro.obda.sql.table.Table.stamp`); the rows the table
         appended since are shipped as a delta, and a table that lost or
-        replaced rows out of band is reloaded in full.
+        replaced rows out of band is reloaded in full.  Each table loads
+        in one transaction, so a load that fails part-way (a budget
+        abort between batches) leaves the replica and its stamp as they
+        were.
         """
         shipped_report: Dict[str, int] = {}
+        held: Dict[str, Stamp] = {}
         metrics = global_metrics()
+        connection = self._connection
         for name, table in tables.items():
             now = table.stamp()
             state = self._loaded.get(name)
             columns = tuple(table.columns)
-            if state is None or state.table_id != id(table) or state.columns != columns:
-                self._create_table(name, len(columns))
-                shipped = self._ship_rows(name, len(columns), table.rows[: now.count], budget)
-                self._create_indexes(name, len(columns))
-                self._stats["full_loads"] += 1
-                metrics.counter("backend.sqlite.full_loads").inc()
-            else:
-                added = table.appended(state.stamp, now)
-                if added is not None and not added:
-                    shipped_report[name] = 0
-                    continue
-                if added is None:
-                    # Out-of-band edit (monkeypatched rows): resync fully.
-                    self._connection.execute(f"DELETE FROM {_quote(f'd_{name}')}")
+            fresh = state is None or state.table_id != id(table) or state.columns != columns
+            added = None if fresh else table.appended(state.stamp, now)
+            if added is not None and not added:
+                shipped_report[name] = 0
+                held[name] = state.stamp
+                continue
+            connection.execute("BEGIN")
+            try:
+                if fresh:
+                    self._create_table(name, len(columns))
                     shipped = self._ship_rows(
-                        name, len(columns), table.rows[: now.count], budget
+                        name, len(columns), table.rows[: now.count], 0, budget
+                    )
+                    self._create_indexes(name, len(columns))
+                    self._stats["full_loads"] += 1
+                    metrics.counter("backend.sqlite.full_loads").inc()
+                elif added is None:
+                    # Out-of-band edit (monkeypatched rows): resync fully.
+                    connection.execute(f"DELETE FROM {_quote(f'd_{name}')}")
+                    shipped = self._ship_rows(
+                        name, len(columns), table.rows[: now.count], 0, budget
                     )
                     self._stats["full_loads"] += 1
                     metrics.counter("backend.sqlite.full_loads").inc()
                 else:
-                    shipped = self._ship_rows(name, len(columns), added, budget)
+                    shipped = self._ship_rows(
+                        name, len(columns), added, state.stamp.count, budget
+                    )
                     self._stats["delta_loads"] += 1
                     metrics.counter("backend.sqlite.delta_loads").inc()
-            self._connection.commit()
+                connection.execute("COMMIT")
+            except BaseException:
+                if connection.in_transaction:
+                    connection.execute("ROLLBACK")
+                raise
             self._loaded[name] = _LoadState(
                 id(table), columns, now
             )
             self._stats["rows_shipped"] += shipped
             metrics.counter("backend.sqlite.rows_shipped").inc(shipped)
             shipped_report[name] = shipped
-        return shipped_report
+            held[name] = now
+        return shipped_report, held
 
     def invalidate(self) -> None:
-        """Force a full reload on next use (out-of-band mutation only —
-        ordinary inserts are caught by the generation counters)."""
+        """Force a full reload on next use: for rows edited in place,
+        which no table stamp sees (appends, and tables that shrank or
+        were replaced, are caught by the stamps)."""
         with self._lock:
             self._loaded = {}
 
     # -- compilation -------------------------------------------------------------
 
     def _compile(
-        self, unfolded, database: Database, budget: Optional[Budget] = None
+        self,
+        unfolded,
+        database: Database,
+        budget: Optional[Budget] = None,
+        grown: Optional[FrozenSet[str]] = None,
     ) -> Tuple[_CompiledQuery, Dict[str, Table]]:
         """*unfolded* as SQL, and the tables it scans by name, looked up
         through *database*.
@@ -377,9 +445,13 @@ class SqliteBackend:
         the conversions the SQL join runs) is one SELECT tagged with its
         part and padded with NULLs to the widest; a CQ without outputs
         asks ``WHERE EXISTS``.  A part with no satisfiable CQ renders
-        none, and an unfolding of such parts no statement.
+        none, and an unfolding of such parts no statement.  With the
+        names of the *grown* tables, the delta statement: per CQ, one
+        SELECT per atom over a grown table, that atom bounded, and none
+        for a CQ over no grown table; its SELECTs are united by
+        ``UNION ALL``.
         """
-        selects: List[Tuple[int, List[str], str, List[str]]] = []
+        selects: List[Tuple[int, List[str], str, list]] = []
         assemblers = []
         tables: Dict[str, Table] = {}
         reads: Dict[str, None] = {}
@@ -389,13 +461,20 @@ class SqliteBackend:
             tables.update(scanned)
             assemblers.append(_make_assembler(readers))
             for cq in cqs:
+                if grown is None:
+                    bounds: List[Optional[int]] = [None]
+                else:
+                    bounds = [atom for atom, name in enumerate(cq.tables) if name in grown]
+                    if not bounds:
+                        continue
                 reads.update(dict.fromkeys(cq.tables))
-                selects.append((index,) + _render(cq, readers))
+                for bounded in bounds:
+                    selects.append((index,) + _render(cq, readers, bounded))
         width = max((len(outputs) for _, outputs, _, _ in selects), default=0)
         statements = []
         for start in range(0, len(selects), _MAX_COMPOUND_SELECT):
             texts: List[str] = []
-            params: List[str] = []
+            params: list = []
             for index, outputs, body, part_params in selects[
                 start : start + _MAX_COMPOUND_SELECT
             ]:
@@ -407,7 +486,12 @@ class SqliteBackend:
                     # Boolean part: one row iff the join is non-empty.
                     texts.append(f"SELECT {columns} WHERE EXISTS (SELECT 1 {body})")
                 params.extend(part_params)
-            if len(texts) == 1:
+            if grown is not None:
+                # A delta returns few rows, which the answer set dedups:
+                # under DISTINCT, SQLite may scan an index in output
+                # order instead of searching the bounded rowid range.
+                statement = "\nUNION ALL\n".join(texts)
+            elif len(texts) == 1:
                 statement = "SELECT DISTINCT * FROM (" + texts[0] + ")"
             else:
                 statement = "\nUNION\n".join(texts)
@@ -427,6 +511,8 @@ class SqliteBackend:
         unfolded,
         budget: Optional[Budget] = None,
         database: Optional[Database] = None,
+        since: Optional[Dict[str, int]] = None,
+        read: Optional[Dict[str, Tuple[Table, Stamp]]] = None,
     ) -> Set[Tuple]:
         """Certain-answer tuples of *unfolded*, pushed down as one
         statement per 500 SELECTs.
@@ -434,10 +520,19 @@ class SqliteBackend:
         *database* may be a retry-wrapped view of the bound database;
         table resolution (the source access path) goes through it.
 
+        With *since* (table name -> how many of its rows earlier answers
+        read), only the answers that read a later row, by the delta
+        statement (:meth:`_compile`), each bound the count *since* gives.
+        Together with the earlier answers, these are the answers over
+        the grown tables.  *read*, when given, gains each table the
+        statements read, with the stamp of the rows the replica holds of
+        it (:meth:`~repro.obda.sql.table.Table.stamp`).
+
         Runs in a ``backend-exec`` span carrying the part count, the
-        statement-cache outcome, the rows fetched and, under an enabled
-        tracer, the SQL text; its ``backend-load`` child covers the
-        replica refresh and carries the rows shipped per table.
+        statement-cache outcome, the rows fetched, with *since* the
+        ``delta_rows`` past each bound and, under an enabled tracer, the
+        SQL text; its ``backend-load`` child covers the replica refresh
+        and carries the rows shipped per table.
         """
         metrics = global_metrics()
         tracer = current_tracer()
@@ -449,6 +544,7 @@ class SqliteBackend:
                 span.annotate(statement_cache="empty", rows_fetched=0, answers=0)
                 return set()
             view = database if database is not None else self.database
+            grown = None if since is None else frozenset(since)
             with self._lock:
                 if self._closed:
                     raise MappingError("sqlite backend is closed")
@@ -458,12 +554,12 @@ class SqliteBackend:
                     # Revalidate the snapshot through the caller's (possibly
                     # retry-wrapped) access path before reusing a statement.
                     tables = {name: view.table(name) for name in cached[0]}
-                    compiled = cached[1].get(_columns(tables))
+                    compiled = cached[1].get((_columns(tables), grown))
                 if compiled is None:
-                    compiled, tables = self._compile(unfolded, view, budget)
+                    compiled, tables = self._compile(unfolded, view, budget, grown)
                     if cached is None:
                         cached = self._compiled[unfolded] = (tuple(tables), {})
-                    cached[1][_columns(tables)] = compiled
+                    cached[1][_columns(tables), grown] = compiled
                     self._stats["statement_misses"] += 1
                     metrics.counter("backend.sqlite.statement_misses").inc()
                     span.set("statement_cache", "miss")
@@ -475,11 +571,23 @@ class SqliteBackend:
                     span.set("sql", compiled.sql)
                 load_started = time.perf_counter()
                 with tracer.span("backend-load") as load_span:
-                    shipped = self._ensure_loaded(
+                    shipped, held = self._ensure_loaded(
                         {name: tables[name] for name in compiled.reads}, budget
                     )
                     load_span.set("rows_shipped", shipped)
                 load_s = time.perf_counter() - load_started
+                if read is not None:
+                    for name, stamp in held.items():
+                        read.setdefault(name, (tables[name], stamp))
+                if since is not None:
+                    span.set(
+                        "delta_rows",
+                        {
+                            name: held[name].count - count
+                            for name, count in since.items()
+                            if name in held
+                        },
+                    )
                 handler_installed = False
                 if budget is not None and budget.deadline is not None:
                     self._connection.set_progress_handler(
@@ -490,6 +598,8 @@ class SqliteBackend:
                 try:
                     rows = []
                     for sql, params in compiled.statements:
+                        if since is not None:
+                            params = _bind(params, since)
                         rows.extend(
                             self._connection.execute(sql, params).fetchall()
                         )

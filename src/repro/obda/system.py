@@ -215,23 +215,35 @@ class _OverTables:
         return ended(delta.reads)
 
 
-class _PushedDown:
-    """An unfolding pushed down to the SQLite replica: run in full, its
-    statements untracked."""
+class _PushedDown(_OverTables):
+    """An unfolding pushed down to the SQLite replica, stamped by the
+    replica tables its statements ran over and extended as the join is:
+    by the backend's delta statement, each grown table bounded by the
+    rows the cached answers read of it."""
 
-    span = None
-    phase = "sql"
+    span = None  # the backend opens its own backend-exec span
 
-    def __init__(self, backend, unfolded, database: Database):
+    def __init__(self, backend, unfolded, database: Database, stamped: bool):
+        super().__init__(unfolded, database, stamped)
         self.backend = backend
-        self.unfolded = unfolded
-        self.database = database
 
-    def full(self, budget) -> Tuple[Set[Tuple], None]:
+    def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
+        started: dict = {}
         answers = self.backend.execute_unfolded(
-            self.unfolded, budget=budget, database=self.database
+            self.unfolded, budget=budget, database=self.database, read=started
         )
-        return answers, None
+        return answers, ended(started) if self.stamped else None
+
+    def extend(self, budget, delta: _Delta) -> Set[Tuple]:
+        # delta.reads stamps a grown table after its appended rows, so
+        # the cached answers read its count less theirs
+        since = {
+            name: delta.reads[name][1].count - len(rows)
+            for name, rows in delta.grown.items()
+        }
+        return self.backend.execute_unfolded(
+            self.unfolded, budget=budget, database=self.database, since=since
+        )
 
 
 def _refresh(reader, entry: Optional[_Stamped], delta: Optional[_Delta], generation, budget):
@@ -270,14 +282,15 @@ class OBDASystem:
     * answers grow with appends: an answer-cache entry keeps the data
       generation it was confirmed at and the stamps of what it read
       (extent versions for perfectref and presto, table stamps for
-      perfectref-sql).  When those inputs only grew since,
-      the entry is extended by the answers that read an added row
-      instead of recomputed, and the consistency check's
-      negative-inclusion and unsatisfiable-predicate checks are kept and
-      extended the same way.  A stamp that moved other than by one
-      delta, a shrunk or replaced table, more added rows than were read
-      before, a TBox change or :meth:`invalidate_caches` recompute in
-      full; so do perfectref-sqlite's pushed-down statements, the
+      perfectref-sql and perfectref-sqlite).  When those inputs only
+      grew since, the entry is extended by the answers that read an
+      added row instead of recomputed: by the compiled join, or inside
+      SQLite by a delta statement bounded by replica row positions.  The
+      consistency check's negative-inclusion and unsatisfiable-predicate
+      checks are kept and extended the same way.  A stamp that moved
+      other than by one delta, a shrunk or replaced table, more added
+      rows than were read before, a TBox change or
+      :meth:`invalidate_caches` recompute in full; so do the
       functionality checks and every result in knowledge-base mode.
 
     All caches are validated against the TBox/data generation counters
@@ -744,7 +757,7 @@ class OBDASystem:
                 span.set("sql_parts", unfolded.size)
             database = context.wrap_database(self.database)
             if method == "perfectref-sqlite":
-                return _PushedDown(self.sql_backend(), unfolded, database)
+                return _PushedDown(self.sql_backend(), unfolded, database, stamped)
             return _OverTables(unfolded, database, stamped)
         rewriting = self.rewrite(
             ucq, method="presto", budget=context.scoped(f"rewrite:{label}")

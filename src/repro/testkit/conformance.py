@@ -252,8 +252,9 @@ def _run_round(
                 budget,
             )
 
-    # 4. end-to-end OBDA: PerfectRef vs Presto vs unfolded SQL algebra,
-    #    then again after a few appends, on the same warm systems
+    # 4. end-to-end OBDA: PerfectRef vs Presto vs unfolded SQL, joined in
+    #    memory and pushed down to SQLite, then again after a few appends,
+    #    on the same warm systems
     if config.obda_every and round_index % config.obda_every == 0:
         small = random_tiny_tbox(rng, config.profile)
         abox = _consistent_abox(rng, small, config.profile)
@@ -298,8 +299,8 @@ def _consistent_abox(rng: random.Random, tbox: TBox, profile: FuzzProfile) -> AB
 
 
 #: the methods step 4 diffs; the mapped system extends its answers of
-#: all three after the appends, while knowledge-base mode recomputes them
-_OBDA_METHODS = ("perfectref", "perfectref-sql", "presto")
+#: all four after the appends, while knowledge-base mode recomputes them
+_OBDA_METHODS = ("perfectref", "perfectref-sql", "perfectref-sqlite", "presto")
 
 
 def _obda_diff(
@@ -308,7 +309,8 @@ def _obda_diff(
     """Step 4 on *tbox*: diff the answers of *queries* on a knowledge-base
     system over a copy of *abox* and on its direct mapping, then append
     *appends* to both (the copy, and the mapped tables as the mapping
-    lowered their rows) and diff again on the same warm systems."""
+    lowered their rows) and diff again on the same warm systems.  The
+    mapped system's SQLite replica is closed after the diffs."""
     from ..obda.system import OBDASystem
 
     facts = abox.copy()
@@ -316,12 +318,15 @@ def _obda_diff(
         "kb": OBDASystem(tbox, abox=facts),
         "sql": direct_mapping_system(tbox, abox),
     }
-    problems = diff_answers(systems, queries, methods=_OBDA_METHODS, budget=budget)
-    facts.extend(appends)
-    append_direct(systems["sql"], appends)
-    return problems + diff_answers(
-        systems, queries, methods=_OBDA_METHODS, budget=budget
-    )
+    try:
+        problems = diff_answers(systems, queries, methods=_OBDA_METHODS, budget=budget)
+        facts.extend(appends)
+        append_direct(systems["sql"], appends)
+        return problems + diff_answers(
+            systems, queries, methods=_OBDA_METHODS, budget=budget
+        )
+    finally:
+        systems["sql"].sql_backend().close()
 
 
 def _run_backend_check(

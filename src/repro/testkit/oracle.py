@@ -371,7 +371,7 @@ def diff_answers(
         outcomes = {}
         for label, system in systems.items():
             for method in methods:
-                if method == "perfectref-sql" and system.mappings is None:
+                if method.startswith("perfectref-sql") and system.mappings is None:
                     continue
                 key = f"{label}/{method}"
                 try:

@@ -577,7 +577,7 @@ def test_racing_extensions_of_one_entry_serve_each_round_exactly():
     cache-free twin's for that round, so none is lost or stale."""
     system, teachers, students, courses = _university()
     database = system.database
-    methods = ("perfectref", "perfectref-sql", "presto")
+    methods = ("perfectref", "perfectref-sql", "perfectref-sqlite", "presto")
     twin = OBDASystem(system.tbox, system.mappings, database, enable_caches=False)
     for method in methods:
         for query in _UNIVERSITY_SHAPES:
@@ -618,6 +618,8 @@ def test_racing_extensions_of_one_entry_serve_each_round_exactly():
         _run_threads(work, count=readers + 1)
     finally:
         sys.setswitchinterval(interval)
+        for each in (system, twin):
+            each.sql_backend().close()
     assert len(answered) == readers * rounds * len(_UNIVERSITY_SHAPES) * len(methods)
     for round_, query, method, answers in answered:
         assert answers == expected[round_, query, method], (round_, method, query)

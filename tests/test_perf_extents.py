@@ -654,10 +654,11 @@ def test_an_extent_keeps_the_cell_its_table_holds_first():
     assert _reprs(MappingExtents(mappings, database).extent("tag", 2)) == _reprs(fresh)
 
 
-@pytest.mark.parametrize("method", ("perfectref", "perfectref-sql"))
+@pytest.mark.parametrize("method", ("perfectref", "perfectref-sql", "perfectref-sqlite"))
 def test_a_row_read_past_the_start_stamp_then_replaced_is_recomputed(method):
-    """The join reads a row inserted after it stamped the table; an
-    out-of-band edit that replaces that row leaves no answer of it."""
+    """The join reads a row inserted after it stamped the table (the
+    replica holds only the rows of its stamp); an out-of-band edit that
+    replaces that row leaves no answer of it."""
     database = Database("replaced")
     table = database.create_table("t_teaches", ["s", "o"], [("ada", "logic")])
     mappings = MappingCollection(
@@ -671,7 +672,8 @@ def test_a_row_read_past_the_start_stamp_then_replaced_is_recomputed(method):
     system = OBDASystem(parse_tbox(TBOX_TEXT), mappings, database)
     query = "q(x, y) :- teaches(x, y)"
     table.rows = _InsertOnCount(table, ("bob", "algebra"))
-    assert len(system.certain_answers(query, method=method, check_consistency=False)) == 2
+    first = system.certain_answers(query, method=method, check_consistency=False)
+    assert len(first) == (1 if method == "perfectref-sqlite" else 2)
     del table.rows[1:]
     table.insert(("eve", "logic"))
     answers = system.certain_answers(query, method=method, check_consistency=False)
@@ -710,9 +712,8 @@ def test_mapped_answers_never_run_the_algebra_evaluator(monkeypatch):
 
 # -- answers and verdicts extended by appended rows ---------------------------------
 
-#: the methods whose answer-cache entries grow by deltas (perfectref-sqlite
-#: runs its pushed-down statements in full)
-_EXTENDING = ("perfectref", "perfectref-sql", "presto")
+#: the methods whose answer-cache entries grow by deltas: all four
+_EXTENDING = ("perfectref", "perfectref-sql", "perfectref-sqlite", "presto")
 _ASKED = "q(x, y) :- Teacher(x), teaches(x, y)"
 
 
@@ -731,14 +732,16 @@ def _evaluation_joins(tracer):
 
 def _ask(system, query, method, budget=None):
     """One call's answers, its root span's ``answer_cache`` outcome and
-    the ``join`` spans of its evaluation."""
+    the spans of its evaluation: the ``join`` spans, or perfectref-sqlite's
+    ``backend-exec`` spans (one per statement run)."""
     tracer = Tracer("ask")
     with use_tracer(tracer):
         answers = system.certain_answers(
             query, method=method, check_consistency=False, budget=budget
         )
     [root] = [span for span in tracer.spans if span.name == "certain-answers"]
-    return answers, root.attributes["answer_cache"], _evaluation_joins(tracer)
+    pushdowns = [span for span in tracer.spans if span.name == "backend-exec"]
+    return answers, root.attributes["answer_cache"], _evaluation_joins(tracer) + pushdowns
 
 
 def _cache_free(system, query, method):
@@ -761,8 +764,12 @@ def test_an_append_extends_the_cached_answers_and_counts_as_a_miss(method):
     assert (after["hits"], after["misses"]) == (stats["hits"], stats["misses"] + 1)
     assert (Individual("bob"), Individual("compilers")) in answers
     assert answers == _cache_free(system, _ASKED, method)
-    # every join of the extension reads the appended rows at one atom
-    assert joins and all(span.attributes["delta_rows"] == 1 for span in joins)
+    if method == "perfectref-sqlite":
+        # one delta statement, naming the grown table and its appended rows
+        assert [span.attributes["delta_rows"] for span in joins] == [{"t_teaches": 1}]
+    else:
+        # every join of the extension reads the appended rows at one atom
+        assert joins and all(span.attributes["delta_rows"] == 1 for span in joins)
     # a hit is still an answer served without evaluation
     again, outcome, joins = _ask(system, _ASKED, method)
     assert (again, outcome, joins) == (answers, "hit", [])
@@ -810,8 +817,8 @@ def _invalidate(system):
         (method, fallback)
         for fallback in (_shrink, _refresh_twice, _change_tbox, _invalidate)
         for method in _EXTENDING
-        # the SQL join reads the tables, not the extents
-        if not (fallback is _refresh_twice and method == "perfectref-sql")
+        # the SQL methods read the tables, not the extents
+        if not (fallback is _refresh_twice and method.startswith("perfectref-sql"))
     ],
     ids=lambda value: getattr(value, "__name__", value).strip("_"),
 )
@@ -821,7 +828,7 @@ def test_fallbacks_recompute_in_full(method, fallback):
     fallback(system)
     answers, outcome, joins = _ask(system, _ASKED, method)
     assert outcome == "miss"
-    assert "delta_rows" not in {key for span in joins for key in span.attributes}
+    assert joins and "delta_rows" not in {key for span in joins for key in span.attributes}
     assert answers == _cache_free(system, _ASKED, method)
 
 
@@ -849,7 +856,7 @@ def test_a_bulk_load_after_an_ask_on_empty_tables_recomputes_in_full(method):
     assert answers == _cache_free(system, _ASKED, method)
 
 
-@pytest.mark.parametrize("method", ("perfectref", "perfectref-sql"))
+@pytest.mark.parametrize("method", ("perfectref", "perfectref-sql", "perfectref-sqlite"))
 def test_budget_abort_during_an_extension_leaves_the_old_entry(method, monkeypatch):
     system = _campus_system()
     query = parse_query(_ASKED)
@@ -873,6 +880,52 @@ def test_budget_abort_during_an_extension_leaves_the_old_entry(method, monkeypat
     answers, outcome, _ = _ask(system, query, method)
     assert outcome == "extended"
     assert answers == _cache_free(system, query, method) != before
+
+
+def test_a_self_join_over_a_grown_table_bounds_each_of_its_atoms():
+    """perfectref-sqlite's delta statement has one SELECT per atom over
+    a grown table, that atom reading only the rows past the cached
+    entry's count: the appended row pairs with the old one at either
+    atom, and the old row alone is never read at a bounded atom."""
+    database = Database("colleagues")
+    database.create_table("t_teaches", ["s", "o"], [("ada", "logic")])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT s, o FROM t_teaches",
+                [TargetAtom(AtomicRole("teaches"), (IriTemplate("{s}"), IriTemplate("{o}")))],
+            )
+        ]
+    )
+    system = OBDASystem(parse_tbox("role teaches\n"), mappings, database)
+    query, method = "q(x, z) :- teaches(x, c), teaches(z, c)", "perfectref-sqlite"
+    _ask(system, query, method)
+    database["t_teaches"].insert(("bob", "logic"))
+    answers, outcome, [span] = _ask(system, query, method)
+    assert outcome == "extended"
+    assert answers == _cache_free(system, query, method)
+    # (ada, bob) reads the appended row at the second atom only
+    assert (Individual("ada"), Individual("bob")) in answers
+    assert span.attributes["sql"].count(".rowid > ?") == 2
+    # (bob, ada), (bob, bob) bounded first; (ada, bob), (bob, bob) second
+    assert span.attributes["rows_fetched"] == 4
+
+
+def test_a_second_extension_reuses_the_delta_statement():
+    """The delta statement is cached by the set of grown tables and
+    takes each bound per call: the second extension hits it and reads
+    only its own appended row."""
+    system = _campus_system()
+    method = "perfectref-sqlite"
+    _ask(system, _ASKED, method)
+    for course, statement_cache in (("compilers", "miss"), ("algebra", "hit")):
+        system.database["t_teaches"].insert(("bob", course))
+        answers, outcome, [span] = _ask(system, _ASKED, method)
+        assert (outcome, span.attributes["statement_cache"]) == ("extended", statement_cache)
+        assert span.attributes["delta_rows"] == {"t_teaches": 1}
+        assert span.attributes["rows_fetched"] == 1
+        assert (Individual("bob"), Individual(course)) in answers
+        assert answers == _cache_free(system, _ASKED, method)
 
 
 _CONSISTENCY_TBOX = TBOX_TEXT + "Teacher isa not Student\n"

@@ -439,6 +439,41 @@ def test_delta_loading_ships_only_new_rows():
     assert stats["rows_shipped"] == shipped_before + 1
 
 
+def test_a_load_aborted_between_batches_is_rolled_back(monkeypatch):
+    """A budget abort between two ``executemany`` batches of a delta
+    load rolls the table's load back: the replica keeps the rows of the
+    stamp it records, so the next load ships the appended rows once."""
+    database, mappings = _campus(rows_teaching=[(i, f"c{i}") for i in range(3)])
+    system = OBDASystem(TBOX, mappings, database)
+    query = "q(x, y) :- teaches(x, y)"
+    backend = system.sql_backend()
+    backend.batch_size = 2
+    system.certain_answers(query, method="perfectref-sqlite", check_consistency=False)
+    database["teaching"].insert_many([(i, f"c{i}") for i in range(3, 8)])
+    shipped = []
+
+    def tick(self, stride=None):
+        if stride == 1024:  # once per row shipped
+            shipped.append(stride)
+            if len(shipped) == 3:  # the first batch of two is in
+                raise TimeoutExceeded(self.budget_s, self.elapsed_s, task=self.task)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Budget, "tick", tick)
+        with pytest.raises(TimeoutExceeded):
+            system.certain_answers(
+                query, method="perfectref-sqlite", check_consistency=False, budget=60.0
+            )
+    answers = system.certain_answers(query, method="perfectref-sqlite", check_consistency=False)
+    (count,) = backend._connection.execute('SELECT count(*) FROM "d_teaching"').fetchone()
+    assert count == len(database["teaching"]) == 8
+    twin = OBDASystem(TBOX, mappings, database, enable_caches=False)
+    assert answers == twin.certain_answers(
+        query, method="perfectref-sqlite", check_consistency=False
+    )
+    assert answers == naive_sql_answers(twin, query, check_consistency=False)
+
+
 def test_unchanged_generation_ships_nothing():
     _, sqlite, _, _ = _systems()
     query = "q(x) :- Professor(x)"

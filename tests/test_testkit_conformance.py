@@ -109,13 +109,17 @@ def test_obda_step_diffs_the_extended_answers_after_appends(monkeypatch):
     queries = [parse_query("q(x) :- A(x)"), parse_query("q(y) :- P(x, y)")]
     appends = [RoleAssertion(AtomicRole("P"), Individual("a1"), Individual("new"))]
     assert _obda_diff(tbox, _teaching_abox(), queries, appends, None) == []
-    # extensions that drop what the appended rows add are caught
-    monkeypatch.setattr(
-        system_module._OverExtents, "extend", lambda self, budget, delta: set()
-    )
-    problems = _obda_diff(tbox, _teaching_abox(), queries, appends, None)
-    assert {problem.kind for problem in problems} == {"answers"}
-    assert any("sql/perfectref" in str(problem) for problem in problems)
+    # extensions that drop what the appended rows add are caught, the
+    # pushed-down delta statement's as well as the in-memory ones
+    for reader, caught in (
+        (system_module._OverExtents, "sql/perfectref"),
+        (system_module._PushedDown, "sql/perfectref-sqlite"),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(reader, "extend", lambda self, budget, delta: set())
+            problems = _obda_diff(tbox, _teaching_abox(), queries, appends, None)
+        assert {problem.kind for problem in problems} == {"answers"}
+        assert caught in {problem.left for problem in problems}, problems
 
 
 def test_the_drawn_abox_is_consistent():
