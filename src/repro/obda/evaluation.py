@@ -10,7 +10,8 @@ A UCQ produced by a rewriter is evaluated against *extent providers*:
   read are unchanged, and grows by the answers that read an appended row
   while they only grew (see the class);
 * :class:`DatalogExtents` — wraps another provider with the auxiliary
-  predicates of a Presto :class:`~repro.obda.rewriting.presto.DatalogRewriting`.
+  predicates of Presto (:mod:`repro.obda.rewriting.presto`), derived
+  from their rules.
 
 Every provider serves an extent as a :class:`Snapshot`: the rows plus a
 *version* that changes whenever the rows may have.  Caches downstream of
@@ -105,8 +106,9 @@ __all__ = [
     "evaluate_ucq_delta",
 ]
 
-#: predicate name + key argument positions — one hash index per pair
-IndexKey = Tuple[str, Tuple[int, ...]]
+#: predicate name, arity and key argument positions — one hash index
+#: per triple (a concept and a role may share a name)
+IndexKey = Tuple[str, int, Tuple[int, ...]]
 
 #: extent versions, unique across providers (``next`` on a count is
 #: atomic under the GIL)
@@ -208,7 +210,7 @@ class ExtentProvider:
         :class:`~repro.errors.TimeoutExceeded`.
         """
         snapshot = self.snapshot(predicate, arity)
-        key: IndexKey = (predicate, positions)
+        key: IndexKey = (predicate, arity, positions)
         lock = self._sync_lock()
         with lock:
             cache: Optional[Dict[IndexKey, Tuple[Hashable, Index]]] = (
@@ -254,7 +256,7 @@ class ABoxExtents(ExtentProvider):
 
     def __init__(self, abox: ABox):
         self.abox = abox
-        self._cache: Dict[str, Set[Tuple]] = {}
+        self._cache: Dict[Tuple[str, int], Set[Tuple]] = {}
         self._generation = self._abox_generation()
 
     def _abox_generation(self) -> int:
@@ -275,7 +277,7 @@ class ABoxExtents(ExtentProvider):
             if self._abox_generation() != self._generation:
                 self.invalidate()
             cache = self._cache
-            cached = cache.get(predicate)
+            cached = cache.get((predicate, arity))
         if cached is not None:
             return cached
         if arity == 1:
@@ -288,8 +290,8 @@ class ABoxExtents(ExtentProvider):
             extent |= self.abox.attribute_pairs(AtomicAttribute(predicate))
         with self._sync_lock():
             if self._cache is cache:  # snapshot still current — memoize
-                cache.setdefault(predicate, extent)
-                return cache[predicate]
+                cache.setdefault((predicate, arity), extent)
+                return cache[(predicate, arity)]
         return extent
 
 
@@ -422,6 +424,15 @@ class MappingExtents(ExtentProvider):
 class DatalogExtents(ExtentProvider):
     """Auxiliary predicates of a datalog rewriting over a base provider.
 
+    *rewriting* is what defines them: a
+    :class:`~repro.obda.rewriting.presto.DatalogRewriting`, whose rules
+    serve the predicates its UCQ reads, or a classification's
+    :class:`~repro.obda.rewriting.presto.AuxiliaryRules`, which serve
+    every auxiliary predicate (``OBDASystem`` shares one such provider
+    across queries).  Either answers ``rules_for(predicate, arity)``,
+    None for a base predicate; an auxiliary predicate is its name and
+    arity, since a concept and a role may share a name.
+
     All rules are flat (single base atom bodies over ``x``/``y``), so an
     auxiliary extent is a union of base extents with optional argument
     swapping and projection.  A predicate defined by one identity rule
@@ -441,15 +452,13 @@ class DatalogExtents(ExtentProvider):
     def __init__(self, rewriting, base: ExtentProvider):
         self.rewriting = rewriting
         self.base = base
-        #: auxiliary predicate -> the base predicate its one rule copies
-        self._aliases: Dict[str, str] = {
-            head: rules[0].body[0].predicate
-            for head, rules in rewriting.rules_by_head.items()
-            if len(rules) == 1
-            and _projection(rules[0]) == tuple(range(len(rules[0].body[0].args)))
-        }
-        #: predicate -> (derived snapshot, base generation it was confirmed at)
-        self._cache: Dict[str, Tuple[Snapshot, int]] = {}
+        #: (predicate, arity) -> the base predicate serving it (itself
+        #: for a base predicate, the body of its one identity rule for an
+        #: alias), or None for a derived one; filled on first use
+        self._served: Dict[Tuple[str, int], Optional[str]] = {}
+        #: (predicate, arity) -> (derived snapshot, base generation it was
+        #: confirmed at)
+        self._cache: Dict[Tuple[str, int], Tuple[Snapshot, int]] = {}
 
     def generation(self) -> int:
         return self.base.generation()
@@ -460,42 +469,56 @@ class DatalogExtents(ExtentProvider):
             self._cache = {}
             super().invalidate()
 
-    def _served_by(self, predicate: str) -> Optional[str]:
+    def _served_by(self, predicate: str, arity: int) -> Optional[str]:
         """The base predicate serving *predicate*; None when it is derived."""
-        if predicate not in self.rewriting.rules_by_head:
-            return predicate
-        return self._aliases.get(predicate)
+        key = (predicate, arity)
+        try:
+            return self._served[key]
+        except KeyError:
+            pass
+        rules = self.rewriting.rules_for(predicate, arity)
+        if rules is None:
+            served: Optional[str] = predicate
+        elif len(rules) == 1 and _projection(rules[0]) == tuple(
+            range(len(rules[0].body[0].args))
+        ):
+            served = rules[0].body[0].predicate
+        else:
+            served = None
+        return self._served.setdefault(key, served)
 
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
         return self.snapshot(predicate, arity).rows
 
     def snapshot(self, predicate: str, arity: int) -> Snapshot:
-        served_by = self._served_by(predicate)
+        served_by = self._served_by(predicate, arity)
         if served_by is not None:
             return self.base.snapshot(served_by, arity)
-        rules = self.rewriting.rules_by_head[predicate]
+        key = (predicate, arity)
         generation = self.base.generation()
         cache = self._cache
-        cached = cache.get(predicate)
+        cached = cache.get(key)
         if cached is not None and cached[1] == generation:
             return cached[0]
+        rules = self.rewriting.rules_for(predicate, arity)
         bodies: Dict[Tuple[str, int], Snapshot] = {}
         for rule in rules:
             atom = rule.body[0]
-            key = (atom.predicate, len(atom.args))
-            if key not in bodies:
-                bodies[key] = self.base.snapshot(*key)
+            body = (atom.predicate, len(atom.args))
+            if body not in bodies:
+                bodies[body] = self.base.snapshot(*body)
         derived = None
         if cached is not None:
             derived = _grown(rules, cached[0], bodies)
         if derived is None:
             derived = Snapshot(
                 tuple([body.version for body in bodies.values()]),
-                _derive(rules, {key: body.rows for key, body in bodies.items()}),
+                _derive(rules, {body: read.rows for body, read in bodies.items()}),
             )
+            global_metrics().counter("obda.evaluation.derivations").inc()
         with self._sync_lock():
-            if self._cache is cache and cache.get(predicate) is cached:
-                cache[predicate] = (derived, generation)
+            if self._cache is cache and cache.get(key) is cached:
+                cache[key] = (derived, generation)
         return derived
 
     def index(
@@ -505,7 +528,7 @@ class DatalogExtents(ExtentProvider):
         positions: Tuple[int, ...],
         budget: Optional[Budget] = None,
     ) -> Index:
-        served_by = self._served_by(predicate)
+        served_by = self._served_by(predicate, arity)
         if served_by is not None:
             return self.base.index(served_by, arity, positions, budget)
         return super().index(predicate, arity, positions, budget)
@@ -874,8 +897,8 @@ def _evaluate(
     extents: ExtentProvider,
     budget: Optional[Budget],
     tracer,
-    read: Dict[str, Tuple[int, Snapshot]],
-    grown: Optional[Dict[str, Sequence[Tuple]]] = None,
+    read: Dict[Tuple[str, int], Snapshot],
+    grown: Optional[Dict[Tuple[str, int], Sequence[Tuple]]] = None,
 ) -> Set[Tuple]:
     """:func:`evaluate_cq` with the tracer looked up, or None when it is
     disabled, reading the extents through *read*; with *grown*, as
@@ -883,24 +906,18 @@ def _evaluate(
     if budget is not None:
         budget.check()
     atoms = cq.atoms
+    keys = [(atom.predicate, len(atom.args)) for atom in atoms]
     seeds = None
     if grown is not None:
-        seeds = [
-            (i, grown[atom.predicate])
-            for i, atom in enumerate(atoms)
-            if atom.predicate in grown
-        ]
+        seeds = [(i, grown[key]) for i, key in enumerate(keys) if key in grown]
         if not seeds:
             return set()  # nothing it reads grew
     rows_of = []
-    for atom in atoms:
-        entry = read.get(atom.predicate)
-        if entry is None:
-            entry = read[atom.predicate] = (
-                atom.arity,
-                extents.snapshot(atom.predicate, atom.arity),
-            )
-        rows_of.append(entry[1].rows)
+    for key in keys:
+        snapshot = read.get(key)
+        if snapshot is None:
+            snapshot = read[key] = extents.snapshot(*key)
+        rows_of.append(snapshot.rows)
     if tracer is None and not all(rows_of):
         return set()  # before the query is shaped: many disjuncts end here
 
@@ -1095,21 +1112,21 @@ def evaluate_ucq(
 def evaluate_ucq_delta(
     ucq: UnionQuery,
     extents: ExtentProvider,
-    read: Dict[str, Tuple[int, Snapshot]],
-    grown: Optional[Dict[str, Sequence[Tuple]]] = None,
+    read: Dict[Tuple[str, int], Snapshot],
+    grown: Optional[Dict[Tuple[str, int], Sequence[Tuple]]] = None,
     budget: Optional[Budget] = None,
 ) -> Set[Tuple]:
     """:func:`evaluate_ucq`, reading each predicate's rows through *read*
-    (predicate -> ``(arity, snapshot)``): the snapshot held there, or one
+    (``(predicate, arity)`` -> snapshot): the snapshot held there, or one
     read from *extents* once and added, so that afterwards *read* holds
     the versions the answers were computed from.  Indexes still come
     from *extents*, for the snapshot current when each is probed.
 
-    With *grown* (predicate -> the rows its snapshot in *read* added to
-    the one earlier answers were computed from), only the answers that
-    read an added row: per disjunct, one join per atom over a grown
-    predicate, that atom reading the added rows alone (the delta rule
-    of :func:`_run`).  A disjunct over no grown predicate is skipped.
+    With *grown* (``(predicate, arity)`` -> the rows its snapshot in
+    *read* added to the one earlier answers were computed from), only
+    the answers that read an added row: per disjunct, one join per atom
+    over a grown predicate, that atom reading the added rows alone (the
+    delta rule of :func:`_run`).  A disjunct over no grown predicate is skipped.
     Together with the earlier answers, these are the answers over the
     snapshots in *read*.
     """

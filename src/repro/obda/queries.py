@@ -88,6 +88,13 @@ class Atom:
             ),
         )
 
+    def with_args(self, args: Tuple[Term, ...]) -> "Atom":
+        """This atom's predicate over *args*, as many as its own, built
+        without the constructor's arity check."""
+        atom = object.__new__(Atom)
+        atom.__dict__.update(predicate=self.predicate, args=args)
+        return atom
+
     def __str__(self) -> str:
         return f"{self.predicate}({', '.join(map(str, self.args))})"
 
@@ -139,6 +146,18 @@ class ConjunctiveQuery:
             raise UnknownPredicate("cannot substitute a constant for an answer variable")
         return ConjunctiveQuery(answer, atoms, self.name)
 
+    def with_atoms(self, atoms: Sequence[Atom]) -> "ConjunctiveQuery":
+        """This query's head over *atoms*, built without the
+        constructor's checks: for this query's atoms with its constants
+        renamed one-to-one (:func:`repro.perf.canonical.bind_constants`),
+        which keeps them distinct and every answer variable in the body."""
+        cq = object.__new__(ConjunctiveQuery)
+        cq.name = self.name
+        cq.answer_vars = self.answer_vars
+        cq.atoms = tuple(atoms)
+        cq._canonical = None
+        return cq
+
     def rename_apart(self, suffix: str) -> "ConjunctiveQuery":
         """Uniformly rename existential variables (used before unification)."""
         mapping = {v: Variable(f"{v.name}{suffix}") for v in self.existential_variables()}
@@ -167,8 +186,10 @@ class ConjunctiveQuery:
             )
 
         atoms = sorted(self.atoms, key=key)
-        # second pass: number existential variables by first occurrence
-        counter = itertools.count(len(ordering))
+        # second pass: number existential variables by first occurrence,
+        # past every answer position (a repeated answer variable keeps
+        # only its last one, so len(ordering) may be smaller)
+        counter = itertools.count(len(self.answer_vars))
         canon: Dict[Variable, int] = dict(ordering)
         shape = []
         for atom in atoms:
@@ -215,6 +236,14 @@ class UnionQuery:
     @property
     def arity(self) -> int:
         return self.disjuncts[0].arity
+
+    def with_disjuncts(self, disjuncts: List[ConjunctiveQuery]) -> "UnionQuery":
+        """A union of this name over *disjuncts*, as many as its own and
+        of its arity, built without the constructor's checks."""
+        ucq = object.__new__(UnionQuery)
+        ucq.name = self.name
+        ucq.disjuncts = disjuncts
+        return ucq
 
     def __iter__(self):
         return iter(self.disjuncts)

@@ -51,7 +51,7 @@ from ..queries import (
     minimize_ucq,
 )
 
-__all__ = ["perfect_ref", "RewritingTooLarge"]
+__all__ = ["perfect_ref", "RewritingTooLarge", "axiom_index"]
 
 
 class RewritingTooLarge(ReproError):
@@ -137,9 +137,10 @@ def _rewritten_predicate(axiom) -> Optional[str]:
 class AxiomIndex:
     """A TBox's positive inclusions keyed by the predicate they rewrite.
 
-    Built once per rewriting (Presto keeps one per classification), so
-    the worklist visits only the axioms that can apply to the atoms of
-    the CQ it pops instead of rescanning the TBox per CQ.
+    Built once per TBox generation (:func:`axiom_index`; Presto keeps
+    one per classification), so the worklist visits only the axioms
+    that can apply to the atoms of the CQ it pops instead of rescanning
+    the TBox per CQ.
     """
 
     def __init__(self, tbox: TBox):
@@ -166,6 +167,23 @@ class AxiomIndex:
         ]
         entries.sort(key=lambda entry: entry[0])
         return [(name, axiom) for _position, name, axiom in entries]
+
+
+def axiom_index(tbox: TBox) -> AxiomIndex:
+    """The :class:`AxiomIndex` of *tbox* at its current generation, built
+    on first use and kept on the TBox against its generation counter, as
+    its fingerprint is: every rewriting against the TBox, by any system
+    over it, shares one index until an axiom is added or removed.  A
+    TBox without a generation counter gets a fresh index per call.
+    Racing first uses build equal indexes; either may be kept."""
+    generation = getattr(tbox, "generation", None)
+    memo = getattr(tbox, "_axiom_index_memo", None)
+    if memo is not None and generation is not None and memo[0] == generation:
+        return memo[1]
+    index = AxiomIndex(tbox)
+    if generation is not None:
+        tbox._axiom_index_memo = (generation, index)
+    return index
 
 
 def _atom_rewritings(
@@ -285,10 +303,11 @@ def perfect_ref(
     *max_disjuncts* — the worst-case size is exponential in query length.
     With a *budget*, the worklist loop polls it and raises
     :class:`~repro.errors.TimeoutExceeded` instead of grinding through
-    an exponential rewriting past its deadline.
+    an exponential rewriting past its deadline.  The TBox's axiom index
+    is shared by every call at its generation (:func:`axiom_index`).
     """
     return perfect_ref_indexed(
-        query, AxiomIndex(tbox), max_disjuncts, minimize, budget=budget
+        query, axiom_index(tbox), max_disjuncts, minimize, budget=budget
     )
 
 

@@ -47,7 +47,7 @@ from ...runtime.budget import Budget
 from ..queries import Atom, ConjunctiveQuery, UnionQuery, Variable
 from .perfectref import AxiomIndex, perfect_ref_indexed
 
-__all__ = ["DatalogRule", "DatalogRewriting", "presto_rewrite"]
+__all__ = ["AuxiliaryRules", "DatalogRule", "DatalogRewriting", "presto_rewrite"]
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,42 @@ class DatalogRewriting:
 
     ``ucq`` references auxiliary predicates (``name*``); ``rules`` define
     each auxiliary predicate from base (mapped) predicates.  ``size`` is
-    the program size used by the E3 benchmark comparison.
+    the program size used by the E3 benchmark comparison.  A concept and
+    a role may share a name, so an auxiliary predicate is its name *and*
+    arity: :meth:`rules_for` tells ``P*(x)`` and ``P*(x, y)`` apart, where
+    ``rules_by_head`` (by name) holds both.  ``auxiliary`` is the
+    classification's :class:`AuxiliaryRules` the rules were taken from,
+    when :func:`presto_rewrite` made them.
     """
 
-    def __init__(self, ucq: UnionQuery, rules: Sequence[DatalogRule]):
+    def __init__(
+        self,
+        ucq: UnionQuery,
+        rules: Sequence[DatalogRule],
+        auxiliary: Optional["AuxiliaryRules"] = None,
+    ):
         self.ucq = ucq
         self.rules = list(rules)
+        self.auxiliary = auxiliary
         self.rules_by_head: Dict[str, List[DatalogRule]] = {}
+        self._by_predicate: Dict[Tuple[str, int], List[DatalogRule]] = {}
         for rule in self.rules:
-            self.rules_by_head.setdefault(rule.head.predicate, []).append(rule)
+            head = rule.head
+            self.rules_by_head.setdefault(head.predicate, []).append(rule)
+            self._by_predicate.setdefault((head.predicate, head.arity), []).append(rule)
+
+    def rules_for(self, predicate: str, arity: int) -> Optional[List[DatalogRule]]:
+        """The rules defining *predicate* of *arity*; None for a base
+        predicate."""
+        return self._by_predicate.get((predicate, arity))
+
+    def with_ucq(self, ucq: UnionQuery) -> "DatalogRewriting":
+        """These rules beside another rewritten UCQ over them (the
+        rewriting of a query with other constants)."""
+        rewriting = object.__new__(DatalogRewriting)
+        rewriting.__dict__.update(self.__dict__)
+        rewriting.ucq = ucq
+        return rewriting
 
     @property
     def size(self) -> int:
@@ -111,29 +138,28 @@ _VAR_X = Variable("x")
 _VAR_Y = Variable("y")
 
 
-def _subsumee_rule(aux_name: str, arity: int, subsumee, of_role: bool) -> Optional[DatalogRule]:
-    """One flat rule deriving ``aux`` from a classified subsumee node."""
+def _subsumee_body(arity: int, subsumee, of_role: bool) -> Optional[Atom]:
+    """The body of the one flat rule deriving an auxiliary predicate of
+    *arity* from a classified subsumee node, over ``x`` (and ``y``)."""
     if arity == 1:
-        head = Atom(aux_name, (_VAR_X,))
         if isinstance(subsumee, AtomicConcept):
-            return DatalogRule(head, (Atom(subsumee.name, (_VAR_X,)),))
+            return Atom(subsumee.name, (_VAR_X,))
         if isinstance(subsumee, ExistentialRole):
             role = subsumee.role
             if isinstance(role, AtomicRole):
-                return DatalogRule(head, (Atom(role.name, (_VAR_X, _VAR_Y)),))
-            return DatalogRule(head, (Atom(role.role.name, (_VAR_Y, _VAR_X)),))
+                return Atom(role.name, (_VAR_X, _VAR_Y))
+            return Atom(role.role.name, (_VAR_Y, _VAR_X))
         if isinstance(subsumee, AttributeDomain):
-            return DatalogRule(head, (Atom(subsumee.attribute.name, (_VAR_X, _VAR_Y)),))
+            return Atom(subsumee.attribute.name, (_VAR_X, _VAR_Y))
         return None
-    head = Atom(aux_name, (_VAR_X, _VAR_Y))
     if of_role:
         if isinstance(subsumee, AtomicRole):
-            return DatalogRule(head, (Atom(subsumee.name, (_VAR_X, _VAR_Y)),))
+            return Atom(subsumee.name, (_VAR_X, _VAR_Y))
         if isinstance(subsumee, InverseRole):
-            return DatalogRule(head, (Atom(subsumee.role.name, (_VAR_Y, _VAR_X)),))
+            return Atom(subsumee.role.name, (_VAR_Y, _VAR_X))
         return None
     if isinstance(subsumee, AtomicAttribute):
-        return DatalogRule(head, (Atom(subsumee.name, (_VAR_X, _VAR_Y)),))
+        return Atom(subsumee.name, (_VAR_X, _VAR_Y))
     return None
 
 
@@ -176,6 +202,58 @@ def _witness_index(classification: Classification) -> AxiomIndex:
     return index
 
 
+class AuxiliaryRules:
+    """Every auxiliary predicate of a classification with the rules that
+    define it: ``A*`` by one flat rule per classified subsumee of ``A``.
+
+    They depend on the classification alone, so each predicate's rules
+    are built on first use and kept on the classification, beside its
+    witness index: every instance over one classification shares them.
+    The classification holds the rules and not this object, so it is
+    freed by reference counting, with no cycle to wait on.  An
+    :class:`~repro.obda.evaluation.DatalogExtents` over it serves every
+    auxiliary predicate of every query rewritten against the
+    classification (``OBDASystem`` keeps one such provider per TBox
+    generation).  Racing first uses of a predicate build equal rules;
+    either may be kept.
+    """
+
+    def __init__(self, classification: Classification):
+        self.classification = classification
+        # setdefault is atomic under the GIL: racing first instances
+        # share one dict
+        kept = classification.__dict__
+        self._rules: Dict[Tuple[str, int], Tuple[DatalogRule, ...]] = kept.setdefault(
+            "_presto_auxiliary_rules", {}
+        )
+        #: each rule body once across the rules (a subsumee of many
+        #: predicates is the body of as many rules)
+        self._bodies: Dict[Tuple[Atom], Tuple[Atom]] = kept.setdefault(
+            "_presto_rule_bodies", {}
+        )
+
+    def rules_for(self, predicate: str, arity: int) -> Optional[Tuple[DatalogRule, ...]]:
+        """The rules defining the auxiliary *predicate* (``name*``) of
+        *arity*; None for a base predicate."""
+        rules = self._rules.get((predicate, arity))
+        if rules is not None:
+            return rules
+        if not predicate.endswith("*"):
+            return None
+        classification = self.classification
+        node, of_role = _predicate_node(predicate[:-1], arity, classification.tbox)
+        if node is None or node not in classification.graph:
+            return None
+        head = Atom(predicate, (_VAR_X,) if arity == 1 else (_VAR_X, _VAR_Y))
+        rules = []
+        for subsumee in sorted(classification.subsumees(node), key=str):
+            body = _subsumee_body(arity, subsumee, of_role)
+            if body is not None:
+                body = self._bodies.setdefault((body,), (body,))
+                rules.append(DatalogRule(head, body))
+        return self._rules.setdefault((predicate, arity), tuple(rules))
+
+
 def presto_rewrite(
     query: UnionQuery,
     tbox: TBox,
@@ -189,9 +267,11 @@ def presto_rewrite(
     side is an existential/domain survive), so the UCQ growth stays
     limited to genuine witness reasoning.  That witness set and its
     axiom index depend only on *classification*, so they are built on
-    its first rewrite and reused until it is garbage.  A *budget* bounds
-    both the classification (when computed here) and the rewriting
-    phases.
+    its first rewrite and reused until it is garbage; so are the rules
+    of each auxiliary predicate (:class:`AuxiliaryRules`), which the
+    returned program lists for the predicates its UCQ reads.  A *budget*
+    bounds both the classification (when computed here) and the
+    rewriting phases.
     """
     if classification is None:
         classification = GraphClassifier().classify(tbox, watch=budget)
@@ -202,46 +282,49 @@ def presto_rewrite(
         query, _witness_index(classification), minimize=True, budget=budget
     )
 
-    # Phase 2 — hierarchy as flat datalog rules.
-    rules: List[DatalogRule] = []
-    needed: Dict[str, Tuple[object, int, bool]] = {}
+    # Phase 2 — hierarchy as flat datalog rules, taken from the
+    # classification's auxiliary rules.  An auxiliary predicate is its
+    # name and arity: a concept and a role may share a name.
+    auxiliary = AuxiliaryRules(classification)
+    needed: Set[Tuple[str, int]] = set()
     rewritten_disjuncts: List[ConjunctiveQuery] = []
     for disjunct in expanded:
         atoms = []
         for atom in disjunct.atoms:
-            node, arity, of_role = _predicate_node(atom, tbox)
+            node, _ = _predicate_node(atom.predicate, atom.arity, tbox)
             if node is None or node not in classification.graph:
                 atoms.append(atom)  # unknown predicate: keep as base atom
                 continue
             aux = f"{atom.predicate}*"
-            needed.setdefault(aux, (node, arity, of_role))
+            needed.add((aux, atom.arity))
             atoms.append(Atom(aux, atom.args))
         rewritten_disjuncts.append(
             ConjunctiveQuery(disjunct.answer_vars, atoms, disjunct.name)
         )
 
-    for aux, (node, arity, of_role) in sorted(needed.items()):
+    rules: List[DatalogRule] = []
+    for aux, arity in sorted(needed):
         if budget is not None:
             budget.check()
-        for subsumee in sorted(classification.subsumees(node), key=str):
-            rule = _subsumee_rule(aux, arity, subsumee, of_role)
-            if rule is not None:
-                rules.append(rule)
+        rules.extend(auxiliary.rules_for(aux, arity) or ())
 
-    return DatalogRewriting(UnionQuery(rewritten_disjuncts, query.name), rules)
+    return DatalogRewriting(
+        UnionQuery(rewritten_disjuncts, query.name), rules, auxiliary
+    )
 
 
-def _predicate_node(atom: Atom, tbox: TBox):
-    """Resolve an atom's predicate to its digraph node, arity and sort."""
-    if atom.arity == 1:
-        concept = AtomicConcept(atom.predicate)
+def _predicate_node(name: str, arity: int, tbox: TBox):
+    """Resolve a predicate name of *arity* to its digraph node (None when
+    *tbox* does not know it) and whether it is a role."""
+    if arity == 1:
+        concept = AtomicConcept(name)
         if concept in tbox.signature.concepts:
-            return concept, 1, False
-        return None, 1, False
-    role = AtomicRole(atom.predicate)
+            return concept, False
+        return None, False
+    role = AtomicRole(name)
     if role in tbox.signature.roles:
-        return role, 2, True
-    attribute = AtomicAttribute(atom.predicate)
+        return role, True
+    attribute = AtomicAttribute(name)
     if attribute in tbox.signature.attributes:
-        return attribute, 2, False
-    return None, 2, False
+        return attribute, False
+    return None, False

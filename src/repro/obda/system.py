@@ -114,11 +114,11 @@ class _Stamped(NamedTuple):
 
 
 class _Delta(NamedTuple):
-    """What grew since a result's stamps: per predicate or table name,
-    the rows added (empty when nothing grew), and what a reader needs to
-    stamp the result again."""
+    """What grew since a result's stamps: per predicate and arity, or
+    per table name, the rows added (empty when nothing grew), and what a
+    reader needs to stamp the result again."""
 
-    grown: Dict[str, Sequence[Tuple]]
+    grown: Dict[object, Sequence[Tuple]]
     reads: object
 
 
@@ -150,14 +150,13 @@ class _OverExtents:
         read: dict = {}
         grown: dict = {}
         for predicate, arity, version in stamps:
-            snapshot = self.provider.snapshot(predicate, arity)
-            read[predicate] = (arity, snapshot)
+            snapshot = read[predicate, arity] = self.provider.snapshot(predicate, arity)
             if snapshot.version != version:
                 added = snapshot.added
                 if snapshot.base != version or 2 * len(added) > len(snapshot.rows):
                     return None
                 if added:
-                    grown[predicate] = added
+                    grown[predicate, arity] = added
         return _Delta(grown, read)
 
     def extend(self, budget, delta: _Delta) -> Set[Tuple]:
@@ -171,7 +170,7 @@ class _OverExtents:
 
 def _versions(read) -> tuple:
     return tuple(
-        [(predicate, arity, snapshot.version) for predicate, (arity, snapshot) in read.items()]
+        [(predicate, arity, snapshot.version) for (predicate, arity), snapshot in read.items()]
     )
 
 
@@ -261,6 +260,22 @@ def _refresh(reader, entry: Optional[_Stamped], delta: Optional[_Delta], generat
     return added, _Stamped(generation, stamps, frozenset(added))
 
 
+def _bound(cached, template):
+    """A cached ``(rewriting, constant keys)`` entry for a query of the
+    same template: the rewriting itself when the query's constants have
+    those keys, else the rewriting with the query's constants bound in
+    their place."""
+    rewritten, keys = cached
+    if keys == template.keys:
+        return rewritten
+    from ..perf.canonical import bind_constants
+
+    bound = dict(zip(keys, template.constants))
+    if isinstance(rewritten, UnionQuery):
+        return bind_constants(rewritten, bound)
+    return rewritten.with_ucq(bind_constants(rewritten.ucq, bound))
+
+
 class OBDASystem:
     """An OBDA specification bound to its sources.
 
@@ -273,12 +288,21 @@ class OBDASystem:
       TBox's structural fingerprint, so systems sharing an ontology
       classify it once;
     * rewritings, unfoldings and certain answers are cached in bounded
-      LRUs under *canonical* query keys, so alpha-equivalent queries
-      (same shape, renamed variables, reordered atoms) share entries;
+      LRUs under *canonical* query keys.  A rewriting keys on the
+      query's template (:func:`repro.perf.canonical.template_key`), so
+      queries of the same shape — renamed variables, reordered atoms,
+      fresh variable names *and constants* — share it, each with its
+      own constants bound in; unfoldings and answers key on the
+      template and the constants' string forms, computed once per call;
     * the extent provider is shared across queries; a write refreshes
       only the extents mapped from the tables it wrote (by a delta when
       a table only grew), and hash-join indexes are cached per
-      predicate under the version of the extent they index;
+      predicate under the version of the extent they index.  Presto's
+      auxiliary predicates are served by one derived-extent provider
+      per TBox generation over the shared extents, from the
+      classification's auxiliary rules: each is derived and indexed
+      once, then grows by derived deltas (a retry context and
+      ``enable_caches=False`` derive per call);
     * answers grow with appends: an answer-cache entry keeps the data
       generation it was confirmed at and the stamps of what it read
       (extent versions for perfectref and presto, table stamps for
@@ -338,6 +362,9 @@ class OBDASystem:
         #: "functionality", "unsat"), built once per TBox generation
         self._consistency_rewritings: Dict[str, list] = {}
         self._shared_extents: Optional[ExtentProvider] = None
+        #: Presto's auxiliary predicates over the shared extents, one
+        #: provider per TBox generation (see _derived_extents)
+        self._presto_extents: Optional[DatalogExtents] = None
         self._tbox_generation = getattr(tbox, "generation", 0)
         if enable_caches:
             from ..perf import LRUCache, shared_classification_cache
@@ -347,13 +374,13 @@ class OBDASystem:
                 if classification_cache is not None
                 else shared_classification_cache()
             )
-            # Rewritings/unfoldings depend only on the TBox (and mappings),
-            # not on the data, so they are keyed on canonical query forms
-            # and the TBox generation; answers also key on the data's.
+            # Rewritings depend only on the TBox and a query's template
+            # (its canonical form with constants as parameters), so they
+            # are keyed on that and the TBox generation; unfoldings and
+            # answers also key on the constants, answers on the data too.
             self._rewriting_cache = LRUCache(cache_size, name="rewriting")
             self._unfolding_cache = LRUCache(cache_size, name="unfolding")
             self._answer_cache = LRUCache(cache_size, name="answers")
-            self._datalog_extents = LRUCache(cache_size, name="datalog-extents")
             self._consistency_cache: Dict[Tuple[int, int], List[str]] = {}
             #: per violation or unsat check, its last result and stamps
             self._check_cache: Dict[Tuple[str, str, int], _Stamped] = {}
@@ -362,7 +389,6 @@ class OBDASystem:
             self._rewriting_cache = None
             self._unfolding_cache = None
             self._answer_cache = None
-            self._datalog_extents = None
             self._consistency_cache = None
             self._check_cache = None
         self._statistics_catalog: Optional[StatisticsCatalog] = None
@@ -385,11 +411,11 @@ class OBDASystem:
             self._classification = None
             self._classification_generation = None
             self._consistency_rewritings = {}
+            self._presto_extents = None
             if self.enable_caches:
                 self._rewriting_cache.invalidate()
                 self._unfolding_cache.invalidate()
                 self._answer_cache.invalidate()
-                self._datalog_extents.invalidate()
                 self._consistency_cache = {}
                 self._check_cache = {}
 
@@ -407,6 +433,7 @@ class OBDASystem:
             self._classification = None
             self._classification_generation = None
             self._consistency_rewritings = {}
+            self._presto_extents = None
             if self._shared_extents is not None:
                 self._shared_extents.invalidate()
             if self._statistics_catalog is not None:
@@ -420,7 +447,6 @@ class OBDASystem:
                 self._rewriting_cache.invalidate()
                 self._unfolding_cache.invalidate()
                 self._answer_cache.invalidate()
-                self._datalog_extents.invalidate()
                 self._consistency_cache = {}
                 self._check_cache = {}
 
@@ -552,13 +578,17 @@ class OBDASystem:
         """Rewrite only (no evaluation); returns a UCQ or DatalogRewriting.
 
         Rewritings depend only on the TBox, not on the data, so they are
-        cached across queries under the TBox generation and the
-        *canonical* form of the query — alpha-equivalent queries (renamed
-        variables, reordered atoms or disjuncts) share one entry.
-        PerfectRef outputs additionally get subsumption-pruned
-        (:func:`repro.perf.prune.prune_ucq`) before caching, shrinking the
-        join work and the rendered SQL; the ``rewrite`` span records the
-        before/after disjunct counts.
+        cached across queries under the TBox generation and the query's
+        *template* (:func:`repro.perf.canonical.template_key`): its
+        canonical form with constants as parameters.  Queries of one
+        shape — renamed variables, reordered atoms or disjuncts, other
+        constants — share one entry; a query with other constants gets
+        the cached rewriting with its own constants bound in
+        (:func:`~repro.perf.canonical.bind_constants`), a query with the
+        cached ones the cached object.  PerfectRef outputs additionally
+        get subsumption-pruned (:func:`repro.perf.prune.prune_ucq`)
+        before caching, shrinking the join work and the rendered SQL;
+        the ``rewrite`` span records the before/after disjunct counts.
 
         Only *completed* rewritings enter the cache, so a budget abort
         never poisons it.
@@ -570,7 +600,11 @@ class OBDASystem:
             "presto",
         ):
             raise ReproError(f"unknown rewriting method {method!r}")
-        ucq = self._as_ucq(query)
+        return self._rewrite(self._as_ucq(query), method, budget, None)
+
+    def _rewrite(self, ucq: UnionQuery, method: str, budget, template):
+        """:meth:`rewrite` of a parsed query whose template the caller
+        may have computed already (None: computed here when cached)."""
         budget = Budget.ensure(budget, task=f"rewrite:{ucq.name or method}")
         group = "presto" if method == "presto" else "perfectref"
         tracer = current_tracer()
@@ -578,17 +612,19 @@ class OBDASystem:
             span.annotate(method=group, disjuncts_in=len(ucq))
             key = None
             if self.enable_caches:
-                from ..perf import ucq_key
-
                 self._validate_caches()
+                if template is None:
+                    from ..perf.canonical import template_key
+
+                    template = template_key(ucq)
                 # Keyed on the TBox generation read before rewriting, as
                 # the answers are: a rewriting of the TBox from before a
                 # concurrent axiom add is never served after it.
-                key = (ucq_key(ucq), group, self._tbox_generation)
+                key = (template.shape, group, self._tbox_generation)
                 cached = self._rewriting_cache.get(key)
                 if cached is not None:
                     span.set("cache", "hit")
-                    return cached
+                    return _bound(cached, template)
                 span.set("cache", "miss")
             else:
                 span.set("cache", "off")
@@ -611,7 +647,7 @@ class OBDASystem:
                 rewritten = perfect_ref(ucq, self.tbox, budget=budget)
                 span.set("disjuncts_out", len(rewritten))
             if key is not None:
-                self._rewriting_cache.put(key, rewritten)
+                self._rewriting_cache.put(key, (rewritten, template.keys))
             return rewritten
 
     def certain_answers(
@@ -678,21 +714,24 @@ class OBDASystem:
                 "the mapped sources violate the TBox; every tuple is entailed"
             )
         context.check()
-        key = entry = generation = None
+        key = entry = generation = template = None
         if self.enable_caches:
-            from ..perf import ucq_key
+            from ..perf.canonical import template_key
 
             self._validate_caches()
             # The data generation is read before anything the answers
             # are computed from, so a write after this read moves it.
             generation = self._data_generation()
-            key = (ucq_key(ucq), method, self._tbox_generation)
+            # the template and the constants' string forms tell queries
+            # apart as ucq_key does; the rewriting keys on the template
+            template = template_key(ucq)
+            key = (template.shape, template.keys, method, self._tbox_generation)
             entry = self._answer_cache.get(key, record=False)
             if entry is not None and entry.generation == generation:
                 return self._answer_hit(key, entry, entry, root)
         else:
             root.set("answer_cache", "off")
-        reader = self._answer_reader(ucq, label, method, context, tracer, key)
+        reader = self._answer_reader(ucq, label, method, context, tracer, key, template)
         delta = None
         if entry is not None and entry.stamps is not None:
             delta = reader.delta(entry.stamps)
@@ -725,23 +764,24 @@ class OBDASystem:
         root.set("answer_cache", "hit")
         return set(entry.answers)
 
-    def _answer_reader(self, ucq, label, method, context, tracer, key):
+    def _answer_reader(self, ucq, label, method, context, tracer, key, template):
         """What answers *ucq* by *method*: its rewriting (and unfolding)
         from the caches, over the sources it reads."""
         stamped = self.enable_caches and self.abox is None
+        budget = context.scoped(f"rewrite:{label}")
         if method == "perfectref":
-            rewritten = self.rewrite(ucq, budget=context.scoped(f"rewrite:{label}"))
+            rewritten = self._rewrite(ucq, method, budget, template)
             return _OverExtents(rewritten, self.extents(context), stamped)
         if method in ("perfectref-sql", "perfectref-sqlite"):
             if self.mappings is None:
                 raise ReproError(f"{method} requires mappings and a database")
-            rewritten = self.rewrite(ucq, budget=context.scoped(f"rewrite:{label}"))
+            rewritten = self._rewrite(ucq, method, budget, template)
             with tracer.span("unfold") as span:
                 unfolded = None
                 if key is not None:
                     # the rewriting unfolded here is of this TBox
                     # generation or a later one, never an earlier one
-                    unfold_key = (key[0], key[2])
+                    unfold_key = (key[0], key[1], key[3])
                     unfolded = self._unfolding_cache.get(unfold_key)
                 if unfolded is None:
                     span.set("cache", "miss" if key is not None else "off")
@@ -759,19 +799,31 @@ class OBDASystem:
             if method == "perfectref-sqlite":
                 return _PushedDown(self.sql_backend(), unfolded, database, stamped)
             return _OverTables(unfolded, database, stamped)
-        rewriting = self.rewrite(
-            ucq, method="presto", budget=context.scoped(f"rewrite:{label}")
-        )
-        if key is not None and context.retry is None:
-            # Reuse the derived auxiliary extents across queries; the
-            # provider revalidates against the base generation itself.
-            provider = self._datalog_extents.get(key[0])
-            if provider is None or provider.rewriting is not rewriting:
-                provider = DatalogExtents(rewriting, self.extents())
-                self._datalog_extents.put(key[0], provider)
+        rewriting = self._rewrite(ucq, method, budget, template)
+        if key is not None and context.retry is None and rewriting.auxiliary is not None:
+            provider = self._derived_extents(rewriting.auxiliary)
         else:
             provider = DatalogExtents(rewriting, self.extents(context))
         return _OverExtents(rewriting.ucq, provider, stamped)
+
+    def _derived_extents(self, auxiliary) -> DatalogExtents:
+        """The system's provider of Presto's auxiliary predicates over
+        its shared extents, from *auxiliary*, the
+        :class:`~repro.obda.rewriting.presto.AuxiliaryRules` of the
+        classification the query was rewritten against.  It serves every
+        such query: each auxiliary predicate is derived and indexed
+        once, then grows by derived deltas and revalidates against the
+        base generation itself.  A rewriting of another classification
+        (a TBox change, possibly racing this call) replaces it."""
+        with self._lock:
+            provider = self._presto_extents
+            if (
+                provider is None
+                or provider.rewriting.classification is not auxiliary.classification
+            ):
+                provider = DatalogExtents(auxiliary, self.extents())
+                self._presto_extents = provider
+            return provider
 
     def certain_answers_eql(self, query, check_consistency: bool = True):
         """Answer an EQL-Lite query (epistemic FO shell over K-atoms).

@@ -32,6 +32,9 @@ The virtual ABox (:mod:`repro.obda.evaluation`) counts its refresh work:
 * ``obda.evaluation.index_builds`` — join indexes built in full;
 * ``obda.evaluation.index_extends`` — join indexes extended by the rows
   a delta added instead of rebuilt;
+* ``obda.evaluation.derivations`` — Presto's derived extents derived in
+  full from their rules (first use, or a base extent that changed other
+  than by a delta);
 * ``obda.evaluation.derived_deltas`` — Presto's derived extents grown by
   the projections of their base extents' deltas instead of derived again.
 

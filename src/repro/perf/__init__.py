@@ -10,7 +10,9 @@ package supplies the machinery that makes repeated work free:
   statistics, plus the process-wide classification cache;
 * :mod:`~repro.perf.canonical` — variable-renaming- and order-invariant
   cache keys for CQs/UCQs, so alpha-equivalent queries share rewriting,
-  unfolding and answer cache entries;
+  unfolding and answer cache entries, and query templates (constants as
+  parameters), so queries that differ only in their constants share a
+  rewriting;
 * :mod:`~repro.perf.prune` — subsumption pruning of rewriting outputs
   (drop disjuncts another disjunct maps into homomorphically), with
   before/after statistics.

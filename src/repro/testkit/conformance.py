@@ -7,7 +7,9 @@ on a tiny sibling ontology and the end-to-end OBDA answer diff
 (PerfectRef vs Presto vs unfolded SQL over a direct mapping of a random
 ABox that a consistent knowledge base holds, diffed again after a few
 assertions are appended, so that the mapped system's extended answers
-meet knowledge-base mode's recomputed ones).  Any disagreement is shrunk
+meet knowledge-base mode's recomputed ones, and then with constants
+bound into the queries, so that rewritings bound from a cached one of
+the same shape meet a cache-free knowledge base's).  Any disagreement is shrunk
 to a minimal reproducer and written to the regression corpus directory.
 
 The runner reuses :class:`repro.runtime.budget.Budget` for bounded
@@ -39,6 +41,7 @@ from .generators import (
     random_profile_tbox,
     random_queries,
     random_tiny_tbox,
+    with_constants,
     with_literal_names,
 )
 from .metamorphic import run_metamorphic_checks
@@ -254,7 +257,8 @@ def _run_round(
 
     # 4. end-to-end OBDA: PerfectRef vs Presto vs unfolded SQL, joined in
     #    memory and pushed down to SQLite, then again after a few appends,
-    #    on the same warm systems
+    #    on the same warm systems, and then with constants bound into the
+    #    queries, two constants per query shape
     if config.obda_every and round_index % config.obda_every == 0:
         small = random_tiny_tbox(rng, config.profile)
         abox = _consistent_abox(rng, small, config.profile)
@@ -264,8 +268,11 @@ def _run_round(
             appends = random_appends(
                 append_rng, abox, append_rng.randint(1, 3), queries
             )
-            problems = _obda_diff(small, abox, queries, appends, budget)
-            report.checks_run += 2
+            bound = with_constants(
+                random.Random(f"constants:{config.seed}:{round_index}"), queries, abox
+            )
+            problems = _obda_diff(small, abox, queries, appends, bound, budget)
+            report.checks_run += 3
             if problems:
                 # Answer diffs shrink over the TBox with data, appends and
                 # queries held fixed — the bug is almost always in the
@@ -275,7 +282,7 @@ def _run_round(
                     config,
                     small,
                     problems,
-                    lambda t: _obda_diff(t, abox, queries, appends, budget),
+                    lambda t: _obda_diff(t, abox, queries, appends, bound, budget),
                     round_index,
                     budget,
                 )
@@ -304,13 +311,18 @@ _OBDA_METHODS = ("perfectref", "perfectref-sql", "perfectref-sqlite", "presto")
 
 
 def _obda_diff(
-    tbox: TBox, abox, queries, appends, budget: Budget
+    tbox: TBox, abox, queries, appends, bound, budget: Budget
 ) -> List[Disagreement]:
     """Step 4 on *tbox*: diff the answers of *queries* on a knowledge-base
     system over a copy of *abox* and on its direct mapping, then append
     *appends* to both (the copy, and the mapped tables as the mapping
-    lowered their rows) and diff again on the same warm systems.  The
-    mapped system's SQLite replica is closed after the diffs."""
+    lowered their rows) and diff again on the same warm systems.  Then
+    diff the answers of *bound*, the queries with constants
+    (:func:`with_constants`, several versions per shape, so all but the
+    first rewrite of a shape bind the cached one), on the warm systems
+    and on a cache-free knowledge-base system, which rewrites each
+    version anew.  The mapped system's SQLite replica is closed after
+    the diffs."""
     from ..obda.system import OBDASystem
 
     facts = abox.copy()
@@ -322,8 +334,10 @@ def _obda_diff(
         problems = diff_answers(systems, queries, methods=_OBDA_METHODS, budget=budget)
         facts.extend(appends)
         append_direct(systems["sql"], appends)
+        problems += diff_answers(systems, queries, methods=_OBDA_METHODS, budget=budget)
+        systems["cold"] = OBDASystem(tbox, abox=facts, enable_caches=False)
         return problems + diff_answers(
-            systems, queries, methods=_OBDA_METHODS, budget=budget
+            systems, bound, methods=_OBDA_METHODS, budget=budget
         )
     finally:
         systems["sql"].sql_backend().close()

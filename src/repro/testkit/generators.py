@@ -23,6 +23,8 @@ with virtual-extent evaluation), and :func:`random_queries` draws small
 connected conjunctive queries over the signature.  :func:`random_appends`
 draws assertions to append to an ABox already answered over, and
 :func:`append_direct` inserts them into a direct mapping's tables.
+:func:`with_constants` binds query variables to individual names, so
+one query shape is asked with several constants.
 :func:`with_literal_names` renames three individuals ``1``, ``1.0`` and
 ``True``, which the direct mapping stores as typed cells in every other
 table — mixed-type data whose answers the string-form identity of the
@@ -64,7 +66,7 @@ from ..dllite.syntax import (
     QualifiedExistential,
 )
 from ..dllite.tbox import TBox
-from ..obda.queries import Atom, ConjunctiveQuery, UnionQuery, Variable
+from ..obda.queries import Atom, ConjunctiveQuery, Constant, UnionQuery, Variable
 
 __all__ = [
     "FuzzProfile",
@@ -75,6 +77,7 @@ __all__ = [
     "random_profile_tbox",
     "random_queries",
     "random_tiny_tbox",
+    "with_constants",
     "with_literal_names",
 ]
 
@@ -448,3 +451,60 @@ def random_queries(
             )
         )
     return queries
+
+
+#: a name no generated ABox holds (:func:`random_abox` names its
+#: individuals ``a0..aN``)
+ABSENT_NAME = "nobody"
+
+
+def with_constants(
+    rng: random.Random, queries: Sequence[UnionQuery], abox: ABox, count: int = 2
+) -> List[UnionQuery]:
+    """*count* versions of each query of *queries* with some of its
+    non-answer variables bound to constants: individual names of *abox*
+    and :data:`ABSENT_NAME`, which no ABox holds.
+
+    Per query, which variables are bound and which of them share a
+    constant is drawn once, and each version binds those parameters to
+    distinct names, other ones than the version before while there are
+    enough, so the versions of a query share one template
+    (:func:`repro.perf.canonical.template_key`) and differ in their
+    constants.  A query without a non-answer variable has no
+    versions.
+    """
+    names = sorted({individual.name for individual in abox.individuals()})
+    names.append(ABSENT_NAME)
+    bound: List[UnionQuery] = []
+    for query in queries:
+        cq = query.disjuncts[0]
+        free = sorted(
+            {term for atom in cq.atoms for term in atom.args if isinstance(term, Variable)}
+            - set(cq.answer_vars),
+            key=lambda variable: variable.name,
+        )
+        if not free:
+            continue
+        chosen = rng.sample(free, rng.randint(1, len(free)))
+        parameters = rng.randint(1, min(len(chosen), len(names)))
+        # every parameter takes at least one variable
+        slots = list(range(parameters)) + [
+            rng.randrange(parameters) for _ in chosen[parameters:]
+        ]
+        rng.shuffle(slots)
+        order = rng.sample(names, len(names))
+        for version in range(count):
+            # consecutive windows of one shuffle: versions differ while
+            # there are names enough
+            drawn = [
+                Constant(order[(version * parameters + i) % len(order)])
+                for i in range(parameters)
+            ]
+            mapping = {variable: drawn[slot] for variable, slot in zip(chosen, slots)}
+            name = f"{query.name}c{version}"
+            atoms = [atom.substitute(mapping) for atom in cq.atoms]
+            bound.append(
+                UnionQuery([ConjunctiveQuery(cq.answer_vars, atoms, name)], name=name)
+            )
+    return bound
+

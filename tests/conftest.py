@@ -70,15 +70,21 @@ def make_random_tbox(
 HARNESS = Path(__file__).resolve().parents[1] / "benchmarks" / "harness"
 
 
-def fig1_texts(seed: int, **options) -> dict:
-    """Profile name -> serialized TBox, as the ``fig1-classify`` benchmark
-    workload generates them for *seed* (*options* go to its constructor)."""
+def harness_workloads():
+    """The benchmark harness's ``workloads`` module (read-only use: its
+    seeded inputs and set-ups)."""
     sys.path.insert(0, str(HARNESS))
     try:
         import workloads
     finally:
         sys.path.remove(str(HARNESS))
-    return workloads.Fig1Classify(**options).make_inputs(seed)["texts"]
+    return workloads
+
+
+def fig1_texts(seed: int, **options) -> dict:
+    """Profile name -> serialized TBox, as the ``fig1-classify`` benchmark
+    workload generates them for *seed* (*options* go to its constructor)."""
+    return harness_workloads().Fig1Classify(**options).make_inputs(seed)["texts"]
 
 
 @pytest.fixture

@@ -33,7 +33,8 @@ from repro.obda.sql.stats import join_key
 from repro.obda.system import OBDASystem
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import Tracer, use_tracer
-from repro.perf import ClassificationCache, ucq_key
+from repro.perf import ClassificationCache
+from repro.perf.canonical import template_key
 from repro.runtime.budget import Budget
 from repro.runtime.fallback import FallbackChain
 from repro.runtime.retry import RetryPolicy
@@ -133,7 +134,7 @@ def test_budget_abort_during_index_build_installs_nothing():
     expired = Budget(0.0, task="index")
     with pytest.raises(TimeoutExceeded):
         provider.index("P", 2, (0,), budget=expired)
-    assert ("P", (0,)) not in provider._index_cache
+    assert ("P", 2, (0,)) not in provider._index_cache
     # the next (funded) build succeeds and is complete
     index = provider.index("P", 2, (0,))
     assert sum(len(rows) for rows in index.values()) == 1200
@@ -512,8 +513,7 @@ def test_delta_refreshes_match_fresh_pulls(seed):
         fresh = mappings.predicate_extent(database, predicate)
         assert _reprs(provider.extent(predicate, arity)) == _reprs(fresh), predicate
     # indexes: bucket for bucket, current and published alike
-    for predicate, positions in list(getattr(provider, "_index_cache", {})):
-        arity = _DELTA_ARITIES[predicate]
+    for predicate, arity, positions in list(getattr(provider, "_index_cache", {})):
         fresh = _fresh_index(mappings.predicate_extent(database, predicate), positions)
         assert _same_buckets(provider.index(predicate, arity, positions), fresh)
     for index, buckets in held:
@@ -571,11 +571,11 @@ def test_budget_abort_during_index_extension_installs_nothing():
     )
     provider = MappingExtents(mappings, database)
     before = provider.index("P", 2, (0,))
-    cached = provider._index_cache[("P", (0,))]
+    cached = provider._index_cache[("P", 2, (0,))]
     database["pairs"].insert_many((i, i + 1) for i in range(10, 1210))
     with pytest.raises(TimeoutExceeded):
         provider.index("P", 2, (0,), budget=Budget(0.0, task="extend"))
-    assert provider._index_cache[("P", (0,))] is cached
+    assert provider._index_cache[("P", 2, (0,))] is cached
     assert sum(len(rows) for rows in before.values()) == 10
     extends = global_metrics().counter("obda.evaluation.index_extends").value
     index = provider.index("P", 2, (0,))
@@ -861,7 +861,8 @@ def test_budget_abort_during_an_extension_leaves_the_old_entry(method, monkeypat
     system = _campus_system()
     query = parse_query(_ASKED)
     before, _, _ = _ask(system, query, method)
-    key = (ucq_key(query), method, system._tbox_generation)
+    template = template_key(query)
+    key = (template.shape, template.keys, method, system._tbox_generation)
     entry = system._answer_cache.peek(key)
     assert entry is not None and entry.answers == before
     system.database["t_teaches"].insert(("bob", "compilers"))
@@ -1090,10 +1091,8 @@ def test_derived_deltas_and_aliases_match_a_fresh_derivation(seed):
                 for row in fresh_base.extent(body.predicate, len(body.args))
             }
         assert derived == _reprs(expected), head
-    arities = {"P": 2, "Q": 2, "C": 1, "U": 2, **_DERIVED_ARITIES}
     for owner in (provider, base):
-        for predicate, positions in list(getattr(owner, "_index_cache", {})):
-            arity = arities[predicate]
+        for predicate, arity, positions in list(getattr(owner, "_index_cache", {})):
             assert _same_buckets(
                 owner.index(predicate, arity, positions),
                 _fresh_index(fresh.extent(predicate, arity), positions),
@@ -1112,7 +1111,7 @@ def test_an_identity_rule_is_served_as_its_base_predicate():
     assert provider.snapshot("C*", 1) is base.snapshot("C", 1)
     # a swapped copy is derived, not served as P
     assert provider.extent("Pinv*", 2) == {(Individual("i/2"), Individual("i/1"))}
-    assert "P*" not in provider._cache and "Pinv*" in provider._cache
+    assert ("P*", 2) not in provider._cache and ("Pinv*", 2) in provider._cache
 
 
 def test_a_derived_extent_grows_by_the_projected_delta():
@@ -1145,11 +1144,11 @@ def test_budget_abort_during_a_derived_delta_installs_nothing():
     database["p"].insert_many((i, i + 1) for i in range(10))
     provider = DatalogExtents(rewriting, MappingExtents(mappings, database))
     provider.index("Pinv*", 2, (0,))
-    cached = provider._index_cache[("Pinv*", (0,))]
+    cached = provider._index_cache[("Pinv*", 2, (0,))]
     database["p"].insert_many((i, i + 1) for i in range(10, 1210))
     with pytest.raises(TimeoutExceeded):
         provider.index("Pinv*", 2, (0,), budget=Budget(0.0, task="derived"))
-    assert provider._index_cache[("Pinv*", (0,))] is cached
+    assert provider._index_cache[("Pinv*", 2, (0,))] is cached
     index = provider.index("Pinv*", 2, (0,))
     assert _same_buckets(index, _fresh_index(provider.extent("Pinv*", 2), (0,)))
     assert sum(len(rows) for rows in index.values()) == 1210

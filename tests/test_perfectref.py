@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.dllite import parse_tbox
-from repro.obda import parse_query, perfect_ref
-from repro.obda.rewriting.perfectref import RewritingTooLarge
+from repro.dllite import ABox, parse_tbox
+from repro.dllite.abox import ConceptAssertion, Individual
+from repro.dllite.axioms import ConceptInclusion
+from repro.dllite.syntax import AtomicConcept
+from repro.obda import OBDASystem, parse_query, perfect_ref
+from repro.obda.rewriting import perfectref
+from repro.obda.rewriting.perfectref import RewritingTooLarge, axiom_index
 
 
 def rewrite(tbox_text, query_text, **kwargs):
@@ -129,3 +133,31 @@ def test_max_disjuncts_guard():
             "q(x) :- P(x, a), P(x, b), P(x, c), P(x, d)",
             max_disjuncts=5,
         )
+
+
+def test_the_axiom_index_is_built_once_per_tbox_generation(monkeypatch):
+    """Every rewriting against one TBox generation (queries and the
+    consistency checks, on any system over the TBox) shares one axiom
+    index; an added axiom builds the next one."""
+    built = []
+
+    class Counted(perfectref.AxiomIndex):
+        def __init__(self, tbox):
+            built.append(tbox)
+            super().__init__(tbox)
+
+    monkeypatch.setattr(perfectref, "AxiomIndex", Counted)
+    tbox = parse_tbox("Professor isa Teacher\nTeacher isa Person\nStudent isa not Teacher")
+    abox = ABox()
+    abox.add(ConceptAssertion(AtomicConcept("Professor"), Individual("ada")))
+    systems = [OBDASystem(tbox, abox=abox) for _ in range(2)]
+    for system in systems:
+        assert system.certain_answers("q(x) :- Person(x)") == {(Individual("ada"),)}
+        assert system.certain_answers("q(x) :- Teacher(x)", method="perfectref")
+    assert len(built) == 1
+    assert axiom_index(tbox) is axiom_index(tbox)
+    tbox.add(ConceptInclusion(AtomicConcept("Student"), AtomicConcept("Person")))
+    for system in systems:
+        assert system.certain_answers("q(x) :- Person(x)") == {(Individual("ada"),)}
+    assert len(built) == 2
+

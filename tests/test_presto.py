@@ -4,15 +4,19 @@ import pytest
 
 from repro.dllite import ABox, parse_tbox
 from repro.dllite.abox import ConceptAssertion, Individual, RoleAssertion
+from repro.dllite.axioms import ConceptInclusion, RoleInclusion
 from repro.dllite.syntax import AtomicConcept, AtomicRole
+from repro.dllite.tbox import TBox
 from repro.obda import (
     ABoxExtents,
     DatalogExtents,
+    OBDASystem,
     evaluate_ucq,
     parse_query,
     perfect_ref,
     presto_rewrite,
 )
+from repro.testkit import direct_mapping_system
 
 
 def test_hierarchy_goes_to_rules_not_disjuncts():
@@ -185,3 +189,76 @@ def test_witness_index_is_built_once_per_classification():
     presto_rewrite(parse_query("q(x) :- teaches(x, y)"), tbox, classification)
     assert _witness_index(classification) is index
     assert _witness_index(GraphClassifier().classify(tbox)) is not index
+
+
+def _shared_name_tbox():
+    """``A ⊑ P`` for a concept ``P`` and ``R ⊑ P`` for a role ``P``: one
+    name, two predicates (the parser refuses the text, a TBox holds it)."""
+    return TBox(
+        [
+            ConceptInclusion(AtomicConcept("A"), AtomicConcept("P")),
+            RoleInclusion(AtomicRole("R"), AtomicRole("P")),
+        ]
+    )
+
+
+def _shared_name_abox():
+    abox = ABox()
+    abox.add(ConceptAssertion(AtomicConcept("A"), Individual("a")))
+    abox.add(RoleAssertion(AtomicRole("R"), Individual("c"), Individual("b")))
+    return abox
+
+
+_SHARED_NAME_QUERIES = (
+    ("q(x) :- P(x), P(x, y)", set()),
+    ("q(x, y) :- P(x), P(x, y)", set()),
+    ("q(x) :- P(x)", {(Individual("a"),)}),
+    ("q(x, y) :- P(x, y)", {(Individual("c"), Individual("b"))}),
+)
+
+
+def test_a_concept_and_a_role_sharing_a_name_are_two_auxiliary_predicates():
+    """Presto keyed its auxiliary predicates by name alone, so ``P*``
+    held the rules of both ``P``s: ``q(x) :- P(x), P(x, y)`` answered
+    ``(a,)`` and the two-variable query raised IndexError, where the
+    other methods answer nothing.  Asked in sequence on one system, the
+    queries also share its derived-extent provider."""
+    tbox = _shared_name_tbox()
+    program = presto_rewrite(parse_query("q(x) :- P(x), P(x, y)"), tbox)
+    assert sorted(str(rule) for rule in program.rules if rule.head.predicate == "P*") == [
+        "P*(x) :- A(x)", "P*(x) :- P(x)", "P*(x, y) :- P(x, y)", "P*(x, y) :- R(x, y)",
+    ]
+    abox = _shared_name_abox()
+    systems = {
+        "kb": OBDASystem(tbox, abox=abox),
+        "mapped": direct_mapping_system(tbox, abox),
+    }
+    try:
+        for label, system in systems.items():
+            methods = ("perfectref", "presto")
+            if label == "mapped":
+                methods += ("perfectref-sql", "perfectref-sqlite")
+            for text, expected in _SHARED_NAME_QUERIES:
+                for method in methods:
+                    assert system.certain_answers(text, method=method) == expected, (
+                        label, method, text,
+                    )
+    finally:
+        systems["mapped"].sql_backend().close()
+
+
+def test_base_facts_of_a_concept_and_a_role_sharing_a_name_stay_apart():
+    """Knowledge-base extents, the evaluator's reads and the join indexes
+    key a predicate by name and arity: ``P(a)`` and ``P(c, b)`` are two
+    extents (the two-variable query raised IndexError on both methods)."""
+    abox = ABox()
+    abox.add(ConceptAssertion(AtomicConcept("P"), Individual("a")))
+    abox.add(RoleAssertion(AtomicRole("P"), Individual("c"), Individual("b")))
+    system = OBDASystem(_shared_name_tbox(), abox=abox)
+    for method in ("perfectref", "presto"):
+        assert system.certain_answers("q(x) :- P(x)", method=method) == {(Individual("a"),)}
+        assert system.certain_answers("q(x, y) :- P(x, y)", method=method) == {
+            (Individual("c"), Individual("b"))
+        }
+        assert system.certain_answers("q(x) :- P(x), P(x, y)", method=method) == set()
+

@@ -108,7 +108,9 @@ def test_obda_step_diffs_the_extended_answers_after_appends(monkeypatch):
     tbox = parse_tbox("role P\nA isa exists P\n")
     queries = [parse_query("q(x) :- A(x)"), parse_query("q(y) :- P(x, y)")]
     appends = [RoleAssertion(AtomicRole("P"), Individual("a1"), Individual("new"))]
-    assert _obda_diff(tbox, _teaching_abox(), queries, appends, None) == []
+    # one shape with two constants: the second rewriting is a template hit
+    bound = [parse_query("q(x) :- P(x, 'a1')"), parse_query("q(x) :- P(x, 'new')")]
+    assert _obda_diff(tbox, _teaching_abox(), queries, appends, bound, None) == []
     # extensions that drop what the appended rows add are caught, the
     # pushed-down delta statement's as well as the in-memory ones
     for reader, caught in (
@@ -117,9 +119,15 @@ def test_obda_step_diffs_the_extended_answers_after_appends(monkeypatch):
     ):
         with monkeypatch.context() as patched:
             patched.setattr(reader, "extend", lambda self, budget, delta: set())
-            problems = _obda_diff(tbox, _teaching_abox(), queries, appends, None)
+            problems = _obda_diff(tbox, _teaching_abox(), queries, appends, (), None)
         assert {problem.kind for problem in problems} == {"answers"}
         assert caught in {problem.left for problem in problems}, problems
+    # a template hit served without its own constants answers for the
+    # cached ones on every warm system: the cache-free one catches it
+    with monkeypatch.context() as patched:
+        patched.setattr(system_module, "_bound", lambda cached, template: cached[0])
+        problems = _obda_diff(tbox, _teaching_abox(), [], appends, bound, None)
+    assert problems and all(problem.right == "cold/perfectref" for problem in problems)
 
 
 def test_the_drawn_abox_is_consistent():
