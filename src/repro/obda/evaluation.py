@@ -337,7 +337,8 @@ class MappingExtents(ExtentProvider):
     def __init__(self, mappings: MappingCollection, database: Database):
         self.mappings = mappings
         self.database = database
-        self._cache: Dict[str, _Entry] = {}
+        #: per (predicate, arity), a concept and a role sharing a name apart
+        self._cache: Dict[Tuple[str, int], _Entry] = {}
         #: full pulls through the mappings (first use, or a refresh that
         #: could not take a delta); the regression tests and
         #: ``cache_stats()["extents"]`` read this.
@@ -360,15 +361,15 @@ class MappingExtents(ExtentProvider):
     def snapshot(self, predicate: str, arity: int) -> Snapshot:
         generation = self.database.generation
         cache = self._cache
-        entry = cache.get(predicate)
+        entry = cache.get((predicate, arity))
         if entry is not None and entry.checked == generation:
             return entry.snapshot
-        return self._refresh(predicate, cache, entry, generation)
+        return self._refresh((predicate, arity), cache, entry, generation)
 
     def _refresh(
         self,
-        predicate: str,
-        cache: Dict[str, _Entry],
+        predicate: Tuple[str, int],
+        cache: Dict[Tuple[str, int], _Entry],
         entry: Optional[_Entry],
         generation: int,
     ) -> Snapshot:
@@ -397,24 +398,26 @@ class MappingExtents(ExtentProvider):
                     return current.snapshot
         return refreshed.snapshot
 
-    def _pull(self, predicate: str, generation: int) -> _Entry:
+    def _pull(self, predicate: Tuple[str, int], generation: int) -> _Entry:
         started: Dict[str, Tuple[Table, Stamp]] = {}
         with current_tracer().span("extent-pull") as span:
-            rows = self.mappings.atom_unfolding(predicate).join(self.database, read=started)
-            span.annotate(predicate=predicate, rows=len(rows))
+            rows = self.mappings.atom_unfolding(*predicate).join(self.database, read=started)
+            span.annotate(predicate=predicate[0], rows=len(rows))
         global_metrics().counter("obda.extents.pulls").inc()
         return _Entry(Snapshot(next(_VERSIONS), rows), ended(started), generation)
 
-    def _delta(self, predicate: str, base: Snapshot, grown, generation: int) -> _Entry:
+    def _delta(
+        self, predicate: Tuple[str, int], base: Snapshot, grown, generation: int
+    ) -> _Entry:
         """*base* grown by the answers of the atom query that read a row
         appended to a table (:func:`grown_tables`), which it lacks."""
         appended, started = grown
         with current_tracer().span("extent-delta") as span:
-            joined = self.mappings.atom_unfolding(predicate).join(
+            joined = self.mappings.atom_unfolding(*predicate).join(
                 self.database, grown=appended
             )
             added = tuple([row for row in joined if row not in base.rows])
-            span.annotate(predicate=predicate, rows=len(added))
+            span.annotate(predicate=predicate[0], rows=len(added))
         global_metrics().counter("obda.extents.delta_pulls").inc()
         if added:
             base = Snapshot(next(_VERSIONS), base.rows.union(added), base.version, added)
@@ -1036,7 +1039,8 @@ def evaluate_table_cqs(
     were last computed), only the rows that read an appended row, by
     the delta rule of :func:`_run`: one join per atom over a grown
     table, that atom reading the appended rows alone.  A CQ over no
-    grown table is skipped.
+    grown table is skipped.  The CQs hold no parameter: a caller binds
+    a template's first (:meth:`~repro.obda.sql.tablecq.Binding.bind`).
     """
     tracer = current_tracer()
     if not tracer.enabled:
@@ -1057,7 +1061,7 @@ def evaluate_table_cqs(
         def index_of(i: int, positions: Tuple[int, ...], read=read) -> Index:
             return read[i].index(positions, budget)
 
-        query = cq[1:]  # the table names lead, then the query
+        query = cq[1:6]  # the table names lead, then the query
         found |= _run(
             query,
             [table.rows for table in read],

@@ -240,9 +240,13 @@ class MappingCollection:
 
     def __init__(self, assertions: Iterable[MappingAssertion] = ()):
         self.assertions: List[MappingAssertion] = []
-        self._by_predicate: Dict[str, List[Tuple[MappingAssertion, TargetAtom]]] = {}
-        #: predicate -> its atom unfolding (see :meth:`atom_unfolding`)
-        self._atom_unfoldings: Dict[str, object] = {}
+        #: (predicate name, arity) -> the targets that map it: a concept
+        #: and a role sharing a name are two predicates
+        self._by_predicate: Dict[
+            Tuple[str, int], List[Tuple[MappingAssertion, TargetAtom]]
+        ] = {}
+        #: (predicate, arity) -> its atom unfolding (see :meth:`atom_unfolding`)
+        self._atom_unfoldings: Dict[Tuple[str, int], object] = {}
         #: the sources' table-CQ conversions, which every unfolding over
         #: the collection shares (see :func:`~repro.obda.sql.tablecq.table_cqs`)
         self._sources: Dict[int, tuple] = {}
@@ -252,8 +256,8 @@ class MappingCollection:
     def add(self, assertion: MappingAssertion) -> None:
         self.assertions.append(assertion)
         for target in assertion.targets:
-            name = target.predicate.name
-            self._by_predicate.setdefault(name, []).append((assertion, target))
+            key = (target.predicate.name, len(target.terms))
+            self._by_predicate.setdefault(key, []).append((assertion, target))
         self._atom_unfoldings = {}
 
     def __len__(self) -> int:
@@ -263,34 +267,35 @@ class MappingCollection:
         return iter(self.assertions)
 
     def mapped_predicates(self) -> Set[str]:
-        return set(self._by_predicate)
+        return {name for name, _ in self._by_predicate}
 
     # -- unfolding ---------------------------------------------------------------
 
-    def atom_unfolding(self, predicate_name: str):
+    def atom_unfolding(self, predicate_name: str, arity: int):
         """The atom query ``q(x[, y]) :- P(x[, y])`` of *predicate_name*
-        unfolded through these mappings
+        of *arity* unfolded through these mappings
         (:class:`~repro.obda.rewriting.unfolding.UnfoldedQuery`), whose
         answers are the predicate's extent.  Built on first use and kept
         until :meth:`add` changes the collection, so every extent
         provider over the collection shares it."""
         unfoldings = self._atom_unfoldings
-        unfolded = unfoldings.get(predicate_name)
+        key = (predicate_name, arity)
+        unfolded = unfoldings.get(key)
         if unfolded is None:
             from .rewriting.unfolding import unfold
 
-            pairs = self._by_predicate.get(predicate_name)
-            args = (_X, _Y)[: len(pairs[0][1].terms) if pairs else 1]
+            args = (_X, _Y)[:arity]
             query = ConjunctiveQuery(args, (Atom(predicate_name, args),))
-            unfolded = unfoldings.setdefault(
-                predicate_name, unfold(UnionQuery([query]), self)
-            )
+            unfolded = unfoldings.setdefault(key, unfold(UnionQuery([query]), self))
         return unfolded
 
-    def predicate_extent(self, database: Database, predicate_name: str) -> Set[Tuple]:
-        """The virtual extent of one ontology predicate over *database*:
-        one tuple per row of each source feeding it, the source evaluated
-        as written with no index kept.
+    def predicate_extent(
+        self, database: Database, predicate_name: str, arity: int
+    ) -> Set[Tuple]:
+        """The virtual extent of one ontology predicate, *predicate_name*
+        of *arity* (a concept and a role may share a name), over
+        *database*: one tuple per row of each source feeding it, the
+        source evaluated as written with no index kept.
 
         Concepts yield 1-tuples of :class:`Individual`; roles yield
         ``(Individual, Individual)`` pairs; attributes
@@ -298,7 +303,7 @@ class MappingCollection:
         extent (standard OBDA semantics), not an error.
         """
         extent: Set[Tuple] = set()
-        for assertion, target in self._by_predicate.get(predicate_name, ()):
+        for assertion, target in self._by_predicate.get((predicate_name, arity), ()):
             result = assertion.evaluate_source(database)
             if not result.rows:
                 continue

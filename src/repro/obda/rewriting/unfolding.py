@@ -14,7 +14,19 @@ the (renamed) source queries:
   selection on the extracted placeholder columns;
 * answer variables are projected as their placeholder columns, and the
   :class:`UnfoldedQuery` re-applies the templates row-wise to assemble
-  the final :class:`~repro.dllite.abox.Individual` answers.
+  the final :class:`~repro.dllite.abox.Individual` answers (a template
+  without placeholders renders its one IRI from no column).
+
+Unfolded with *parameters* (the string forms of a query's constants, in
+the order of its template's parameters), a constant is not read at all:
+it becomes a :class:`~repro.obda.sql.tablecq.Parameter` per placeholder
+of the template it meets (one that the template cannot parse out of a
+call's constant binds nothing, so its table CQ has no row), an equality
+of its string form with the text of a template without placeholders,
+or one parameter for a raw value column.  No part is pruned for a
+parameter's value, so the unfolding serves every query of the template,
+each call binding its own constants
+(:class:`~repro.obda.sql.tablecq.Binding`).
 
 :meth:`UnfoldedQuery.converted` reads each part as conjunctive queries
 over the tables (:mod:`repro.obda.sql.tablecq`), which
@@ -51,7 +63,7 @@ from ..sql.algebra import (
 )
 from ..sql.database import Database
 from ..sql.table import Stamp, Table
-from ..sql.tablecq import table_cqs
+from ..sql.tablecq import Binding, Parameter, table_cqs
 
 __all__ = ["UnfoldedQuery", "answer_rows", "unfold"]
 
@@ -77,16 +89,24 @@ def answer_rows(
 
 
 class UnfoldedQuery:
-    """A union of algebra parts plus per-part answer assembly recipes."""
+    """A union of algebra parts plus per-part answer assembly recipes.
+
+    An unfolding with *parameters* (their count) holds
+    :class:`~repro.obda.sql.tablecq.Parameter`\\ s in place of its
+    constants; it runs only through :meth:`join` and the sqlite backend,
+    each call binding its constants.  Its algebra, read by
+    :meth:`execute` and :meth:`sql`, keeps the parameters."""
 
     def __init__(
         self,
         parts: Sequence[Tuple[Expression, Tuple[_VarSource, ...]]],
         arity: int,
         sources: Optional[Dict[int, tuple]] = None,
+        parameters: int = 0,
     ):
         self.parts = list(parts)
         self.arity = arity
+        self.parameters = parameters
         #: the mapping collection's converted sources, shared by every
         #: unfolding over it (see :func:`~repro.obda.sql.tablecq.table_cqs`)
         self._sources = sources
@@ -139,9 +159,11 @@ class UnfoldedQuery:
         again only for tables with other columns.  A reader is
         ``(template, positions)`` over a CQ's output columns, as
         :func:`~repro.obda.mapping.read_terms` takes it; a boolean part
-        has none, and its CQs output nothing.  With *grown*, a part that
-        scans no grown table is skipped.  The budget is polled per part
-        and per branch converted.
+        has none, and its CQs output nothing; a template without
+        placeholders reads no position.  With *grown*, a part that scans
+        no grown table is skipped.  The budget is polled per part and
+        per branch converted.  The CQs of a parameterized unfolding hold
+        its parameters, for the caller to bind.
         """
         parts = self._conversions
         if parts is None:
@@ -169,6 +191,7 @@ class UnfoldedQuery:
         budget: Optional[Budget] = None,
         grown: Optional[Dict[str, Sequence[Tuple]]] = None,
         read: Optional[Dict[str, Tuple[Table, Stamp]]] = None,
+        constants: Optional[Sequence[str]] = None,
     ) -> Set[Tuple]:
         """The answers by the compiled join over the tables' indexes.
 
@@ -191,9 +214,22 @@ class UnfoldedQuery:
         when given, gains each table the join looks up, with its stamp
         (:meth:`~repro.obda.sql.table.Table.stamp`) at the first lookup:
         before the join read any of its rows.
+
+        A parameterized unfolding joins with the string forms of the
+        call's *constants* bound in (:meth:`Binding.bind
+        <repro.obda.sql.tablecq.Binding.bind>`), each ``(parameter,
+        template)`` pair parsed once; a table CQ with no row in this call
+        is skipped.
         """
+        binding = None
+        if self.parameters:
+            if constants is None:
+                raise ValueError("a parameterized unfolding joins with constants")
+            binding = Binding(constants)
         answers: Set[Tuple] = set()
         for tables, cqs, readers in self.converted(database.table, budget, grown):
+            if binding is not None:
+                cqs = [cq for cq in map(binding.bind, cqs) if cq is not None]
             if read is not None:
                 for name, table in tables.items():
                     if name not in read:
@@ -207,10 +243,15 @@ def _compile_part(
     expression: Expression, recipes, tables, budget: Optional[Budget], sources
 ) -> Tuple[list, list]:
     """*expression*'s table CQs over *tables* (by name), and the reader
-    of each recipe: its template and output positions.  A boolean part
-    (no recipes) outputs no column."""
+    of each recipe: its template and output positions.  A part whose
+    recipes read no column (a boolean part, or templates without
+    placeholders) outputs none."""
     columns, cqs = table_cqs(
-        expression, tables.__getitem__, bool(recipes), budget, sources
+        expression,
+        tables.__getitem__,
+        any([recipe.columns for recipe in recipes]),
+        budget,
+        sources,
     )
     output = ResultSet(columns, [])
     readers = [
@@ -224,12 +265,18 @@ def unfold(
     ucq: UnionQuery,
     mappings: MappingCollection,
     budget: Optional[Budget] = None,
+    parameters: Optional[Sequence[str]] = None,
 ) -> UnfoldedQuery:
     """Compile *ucq* into source-level algebra through *mappings*.
 
-    The per-disjunct mapping-combination product is worst-case
-    exponential in query length, so it polls the *budget* too.
+    With *parameters*, the string forms of *ucq*'s constants in parameter
+    order, each constant becomes its parameter (see the module
+    docstring), and the unfolding serves every query whose constants
+    take those places.  The per-disjunct mapping-combination product is
+    worst-case exponential in query length, so it polls the *budget*
+    too.
     """
+    numbered = {key: index for index, key in enumerate(parameters or ())}
     parts: List[Tuple[Expression, Tuple[_VarSource, ...]]] = []
     counter = itertools.count()
     for disjunct in ucq:
@@ -237,7 +284,7 @@ def unfold(
             budget.check()
         options = []
         for atom in disjunct.atoms:
-            pairs = mappings._by_predicate.get(atom.predicate, [])
+            pairs = mappings._by_predicate.get((atom.predicate, len(atom.args)), [])
             if not pairs:
                 options = None
                 break
@@ -247,13 +294,18 @@ def unfold(
         for combination in itertools.product(*options):
             if budget is not None:
                 budget.tick(stride=64)
-            part = _unfold_combination(disjunct, combination, counter)
+            part = _unfold_combination(disjunct, combination, counter, numbered)
             if part is not None:
                 parts.append(part)
-    return UnfoldedQuery(parts, ucq.arity, mappings._sources)
+    return UnfoldedQuery(parts, ucq.arity, mappings._sources, len(numbered))
 
 
-def _unfold_combination(disjunct: ConjunctiveQuery, combination, counter):
+def _unfold_combination(
+    disjunct: ConjunctiveQuery, combination, counter, parameters: Dict[str, int]
+):
+    """One part: ``(expression, recipes)``, or None when the
+    combination cannot produce a row (incompatible templates, or a
+    literal constant no template of it renders)."""
     expression: Optional[Expression] = None
     conditions: List[Condition] = []
     var_sources: Dict[Variable, _VarSource] = {}
@@ -272,12 +324,23 @@ def _unfold_combination(disjunct: ConjunctiveQuery, combination, counter):
             else:
                 source = _VarSource(None, (f"{prefix}.{mapping_term.column}",))
             if isinstance(term, Constant):
-                if source.template is None:
+                index = parameters.get(term.key)
+                if index is not None:
+                    # never pruned for its value: another call binds another
+                    template = source.template
+                    if template is not None and not source.columns:
+                        # a template without placeholders renders its text
+                        raw = Const(Parameter(index, None, 0))
+                        conditions.append(Condition(raw, Const(template.pattern), "="))
+                    for position, column in enumerate(source.columns):
+                        parameter = Parameter(index, template, position)
+                        conditions.append(Condition(column, Const(parameter), "="))
+                elif source.template is None:
                     conditions.append(
                         Condition(source.columns[0], Const(term.value), "=")
                     )
                 else:
-                    extracted = source.template.parse(str(term.value))
+                    extracted = source.template.parse(term.key)
                     if extracted is None:
                         return None  # constant cannot come from this template
                     for column, value in zip(source.columns, extracted):
@@ -318,14 +381,13 @@ def _unfold_combination(disjunct: ConjunctiveQuery, combination, counter):
             output_names.append(name)
             local_columns.append(name)
         recipes.append(_VarSource(source.template, tuple(local_columns)))
+    # Without output columns (a boolean disjunct, or answer variables
+    # produced only by templates without placeholders) the raw expression
+    # is kept: only the presence of a row matters.
     if output_columns:
         expression = Projection(
             expression, tuple(output_columns), tuple(output_names), distinct=True
         )
-    else:
-        # Boolean query: project the constant row presence by keeping the
-        # raw expression; execute() will just check for any row.
-        recipes = []
     return expression, tuple(recipes)
 
 

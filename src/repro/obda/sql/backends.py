@@ -15,6 +15,15 @@ compound-select limit).  So both SQL executors read an unfolded part
 through one conversion: column resolution, ``=`` classes, UNION
 branches and boolean parts are decided in one place.
 
+An unfolding whose constants are parameters
+(:class:`~repro.obda.sql.tablecq.Parameter`, one unfolding per query
+template) renders each parameter as a ``?`` too and each check between
+constants as ``? = ?``; its statements are cached like any other, so
+every query of the template shares them, and each call binds its own
+constants (:class:`~repro.obda.sql.tablecq.Binding`, parsing each
+``(parameter, template)`` pair once).  A constant its template cannot
+parse binds NULL, which no ``=`` matches.
+
 Cells compare by their string forms, the identity of
 :func:`repro.obda.sql.table.join_key` that every executor shares, so
 the replica stores every logical column ``i`` as two physical columns
@@ -72,6 +81,7 @@ from ...obs.trace import current_tracer
 from ...runtime.budget import Budget
 from .database import Database
 from .table import Stamp, Table
+from .tablecq import Binding, Parameter
 
 __all__ = ["SqliteBackend"]
 
@@ -135,9 +145,11 @@ def _render(cq, readers, bounded: Optional[int] = None) -> Tuple[List[str], str,
 
     A constant position is bound as a parameter, each later column of a
     class slot equals the slot's first column (in atom, then position
-    order), and each ``unequal`` pair is a ``<>``.  Atom *bounded*, when
-    given, reads only the rows past a bound: ``a<bounded>.rowid > ?``,
-    its parameter a :class:`_Since`.  The output columns follow
+    order), and each ``unequal`` pair is a ``<>``.  A
+    :class:`~repro.obda.sql.tablecq.Parameter` is a parameter as a
+    constant is, and each of *cq*'s checks a ``? = ?``.  Atom *bounded*,
+    when given, reads only the rows past a bound: ``a<bounded>.rowid >
+    ?``, its parameter a :class:`_Since`.  The output columns follow
     *readers*: a template reads the ``_t`` column of each of its
     positions, a raw value reader the ``(_v, _t)`` pair of its one.
     """
@@ -153,7 +165,7 @@ def _render(cq, readers, bounded: Optional[int] = None) -> Tuple[List[str], str,
             if part is None:
                 continue
             column = f"a{atom}.c{position}_t"
-            if part.__class__ is str:
+            if part.__class__ is str or part.__class__ is Parameter:
                 where.append(f"{column} = ?")
                 params.append(part)
             elif part in first:
@@ -165,12 +177,15 @@ def _render(cq, readers, bounded: Optional[int] = None) -> Tuple[List[str], str,
     for pair in cq.unequal:
         sides = []
         for side in pair:
-            if side.__class__ is str:
+            if side.__class__ is str or side.__class__ is Parameter:
                 params.append(side)
                 sides.append("?")
             else:
                 sides.append(first[side])
         where.append(" <> ".join(sides))
+    for pair in cq.checks:
+        params.extend(pair)
+        where.append("? = ?")
     body = "FROM " + ", ".join(
         [f"{_quote('d_' + table)} AS a{atom}" for atom, table in enumerate(cq.tables)]
     )
@@ -186,19 +201,32 @@ def _render(cq, readers, bounded: Optional[int] = None) -> Tuple[List[str], str,
     return outputs, body, params
 
 
-def _bind(params: tuple, since: Dict[str, int]) -> tuple:
-    """A delta statement's *params*, each :class:`_Since` bound to the
-    row count *since* gives its table."""
-    return tuple(
-        [since[param.table] if param.__class__ is _Since else param for param in params]
-    )
+def _bind(
+    params: tuple, since: Optional[Dict[str, int]], binding: Optional[Binding]
+) -> tuple:
+    """A statement's *params* for one execution: each :class:`_Since`
+    bound to the row count *since* gives its table, each
+    :class:`~repro.obda.sql.tablecq.Parameter` to its string form in
+    *binding*, or NULL (None) where its template cannot parse the
+    constant."""
+    bound = []
+    for param in params:
+        kind = param.__class__
+        if kind is _Since:
+            param = since[param.table]
+        elif kind is Parameter:
+            param = binding.value(param)
+        bound.append(param)
+    return tuple(bound)
 
 
 class _CompiledQuery:
     """One unfolded UCQ compiled to ``(sql, params)`` statements of at
     most :data:`_MAX_COMPOUND_SELECT` SELECTs each, the per-part Python
     answer assemblers, and the names of the tables the statements read.
-    A delta statement's params hold a :class:`_Since` per bound."""
+    A delta statement's params hold a :class:`_Since` per bound, and
+    those of a parameterized unfolding its parameters, each bound per
+    execution (:func:`_bind`)."""
 
     __slots__ = ("statements", "sql", "assemblers", "reads")
 
@@ -513,6 +541,7 @@ class SqliteBackend:
         database: Optional[Database] = None,
         since: Optional[Dict[str, int]] = None,
         read: Optional[Dict[str, Tuple[Table, Stamp]]] = None,
+        constants: Optional[Tuple[str, ...]] = None,
     ) -> Set[Tuple]:
         """Certain-answer tuples of *unfolded*, pushed down as one
         statement per 500 SELECTs.
@@ -528,11 +557,16 @@ class SqliteBackend:
         statements read, with the stamp of the rows the replica holds of
         it (:meth:`~repro.obda.sql.table.Table.stamp`).
 
+        A parameterized unfolding runs with the string forms of the
+        call's *constants* bound to its statements' parameters; the
+        statements themselves are shared by every call.
+
         Runs in a ``backend-exec`` span carrying the part count, the
         statement-cache outcome, the rows fetched, with *since* the
         ``delta_rows`` past each bound and, under an enabled tracer, the
-        SQL text; its ``backend-load`` child covers the replica refresh
-        and carries the rows shipped per table.
+        SQL text and each statement's bound ``parameters``; its
+        ``backend-load`` child covers the replica refresh and carries
+        the rows shipped per table.
         """
         metrics = global_metrics()
         tracer = current_tracer()
@@ -543,6 +577,11 @@ class SqliteBackend:
             if not unfolded.parts:
                 span.annotate(statement_cache="empty", rows_fetched=0, answers=0)
                 return set()
+            binding = None
+            if unfolded.parameters:
+                if constants is None:
+                    raise ValueError("a parameterized unfolding executes with constants")
+                binding = Binding(constants)
             view = database if database is not None else self.database
             grown = None if since is None else frozenset(since)
             with self._lock:
@@ -595,11 +634,13 @@ class SqliteBackend:
                     )
                     handler_installed = True
                 execute_started = time.perf_counter()
+                bound = []
                 try:
                     rows = []
                     for sql, params in compiled.statements:
-                        if since is not None:
-                            params = _bind(params, since)
+                        if since is not None or binding is not None:
+                            params = _bind(params, since, binding)
+                        bound.append(params)
                         rows.extend(
                             self._connection.execute(sql, params).fetchall()
                         )
@@ -612,6 +653,8 @@ class SqliteBackend:
                     if handler_installed:
                         self._connection.set_progress_handler(None, 0)
                 execute_s = time.perf_counter() - execute_started
+                if tracer.enabled:
+                    span.set("parameters", [list(params) for params in bound])
             answers: Set[Tuple] = set()
             assemblers = compiled.assemblers
             for row in rows:

@@ -20,6 +20,11 @@ SELECT per query.  :func:`table_cqs` converts a tree into those queries:
   class holding constants of two string forms has no row, nor has a
   ``!=`` between two sides of one class; any other ``!=`` stays a check
   on the join;
+* a constant may be a :class:`Parameter`, a symbolic constant whose
+  value a query's call supplies: a class fixed by a parameter and by a
+  literal, or by two parameters, keeps an equality that
+  :class:`Binding` checks when the call binds its values, and a ``!=``
+  with a parameter side stays in the query;
 * a UNION becomes one query per branch, and a join of unions the
   product of their branches;
 * every output column reads the raw cell of the column it names, never
@@ -32,7 +37,8 @@ Cells compare by their string forms, as in the evaluator.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from ...errors import MappingError
 from ...runtime.budget import Budget
@@ -50,11 +56,25 @@ from .algebra import (
     scans,
 )
 
-__all__ = ["TableCQ", "table_cqs"]
+__all__ = ["Binding", "Parameter", "TableCQ", "table_cqs"]
 
 #: a column of one atom: ``(atom, position)``
 _Ref = Tuple[int, int]
 _Side = Union[_Ref, Const]
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """A constant of a query's call, symbolic until the call binds it: the
+    string form of the call's constant number *index* (no *template*: a
+    raw value column), or the value of placeholder *position* that
+    *template* parses out of it.  The unfolder puts it in a
+    :class:`~repro.obda.sql.algebra.Const` where a query constant meets a
+    mapping term."""
+
+    index: int
+    template: Optional[object]
+    position: int
 
 
 class TableCQ(NamedTuple):
@@ -67,6 +87,11 @@ class TableCQ(NamedTuple):
     raw cells.  ``unequal`` lists the pairs of class slots or constant
     string forms that must differ; ``answer`` the output slots, in
     column order, and ``size`` the number of slots.
+
+    A shape or ``unequal`` side may be a :class:`Parameter`, and
+    ``checks`` lists the pairs of parameters and constant string forms
+    that must be equal.  Such a query is bound per call
+    (:meth:`Binding.bind`).
     """
 
     tables: Tuple[str, ...]
@@ -75,6 +100,7 @@ class TableCQ(NamedTuple):
     unequal: Tuple[Tuple[object, object], ...]
     answer: Tuple[int, ...]
     size: int
+    checks: Tuple[Tuple[object, object], ...] = ()
 
     def labels(self) -> List[str]:
         """Each atom as ``table(x0, 'prof', _)``: a slot ``x<n>``, a
@@ -129,6 +155,9 @@ def table_cqs(
     mapping source) is kept in *sources* for the columns of the tables
     it scans; a mapping collection passes one, so that the parts of
     every unfolding over it convert each of its sources once.
+
+    A tree whose constants include :class:`Parameter`\\ s converts as if
+    each were a constant of its own.
     """
     if sources is None:
         sources = {}
@@ -277,6 +306,13 @@ def _text(value: object) -> str:
     return value if isinstance(value, str) else str(value)
 
 
+def _value(const: Const) -> object:
+    """A constant's part in a class: its string form, or the
+    :class:`Parameter` itself."""
+    value = const.value
+    return value if value.__class__ is Parameter else _text(value)
+
+
 def _find(parent: Dict[_Ref, _Ref], ref: _Ref) -> _Ref:
     """The root of *ref*'s class (union-find without rank: classes are a
     handful of columns)."""
@@ -285,23 +321,36 @@ def _find(parent: Dict[_Ref, _Ref], ref: _Ref) -> _Ref:
     return ref
 
 
+def _equate(first: object, second: object, checks: list) -> bool:
+    """Whether constants *first* and *second* may be equal: two string
+    forms decide it now, a pair with a :class:`Parameter` side is left to
+    bind time in *checks*."""
+    if first == second:
+        return True
+    if first.__class__ is str and second.__class__ is str:
+        return False
+    checks.append((first, second))
+    return True
+
+
 def _finish(branch: _Branch, outputs: bool) -> Optional[TableCQ]:
     """*branch* as a :class:`TableCQ`, or None when it has no row."""
     tables, widths, refs, equal_pairs, unequal_pairs = branch
     parent: Dict[_Ref, _Ref] = {}
-    constant: Dict[_Ref, str] = {}
+    constant: Dict[_Ref, object] = {}
+    checks: List[Tuple[object, object]] = []
     named: Set[_Ref] = set()
     for left, right in equal_pairs:
         if left.__class__ is Const:
             left, right = right, left
         if left.__class__ is Const:
-            if _text(left.value) != _text(right.value):
+            if not _equate(_value(left), _value(right), checks):
                 return None
             continue
         named.add(left)
         root = _find(parent, left)
         if right.__class__ is Const:
-            fixed: Optional[str] = _text(right.value)
+            fixed: object = _value(right)
         else:
             named.add(right)
             other = _find(parent, right)
@@ -309,20 +358,22 @@ def _finish(branch: _Branch, outputs: bool) -> Optional[TableCQ]:
                 continue
             parent[other] = root
             fixed = constant.pop(other, None)
-        if fixed is not None and constant.setdefault(root, fixed) != fixed:
+        if fixed is not None and not _equate(
+            constant.setdefault(root, fixed), fixed, checks
+        ):
             return None
     unequal: List[Tuple[object, object]] = []
     for pair in unequal_pairs:
         sides = []
         for side in pair:
             if side.__class__ is Const:
-                sides.append(_text(side.value))
+                sides.append(_value(side))
             else:
                 named.add(side)
                 root = _find(parent, side)
                 sides.append(constant.get(root, root))
         if sides[0] == sides[1]:
-            return None  # a class, or one string form, never differs from itself
+            return None  # a class, or one constant, never differs from itself
         if not (sides[0].__class__ is str and sides[1].__class__ is str):
             unequal.append(tuple(sides))
     # Only a column a condition names can share its class or be fixed to
@@ -336,7 +387,7 @@ def _finish(branch: _Branch, outputs: bool) -> Optional[TableCQ]:
             members[root] = members.get(root, 0) + 1
         for pair in unequal:
             for side in pair:
-                if side.__class__ is not str:
+                if side.__class__ is tuple:
                     members[side] = 2
         for (atom, position), root in roots.items():
             if root in constant:
@@ -361,10 +412,68 @@ def _finish(branch: _Branch, outputs: bool) -> Optional[TableCQ]:
         tuple([tuple(atom) for atom in captures]),
         tuple(
             [
-                tuple([side if side.__class__ is str else slot_of[side] for side in pair])
+                tuple([slot_of[side] if side.__class__ is tuple else side for side in pair])
                 for pair in unequal
             ]
         ),
         tuple(answer),
         size,
+        tuple(checks),
     )
+
+
+class Binding:
+    """The constants of one call (their string forms, by parameter
+    index), bound into the table CQs of an unfolding whose constants are
+    :class:`Parameter`\\ s.  Each ``(index, template)`` pair is parsed
+    once per binding; a binding lives in its call alone, so an unfolding
+    and its conversions stay shared by calls with other constants."""
+
+    __slots__ = ("keys", "_parsed")
+
+    def __init__(self, keys: Sequence[str]):
+        self.keys = keys
+        self._parsed: Dict[Tuple[int, object], Optional[Tuple[str, ...]]] = {}
+
+    def value(self, parameter: Parameter) -> Optional[str]:
+        """*parameter*'s string form in this call, or None when its
+        template cannot parse the constant."""
+        index, template = parameter.index, parameter.template
+        if template is None:
+            return self.keys[index]
+        try:
+            values = self._parsed[index, template]
+        except KeyError:
+            values = self._parsed[index, template] = template.parse(self.keys[index])
+        return None if values is None else values[parameter.position]
+
+    def bind(self, cq: TableCQ) -> Optional[TableCQ]:
+        """*cq* with this call's string forms in place of its parameters,
+        or None when it has no row in this call: a parameter's template
+        does not parse its constant, a check's sides differ or an
+        inequality's sides are equal."""
+        value = self.value
+        for pair in cq.checks:
+            left, right = [value(side) if side.__class__ is Parameter else side for side in pair]
+            if left is None or left != right:
+                return None
+        unequal = []
+        for pair in cq.unequal:
+            sides = [value(side) if side.__class__ is Parameter else side for side in pair]
+            if sides[0] is None or sides[1] is None:
+                return None
+            if sides[0].__class__ is str and sides[1].__class__ is str:
+                if sides[0] == sides[1]:
+                    return None
+                continue
+            unequal.append(tuple(sides))
+        shapes = []
+        for shape in cq.shapes:
+            bound = list(shape)
+            for position, part in enumerate(shape):
+                if part.__class__ is Parameter:
+                    part = bound[position] = value(part)
+                    if part is None:
+                        return None
+            shapes.append(tuple(bound))
+        return cq._replace(shapes=tuple(shapes), unequal=tuple(unequal), checks=())

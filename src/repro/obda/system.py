@@ -184,19 +184,25 @@ class _OverTables:
     span = "sql-eval"
     phase = "sql"
 
-    def __init__(self, unfolded, database: Database, stamped: bool):
+    def __init__(
+        self, unfolded, database: Database, stamped: bool, constants: Optional[tuple]
+    ):
         self.unfolded = unfolded
         #: the database the join looks tables up through (the context's
         #: retry wrapper, if any)
         self.database = database
         self.stamped = stamped
+        #: the call's constants, bound into a parameterized unfolding
+        self.constants = constants
 
     def annotate(self, span) -> None:
         pass
 
     def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
         started: dict = {}
-        answers = self.unfolded.join(self.database, budget=budget, read=started)
+        answers = self.unfolded.join(
+            self.database, budget=budget, read=started, constants=self.constants
+        )
         return answers, ended(started) if self.stamped else None
 
     def delta(self, stamps: tuple) -> Optional[_Delta]:
@@ -208,7 +214,9 @@ class _OverTables:
         return _Delta(*grown)
 
     def extend(self, budget, delta: _Delta) -> Set[Tuple]:
-        return self.unfolded.join(self.database, budget=budget, grown=delta.grown)
+        return self.unfolded.join(
+            self.database, budget=budget, grown=delta.grown, constants=self.constants
+        )
 
     def stamps(self, delta: _Delta) -> tuple:
         return ended(delta.reads)
@@ -222,14 +230,20 @@ class _PushedDown(_OverTables):
 
     span = None  # the backend opens its own backend-exec span
 
-    def __init__(self, backend, unfolded, database: Database, stamped: bool):
-        super().__init__(unfolded, database, stamped)
+    def __init__(
+        self, backend, unfolded, database: Database, stamped: bool, constants
+    ):
+        super().__init__(unfolded, database, stamped, constants)
         self.backend = backend
 
     def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
         started: dict = {}
         answers = self.backend.execute_unfolded(
-            self.unfolded, budget=budget, database=self.database, read=started
+            self.unfolded,
+            budget=budget,
+            database=self.database,
+            read=started,
+            constants=self.constants,
         )
         return answers, ended(started) if self.stamped else None
 
@@ -241,7 +255,11 @@ class _PushedDown(_OverTables):
             for name, rows in delta.grown.items()
         }
         return self.backend.execute_unfolded(
-            self.unfolded, budget=budget, database=self.database, since=since
+            self.unfolded,
+            budget=budget,
+            database=self.database,
+            since=since,
+            constants=self.constants,
         )
 
 
@@ -292,7 +310,9 @@ class OBDASystem:
       query's template (:func:`repro.perf.canonical.template_key`), so
       queries of the same shape — renamed variables, reordered atoms,
       fresh variable names *and constants* — share it, each with its
-      own constants bound in; unfoldings and answers key on the
+      own constants bound in.  An unfolding for the SQL methods keys on
+      the template alone: its constants are parameters, which each call
+      binds (so a hit skips the rewriting too); answers key on the
       template and the constants' string forms, computed once per call;
     * the extent provider is shared across queries; a write refreshes
       only the extents mapped from the tables it wrote (by a delta when
@@ -376,8 +396,9 @@ class OBDASystem:
             )
             # Rewritings depend only on the TBox and a query's template
             # (its canonical form with constants as parameters), so they
-            # are keyed on that and the TBox generation; unfoldings and
-            # answers also key on the constants, answers on the data too.
+            # are keyed on that and the TBox generation, as unfoldings
+            # are (unfolded with those parameters); answers also key on
+            # the constants, and on the data.
             self._rewriting_cache = LRUCache(cache_size, name="rewriting")
             self._unfolding_cache = LRUCache(cache_size, name="unfolding")
             self._answer_cache = LRUCache(cache_size, name="answers")
@@ -775,30 +796,37 @@ class OBDASystem:
         if method in ("perfectref-sql", "perfectref-sqlite"):
             if self.mappings is None:
                 raise ReproError(f"{method} requires mappings and a database")
-            rewritten = self._rewrite(ucq, method, budget, template)
+            unfolded = None
+            if key is not None:
+                # One unfolding per template: its constants are parameters
+                # that each call binds, so a hit needs no rewriting.  The
+                # rewriting unfolded on a miss is of this TBox generation
+                # or a later one, never an earlier one.
+                unfold_key = (key[0], key[3])
+                unfolded = self._unfolding_cache.get(unfold_key)
+            if unfolded is None:
+                rewritten = self._rewrite(ucq, method, budget, template)
             with tracer.span("unfold") as span:
-                unfolded = None
-                if key is not None:
-                    # the rewriting unfolded here is of this TBox
-                    # generation or a later one, never an earlier one
-                    unfold_key = (key[0], key[1], key[3])
-                    unfolded = self._unfolding_cache.get(unfold_key)
                 if unfolded is None:
                     span.set("cache", "miss" if key is not None else "off")
                     unfolded = unfold(
                         rewritten,
                         self.mappings,
                         budget=context.scoped(f"unfold:{label}"),
+                        parameters=None if key is None else template.keys,
                     )
                     if key is not None:
                         self._unfolding_cache.put(unfold_key, unfolded)
                 else:
                     span.set("cache", "hit")
-                span.set("sql_parts", unfolded.size)
+                span.annotate(sql_parts=unfolded.size, parameters=unfolded.parameters)
             database = context.wrap_database(self.database)
+            constants = template.keys if unfolded.parameters else None
             if method == "perfectref-sqlite":
-                return _PushedDown(self.sql_backend(), unfolded, database, stamped)
-            return _OverTables(unfolded, database, stamped)
+                return _PushedDown(
+                    self.sql_backend(), unfolded, database, stamped, constants
+                )
+            return _OverTables(unfolded, database, stamped, constants)
         rewriting = self._rewrite(ucq, method, budget, template)
         if key is not None and context.retry is None and rewriting.auxiliary is not None:
             provider = self._derived_extents(rewriting.auxiliary)

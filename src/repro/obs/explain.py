@@ -180,6 +180,8 @@ def render_explain(report: ExplainReport, metrics: bool = True) -> str:
             lines.append(f"  rows shipped: {shipped}")
         for text_line in str(info.get("sql", "")).splitlines():
             lines.append(f"  | {text_line}")
+        for index, params in enumerate(info.get("parameters") or ()):
+            lines.append(f"  parameters of statement {index + 1}: {params!r}")
     if report.fallback is not None:
         lines.append("")
         lines.append(

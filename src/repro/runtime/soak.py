@@ -16,7 +16,11 @@ misbehave, and then proves four invariants:
   bracket: ``oracle(stamp_before) ⊆ answers ⊆ oracle(stamp_after)``,
   with exact equality when the stamps match a journaled state.  A query
   whose source retries ran out (a :class:`~repro.errors.SourceError`)
-  is recorded as degraded and has no answers to check;
+  is recorded as degraded and has no answers to check.  Every other
+  query (by a seeded stream of its own) runs without the retry policy,
+  so it reads the system's shared providers, which a retry context
+  would wrap or derive per call (Presto's derived extents); a transient
+  fault that reaches such a query degrades it the same way;
 * **zero deadlocks** — every worker joins within the drill's timeout;
 * **zero errors** — no worker raised anything else.
 
@@ -304,6 +308,8 @@ def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
 
     def worker(thread_id: int) -> None:
         rng = random.Random(f"{config.seed}:{thread_id}")
+        # a stream of its own, so the operation stream stays as seeded
+        retries = random.Random(f"{config.seed}:{thread_id}:retry")
         axiom_pool = list(_AXIOM_POOL)
         rng.shuffle(axiom_pool)
         local_records: List[_QueryRecord] = []
@@ -313,6 +319,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
                 roll = rng.random()
                 if roll < config.query_ratio:
                     query = rng.choice(_QUERY_POOL)
+                    retry = policy if retries.random() < 0.5 else None
                     stamp_before = journal.stamp()
                     try:
                         answers = frozenset(
@@ -320,10 +327,10 @@ def run_soak(config: SoakConfig = SoakConfig()) -> Dict[str, object]:
                                 query,
                                 method=config.method,
                                 check_consistency=False,
-                                retry=policy,
+                                retry=retry,
                             )
                         )
-                    except SourceError:  # the retries ran out: degraded
+                    except SourceError:  # a fault outlasted the retries, if any
                         answers = None
                     local_records.append(
                         _QueryRecord(query, answers, stamp_before, journal.stamp())

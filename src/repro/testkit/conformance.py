@@ -352,12 +352,18 @@ def _run_backend_check(
 ) -> None:
     """One backend-oracle check: the five answering paths over one ABox
     whose individuals include the literal-looking names ``1``, ``1.0``
-    and ``True``."""
+    and ``True``, for the drawn queries and then, on the same warm
+    systems, for two versions of each with constants among those names
+    (so ``1`` and ``'1'`` meet cells of one string form, ``1.0`` its
+    own)."""
     small = random_tiny_tbox(rng, config.profile)
     abox = with_literal_names(_consistent_abox(rng, small, config.profile))
     queries = random_queries(rng, small, config.profile)
     if not queries:
         return
+    queries = list(queries) + with_constants(
+        random.Random(f"backend-constants:{config.seed}:{round_index}"), queries, abox
+    )
     problems = diff_backend(small, abox, queries, budget=budget)
     report.checks_run += 1
     if problems:

@@ -294,6 +294,8 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
     comparable with knowledge-base mode using plain ``==``.  Every other
     table stores the individuals named in :data:`LITERAL_CELLS` as their
     typed cells; a cell's string form, hence its IRI, is still the name.
+    A predicate's table is ``t_<name>``, except a role's or attribute's
+    that shares its name with a populated concept: ``t2_<name>``.
     """
     from ..obda.mapping import (
         IriTemplate,
@@ -341,7 +343,7 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
             )
         )
     for name, rows in sorted(role_rows.items()):
-        table = f"t_{name}"
+        table = _binary_table(database, name)
         database.create_table(table, ["s", "o"], lower(sorted(rows), 2))
         mappings.add(
             MappingAssertion(
@@ -355,7 +357,7 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
             )
         )
     for name, rows in sorted(attribute_rows.items()):
-        table = f"t_{name}"
+        table = _binary_table(database, name)
         database.create_table(table, ["s", "v"], lower(sorted(rows, key=str), 1))
         from ..dllite.syntax import AtomicAttribute
 
@@ -371,6 +373,16 @@ def direct_mapping_system(tbox: TBox, abox: ABox):
             )
         )
     return OBDASystem(tbox, mappings=mappings, database=database)
+
+
+def _binary_table(database, name: str) -> str:
+    """The table of role or attribute *name*: ``t_<name>``, unless a
+    concept of that name has it (a concept and a role may share a name);
+    then ``t2_<name>``, which no ``t_`` name equals."""
+    table = f"t_{name}"
+    if table in database and len(database[table].columns) == 1:
+        return f"t2_{name}"
+    return table
 
 
 def _typed(row: tuple, individuals: int) -> tuple:
@@ -403,7 +415,11 @@ def append_direct(system, assertions) -> None:
             row = (assertion.subject.name, assertion.object.name)
         else:
             row = (assertion.subject.name, assertion.value)
-        table = f"t_{_predicate_name(assertion)}"
+        name = _predicate_name(assertion)
+        if isinstance(assertion, ConceptAssertion):
+            table = f"t_{name}"
+        else:
+            table = _binary_table(system.database, name)
         if table in typed:
             row = _typed(row, 2 if isinstance(assertion, RoleAssertion) else 1)
         system.database[table].insert(row)

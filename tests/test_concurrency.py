@@ -687,6 +687,49 @@ def test_racing_template_hits_share_one_derived_provider():
     assert system.cache_stats()["rewriting"]["misses"] <= readers * len(_POINT_TEMPLATES) * 2
 
 
+def test_hammer_one_template_bound_with_different_constants():
+    """Four threads ask one template with different constants of both SQL
+    methods: every call binds its own constants into the template's one
+    unfolding, its table CQs and its sqlite statement, which the threads
+    share, so no call may see another's.  An answer cache of two entries
+    makes nearly every call bind and run its query."""
+    base, teachers, _, _ = _university()
+    database = base.database
+    system = OBDASystem(base.tbox, base.mappings, database, cache_size=2)
+    twin = OBDASystem(base.tbox, base.mappings, database, enable_caches=False)
+    template = "q(y) :- teaches('p/{k}', y)"
+    queries = [template.format(k=k) for k in teachers[:6] + ["none", "p/1"]]
+    methods = ("perfectref-sql", "perfectref-sqlite")
+    expected = {
+        (query, method): twin.certain_answers(query, method=method)
+        for query in queries
+        for method in methods
+    }
+    assert any(expected.values()) and not all(expected.values())
+    answered = []
+
+    def work(index):
+        rng = random.Random(index)
+        for _ in range(40):
+            query, method = rng.choice(queries), rng.choice(methods)
+            answered.append((query, method, system.certain_answers(query, method=method)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(work, count=4)
+    finally:
+        sys.setswitchinterval(interval)
+        for each in (system, twin):
+            if each._sql_backend is not None:
+                each._sql_backend.close()
+    assert len(answered) == 4 * 40
+    for query, method, answers in answered:
+        assert answers == expected[query, method], (method, query)
+    # racing first calls of the template may each miss, never more
+    assert system.cache_stats()["unfolding"]["misses"] <= 4
+
+
 def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
     system, teachers, students, courses = _university()
     database = system.database

@@ -8,12 +8,22 @@ from repro.dllite import (
     AtomicRole,
     AttributeAssertion,
     ConceptAssertion,
+    ConceptInclusion,
     Individual,
     RoleAssertion,
+    RoleInclusion,
+    TBox,
 )
 from repro.errors import MappingError
-from repro.obda import Database, MappingAssertion, MappingCollection, TargetAtom
+from repro.obda import (
+    Database,
+    MappingAssertion,
+    MappingCollection,
+    OBDASystem,
+    TargetAtom,
+)
 from repro.obda.mapping import IriTemplate, ValueColumn
+from repro.testkit.generators import direct_mapping_system
 
 
 @pytest.fixture
@@ -79,9 +89,9 @@ def test_materialize_builds_virtual_abox(db):
 
 def test_predicate_extent(db):
     mappings = MappingCollection([professor_mapping()])
-    extent = mappings.predicate_extent(db, "worksFor")
+    extent = mappings.predicate_extent(db, "worksFor", 2)
     assert (Individual("person/2"), Individual("dept/math")) in extent
-    assert mappings.predicate_extent(db, "Unmapped") == set()
+    assert mappings.predicate_extent(db, "Unmapped", 1) == set()
 
 
 def test_multiple_mappings_union(db):
@@ -96,7 +106,7 @@ def test_multiple_mappings_union(db):
         "salary",
         "TopEarner",
     }
-    assert mappings.predicate_extent(db, "TopEarner") == {(Individual("person/1"),)}
+    assert mappings.predicate_extent(db, "TopEarner", 1) == {(Individual("person/1"),)}
 
 
 def test_missing_source_column_raises(db):
@@ -105,4 +115,61 @@ def test_missing_source_column_raises(db):
         [TargetAtom(AtomicConcept("A"), (IriTemplate("x/{nope}"),))],
     )
     with pytest.raises(MappingError):
-        MappingCollection([bad]).predicate_extent(db, "A")
+        MappingCollection([bad]).predicate_extent(db, "A", 1)
+
+
+# -- a concept and a role sharing a name ----------------------------------------
+
+
+def _clashing():
+    tbox = TBox(
+        [
+            ConceptInclusion(AtomicConcept("A"), AtomicConcept("P")),
+            RoleInclusion(AtomicRole("R"), AtomicRole("P")),
+        ],
+        name="clash",
+    )
+    database = Database("clash")
+    database.create_table("c", ["id"], [("a",)])
+    database.create_table("r", ["s", "o"], [("c", "b")])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT id FROM c", [TargetAtom(AtomicConcept("P"), (IriTemplate("{id}"),))]
+            ),
+            MappingAssertion(
+                "SELECT s, o FROM r",
+                [TargetAtom(AtomicRole("P"), (IriTemplate("{s}"), IriTemplate("{o}")))],
+            ),
+        ]
+    )
+    return tbox, mappings, database
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        ("q(x) :- P(x)", {("a",)}),
+        ("q(x) :- P(x), P(x, y)", set()),
+        ("q(x, y) :- P(x, y)", {("c", "b")}),
+    ],
+)
+def test_a_concept_and_a_role_sharing_a_name_are_mapped_apart(query, expected):
+    tbox, mappings, database = _clashing()
+    abox = mappings.materialize(database)
+    kb = OBDASystem(tbox, abox=abox)
+    mapped = OBDASystem(tbox, mappings=mappings, database=database)
+    direct = direct_mapping_system(tbox, abox)
+    want = {tuple(Individual(name) for name in row) for row in expected}
+    try:
+        assert kb.certain_answers(query) == want
+        for method in ("perfectref", "presto", "perfectref-sql", "perfectref-sqlite"):
+            assert mapped.certain_answers(query, method=method) == want, method
+            assert direct.certain_answers(query, method=method) == want, method
+    finally:
+        mapped.sql_backend().close()
+        direct.sql_backend().close()
+    assert mappings.predicate_extent(database, "P", 1) == {(Individual("a"),)}
+    assert mappings.predicate_extent(database, "P", 2) == {(Individual("c"), Individual("b"))}
+    # the concept keeps its table name; the role gets one of its own
+    assert [table.name for table in direct.database.tables()] == ["t_P", "t2_P"]

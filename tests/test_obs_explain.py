@@ -112,6 +112,21 @@ def test_explain_surfaces_the_sqlite_backend(university):
     assert validate_trace_lines(explain_jsonlines(report)) == []
 
 
+def test_explain_prints_the_parameters_bound_to_a_template_statement(university):
+    report = run_explain(
+        university, query="q(x) :- teaches(x, 'a1')", method="perfectref-sqlite"
+    )
+    assert report.ok
+    (unfold,) = [s for s in report.tracer.spans if s.name == "unfold"]
+    assert unfold.attributes["parameters"] == 1
+    (pushdown,) = [s for s in report.tracer.spans if s.name == "backend-exec"]
+    # the statement reads the constant as a ? bound per call
+    assert "'a1'" not in pushdown.attributes["sql"]
+    assert pushdown.attributes["parameters"] == [["a1"]]
+    assert "  parameters of statement 1: ['a1']" in render_explain(report)
+    assert validate_trace_lines(explain_jsonlines(report)) == []
+
+
 def test_explain_timeout_closes_all_spans(university):
     report = run_explain(university, query="q(x) :- Teacher(x)", budget=0.0)
     assert report.status == "timeout"

@@ -510,11 +510,11 @@ def test_delta_refreshes_match_fresh_pulls(seed):
             table.rows.pending = None
     # extents: element for element, raw cells included
     for predicate, arity in _DELTA_ARITIES.items():
-        fresh = mappings.predicate_extent(database, predicate)
+        fresh = mappings.predicate_extent(database, predicate, arity)
         assert _reprs(provider.extent(predicate, arity)) == _reprs(fresh), predicate
     # indexes: bucket for bucket, current and published alike
     for predicate, arity, positions in list(getattr(provider, "_index_cache", {})):
-        fresh = _fresh_index(mappings.predicate_extent(database, predicate), positions)
+        fresh = _fresh_index(mappings.predicate_extent(database, predicate, arity), positions)
         assert _same_buckets(provider.index(predicate, arity, positions), fresh)
     for index, buckets in held:
         assert _buckets(index) == buckets
@@ -635,7 +635,7 @@ def test_every_mapping_shape_refreshes_by_delta(predicate, table, row):
     assert (provider.pulls, provider.delta_pulls) == (pulls, 1)
     refreshes = [span.name for span in tracer.spans if span.name.startswith("extent-")]
     assert refreshes == ["extent-delta"]
-    assert _reprs(after) == _reprs(mappings.predicate_extent(database, predicate))
+    assert _reprs(after) == _reprs(mappings.predicate_extent(database, predicate, arity))
     assert after > before
 
 
@@ -649,7 +649,7 @@ def test_an_extent_keeps_the_cell_its_table_holds_first():
         [(f"p{i}", "prof", cell) for i in range(8) for cell in (1.0, True)],
     )
     mappings = _delta_mappings()
-    fresh = mappings.predicate_extent(database, "tag")
+    fresh = mappings.predicate_extent(database, "tag", 2)
     assert _reprs(fresh) == _reprs([(Individual(f"p/p{i}"), 1.0) for i in range(8)])
     assert _reprs(MappingExtents(mappings, database).extent("tag", 2)) == _reprs(fresh)
 

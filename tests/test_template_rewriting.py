@@ -249,16 +249,45 @@ def _univ_point(seed: int = 1):
     return systems, queries
 
 
-def test_twenty_constants_of_one_template_rewrite_once_per_method():
+def test_twenty_constants_of_one_template_rewrite_once_per_method(monkeypatch):
+    # The SQL methods keep one unfolding per template, its constants as
+    # parameters: a hit binds the call's constants and asks no rewriting,
+    # converts nothing to table CQs and, on sqlite, renders no statement.
+    from repro.obda.rewriting import unfolding
+
+    conversions = []
+    convert = unfolding.table_cqs
+
+    def counting(*args, **kwargs):
+        conversions.append(args[0])
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(unfolding, "table_cqs", counting)
     systems, queries = _univ_point()
     assert len(queries) == 20
     try:
         for method, system in systems.items():
-            before = _rewriting_stats(system)
-            for query in queries:
+            sql = method.startswith("perfectref-sql")
+            before = system.cache_stats()
+            for number, query in enumerate(queries):
                 system.certain_answers(query, method=method)
-            hits, misses = _rewriting_stats(system)
-            assert (hits - before[0], misses - before[1]) == (19, 1), method
+                if number == 0:
+                    converted = len(conversions)
+            after = system.cache_stats()
+
+            def moved(cache):
+                prefix = "statement_" if cache == "backend" else ""
+                return tuple(
+                    after[cache][prefix + count] - before.get(cache, {}).get(prefix + count, 0)
+                    for count in ("hits", "misses")
+                )
+
+            assert moved("rewriting") == ((0, 1) if sql else (19, 1)), method
+            if sql:
+                assert moved("unfolding") == (19, 1), method
+                assert len(conversions) == converted, method
+            if method == "perfectref-sqlite":
+                assert moved("backend") == (19, 1)
         reference = systems["perfectref"]
         for query in queries[:5]:
             expected = reference.certain_answers(query)
