@@ -78,9 +78,10 @@ def _segments(pattern: str) -> Tuple[str, ...]:
 
 @lru_cache(maxsize=1024)
 def _parser(pattern: str) -> "re.Pattern":
-    """Matches what *pattern* renders, one greedy group per placeholder."""
+    """Matches what *pattern* renders, one greedy group per placeholder
+    (``DOTALL``: a value may hold a newline)."""
     literals = _segments(pattern)[0::2]
-    return re.compile("^" + "(.*)".join(map(re.escape, literals)) + "$")
+    return re.compile("(.*)".join(map(re.escape, literals)), re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class IriTemplate:
         when a value may contain the literal between two placeholders,
         only one of the possible splits is returned (a known gap, see
         ROADMAP: non-injective templates)."""
-        match = _parser(self.pattern).match(text)
+        match = _parser(self.pattern).fullmatch(text)
         return match.groups() if match else None
 
     def values(self, env: Dict[str, object]) -> List[object]:
@@ -266,8 +267,10 @@ class MappingCollection:
     def __iter__(self):
         return iter(self.assertions)
 
-    def mapped_predicates(self) -> Set[str]:
-        return {name for name, _ in self._by_predicate}
+    def mapped_predicates(self) -> Set[Tuple[str, int]]:
+        """The ``(name, arity)`` of every mapped predicate: a concept and
+        a role sharing a name are two predicates."""
+        return set(self._by_predicate)
 
     # -- unfolding ---------------------------------------------------------------
 

@@ -62,6 +62,11 @@ def _source_output_columns(
     return columns
 
 
+def _predicate_key(predicate) -> Tuple[str, int]:
+    """An atomic concept, role or attribute as a mapping keys it."""
+    return predicate.name, 1 if isinstance(predicate, AtomicConcept) else 2
+
+
 def analyze_mappings(
     mappings: MappingCollection,
     database: Database,
@@ -139,11 +144,11 @@ def analyze_mappings(
 
     # -- coverage and semantics against the ontology -------------------------------
     if tbox is not None:
+        # (name, arity) pairs: a concept and a role sharing a name are
+        # two predicates
         mapped = mappings.mapped_predicates()
-        signature_names = {
-            predicate.name: predicate for predicate in tbox.signature
-        }
-        for name in sorted(mapped - set(signature_names)):
+        signature = {_predicate_key(predicate) for predicate in tbox.signature}
+        for name, _ in sorted(mapped - signature):
             issues.append(
                 MappingIssue(
                     "warning",
@@ -151,23 +156,22 @@ def analyze_mappings(
                     f"mapped predicate {name!r} is not in the ontology signature",
                 )
             )
-        for name, predicate in sorted(signature_names.items()):
-            if name not in mapped:
-                issues.append(
-                    MappingIssue(
-                        "warning",
-                        "coverage",
-                        f"ontology predicate {name!r} has no mapping "
-                        f"(its extent is always empty)",
-                    )
+        for name, _ in sorted(signature - mapped):
+            issues.append(
+                MappingIssue(
+                    "warning",
+                    "coverage",
+                    f"ontology predicate {name!r} has no mapping "
+                    f"(its extent is always empty)",
                 )
+            )
         classification = GraphClassifier().classify(tbox)
-        unsat_names = {
-            node.name
+        unsat = {
+            _predicate_key(node)
             for node in classification.unsatisfiable()
             if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute))
         }
-        for name in sorted(mapped & unsat_names):
+        for name, _ in sorted(mapped & unsat):
             issues.append(
                 MappingIssue(
                     "error",

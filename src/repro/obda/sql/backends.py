@@ -92,6 +92,13 @@ _INT64_MAX = 2 ** 63 - 1
 #: compound statement may unite.
 _MAX_COMPOUND_SELECT = 500
 
+#: rows shipped to the replica per ``executemany``
+_BATCH_SIZE = 5000
+
+#: SQLite virtual-machine instructions between two budget polls of a
+#: running statement
+_PROGRESS_STRIDE = 20000
+
 
 def _quote(identifier: str) -> str:
     """Quote an arbitrary identifier for SQLite."""
@@ -298,17 +305,9 @@ class SqliteBackend:
 
     name = "sqlite"
 
-    def __init__(
-        self,
-        database: Database,
-        path: Optional[str] = None,
-        batch_size: int = 5000,
-        progress_stride: int = 20000,
-    ):
+    def __init__(self, database: Database, path: Optional[str] = None):
         self.database = database
         self.path = path
-        self.batch_size = batch_size
-        self.progress_stride = progress_stride
         self._lock = threading.RLock()
         # isolation_level=None: no implicit transactions; each table
         # load is one explicit BEGIN ... COMMIT (see _ensure_loaded)
@@ -373,7 +372,7 @@ class SqliteBackend:
             for value in row:
                 encoded.extend(_encode_cell(value))
             batch.append(tuple(encoded))
-            if len(batch) >= self.batch_size:
+            if len(batch) >= _BATCH_SIZE:
                 self._connection.executemany(statement, batch)
                 shipped += len(batch)
                 batch = []
@@ -630,7 +629,7 @@ class SqliteBackend:
                 handler_installed = False
                 if budget is not None and budget.deadline is not None:
                     self._connection.set_progress_handler(
-                        lambda: 1 if budget.expired() else 0, self.progress_stride
+                        lambda: 1 if budget.expired() else 0, _PROGRESS_STRIDE
                     )
                     handler_installed = True
                 execute_started = time.perf_counter()

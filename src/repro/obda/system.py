@@ -26,13 +26,15 @@ All four return the same certain answers; the test-suite asserts it.
 
 Consistency checking follows the standard reduction: every negative
 inclusion becomes a boolean violation query (rewritten, so inferred
-memberships count), and every functionality assertion is checked on the
-rewritten extent of its role/attribute.
+memberships count), every functionality assertion is checked on the
+rewritten extent of its role/attribute, and every unsatisfiable
+predicate must have an empty rewritten extent.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from ..core.classifier import GraphClassifier
@@ -64,7 +66,6 @@ from .evaluation import (
     DatalogExtents,
     ExtentProvider,
     MappingExtents,
-    evaluate_ucq,
     evaluate_ucq_delta,
 )
 from .mapping import MappingCollection
@@ -103,6 +104,18 @@ def _role_atom(role, subject: Variable, object_: Variable) -> Atom:
     return Atom(role.role.name, (object_, subject))
 
 
+def _extent_query(name: str, arity: int) -> UnionQuery:
+    """``q(x[, y]) :- name(x[, y])``: the extent of a predicate."""
+    variables = (_X,) if arity == 1 else (_X, _Y)
+    return UnionQuery([ConjunctiveQuery(variables, [Atom(name, variables)])], "ext")
+
+
+#: the kinds of consistency check, as their witnesses begin
+_VIOLATION = "negative inclusion violated"
+_FUNCTIONALITY = "functionality violated"
+_UNSAT = "unsatisfiable predicate populated"
+
+
 class _Stamped(NamedTuple):
     """A cached result: the data generation it was last confirmed at,
     the stamps of what it read (None when none are kept, and then a
@@ -111,6 +124,29 @@ class _Stamped(NamedTuple):
     generation: int
     stamps: Optional[tuple]
     answers: FrozenSet[Tuple]
+
+
+@dataclass
+class _Check:
+    """One consistency check of a TBox generation: its kind and label
+    (together its witness), its PerfectRef-rewritten query and, with
+    caches on, its last result."""
+
+    kind: str
+    label: str
+    ucq: UnionQuery
+    #: for a functionality assertion, the position of a pair's subject
+    #: (1 when its pairs are read inverted); None when any answer
+    #: violates the check
+    subject: Optional[int]
+    #: the last result and whether it violates the check
+    result: Optional[Tuple[_Stamped, bool]] = None
+
+    def violated(self, answers: Set[Tuple]) -> bool:
+        """Whether *answers*, the query's distinct answers, violate it."""
+        if self.subject is None:
+            return bool(answers)
+        return len({pair[self.subject] for pair in answers}) != len(answers)
 
 
 class _Delta(NamedTuple):
@@ -321,21 +357,21 @@ class OBDASystem:
       auxiliary predicates are served by one derived-extent provider
       per TBox generation over the shared extents, from the
       classification's auxiliary rules: each is derived and indexed
-      once, then grows by derived deltas (a retry context and
-      ``enable_caches=False`` derive per call);
+      once, then grows by derived deltas (a retry context wraps it in
+      its policy; ``enable_caches=False`` derives per call);
     * answers grow with appends: an answer-cache entry keeps the data
       generation it was confirmed at and the stamps of what it read
       (extent versions for perfectref and presto, table stamps for
       perfectref-sql and perfectref-sqlite).  When those inputs only
       grew since, the entry is extended by the answers that read an
       added row instead of recomputed: by the compiled join, or inside
-      SQLite by a delta statement bounded by replica row positions.  The
-      consistency check's negative-inclusion and unsatisfiable-predicate
-      checks are kept and extended the same way.  A stamp that moved
-      other than by one delta, a shrunk or replaced table, more added
-      rows than were read before, a TBox change or
-      :meth:`invalidate_caches` recompute in full; so do the
-      functionality checks and every result in knowledge-base mode.
+      SQLite by a delta statement bounded by replica row positions.
+      Every consistency check (negative inclusion, functionality
+      assertion, unsatisfiable predicate) is kept and extended the same
+      way.  A stamp that moved other than by one delta, a shrunk or
+      replaced table, more added rows than were read before, a TBox
+      change or :meth:`invalidate_caches` recompute in full; so does
+      every result in knowledge-base mode.
 
     All caches are validated against the TBox/data generation counters
     (or the stamps above) on every use and only ever store *completed*
@@ -377,10 +413,8 @@ class OBDASystem:
         #: cannot participate in a lock cycle (see DESIGN.md).
         self._lock = threading.RLock()
         self._classification: Optional[Classification] = None
-        self._classification_generation: Optional[int] = None
-        #: TBox-only consistency rewritings by kind ("violations",
-        #: "functionality", "unsat"), built once per TBox generation
-        self._consistency_rewritings: Dict[str, list] = {}
+        #: the consistency checks, built once per TBox generation
+        self._checks: Optional[List[_Check]] = None
         self._shared_extents: Optional[ExtentProvider] = None
         #: Presto's auxiliary predicates over the shared extents, one
         #: provider per TBox generation (see _derived_extents)
@@ -403,15 +437,12 @@ class OBDASystem:
             self._unfolding_cache = LRUCache(cache_size, name="unfolding")
             self._answer_cache = LRUCache(cache_size, name="answers")
             self._consistency_cache: Dict[Tuple[int, int], List[str]] = {}
-            #: per violation or unsat check, its last result and stamps
-            self._check_cache: Dict[Tuple[str, str, int], _Stamped] = {}
         else:
             self._classification_cache = None
             self._rewriting_cache = None
             self._unfolding_cache = None
             self._answer_cache = None
             self._consistency_cache = None
-            self._check_cache = None
         self._statistics_catalog: Optional[StatisticsCatalog] = None
         self._sql_backend = None
 
@@ -422,23 +453,27 @@ class OBDASystem:
             return self.database.generation
         return getattr(self.abox, "generation", 0)
 
-    def _validate_caches(self) -> None:
-        """Drop every TBox-derived cache when the TBox has been mutated."""
+    def _drop_tbox_state(self) -> None:
+        """Drop everything derived from the TBox: the classification,
+        the consistency checks, Presto's derived extents and the caches
+        keyed by the TBox generation."""
         with self._lock:
-            generation = getattr(self.tbox, "generation", 0)
-            if generation == self._tbox_generation:
-                return
-            self._tbox_generation = generation
             self._classification = None
-            self._classification_generation = None
-            self._consistency_rewritings = {}
+            self._checks = None
             self._presto_extents = None
             if self.enable_caches:
                 self._rewriting_cache.invalidate()
                 self._unfolding_cache.invalidate()
                 self._answer_cache.invalidate()
                 self._consistency_cache = {}
-                self._check_cache = {}
+
+    def _validate_caches(self) -> None:
+        """Drop every TBox-derived cache when the TBox has been mutated."""
+        with self._lock:
+            generation = getattr(self.tbox, "generation", 0)
+            if generation != self._tbox_generation:
+                self._tbox_generation = generation
+                self._drop_tbox_state()
 
     def invalidate_caches(self) -> None:
         """Explicitly drop every cache held by this system.
@@ -451,10 +486,7 @@ class OBDASystem:
         collection or table rows in place).
         """
         with self._lock:
-            self._classification = None
-            self._classification_generation = None
-            self._consistency_rewritings = {}
-            self._presto_extents = None
+            self._drop_tbox_state()
             if self._shared_extents is not None:
                 self._shared_extents.invalidate()
             if self._statistics_catalog is not None:
@@ -464,12 +496,6 @@ class OBDASystem:
                     table.invalidate_indexes()
             if self._sql_backend is not None:
                 self._sql_backend.invalidate()
-            if self.enable_caches:
-                self._rewriting_cache.invalidate()
-                self._unfolding_cache.invalidate()
-                self._answer_cache.invalidate()
-                self._consistency_cache = {}
-                self._check_cache = {}
 
     def cache_stats(self) -> Dict[str, Dict[str, object]]:
         """Hit/miss/eviction statistics of every cache this system uses."""
@@ -538,7 +564,6 @@ class OBDASystem:
                 if getattr(self.tbox, "generation", 0) == generation:
                     if self._tbox_generation == generation:
                         self._classification = computed
-                        self._classification_generation = generation
                     return computed
 
     def _classify_now(self) -> Classification:
@@ -606,8 +631,8 @@ class OBDASystem:
         constants — share one entry; a query with other constants gets
         the cached rewriting with its own constants bound in
         (:func:`~repro.perf.canonical.bind_constants`), a query with the
-        cached ones the cached object.  PerfectRef outputs additionally
-        get subsumption-pruned (:func:`repro.perf.prune.prune_ucq`)
+        cached ones the cached object.  PerfectRef outputs, with caches on
+        or off, are subsumption-pruned (:func:`repro.perf.prune.prune_ucq`)
         before caching, shrinking the join work and the rendered SQL;
         the ``rewrite`` span records the before/after disjunct counts.
 
@@ -654,7 +679,7 @@ class OBDASystem:
                     ucq, self.tbox, self.classification, budget=budget
                 )
                 span.set("datalog_size", rewritten.size)
-            elif self.enable_caches:
+            else:
                 from ..perf import prune_ucq
 
                 raw = perfect_ref(ucq, self.tbox, minimize=False, budget=budget)
@@ -664,9 +689,6 @@ class OBDASystem:
                     disjuncts_before_pruning=pruned.before,
                     disjuncts_after_pruning=pruned.after,
                 )
-            else:
-                rewritten = perfect_ref(ucq, self.tbox, budget=budget)
-                span.set("disjuncts_out", len(rewritten))
             if key is not None:
                 self._rewriting_cache.put(key, (rewritten, template.keys))
             return rewritten
@@ -828,10 +850,10 @@ class OBDASystem:
                 )
             return _OverTables(unfolded, database, stamped, constants)
         rewriting = self._rewrite(ucq, method, budget, template)
-        if key is not None and context.retry is None and rewriting.auxiliary is not None:
-            provider = self._derived_extents(rewriting.auxiliary)
+        if key is None:
+            provider = DatalogExtents(rewriting.auxiliary, self.extents(context))
         else:
-            provider = DatalogExtents(rewriting, self.extents(context))
+            provider = context.wrap_extents(self._derived_extents(rewriting.auxiliary))
         return _OverExtents(rewriting.ucq, provider, stamped)
 
     def _derived_extents(self, auxiliary) -> DatalogExtents:
@@ -961,93 +983,12 @@ class OBDASystem:
         Polls the context's budget per assertion (and inside each
         rewriting/evaluation), so consistency checking is bounded too.
         """
-        budget = context.scoped("consistency:functionality") if context else None
-        rewritings = self._consistency_checks(
-            "functionality", lambda: self._functionality_rewritings(budget)
-        )
-        violated: List[str] = []
-        extents = self.extents(context)
-        for label, ucq, inverse in rewritings:
-            if budget is not None:
-                budget.check()
-            pairs = evaluate_ucq(ucq, extents, budget=budget)
-            if inverse:
-                pairs = {(b, a) for a, b in pairs}
-            subjects = [subject for subject, _ in pairs]
-            if len(subjects) != len(set(subjects)):
-                violated.append(label)
-        return violated
-
-    def _consistency_checks(self, kind: str, build) -> list:
-        """The TBox-only rewritings of one kind of consistency check,
-        built by *build* once per TBox generation.
-
-        The first completed build wins; a racing duplicate build is
-        discarded (both are derived from the same TBox snapshot), and a
-        build a TBox change overtook is used once but not kept.
-        """
-        self._validate_caches()
-        with self._lock:
-            generation = self._tbox_generation
-            rewritings = self._consistency_rewritings.get(kind)
-        if rewritings is not None:
-            return rewritings
-        rewritings = build()
-        with self._lock:
-            if self._tbox_generation == generation:
-                return self._consistency_rewritings.setdefault(kind, rewritings)
-        return rewritings
-
-    def _violation_rewritings(self, budget) -> List[Tuple[str, UnionQuery]]:
-        rewritings = []
-        for label, ucq in self.violation_queries():
-            if budget is not None:
-                budget.check()
-            rewritings.append((label, perfect_ref(ucq, self.tbox, budget=budget)))
-        return rewritings
-
-    def _functionality_rewritings(self, budget) -> List[Tuple[str, UnionQuery, bool]]:
-        """``(axiom, rewritten extent query, inverse?)`` per functionality
-        assertion."""
-        rewritings = []
-        for axiom in self.tbox.functionality_assertions:
-            if budget is not None:
-                budget.check()
-            if isinstance(axiom, FunctionalRole):
-                role = axiom.role
-                name = role.name if isinstance(role, AtomicRole) else role.role.name
-                inverse = isinstance(role, InverseRole)
-            elif isinstance(axiom, FunctionalAttribute):
-                name, inverse = axiom.attribute.name, False
-            else:  # pragma: no cover - defensive
-                continue
-            ucq = perfect_ref(
-                UnionQuery([ConjunctiveQuery((_X, _Y), [Atom(name, (_X, _Y))])], "ext"),
-                self.tbox,
-                budget=budget,
+        return [
+            check.label
+            for check in self._violated_checks(
+                context, "consistency:functionality", self._verdict_key(), [], _FUNCTIONALITY
             )
-            rewritings.append((str(axiom), ucq, inverse))
-        return rewritings
-
-    def _unsat_rewritings(self, budget) -> List[Tuple[str, UnionQuery]]:
-        """The rewritten extent query of every unsatisfiable predicate."""
-        rewritings = []
-        for node in self.classification.unsatisfiable():
-            if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
-                if budget is not None:
-                    budget.check()
-                arity = 1 if isinstance(node, AtomicConcept) else 2
-                variables = (_X,) if arity == 1 else (_X, _Y)
-                ucq = perfect_ref(
-                    UnionQuery(
-                        [ConjunctiveQuery(variables, [Atom(node.name, variables)])],
-                        "unsat",
-                    ),
-                    self.tbox,
-                    budget=budget,
-                )
-                rewritings.append((str(node), ucq))
-        return rewritings
+        ]
 
     def inconsistency_witnesses(
         self, context: Optional[ExecutionContext] = None
@@ -1059,13 +1000,11 @@ class OBDASystem:
         the context's retry policy — consistency checking was previously
         the largest unbounded region of the pipeline.
         """
-        self._validate_caches()
         tracer = current_tracer()
         with tracer.span("consistency") as span:
-            verdict_key = None
-            if self.enable_caches:
+            verdict_key = self._verdict_key()
+            if verdict_key is not None:
                 with self._lock:
-                    verdict_key = (self._tbox_generation, self._data_generation())
                     cached = self._consistency_cache.get(verdict_key)
                 if cached is not None:
                     span.set("cache", "hit")
@@ -1074,92 +1013,129 @@ class OBDASystem:
                 span.set("cache", "miss")
             else:
                 span.set("cache", "off")
-            witnesses = self._inconsistency_witnesses_uncached(
-                context, verdict_key, span
-            )
+            outcomes: List[str] = []
+            witnesses = [
+                f"{check.kind}: {check.label}"
+                for check in self._violated_checks(
+                    context, "consistency:check", verdict_key, outcomes
+                )
+            ]
+            if verdict_key is not None:
+                span.annotate(
+                    checks_extended=outcomes.count("extended"),
+                    checks_recomputed=outcomes.count("miss"),
+                )
+                # completed check only — a budget abort raised before this line
+                with self._lock:
+                    self._consistency_cache[verdict_key] = list(witnesses)
+                    if len(self._consistency_cache) > 64:
+                        self._consistency_cache.pop(next(iter(self._consistency_cache)))
             span.set("witnesses", len(witnesses))
             return witnesses
 
-    def _inconsistency_witnesses_uncached(
-        self, context: Optional[ExecutionContext], verdict_key, span
-    ) -> List[str]:
-        budget = context.scoped("consistency:check") if context else None
-        witnesses: List[str] = []
-        extents = self.extents(context)
-        outcomes: List[str] = []
-        for label, rewritten in self._consistency_checks(
-            "violations", lambda: self._violation_rewritings(budget)
-        ):
-            if budget is not None:
-                budget.check()
-            if self._populated(
-                "violations", label, rewritten, extents, budget, verdict_key, outcomes
-            ):
-                witnesses.append(f"negative inclusion violated: {label}")
-        witnesses.extend(
-            f"functionality violated: {label}"
-            for label in self.functionality_violations(context)
-        )
-        # Unsatisfiable predicates with a non-empty extent also break the KB.
-        for label, rewritten in self._consistency_checks(
-            "unsat", lambda: self._unsat_rewritings(budget)
-        ):
-            if budget is not None:
-                budget.check()
-            if self._populated(
-                "unsat", label, rewritten, extents, budget, verdict_key, outcomes
-            ):
-                witnesses.append(f"unsatisfiable predicate populated: {label}")
-        if verdict_key is not None:
-            span.annotate(
-                checks_extended=outcomes.count("extended"),
-                checks_recomputed=outcomes.count("miss"),
-            )
-            # completed check only — a budget abort raised before this line
-            with self._lock:
-                self._consistency_cache[verdict_key] = list(witnesses)
-                if len(self._consistency_cache) > 64:
-                    self._consistency_cache.pop(next(iter(self._consistency_cache)))
-        return witnesses
-
-    def _populated(
-        self, kind, label, ucq, extents, budget, verdict_key, outcomes
-    ) -> bool:
-        """Whether the rewritten check *ucq* has an answer.  With caches
-        on, each check keeps its last result and stamps and is extended
-        like an answer-cache entry; a populated check stays populated
-        while everything it read only grew, so it is confirmed without a
-        join.  Appends ``"hit"``, ``"extended"`` or ``"miss"`` to
-        *outcomes*."""
-        if verdict_key is None:
-            return bool(evaluate_ucq(ucq, extents, budget=budget))
-        tbox_generation, generation = verdict_key
-        key = (kind, label, tbox_generation)
+    def _verdict_key(self) -> Optional[Tuple[int, int]]:
+        """The TBox and data generations a consistency verdict is computed
+        for, read before anything it reads (None with caches off)."""
+        if not self.enable_caches:
+            return None
+        self._validate_caches()
         with self._lock:
-            entry = self._check_cache.get(key)
-        reader = _OverExtents(ucq, extents, self.abox is None)
+            return self._tbox_generation, self._data_generation()
+
+    def _violated_checks(
+        self, context, task: str, verdict_key, outcomes: List[str], kind=None
+    ) -> List[_Check]:
+        """The consistency checks (of *kind*, or all) the data violates,
+        in witness order."""
+        budget = context.scoped(task) if context else None
+        extents = self.extents(context)
+        return [
+            check
+            for check in self._check_list(budget)
+            if (kind is None or check.kind == kind)
+            and self._violated(check, extents, budget, verdict_key, outcomes)
+        ]
+
+    def _check_list(self, budget) -> List[_Check]:
+        """Every consistency check of the TBox, in witness order, each
+        PerfectRef-rewritten once per TBox generation: the violation query
+        of each negative inclusion, then the extent query of each
+        functionality assertion and of each unsatisfiable predicate.
+
+        The first completed build wins; a racing duplicate build is
+        discarded (both are derived from the same TBox snapshot), and a
+        build a TBox change overtook is used once but not kept.
+        """
+        self._validate_caches()
+        with self._lock:
+            generation = self._tbox_generation
+            checks = self._checks
+        if checks is not None:
+            return checks
+        queries = [
+            (_VIOLATION, label, ucq, None) for label, ucq in self.violation_queries()
+        ]
+        for axiom in self.tbox.functionality_assertions:
+            if isinstance(axiom, FunctionalRole):
+                role = axiom.role
+                name = role.name if isinstance(role, AtomicRole) else role.role.name
+                subject = 1 if isinstance(role, InverseRole) else 0
+            elif isinstance(axiom, FunctionalAttribute):
+                name, subject = axiom.attribute.name, 0
+            else:  # pragma: no cover - defensive
+                continue
+            queries.append((_FUNCTIONALITY, str(axiom), _extent_query(name, 2), subject))
+        for node in self.classification.unsatisfiable():
+            if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
+                arity = 1 if isinstance(node, AtomicConcept) else 2
+                queries.append((_UNSAT, str(node), _extent_query(node.name, arity), None))
+        checks = []
+        for kind, label, ucq, subject in queries:
+            if budget is not None:
+                budget.check()
+            rewritten = perfect_ref(ucq, self.tbox, budget=budget)
+            checks.append(_Check(kind, label, rewritten, subject))
+        with self._lock:
+            if self._tbox_generation == generation:
+                if self._checks is None:
+                    self._checks = checks
+                return self._checks
+        return checks
+
+    def _violated(self, check: _Check, extents, budget, verdict_key, outcomes) -> bool:
+        """Whether the data violates *check*.  With caches on, each check
+        keeps its last result, stamps and verdict and is extended like an
+        answer-cache entry; a violated check stays violated while
+        everything it read only grew, so it is confirmed without a join.
+        Appends ``"hit"``, ``"extended"`` or ``"miss"`` to *outcomes*."""
+        if budget is not None:
+            budget.check()
+        reader = _OverExtents(check.ucq, extents, self.abox is None)
+        if verdict_key is None:
+            return check.violated(reader.full(budget)[0])
+        tbox_generation, generation = verdict_key
+        result = check.result
+        entry, violated = result or (None, False)
         delta = None
         if entry is not None:
             if entry.generation == generation:
                 outcomes.append("hit")
-                return bool(entry.answers)
+                return violated
             if entry.stamps is not None:
                 delta = reader.delta(entry.stamps)
-        if delta is not None and (entry.answers or not delta.grown):
+        if delta is not None and (violated or not delta.grown):
             outcomes.append("hit")
             fresh = _Stamped(generation, reader.stamps(delta), entry.answers)
         else:
             outcomes.append("miss" if delta is None else "extended")
-            _, fresh = _refresh(reader, entry, delta, generation, budget)
+            answers, fresh = _refresh(reader, entry, delta, generation, budget)
+            violated = check.violated(answers)
         with self._lock:
             # only over the entry this work started from, and never
             # after a TBox change dropped the checks of this generation
-            if (
-                self._tbox_generation == tbox_generation
-                and self._check_cache.get(key) is entry
-            ):
-                self._check_cache[key] = fresh
-        return bool(fresh.answers)
+            if self._tbox_generation == tbox_generation and check.result is result:
+                check.result = (fresh, violated)
+        return violated
 
     def is_consistent(self, context: Optional[ExecutionContext] = None) -> bool:
         return not self.inconsistency_witnesses(context)

@@ -18,9 +18,10 @@ misbehave, and then proves four invariants:
   whose source retries ran out (a :class:`~repro.errors.SourceError`)
   is recorded as degraded and has no answers to check.  Every other
   query (by a seeded stream of its own) runs without the retry policy,
-  so it reads the system's shared providers, which a retry context
-  would wrap or derive per call (Presto's derived extents); a transient
-  fault that reaches such a query degrades it the same way;
+  and a transient fault that reaches such a query degrades it the same
+  way.  With the policy or without it, a query reads the system's
+  shared providers (a retry context wraps them, Presto's derived
+  extents included), so both halves race them;
 * **zero deadlocks** — every worker joins within the drill's timeout;
 * **zero errors** — no worker raised anything else.
 

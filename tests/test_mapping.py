@@ -61,6 +61,23 @@ def test_template_placeholders():
         template.apply({"x": 1})
 
 
+@pytest.mark.parametrize(
+    "pattern, text, values",
+    [
+        # parse is the inverse of render: a trailing newline is part of
+        # the value, or no template without placeholders renders it
+        ("p/{s}", "p/1\n", ("1\n",)),
+        ("c/fixed", "c/fixed\n", None),
+        ("p/{s}", "p/a\nb", ("a\nb",)),
+    ],
+)
+def test_parse_reads_values_that_hold_a_newline(pattern, text, values):
+    template = IriTemplate(pattern)
+    assert template.parse(text) == values
+    if values is not None:
+        assert template.render(values) == Individual(text)
+
+
 def test_target_atom_arity_validation():
     with pytest.raises(MappingError):
         TargetAtom(AtomicConcept("A"), (IriTemplate("a/{x}"), IriTemplate("b/{y}")))
@@ -101,10 +118,10 @@ def test_multiple_mappings_union(db):
     )
     mappings = MappingCollection([professor_mapping(), other])
     assert mappings.mapped_predicates() == {
-        "Professor",
-        "worksFor",
-        "salary",
-        "TopEarner",
+        ("Professor", 1),
+        ("worksFor", 2),
+        ("salary", 2),
+        ("TopEarner", 1),
     }
     assert mappings.predicate_extent(db, "TopEarner", 1) == {(Individual("person/1"),)}
 

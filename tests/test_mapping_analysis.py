@@ -100,6 +100,38 @@ def test_mapping_into_unsatisfiable_predicate_is_error(db):
     )
 
 
+def test_a_concept_and_a_role_sharing_a_name_are_analyzed_apart():
+    from repro.dllite import TBox
+    from repro.dllite.axioms import ConceptInclusion, RoleInclusion
+    from repro.dllite.syntax import AtomicRole, NegatedConcept
+
+    concept, role = AtomicConcept("P"), AtomicRole("P")
+    tbox = TBox(
+        [
+            ConceptInclusion(concept, NegatedConcept(concept)),  # unsatisfiable
+            RoleInclusion(AtomicRole("R"), role),
+        ]
+    )
+    database = Database()
+    database.create_table("r", ["s", "o"], [(1, 2)])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT s, o FROM r",
+                [TargetAtom(role, (IriTemplate("a/{s}"), IriTemplate("a/{o}")))],
+            )
+        ]
+    )
+    messages = [str(issue) for issue in analyze_mappings(mappings, database, tbox)]
+    assert not any("unsatisfiable" in message for message in messages)
+    assert messages == [
+        "[warning/coverage] ontology predicate 'P' has no mapping "
+        "(its extent is always empty)",
+        "[warning/coverage] ontology predicate 'R' has no mapping "
+        "(its extent is always empty)",
+    ]
+
+
 def test_obda_system_facade(db):
     tbox = parse_tbox("Professor isa Teacher")
     system = OBDASystem(

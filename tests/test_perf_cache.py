@@ -187,3 +187,36 @@ def test_warm_batch_is_served_by_the_caches_and_matches_cold():
     for query in batch:
         system.rewrite(query)
     assert system.cache_stats()["rewriting"]["hits"] == rewriting_hits + len(batch)
+
+
+def test_rewritings_with_caches_off_run_the_cached_pipeline():
+    """PerfectRef rewrites unminimized and ``prune_ucq`` prunes, with
+    caches on or off: the rewritings are equal and both ``rewrite``
+    spans record the disjuncts before and after pruning."""
+    from repro.dllite import ABox, parse_tbox
+    from repro.obda.system import OBDASystem
+    from repro.obs.trace import Tracer, use_tracer
+
+    tbox = parse_tbox(
+        "role teaches\nProfessor isa Teacher\nTeacher isa exists teaches\n"
+        "exists teaches isa Teacher\nexists teaches^- isa Course\n"
+    )
+    system = OBDASystem(tbox, abox=ABox())
+    cold = OBDASystem(tbox, abox=ABox(), enable_caches=False)
+    for query in ("q(x) :- Teacher(x), teaches(x, y)", "q(y) :- teaches(x, y), Course(y)"):
+        rewritings, counts = [], []
+        for each in (system, cold):
+            tracer = Tracer("rewrite")
+            with use_tracer(tracer):
+                rewritings.append(each.rewrite(query))
+            [span] = [span for span in tracer.spans if span.name == "rewrite"]
+            counts.append(
+                (
+                    span.attributes["disjuncts_before_pruning"],
+                    span.attributes["disjuncts_after_pruning"],
+                )
+            )
+        assert ucq_key(rewritings[0]) == ucq_key(rewritings[1])
+        before, after = counts[0]
+        assert counts == [(before, after)] * 2
+        assert before > after == len(rewritings[0])

@@ -932,6 +932,19 @@ def test_a_second_extension_reuses_the_delta_statement():
 _CONSISTENCY_TBOX = TBOX_TEXT + "Teacher isa not Student\n"
 
 
+def _recheck(system):
+    """The witnesses of a consistency check, equal to a cache-free
+    twin's, with its ``consistency`` span's attributes and the joins it
+    ran."""
+    tracer = Tracer("consistency")
+    with use_tracer(tracer):
+        witnesses = system.inconsistency_witnesses()
+    [span] = [span for span in tracer.spans if span.name == "consistency"]
+    twin = OBDASystem(system.tbox, system.mappings, system.database, enable_caches=False)
+    assert witnesses == twin.inconsistency_witnesses()
+    return witnesses, span.attributes, _evaluation_joins(tracer)
+
+
 def test_consistency_checks_extend_and_catch_a_violating_append():
     system = _campus_system(_CONSISTENCY_TBOX)
     system.database.create_table("t_Student", ["s"], [("carl",)])
@@ -943,40 +956,85 @@ def test_consistency_checks_extend_and_catch_a_violating_append():
     )
     system.invalidate_caches()
     assert system.inconsistency_witnesses() == []
-
-    def recheck():
-        tracer = Tracer("consistency")
-        with use_tracer(tracer):
-            witnesses = system.inconsistency_witnesses()
-        [span] = [span for span in tracer.spans if span.name == "consistency"]
-        joins = _evaluation_joins(tracer)
-        twin = OBDASystem(
-            system.tbox, system.mappings, system.database, enable_caches=False
-        )
-        assert witnesses == twin.inconsistency_witnesses()
-        return witnesses, span.attributes, joins
-
     system.database["t_Student"].insert(("dan",))
-    witnesses, attributes, joins = recheck()
+    witnesses, attributes, joins = _recheck(system)
     assert witnesses == []
     assert (attributes["checks_extended"], attributes["checks_recomputed"]) == (1, 0)
     assert joins and all("delta_rows" in span.attributes for span in joins)
     system.database["t_teaches"].insert(("dan", "logic"))  # dan teaches: a Teacher
-    witnesses, attributes, _ = recheck()
+    witnesses, attributes, _ = _recheck(system)
     assert witnesses == ["negative inclusion violated: Teacher ⊑ ¬Student"]
     assert attributes["checks_extended"] == 1
     # a violated check stays violated while its extents only grow
     system.database["t_Student"].insert(("eve",))
-    witnesses, attributes, joins = recheck()
+    witnesses, attributes, joins = _recheck(system)
     assert witnesses == ["negative inclusion violated: Teacher ⊑ ¬Student"]
     assert (attributes["checks_extended"], joins) == (0, [])
     # an out-of-band edit that drops the violating row is recomputed
     table = system.database["t_teaches"]
     del table.rows[-1:]
     table.insert(("ada", "algebra"))
-    witnesses, attributes, _ = recheck()
+    witnesses, attributes, _ = _recheck(system)
     assert witnesses == []
     assert attributes["checks_recomputed"] == 1
+
+
+@pytest.mark.parametrize(
+    "axiom, label, violating",
+    # each violating row breaks one direction only: ada already teaches
+    # logic, and logic is already taught by ada
+    [
+        ("funct teaches", "(funct teaches)", ("ada", "algebra")),
+        ("funct teaches^-", "(funct teaches⁻)", ("carl", "logic")),
+    ],
+)
+def test_functionality_checks_extend_and_catch_a_violating_append(axiom, label, violating):
+    system = _campus_system(TBOX_TEXT + axiom + "\n")
+    table = system.database["t_teaches"]
+    assert system.inconsistency_witnesses() == []
+    table.insert(("bob", "compilers"))
+    witnesses, attributes, joins = _recheck(system)
+    assert witnesses == []
+    assert (attributes["checks_extended"], attributes["checks_recomputed"]) == (1, 0)
+    assert joins and all("delta_rows" in span.attributes for span in joins)
+    table.insert(violating)
+    witnesses, attributes, _ = _recheck(system)
+    assert witnesses == [f"functionality violated: {label}"]
+    assert system.functionality_violations() == [label]
+    assert attributes["checks_extended"] == 1
+    # a violated check stays violated while its pairs only grow
+    table.insert(("carl", "algebra-2"))
+    witnesses, attributes, joins = _recheck(system)
+    assert witnesses == [f"functionality violated: {label}"]
+    assert (attributes["checks_extended"], attributes["checks_recomputed"], joins) == (0, 0, [])
+    # an out-of-band edit that drops the violating row is recomputed
+    del table.rows[-2:]
+    table.insert(("dan", "algebra-3"))
+    witnesses, attributes, _ = _recheck(system)
+    assert witnesses == []
+    assert attributes["checks_recomputed"] == 1
+
+
+def test_a_concept_and_a_role_sharing_a_name_are_two_checks():
+    """Each check keeps its own result: a concept check's answers never
+    stand for a role check with the same witness text."""
+    from repro.dllite.abox import ConceptAssertion
+    from repro.dllite.axioms import ConceptInclusion, RoleInclusion
+    from repro.dllite.syntax import NegatedConcept, NegatedRole
+    from repro.dllite.tbox import TBox
+
+    concept, role = AtomicConcept("P"), AtomicRole("P")
+    tbox = TBox(
+        [ConceptInclusion(concept, NegatedConcept(concept)), RoleInclusion(role, NegatedRole(role))]
+    )
+    abox = ABox()
+    abox.add(ConceptAssertion(concept, Individual("a")))
+    system = direct_mapping_system(tbox, abox)
+    witnesses, _, _ = _recheck(system)
+    assert sorted(witnesses) == [
+        "negative inclusion violated: P ⊑ ¬P",
+        "unsatisfiable predicate populated: P",
+    ]
 
 
 # -- Presto's derived extents: aliases and deltas --------------------------------

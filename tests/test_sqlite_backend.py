@@ -28,6 +28,7 @@ from repro.obda.mapping import (
 )
 from repro.obda.rewriting import unfolding
 from repro.obda.rewriting.unfolding import unfold
+from repro.obda.sql import backends
 from repro.obda.sql.backends import SqliteBackend, _decode_raw, _encode_cell
 from repro.obda.sql.database import Database
 from repro.obda.system import OBDASystem
@@ -447,7 +448,7 @@ def test_a_load_aborted_between_batches_is_rolled_back(monkeypatch):
     system = OBDASystem(TBOX, mappings, database)
     query = "q(x, y) :- teaches(x, y)"
     backend = system.sql_backend()
-    backend.batch_size = 2
+    monkeypatch.setattr(backends, "_BATCH_SIZE", 2)
     system.certain_answers(query, method="perfectref-sqlite", check_consistency=False)
     database["teaching"].insert_many([(i, f"c{i}") for i in range(3, 8)])
     shipped = []
@@ -810,7 +811,7 @@ def test_expired_budget_raises_before_execution():
         backend.execute_unfolded(unfolded, budget=Budget(0.0, task="t"))
 
 
-def test_progress_handler_aborts_runaway_statement():
+def test_progress_handler_aborts_runaway_statement(monkeypatch):
     database = Database("big")
     left = database.create_table("lefts", ["v"])
     right = database.create_table("rights", ["v"])
@@ -833,7 +834,8 @@ def test_progress_handler_aborts_runaway_statement():
     unfolded = unfold(
         parse_query("q(x, y) :- A(x), B(y)"), mappings
     )
-    backend = SqliteBackend(database, progress_stride=1000)
+    monkeypatch.setattr(backends, "_PROGRESS_STRIDE", 1000)
+    backend = SqliteBackend(database)
     budget = Budget(30.0, task="cross")
     backend._ensure_loaded(  # preload so the budget is spent inside execute
         {"lefts": database["lefts"], "rights": database["rights"]}, budget

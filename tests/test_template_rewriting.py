@@ -419,12 +419,44 @@ def test_a_tbox_change_and_invalidate_caches_drop_the_provider():
     assert system._presto_extents is not provider
 
 
-def test_cache_free_and_retrying_calls_keep_per_call_providers():
+def test_cache_free_calls_derive_per_call_and_retrying_calls_share_the_provider():
     cold = _campus(enable_caches=False)
     cold.certain_answers(_TEACHER_QUERIES[0], method="presto")
     assert cold._presto_extents is None
     system = _campus()
+    expected = [_twin_answers(system, query) for query in _TEACHER_QUERIES]
     retry = RetryPolicy(max_attempts=2, base_delay_s=0.0)
     answers = system.certain_answers(_TEACHER_QUERIES[0], method="presto", retry=retry)
-    assert answers == _twin_answers(system, _TEACHER_QUERIES[0])
-    assert system._presto_extents is None
+    assert answers == expected[0]
+    # the retrying call derived Teacher* in the system's shared provider
+    provider = system._presto_extents
+    assert list(provider._cache) == [("Teacher*", 1)]
+    # a second retrying call, with another constant, derives nothing
+    derivations = _counts()[0]
+    answers = system.certain_answers(_TEACHER_QUERIES[1], method="presto", retry=retry)
+    assert answers == expected[1]
+    assert _counts()[0] == derivations
+    assert system._presto_extents is provider
+
+
+def test_a_retrying_call_over_a_faulty_shared_provider_answers_as_without_faults():
+    """The retry policy wraps the shared derived provider, so a transient
+    fault of the shared extents under it, met while deriving or reading
+    an auxiliary predicate, is retried and installs nothing partial."""
+    from repro.obda import MappingExtents
+    from repro.runtime.faults import FaultInjector, FaultSpec, FaultyExtents
+
+    system = _campus()
+    injector = FaultInjector(FaultSpec(transient_rate=0.3, seed=7))
+    system._shared_extents = FaultyExtents(
+        MappingExtents(system.mappings, system.database), injector
+    )
+    retry = RetryPolicy(max_attempts=12, base_delay_s=0.0, seed=7)
+    for appended in ((), ((4, "algebra"),)):  # person/4 becomes a Teacher
+        system.database["teaching"].insert_many(appended)
+        for query in _TEACHER_QUERIES:
+            answers = system.certain_answers(query, method="presto", retry=retry)
+            assert answers == _twin_answers(system, query)
+    assert (Individual("person/4"),) in answers
+    assert injector.transients_injected > 0
+    assert system._presto_extents is not None

@@ -119,6 +119,42 @@ def test_a_template_without_placeholders_is_checked_against_each_constant(method
         system.sql_backend().close()
 
 
+@pytest.mark.parametrize(
+    "subject, employer",
+    # a newline after a value, then one inside a value
+    [("p/1\n", None), ("p/a\nb", "org/globex")],
+)
+def test_a_constant_with_a_newline_is_parsed_whole(subject, employer):
+    database = Database("newline")
+    database.create_table("r", ["s", "o"], [("1", "acme"), ("a\nb", "globex")])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                "SELECT s, o FROM r",
+                [
+                    TargetAtom(
+                        AtomicRole("worksFor"),
+                        (IriTemplate("p/{s}"), IriTemplate("org/{o}")),
+                    )
+                ],
+            )
+        ]
+    )
+    tbox = parse_tbox("role worksFor\n")
+    system = OBDASystem(tbox, mappings=mappings, database=database)
+    kb = OBDASystem(tbox, abox=mappings.materialize(database))
+    query = UnionQuery(
+        [ConjunctiveQuery((_X,), [Atom("worksFor", (Constant(subject), _X))])]
+    )
+    expected = set() if employer is None else {(Individual(employer),)}
+    try:
+        assert kb.certain_answers(query) == expected
+        for method in METHODS:
+            assert system.certain_answers(query, method=method) == expected, method
+    finally:
+        system.sql_backend().close()
+
+
 # -- table CQs with parameters -------------------------------------------------------
 
 
