@@ -3,7 +3,7 @@
 Rewriting compiles the TBox into the UCQ, so the unfolded-SQL path
 evaluates every disjunct over the *raw* mapped extents — no further
 inference happens below the rewriting.  That makes a purely extensional
-notion of redundancy sound for that path: if, at the current versions
+notion of redundancy sound for that path: if, at the current stamps
 of their extents, the extent of predicate ``q`` is contained in the extent of
 predicate ``p`` (an *exactness/completeness* constraint over the
 mappings in the sense of Hovland et al., "OBDA Constraints for Effective
@@ -13,8 +13,9 @@ SQL.
 
 :class:`ExtensionalConstraints` discovers such inclusions lazily from an
 :class:`~repro.obda.evaluation.ExtentProvider` and keys each verdict on
-the versions of the two extents it compares, so a write re-checks only
-the pairs whose extents it changed; :func:`prune_ucq_with_constraints` then runs
+the tables of the two extents it compares and their generations, so a
+write re-checks only the pairs whose extents it changed;
+:func:`prune_ucq_with_constraints` then runs
 the same keeper loop as :func:`repro.perf.prune.prune_ucq` but with a
 *predicate-weakening* homomorphism: a keeper atom ``p(t)`` may map onto
 a candidate atom ``q(s)`` whenever ``p == q`` or ``extent(q) ⊆
@@ -54,13 +55,14 @@ Inclusion = Tuple[str, str]
 
 class ExtensionalConstraints:
     """Extent-inclusion facts over one provider, each verdict keyed on
-    the versions of the two extents it compares."""
+    the tables of the two extents it compares and their generations."""
 
     def __init__(self, extents: ExtentProvider):
         self.extents = extents
         self._lock = threading.Lock()
-        #: (sub, sup, arity) -> (sub version, sup version, verdict)
-        self._verdicts: Dict[Tuple[str, str, int], Tuple[object, object, bool]] = {}
+        #: (sub, sup, arity) -> ((sub table, its generation, sup table,
+        #: its generation), verdict)
+        self._verdicts: Dict[Tuple[str, str, int], Tuple[tuple, bool]] = {}
 
     def inclusion_holds(
         self,
@@ -70,40 +72,37 @@ class ExtensionalConstraints:
         budget: Optional[Budget] = None,
         extents: Optional[ExtentProvider] = None,
     ) -> bool:
-        """True iff extent(*sub*) ⊆ extent(*sup*) at their current versions.
+        """True iff extent(*sub*) ⊆ extent(*sup*) at their current stamps.
 
         *extents*, when given, is the access path for the pulls (e.g. a
-        retry-wrapped view of the same provider); it reports the bound
-        provider's versions, so verdicts are shared between the two.
+        retry-wrapped view of the same provider); it serves the bound
+        provider's tables, so verdicts are shared between the two.
         """
         if sub == sup:
             return True
         provider = extents if extents is not None else self.extents
-        sub_snapshot = provider.snapshot(sub, arity)
-        sup_snapshot = provider.snapshot(sup, arity)
+        sub_table = provider.table(sub, arity)
+        sup_table = provider.table(sup, arity)
+        # each generation read before the rows the check reads
+        read = (sub_table, sub_table.generation, sup_table, sup_table.generation)
         key = (sub, sup, arity)
         with self._lock:
             cached = self._verdicts.get(key)
-        if (
-            cached is not None
-            and cached[0] == sub_snapshot.version
-            and cached[1] == sup_snapshot.version
-        ):
-            return cached[2]
-        sup_extent = sup_snapshot.rows
+        if cached is not None and cached[0] == read:
+            return cached[1]
         holds = True
-        for row in sub_snapshot.rows:
+        for row in sub_table.rows:
             if budget is not None:
                 budget.tick()
-            if row not in sup_extent:
+            if row not in sup_table:
                 holds = False
                 break
         global_metrics().counter("obda.constraints.checks").inc()
         with self._lock:
             # Replace only the verdict this check started from: a
-            # concurrent check may have stored one for newer versions.
+            # concurrent check may have stored one for newer stamps.
             if self._verdicts.get(key) is cached:
-                self._verdicts[key] = (sub_snapshot.version, sup_snapshot.version, holds)
+                self._verdicts[key] = (read, holds)
         return holds
 
     def relevant_inclusions(

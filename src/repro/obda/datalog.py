@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import UnknownPredicate
-from .evaluation import ExtentProvider, Snapshot, evaluate_cq
+from .evaluation import ExtentProvider, evaluate_cq
 from .queries import Atom, ConjunctiveQuery, Variable
+from .sql.table import Extent
 
 __all__ = ["Rule", "Program", "ProgramExtents", "evaluate_program"]
 
@@ -84,9 +85,10 @@ class Program:
 
 class _RuleExtents(ExtentProvider):
     """What one rule evaluation reads: the delta relation under a name no
-    rule uses, the IDB relations as they stand, and the EDB relations of
-    the base provider (with its cached indexes).  Thrown away after the
-    evaluation, so the IDB sets growing afterwards invalidates nothing."""
+    rule uses, the IDB relations as they stand (one default table each),
+    and the EDB tables of the base provider (with their indexes).  Thrown
+    away after the evaluation, so the IDB sets growing afterwards
+    invalidates nothing."""
 
     def __init__(self, edb: ExtentProvider, idb, delta_name: str, delta_rows):
         self.edb = edb
@@ -101,10 +103,10 @@ class _RuleExtents(ExtentProvider):
             return self.idb[predicate]
         return self.edb.extent(predicate, arity)
 
-    def index(self, predicate, arity, positions, budget=None):
+    def table(self, predicate: str, arity: int) -> Extent:
         if predicate == self.delta_name or predicate in self.idb:
-            return super().index(predicate, arity, positions, budget)
-        return self.edb.index(predicate, arity, positions, budget)
+            return super().table(predicate, arity)
+        return self.edb.table(predicate, arity)
 
 
 def _fire(
@@ -188,8 +190,9 @@ class ProgramExtents(ExtentProvider):
     """Expose a program's IDB predicates on top of a base provider.
 
     The IDB is evaluated on first use and again whenever the base
-    provider's generation moves.  EDB predicates fall through to the
-    base provider, snapshots and indexes alike.
+    provider's generation moves, and each IDB predicate is served as one
+    default table per generation.  EDB predicates fall through to the
+    base provider, tables and indexes alike.
     """
 
     def __init__(self, program: Program, base: ExtentProvider):
@@ -212,12 +215,7 @@ class ProgramExtents(ExtentProvider):
             evaluated = self._idb = (generation, evaluate_program(self.program, self.base))
         return evaluated[1].get(predicate, set())
 
-    def snapshot(self, predicate: str, arity: int) -> Snapshot:
+    def table(self, predicate: str, arity: int) -> Extent:
         if predicate not in self.program.by_head:
-            return self.base.snapshot(predicate, arity)
-        return super().snapshot(predicate, arity)
-
-    def index(self, predicate, arity, positions, budget=None):
-        if predicate not in self.program.by_head:
-            return self.base.index(predicate, arity, positions, budget)
-        return super().index(predicate, arity, positions, budget)
+            return self.base.table(predicate, arity)
+        return super().table(predicate, arity)

@@ -13,11 +13,17 @@ A UCQ produced by a rewriter is evaluated against *extent providers*:
   predicates of Presto (:mod:`repro.obda.rewriting.presto`), derived
   from their rules.
 
-Every provider serves an extent as a :class:`Snapshot`: the rows plus a
-*version* that changes whenever the rows may have.  Caches downstream of
-an extent key on its version (join indexes here, Presto's derived
-extents, the verdicts of :mod:`repro.obda.constraints`), so a write
-invalidates only what was derived from the extents it changed.
+Every provider serves an extent as a table
+(:meth:`ExtentProvider.table`): an :class:`~repro.obda.sql.table.Extent`,
+the append-only table of distinct rows that grows in place by the rows
+of a delta and is replaced when it changed otherwise.  What is computed
+from an extent (its join indexes, Presto's derived extents, cached
+answers and consistency verdicts, the verdicts of
+:mod:`repro.obda.constraints`) keeps the extent's table stamps, the rule
+every reader of a source table asks
+(:meth:`~repro.obda.sql.table.Table.stamp`), so a write invalidates only
+what was computed from the extents it changed, and what read an extent
+that only grew is extended by the rows appended.
 
 Conjunctive queries are evaluated by a **compiled join**: the query's
 variables are numbered into slots and each atom becomes one probe step
@@ -26,14 +32,14 @@ the connected atom with the smallest estimated fan-out, its extent size
 over the number of keys of the index it would probe.  Indexes hash an
 extent by the string forms of the cells at the step's key positions
 (constants and slots bound by earlier steps, any number of them).  They
-are built lazily and cached *on the provider* (keyed by predicate and
-key positions) under the version of the extent they index; when the
-extent grew by appended rows the index is extended by them,
-copy-on-write, instead of rebuilt.  Building and extending poll the
-budget and install the index only on completion, so a timeout never
-leaves a partial index behind.  A slot is bound only when something
-reads it, and a step that binds none stops at its first match (a
-semi-join).
+are the extent's table indexes
+(:meth:`~repro.obda.sql.table.Table.index`): built lazily, kept per key
+positions with the stamp of the rows they hold, and extended by
+appended rows, copy-on-write, instead of rebuilt.  Building and
+extending poll the budget and install the index only on completion, so
+a timeout never leaves a partial index behind.  A slot is bound only
+when something reads it, and a step that binds none stops at its first
+match (a semi-join).
 
 The same join runs the SQL path (:func:`evaluate_table_cqs`): each
 unfolded part is a union of conjunctive queries over the source tables
@@ -66,13 +72,11 @@ compares them.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from operator import itemgetter
 from typing import (
     Callable,
     Dict,
-    Hashable,
     Iterable,
     KeysView,
     List,
@@ -92,10 +96,9 @@ from ..runtime.budget import Budget
 from .mapping import MappingCollection
 from .queries import ConjunctiveQuery, Constant, UnionQuery, Variable
 from .sql.database import Database
-from .sql.table import Index, Read, Stamp, Table, ended, grown_index, grown_tables
+from .sql.table import Extent, Index, Read, Stamp, Table, ended, grown_index, grown_tables
 
 __all__ = [
-    "Snapshot",
     "ExtentProvider",
     "ABoxExtents",
     "MappingExtents",
@@ -106,65 +109,64 @@ __all__ = [
     "evaluate_ucq_delta",
 ]
 
-#: predicate name, arity and key argument positions — one hash index
-#: per triple (a concept and a role may share a name)
-IndexKey = Tuple[str, int, Tuple[int, ...]]
-
-#: extent versions, unique across providers (``next`` on a count is
-#: atomic under the GIL)
-_VERSIONS = itertools.count(1)
-
-
-class Snapshot(NamedTuple):
-    """A predicate's extent at one version.
-
-    ``version`` changes whenever ``rows`` may have changed.  A snapshot
-    that grew out of the one at version ``base`` by the rows ``added``
-    (none of which that snapshot held) lets an index built at ``base``
-    be extended instead of rebuilt.
-    """
-
-    version: Hashable
-    rows: Set[Tuple]
-    base: Hashable = None
-    added: Tuple[Tuple, ...] = ()
+#: per ``(predicate, arity)`` read, the table and its stamp at the first
+#: read, before any of its rows was
+Started = Dict[Tuple[str, int], Tuple[Extent, Stamp]]
 
 
 class ExtentProvider:
-    """Maps predicate names to their extents (sets of 1- or 2-tuples).
+    """Serves each predicate's extent (1- or 2-tuples) as a table.
 
-    Subclasses implement :meth:`extent`; the default :meth:`snapshot`
-    versions it by :meth:`generation`, so a provider only has to report
-    a changing generation to get correct invalidation.  Providers that
-    track changes per predicate (:class:`MappingExtents`,
-    :class:`DatalogExtents`) override :meth:`snapshot`.
+    A subclass implements :meth:`table`, or else :meth:`extent` and
+    :meth:`generation`: the default :meth:`table` then keeps one table
+    per generation, built from :meth:`extent`.  :meth:`extent` and
+    :meth:`index` otherwise read the table.
 
-    Besides raw extents, providers serve per-argument-position hash
-    indexes (:meth:`index`) used by the join evaluator, cached on the
-    provider under the version of the extent each one indexes.
-
-    Concurrency: snapshots and indexes never change once published — a
-    newer version is a new object, and an index extended by appended
-    rows is a new dict whose touched buckets are new lists — so a join
-    that holds one keeps a consistent (if slightly stale,
-    bracket-bounded) view while new queries see the new data.
+    Concurrency: a served table only grows, by rows appended in one step
+    under its lock after they were computed; a table that changed
+    otherwise is replaced by a new one.  A join iterates the live row
+    list, and the stamps taken before and after it bracket what it may
+    have read.  Indexes are copy-on-write (the table's own).
     Bookkeeping happens under a small per-provider lock created on
-    demand; index construction runs outside it, so slow builds don't
-    serialize unrelated queries.
+    demand; pulls, derivations and index builds run outside it, so slow
+    ones don't serialize unrelated queries.
     """
 
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
-        raise NotImplementedError
+        """*predicate*'s rows, as a set of the caller's own."""
+        return self.table(predicate, arity).members()
 
-    def snapshot(self, predicate: str, arity: int) -> Snapshot:
-        """*predicate*'s extent with its version.
+    def table(self, predicate: str, arity: int) -> Extent:
+        """*predicate*'s extent as a table of distinct rows.
 
-        The default version is :meth:`generation`, read before the
-        extent: a concurrent change can leave the version behind the
-        rows, never ahead of them.
+        The default keeps one table per predicate and :meth:`generation`,
+        read before the extent: a concurrent change can leave the
+        generation behind the rows, never ahead of them.  A moved
+        generation replaces every table.
         """
-        version = self.generation()
-        return Snapshot(version, self.extent(predicate, arity))
+        generation = self.generation()
+        key = (predicate, arity)
+        with self._sync_lock():
+            tables = self.__dict__.get("_tables")
+            if tables is None or tables[0] != generation:
+                tables = self._tables = (generation, {})
+            table = tables[1].get(key)
+        if table is None:
+            table = Extent(predicate, self.extent(predicate, arity))
+            with self._sync_lock():
+                table = tables[1].setdefault(key, table)
+        return table
+
+    def index(
+        self,
+        predicate: str,
+        arity: int,
+        positions: Tuple[int, ...],
+        budget: Optional[Budget] = None,
+    ) -> Index:
+        """The index of *predicate*'s table on *positions*
+        (:meth:`~repro.obda.sql.table.Table.index`)."""
+        return self.table(predicate, arity).index(positions, budget)
 
     def generation(self) -> int:
         """Monotone data-version counter; 0 for immutable providers."""
@@ -186,120 +188,37 @@ class ExtentProvider:
         return lock
 
     def invalidate(self) -> None:
-        """Drop cached indexes (subclasses also drop cached extents)."""
+        """Drop every table served, with its indexes."""
         with self._sync_lock():
-            self._index_cache = {}
-
-    def index(
-        self,
-        predicate: str,
-        arity: int,
-        positions: Tuple[int, ...],
-        budget: Optional[Budget] = None,
-    ) -> Index:
-        """Rows of *predicate* hashed by :func:`join_key` of the values
-        at *positions*.
-
-        ``positions == ()`` degenerates to one bucket holding the whole
-        extent.  The index is built lazily and cached across queries
-        under the version of the extent it indexes.  When the current
-        snapshot grew out of that version by appended rows, the cached
-        index is extended by them (or kept as it is when the delta added
-        none); otherwise it is rebuilt.  Both tick *budget*; on
-        exhaustion the partial index is discarded with the raised
-        :class:`~repro.errors.TimeoutExceeded`.
-        """
-        snapshot = self.snapshot(predicate, arity)
-        key: IndexKey = (predicate, arity, positions)
-        lock = self._sync_lock()
-        with lock:
-            cache: Optional[Dict[IndexKey, Tuple[Hashable, Index]]] = (
-                self.__dict__.get("_index_cache")
-            )
-            if cache is None:
-                cache = self._index_cache = {}
-            cached = cache.get(key)
-        if cached is not None and cached[0] == snapshot.version:
-            return cached[1]
-        if (
-            cached is not None
-            and snapshot.base is not None
-            and cached[0] == snapshot.base
-        ):
-            index = cached[1]
-            if snapshot.added:
-                index = grown_index(index, snapshot.added, positions, budget)
-                global_metrics().counter("obda.evaluation.index_extends").inc()
-        else:
-            with current_tracer().span("index-build") as span:
-                index = grown_index({}, snapshot.rows, positions, budget)
-                span.annotate(
-                    predicate=predicate,
-                    positions=list(positions),
-                    rows=len(snapshot.rows),
-                )
-            global_metrics().counter("obda.evaluation.index_builds").inc()
-        with lock:
-            # Install only over the entry this work started from: a
-            # concurrent call may have installed a newer version since.
-            if self.__dict__.get("_index_cache") is cache and cache.get(key) is cached:
-                cache[key] = (snapshot.version, index)
-        return index
+            self._tables = None
 
 
 class ABoxExtents(ExtentProvider):
-    """Extents drawn from an explicit ABox.
-
-    Extents are assembled once per predicate and cached until the ABox's
-    generation counter moves (any successful ``add``).
-    """
+    """Extents drawn from an explicit ABox: one table per predicate and
+    ABox generation, which any successful ``add`` moves."""
 
     def __init__(self, abox: ABox):
         self.abox = abox
-        self._cache: Dict[Tuple[str, int], Set[Tuple]] = {}
-        self._generation = self._abox_generation()
-
-    def _abox_generation(self) -> int:
-        return getattr(self.abox, "generation", 0)
 
     def generation(self) -> int:
-        return self._abox_generation()
-
-    def invalidate(self) -> None:
-        with self._sync_lock():
-            # Copy-on-write: readers holding the old dict keep a snapshot.
-            self._cache = {}
-            self._generation = self._abox_generation()
-            super().invalidate()
+        return getattr(self.abox, "generation", 0)
 
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
-        with self._sync_lock():
-            if self._abox_generation() != self._generation:
-                self.invalidate()
-            cache = self._cache
-            cached = cache.get((predicate, arity))
-        if cached is not None:
-            return cached
         if arity == 1:
-            extent: Set[Tuple] = {
+            return {
                 (individual,)
                 for individual in self.abox.concept_instances(AtomicConcept(predicate))
             }
-        else:
-            extent = set(self.abox.role_pairs(AtomicRole(predicate)))
-            extent |= self.abox.attribute_pairs(AtomicAttribute(predicate))
-        with self._sync_lock():
-            if self._cache is cache:  # snapshot still current — memoize
-                cache.setdefault((predicate, arity), extent)
-                return cache[(predicate, arity)]
+        extent = set(self.abox.role_pairs(AtomicRole(predicate)))
+        extent |= self.abox.attribute_pairs(AtomicAttribute(predicate))
         return extent
 
 
 class _Entry(NamedTuple):
-    """A cached extent: its snapshot, the tables its join read and the
-    database generation they were last confirmed at."""
+    """A cached extent: its table, the tables it was computed from and
+    the generation they were last confirmed at."""
 
-    snapshot: Snapshot
+    table: Extent
     reads: Tuple[Read, ...]
     checked: int
 
@@ -321,13 +240,13 @@ class MappingExtents(ExtentProvider):
     rows is confirmed as it is, and only extents read from a written
     table are refreshed:
 
-    * by a **delta** when every table it read only grew: the extent
-      gains the answers of the join that read an appended row (the
-      delta rule of :func:`evaluate_table_cqs`), whatever the shape of
-      the mapping sources: a scan, a join, a UNION, a self-join or
-      several assertions;
-    * by a full **pull** otherwise (a table replaced, or one that lost
-      or replaced rows out of band), and on first use.
+    * by a **delta** when every table it read only grew: the extent's
+      table gains, in place, the answers of the join that read an
+      appended row (the delta rule of :func:`evaluate_table_cqs`),
+      whatever the shape of the mapping sources: a scan, a join, a
+      UNION, a self-join or several assertions;
+    * by a full **pull** into a new table otherwise (a table replaced,
+      or one that lost or replaced rows out of band), and on first use.
 
     :meth:`invalidate` drops every extent and index, for out-of-band
     edits no stamp can see (rows rewritten in place, a mapping
@@ -353,17 +272,13 @@ class MappingExtents(ExtentProvider):
         with self._sync_lock():
             # Copy-on-write: readers holding the old dict keep a snapshot.
             self._cache = {}
-            super().invalidate()
 
-    def extent(self, predicate: str, arity: int) -> Set[Tuple]:
-        return self.snapshot(predicate, arity).rows
-
-    def snapshot(self, predicate: str, arity: int) -> Snapshot:
+    def table(self, predicate: str, arity: int) -> Extent:
         generation = self.database.generation
         cache = self._cache
         entry = cache.get((predicate, arity))
         if entry is not None and entry.checked == generation:
-            return entry.snapshot
+            return entry.table
         return self._refresh((predicate, arity), cache, entry, generation)
 
     def _refresh(
@@ -372,21 +287,21 @@ class MappingExtents(ExtentProvider):
         cache: Dict[Tuple[str, int], _Entry],
         entry: Optional[_Entry],
         generation: int,
-    ) -> Snapshot:
+    ) -> Extent:
         """*entry* brought up to the database at *generation*, which was
         read before any table: every insert it counts is seen here.
 
         The refreshed entry is installed over *entry* unless the slot
         moved on; an entry a concurrent refresh installed for the same
-        generation is served instead, so both callers see one version.
+        generation is served instead, so both callers see one table.
         """
-        grown = None if entry is None else grown_tables(self.database, entry.reads)
+        grown = None if entry is None else grown_tables(self.database.table, entry.reads)
         if grown is None:
             refreshed = self._pull(predicate, generation)
         elif grown[0]:
-            refreshed = self._delta(predicate, entry.snapshot, grown, generation)
+            refreshed = self._delta(predicate, entry.table, grown, generation)
         else:
-            refreshed = _Entry(entry.snapshot, entry.reads, generation)
+            refreshed = _Entry(entry.table, entry.reads, generation)
         with self._sync_lock():
             self.pulls += grown is None
             self.delta_pulls += grown is not None and bool(grown[0])
@@ -395,33 +310,32 @@ class MappingExtents(ExtentProvider):
                 if current is entry:
                     cache[predicate] = refreshed
                 elif current is not None and current.checked == generation:
-                    return current.snapshot
-        return refreshed.snapshot
+                    return current.table
+        return refreshed.table
 
     def _pull(self, predicate: Tuple[str, int], generation: int) -> _Entry:
         started: Dict[str, Tuple[Table, Stamp]] = {}
         with current_tracer().span("extent-pull") as span:
             rows = self.mappings.atom_unfolding(*predicate).join(self.database, read=started)
+            table = Extent(predicate[0], rows)
             span.annotate(predicate=predicate[0], rows=len(rows))
         global_metrics().counter("obda.extents.pulls").inc()
-        return _Entry(Snapshot(next(_VERSIONS), rows), ended(started), generation)
+        return _Entry(table, ended(started), generation)
 
     def _delta(
-        self, predicate: Tuple[str, int], base: Snapshot, grown, generation: int
+        self, predicate: Tuple[str, int], table: Extent, grown, generation: int
     ) -> _Entry:
-        """*base* grown by the answers of the atom query that read a row
-        appended to a table (:func:`grown_tables`), which it lacks."""
+        """*table* grown, in place, by the answers of the atom query that
+        read a row appended to a source table (:func:`grown_tables`)."""
         appended, started = grown
         with current_tracer().span("extent-delta") as span:
             joined = self.mappings.atom_unfolding(*predicate).join(
                 self.database, grown=appended
             )
-            added = tuple([row for row in joined if row not in base.rows])
+            added = table.extend(joined)
             span.annotate(predicate=predicate[0], rows=len(added))
         global_metrics().counter("obda.extents.delta_pulls").inc()
-        if added:
-            base = Snapshot(next(_VERSIONS), base.rows.union(added), base.version, added)
-        return _Entry(base, ended(started), generation)
+        return _Entry(table, ended(started), generation)
 
 
 class DatalogExtents(ExtentProvider):
@@ -440,16 +354,15 @@ class DatalogExtents(ExtentProvider):
     auxiliary extent is a union of base extents with optional argument
     swapping and projection.  A predicate defined by one identity rule
     (``teaches*(x, y) :- teaches(x, y)``) is served as its base
-    predicate: snapshot and indexes come from the base provider, with no
-    copy.  Any other derived extent is kept while the versions of the
-    base extents it was derived from hold — compared only when the base
-    provider's generation moves — and its version is the tuple of
-    theirs.  When each of those base extents kept its version or grew by
-    one delta from it, the derived extent grows by the rules'
-    projections of the added rows (a :class:`Snapshot` with
-    ``base``/``added``, so its indexes are extended too); otherwise it
-    is derived again.  Base predicates, extents and indexes alike, come
-    from the base provider, so every query shares their indexes.
+    predicate's table, with no copy.  Any other derived extent is a
+    table of its own, kept with the stamps of the base tables it was
+    derived from, checked only when the base provider's generation
+    moves.  While those tables only grew, it grows in place by the
+    rules' projections of the rows they appended since (a derived
+    delta), so its indexes are extended too; a base table that changed
+    otherwise makes it derive again.  Base predicates, tables and
+    indexes alike, come from the base provider, so every query shares
+    their indexes.
     """
 
     def __init__(self, rewriting, base: ExtentProvider):
@@ -459,9 +372,9 @@ class DatalogExtents(ExtentProvider):
         #: for a base predicate, the body of its one identity rule for an
         #: alias), or None for a derived one; filled on first use
         self._served: Dict[Tuple[str, int], Optional[str]] = {}
-        #: (predicate, arity) -> (derived snapshot, base generation it was
-        #: confirmed at)
-        self._cache: Dict[Tuple[str, int], Tuple[Snapshot, int]] = {}
+        #: (predicate, arity) -> its derived table, with the base tables
+        #: it read and the base generation they were confirmed at
+        self._cache: Dict[Tuple[str, int], _Entry] = {}
 
     def generation(self) -> int:
         return self.base.generation()
@@ -470,7 +383,6 @@ class DatalogExtents(ExtentProvider):
         with self._sync_lock():
             # Copy-on-write: readers holding the old dict keep a snapshot.
             self._cache = {}
-            super().invalidate()
 
     def _served_by(self, predicate: str, arity: int) -> Optional[str]:
         """The base predicate serving *predicate*; None when it is derived."""
@@ -490,51 +402,44 @@ class DatalogExtents(ExtentProvider):
             served = None
         return self._served.setdefault(key, served)
 
-    def extent(self, predicate: str, arity: int) -> Set[Tuple]:
-        return self.snapshot(predicate, arity).rows
+    def _base_table(self, body: Tuple[str, int]) -> Extent:
+        return self.base.table(*body)
 
-    def snapshot(self, predicate: str, arity: int) -> Snapshot:
+    def table(self, predicate: str, arity: int) -> Extent:
         served_by = self._served_by(predicate, arity)
         if served_by is not None:
-            return self.base.snapshot(served_by, arity)
+            return self.base.table(served_by, arity)
         key = (predicate, arity)
         generation = self.base.generation()
         cache = self._cache
-        cached = cache.get(key)
-        if cached is not None and cached[1] == generation:
-            return cached[0]
+        entry = cache.get(key)
+        if entry is not None and entry.checked == generation:
+            return entry.table
         rules = self.rewriting.rules_for(predicate, arity)
-        bodies: Dict[Tuple[str, int], Snapshot] = {}
-        for rule in rules:
-            atom = rule.body[0]
-            body = (atom.predicate, len(atom.args))
-            if body not in bodies:
-                bodies[body] = self.base.snapshot(*body)
-        derived = None
-        if cached is not None:
-            derived = _grown(rules, cached[0], bodies)
-        if derived is None:
-            derived = Snapshot(
-                tuple([body.version for body in bodies.values()]),
-                _derive(rules, {body: read.rows for body, read in bodies.items()}),
+        grown = None if entry is None else grown_tables(self._base_table, entry.reads)
+        if grown is None:
+            started: Started = {}
+            for rule in rules:
+                body = (rule.body[0].predicate, len(rule.body[0].args))
+                if body not in started:
+                    base = self._base_table(body)
+                    started[body] = (base, base.stamp())
+            table = Extent(
+                predicate,
+                _derive(rules, {body: read[0].members() for body, read in started.items()}),
             )
             global_metrics().counter("obda.evaluation.derivations").inc()
+        else:
+            appended, started = grown
+            table = entry.table
+            if appended:
+                table.extend(_derive(rules, appended))
+                global_metrics().counter("obda.evaluation.derived_deltas").inc()
+        refreshed = _Entry(table, ended(started), generation)
         with self._sync_lock():
-            if self._cache is cache and cache.get(key) is cached:
-                cache[key] = (derived, generation)
-        return derived
-
-    def index(
-        self,
-        predicate: str,
-        arity: int,
-        positions: Tuple[int, ...],
-        budget: Optional[Budget] = None,
-    ) -> Index:
-        served_by = self._served_by(predicate, arity)
-        if served_by is not None:
-            return self.base.index(served_by, arity, positions, budget)
-        return super().index(predicate, arity, positions, budget)
+            if self._cache is cache and cache.get(key) is entry:
+                cache[key] = refreshed
+        return table
 
 
 def _projection(rule) -> Optional[Tuple[int, ...]]:
@@ -566,25 +471,6 @@ def _derive(rules, rows_of: Dict[Tuple[str, int], Iterable[Tuple]]) -> Set[Tuple
         else:
             result.update(map(itemgetter(*indices), rows))
     return result
-
-
-def _grown(rules, old: Snapshot, bodies: Dict[Tuple[str, int], Snapshot]):
-    """*old* (derived by *rules*) brought to the base snapshots *bodies*:
-    itself when none moved, grown by the projections of the rows added
-    when each that moved grew by one delta from the version *old* read,
-    and None when one changed otherwise."""
-    added_to: Dict[Tuple[str, int], Tuple[Tuple, ...]] = {}
-    for (key, body), read in zip(bodies.items(), old.version):
-        if body.version != read:
-            if body.base != read:
-                return None
-            added_to[key] = body.added
-    if not added_to:
-        return old
-    added = tuple(_derive(rules, added_to) - old.rows)
-    global_metrics().counter("obda.evaluation.derived_deltas").inc()
-    version = tuple([body.version for body in bodies.values()])
-    return Snapshot(version, old.rows.union(added) if added else old.rows, old.version, added)
 
 
 def _same_term(first: object, second: object) -> bool:
@@ -900,12 +786,12 @@ def _evaluate(
     extents: ExtentProvider,
     budget: Optional[Budget],
     tracer,
-    read: Dict[Tuple[str, int], Snapshot],
+    read: Started,
     grown: Optional[Dict[Tuple[str, int], Sequence[Tuple]]] = None,
 ) -> Set[Tuple]:
     """:func:`evaluate_cq` with the tracer looked up, or None when it is
-    disabled, reading the extents through *read*; with *grown*, as
-    :func:`evaluate_ucq_delta` evaluates one disjunct."""
+    disabled, reading the extents' tables through *read*; with *grown*,
+    as :func:`evaluate_ucq_delta` evaluates one disjunct."""
     if budget is not None:
         budget.check()
     atoms = cq.atoms
@@ -917,10 +803,11 @@ def _evaluate(
             return set()  # nothing it reads grew
     rows_of = []
     for key in keys:
-        snapshot = read.get(key)
-        if snapshot is None:
-            snapshot = read[key] = extents.snapshot(*key)
-        rows_of.append(snapshot.rows)
+        started = read.get(key)
+        if started is None:
+            table = extents.table(*key)
+            started = read[key] = (table, table.stamp())
+        rows_of.append(started[0].rows)
     if tracer is None and not all(rows_of):
         return set()  # before the query is shaped: many disjuncts end here
 
@@ -1107,8 +994,8 @@ def evaluate_ucq(
 ) -> Set[Tuple]:
     """Certain-answer union over all disjuncts (budget polled per disjunct).
 
-    Each predicate's snapshot is read once, so every disjunct sees the
-    same rows of it.  The tracer is looked up once: under the NullTracer
+    Each predicate's table is looked up once, so every disjunct reads
+    the same table.  The tracer is looked up once: under the NullTracer
     no disjunct opens a span or computes its annotations."""
     return _evaluate_ucq(ucq, extents, budget, {}, None)
 
@@ -1116,23 +1003,24 @@ def evaluate_ucq(
 def evaluate_ucq_delta(
     ucq: UnionQuery,
     extents: ExtentProvider,
-    read: Dict[Tuple[str, int], Snapshot],
+    read: Started,
     grown: Optional[Dict[Tuple[str, int], Sequence[Tuple]]] = None,
     budget: Optional[Budget] = None,
 ) -> Set[Tuple]:
     """:func:`evaluate_ucq`, reading each predicate's rows through *read*
-    (``(predicate, arity)`` -> snapshot): the snapshot held there, or one
-    read from *extents* once and added, so that afterwards *read* holds
-    the versions the answers were computed from.  Indexes still come
-    from *extents*, for the snapshot current when each is probed.
+    (``(predicate, arity)`` -> table and start stamp): the table held
+    there, or one looked up in *extents* once and added with its stamp
+    before any of its rows was read, so that afterwards *read* holds
+    what the answers were computed from (stamp it after them with
+    :func:`~repro.obda.sql.table.ended`).  Indexes come from *extents*.
 
-    With *grown* (``(predicate, arity)`` -> the rows its snapshot in
-    *read* added to the one earlier answers were computed from), only
-    the answers that read an added row: per disjunct, one join per atom
-    over a grown predicate, that atom reading the added rows alone (the
-    delta rule of :func:`_run`).  A disjunct over no grown predicate is skipped.
-    Together with the earlier answers, these are the answers over the
-    snapshots in *read*.
+    With *grown* (``(predicate, arity)`` -> the rows its table in *read*
+    appended since earlier answers were computed), only the answers
+    that read an added row: per disjunct, one join per atom over a
+    grown predicate, that atom reading the added rows alone (the delta
+    rule of :func:`_run`).  A disjunct over no grown predicate is
+    skipped.  Together with the earlier answers, these are the answers
+    over the tables in *read*.
     """
     return _evaluate_ucq(ucq, extents, budget, read, grown)
 

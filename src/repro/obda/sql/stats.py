@@ -20,7 +20,7 @@ hash index and duplicate check on it and compare single cells by
 is a plain dict of buckets.
 
 Concurrency follows the copy-on-write idiom of
-:meth:`repro.obda.evaluation.ExtentProvider.index`: bookkeeping happens
+:meth:`repro.obda.sql.table.Table.index`: bookkeeping happens
 under a small lock, construction runs outside it, and a finished
 statistic is installed only if the generation it was computed for is
 still current.

@@ -14,21 +14,43 @@ table shares.
 Tables are append-only, so what a reader computed from one stays valid
 while it only grows.  Every such reader (indexes, mapped extents, cached
 answers, the sqlite replica) asks one rule: :meth:`Table.stamp` and
-:meth:`Table.appended`.
+:meth:`Table.appended`.  A predicate's extent is served as a table too
+(:class:`Extent`, an append-only table of distinct rows), so what is
+computed from an extent follows the same rule.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ...errors import MappingError
 from ...obs.metrics import global_metrics
 from ...obs.trace import current_tracer
 from ...runtime.budget import Budget
 
-__all__ = ["Stamp", "Table", "ended", "grown_index", "grown_tables", "join_key"]
+__all__ = [
+    "AppendOnly",
+    "Extent",
+    "Stamp",
+    "Table",
+    "ended",
+    "grown_index",
+    "grown_tables",
+    "join_key",
+]
 
 Row = Tuple[object, ...]
 #: join key -> the rows carrying it, in table order
@@ -71,28 +93,122 @@ def grown_index(
     return grown
 
 
-class Table:
+class AppendOnly:
+    """Rows that only grow: what a source :class:`Table` and a
+    predicate's :class:`Extent` share.  Every reader of them asks one
+    rule, :meth:`stamp` and :meth:`appended`, and probes the hash
+    indexes every reader shares (:meth:`index`)."""
+
+    #: the counters an index build and an index extension tick, and the
+    #: attribute of the ``index-build`` span that names the rows
+    _INDEX_COUNTERS = ("obda.sql.index_builds", "obda.sql.index_extends")
+    _INDEX_LABEL = "table"
+
+    def __init__(self, name: str, rows: List[Row]):
+        self.name = name
+        self.rows = rows
+        #: serializes appends so the rows and their generation bump are
+        #: one atomic step (readers iterate the append-only list)
+        self._lock = threading.Lock()
+        #: mutation counter, moved after the rows of each append
+        self.generation = 0
+        #: key positions -> (stamp, index); see :meth:`index`
+        self._indexes: Dict[Tuple[int, ...], Tuple[Stamp, Index]] = {}
+
+    def stamp(self) -> Stamp:
+        """The table as a reader starts to read it: the generation
+        first, then the row count and the last row.  A row appended
+        between the two reads is counted under the older generation, so
+        a reader that covers the counted rows never skips a row."""
+        generation = self.generation
+        rows = self.rows
+        count = len(rows)
+        return Stamp(generation, count, rows[count - 1] if count else None)
+
+    def appended(self, since: Stamp, now: Stamp) -> Optional[Sequence[Row]]:
+        """The rows appended between the stamps *since* and *now*:
+        ``()`` when both count the same rows under one generation, None
+        when a row *since* counted was removed or replaced out of band.
+        A stamp taken between an append and its generation bump counts
+        the rows under the older generation, so the rows past *since*'s
+        count are appended ones even when the generation held.  A reader
+        that gets rows stamps itself *now*; one that gets none keeps
+        *since*."""
+        count = since.count
+        if since.generation == now.generation and count == now.count:
+            return ()
+        rows = self.rows
+        if now.count < count or (count and rows[count - 1] is not since.last):
+            return None
+        return rows[count : now.count]
+
+    def index(
+        self, positions: Tuple[int, ...], budget: Optional[Budget] = None
+    ) -> Index:
+        """The rows bucketed by :func:`join_key` of their cells at
+        *positions*, built on first use and shared by every reader.
+
+        An index is stamped with the rows it holds (:meth:`stamp`).  It
+        is served as it is while no row was appended since, extended by
+        the appended rows, copy-on-write, when the table only grew, and
+        otherwise rebuilt.  Both tick *budget* and install the result
+        only on completion, so a timeout leaves the previous index in
+        place.
+        """
+        now = self.stamp()
+        with self._lock:
+            indexes = self._indexes
+            entry = indexes.get(positions)
+        added = None if entry is None else self.appended(entry[0], now)
+        if added is not None and not added:
+            return entry[1]
+        if added is not None:
+            index = grown_index(entry[1], added, positions, budget)
+            global_metrics().counter(self._INDEX_COUNTERS[1]).inc()
+        else:
+            with current_tracer().span("index-build") as span:
+                index = grown_index({}, self.rows[: now.count], positions, budget)
+                span.annotate(
+                    **{self._INDEX_LABEL: self.name},
+                    positions=list(positions),
+                    rows=now.count,
+                )
+            global_metrics().counter(self._INDEX_COUNTERS[0]).inc()
+        with self._lock:
+            # Install only over the entry this work started from, in the
+            # dict it was read from: invalidate_indexes() swaps the dict,
+            # and a concurrent call may have installed a newer stamp.
+            current = self._indexes
+            if current is indexes and current.get(positions) is entry:
+                self._indexes[positions] = (now, index)
+        return index
+
+    def invalidate_indexes(self) -> None:
+        """Drop every index: for rows edited in place, which no stamp sees."""
+        with self._lock:
+            self._indexes = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
+class Table(AppendOnly):
     """A named relation with a fixed column list and append-only rows."""
 
     def __init__(self, name: str, columns: Sequence[str], rows: Iterable[Sequence] = ()):
         if len(set(columns)) != len(columns):
             raise MappingError(f"duplicate column names in table {name!r}: {columns}")
-        self.name = name
+        super().__init__(name, [])
         self.columns: Tuple[str, ...] = tuple(columns)
         self._position: Dict[str, int] = {
             column: index for index, column in enumerate(self.columns)
         }
-        self.rows: List[Row] = []
-        #: serializes inserts so the row append and its generation bump
-        #: are one atomic step (readers iterate the append-only list).
-        self._lock = threading.Lock()
-        #: mutation counter; virtual-extent caches key their validity on it
-        self.generation = 0
         #: the databases holding this table, each bumped by every insert
         #: (weak: a table never keeps a database alive)
         self._databases: Tuple["weakref.ref", ...] = ()
-        #: key positions -> (stamp, index); see :meth:`index`
-        self._indexes: Dict[Tuple[int, ...], Tuple[Stamp, Index]] = {}
         for row in rows:
             self.insert(row)
 
@@ -122,73 +238,6 @@ class Table:
         for row in rows:
             self.insert(row)
 
-    def stamp(self) -> Stamp:
-        """The table as a reader starts to read it: the generation
-        first, then the row count and the last row.  A row appended
-        between the two reads is counted under the older generation, so
-        a reader that covers the counted rows never skips a row."""
-        generation = self.generation
-        rows = self.rows
-        count = len(rows)
-        return Stamp(generation, count, rows[count - 1] if count else None)
-
-    def appended(self, since: Stamp, now: Stamp) -> Optional[Sequence[Row]]:
-        """The rows appended between the stamps *since* and *now*:
-        ``()`` when the generation held, None when a row *since* counted
-        was removed or replaced out of band.  A reader that gets rows
-        stamps itself *now*; one that gets none keeps *since*."""
-        if since.generation == now.generation:
-            return ()
-        rows = self.rows
-        count = since.count
-        if now.count < count or (count and rows[count - 1] is not since.last):
-            return None
-        return rows[count : now.count]
-
-    def index(
-        self, positions: Tuple[int, ...], budget: Optional[Budget] = None
-    ) -> Index:
-        """The rows bucketed by :func:`join_key` of their cells at
-        *positions*, built on first use and shared by every reader.
-
-        An index is stamped with the rows it holds (:meth:`stamp`).  It
-        is served as it is while no row was appended since, extended by
-        the appended rows, copy-on-write, when the table only grew, and
-        otherwise rebuilt.  Both tick *budget* and install the result
-        only on completion, so a timeout leaves the previous index in
-        place.
-        """
-        now = self.stamp()
-        with self._lock:
-            indexes = self._indexes
-            entry = indexes.get(positions)
-        added = None if entry is None else self.appended(entry[0], now)
-        if added is not None and not added:
-            return entry[1]
-        if added is not None:
-            index = grown_index(entry[1], added, positions, budget)
-            global_metrics().counter("obda.sql.index_extends").inc()
-        else:
-            with current_tracer().span("index-build") as span:
-                index = grown_index({}, self.rows[: now.count], positions, budget)
-                span.annotate(
-                    table=self.name, positions=list(positions), rows=now.count
-                )
-            global_metrics().counter("obda.sql.index_builds").inc()
-        with self._lock:
-            # Install only over the entry this work started from, in the
-            # dict it was read from: invalidate_indexes() swaps the dict,
-            # and a concurrent call may have installed a newer stamp.
-            current = self._indexes
-            if current is indexes and current.get(positions) is entry:
-                self._indexes[positions] = (now, index)
-        return index
-
-    def invalidate_indexes(self) -> None:
-        """Drop every index: for rows edited in place, which no stamp sees."""
-        with self._lock:
-            self._indexes = {}
-
     def column_index(self, column: str) -> int:
         try:
             return self._position[column]
@@ -198,45 +247,93 @@ class Table:
                 f"(columns: {', '.join(self.columns)})"
             ) from None
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {list(self.columns)}, {len(self.rows)} rows)"
 
 
-#: a table one join read: ``(name, table, start, end)``, its stamps
-#: before the join read any of its rows and after the join
-Read = Tuple[str, Table, Stamp, Stamp]
+class Extent(AppendOnly):
+    """A predicate's extent: append-only distinct rows.
+
+    Rows join an extent only through :meth:`extend`, which checks them
+    against the rows it holds and appends the new ones in one step under
+    its lock, the generation moving after them as in
+    :meth:`Table.insert`.  So stamps, :meth:`appended` and
+    :meth:`index` read an extent as they read a source table; readers
+    iterate the row list, and the membership set is only probed or
+    copied under the lock (:meth:`members`).  Its
+    indexes count as ``obda.evaluation.index_builds`` and
+    ``obda.evaluation.index_extends``.
+    """
+
+    _INDEX_COUNTERS = ("obda.evaluation.index_builds", "obda.evaluation.index_extends")
+    _INDEX_LABEL = "predicate"
+
+    def __init__(self, predicate: str, rows: Iterable[Row] = ()):
+        members = set(rows)
+        super().__init__(predicate, list(members))
+        self._members: Set[Row] = members
+
+    def extend(self, rows: Iterable[Row]) -> List[Row]:
+        """Append the rows of *rows* this extent lacks; the rows appended."""
+        with self._lock:
+            members = self._members
+            added = []
+            for row in rows:
+                if row not in members:
+                    members.add(row)
+                    added.append(row)
+            if added:
+                self.rows.extend(added)
+                self.generation += 1
+        return added
+
+    def members(self) -> Set[Row]:
+        """The rows as a set of the caller's own, copied under the lock
+        (a set copy hashes no row again)."""
+        with self._lock:
+            return set(self._members)
+
+    def __contains__(self, row: Row) -> bool:
+        return row in self._members
 
 
-def ended(started: Dict[str, Tuple[Table, Stamp]]) -> Tuple[Read, ...]:
-    """*started* (name -> table and start stamp) stamped after the join."""
+#: a table one join read: ``(key, table, start, end)``: what its reader
+#: looks it up by (a source table's name, an extent's predicate and
+#: arity), and its stamps before the join read any of its rows and after
+#: the join
+Read = Tuple[Hashable, AppendOnly, Stamp, Stamp]
+
+
+def ended(started: Dict[Hashable, Tuple[AppendOnly, Stamp]]) -> Tuple[Read, ...]:
+    """*started* (key -> table and start stamp) stamped after the join."""
     return tuple(
-        [(name, table, start, table.stamp()) for name, (table, start) in started.items()]
+        [(key, table, start, table.stamp()) for key, (table, start) in started.items()]
     )
 
 
 def grown_tables(
-    database, reads: Sequence[Read]
-) -> Optional[Tuple[Dict[str, Sequence[Row]], Dict[str, Tuple[Table, Stamp]]]]:
+    lookup: Callable[[Hashable], AppendOnly], reads: Sequence[Read]
+) -> Optional[
+    Tuple[Dict[Hashable, Sequence[Row]], Dict[Hashable, Tuple[AppendOnly, Stamp]]]
+]:
     """The rows appended to the tables of *reads* since their start
-    stamps, by name (none for a table that gained none), and the tables
-    and stamps a join over them starts from; None when *database* holds
-    another table under a name, or a row the join may have read (up to
-    its end stamp) was removed or replaced."""
-    grown: Dict[str, Sequence[Row]] = {}
-    started: Dict[str, Tuple[Table, Stamp]] = {}
-    for name, table, start, end in reads:
+    stamps, by key (none for a table that gained none), and the tables
+    and stamps a join over them starts from; None when ``lookup(key)``
+    serves another table now, or a row the join may have read (up to
+    its end stamp) was removed or replaced.  Each table is looked up
+    before it is stamped: an extent provider brings an extent up to
+    date in the lookup."""
+    grown: Dict[Hashable, Sequence[Row]] = {}
+    started: Dict[Hashable, Tuple[AppendOnly, Stamp]] = {}
+    for key, table, start, end in reads:
+        if lookup(key) is not table:
+            return None
         now = table.stamp()
         added = table.appended(start, now)
-        if added is None or table.appended(end, now) is None or database.table(name) is not table:
+        if added is None or table.appended(end, now) is None:
             return None
         if added:
-            grown[name] = added
+            grown[key] = added
             start = now
-        started[name] = (table, start)
+        started[key] = (table, start)
     return grown, started

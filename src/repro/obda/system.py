@@ -118,11 +118,12 @@ _UNSAT = "unsatisfiable predicate populated"
 
 class _Stamped(NamedTuple):
     """A cached result: the data generation it was last confirmed at,
-    the stamps of what it read (None when none are kept, and then a
-    moved generation recomputes it) and its answers."""
+    the stamps of what it read (``(key, table, start, end)`` per source
+    table or extent, :func:`~repro.obda.sql.table.ended`) and its
+    answers."""
 
     generation: int
-    stamps: Optional[tuple]
+    stamps: tuple
     answers: FrozenSet[Tuple]
 
 
@@ -150,112 +151,91 @@ class _Check:
 
 
 class _Delta(NamedTuple):
-    """What grew since a result's stamps: per predicate and arity, or
-    per table name, the rows added (empty when nothing grew), and what a
-    reader needs to stamp the result again."""
+    """What grew since a result's stamps: per key (a predicate and arity,
+    or a table name) the rows appended (none when nothing grew), and the
+    tables and start stamps an extension reads (stamp them after it with
+    :func:`~repro.obda.sql.table.ended`)."""
 
     grown: Dict[object, Sequence[Tuple]]
-    reads: object
+    reads: dict
+
+
+def _grown(reader, stamps: tuple) -> Optional[_Delta]:
+    """The rows appended to what *reader* read since *stamps*, by
+    :func:`~repro.obda.sql.table.grown_tables` over the reader's lookup;
+    None when a table or extent was replaced or lost rows, or gained
+    more rows than the earlier read had, which a recompute handles
+    better."""
+    grown = grown_tables(reader.lookup, stamps)
+    if grown is None or any(
+        len(grown[0].get(key, ())) > end.count for key, _, _, end in stamps
+    ):
+        return None
+    return _Delta(*grown)
 
 
 class _OverExtents:
-    """A UCQ over an extent provider.  Its stamps are ``(predicate,
-    arity, version)`` per predicate it reads, for the snapshot the
-    answers were computed from."""
+    """A UCQ over an extent provider.  Its stamps are the tables of the
+    extents it read (:meth:`ExtentProvider.table`), by predicate and
+    arity, as a join over source tables stamps those."""
 
     span = "evaluate"
     phase = "evaluate"
 
-    def __init__(self, ucq: UnionQuery, provider: ExtentProvider, stamped: bool):
+    def __init__(self, ucq: UnionQuery, provider: ExtentProvider):
         self.ucq = ucq
         self.provider = provider
-        self.stamped = stamped
 
     def annotate(self, span) -> None:
         span.set("disjuncts", len(self.ucq))
 
-    def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
-        read: dict = {}
-        answers = evaluate_ucq_delta(self.ucq, self.provider, read, budget=budget)
-        return answers, _versions(read) if self.stamped else None
+    def lookup(self, key: Tuple[str, int]):
+        return self.provider.table(*key)
 
-    def delta(self, stamps: tuple) -> Optional[_Delta]:
-        """The rows each stamped snapshot added since, or None when one
-        moved other than by one delta (``Snapshot.base``) or added more
-        rows than it held before."""
-        read: dict = {}
-        grown: dict = {}
-        for predicate, arity, version in stamps:
-            snapshot = read[predicate, arity] = self.provider.snapshot(predicate, arity)
-            if snapshot.version != version:
-                added = snapshot.added
-                if snapshot.base != version or 2 * len(added) > len(snapshot.rows):
-                    return None
-                if added:
-                    grown[predicate, arity] = added
-        return _Delta(grown, read)
+    def full(self, budget) -> Tuple[Set[Tuple], tuple]:
+        started: dict = {}
+        answers = evaluate_ucq_delta(self.ucq, self.provider, started, budget=budget)
+        return answers, ended(started)
 
     def extend(self, budget, delta: _Delta) -> Set[Tuple]:
         return evaluate_ucq_delta(
             self.ucq, self.provider, delta.reads, delta.grown, budget=budget
         )
 
-    def stamps(self, delta: _Delta) -> tuple:
-        return _versions(delta.reads)
-
-
-def _versions(read) -> tuple:
-    return tuple(
-        [(predicate, arity, snapshot.version) for (predicate, arity), snapshot in read.items()]
-    )
-
 
 class _OverTables:
     """An unfolding joined over the source tables.  Its stamps are the
     tables the join read, each with its stamps before and after the
-    join (:func:`~repro.obda.sql.table.grown_tables`); the answers are
-    extended by the rows appended since, unless a table gained more rows
-    than the join had read, which a recompute handles better."""
+    join (:func:`~repro.obda.sql.table.grown_tables`)."""
 
     span = "sql-eval"
     phase = "sql"
 
-    def __init__(
-        self, unfolded, database: Database, stamped: bool, constants: Optional[tuple]
-    ):
+    def __init__(self, unfolded, database: Database, constants: Optional[tuple]):
         self.unfolded = unfolded
         #: the database the join looks tables up through (the context's
         #: retry wrapper, if any)
         self.database = database
-        self.stamped = stamped
         #: the call's constants, bound into a parameterized unfolding
         self.constants = constants
 
     def annotate(self, span) -> None:
         pass
 
-    def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
+    def lookup(self, name: str):
+        return self.database.table(name)
+
+    def full(self, budget) -> Tuple[Set[Tuple], tuple]:
         started: dict = {}
         answers = self.unfolded.join(
             self.database, budget=budget, read=started, constants=self.constants
         )
-        return answers, ended(started) if self.stamped else None
-
-    def delta(self, stamps: tuple) -> Optional[_Delta]:
-        grown = grown_tables(self.database, stamps)
-        if grown is None or any(
-            len(grown[0].get(name, ())) > end.count for name, _, _, end in stamps
-        ):
-            return None
-        return _Delta(*grown)
+        return answers, ended(started)
 
     def extend(self, budget, delta: _Delta) -> Set[Tuple]:
         return self.unfolded.join(
             self.database, budget=budget, grown=delta.grown, constants=self.constants
         )
-
-    def stamps(self, delta: _Delta) -> tuple:
-        return ended(delta.reads)
 
 
 class _PushedDown(_OverTables):
@@ -266,13 +246,11 @@ class _PushedDown(_OverTables):
 
     span = None  # the backend opens its own backend-exec span
 
-    def __init__(
-        self, backend, unfolded, database: Database, stamped: bool, constants
-    ):
-        super().__init__(unfolded, database, stamped, constants)
+    def __init__(self, backend, unfolded, database: Database, constants):
+        super().__init__(unfolded, database, constants)
         self.backend = backend
 
-    def full(self, budget) -> Tuple[Set[Tuple], Optional[tuple]]:
+    def full(self, budget) -> Tuple[Set[Tuple], tuple]:
         started: dict = {}
         answers = self.backend.execute_unfolded(
             self.unfolded,
@@ -281,7 +259,7 @@ class _PushedDown(_OverTables):
             read=started,
             constants=self.constants,
         )
-        return answers, ended(started) if self.stamped else None
+        return answers, ended(started)
 
     def extend(self, budget, delta: _Delta) -> Set[Tuple]:
         # delta.reads stamps a grown table after its appended rows, so
@@ -307,7 +285,7 @@ def _refresh(reader, entry: Optional[_Stamped], delta: Optional[_Delta], generat
         answers, stamps = reader.full(budget)
         return answers, _Stamped(generation, stamps, frozenset(answers))
     added = reader.extend(budget, delta)
-    stamps = reader.stamps(delta)
+    stamps = ended(delta.reads)
     if added <= entry.answers:
         return set(entry.answers), _Stamped(generation, stamps, entry.answers)
     added |= entry.answers
@@ -350,28 +328,30 @@ class OBDASystem:
       the template alone: its constants are parameters, which each call
       binds (so a hit skips the rewriting too); answers key on the
       template and the constants' string forms, computed once per call;
-    * the extent provider is shared across queries; a write refreshes
-      only the extents mapped from the tables it wrote (by a delta when
-      a table only grew), and hash-join indexes are cached per
-      predicate under the version of the extent they index.  Presto's
+    * the extent provider is shared across queries and serves each
+      extent as an append-only table; a write refreshes only the
+      extents mapped from the tables it wrote (in place by a delta when
+      a table only grew), and each extent's hash-join indexes live on
+      its table, extended by the rows it appended.  Presto's
       auxiliary predicates are served by one derived-extent provider
       per TBox generation over the shared extents, from the
       classification's auxiliary rules: each is derived and indexed
       once, then grows by derived deltas (a retry context wraps it in
       its policy; ``enable_caches=False`` derives per call);
     * answers grow with appends: an answer-cache entry keeps the data
-      generation it was confirmed at and the stamps of what it read
-      (extent versions for perfectref and presto, table stamps for
-      perfectref-sql and perfectref-sqlite).  When those inputs only
-      grew since, the entry is extended by the answers that read an
-      added row instead of recomputed: by the compiled join, or inside
-      SQLite by a delta statement bounded by replica row positions.
-      Every consistency check (negative inclusion, functionality
-      assertion, unsatisfiable predicate) is kept and extended the same
-      way.  A stamp that moved other than by one delta, a shrunk or
-      replaced table, more added rows than were read before, a TBox
-      change or :meth:`invalidate_caches` recompute in full; so does
-      every result in knowledge-base mode.
+      generation it was confirmed at and the table stamps of what it
+      read (the extents' tables for perfectref and presto, the source
+      tables for perfectref-sql and perfectref-sqlite).  When those
+      inputs only grew since, by any number of appends, the entry is
+      extended by the answers that read an added row instead of
+      recomputed: by the compiled join, or inside SQLite by a delta
+      statement bounded by replica row positions.  Every consistency
+      check (negative inclusion, functionality assertion, unsatisfiable
+      predicate) is kept and extended the same way.  A shrunk or
+      replaced table or extent, more added rows than were read before,
+      a TBox change or :meth:`invalidate_caches` recompute in full; an
+      ABox write replaces every extent's table in knowledge-base mode,
+      so there every write recomputes.
 
     All caches are validated against the TBox/data generation counters
     (or the stamps above) on every use and only ever store *completed*
@@ -776,10 +756,10 @@ class OBDASystem:
             root.set("answer_cache", "off")
         reader = self._answer_reader(ucq, label, method, context, tracer, key, template)
         delta = None
-        if entry is not None and entry.stamps is not None:
-            delta = reader.delta(entry.stamps)
+        if entry is not None:
+            delta = _grown(reader, entry.stamps)
             if delta is not None and not delta.grown:
-                current = _Stamped(generation, reader.stamps(delta), entry.answers)
+                current = _Stamped(generation, ended(delta.reads), entry.answers)
                 return self._answer_hit(key, entry, current, root)
         if key is not None:
             self._answer_cache.stats.record_miss()
@@ -810,11 +790,10 @@ class OBDASystem:
     def _answer_reader(self, ucq, label, method, context, tracer, key, template):
         """What answers *ucq* by *method*: its rewriting (and unfolding)
         from the caches, over the sources it reads."""
-        stamped = self.enable_caches and self.abox is None
         budget = context.scoped(f"rewrite:{label}")
         if method == "perfectref":
             rewritten = self._rewrite(ucq, method, budget, template)
-            return _OverExtents(rewritten, self.extents(context), stamped)
+            return _OverExtents(rewritten, self.extents(context))
         if method in ("perfectref-sql", "perfectref-sqlite"):
             if self.mappings is None:
                 raise ReproError(f"{method} requires mappings and a database")
@@ -845,16 +824,14 @@ class OBDASystem:
             database = context.wrap_database(self.database)
             constants = template.keys if unfolded.parameters else None
             if method == "perfectref-sqlite":
-                return _PushedDown(
-                    self.sql_backend(), unfolded, database, stamped, constants
-                )
-            return _OverTables(unfolded, database, stamped, constants)
+                return _PushedDown(self.sql_backend(), unfolded, database, constants)
+            return _OverTables(unfolded, database, constants)
         rewriting = self._rewrite(ucq, method, budget, template)
         if key is None:
             provider = DatalogExtents(rewriting.auxiliary, self.extents(context))
         else:
             provider = context.wrap_extents(self._derived_extents(rewriting.auxiliary))
-        return _OverExtents(rewriting.ucq, provider, stamped)
+        return _OverExtents(rewriting.ucq, provider)
 
     def _derived_extents(self, auxiliary) -> DatalogExtents:
         """The system's provider of Presto's auxiliary predicates over
@@ -1060,7 +1037,8 @@ class OBDASystem:
         """Every consistency check of the TBox, in witness order, each
         PerfectRef-rewritten once per TBox generation: the violation query
         of each negative inclusion, then the extent query of each
-        functionality assertion and of each unsatisfiable predicate.
+        functionality assertion and of each unsatisfiable predicate (by
+        arity, then name).
 
         The first completed build wins; a racing duplicate build is
         discarded (both are derived from the same TBox snapshot), and a
@@ -1085,10 +1063,14 @@ class OBDASystem:
             else:  # pragma: no cover - defensive
                 continue
             queries.append((_FUNCTIONALITY, str(axiom), _extent_query(name, 2), subject))
-        for node in self.classification.unsatisfiable():
-            if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
-                arity = 1 if isinstance(node, AtomicConcept) else 2
-                queries.append((_UNSAT, str(node), _extent_query(node.name, arity), None))
+        unsatisfiable = [
+            (1 if isinstance(node, AtomicConcept) else 2, node.name, type(node).__name__)
+            for node in self.classification.unsatisfiable()
+            if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute))
+        ]
+        # by arity, then name: a set iterates in an order the hash seed picks
+        for arity, name, _ in sorted(unsatisfiable):
+            queries.append((_UNSAT, name, _extent_query(name, arity), None))
         checks = []
         for kind, label, ucq, subject in queries:
             if budget is not None:
@@ -1110,7 +1092,7 @@ class OBDASystem:
         Appends ``"hit"``, ``"extended"`` or ``"miss"`` to *outcomes*."""
         if budget is not None:
             budget.check()
-        reader = _OverExtents(check.ucq, extents, self.abox is None)
+        reader = _OverExtents(check.ucq, extents)
         if verdict_key is None:
             return check.violated(reader.full(budget)[0])
         tbox_generation, generation = verdict_key
@@ -1121,11 +1103,10 @@ class OBDASystem:
             if entry.generation == generation:
                 outcomes.append("hit")
                 return violated
-            if entry.stamps is not None:
-                delta = reader.delta(entry.stamps)
+            delta = _grown(reader, entry.stamps)
         if delta is not None and (violated or not delta.grown):
             outcomes.append("hit")
-            fresh = _Stamped(generation, reader.stamps(delta), entry.answers)
+            fresh = _Stamped(generation, ended(delta.reads), entry.answers)
         else:
             outcomes.append("miss" if delta is None else "extended")
             answers, fresh = _refresh(reader, entry, delta, generation, budget)

@@ -29,14 +29,15 @@ The virtual ABox (:mod:`repro.obda.evaluation`) counts its refresh work:
   (first use, or a refresh that could take no delta);
 * ``obda.extents.delta_pulls`` — refreshes that joined an extent's
   mapping sources over the rows appended to their tables only;
-* ``obda.evaluation.index_builds`` — join indexes built in full;
-* ``obda.evaluation.index_extends`` — join indexes extended by the rows
-  a delta added instead of rebuilt;
+* ``obda.evaluation.index_builds`` — join indexes of extents built in
+  full;
+* ``obda.evaluation.index_extends`` — join indexes of extents extended
+  by the rows appended since they were stamped instead of rebuilt;
 * ``obda.evaluation.derivations`` — Presto's derived extents derived in
-  full from their rules (first use, or a base extent that changed other
-  than by a delta);
+  full from their rules (first use, or a base extent's table replaced);
 * ``obda.evaluation.derived_deltas`` — Presto's derived extents grown by
-  the projections of their base extents' deltas instead of derived again.
+  the projections of the rows their base extents appended instead of
+  derived again.
 
 The source tables count the hash indexes the SQL join probes
 (:meth:`repro.obda.sql.table.Table.index`):

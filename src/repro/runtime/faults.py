@@ -112,20 +112,12 @@ class FaultyExtents(ExtentProvider):
         self.inner = inner
         self.injector = injector
 
-    def extent(self, predicate: str, arity: int):
+    # The tables come from the wrapped provider, so the wrapper tracks
+    # the underlying data and shares its tables and their indexes; every
+    # lookup, which may pull, runs the fault lottery first.
+    def table(self, predicate: str, arity: int):
         self.injector.before_call(f"extent:{predicate}")
-        return self.inner.extent(predicate, arity)
-
-    # Versions and indexes come from the wrapped provider, so the
-    # wrapper tracks the underlying data and shares its index cache;
-    # every call that may pull runs the fault lottery first.
-    def snapshot(self, predicate: str, arity: int):
-        self.injector.before_call(f"extent:{predicate}")
-        return self.inner.snapshot(predicate, arity)
-
-    def index(self, predicate, arity, positions, budget=None):
-        self.injector.before_call(f"index:{predicate}")
-        return self.inner.index(predicate, arity, positions, budget)
+        return self.inner.table(predicate, arity)
 
     def generation(self) -> int:
         return self.inner.generation()

@@ -189,35 +189,15 @@ class RetryingExtents(ExtentProvider):
         self.policy = policy
         self.budget = budget
 
-    def extent(self, predicate: str, arity: int):
-        return self.policy.call(
-            self.inner.extent,
-            predicate,
-            arity,
-            task=f"extent:{predicate}",
-            budget=self.budget,
-        )
-
-    # Versions and indexes come from the wrapped provider, so a wrapper
-    # built per call shares its index cache; a pull inside either call
+    # The tables come from the wrapped provider, so a wrapper built per
+    # call shares its tables and their indexes; a pull inside the lookup
     # is retried like any other.
-    def snapshot(self, predicate: str, arity: int):
+    def table(self, predicate: str, arity: int):
         return self.policy.call(
-            self.inner.snapshot,
+            self.inner.table,
             predicate,
             arity,
             task=f"extent:{predicate}",
-            budget=self.budget,
-        )
-
-    def index(self, predicate, arity, positions, budget=None):
-        return self.policy.call(
-            self.inner.index,
-            predicate,
-            arity,
-            positions,
-            budget,
-            task=f"index:{predicate}",
             budget=self.budget,
         )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -20,13 +21,19 @@ from repro.dllite.abox import ABox, ConceptAssertion, Individual, RoleAssertion
 from repro.dllite.axioms import ConceptInclusion
 from repro.dllite.syntax import AtomicConcept, AtomicRole, ExistentialRole
 from repro.dllite.tbox import TBox
+from repro.obda.evaluation import MappingExtents
 from repro.obda.sql.database import Database
+from repro.obda.sql.table import Extent
 from repro.obda.system import OBDASystem
 from repro.obs.metrics import global_metrics
 from repro.perf.cache import CacheStats, ClassificationCache, LRUCache
 from repro.runtime.concurrency import SingleFlight
 from repro.testkit import naive_sql_answers
-from tests.test_perf_extents import _assert_table_indexes, _hold_table_indexes
+from tests.test_perf_extents import (
+    _assert_table_indexes,
+    _hold_extent_indexes,
+    _hold_table_indexes,
+)
 
 THREADS = 8
 
@@ -736,7 +743,8 @@ def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
     for method in _METHODS:  # warm every cache the readers will race on
         for query in _UNIVERSITY_SHAPES:
             system.certain_answers(query, method=method)
-    held = []  # (table index, its buckets when returned)
+    held = []  # (index, its buckets when returned): source tables' and extents'
+    extents, derived = system.extents(), system._presto_extents
 
     def work(index):
         rng = random.Random(index)
@@ -752,6 +760,10 @@ def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
                     check_consistency=True,
                 )
                 _hold_table_indexes(database, held)
+                # the shared extents and Presto's derived extents grow in
+                # place under these readers; their indexes must not
+                _hold_extent_indexes(extents, held)
+                _hold_extent_indexes(derived, held)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -781,4 +793,65 @@ def test_hammer_mapped_writes_beside_checked_reads_match_cache_free_oracle():
             if twin._sql_backend is not None:
                 twin._sql_backend.close()
     assert held
+    assert system.extents() is extents and system._presto_extents is derived
     _assert_table_indexes(database, held)
+
+
+class _YieldingRow(tuple):
+    """A row whose hashing yields the interpreter to other threads, so a
+    membership check made outside the extent's lock would race."""
+
+    def __hash__(self):
+        time.sleep(0)
+        return super().__hash__()
+
+
+def test_racing_extends_of_one_extent_append_each_row_once():
+    extent = Extent("P")
+    rows = [_YieldingRow((f"r{i}",)) for i in range(50)]
+    fence = threading.Barrier(THREADS, timeout=30.0)
+    appended = []
+
+    def work(index):
+        fence.wait()
+        appended.extend(extent.extend(rows))
+
+    _run_threads(work)
+    assert sorted(appended) == sorted(rows)
+    assert sorted(extent.rows) == sorted(rows)
+    assert extent.generation == 1  # one extension appended, the others found it
+
+
+def test_racing_refreshes_of_one_extent_append_each_row_once(monkeypatch):
+    """Readers refresh one mapped extent over the same appended rows at
+    once: every one computes the delta and appends it, and the extent's
+    one table ends up holding each row once, as a fresh pull does."""
+    system, teachers, _, courses = _university()
+    database = system.database
+    provider = system.extents()
+    table = provider.table("teaches", 2)
+    readers, rounds = 4, 3
+    fence = threading.Barrier(readers, timeout=30.0)
+    refresh = MappingExtents._refresh
+
+    def together(self, *args):
+        fence.wait()  # nobody installs before every reader took the delta path
+        return refresh(self, *args)
+
+    monkeypatch.setattr(MappingExtents, "_refresh", together)
+    delta_pulls = provider.delta_pulls
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(rounds):
+            for teacher in teachers[:3]:
+                database["teaching"].insert((teacher, courses + round_))  # a new pair
+            served = []
+            _run_threads(lambda index: served.append(provider.table("teaches", 2)), readers)
+            assert served == [table] * readers
+    finally:
+        sys.setswitchinterval(interval)
+    assert provider.delta_pulls == delta_pulls + readers * rounds
+    assert len(table.rows) == len(set(table.rows))
+    fresh = system.mappings.predicate_extent(database, "teaches", 2)
+    assert sorted(map(repr, table.rows)) == sorted(map(repr, fresh))

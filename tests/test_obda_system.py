@@ -1,7 +1,14 @@
 """Integration tests for the full OBDA system."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.dllite import (
     ABox,
     AtomicConcept,
@@ -166,6 +173,40 @@ def test_unsat_predicate_with_instances_is_inconsistent():
     # an empty Dead extent is fine
     clean = OBDASystem(tbox, abox=ABox())
     assert clean.is_consistent()
+
+
+_SELF_DISJOINT = """
+import json
+from repro.dllite import ABox, AtomicConcept, ConceptAssertion, Individual, parse_tbox
+from repro.obda import OBDASystem
+
+names = "ABCD"
+tbox = parse_tbox("\\n".join(f"{name} isa not {name}" for name in names))
+abox = ABox([ConceptAssertion(AtomicConcept(name), Individual("x")) for name in names])
+print(json.dumps(OBDASystem(tbox, abox=abox).inconsistency_witnesses()))
+"""
+
+
+def test_unsatisfiable_witnesses_do_not_follow_the_hash_seed():
+    """Populated unsatisfiable predicates are listed by arity and name,
+    so every hash seed lists them alike."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    listed = set()
+    for seed in ("1", "2", "3"):
+        environment = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source)
+        done = subprocess.run(
+            [sys.executable, "-c", _SELF_DISJOINT],
+            env=environment,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        listed.add(done.stdout)
+    [witnesses] = listed
+    assert json.loads(witnesses) == [
+        *[f"negative inclusion violated: {name} ⊑ ¬{name}" for name in "ABCD"],
+        *[f"unsatisfiable predicate populated: {name}" for name in "ABCD"],
+    ]
 
 
 def test_rewrite_only_api(university):

@@ -186,7 +186,7 @@ def test_faulty_extents_fault_index_calls_too():
     with pytest.raises(PermanentSourceError):
         outage.index("P", 1, (0,))
     with pytest.raises(PermanentSourceError):
-        outage.snapshot("P", 1)
+        outage.table("P", 1)
 
 
 def test_faulty_extents_under_retry_recover():
