@@ -24,13 +24,14 @@ Node ids are interned by predicate kind and name, one block per
 predicate: an atomic concept gets one id, a role ``P`` the four ids
 ``P, P⁻, ∃P, ∃P⁻`` (in that order), an attribute ``U`` the two ids
 ``U, δ(U)``.  Every axiom side then maps to an id by an offset into its
-predicate's block, so the build hashes each node expression once (to
-fill ``index``) instead of at every arc end.
+predicate's block, so the build hashes no node expression; the
+expression-to-id ``index`` is built on first use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..dllite.axioms import (
     AttributeInclusion,
@@ -90,7 +91,6 @@ class TBoxDigraph:
     def __init__(self, tbox: TBox):
         self.tbox = tbox
         self.nodes: List = []
-        self.index: Dict[object, int] = {}
         self.successors: List[Set[int]] = []
         #: the negative inclusions of the axioms the arcs were built from
         #: (they contribute no arcs; ``computeUnsat`` reads them here)
@@ -116,7 +116,6 @@ class TBoxDigraph:
                 range(first, first + width * len(predicates), width),
             )
         )
-        self.index.update(zip(blocks, range(first, first + len(blocks))))
         self.nodes.extend(blocks)
         self.successors.extend([set() for _ in blocks])
         self._sorts.extend(sorts * len(predicates))
@@ -184,14 +183,43 @@ class TBoxDigraph:
     def arc_count(self) -> int:
         return sum(map(len, self.successors))
 
+    @cached_property
+    def index(self) -> Dict[object, int]:
+        """Node expression -> id, built on first use (lookups go through
+        :meth:`find`, which hashes a name, not an expression)."""
+        return {node: node_id for node_id, node in enumerate(self.nodes)}
+
+    def find(self, expression) -> Optional[int]:
+        """Id of a node expression through its predicate's block, or None
+        when *expression* is not a node of the digraph."""
+        kind = type(expression)
+        if kind is AtomicConcept:
+            return self._concept_ids.get(expression.name)
+        if kind is AtomicAttribute:
+            return self._attribute_ids.get(expression.name)
+        if kind is AttributeDomain:
+            first = self._attribute_ids.get(expression.attribute.name)
+            return None if first is None else first + 1
+        offset = 0
+        if kind is ExistentialRole:
+            expression, offset = expression.role, 2
+            kind = type(expression)
+        if kind is InverseRole:
+            expression, offset = expression.role, offset + 1
+            kind = type(expression)
+        if kind is AtomicRole:
+            first = self._role_ids.get(expression.name)
+            return None if first is None else first + offset
+        return None
+
     def node_id(self, expression) -> int:
-        try:
-            return self.index[expression]
-        except KeyError:
-            raise KeyError(f"expression not in digraph: {expression}") from None
+        node_id = self.find(expression)
+        if node_id is None:
+            raise KeyError(f"expression not in digraph: {expression}")
+        return node_id
 
     def __contains__(self, expression) -> bool:
-        return expression in self.index
+        return self.find(expression) is not None
 
     def arcs(self) -> Iterable[Tuple[object, object]]:
         for source_id, targets in enumerate(self.successors):

@@ -62,7 +62,7 @@ def compute_unsat(
             negated = rhs.role
         else:
             negated = rhs.attribute
-        first, second = graph.index.get(axiom.lhs), graph.index.get(negated)
+        first, second = graph.find(axiom.lhs), graph.find(negated)
         if first is None or second is None:
             continue  # nothing lies below a predicate outside the digraph
         partners[first] = partners.get(first, 0) | 1 << second
@@ -87,7 +87,7 @@ def compute_unsat(
     # whenever p lies below i.
     qualified = []
     for axiom, rhs in graph.tbox.qualified_existentials():
-        lhs, filler = graph.index.get(axiom.lhs), graph.index.get(rhs.filler)
+        lhs, filler = graph.find(axiom.lhs), graph.find(rhs.filler)
         if lhs is not None and filler is not None:
             qualified.append((lhs, filler))
     while True:

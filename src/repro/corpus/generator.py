@@ -144,12 +144,7 @@ def generate(profile: OntologyProfile, scale: float = 1.0) -> TBox:
     concepts = [AtomicConcept(f"{prefix}C{i}") for i in range(profile.concepts)]
     roles = [AtomicRole(f"{prefix}P{i}") for i in range(profile.roles)]
     attributes = [AtomicAttribute(f"{prefix}U{i}") for i in range(profile.attributes)]
-    for concept in concepts:
-        tbox.declare(concept)
-    for role in roles:
-        tbox.declare(role)
-    for attribute in attributes:
-        tbox.declare(attribute)
+    tbox.declare(*concepts, *roles, *attributes)
 
     # -- concept taxonomy -----------------------------------------------------
     parents = _build_taxonomy(rng, profile.concepts, profile.depth, profile.roots)

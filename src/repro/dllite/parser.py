@@ -20,7 +20,10 @@ too)::
 Bare names are disambiguated through declarations; an undeclared bare
 name defaults to a concept, while names used with ``^-``/``exists``
 register as roles and names used with ``domain(..)`` as attributes.
-Example::
+Declarations and usages type a name for the whole document, wherever
+they stand in it: ``P isa R`` is a role inclusion whether ``R^- isa S``
+comes before or after it.  A bare name under ``funct`` that nothing
+types is a role.  Example::
 
     role isPartOf
     County isa exists isPartOf . State
@@ -32,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import SyntaxError_
+from ..errors import LanguageViolation, SyntaxError_
 from .axioms import (
     AttributeInclusion,
     Axiom,
@@ -77,8 +80,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORD_KINDS = {"inv", "isa", "exists", "not", "funct", "domain", "kind", "dot",
-                  "lpar", "rpar", "comma", "name"}
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'-]*")
+
+#: the predicate each declaration keyword declares
+_DECLARED = {"concept": AtomicConcept, "role": AtomicRole, "attribute": AtomicAttribute}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -120,6 +125,12 @@ class _Parser:
         self.text = text
         self.index = 0
         self.registry = registry
+        #: bare names read while the registry had no kind for them (each
+        #: read as a concept; a later kind may change what the line means)
+        self.untyped: List[str] = []
+        #: ``(name, position)`` of each bare name read under ``funct``
+        #: without a kind; the caller gives it the role default
+        self.functs: List[Tuple[str, int]] = []
 
     # -- token plumbing ------------------------------------------------------
 
@@ -143,8 +154,10 @@ class _Parser:
             )
         return token
 
-    def at_end(self) -> bool:
-        return self.index >= len(self.tokens)
+    def expect_end(self) -> None:
+        if self.index < len(self.tokens):
+            token = self.tokens[self.index]
+            raise SyntaxError_(f"trailing input {token[1]!r}", self.text, token[2])
 
     # -- expression grammar ---------------------------------------------------
 
@@ -196,6 +209,8 @@ class _Parser:
             if declared == "attribute":
                 return AtomicAttribute(value)
             # Bare undeclared names default to concepts.
+            if declared is None:
+                self.untyped.append(value)
             return AtomicConcept(value)
         raise SyntaxError_(f"unexpected token {value!r}", self.text, position)
 
@@ -241,12 +256,17 @@ def _coerce_sides(lhs, rhs, text: str) -> Axiom:
 
 def parse_axiom(text: str, registry: Optional[_KindRegistry] = None) -> Axiom:
     """Parse a single axiom, e.g. ``"County isa exists isPartOf . State"``."""
-    registry = registry or _KindRegistry()
-    parser = _Parser(_tokenize(text), text, registry)
+    parser = _Parser(_tokenize(text), text, registry or _KindRegistry())
+    axiom = _parse_line(parser)
+    for name, position in parser.functs:
+        parser.registry.declare(name, "role", text, position)
+    return axiom
+
+
+def _parse_line(parser: _Parser) -> Axiom:
+    """One whole axiom line (trailing input rejected)."""
     axiom = _parse_one_axiom(parser)
-    if not parser.at_end():
-        token = parser.peek()
-        raise SyntaxError_(f"trailing input {token[1]!r}", text, token[2])
+    parser.expect_end()
     return axiom
 
 
@@ -258,8 +278,10 @@ def _parse_one_axiom(parser: _Parser) -> Axiom:
         if isinstance(side, AtomicAttribute):
             return FunctionalAttribute(side)
         if isinstance(side, AtomicConcept):
-            # A bare name under funct is a role unless declared otherwise.
-            parser.registry.declare(side.name, "role", parser.text, token[2])
+            # A bare name under funct is a role unless typed otherwise; the
+            # caller settles it (a concept is an error) once every line
+            # that could type it has been read.
+            parser.functs.append((side.name, token[2]))
             return FunctionalRole(AtomicRole(side.name))
         return FunctionalRole(side)
     lhs = parser.parse_side(allow_negation=False)
@@ -270,12 +292,9 @@ def _parse_one_axiom(parser: _Parser) -> Axiom:
 
 def parse_concept(text: str):
     """Parse a standalone concept expression (``"exists teaches . Course"``)."""
-    registry = _KindRegistry()
-    parser = _Parser(_tokenize(text), text, registry)
+    parser = _Parser(_tokenize(text), text, _KindRegistry())
     side = parser.parse_side(allow_negation=True)
-    if not parser.at_end():
-        token = parser.peek()
-        raise SyntaxError_(f"trailing input {token[1]!r}", text, token[2])
+    parser.expect_end()
     return side
 
 
@@ -283,19 +302,32 @@ def parse_role(text: str):
     """Parse a standalone role expression (``"isPartOf^-"``)."""
     parser = _Parser(_tokenize(text), text, _KindRegistry())
     role = parser.parse_role()
-    if not parser.at_end():
-        token = parser.peek()
-        raise SyntaxError_(f"trailing input {token[1]!r}", text, token[2])
+    parser.expect_end()
     return role
 
 
 def parse_tbox(text: str, name: str = "tbox") -> TBox:
-    """Parse a whole document (declarations + axioms, one per line)."""
+    """Parse a whole document (declarations + axioms, one per line).
+
+    One pass over the lines tokenizes and parses each axiom line once,
+    with the kinds the lines before it gave their names.  A bare name
+    nothing has typed yet reads as a concept; each line keeps the names
+    it read that way.  Once every line is read, a bare ``funct`` name
+    still untyped becomes a role, and a line is parsed a second time
+    only if a name it read untyped has since been typed a role or an
+    attribute (or if its first reading was no DL-Lite axiom, which such
+    a name may have caused).  Every line thus ends up read with the
+    kinds of the whole document.  The declared predicates and the
+    axioms then enter the TBox as one batch each.
+    """
     registry = _KindRegistry()
-    pending: List[str] = []
-    notes: dict = {}
+    axioms: List[Optional[Axiom]] = []
+    #: (index into axioms, line, the names it read untyped)
+    untyped: List[Tuple[int, str, List[str]]] = []
+    functs: List[Tuple[str, str, int]] = []
+    notes: Dict[int, str] = {}
     pending_note: List[str] = []
-    declared: List[Tuple[str, str]] = []
+    declared: List = []
     for raw_line in text.splitlines():
         stripped = raw_line.strip()
         if stripped.startswith("note:"):
@@ -306,33 +338,42 @@ def parse_tbox(text: str, name: str = "tbox") -> TBox:
         if not line:
             continue
         first_word = line.split(None, 1)[0]
-        if first_word in ("concept", "role", "attribute"):
+        if first_word in _DECLARED:
             rest = line[len(first_word):]
             for name_part in rest.split(","):
                 name_part = name_part.strip()
                 if not name_part:
                     continue
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_'-]*", name_part):
+                if not _NAME_RE.fullmatch(name_part):
                     raise SyntaxError_(f"bad declared name {name_part!r}", line)
                 registry.declare(name_part, first_word, line)
-                declared.append((first_word, name_part))
+                declared.append(_DECLARED[first_word](name_part))
             continue
         if pending_note:
-            notes[len(pending)] = " ".join(pending_note)
+            notes[len(axioms)] = " ".join(pending_note)
             pending_note = []
-        pending.append(line)
-    # Two passes so that later role/attribute usages disambiguate earlier
-    # bare names ("P isa R" before "R^- isa ...").
+        parser = _Parser(_tokenize(line), line, registry)
+        try:
+            axioms.append(_parse_line(parser))
+        except LanguageViolation:
+            if not parser.untyped:
+                raise
+            axioms.append(None)  # read again below, with the names typed
+        if parser.untyped:
+            untyped.append((len(axioms) - 1, line, parser.untyped))
+        functs.extend((funct, line, position) for funct, position in parser.functs)
+    # Every line is read: an untyped funct name is a role (a concept is
+    # an error), and lines whose untyped names got a kind are read again.
+    for funct, line, position in functs:
+        if registry.kind_of(funct) != "attribute":
+            registry.declare(funct, "role", line, position)
+    for index, line, names in untyped:
+        if axioms[index] is None or any(
+            registry.kind_of(name) in ("role", "attribute") for name in names
+        ):
+            axioms[index] = _parse_line(_Parser(_tokenize(line), line, registry))
     tbox = TBox(name=name)
-    for kind, predicate_name in declared:
-        if kind == "concept":
-            tbox.declare(AtomicConcept(predicate_name))
-        elif kind == "role":
-            tbox.declare(AtomicRole(predicate_name))
-        else:
-            tbox.declare(AtomicAttribute(predicate_name))
-    for _ in range(2):
-        axioms = [parse_axiom(line, registry) for line in pending]
+    tbox.declare(*declared)
     tbox.extend(axioms)
     for index, note in notes.items():
         tbox.annotate(axioms[index], note)

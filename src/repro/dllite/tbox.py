@@ -44,20 +44,42 @@ class Signature:
         self.attributes: Set[AtomicAttribute] = set(attributes)
 
     def add(self, predicate) -> None:
-        # Copy-on-write: readers (digraph build, fingerprinting) iterate
-        # whichever set object they grabbed, never one mutating under them.
-        # Writers are serialized by the owning TBox's lock.
-        if isinstance(predicate, AtomicConcept):
-            if predicate not in self.concepts:
-                self.concepts = self.concepts | {predicate}
-        elif isinstance(predicate, AtomicRole):
-            if predicate not in self.roles:
-                self.roles = self.roles | {predicate}
-        elif isinstance(predicate, AtomicAttribute):
-            if predicate not in self.attributes:
-                self.attributes = self.attributes | {predicate}
-        else:
-            raise TypeError(f"not an atomic predicate: {predicate!r}")
+        """Add one predicate: a batch of one (:meth:`update`)."""
+        self.update((predicate,))
+
+    def update(self, predicates: Iterable) -> int:
+        """Add many predicates; return how many were new.
+
+        Copy-on-write: readers (digraph build, fingerprinting) iterate
+        whichever set object they grabbed, never one mutating under them.
+        Each set that gains a predicate is replaced once per batch, so a
+        batch costs its own size plus one copy per set instead of one copy
+        per new predicate.  Writers are serialized by the owning TBox's
+        lock.
+        """
+        concepts: Set[AtomicConcept] = set()
+        roles: Set[AtomicRole] = set()
+        attributes: Set[AtomicAttribute] = set()
+        for predicate in predicates:
+            if isinstance(predicate, AtomicConcept):
+                concepts.add(predicate)
+            elif isinstance(predicate, AtomicRole):
+                roles.add(predicate)
+            elif isinstance(predicate, AtomicAttribute):
+                attributes.add(predicate)
+            else:
+                raise TypeError(f"not an atomic predicate: {predicate!r}")
+        # ``new - current`` walks the batch, not the signature
+        concepts = concepts - self.concepts
+        roles = roles - self.roles
+        attributes = attributes - self.attributes
+        if concepts:
+            self.concepts = self.concepts | concepts
+        if roles:
+            self.roles = self.roles | roles
+        if attributes:
+            self.attributes = self.attributes | attributes
+        return len(concepts) + len(roles) + len(attributes)
 
     def __contains__(self, predicate) -> bool:
         return (
@@ -119,8 +141,7 @@ class TBox:
         #: the graphical design "can be enriched with auxiliary
         #: documentation regarding the design choices that were made").
         self._annotations: Dict[Axiom, str] = {}
-        for axiom in axioms:
-            self.add(axiom)
+        self.extend(axioms)
 
     # -- annotations ---------------------------------------------------------
 
@@ -142,30 +163,42 @@ class TBox:
 
     def add(self, axiom: Axiom) -> bool:
         """Add *axiom*; return False when it was already present."""
-        if not isinstance(axiom, Axiom):
-            raise TypeError(f"not a TBox axiom: {axiom!r}")
-        with self._lock:
-            if axiom in self._seen:
-                return False
-            self._seen.add(axiom)
-            self._axioms.append(axiom)
-            for predicate in axiom_signature(axiom):
-                self.signature.add(predicate)
-            # Bumped last: a reader seeing the new generation is
-            # guaranteed to also see the axiom and signature change.
-            self._generation += 1
-        return True
+        return self.extend((axiom,)) == 1
 
     def extend(self, axioms: Iterable[Axiom]) -> int:
-        """Add many axioms; return how many were new."""
-        return sum(1 for axiom in axioms if self.add(axiom))
+        """Add many axioms; return how many were new.
 
-    def declare(self, predicate) -> None:
-        """Declare an atomic predicate without asserting any axiom on it."""
+        One step under the lock: the new axioms are appended, the
+        signature grows once for the batch (:meth:`Signature.update`),
+        and the generation is bumped last, by one per new axiom.
+        """
+        axioms = list(axioms)
+        for axiom in axioms:
+            if not isinstance(axiom, Axiom):
+                raise TypeError(f"not a TBox axiom: {axiom!r}")
         with self._lock:
-            if predicate not in self.signature:
-                self.signature.add(predicate)
-                self._generation += 1
+            new: List[Axiom] = []
+            for axiom in axioms:
+                if axiom not in self._seen:
+                    self._seen.add(axiom)
+                    new.append(axiom)
+            self._axioms.extend(new)
+            self.signature.update(
+                predicate for axiom in new for predicate in axiom_signature(axiom)
+            )
+            # Bumped last: a reader seeing the new generation is
+            # guaranteed to also see the axioms and signature change.
+            self._generation += len(new)
+        return len(new)
+
+    def declare(self, *predicates) -> None:
+        """Declare atomic predicates without asserting any axiom on them.
+
+        The signature grows once for the batch; the generation is bumped
+        by one per predicate it did not hold yet.
+        """
+        with self._lock:
+            self._generation += self.signature.update(predicates)
 
     def discard(self, axiom: Axiom) -> bool:
         """Remove *axiom* if present (the signature is left untouched)."""
@@ -242,9 +275,15 @@ class TBox:
                 yield axiom, axiom.rhs
 
     def copy(self, name: Optional[str] = None) -> "TBox":
-        clone = TBox(self._axioms, name=name or self.name)
-        clone.signature = self.signature.copy()
-        clone._annotations = dict(self._annotations)
+        """An independent TBox with the same axioms, signature and notes;
+        its generation counts one :meth:`add` per axiom."""
+        clone = TBox(name=name or self.name)
+        with self._lock:
+            clone._axioms = list(self._axioms)
+            clone._seen = set(self._seen)
+            clone.signature = self.signature.copy()
+            clone._annotations = dict(self._annotations)
+        clone._generation = len(clone._axioms)
         return clone
 
     def stats(self) -> Dict[str, int]:

@@ -245,6 +245,52 @@ def test_tbox_generation_is_atomic_under_concurrent_adds():
     assert len(tbox) == THREADS * per_thread
 
 
+def test_signature_readers_never_see_a_set_change_under_batch_writers():
+    """Batches replace each signature set once, copy-on-write: a reader
+    iterating whichever set it grabbed never sees that set change."""
+    tbox = TBox([ConceptInclusion(AtomicConcept("Root"), AtomicConcept("Top"))])
+    writers = THREADS // 2
+    done = threading.Event()
+    finished = []
+    reads = []
+
+    def work(index):
+        if index < writers:
+            for turn in range(60):
+                names = [f"c{index}_{turn}_{i}" for i in range(5)]
+                if turn % 2:
+                    tbox.extend(
+                        ConceptInclusion(AtomicConcept(name), AtomicConcept("Root"))
+                        for name in names
+                    )
+                else:
+                    tbox.declare(*map(AtomicConcept, names), AtomicRole(names[0]))
+            finished.append(index)
+            if len(finished) == writers:
+                done.set()
+            return
+        while True:  # at least one read, however fast the writers are
+            stop = done.is_set()
+            for held in (tbox.signature.concepts, tbox.signature.roles):
+                size = len(held)
+                members = [predicate.name for predicate in held]
+                assert len(held) == size == len(members)
+            reads.append(1)
+            if stop:
+                break
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reads
+    assert len(tbox.signature.concepts) == 2 + writers * 60 * 5
+    assert len(tbox.signature.roles) == writers * 30
+    assert tbox.generation == 1 + writers * (60 * 5 + 30)
+
+
 def test_classifying_while_axioms_are_added_keeps_the_digraph_whole():
     """``TBox.add`` appends an axiom before it registers the axiom's
     predicates; a build that sees the axiom but not the predicates interns

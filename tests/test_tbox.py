@@ -122,3 +122,94 @@ def test_annotations_attach_and_copy():
     assert clone.annotation(axiom) == "told by the domain expert"
     with pytest.raises(KeyError):
         tbox.annotate(ConceptInclusion(B, C), "not an axiom of this TBox")
+
+
+# -- batches -----------------------------------------------------------------------
+
+
+def _axioms():
+    return [
+        ConceptInclusion(A, B),
+        ConceptInclusion(B, QualifiedExistential(P, C)),
+        RoleInclusion(P, AtomicRole("R")),
+        ConceptInclusion(A, B),  # a duplicate
+        FunctionalRole(P),
+        ConceptInclusion(C, NegatedConcept(A)),
+    ]
+
+
+def test_a_held_signature_set_survives_a_batch():
+    tbox = TBox([ConceptInclusion(A, B)])
+    held = tbox.signature.concepts
+    before = set(held)
+    tbox.extend([ConceptInclusion(AtomicConcept(f"N{i}"), A) for i in range(5)])
+    tbox.declare(*(AtomicConcept(f"D{i}") for i in range(5)))
+    assert held == before
+    assert len(tbox.signature.concepts) == len(before) + 10
+
+
+class _CountingSignature(Signature):
+    """Counts how often each set is replaced."""
+
+    def __init__(self):
+        self.replaced = {"concepts": 0, "roles": 0, "attributes": 0}
+        super().__init__()
+
+    def __setattr__(self, name, value):
+        if name in ("concepts", "roles", "attributes") and hasattr(self, name):
+            self.replaced[name] += 1
+        super().__setattr__(name, value)
+
+
+def test_a_batch_replaces_each_set_once():
+    concepts = [AtomicConcept(f"N{i}") for i in range(20)]
+    declared = TBox()
+    declared.signature = _CountingSignature()
+    declared.declare(*concepts, AtomicRole("R"))
+    assert declared.signature.replaced == {"concepts": 1, "roles": 1, "attributes": 0}
+    assert declared.generation == 21
+
+    extended = TBox()
+    extended.signature = _CountingSignature()
+    extended.extend(ConceptInclusion(concept, A) for concept in concepts)
+    assert extended.signature.replaced == {"concepts": 1, "roles": 0, "attributes": 0}
+    assert extended.signature.concepts == {A, *concepts}
+
+
+def test_batches_count_generations_like_single_steps():
+    one_by_one = TBox()
+    for axiom in _axioms():
+        one_by_one.add(axiom)
+    built = TBox(_axioms())
+    assert list(built) == list(one_by_one)
+    assert built.signature == one_by_one.signature
+    assert built.generation == one_by_one.generation == 5
+    assert TBox().extend(_axioms()) == 5
+
+    predicates = [A, B, A, P, AtomicAttribute("U"), P]
+    single = TBox([ConceptInclusion(A, C)])
+    for predicate in predicates:
+        single.declare(predicate)
+    batch = TBox([ConceptInclusion(A, C)])
+    batch.declare(*predicates)
+    assert batch.signature == single.signature
+    assert batch.generation == single.generation == 1 + 3
+
+
+def test_copy_counts_one_add_per_axiom():
+    tbox = TBox(_axioms(), name="orig")
+    tbox.declare(AtomicConcept("Declared"), AtomicAttribute("U"))
+    clone = tbox.copy()
+    assert list(clone) == list(tbox)
+    assert clone.signature == tbox.signature
+    assert clone.signature.concepts is not tbox.signature.concepts
+    assert clone.generation == len(tbox) == 5
+
+
+def test_a_bad_batch_changes_nothing():
+    tbox = TBox([ConceptInclusion(A, B)])
+    with pytest.raises(TypeError):
+        tbox.extend([ConceptInclusion(B, C), "B isa C"])
+    with pytest.raises(TypeError):
+        tbox.declare(C, "C")
+    assert len(tbox) == 1 and C not in tbox.signature and tbox.generation == 1
