@@ -35,6 +35,7 @@ segment.  ``Declaration`` axioms register predicates in the signature.
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from typing import List, Optional, Tuple, Union
 
 from ..errors import LanguageViolation, SyntaxError_
@@ -314,9 +315,16 @@ def _axioms_of(form) -> List[Axiom]:
 
 
 def parse_owl_functional(text: str, name: str = "ontology") -> Ontology:
-    """Parse an OWL 2 QL document in functional-style syntax."""
+    """Parse an OWL 2 QL document in functional-style syntax.
+
+    The TBox forms are queued in document order and loaded in runs: one
+    ``declare`` per run of declarations, one ``extend`` per run of
+    axioms.  Declaring a predicate an earlier axiom brought in moves no
+    generation, so this gives the TBox of one call per form.
+    """
     reader = _Reader(text)
     ontology = Ontology(name=name)
+    queued: List = []  # predicates to declare and axioms to add
     while not reader.at_end():
         token = reader.peek()
         if token[0] == "name" and token[1] == "Prefix":
@@ -338,13 +346,18 @@ def parse_owl_functional(text: str, name: str = "ontology") -> Ontology:
         if head == "Ontology":
             for sub in args:
                 if isinstance(sub, tuple):
-                    _dispatch(sub, ontology)
+                    _dispatch(sub, ontology, queued)
             continue
-        _dispatch(form, ontology)
+        _dispatch(form, ontology, queued)
+    for axioms, run in groupby(queued, lambda item: isinstance(item, Axiom)):
+        if axioms:
+            ontology.tbox.extend(run)
+        else:
+            ontology.tbox.declare(*run)
     return ontology
 
 
-def _dispatch(form, ontology: Ontology) -> None:
+def _dispatch(form, ontology: Ontology, queued: List) -> None:
     head, args = form
     if isinstance(head, str) and head in ("Import",):
         return
@@ -352,12 +365,12 @@ def _dispatch(form, ontology: Ontology) -> None:
         kind, inner = args[0]
         name = str(inner[0])
         if kind == "Class":
-            ontology.tbox.declare(AtomicConcept(name))
+            queued.append(AtomicConcept(name))
         elif kind == "ObjectProperty":
-            ontology.tbox.declare(AtomicRole(name))
+            queued.append(AtomicRole(name))
         elif kind in ("DataProperty", "AnnotationProperty"):
             if kind == "DataProperty":
-                ontology.tbox.declare(AtomicAttribute(name))
+                queued.append(AtomicAttribute(name))
         elif kind == "NamedIndividual":
             pass
         else:
@@ -384,8 +397,7 @@ def _dispatch(form, ontology: Ontology) -> None:
         return
     if head in ("AnnotationAssertion",):
         return
-    for axiom in _axioms_of(form):
-        ontology.tbox.add(axiom)
+    queued.extend(_axioms_of(form))
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,8 @@ def _coerce_sides(lhs, rhs, text: str) -> Axiom:
     def as_role(side):
         if isinstance(side, AtomicConcept):
             return AtomicRole(side.name)
+        if isinstance(side, NegatedConcept) and isinstance(side.concept, AtomicConcept):
+            return NegatedRole(AtomicRole(side.concept.name))
         return side
 
     def as_attr(side):

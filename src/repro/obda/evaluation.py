@@ -23,7 +23,11 @@ answers and consistency verdicts, the verdicts of
 every reader of a source table asks
 (:meth:`~repro.obda.sql.table.Table.stamp`), so a write invalidates only
 what was computed from the extents it changed, and what read an extent
-that only grew is extended by the rows appended.
+that only grew is extended by the rows appended.  Mapped and derived
+extents are kept as :class:`~repro.obda.sql.table.Stamped` records and
+refreshed by :func:`~repro.obda.sql.table.refresh`, the routine that
+keeps cached answers and consistency checks too; each provider supplies
+only its full run (a pull, a derivation) and its extension (a delta).
 
 Conjunctive queries are evaluated by a **compiled join**: the query's
 variables are numbered into slots and each atom becomes one probe step
@@ -50,7 +54,7 @@ Their steps probe the tables' own indexes
 (:meth:`~repro.obda.sql.table.Table.index`).
 
 Both entries into the join can run it over a delta
-(:func:`evaluate_ucq_delta`, ``evaluate_table_cqs(grown=...)``): when
+(``evaluate_ucq(grown=...)``, ``evaluate_table_cqs(grown=...)``): when
 an input only grew since earlier answers were computed, each atom over
 it in turn reads only the rows added, through an index built over them,
 while every other atom reads its whole current input.  These are the
@@ -80,7 +84,6 @@ from typing import (
     Iterable,
     KeysView,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -96,7 +99,7 @@ from ..runtime.budget import Budget
 from .mapping import MappingCollection
 from .queries import ConjunctiveQuery, Constant, UnionQuery, Variable
 from .sql.database import Database
-from .sql.table import Extent, Index, Read, Stamp, Table, ended, grown_index, grown_tables
+from .sql.table import Extent, Index, Stamp, Stamped, Table, grown_index, refresh
 
 __all__ = [
     "ExtentProvider",
@@ -106,7 +109,6 @@ __all__ = [
     "evaluate_cq",
     "evaluate_table_cqs",
     "evaluate_ucq",
-    "evaluate_ucq_delta",
 ]
 
 #: per ``(predicate, arity)`` read, the table and its stamp at the first
@@ -119,8 +121,9 @@ class ExtentProvider:
 
     A subclass implements :meth:`table`, or else :meth:`extent` and
     :meth:`generation`: the default :meth:`table` then keeps one table
-    per generation, built from :meth:`extent`.  :meth:`extent` and
-    :meth:`index` otherwise read the table.
+    per generation, built from :meth:`extent`.  :meth:`extent` otherwise
+    reads the table, and a join probes the indexes of the table it read
+    (:meth:`~repro.obda.sql.table.Table.index`).
 
     Concurrency: a served table only grows, by rows appended in one step
     under its lock after they were computed; a table that changed
@@ -156,17 +159,6 @@ class ExtentProvider:
             with self._sync_lock():
                 table = tables[1].setdefault(key, table)
         return table
-
-    def index(
-        self,
-        predicate: str,
-        arity: int,
-        positions: Tuple[int, ...],
-        budget: Optional[Budget] = None,
-    ) -> Index:
-        """The index of *predicate*'s table on *positions*
-        (:meth:`~repro.obda.sql.table.Table.index`)."""
-        return self.table(predicate, arity).index(positions, budget)
 
     def generation(self) -> int:
         """Monotone data-version counter; 0 for immutable providers."""
@@ -214,16 +206,40 @@ class ABoxExtents(ExtentProvider):
         return extent
 
 
-class _Entry(NamedTuple):
-    """A cached extent: its table, the tables it was computed from and
-    the generation they were last confirmed at."""
+class _StampedTables(ExtentProvider):
+    """A provider whose extents are computed from other tables: one
+    table per ``(predicate, arity)``, a concept and a role sharing a
+    name apart, kept as a :class:`~repro.obda.sql.table.Stamped` record
+    of the tables it was computed from."""
 
-    table: Extent
-    reads: Tuple[Read, ...]
-    checked: int
+    def __init__(self):
+        self._cache: Dict[Tuple[str, int], Stamped] = {}
+
+    def invalidate(self) -> None:
+        with self._sync_lock():
+            # Copy-on-write: readers holding the old dict keep a snapshot.
+            self._cache = {}
+
+    def _refreshed(self, key, cache, entry, generation, lookup, full, extend) -> Extent:
+        """*entry*, read from *cache* for *key*, brought up to
+        *generation* by :func:`~repro.obda.sql.table.refresh`.  An
+        extent grows whatever the number of rows appended: it keeps its
+        table, so what was read from it can still be extended.  The
+        result is installed over *entry* unless the slot moved on; a
+        table a racing refresh installed for the same generation is
+        served instead, so every caller sees one table."""
+        fresh, _ = refresh(entry, generation, lookup, full, extend, always_extend=True)
+        with self._sync_lock():
+            if self._cache is cache:
+                current = cache.get(key)
+                if current is entry:
+                    cache[key] = fresh
+                elif current is not None and current.generation == generation:
+                    return current.value
+        return fresh.value
 
 
-class MappingExtents(ExtentProvider):
+class MappingExtents(_StampedTables):
     """Extents unfolded through the mappings from the source database.
 
     A predicate's extent is the answer set of its atom query ``q(x[,
@@ -232,13 +248,13 @@ class MappingExtents(ExtentProvider):
     compiled join over the tables' indexes
     (:meth:`~repro.obda.rewriting.unfolding.UnfoldedQuery.join`).
 
-    The cache is shared **across queries** and keeps each extent while
-    the tables its join read stay unchanged: per table it keeps the
-    table and its stamps (:meth:`~repro.obda.sql.table.Table.stamp`).
-    While :attr:`Database.generation` holds, checking validity is one
-    integer compare.  When it moves, an extent whose tables gained no
-    rows is confirmed as it is, and only extents read from a written
-    table are refreshed:
+    The cache is shared **across queries** and keeps each extent with
+    the tables its join read and their stamps
+    (:meth:`~repro.obda.sql.table.Table.stamp`).  While
+    :attr:`Database.generation` holds, checking validity is one integer
+    compare.  When it moves, an extent whose tables gained no rows is
+    confirmed as it is, and only extents read from a written table are
+    refreshed:
 
     * by a **delta** when every table it read only grew: the extent's
       table gains, in place, the answers of the join that read an
@@ -254,10 +270,9 @@ class MappingExtents(ExtentProvider):
     """
 
     def __init__(self, mappings: MappingCollection, database: Database):
+        super().__init__()
         self.mappings = mappings
         self.database = database
-        #: per (predicate, arity), a concept and a role sharing a name apart
-        self._cache: Dict[Tuple[str, int], _Entry] = {}
         #: full pulls through the mappings (first use, or a refresh that
         #: could not take a delta); the regression tests and
         #: ``cache_stats()["extents"]`` read this.
@@ -268,77 +283,39 @@ class MappingExtents(ExtentProvider):
     def generation(self) -> int:
         return self.database.generation
 
-    def invalidate(self) -> None:
-        with self._sync_lock():
-            # Copy-on-write: readers holding the old dict keep a snapshot.
-            self._cache = {}
-
     def table(self, predicate: str, arity: int) -> Extent:
+        key = (predicate, arity)
         generation = self.database.generation
         cache = self._cache
-        entry = cache.get((predicate, arity))
-        if entry is not None and entry.checked == generation:
-            return entry.table
-        return self._refresh((predicate, arity), cache, entry, generation)
+        entry = cache.get(key)
+        if entry is not None and entry.generation == generation:
+            return entry.value
+        database = self.database
 
-    def _refresh(
-        self,
-        predicate: Tuple[str, int],
-        cache: Dict[Tuple[str, int], _Entry],
-        entry: Optional[_Entry],
-        generation: int,
-    ) -> Extent:
-        """*entry* brought up to the database at *generation*, which was
-        read before any table: every insert it counts is seen here.
+        def pull(started: Dict[str, Tuple[Table, Stamp]]) -> Extent:
+            with current_tracer().span("extent-pull") as span:
+                rows = self.mappings.atom_unfolding(*key).join(database, read=started)
+                table = Extent(predicate, rows)
+                span.annotate(predicate=predicate, rows=len(rows))
+            global_metrics().counter("obda.extents.pulls").inc()
+            with self._sync_lock():
+                self.pulls += 1
+            return table
 
-        The refreshed entry is installed over *entry* unless the slot
-        moved on; an entry a concurrent refresh installed for the same
-        generation is served instead, so both callers see one table.
-        """
-        grown = None if entry is None else grown_tables(self.database.table, entry.reads)
-        if grown is None:
-            refreshed = self._pull(predicate, generation)
-        elif grown[0]:
-            refreshed = self._delta(predicate, entry.table, grown, generation)
-        else:
-            refreshed = _Entry(entry.table, entry.reads, generation)
-        with self._sync_lock():
-            self.pulls += grown is None
-            self.delta_pulls += grown is not None and bool(grown[0])
-            if self._cache is cache:
-                current = cache.get(predicate)
-                if current is entry:
-                    cache[predicate] = refreshed
-                elif current is not None and current.checked == generation:
-                    return current.table
-        return refreshed.table
+        def delta(table: Extent, grown, started) -> Extent:
+            with current_tracer().span("extent-delta") as span:
+                joined = self.mappings.atom_unfolding(*key).join(database, grown=grown)
+                added = table.extend(joined)
+                span.annotate(predicate=predicate, rows=len(added))
+            global_metrics().counter("obda.extents.delta_pulls").inc()
+            with self._sync_lock():
+                self.delta_pulls += 1
+            return table
 
-    def _pull(self, predicate: Tuple[str, int], generation: int) -> _Entry:
-        started: Dict[str, Tuple[Table, Stamp]] = {}
-        with current_tracer().span("extent-pull") as span:
-            rows = self.mappings.atom_unfolding(*predicate).join(self.database, read=started)
-            table = Extent(predicate[0], rows)
-            span.annotate(predicate=predicate[0], rows=len(rows))
-        global_metrics().counter("obda.extents.pulls").inc()
-        return _Entry(table, ended(started), generation)
-
-    def _delta(
-        self, predicate: Tuple[str, int], table: Extent, grown, generation: int
-    ) -> _Entry:
-        """*table* grown, in place, by the answers of the atom query that
-        read a row appended to a source table (:func:`grown_tables`)."""
-        appended, started = grown
-        with current_tracer().span("extent-delta") as span:
-            joined = self.mappings.atom_unfolding(*predicate).join(
-                self.database, grown=appended
-            )
-            added = table.extend(joined)
-            span.annotate(predicate=predicate[0], rows=len(added))
-        global_metrics().counter("obda.extents.delta_pulls").inc()
-        return _Entry(table, ended(started), generation)
+        return self._refreshed(key, cache, entry, generation, database.table, pull, delta)
 
 
-class DatalogExtents(ExtentProvider):
+class DatalogExtents(_StampedTables):
     """Auxiliary predicates of a datalog rewriting over a base provider.
 
     *rewriting* is what defines them: a
@@ -357,32 +334,25 @@ class DatalogExtents(ExtentProvider):
     predicate's table, with no copy.  Any other derived extent is a
     table of its own, kept with the stamps of the base tables it was
     derived from, checked only when the base provider's generation
-    moves.  While those tables only grew, it grows in place by the
-    rules' projections of the rows they appended since (a derived
-    delta), so its indexes are extended too; a base table that changed
-    otherwise makes it derive again.  Base predicates, tables and
-    indexes alike, come from the base provider, so every query shares
-    their indexes.
+    moves, as a mapped extent is.  While those tables only grew, it
+    grows in place by the rules' projections of the rows they appended
+    since (a derived delta), so its indexes are extended too; a base
+    table that changed otherwise makes it derive again.  Base
+    predicates, tables and indexes alike, come from the base provider,
+    so every query shares their indexes.
     """
 
     def __init__(self, rewriting, base: ExtentProvider):
+        super().__init__()
         self.rewriting = rewriting
         self.base = base
         #: (predicate, arity) -> the base predicate serving it (itself
         #: for a base predicate, the body of its one identity rule for an
         #: alias), or None for a derived one; filled on first use
         self._served: Dict[Tuple[str, int], Optional[str]] = {}
-        #: (predicate, arity) -> its derived table, with the base tables
-        #: it read and the base generation they were confirmed at
-        self._cache: Dict[Tuple[str, int], _Entry] = {}
 
     def generation(self) -> int:
         return self.base.generation()
-
-    def invalidate(self) -> None:
-        with self._sync_lock():
-            # Copy-on-write: readers holding the old dict keep a snapshot.
-            self._cache = {}
 
     def _served_by(self, predicate: str, arity: int) -> Optional[str]:
         """The base predicate serving *predicate*; None when it is derived."""
@@ -402,9 +372,6 @@ class DatalogExtents(ExtentProvider):
             served = None
         return self._served.setdefault(key, served)
 
-    def _base_table(self, body: Tuple[str, int]) -> Extent:
-        return self.base.table(*body)
-
     def table(self, predicate: str, arity: int) -> Extent:
         served_by = self._served_by(predicate, arity)
         if served_by is not None:
@@ -413,33 +380,29 @@ class DatalogExtents(ExtentProvider):
         generation = self.base.generation()
         cache = self._cache
         entry = cache.get(key)
-        if entry is not None and entry.checked == generation:
-            return entry.table
+        if entry is not None and entry.generation == generation:
+            return entry.value
         rules = self.rewriting.rules_for(predicate, arity)
-        grown = None if entry is None else grown_tables(self._base_table, entry.reads)
-        if grown is None:
-            started: Started = {}
+
+        def derive(started: Started) -> Extent:
             for rule in rules:
                 body = (rule.body[0].predicate, len(rule.body[0].args))
                 if body not in started:
-                    base = self._base_table(body)
+                    base = self.base.table(*body)
                     started[body] = (base, base.stamp())
-            table = Extent(
-                predicate,
-                _derive(rules, {body: read[0].members() for body, read in started.items()}),
-            )
+            rows_of = {body: read[0].members() for body, read in started.items()}
+            table = Extent(predicate, _derive(rules, rows_of))
             global_metrics().counter("obda.evaluation.derivations").inc()
-        else:
-            appended, started = grown
-            table = entry.table
-            if appended:
-                table.extend(_derive(rules, appended))
-                global_metrics().counter("obda.evaluation.derived_deltas").inc()
-        refreshed = _Entry(table, ended(started), generation)
-        with self._sync_lock():
-            if self._cache is cache and cache.get(key) is entry:
-                cache[key] = refreshed
-        return table
+            return table
+
+        def delta(table: Extent, grown, started) -> Extent:
+            table.extend(_derive(rules, grown))
+            global_metrics().counter("obda.evaluation.derived_deltas").inc()
+            return table
+
+        return self._refreshed(
+            key, cache, entry, generation, lambda body: self.base.table(*body), derive, delta
+        )
 
 
 def _projection(rule) -> Optional[Tuple[int, ...]]:
@@ -791,7 +754,8 @@ def _evaluate(
 ) -> Set[Tuple]:
     """:func:`evaluate_cq` with the tracer looked up, or None when it is
     disabled, reading the extents' tables through *read*; with *grown*,
-    as :func:`evaluate_ucq_delta` evaluates one disjunct."""
+    as :func:`evaluate_ucq` evaluates one disjunct over a delta.  Each
+    step probes the index of the table whose rows it reads."""
     if budget is not None:
         budget.check()
     atoms = cq.atoms
@@ -801,19 +765,19 @@ def _evaluate(
         seeds = [(i, grown[key]) for i, key in enumerate(keys) if key in grown]
         if not seeds:
             return set()  # nothing it reads grew
-    rows_of = []
+    tables = []
     for key in keys:
         started = read.get(key)
         if started is None:
             table = extents.table(*key)
             started = read[key] = (table, table.stamp())
-        rows_of.append(started[0].rows)
+        tables.append(started[0])
+    rows_of = [table.rows for table in tables]
     if tracer is None and not all(rows_of):
         return set()  # before the query is shaped: many disjuncts end here
 
     def index_of(i: int, positions: Tuple[int, ...]) -> Index:
-        atom = atoms[i]
-        return extents.index(atom.predicate, atom.arity, positions, budget=budget)
+        return tables[i].index(positions, budget)
 
     labels = None if tracer is None else (lambda: [str(atom) for atom in atoms])
     return _run(_shape(cq), rows_of, index_of, True, budget, tracer, labels, seeds)
@@ -974,10 +938,12 @@ def evaluate_cq(
     :func:`_compile`); each step probes the index of its atom on the
     string forms of its constants and earlier slots, re-checks the kind
     of each keyed slot and compares a variable repeated within the atom.
-    Indexes come from :meth:`ExtentProvider.index`, so they persist
-    across queries with the same probe shape instead of being rebuilt
-    per evaluation.  With a tracer installed, the evaluation is a
-    ``join`` span annotated with the plan and the answer count.
+    Each predicate's table is looked up once, and a step probes that
+    table's own index (:meth:`~repro.obda.sql.table.Table.index`), so
+    indexes persist across queries with the same probe shape instead of
+    being rebuilt per evaluation.  With a tracer installed, the
+    evaluation is a ``join`` span annotated with the plan and the answer
+    count.
 
     With a *budget*, the join polls it once per binding (amortized) and
     aborts with :class:`~repro.errors.TimeoutExceeded` instead of running
@@ -991,28 +957,20 @@ def evaluate_ucq(
     ucq: UnionQuery,
     extents: ExtentProvider,
     budget: Optional[Budget] = None,
+    read: Optional[Started] = None,
+    grown: Optional[Dict[Tuple[str, int], Sequence[Tuple]]] = None,
 ) -> Set[Tuple]:
     """Certain-answer union over all disjuncts (budget polled per disjunct).
 
     Each predicate's table is looked up once, so every disjunct reads
-    the same table.  The tracer is looked up once: under the NullTracer
-    no disjunct opens a span or computes its annotations."""
-    return _evaluate_ucq(ucq, extents, budget, {}, None)
-
-
-def evaluate_ucq_delta(
-    ucq: UnionQuery,
-    extents: ExtentProvider,
-    read: Started,
-    grown: Optional[Dict[Tuple[str, int], Sequence[Tuple]]] = None,
-    budget: Optional[Budget] = None,
-) -> Set[Tuple]:
-    """:func:`evaluate_ucq`, reading each predicate's rows through *read*
-    (``(predicate, arity)`` -> table and start stamp): the table held
-    there, or one looked up in *extents* once and added with its stamp
-    before any of its rows was read, so that afterwards *read* holds
-    what the answers were computed from (stamp it after them with
-    :func:`~repro.obda.sql.table.ended`).  Indexes come from *extents*.
+    the same table and probes that table's indexes.  The tables are
+    read through *read* (``(predicate, arity)`` -> table and start
+    stamp): the table held there, or one looked up in *extents* once and
+    added with its stamp before any of its rows was read, so that
+    afterwards *read* holds what the answers were computed from (stamp
+    it after them with :func:`~repro.obda.sql.table.ended`).  The tracer
+    is looked up once: under the NullTracer no disjunct opens a span or
+    computes its annotations.
 
     With *grown* (``(predicate, arity)`` -> the rows its table in *read*
     appended since earlier answers were computed), only the answers
@@ -1022,13 +980,11 @@ def evaluate_ucq_delta(
     skipped.  Together with the earlier answers, these are the answers
     over the tables in *read*.
     """
-    return _evaluate_ucq(ucq, extents, budget, read, grown)
-
-
-def _evaluate_ucq(ucq, extents, budget, read, grown) -> Set[Tuple]:
     tracer = current_tracer()
     if not tracer.enabled:
         tracer = None
+    if read is None:
+        read = {}
     answers: Set[Tuple] = set()
     for disjunct in ucq:
         if budget is not None:

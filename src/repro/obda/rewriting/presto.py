@@ -171,20 +171,24 @@ def _witness_tbox(classification: Classification) -> TBox:
     classification closure: with the deductively-closed witness set,
     each unbound-variable elimination is a single axiom application, so
     no hierarchy expansion is ever needed at the UCQ level — filler and
-    role upward-monotonicity is already folded into the axiom set.
+    role upward-monotonicity is already folded into the axiom set.  The
+    predicates are declared in one batch and the axioms added in
+    another, which gives the TBox and generation of one call each.
     """
     witness_tbox = TBox(name=f"{classification.tbox.name}-witnesses")
-    for node in classification.graph.nodes:
-        if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
-            witness_tbox.declare(node)
-    for node in classification.graph.nodes:
-        if isinstance(node, (AtomicRole, InverseRole)):
-            continue
-        for upper in classification.subsumers(node):
-            if upper != node and isinstance(upper, (ExistentialRole, AttributeDomain)):
-                witness_tbox.add(ConceptInclusion(node, upper))
-    for axiom in qualified_inclusions(classification):
-        witness_tbox.add(axiom)
+    nodes = classification.graph.nodes
+    witness_tbox.declare(
+        *[node for node in nodes if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute))]
+    )
+    witnesses = [
+        ConceptInclusion(node, upper)
+        for node in nodes
+        if not isinstance(node, (AtomicRole, InverseRole))
+        for upper in classification.subsumers(node)
+        if upper != node and isinstance(upper, (ExistentialRole, AttributeDomain))
+    ]
+    witnesses.extend(qualified_inclusions(classification))
+    witness_tbox.extend(witnesses)
     return witness_tbox
 
 

@@ -17,6 +17,12 @@ answers, the sqlite replica) asks one rule: :meth:`Table.stamp` and
 :meth:`Table.appended`.  A predicate's extent is served as a table too
 (:class:`Extent`, an append-only table of distinct rows), so what is
 computed from an extent follows the same rule.
+
+A result computed by a join over such tables (a mapped or derived
+extent, cached answers, a consistency check) is kept as one record,
+:class:`Stamped`, and brought up to date by one routine,
+:func:`refresh`: re-confirmed when nothing it read grew, extended by the
+rows appended when every input only grew, computed in full otherwise.
 """
 
 from __future__ import annotations
@@ -45,11 +51,13 @@ __all__ = [
     "AppendOnly",
     "Extent",
     "Stamp",
+    "Stamped",
     "Table",
     "ended",
     "grown_index",
     "grown_tables",
     "join_key",
+    "refresh",
 ]
 
 Row = Tuple[object, ...]
@@ -337,3 +345,53 @@ def grown_tables(
             start = now
         started[key] = (table, start)
     return grown, started
+
+
+class Stamped(NamedTuple):
+    """A result computed by a join over stamped tables: the *value*, the
+    tables it read with their stamps (:func:`ended`) and the data
+    generation it was last confirmed at."""
+
+    value: object
+    reads: Tuple[Read, ...]
+    generation: int
+
+
+def refresh(
+    entry: Optional[Stamped],
+    generation: int,
+    lookup: Callable[[Hashable], AppendOnly],
+    full: Callable[[dict], object],
+    extend: Callable[[object, dict, dict], object],
+    always_extend: bool = False,
+) -> Tuple[Stamped, str]:
+    """*entry* (None: nothing computed yet) brought up to the data at
+    *generation*, which the caller read before any table, and the
+    outcome: ``"hit"``, ``"extended"`` or ``"miss"``.
+
+    When no table *entry* read gained a row (:func:`grown_tables`, over
+    *lookup*), its value is re-confirmed and re-stamped.  When each is
+    still the table read and only grew, ``extend(value, grown,
+    started)`` extends the value by what read an appended row (*grown*:
+    key -> rows appended; *started*: key -> table and start stamp).
+    Otherwise ``full(started)`` computes it anew, adding each table it
+    reads to *started* before reading any row.  Without
+    *always_extend*, an input that gained more rows than were read of
+    it is computed in full too: after a bulk load that costs less.  The
+    entry is stamped after the work; installing it is the caller's.
+    """
+    grown = None if entry is None else grown_tables(lookup, entry.reads)
+    if grown is not None and not always_extend and any(
+        len(grown[0].get(key, ())) > end.count for key, _, _, end in entry.reads
+    ):
+        grown = None
+    if grown is None:
+        started: Dict[Hashable, Tuple[AppendOnly, Stamp]] = {}
+        value, outcome = full(started), "miss"
+    else:
+        appended, started = grown
+        if appended:
+            value, outcome = extend(entry.value, appended, started), "extended"
+        else:
+            value, outcome = entry.value, "hit"
+    return Stamped(value, ended(started), generation), outcome

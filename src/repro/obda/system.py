@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..core.classifier import GraphClassifier
 from ..core.classify import Classification
@@ -66,7 +66,7 @@ from .evaluation import (
     DatalogExtents,
     ExtentProvider,
     MappingExtents,
-    evaluate_ucq_delta,
+    evaluate_ucq,
 )
 from .mapping import MappingCollection
 from .queries import Atom, ConjunctiveQuery, UnionQuery, Variable
@@ -75,7 +75,7 @@ from .rewriting.presto import presto_rewrite
 from .rewriting.unfolding import unfold
 from .sql.database import Database
 from .sql.stats import StatisticsCatalog
-from .sql.table import ended, grown_tables
+from .sql.table import Stamped, refresh
 
 __all__ = ["OBDASystem"]
 
@@ -116,17 +116,6 @@ _FUNCTIONALITY = "functionality violated"
 _UNSAT = "unsatisfiable predicate populated"
 
 
-class _Stamped(NamedTuple):
-    """A cached result: the data generation it was last confirmed at,
-    the stamps of what it read (``(key, table, start, end)`` per source
-    table or extent, :func:`~repro.obda.sql.table.ended`) and its
-    answers."""
-
-    generation: int
-    stamps: tuple
-    answers: FrozenSet[Tuple]
-
-
 @dataclass
 class _Check:
     """One consistency check of a TBox generation: its kind and label
@@ -140,8 +129,8 @@ class _Check:
     #: (1 when its pairs are read inverted); None when any answer
     #: violates the check
     subject: Optional[int]
-    #: the last result and whether it violates the check
-    result: Optional[Tuple[_Stamped, bool]] = None
+    #: the last result: its answers and whether they violate the check
+    result: Optional[Stamped] = None
 
     def violated(self, answers: Set[Tuple]) -> bool:
         """Whether *answers*, the query's distinct answers, violate it."""
@@ -150,34 +139,11 @@ class _Check:
         return len({pair[self.subject] for pair in answers}) != len(answers)
 
 
-class _Delta(NamedTuple):
-    """What grew since a result's stamps: per key (a predicate and arity,
-    or a table name) the rows appended (none when nothing grew), and the
-    tables and start stamps an extension reads (stamp them after it with
-    :func:`~repro.obda.sql.table.ended`)."""
-
-    grown: Dict[object, Sequence[Tuple]]
-    reads: dict
-
-
-def _grown(reader, stamps: tuple) -> Optional[_Delta]:
-    """The rows appended to what *reader* read since *stamps*, by
-    :func:`~repro.obda.sql.table.grown_tables` over the reader's lookup;
-    None when a table or extent was replaced or lost rows, or gained
-    more rows than the earlier read had, which a recompute handles
-    better."""
-    grown = grown_tables(reader.lookup, stamps)
-    if grown is None or any(
-        len(grown[0].get(key, ())) > end.count for key, _, _, end in stamps
-    ):
-        return None
-    return _Delta(*grown)
-
-
 class _OverExtents:
-    """A UCQ over an extent provider.  Its stamps are the tables of the
-    extents it read (:meth:`ExtentProvider.table`), by predicate and
-    arity, as a join over source tables stamps those."""
+    """A UCQ over the tables of an extent provider, by predicate and
+    arity.  Each reader supplies what :func:`~repro.obda.sql.table.refresh`
+    calls: the lookup of a table by key, the full run, which adds each
+    table it reads to *started*, and the extension by *grown*."""
 
     span = "evaluate"
     phase = "evaluate"
@@ -192,21 +158,15 @@ class _OverExtents:
     def lookup(self, key: Tuple[str, int]):
         return self.provider.table(*key)
 
-    def full(self, budget) -> Tuple[Set[Tuple], tuple]:
-        started: dict = {}
-        answers = evaluate_ucq_delta(self.ucq, self.provider, started, budget=budget)
-        return answers, ended(started)
+    def full(self, budget, started: dict) -> Set[Tuple]:
+        return evaluate_ucq(self.ucq, self.provider, budget, started)
 
-    def extend(self, budget, delta: _Delta) -> Set[Tuple]:
-        return evaluate_ucq_delta(
-            self.ucq, self.provider, delta.reads, delta.grown, budget=budget
-        )
+    def extend(self, budget, grown: dict, started: dict) -> Set[Tuple]:
+        return evaluate_ucq(self.ucq, self.provider, budget, started, grown)
 
 
 class _OverTables:
-    """An unfolding joined over the source tables.  Its stamps are the
-    tables the join read, each with its stamps before and after the
-    join (:func:`~repro.obda.sql.table.grown_tables`)."""
+    """An unfolding joined over the source tables, read by name."""
 
     span = "sql-eval"
     phase = "sql"
@@ -225,21 +185,19 @@ class _OverTables:
     def lookup(self, name: str):
         return self.database.table(name)
 
-    def full(self, budget) -> Tuple[Set[Tuple], tuple]:
-        started: dict = {}
-        answers = self.unfolded.join(
+    def full(self, budget, started: dict) -> Set[Tuple]:
+        return self.unfolded.join(
             self.database, budget=budget, read=started, constants=self.constants
         )
-        return answers, ended(started)
 
-    def extend(self, budget, delta: _Delta) -> Set[Tuple]:
+    def extend(self, budget, grown: dict, started: dict) -> Set[Tuple]:
         return self.unfolded.join(
-            self.database, budget=budget, grown=delta.grown, constants=self.constants
+            self.database, budget=budget, grown=grown, constants=self.constants
         )
 
 
 class _PushedDown(_OverTables):
-    """An unfolding pushed down to the SQLite replica, stamped by the
+    """An unfolding pushed down to the SQLite replica, read through the
     replica tables its statements ran over and extended as the join is:
     by the backend's delta statement, each grown table bounded by the
     rows the cached answers read of it."""
@@ -250,24 +208,19 @@ class _PushedDown(_OverTables):
         super().__init__(unfolded, database, constants)
         self.backend = backend
 
-    def full(self, budget) -> Tuple[Set[Tuple], tuple]:
-        started: dict = {}
-        answers = self.backend.execute_unfolded(
+    def full(self, budget, started: dict) -> Set[Tuple]:
+        return self.backend.execute_unfolded(
             self.unfolded,
             budget=budget,
             database=self.database,
             read=started,
             constants=self.constants,
         )
-        return answers, ended(started)
 
-    def extend(self, budget, delta: _Delta) -> Set[Tuple]:
-        # delta.reads stamps a grown table after its appended rows, so
-        # the cached answers read its count less theirs
-        since = {
-            name: delta.reads[name][1].count - len(rows)
-            for name, rows in delta.grown.items()
-        }
+    def extend(self, budget, grown: dict, started: dict) -> Set[Tuple]:
+        # started stamps a grown table after its appended rows, so the
+        # cached answers read its count less theirs
+        since = {name: started[name][1].count - len(rows) for name, rows in grown.items()}
         return self.backend.execute_unfolded(
             self.unfolded,
             budget=budget,
@@ -277,19 +230,10 @@ class _PushedDown(_OverTables):
         )
 
 
-def _refresh(reader, entry: Optional[_Stamped], delta: Optional[_Delta], generation, budget):
-    """*reader*'s answers and the entry to cache them under: computed in
-    full without a *delta*, else *entry*'s answers extended by the
-    answers that read a row *delta* added."""
-    if delta is None:
-        answers, stamps = reader.full(budget)
-        return answers, _Stamped(generation, stamps, frozenset(answers))
-    added = reader.extend(budget, delta)
-    stamps = ended(delta.reads)
-    if added <= entry.answers:
-        return set(entry.answers), _Stamped(generation, stamps, entry.answers)
-    added |= entry.answers
-    return added, _Stamped(generation, stamps, frozenset(added))
+def _united(answers: FrozenSet[Tuple], added: Set[Tuple]) -> FrozenSet[Tuple]:
+    """*answers* with the answers an extension *added*: *answers* itself
+    when the extension found none new."""
+    return answers if added <= answers else answers | added
 
 
 def _bound(cached, template):
@@ -347,7 +291,9 @@ class OBDASystem:
       recomputed: by the compiled join, or inside SQLite by a delta
       statement bounded by replica row positions.  Every consistency
       check (negative inclusion, functionality assertion, unsatisfiable
-      predicate) is kept and extended the same way.  A shrunk or
+      predicate) is kept and extended the same way, and the extents
+      too: one routine, :func:`~repro.obda.sql.table.refresh`, decides
+      for all of them.  A shrunk or
       replaced table or extent, more added rows than were read before,
       a TBox change or :meth:`invalidate_caches` recompute in full; an
       ABox write replaces every extent's table in knowledge-base mode,
@@ -755,37 +701,44 @@ class OBDASystem:
         else:
             root.set("answer_cache", "off")
         reader = self._answer_reader(ucq, label, method, context, tracer, key, template)
-        delta = None
-        if entry is not None:
-            delta = _grown(reader, entry.stamps)
-            if delta is not None and not delta.grown:
-                current = _Stamped(generation, ended(delta.reads), entry.answers)
-                return self._answer_hit(key, entry, current, root)
-        if key is not None:
-            self._answer_cache.stats.record_miss()
-            root.set("answer_cache", "miss" if delta is None else "extended")
         budget = context.scoped(f"{reader.phase}:{label}")
-        if reader.span is None:
-            answers, fresh = _refresh(reader, entry, delta, generation, budget)
-        else:
+
+        def run(outcome: str, work) -> FrozenSet[Tuple]:
+            # an extension counts as a miss, recorded before the work
+            if key is not None:
+                self._answer_cache.stats.record_miss()
+                root.set("answer_cache", outcome)
+            if reader.span is None:
+                return work()
             with tracer.span(reader.span) as span:
                 reader.annotate(span)
-                answers, fresh = _refresh(reader, entry, delta, generation, budget)
+                answers = work()
                 span.set("answers", len(answers))
+            return answers
+
+        def full(started) -> FrozenSet[Tuple]:
+            return run("miss", lambda: frozenset(reader.full(budget, started)))
+
+        def extend(answers, grown, started) -> FrozenSet[Tuple]:
+            return run("extended", lambda: _united(answers, reader.extend(budget, grown, started)))
+
+        fresh, outcome = refresh(entry, generation, reader.lookup, full, extend)
+        if outcome == "hit":
+            return self._answer_hit(key, entry, fresh, root)
         if key is not None:
             # only over the entry this work started from: a concurrent
             # call may have installed a newer one since
             self._answer_cache.replace(key, entry, fresh)
-        return answers
+        return set(fresh.value)
 
-    def _answer_hit(self, key, entry: _Stamped, current: _Stamped, root) -> Set[Tuple]:
+    def _answer_hit(self, key, entry: Stamped, current: Stamped, root) -> Set[Tuple]:
         """*entry*'s answers served without evaluation; *current* is the
         entry confirmed at the current data generation."""
         if current is not entry:
             self._answer_cache.replace(key, entry, current)
         self._answer_cache.stats.record_hit()
         root.set("answer_cache", "hit")
-        return set(entry.answers)
+        return set(entry.value)
 
     def _answer_reader(self, ucq, label, method, context, tracer, key, template):
         """What answers *ucq* by *method*: its rewriting (and unfolding)
@@ -1086,37 +1039,41 @@ class OBDASystem:
 
     def _violated(self, check: _Check, extents, budget, verdict_key, outcomes) -> bool:
         """Whether the data violates *check*.  With caches on, each check
-        keeps its last result, stamps and verdict and is extended like an
-        answer-cache entry; a violated check stays violated while
+        keeps its last answers and verdict, stamped, and is refreshed as
+        an answer-cache entry is; a violated check stays violated while
         everything it read only grew, so it is confirmed without a join.
         Appends ``"hit"``, ``"extended"`` or ``"miss"`` to *outcomes*."""
         if budget is not None:
             budget.check()
+        result = check.result
+        if verdict_key is not None and result is not None:
+            if result.generation == verdict_key[1]:
+                outcomes.append("hit")
+                return result.value[1]
         reader = _OverExtents(check.ucq, extents)
         if verdict_key is None:
-            return check.violated(reader.full(budget)[0])
+            return check.violated(reader.full(budget, {}))
         tbox_generation, generation = verdict_key
-        result = check.result
-        entry, violated = result or (None, False)
-        delta = None
-        if entry is not None:
-            if entry.generation == generation:
-                outcomes.append("hit")
-                return violated
-            delta = _grown(reader, entry.stamps)
-        if delta is not None and (violated or not delta.grown):
-            outcomes.append("hit")
-            fresh = _Stamped(generation, ended(delta.reads), entry.answers)
-        else:
-            outcomes.append("miss" if delta is None else "extended")
-            answers, fresh = _refresh(reader, entry, delta, generation, budget)
-            violated = check.violated(answers)
+
+        def full(started) -> Tuple[FrozenSet[Tuple], bool]:
+            answers = frozenset(reader.full(budget, started))
+            return answers, check.violated(answers)
+
+        def extend(value, grown, started) -> Tuple[FrozenSet[Tuple], bool]:
+            if value[1]:
+                return value  # more answers never end a violation
+            answers = _united(value[0], reader.extend(budget, grown, started))
+            return answers, check.violated(answers)
+
+        fresh, outcome = refresh(result, generation, reader.lookup, full, extend)
+        # a violated check whose inputs grew is confirmed, not extended
+        outcomes.append("hit" if outcome == "extended" and result.value[1] else outcome)
         with self._lock:
             # only over the entry this work started from, and never
             # after a TBox change dropped the checks of this generation
             if self._tbox_generation == tbox_generation and check.result is result:
-                check.result = (fresh, violated)
-        return violated
+                check.result = fresh
+        return fresh.value[1]
 
     def is_consistent(self, context: Optional[ExecutionContext] = None) -> bool:
         return not self.inconsistency_witnesses(context)

@@ -21,7 +21,7 @@ from repro.dllite.abox import ABox, ConceptAssertion, Individual, RoleAssertion
 from repro.dllite.axioms import ConceptInclusion
 from repro.dllite.syntax import AtomicConcept, AtomicRole, ExistentialRole
 from repro.dllite.tbox import TBox
-from repro.obda.evaluation import MappingExtents
+from repro.obda.evaluation import DatalogExtents, MappingExtents
 from repro.obda.sql.database import Database
 from repro.obda.sql.table import Extent
 from repro.obda.system import OBDASystem
@@ -878,13 +878,13 @@ def test_racing_refreshes_of_one_extent_append_each_row_once(monkeypatch):
     table = provider.table("teaches", 2)
     readers, rounds = 4, 3
     fence = threading.Barrier(readers, timeout=30.0)
-    refresh = MappingExtents._refresh
+    refresh = MappingExtents._refreshed
 
     def together(self, *args):
         fence.wait()  # nobody installs before every reader took the delta path
         return refresh(self, *args)
 
-    monkeypatch.setattr(MappingExtents, "_refresh", together)
+    monkeypatch.setattr(MappingExtents, "_refreshed", together)
     delta_pulls = provider.delta_pulls
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -901,3 +901,39 @@ def test_racing_refreshes_of_one_extent_append_each_row_once(monkeypatch):
     assert len(table.rows) == len(set(table.rows))
     fresh = system.mappings.predicate_extent(database, "teaches", 2)
     assert sorted(map(repr, table.rows)) == sorted(map(repr, fresh))
+
+
+def test_racing_derivations_serve_the_table_one_of_them_installed(monkeypatch):
+    """Readers derive one auxiliary extent at once: each derives a table
+    of its own, one installs it and every other reader serves the
+    installed table, so all of them read the table an append then grows
+    in place (answers over it are extended, not recomputed)."""
+    from repro.obda.rewriting.presto import AuxiliaryRules
+
+    system, _, _, _ = _university()
+    provider = DatalogExtents(AuxiliaryRules(system.classification), system.extents())
+    readers = 4
+    fence = threading.Barrier(readers, timeout=30.0)
+    refreshed = DatalogExtents._refreshed
+
+    def together(self, *args):
+        fence.wait()  # nobody installs before every reader derived
+        return refreshed(self, *args)
+
+    derivations = global_metrics().counter("obda.evaluation.derivations")
+    before = derivations.value
+    served = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(DatalogExtents, "_refreshed", together)
+            _run_threads(lambda index: served.append(provider.table("Teacher*", 1)), readers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert derivations.value == before + readers
+    table = provider._cache[("Teacher*", 1)].value
+    assert served == [table] * readers
+    system.database["person"].insert((999, "prof", 0))
+    assert provider.table("Teacher*", 1) is table
+    assert (Individual("p/999"),) in table

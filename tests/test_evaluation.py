@@ -1,5 +1,7 @@
 """Unit tests for query evaluation over extents."""
 
+from collections import Counter
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -18,8 +20,10 @@ from repro.errors import TimeoutExceeded
 from repro.obda import ABoxExtents, evaluate_cq, evaluate_ucq, parse_cq, parse_query
 from repro.obda.evaluation import ExtentProvider
 from repro.obda.queries import Atom, ConjunctiveQuery, Constant, Variable
+from repro.obda.sql.table import Extent
 from repro.obs.trace import NullTracer, Tracer, use_tracer
 from repro.runtime.budget import Budget
+from repro.runtime.faults import FaultInjector, FaultSpec, FaultyExtents
 
 ada, bob, carol = Individual("ada"), Individual("bob"), Individual("carol")
 
@@ -92,9 +96,14 @@ class _NoScanIndex(dict):
     items = __iter__ = values
 
 
+class _NoScanTable(Extent):
+    def index(self, positions, budget=None):
+        return _NoScanIndex(super().index(positions, budget))
+
+
 class _NoScanExtents(ABoxExtents):
-    def index(self, predicate, arity, positions, budget=None):
-        return _NoScanIndex(super().index(predicate, arity, positions, budget))
+    def table(self, predicate, arity):
+        return _NoScanTable(predicate, super().table(predicate, arity).rows)
 
 
 def test_constant_probe_never_scans_the_index():
@@ -106,6 +115,36 @@ def test_constant_probe_never_scans_the_index():
     assert evaluate_cq(
         parse_cq("q(y) :- knows('ada', y), knows(x, y)"), extents
     ) == {(bob,)}
+
+
+class _CountingExtents(ABoxExtents):
+    """Counts the table lookups per predicate and arity."""
+
+    def __init__(self, abox):
+        super().__init__(abox)
+        self.lookups = Counter()
+
+    def table(self, predicate, arity):
+        self.lookups[predicate, arity] += 1
+        return super().table(predicate, arity)
+
+
+def test_a_call_looks_each_table_up_once_and_probes_only_it(extents):
+    """Every keyed step takes its index from the table whose rows it
+    reads: one lookup per predicate and call, however many steps probe
+    it, so a faulty source draws its lottery once per predicate."""
+    counting = _CountingExtents(extents.abox)
+    query = parse_query(
+        "q(x) :- knows(x, y), Person(y), knows(z, y) ; knows(x, 'bob')"
+    )
+    assert evaluate_ucq(query, counting) == {(ada,)}
+    assert counting.lookups == {("knows", 2): 1, ("Person", 1): 1}
+    counting.lookups.clear()
+    assert evaluate_cq(next(iter(query)), counting) == {(ada,)}
+    assert counting.lookups == {("knows", 2): 1, ("Person", 1): 1}
+    injector = FaultInjector(FaultSpec())
+    evaluate_ucq(query, FaultyExtents(extents, injector))
+    assert injector.calls == 2
 
 
 def test_cells_join_by_string_form_objects_apart_from_values():

@@ -21,6 +21,8 @@ from repro.dllite import (
     parse_owl_functional,
     serialize_owl_functional,
 )
+from repro.dllite.ontology import Ontology
+from repro.dllite.tbox import TBox
 from repro.errors import LanguageViolation
 
 DOC = """
@@ -144,3 +146,65 @@ def test_round_trip_with_abox():
     reparsed = parse_owl_functional(serialize_owl_functional(original))
     assert set(reparsed.tbox.axioms) == set(original.tbox.axioms)
     assert set(reparsed.abox) == set(original.abox)
+
+
+class _OneCallAtATime(TBox):
+    """A TBox that takes every batch one predicate or axiom at a time."""
+
+    def declare(self, *predicates):
+        for predicate in predicates:
+            super().declare(predicate)
+
+    def extend(self, axioms):
+        added = 0
+        for axiom in axioms:
+            added += super().extend((axiom,))
+        return added
+
+
+def _state(tbox):
+    return list(tbox), tbox.signature, tbox.generation
+
+
+def test_declarations_and_axioms_load_in_runs_as_one_call_each():
+    """A declaration after an axiom that brought its predicate in moves
+    no generation: the runs give the TBox of one call per form."""
+    text = """
+    Ontology(<http://example.org/runs>
+      Declaration(Class(:A))
+      SubClassOf(:A :B)
+      Declaration(Class(:B))
+      Declaration(ObjectProperty(:P))
+      SubObjectPropertyOf(:P :Q)
+      SubClassOf(:A :B)
+      Declaration(Class(:C))
+      Declaration(Class(:C))
+    )
+    """
+    A, B, C = AtomicConcept("A"), AtomicConcept("B"), AtomicConcept("C")
+    P, Q = AtomicRole("P"), AtomicRole("Q")
+    reference = TBox()
+    reference.declare(A)
+    reference.add(ConceptInclusion(A, B))
+    reference.declare(B)
+    reference.declare(P)
+    reference.add(RoleInclusion(P, Q))
+    reference.add(ConceptInclusion(A, B))
+    reference.declare(C)
+    reference.declare(C)
+    assert _state(parse_owl_functional(text).tbox) == _state(reference)
+
+
+@pytest.mark.parametrize("profile", ["Mouse", "Transportation"])
+def test_a_profile_loads_as_one_call_per_form(profile, monkeypatch):
+    from repro.corpus.profiles import load_profile
+    from repro.dllite import owlfs
+
+    text = serialize_owl_functional(load_profile(profile, scale=0.2))
+    batched = parse_owl_functional(text).tbox
+    monkeypatch.setattr(
+        owlfs, "Ontology", lambda name: Ontology(_OneCallAtATime(name=f"{name}-tbox"))
+    )
+    one_by_one = parse_owl_functional(text).tbox
+    assert isinstance(one_by_one, _OneCallAtATime)
+    assert _state(batched) == _state(one_by_one)

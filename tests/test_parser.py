@@ -12,11 +12,13 @@ from repro.dllite import (
     AtomicConcept,
     AtomicRole,
     AttributeDomain,
+    AttributeInclusion,
     ConceptInclusion,
     ExistentialRole,
     FunctionalAttribute,
     FunctionalRole,
     InverseRole,
+    NegatedAttribute,
     NegatedConcept,
     NegatedRole,
     QualifiedExistential,
@@ -196,6 +198,30 @@ def test_a_later_declaration_types_an_earlier_negated_name():
     assert list(tbox) == [
         RoleInclusion(InverseRole(P), NegatedRole(AtomicRole("X")))
     ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "role P\nP isa not X",
+        # X typed a role on a later line, by declaration or by use
+        "role P\nP isa not X\nrole X",
+        "role P\nP isa not X\nA isa exists X",
+    ],
+)
+def test_a_negated_bare_name_on_a_role_inclusion_is_a_role(text):
+    tbox = parse_tbox(text)
+    assert list(tbox)[0] == RoleInclusion(P, NegatedRole(AtomicRole("X")))
+    assert AtomicRole("X") in tbox.signature.roles
+    assert AtomicConcept("X") not in tbox.signature.concepts
+
+
+def test_a_negated_bare_name_on_an_attribute_inclusion_is_an_attribute():
+    tbox = parse_tbox("attribute U\nU isa not V")
+    assert list(tbox) == [
+        AttributeInclusion(AtomicAttribute("U"), NegatedAttribute(AtomicAttribute("V")))
+    ]
+    assert AtomicAttribute("V") in tbox.signature.attributes
 
 
 # -- differential: the single pass against the two full passes it replaced ----------

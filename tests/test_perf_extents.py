@@ -100,23 +100,23 @@ def test_database_mutation_invalidates_extents_and_answers():
 def test_indexes_are_reused_across_queries():
     system = _campus_system()
     provider = system.extents()
-    first = provider.index("teaches", 2, (0,))
-    assert provider.index("teaches", 2, (0,)) is first
+    first = provider.table("teaches", 2).index((0,))
+    assert provider.table("teaches", 2).index((0,)) is first
     # a different probe shape is a different index
-    assert provider.index("teaches", 2, (1,)) is not first
+    assert provider.table("teaches", 2).index((1,)) is not first
     # data mutation rebuilds
     system.database["t_teaches"].insert(("bob", "compilers"))
-    assert provider.index("teaches", 2, (0,)) is not first
+    assert provider.table("teaches", 2).index((0,)) is not first
 
 
 def test_explicit_invalidate_drops_extents_and_indexes():
     system = _campus_system()
     provider = system.extents()
     provider.extent("Teacher", 1)
-    index = provider.index("teaches", 2, ())
+    index = provider.table("teaches", 2).index(())
     provider.invalidate()
     assert provider._cache == {}
-    assert provider.index("teaches", 2, ()) is not index
+    assert provider.table("teaches", 2).index(()) is not index
 
 
 # -- non-poisoning -------------------------------------------------------------
@@ -134,10 +134,10 @@ def test_budget_abort_during_index_build_installs_nothing():
     provider = _big_abox_extents()
     expired = Budget(0.0, task="index")
     with pytest.raises(TimeoutExceeded):
-        provider.index("P", 2, (0,), budget=expired)
+        provider.table("P", 2).index((0,), expired)
     assert (0,) not in provider.table("P", 2)._indexes
     # the next (funded) build succeeds and is complete
-    index = provider.index("P", 2, (0,))
+    index = provider.table("P", 2).index((0,))
     assert sum(len(rows) for rows in index.values()) == 1200
 
 
@@ -395,7 +395,7 @@ def _extent_indexes(provider):
     return [
         (predicate, arity, positions)
         for (predicate, arity), entry in list(provider._cache.items())
-        for positions in list(entry.table._indexes)
+        for positions in list(entry.value._indexes)
     ]
 
 
@@ -403,7 +403,7 @@ def _hold_extent_indexes(provider, held):
     """Append to *held* every index of *provider*'s own tables, as a
     probe would get it now, with its buckets at that moment."""
     for predicate, arity, positions in _extent_indexes(provider):
-        index = provider.index(predicate, arity, positions)
+        index = provider.table(predicate, arity).index(positions)
         held.append((index, _buckets(index)))
 
 
@@ -495,10 +495,10 @@ def test_delta_refreshes_match_fresh_pulls(seed):
         elif roll < 0.75:
             predicate, arity = rng.choice(sorted(_DELTA_ARITIES.items()))
             provider.extent(predicate, arity)
-            hold(provider.index(predicate, arity, rng.choice(((), (0,), (arity - 1,)))))
+            hold(provider.table(predicate, arity).index(rng.choice(((), (0,), (arity - 1,)))))
             program = rng.choice(derived)
             head, rules = rng.choice(sorted(program.rewriting.rules_by_head.items()))
-            hold(program.index(head, rules[0].head.arity, ()))
+            hold(program.table(head, rules[0].head.arity).index(()))
             constraints.relevant_inclusions(rng.choice(rewritings))
             _hold_table_indexes(database, table_held)
         else:
@@ -534,7 +534,7 @@ def test_delta_refreshes_match_fresh_pulls(seed):
     # indexes: bucket for bucket, current and published alike
     for predicate, arity, positions in _extent_indexes(provider):
         fresh = _fresh_index(mappings.predicate_extent(database, predicate, arity), positions)
-        assert _same_buckets(provider.index(predicate, arity, positions), fresh)
+        assert _same_buckets(provider.table(predicate, arity).index(positions), fresh)
     for index, buckets in held:
         assert _buckets(index) == buckets
     # derived extents, verdicts and answers against cache-free twins
@@ -589,15 +589,15 @@ def test_budget_abort_during_index_extension_installs_nothing():
         ]
     )
     provider = MappingExtents(mappings, database)
-    before = provider.index("P", 2, (0,))
+    before = provider.table("P", 2).index((0,))
     cached = provider.table("P", 2)._indexes[(0,)]
     database["pairs"].insert_many((i, i + 1) for i in range(10, 1210))
     with pytest.raises(TimeoutExceeded):
-        provider.index("P", 2, (0,), budget=Budget(0.0, task="extend"))
+        provider.table("P", 2).index((0,), Budget(0.0, task="extend"))
     assert provider.table("P", 2)._indexes[(0,)] is cached
     assert sum(len(rows) for rows in before.values()) == 10
     extends = global_metrics().counter("obda.evaluation.index_extends").value
-    index = provider.index("P", 2, (0,))
+    index = provider.table("P", 2).index((0,))
     assert global_metrics().counter("obda.evaluation.index_extends").value == extends + 1
     assert sum(len(rows) for rows in index.values()) == 1210
     assert provider.delta_pulls == 1 and provider.pulls == 1
@@ -917,7 +917,7 @@ def test_budget_abort_during_an_extension_leaves_the_old_entry(method, monkeypat
     template = template_key(query)
     key = (template.shape, template.keys, method, system._tbox_generation)
     entry = system._answer_cache.peek(key)
-    assert entry is not None and entry.answers == before
+    assert entry is not None and entry.value == before
     system.database["t_teaches"].insert(("bob", "compilers"))
 
     def expired(self, stride=None):
@@ -1186,7 +1186,7 @@ def test_derived_deltas_and_aliases_match_a_fresh_derivation(seed):
             head, arity = rng.choice(sorted(_DERIVED_ARITIES.items()))
             provider.extent(head, arity)
             positions = rng.choice(((), (0,), (arity - 1,)))
-            index = provider.index(head, arity, positions)
+            index = provider.table(head, arity).index(positions)
             held.append((index, {key: list(rows) for key, rows in index.items()}))
     fresh_base = MappingExtents(mappings, database)
     fresh = DatalogExtents(rewriting, fresh_base)
@@ -1205,7 +1205,7 @@ def test_derived_deltas_and_aliases_match_a_fresh_derivation(seed):
     for owner in (provider, base):
         for predicate, arity, positions in _extent_indexes(owner):
             assert _same_buckets(
-                owner.index(predicate, arity, positions),
+                owner.table(predicate, arity).index(positions),
                 _fresh_index(fresh.extent(predicate, arity), positions),
             ), (predicate, positions)
     for index, buckets in held:
@@ -1218,7 +1218,7 @@ def test_an_identity_rule_is_served_as_its_base_predicate():
     base = MappingExtents(mappings, database)
     provider = DatalogExtents(rewriting, base)
     assert provider.table("P*", 2) is base.table("P", 2)
-    assert provider.index("P*", 2, (0,)) is base.index("P", 2, (0,))
+    assert provider.table("P*", 2).index((0,)) is base.table("P", 2).index((0,))
     assert provider.table("C*", 1) is base.table("C", 1)
     # a swapped copy is derived, not served as P
     assert provider.extent("Pinv*", 2) == {(Individual("i/2"), Individual("i/1"))}
@@ -1231,7 +1231,7 @@ def test_a_derived_extent_grows_by_the_projected_delta():
     provider = DatalogExtents(rewriting, MappingExtents(mappings, database))
     table = provider.table("D*", 1)
     before = list(table.rows)
-    index = provider.index("D*", 1, (0,))
+    index = provider.table("D*", 1).index((0,))
     counters = global_metrics()
     deltas = counters.counter("obda.evaluation.derived_deltas").value
     builds = counters.counter("obda.evaluation.index_builds").value
@@ -1241,13 +1241,13 @@ def test_a_derived_extent_grows_by_the_projected_delta():
     assert provider.table("D*", 1) is table
     assert table.rows == before + [(Individual("i/3"),)]
     assert counters.counter("obda.evaluation.derived_deltas").value == deltas + 1
-    extended = provider.index("D*", 1, (0,))
+    extended = provider.table("D*", 1).index((0,))
     assert extended is not index and set(extended) == set(index) | {("i/3",)}
     assert counters.counter("obda.evaluation.index_builds").value == builds
     # a delta that adds nothing keeps the rows and the index as they are
     database["c"].insert((3,))
     assert provider.table("D*", 1).rows == before + [(Individual("i/3"),)]
-    assert provider.index("D*", 1, (0,)) is extended
+    assert provider.table("D*", 1).index((0,)) is extended
 
 
 def test_a_derived_extent_grows_by_one_delta_over_several_base_deltas():
@@ -1277,12 +1277,12 @@ def test_budget_abort_during_a_derived_delta_installs_nothing():
     database, mappings, rewriting = _derived_source()
     database["p"].insert_many((i, i + 1) for i in range(10))
     provider = DatalogExtents(rewriting, MappingExtents(mappings, database))
-    provider.index("Pinv*", 2, (0,))
+    provider.table("Pinv*", 2).index((0,))
     cached = provider.table("Pinv*", 2)._indexes[(0,)]
     database["p"].insert_many((i, i + 1) for i in range(10, 1210))
     with pytest.raises(TimeoutExceeded):
-        provider.index("Pinv*", 2, (0,), budget=Budget(0.0, task="derived"))
+        provider.table("Pinv*", 2).index((0,), Budget(0.0, task="derived"))
     assert provider.table("Pinv*", 2)._indexes[(0,)] is cached
-    index = provider.index("Pinv*", 2, (0,))
+    index = provider.table("Pinv*", 2).index((0,))
     assert _same_buckets(index, _fresh_index(provider.extent("Pinv*", 2), (0,)))
     assert sum(len(rows) for rows in index.values()) == 1210

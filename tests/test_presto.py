@@ -262,3 +262,30 @@ def test_base_facts_of_a_concept_and_a_role_sharing_a_name_stay_apart():
         }
         assert system.certain_answers("q(x) :- P(x), P(x, y)", method=method) == set()
 
+
+
+def test_the_witness_tbox_equals_one_built_one_call_at_a_time():
+    from repro.core.classifier import GraphClassifier
+    from repro.core.deductive import qualified_inclusions
+    from repro.corpus.profiles import load_profile
+    from repro.dllite.syntax import AtomicAttribute, AttributeDomain, ExistentialRole, InverseRole
+    from repro.obda.rewriting.presto import _witness_tbox
+
+    classification = GraphClassifier().classify(load_profile("Transportation", scale=0.2))
+    reference = TBox(name=f"{classification.tbox.name}-witnesses")
+    for node in classification.graph.nodes:
+        if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
+            reference.declare(node)
+    for node in classification.graph.nodes:
+        if isinstance(node, (AtomicRole, InverseRole)):
+            continue
+        for upper in classification.subsumers(node):
+            if upper != node and isinstance(upper, (ExistentialRole, AttributeDomain)):
+                reference.add(ConceptInclusion(node, upper))
+    for axiom in qualified_inclusions(classification):
+        reference.add(axiom)
+    batched = _witness_tbox(classification)
+    assert len(reference) > 0
+    assert (list(batched), batched.signature, batched.generation) == (
+        list(reference), reference.signature, reference.generation
+    )

@@ -184,7 +184,7 @@ def test_faulty_extents_fault_index_calls_too():
         StaticExtents({("a",)}), FaultInjector(FaultSpec(permanent_after=0))
     )
     with pytest.raises(PermanentSourceError):
-        outage.index("P", 1, (0,))
+        outage.table("P", 1).index((0,))
     with pytest.raises(PermanentSourceError):
         outage.table("P", 1)
 

@@ -148,7 +148,7 @@ def test_retrying_extents_recovers():
 def test_retrying_extents_retries_a_pull_inside_index():
     policy, _ = recording_policy(max_attempts=4, base_delay_s=0.0)
     inner = FlakyExtents(fail_times=2)
-    index = RetryingExtents(inner, policy).index("Person", 1, (0,))
+    index = RetryingExtents(inner, policy).table("Person", 1).index((0,))
     assert sorted(index) == [("a",), ("b",)]
     assert inner.calls == 3
 

@@ -380,10 +380,10 @@ def test_queries_over_one_auxiliary_predicate_derive_it_once():
     # Teacher* is derived once; teaches* is served as its base predicate
     assert list(provider._cache) == [("Teacher*", 1)]
     assert _counts()[0] - start[0] == 1
-    index = provider.index("Teacher*", 1, (0,))
+    index = provider.table("Teacher*", 1).index((0,))
     system.certain_answers("q(x) :- Teacher(x), Person(x)", method="presto")
     assert system._presto_extents is provider
-    assert provider.index("Teacher*", 1, (0,)) is index
+    assert provider.table("Teacher*", 1).index((0,)) is index
 
 
 def test_an_append_grows_the_shared_derived_extent_by_one_delta():

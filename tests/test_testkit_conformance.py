@@ -118,7 +118,7 @@ def test_obda_step_diffs_the_extended_answers_after_appends(monkeypatch):
         (system_module._PushedDown, "sql/perfectref-sqlite"),
     ):
         with monkeypatch.context() as patched:
-            patched.setattr(reader, "extend", lambda self, budget, delta: set())
+            patched.setattr(reader, "extend", lambda self, budget, grown, started: set())
             problems = _obda_diff(tbox, _teaching_abox(), queries, appends, (), None)
         assert {problem.kind for problem in problems} == {"answers"}
         assert caught in {problem.left for problem in problems}, problems
